@@ -410,6 +410,13 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 			rn.persist(block, attempt, false)
 			rn.pool.Prune(block.Txs)
 			rn.metrics.committed.Inc()
+			if rn.st == nil && cfg.CheckpointEvery > 0 && rn.metrics.committed.Value()%cfg.CheckpointEvery == 0 {
+				// No store, so no checkpoint will ever bound the committed-
+				// transaction dedup set (persist): trim on the same cadence.
+				// A transaction resubmitted after that is admitted again and
+				// skipped by the ledger, which knows every applied ID.
+				rn.pool.TrimCommitted()
+			}
 			rn.metrics.txApplied.Add(uint64(applied))
 			rn.metrics.height.Set(int64(rn.ledger.Height()))
 			if t0, ok := rn.proposeAt[k]; ok {
@@ -679,7 +686,13 @@ func (h *appHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 	case *transport.SyncFrame:
 		h.rn.onSyncFrame(from, m)
 	default:
+		committed := h.rn.metrics.committed.Value()
 		h.rn.replica.OnMessage(from, msg)
+		if h.rn.metrics.committed.Value() != committed {
+			// Once per block, after the replica has retired what the new
+			// block pushed out of its window.
+			h.rn.metrics.publishReplica(h.rn.replica.Stats())
+		}
 	}
 }
 

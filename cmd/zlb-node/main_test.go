@@ -57,6 +57,36 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// startCluster boots an n-replica cluster without data directories on
+// free localhost ports and closes it when the test ends; tweak, when
+// set, adjusts replica i's configuration before it starts.
+func startCluster(t *testing.T, n int, seed int64, tweak func(i int, cfg *nodeConfig)) ([]*replicaNode, []string) {
+	t.Helper()
+	addrs := freeAddrs(t, n)
+	nodes := make([]*replicaNode, n)
+	for i := range nodes {
+		cfg := nodeConfig{
+			Self:   types.ReplicaID(i + 1),
+			N:      n,
+			Listen: addrs[i],
+			Peers:  addrs,
+			Seed:   seed,
+			Logf:   t.Logf,
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
+		}
+		rn, err := newReplicaNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = rn
+		go rn.Serve()
+		t.Cleanup(rn.Close)
+	}
+	return nodes, addrs
+}
+
 // testClient chains faucet payments exactly like cmd/zlb-client.
 type testClient struct {
 	t      *testing.T
@@ -97,6 +127,12 @@ type clientEnvelope struct {
 // real clients likewise broadcast with retries (§4.2).
 func (c *testClient) submit(amount types.Amount, to ...int) {
 	c.t.Helper()
+	c.send(c.pay(amount), to...)
+}
+
+// pay signs the next payment of the chain without sending it.
+func (c *testClient) pay(amount types.Amount) *utxo.Transaction {
+	c.t.Helper()
 	tx, err := c.faucet.Pay([]utxo.Input{c.prev},
 		[]utxo.Output{{Account: utxo.Address(types.Hash([]byte("sink"))), Value: amount}})
 	if err != nil {
@@ -107,6 +143,12 @@ func (c *testClient) submit(amount types.Amount, to ...int) {
 		Prev:  utxo.Outpoint{TxID: tx.ID(), Index: changeIdx},
 		Value: tx.Outputs[changeIdx].Value,
 	}
+	return tx
+}
+
+// send delivers tx to the given replica subset, as submit describes.
+func (c *testClient) send(tx *utxo.Transaction, to ...int) {
+	c.t.Helper()
 	for _, i := range to {
 		delivered := false
 		deadline := time.Now().Add(15 * time.Second)
@@ -444,4 +486,64 @@ func TestNodeSyncBootstrap(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestStorelessNodeTrimsCommittedSet checks the dedup set of a node
+// without -data-dir: no checkpoint will ever bound it, so the node trims
+// it every CheckpointEvery blocks. Before the trim a resubmitted committed
+// transaction is refused by the mempool; after it the mempool admits it
+// and the ledger, which knows every applied ID, skips it.
+func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-TCP integration test")
+	}
+	const n = 4
+	const seed = int64(13)
+	nodes, addrs := startCluster(t, n, seed, func(_ int, cfg *nodeConfig) { cfg.CheckpointEvery = 2 })
+	all := []int{0, 1, 2, 3}
+	waitHeight := func(want int) {
+		t.Helper()
+		waitFor(t, 30*time.Second, fmt.Sprintf("block %d on all replicas", want), func() bool {
+			for _, rn := range nodes {
+				if rn.state().Height < want {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	refusedCommitted := func() uint64 {
+		var sum uint64
+		for _, rn := range nodes {
+			sum += rn.pool.Stats().Rejects["committed"]
+		}
+		return sum
+	}
+
+	client := newTestClient(t, seed, addrs)
+	first := client.pay(500)
+	client.send(first, all...)
+	waitHeight(1)
+	client.send(first, all...) // block 1 of 2: the dedup set still holds it
+	waitFor(t, 10*time.Second, "the early resubmission to be refused everywhere", func() bool {
+		return refusedCommitted() == n
+	})
+
+	client.submit(501, all...)
+	waitHeight(2) // the second block trims
+	applied := nodes[0].metrics.txApplied.Value()
+	faucet := nodes[0].state().Faucet
+	client.send(first, all...)
+	waitHeight(3) // admitted again, proposed, committed as an empty block
+	if got := refusedCommitted(); got != n {
+		t.Errorf("%d committed-refusals after the trim, want the %d from before it", got, n)
+	}
+	for i, rn := range nodes {
+		if got := rn.metrics.txApplied.Value(); got != applied {
+			t.Errorf("replica %d applied %d transactions, want %d: the ledger let a committed transaction through", i+1, got, applied)
+		}
+	}
+	if got := nodes[0].state().Faucet; got != faucet {
+		t.Errorf("faucet balance moved from %d to %d on a resubmitted transaction", faucet, got)
+	}
 }

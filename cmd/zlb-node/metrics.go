@@ -14,6 +14,7 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/transport"
@@ -39,6 +40,16 @@ type nodeMetrics struct {
 	txApplied *obs.Counter
 	culprits  *obs.Counter
 	commitLat *obs.Histogram
+
+	// What the replica holds in memory (asmr.Stats), published by the
+	// event loop once per block: the scrape goroutine reads these atomics
+	// and never touches replica state.
+	liveInstances    *obs.Gauge
+	unfinalInstances *obs.Gauge
+	logStatements    *obs.Gauge
+	internedPayloads *obs.Gauge
+	compacted        *obs.Counter
+	lateDropped      *obs.Counter
 }
 
 func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
@@ -52,6 +63,13 @@ func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
 		txApplied: reg.Counter("zlb_txs_applied_total", "Transactions applied to the ledger by committed blocks."),
 		culprits:  reg.Counter("zlb_proven_culprits_total", "Replicas convicted by a proof of fraud."),
 		commitLat: reg.Histogram("zlb_commit_latency_seconds", "Wall-clock latency from batch proposal to commit.", commitLatencyBounds),
+
+		liveInstances:    reg.Gauge("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth."),
+		unfinalInstances: reg.Gauge("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here."),
+		logStatements:    reg.Gauge("zlb_log_statements", "Signed statements held by the accountability log."),
+		internedPayloads: reg.Gauge("zlb_interned_payloads", "Proposal payloads held by the reliable-broadcast intern table."),
+		compacted:        reg.Counter("zlb_compacted_instances_total", "Finalized instances retired to their compact record (decision only)."),
+		lateDropped:      reg.Counter("zlb_late_frames_dropped_total", "Consensus frames that arrived for an already retired instance."),
 	}
 	reg.GaugeFunc("zlb_mempool_pending", "Transactions pending in the mempool.",
 		func() float64 { return float64(pool.Stats().Pending) })
@@ -67,6 +85,18 @@ func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
 			func() float64 { return float64(pool.Stats().Rejects[r]) }, "reason", r)
 	}
 	return m
+}
+
+// publishReplica copies a replica snapshot into the exported series.
+// Event loop only: it is the single writer, which is what makes the
+// counter deltas exact.
+func (m *nodeMetrics) publishReplica(s asmr.Stats) {
+	m.liveInstances.Set(int64(s.LiveInstances))
+	m.unfinalInstances.Set(int64(s.UnfinalInstances))
+	m.logStatements.Set(int64(s.LogStatements))
+	m.internedPayloads.Set(int64(s.InternedPayloads))
+	m.compacted.Add(s.RetiredInstances - m.compacted.Value())
+	m.lateDropped.Add(s.LateFramesDropped - m.lateDropped.Value())
 }
 
 // wireTransport registers the transport's node-wide counters and the
@@ -123,12 +153,21 @@ type status struct {
 	BlocksMerged    uint64          `json:"blocks_merged"`
 	TxsApplied      uint64          `json:"txs_applied"`
 	ProvenCulprits  uint64          `json:"proven_culprits"`
+	Replica         replicaStatus   `json:"replica"`
 	Mempool         mempool.Stats   `json:"mempool"`
 	// Transport is the node-wide transport counter snapshot; Peers is
 	// per-peer send-path health (state, failures, drops, reconnects).
 	Transport     transport.Stats        `json:"transport"`
 	Peers         []transport.PeerHealth `json:"peers"`
 	UptimeSeconds float64                `json:"uptime_seconds"`
+}
+
+// replicaStatus is the consensus-state part of /status: how many
+// instances hold protocol state and how many gave it up.
+type replicaStatus struct {
+	LiveInstances      int64  `json:"live_instances"`
+	CompactedInstances uint64 `json:"compacted_instances_total"`
+	UnfinalInstances   int64  `json:"unfinal_instances"`
 }
 
 func (rn *replicaNode) statusSnapshot() status {
@@ -142,10 +181,15 @@ func (rn *replicaNode) statusSnapshot() status {
 		BlocksMerged:    m.merged.Value(),
 		TxsApplied:      m.txApplied.Value(),
 		ProvenCulprits:  m.culprits.Value(),
-		Mempool:         rn.pool.Stats(),
-		Transport:       rn.node.Stats(),
-		Peers:           rn.node.PeerHealth(),
-		UptimeSeconds:   time.Since(rn.startedAt).Seconds(),
+		Replica: replicaStatus{
+			LiveInstances:      m.liveInstances.Value(),
+			CompactedInstances: m.compacted.Value(),
+			UnfinalInstances:   m.unfinalInstances.Value(),
+		},
+		Mempool:       rn.pool.Stats(),
+		Transport:     rn.node.Stats(),
+		Peers:         rn.node.PeerHealth(),
+		UptimeSeconds: time.Since(rn.startedAt).Seconds(),
 	}
 }
 

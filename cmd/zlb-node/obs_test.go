@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/transport"
 	"github.com/zeroloss/zlb/internal/types"
@@ -174,6 +175,59 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 
 	if idx := scrape(t, base+"/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Error("/debug/pprof/ index does not list the goroutine profile")
+	}
+
+	// What the replica holds in memory: a hundred blocks on, the live
+	// instances are the retention window plus what is in flight, and
+	// everything older was retired to its compact record.
+	const more = 100
+	for b := blocks; b < blocks+more; b++ {
+		client.submit(types.Amount(500+b), 0, 1, 2, 3)
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if nodes[0].state().Height > b {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for block %d", b+1)
+			}
+		}
+	}
+	body = scrape(t, base+"/metrics")
+	for _, series := range []string{
+		"zlb_live_instances",
+		"zlb_compacted_instances_total",
+		"zlb_unfinal_instances",
+		"zlb_log_statements",
+		"zlb_interned_payloads",
+		"zlb_late_frames_dropped_total",
+	} {
+		if !strings.Contains(body, "\n"+series+" ") {
+			t.Errorf("/metrics missing series %s", series)
+		}
+	}
+	const window = asmr.RetainDepth + 2
+	if v := seriesValue(t, body, "zlb_live_instances"); v < 1 || v > window {
+		t.Errorf("zlb_live_instances = %v after %d blocks, want 1..%d", v, blocks+more, window)
+	}
+	if v := seriesValue(t, body, "zlb_compacted_instances_total"); v < blocks+more-window {
+		t.Errorf("zlb_compacted_instances_total = %v after %d blocks, want >= %d", v, blocks+more, blocks+more-window)
+	}
+	if v := seriesValue(t, body, "zlb_unfinal_instances"); v != 0 {
+		t.Errorf("zlb_unfinal_instances = %v on a healthy cluster", v)
+	}
+	// At n=4 an instance leaves at most 4·(1+4+4+2·5)+4 = 80 statements.
+	if v := seriesValue(t, body, "zlb_log_statements"); v < 1 || v > window*80 {
+		t.Errorf("zlb_log_statements = %v after %d blocks, want 1..%d", v, blocks+more, window*80)
+	}
+	if v := seriesValue(t, body, "zlb_interned_payloads"); v > window*n {
+		t.Errorf("zlb_interned_payloads = %v after %d blocks, want <= %d", v, blocks+more, window*n)
+	}
+	if err := json.Unmarshal([]byte(scrape(t, base+"/status")), &st); err != nil {
+		t.Fatalf("decoding /status: %v", err)
+	}
+	if st.Replica.LiveInstances < 1 || st.Replica.LiveInstances > window ||
+		st.Replica.CompactedInstances < blocks+more-window || st.Replica.UnfinalInstances != 0 {
+		t.Errorf("/status replica = %+v after %d blocks", st.Replica, blocks+more)
 	}
 }
 

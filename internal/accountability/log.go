@@ -16,11 +16,15 @@ import (
 // and all its protocol components share it.
 type Log struct {
 	verifier *crypto.Signer
-	// first statement seen per (slot, signer). A single flat map keyed by
-	// the combined (slot, signer) pair: recording a statement is one hash
-	// and one insert, with no per-slot inner-map allocation (Record runs
-	// for every signed statement every replica sees).
-	seen map[slotSigner]Signed
+	// first statement seen per (slot, signer), grouped by the consensus
+	// instance the statement belongs to, so DropInstance releases one
+	// retired instance's statements in O(its entries). Within an instance
+	// the map is flat — keyed by the combined (slot, signer) pair, with no
+	// per-slot inner-map allocation (Record runs for every signed statement
+	// every replica sees).
+	seen map[InstanceKey]map[slotSigner]Signed
+	// statements is the number of entries across seen.
+	statements int
 	// pofs accumulated, one per culprit (the first found is kept)
 	pofs map[types.ReplicaID]PoF
 	// treated marks culprits whose proofs were handled by a completed
@@ -43,8 +47,20 @@ type Log struct {
 	Recorded int
 }
 
-// slotSigner is the log's flat index key: an equivocation slot plus the
-// signer being tracked in it.
+// InstanceKey names one consensus instance across contexts: the unit the
+// log is indexed and dropped by.
+type InstanceKey struct {
+	Context  uint8
+	Instance types.Instance
+}
+
+// InstanceKey returns the consensus instance the statement belongs to.
+func (s Statement) InstanceKey() InstanceKey {
+	return InstanceKey{Context: s.Context, Instance: s.Instance}
+}
+
+// slotSigner is the log's per-instance index key: an equivocation slot
+// plus the signer being tracked in it.
 type slotSigner struct {
 	slot   SlotKey
 	signer types.ReplicaID
@@ -55,7 +71,7 @@ type slotSigner struct {
 func NewLog(verifier *crypto.Signer, onPoF func(PoF)) *Log {
 	return &Log{
 		verifier: verifier,
-		seen:     make(map[slotSigner]Signed),
+		seen:     make(map[InstanceKey]map[slotSigner]Signed),
 		pofs:     make(map[types.ReplicaID]PoF),
 		treated:  make(map[types.ReplicaID]bool),
 		proven:   make(map[types.ReplicaID]bool),
@@ -69,10 +85,17 @@ func NewLog(verifier *crypto.Signer, onPoF func(PoF)) *Log {
 // or nil.
 func (l *Log) Record(s Signed) *PoF {
 	l.Recorded++
+	inst := s.Stmt.InstanceKey()
+	stmts := l.seen[inst]
+	if stmts == nil {
+		stmts = make(map[slotSigner]Signed)
+		l.seen[inst] = stmts
+	}
 	key := slotSigner{slot: s.Stmt.Key(), signer: s.Signer}
-	prev, dup := l.seen[key]
+	prev, dup := stmts[key]
 	if !dup {
-		l.seen[key] = s
+		stmts[key] = s
+		l.statements++
 		return nil
 	}
 	if prev.Stmt.Value == s.Stmt.Value {
@@ -94,6 +117,19 @@ func (l *Log) Record(s Signed) *PoF {
 	}
 	return &pof
 }
+
+// DropInstance releases every statement recorded for one consensus
+// instance. The owner calls it when the instance is retired: once an
+// instance can no longer be forked, its individual votes are dead weight
+// (proofs already extracted live on in pofs/proven). A statement for the
+// instance recorded afterwards starts a fresh entry.
+func (l *Log) DropInstance(k InstanceKey) {
+	l.statements -= len(l.seen[k])
+	delete(l.seen, k)
+}
+
+// Statements returns how many first-seen statements the log holds.
+func (l *Log) Statements() int { return l.statements }
 
 // RecordVerify verifies the signature first, then records. It returns
 // false when the signature is invalid.

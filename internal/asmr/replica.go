@@ -129,10 +129,16 @@ type Config struct {
 	OnJoined func(epoch uint64, committee []types.ReplicaID)
 }
 
+// instState is one main-chain instance at this replica. While the
+// instance is live it owns the SBC state machine and the confirmation
+// bookkeeping; once retired (retire.go) inst and the three maps are
+// released and only k, attempt, the flags, digest and decision remain —
+// what Committed, Final, Disagreed, ChainDigests and the block/catch-up
+// serving paths read.
 type instState struct {
 	k        uint64
 	attempt  uint32
-	inst     *sbc.Instance
+	inst     *sbc.Instance // nil once retired, and for blocks restored from disk
 	proposed bool
 	stopped  bool
 	decided  bool
@@ -173,6 +179,14 @@ type Replica struct {
 
 	// deferred PoF gossip assembled during the current event
 	outPoFs []accountability.PoF
+
+	// Retirement of finalized instances (retire.go).
+	sweptTo      uint64   // every k below it has been examined by the sweep
+	recheck      []uint64 // passed-over instances that since decided or became final
+	live         int      // instances holding protocol state
+	unfinal      int      // of those, how many sit below sweptTo
+	retiredTotal uint64
+	lateDropped  uint64
 
 	// pending buffers consensus messages that cannot be routed yet: a
 	// membership change a peer already started, an instance attempt we
@@ -264,6 +278,7 @@ func NewReplica(cfg Config) *Replica {
 		instances: make(map[uint64]*instState),
 		committed: make(map[uint64]*sbc.Decision),
 		nextK:     1,
+		sweptTo:   1,
 	}
 	for _, id := range cfg.InitialCommittee {
 		if id == cfg.Self {
@@ -296,25 +311,6 @@ func (r *Replica) Changes() []*membership.Result { return r.changes }
 
 // ActiveChange returns the current membership change, if any (diagnostics).
 func (r *Replica) ActiveChange() *membership.Change { return r.change }
-
-// DebugSlot returns bincon diagnostics for (k, slot).
-func (r *Replica) DebugSlot(k uint64, slot types.ReplicaID) string {
-	if st, ok := r.instances[k]; ok {
-		return st.inst.DebugSlot(slot)
-	}
-	return "no instance"
-}
-
-// InstanceProgress reports instance k's attempt and SBC progress
-// (diagnostics).
-func (r *Replica) InstanceProgress(k uint64) (attempt uint32, delivered, decided, total int, undecided []types.ReplicaID, stopped bool) {
-	st, ok := r.instances[k]
-	if !ok {
-		return 0, 0, 0, 0, nil, false
-	}
-	delivered, decided, total = st.inst.Progress()
-	return st.attempt, delivered, decided, total, st.inst.UndecidedSlots(), st.stopped
-}
 
 // PendingBuffered returns how many consensus messages await routing
 // (diagnostics).
@@ -359,23 +355,14 @@ type RestoredBlock struct {
 // instances are committed without refiring OnCommit (the application
 // already recovered their content from disk) and cannot serve catch-up
 // to peers; peers that need those blocks fetch them from replicas that
-// decided them live.
+// decided them live. A restored instance never runs here again, so it is
+// created already retired: no protocol state, whatever the chain length.
 func (r *Replica) Restore(blocks []RestoredBlock) {
 	for _, b := range blocks {
 		if _, dup := r.committed[b.K]; dup {
 			continue
 		}
-		st := &instState{
-			k:          b.K,
-			attempt:    b.Attempt,
-			confirms:   make(map[types.ReplicaID]types.Digest),
-			remoteSeen: make(map[types.Digest]bool),
-			reqSent:    make(map[types.ReplicaID]bool),
-		}
-		st.inst = r.buildSBC(b.K, st)
-		st.decided = true
-		st.digest = b.Digest
-		r.instances[b.K] = st
+		r.instances[b.K] = &instState{k: b.K, attempt: b.Attempt, decided: true, digest: b.Digest}
 		r.committed[b.K] = nil
 		if b.K >= r.nextK {
 			r.nextK = b.K + 1
@@ -473,9 +460,19 @@ func (r *Replica) ensureInstance(k uint64) *instState {
 	if st, ok := r.instances[k]; ok {
 		return st
 	}
+	r.live++
+	if k < r.sweptTo {
+		r.unfinal++
+	}
+	return r.newInstance(k)
+}
+
+// newInstance installs fresh protocol state for k at the current attempt
+// (the attempt tracks the membership epoch).
+func (r *Replica) newInstance(k uint64) *instState {
 	st := &instState{
 		k:          k,
-		attempt:    uint32(r.epoch), // attempt tracks the membership epoch
+		attempt:    uint32(r.epoch),
 		confirms:   make(map[types.ReplicaID]types.Digest),
 		remoteSeen: make(map[types.Digest]bool),
 		reqSent:    make(map[types.ReplicaID]bool),
@@ -535,6 +532,7 @@ func (r *Replica) onDecide(st *instState, d *sbc.Decision) {
 	st.decision = d
 	st.digest = d.Digest()
 	r.committed[st.k] = d
+	r.noteProgress(st)
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseCommit, st.k, 0, st.attempt, "")
 	if r.cfg.OnCommit != nil {
 		r.cfg.OnCommit(st.k, st.attempt, d)
@@ -591,6 +589,7 @@ func (r *Replica) checkConfirmation(st *instState) {
 	}
 	if matching >= r.confirmThreshold() {
 		st.final = true
+		r.noteProgress(st)
 		if r.cfg.OnFinal != nil {
 			r.cfg.OnFinal(st.k, st.digest)
 		}
@@ -609,11 +608,24 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 		s.Stmt.Value != m.Digest {
 		return
 	}
+	st, known := r.instances[m.K]
+	if known && st.retired() && m.Digest == st.digest {
+		return // agrees with a decision that needs no more confirmations
+	}
 	if !s.Verify(r.cfg.Signer) {
 		return
 	}
 	r.log.Record(s) // conflicting confirms by one replica → PoF
-	st := r.ensureInstance(m.K)
+	if !known {
+		st = r.ensureInstance(m.K)
+	}
+	if st.retired() {
+		// A different digest for a retired instance: pull that branch's
+		// block; onBlockResp audits it against the retained decision.
+		r.requestBlock(st, from)
+		r.flushPoFs()
+		return
+	}
 	if prev, seen := st.confirms[from]; seen && prev == m.Digest {
 		return
 	}
@@ -632,6 +644,9 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 func (r *Replica) requestBlock(st *instState, from types.ReplicaID) {
 	if st.reqSent[from] {
 		return
+	}
+	if st.reqSent == nil {
+		st.reqSent = make(map[types.ReplicaID]bool) // released at retirement
 	}
 	st.reqSent[from] = true
 	r.cfg.Env.Send(from, &BlockReq{K: st.k, Attempt: st.attempt})
@@ -667,6 +682,15 @@ func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
 	}
 	if err := VerifyDecisionWith(r.cfg.Certs, r.cfg.Signer, m.Decision, r.view.Size()); err != nil {
 		return
+	}
+	if st.retired() {
+		// Retirement dropped this instance's statements from the log. Put
+		// the local decision's certificates back before the remote ones, so
+		// cross-checking the two quorums convicts the signers they share.
+		AbsorbDecision(r.log, st.decision)
+		if st.remoteSeen == nil {
+			st.remoteSeen = make(map[types.Digest]bool)
+		}
 	}
 	st.remoteSeen[dig] = true
 	st.disagreement = true
@@ -784,15 +808,8 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 	}
 	sortUint64(restartKs)
 	for _, k := range restartKs {
-		fresh := &instState{
-			k:          k,
-			attempt:    uint32(r.epoch),
-			confirms:   make(map[types.ReplicaID]types.Digest),
-			remoteSeen: make(map[types.Digest]bool),
-			reqSent:    make(map[types.ReplicaID]bool),
-		}
-		fresh.inst = r.buildSBC(k, fresh)
-		r.instances[k] = fresh
+		r.instances[k].inst.Release()
+		r.newInstance(k)
 		r.startInstance(k)
 	}
 	// Some honest replicas may have decided the stopped instances before
@@ -957,6 +974,7 @@ func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
 		st.decision = b.Decision
 		st.digest = b.Decision.Digest()
 		r.committed[b.K] = b.Decision
+		r.noteProgress(st)
 		AbsorbDecision(r.log, b.Decision)
 		if r.cfg.OnCommit != nil {
 			r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
@@ -996,6 +1014,7 @@ func (r *Replica) OnMessage(from types.ReplicaID, msg simnet.Message) {
 		r.routeConsensus(from, msg, true)
 	}
 	r.flushPoFs()
+	r.retireFinalized()
 }
 
 // routeConsensus dispatches consensus traffic: membership change contexts
@@ -1025,6 +1044,9 @@ func (r *Replica) routeConsensus(from types.ReplicaID, msg simnet.Message, mayBu
 		k, attempt := SplitInstance(wi)
 		st := r.ensureInstance(k)
 		switch {
+		case st.retired():
+			r.onLateFrame(from, st, attempt, msg)
+			return true
 		case st.attempt == attempt && !st.stopped:
 			st.inst.OnMessage(from, msg)
 			return true
@@ -1079,8 +1101,9 @@ func (r *Replica) OnTimer(payload any) {
 		return
 	}
 	k, attempt := SplitInstance(tp.Instance)
-	if st, ok := r.instances[k]; ok && st.attempt == attempt && !st.stopped {
+	if st, ok := r.instances[k]; ok && st.attempt == attempt && !st.stopped && !st.retired() {
 		st.inst.OnTimer(tp)
 	}
 	r.flushPoFs()
+	r.retireFinalized()
 }

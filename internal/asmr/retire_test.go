@@ -1,0 +1,394 @@
+package asmr_test
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/zeroloss/zlb/internal/accountability"
+	"github.com/zeroloss/zlb/internal/asmr"
+	"github.com/zeroloss/zlb/internal/conformance"
+	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/rbc"
+	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/scenario"
+	"github.com/zeroloss/zlb/internal/simnet"
+	"github.com/zeroloss/zlb/internal/types"
+)
+
+// inFlight is how many instances can hold protocol state ahead of the
+// decided chain: the one running, and the next one a faster peer already
+// sent frames for.
+const inFlight = 2
+
+// benignCluster is a fault-free ZLB cluster on a fast uniform network,
+// long enough for retirement to reach its steady state.
+func benignCluster(t *testing.T, n int, instances uint64) *harness.Cluster {
+	t.Helper()
+	c, err := harness.New(harness.Options{
+		N:            n,
+		Accountable:  true,
+		Recover:      true,
+		BaseLatency:  latency.Uniform(time.Millisecond, 8*time.Millisecond),
+		Seed:         7,
+		MaxInstances: instances,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runUntilHeight advances the simulation until every committee member
+// has decided height instances.
+func runUntilHeight(t *testing.T, c *harness.Cluster, height int) {
+	t.Helper()
+	for deadline := c.Net.Now() + 10*time.Minute; c.Net.Now() < deadline; {
+		done := true
+		for _, id := range c.Members {
+			if c.Replicas[id].CommittedCount() < height {
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+		c.Run(c.Net.Now() + 100*time.Millisecond)
+	}
+	t.Fatalf("cluster did not reach height %d", height)
+}
+
+// TestRetirementBoundsState drives 640 instances and checks that what a
+// replica holds is set by RetainDepth, not by the chain length: live
+// instances, log statements and interned payloads read the same at
+// height 200 as at height 640, while the chain stays fully readable.
+func TestRetirementBoundsState(t *testing.T) {
+	for _, n := range []int{4, 7} {
+		c := benignCluster(t, n, 640)
+		c.Start()
+		// Statements per instance: per slot one INIT, n ECHOs, n READYs
+		// and, per bincon round (at most two on a benign run), one COORD
+		// and n AUXs; plus n CONFIRMs.
+		perInstance := n*(1+2*n+2*(1+n)) + n
+		window := asmr.RetainDepth + inFlight
+		var warm []asmr.Stats
+		for _, height := range []int{200, 640} {
+			runUntilHeight(t, c, height)
+			for i, id := range c.Members {
+				s := c.Replicas[id].Stats()
+				if s.LiveInstances > window {
+					t.Errorf("n=%d height %d replica %v: %d live instances, want <= %d", n, height, id, s.LiveInstances, window)
+				}
+				if s.UnfinalInstances != 0 {
+					t.Errorf("n=%d height %d replica %v: %d unfinal instances on a benign run", n, height, id, s.UnfinalInstances)
+				}
+				if s.LogStatements > window*perInstance {
+					t.Errorf("n=%d height %d replica %v: %d log statements, want <= %d", n, height, id, s.LogStatements, window*perInstance)
+				}
+				// One payload per slot per live instance, in the table the
+				// cluster shares.
+				if s.InternedPayloads > window*n {
+					t.Errorf("n=%d height %d replica %v: %d interned payloads, want <= %d", n, height, id, s.InternedPayloads, window*n)
+				}
+				if height == 200 {
+					warm = append(warm, s)
+				} else if s.RetiredInstances <= warm[i].RetiredInstances {
+					t.Errorf("n=%d replica %v: retired %d at 200 and %d at 640", n, id, warm[i].RetiredInstances, s.RetiredInstances)
+				}
+			}
+		}
+		if got := c.Certs.Cached(); got > window*n*n {
+			t.Errorf("n=%d: %d certificate verdicts cached at height 640, want <= %d", n, got, window*n*n)
+		}
+		for _, id := range c.Members {
+			chain := c.Replicas[id].ChainDigests()
+			ref := c.Replicas[c.Members[0]].ChainDigests()
+			for k := uint64(1); k <= 640; k++ {
+				if d, ok := chain[k]; !ok || d != ref[k] {
+					t.Fatalf("n=%d replica %v: instance %d missing from or different in ChainDigests", n, id, k)
+				}
+				if !c.Replicas[id].Final(k) {
+					t.Fatalf("n=%d replica %v: instance %d lost its finality", n, id, k)
+				}
+			}
+		}
+	}
+}
+
+// probe is a node outside the committee that records what replicas send
+// it.
+type probe struct{ got []simnet.Message }
+
+func (p *probe) OnMessage(_ types.ReplicaID, msg simnet.Message) { p.got = append(p.got, msg) }
+func (p *probe) OnTimer(any)                                     {}
+
+// TestRetiredInstanceAnswersIdentically asks a replica for an old
+// instance's payload, proposal, block and catch-up transfer while the
+// instance is live and again after it retired: the answers are equal
+// field for field (a catch-up transfer grows, so its common prefix is).
+func TestRetiredInstanceAnswersIdentically(t *testing.T) {
+	const n, k, slot = 4, 5, types.ReplicaID(2)
+	c := benignCluster(t, n, 120)
+	const probeID = types.ReplicaID(2*n + 1)
+	p := &probe{}
+	c.Net.AddNode(probeID, func(simnet.Env) simnet.Handler { return p })
+	c.Start()
+	target := c.Members[0]
+	r := c.Replicas[target]
+
+	ask := func() []simnet.Message {
+		t.Helper()
+		d, ok := r.Committed(k)
+		if !ok {
+			t.Fatalf("instance %d not committed", k)
+		}
+		wi := asmr.WireInstance(k, 0)
+		p.got = nil
+		for i, req := range []simnet.Message{
+			&rbc.PayloadReq{Context: accountability.CtxMain, Instance: wi, Broadcaster: slot, Digest: d.Proposals[slot].Digest},
+			&sbc.ProposalReq{Context: accountability.CtxMain, Instance: wi, Slot: slot},
+			&asmr.BlockReq{K: k},
+			&asmr.CatchupReq{FromK: 1},
+		} {
+			// Spaced out so the answers come back in request order.
+			c.Net.Inject(probeID, target, req, time.Duration(i+1)*50*time.Millisecond)
+		}
+		c.Run(c.Net.Now() + time.Second)
+		if len(p.got) != 4 {
+			t.Fatalf("probe got %d answers, want 4", len(p.got))
+		}
+		return p.got
+	}
+
+	runUntilHeight(t, c, 10)
+	if got := r.Stats().RetiredInstances; got != 0 {
+		t.Fatalf("%d instances retired at height 10", got)
+	}
+	live := ask()
+	runUntilHeight(t, c, 120)
+	if got := r.Stats().RetiredInstances; got < 80 {
+		t.Fatalf("only %d instances retired at height 120", got)
+	}
+	retired := ask()
+
+	for i, name := range []string{"PayloadResp", "ProposalResp", "BlockResp"} {
+		if !reflect.DeepEqual(live[i], retired[i]) {
+			t.Errorf("%s for a retired instance differs:\nlive    %+v\nretired %+v", name, live[i], retired[i])
+		}
+	}
+	before := live[3].(*asmr.CatchupResp).Blocks
+	after := retired[3].(*asmr.CatchupResp).Blocks
+	if len(before) < 10 || len(after) != 120 {
+		t.Fatalf("catch-up transfers carry %d and %d blocks, want >= 10 and 120", len(before), len(after))
+	}
+	if !reflect.DeepEqual(before, after[:len(before)]) {
+		t.Error("catch-up transfer from instance 1 changed for blocks that retired in between")
+	}
+	if got := r.Stats().LateFramesDropped; got != 0 {
+		t.Errorf("%d late frames dropped; the pulls were to be answered", got)
+	}
+}
+
+// conflictingDecision forges what only a coalition can produce: a second
+// certified decision for local's instance, with slot flipped to 0 under a
+// quorum of AUX votes from signers for the round local decided in.
+func conflictingDecision(t *testing.T, c *harness.Cluster, local *sbc.Decision, slot types.ReplicaID, signers []types.ReplicaID) *sbc.Decision {
+	t.Helper()
+	remote := &sbc.Decision{
+		Instance:   local.Instance,
+		Bits:       map[types.ReplicaID]bool{},
+		Proposals:  map[types.ReplicaID]sbc.ProposalInfo{},
+		BinCerts:   map[types.ReplicaID]*accountability.Certificate{},
+		ReadyCerts: map[types.ReplicaID]*accountability.Certificate{},
+		InitStmts:  map[types.ReplicaID]*accountability.Signed{},
+	}
+	for id, bit := range local.Bits {
+		if id == slot {
+			continue
+		}
+		remote.Bits[id] = bit
+		remote.BinCerts[id] = local.BinCerts[id]
+		if bit {
+			remote.Proposals[id] = local.Proposals[id]
+			remote.ReadyCerts[id] = local.ReadyCerts[id]
+			remote.InitStmts[id] = local.InitStmts[id]
+		}
+	}
+	stmt := local.BinCerts[slot].Stmt
+	stmt.Value = accountability.BoolDigest(false)
+	var sigs []accountability.Signed
+	for _, id := range signers {
+		s, err := accountability.SignStatement(c.Signers[id], stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs = append(sigs, s)
+	}
+	cert, err := accountability.NewCertificate(stmt, sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.Bits[slot] = false
+	remote.BinCerts[slot] = cert
+	return remote
+}
+
+// TestLateConflictAfterRetirement delivers a certified conflicting block
+// for an instance that retired long ago. The replica kept only the
+// decision, and that is enough: its certificates go back into the log
+// ahead of the remote ones, the quorums intersect in ⌈n/3⌉ signers, each
+// is convicted, and the application gets both branches to merge — once.
+func TestLateConflictAfterRetirement(t *testing.T) {
+	const n, k = 4, 5
+	c := benignCluster(t, n, 100)
+	victim := c.Members[n-1]
+	r := c.Replicas[victim]
+	type call struct {
+		k             uint64
+		local, remote *sbc.Decision
+	}
+	var calls []call
+	r.Rebind(asmr.AppBindings{OnDisagreement: func(k uint64, local, remote *sbc.Decision) {
+		calls = append(calls, call{k, local, remote})
+	}})
+	c.Start()
+	runUntilHeight(t, c, 100)
+	if got := r.Stats().LiveInstances; got > asmr.RetainDepth+inFlight {
+		t.Fatalf("%d live instances at height 100: instance %d did not retire", got, k)
+	}
+	if got := r.Log().ProvenCount(); got != 0 {
+		t.Fatalf("%d culprits before the conflict", got)
+	}
+
+	local, _ := r.Committed(k)
+	slot := local.OrderedProposals()[0].Broadcaster // any slot decided 1
+	remote := conflictingDecision(t, c, local, slot, c.Members[:3])
+	for i := 0; i < 2; i++ { // the second copy must be recognised as seen
+		c.Net.Inject(c.Members[0], victim, &asmr.BlockResp{K: k, Decision: remote}, time.Duration(i+1)*10*time.Millisecond)
+	}
+	c.Run(c.Net.Now() + 500*time.Millisecond)
+
+	if len(calls) != 1 || calls[0].k != k || calls[0].local != local || calls[0].remote != remote {
+		t.Fatalf("OnDisagreement calls = %+v, want exactly one with (%d, local, remote)", calls, k)
+	}
+	if !r.Disagreed(k) {
+		t.Errorf("instance %d not marked disagreed", k)
+	}
+	// The local certificate holds a quorum of the four signers and the
+	// forged one holds replicas 1–3: they share at least two.
+	culprits := r.Log().ProvenCulprits()
+	if len(culprits) < types.FaultThreshold(n) {
+		t.Fatalf("proven culprits %v, want >= %d", culprits, types.FaultThreshold(n))
+	}
+	for _, id := range culprits {
+		if id == victim {
+			t.Errorf("replica %v convicted itself", id)
+		}
+	}
+}
+
+// TestAggressiveDepthKeepsAccountability reruns the adversarial campaigns
+// with instances retiring one instance behind the chain head instead of
+// RetainDepth, so that every fork, replay and catch-up in them meets
+// retired instances. The paper's invariants (a)–(d) must hold and the
+// proven culprits must be the ones the campaign proves at RetainDepth.
+func TestAggressiveDepthKeepsAccountability(t *testing.T) {
+	const n, seed = 9, 42 // what the campaign goldens pin
+
+	// The campaigns run three or four instances; at depth 1 that is
+	// enough for the first ones to retire while the run is still going.
+	restore := asmr.SetRetainDepth(1)
+	short := benignCluster(t, n, 4)
+	short.Start()
+	runUntilHeight(t, short, 4)
+	restore()
+	if got := short.Replicas[short.Members[0]].Stats().RetiredInstances; got < 2 {
+		t.Fatalf("a 4-instance run at depth 1 retired %d instances, want >= 2", got)
+	}
+
+	for _, campaign := range conformance.Campaigns() {
+		want, err := campaign.Run(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := asmr.SetRetainDepth(1)
+		got, err := campaign.Run(n, seed)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Violations) != 0 {
+			t.Errorf("%s at depth 1: %s", campaign.Name, got.Format())
+		}
+		if !reflect.DeepEqual(got.Culprits, want.Culprits) || !reflect.DeepEqual(got.Excluded, want.Excluded) {
+			t.Errorf("%s: culprits %v excluded %v at depth 1, %v and %v at RetainDepth",
+				campaign.Name, got.Culprits, got.Excluded, want.Culprits, want.Excluded)
+		}
+		if got.Committed != want.Committed || got.Disagreements != want.Disagreements || got.Converged != want.Converged {
+			t.Errorf("%s differs at depth 1:\n%s%s", campaign.Name, got.Format(), want.Format())
+		}
+	}
+
+	type outcome struct {
+		culprits   []types.ReplicaID
+		retired    uint64
+		violations []conformance.Violation
+		converged  bool
+	}
+	attack := func() outcome {
+		s, err := scenario.Build("attack-detect-exclude-merge", 9, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := harness.New(s.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := scenario.NewRuntime(c)
+		c.Start()
+		var now time.Duration
+		for _, ph := range s.Phases {
+			for _, f := range ph.Faults {
+				f.Apply(rt)
+			}
+			now += ph.Duration
+			c.Run(now)
+			for _, f := range ph.Faults {
+				f.Revert(rt)
+			}
+		}
+		c.RunUntilQuiet(now + s.Drain)
+		corrupt := map[types.ReplicaID]bool{}
+		for _, id := range c.Members {
+			if c.Coalition.IsDeceitful(id) {
+				corrupt[id] = true
+			}
+		}
+		out := outcome{
+			culprits:   c.CulpritsDetected(),
+			violations: conformance.CheckInvariants(c, corrupt),
+			converged:  c.ConvergedAgreement(),
+		}
+		for _, id := range c.HonestMembers() {
+			out.retired += c.Replicas[id].Stats().RetiredInstances
+		}
+		return out
+	}
+	want := attack()
+	restore = asmr.SetRetainDepth(1)
+	got := attack()
+	restore()
+	if len(got.violations) != 0 || !got.converged {
+		t.Errorf("attack-detect-exclude-merge at depth 1: converged %v, violations %v", got.converged, got.violations)
+	}
+	if len(got.culprits) == 0 || !reflect.DeepEqual(got.culprits, want.culprits) {
+		t.Errorf("attack-detect-exclude-merge: culprits %v at depth 1, %v at RetainDepth", got.culprits, want.culprits)
+	}
+	// A coalition member signs no confirmation, and at n=9 finality needs
+	// all nine: under attack nothing is final, so whatever the depth the
+	// rule must hold on to every instance the fork could reach.
+	if got.retired != 0 {
+		t.Errorf("attack-detect-exclude-merge at depth 1 retired %d instances of a chain under attack", got.retired)
+	}
+}

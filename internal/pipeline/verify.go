@@ -15,8 +15,12 @@ import (
 const certSigsParallelMin = 8
 
 // maxCachedCerts bounds the verdict cache; past it the map is reset
-// wholesale. Waiters hold their entry pointer directly, so eviction only
-// loses memoization — it can never block anyone.
+// wholesale. This is the backstop: the owner of a consensus instance
+// forgets its verdicts when it retires the instance (ForgetInstance), so
+// only certificates nobody retires (membership-change contexts, rejected
+// foreign blocks) accumulate towards it. Waiters hold their entry pointer
+// directly, so eviction only loses memoization — it can never block
+// anyone.
 const maxCachedCerts = 1 << 14
 
 // certVerdict is the cached outcome of a certificate's structure and
@@ -38,10 +42,14 @@ type certVerdict struct {
 
 // Verifier checks certificates on the worker pool and memoizes verdicts
 // by certificate identity. One Verifier serves one deployment (a
-// simulated cluster or one TCP node process): in both, a certificate
-// multicast to n replicas arrives as n references to the same immutable
-// object, so the first check settles it for everyone — the n−1 repeat
-// verifications that used to dominate the commit path become map hits.
+// simulated cluster or one TCP node process). In the simulator a
+// certificate multicast to n replicas arrives as n references to the same
+// immutable object, so the first check settles it for everyone — the n−1
+// repeat verifications that used to dominate the commit path become map
+// hits. Over TCP every frame decodes a fresh object, so only the sender's
+// speculated self-delivery hits; each entry pins its certificate, which
+// is why verdicts are grouped by the consensus instance the certificate
+// vouches for and dropped with it (ForgetInstance).
 //
 // Only the pure part of the verdict is cached (statement mismatches,
 // duplicate signers, signature validity). Quorum is evaluated per call:
@@ -51,7 +59,8 @@ type Verifier struct {
 	pool *Pool
 
 	mu       sync.Mutex
-	verdicts map[*accountability.Certificate]*certVerdict
+	verdicts map[accountability.InstanceKey]map[*accountability.Certificate]*certVerdict
+	cached   int // entries across verdicts
 }
 
 // NewVerifier creates a Verifier running on pool (nil = inline/sequential,
@@ -59,8 +68,46 @@ type Verifier struct {
 func NewVerifier(pool *Pool) *Verifier {
 	return &Verifier{
 		pool:     pool,
-		verdicts: make(map[*accountability.Certificate]*certVerdict),
+		verdicts: make(map[accountability.InstanceKey]map[*accountability.Certificate]*certVerdict),
 	}
+}
+
+// store memoizes c for cert, resetting the cache first when it is full.
+// Caller holds v.mu.
+func (v *Verifier) store(cert *accountability.Certificate, c *certVerdict) {
+	if v.cached >= maxCachedCerts {
+		v.verdicts = make(map[accountability.InstanceKey]map[*accountability.Certificate]*certVerdict)
+		v.cached = 0
+	}
+	scope := cert.Stmt.InstanceKey()
+	m := v.verdicts[scope]
+	if m == nil {
+		m = make(map[*accountability.Certificate]*certVerdict)
+		v.verdicts[scope] = m
+	}
+	m[cert] = c
+	v.cached++
+}
+
+// ForgetInstance drops the verdicts of every certificate vouching for one
+// consensus instance, releasing the certificates they pin. Verdicts are a
+// pure function of the certificate, so a certificate seen again is simply
+// re-checked.
+func (v *Verifier) ForgetInstance(k accountability.InstanceKey) {
+	if v == nil {
+		return
+	}
+	v.mu.Lock()
+	v.cached -= len(v.verdicts[k])
+	delete(v.verdicts, k)
+	v.mu.Unlock()
+}
+
+// Cached reports how many verdicts are memoized (test hook).
+func (v *Verifier) Cached() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.cached
 }
 
 // Pool exposes the verifier's worker pool (nil in sequential mode) so
@@ -84,7 +131,7 @@ func (v *Verifier) Speculate(cert *accountability.Certificate, signer *crypto.Si
 		return
 	}
 	v.mu.Lock()
-	if _, seen := v.verdicts[cert]; seen {
+	if _, seen := v.verdicts[cert.Stmt.InstanceKey()][cert]; seen {
 		v.mu.Unlock()
 		return
 	}
@@ -95,8 +142,7 @@ func (v *Verifier) Speculate(cert *accountability.Certificate, signer *crypto.Si
 			close(c.done)
 		}
 	}) {
-		v.evictIfFull()
-		v.verdicts[cert] = c
+		v.store(cert, c)
 	}
 	v.mu.Unlock()
 }
@@ -131,11 +177,10 @@ func (v *Verifier) VerifyCertSigs(cert *accountability.Certificate, signer *cryp
 		return cert.VerifySigs(signer)
 	}
 	v.mu.Lock()
-	c, ok := v.verdicts[cert]
+	c, ok := v.verdicts[cert.Stmt.InstanceKey()][cert]
 	if !ok {
 		c = &certVerdict{done: make(chan struct{})}
-		v.evictIfFull()
-		v.verdicts[cert] = c
+		v.store(cert, c)
 	}
 	v.mu.Unlock()
 	if c.claimed.CompareAndSwap(false, true) {
@@ -151,14 +196,6 @@ func (v *Verifier) VerifyCertSigs(cert *accountability.Certificate, signer *cryp
 		<-c.done
 	}
 	return c.err
-}
-
-// evictIfFull resets the verdict map when it grows past the bound. Caller
-// holds v.mu.
-func (v *Verifier) evictIfFull() {
-	if len(v.verdicts) >= maxCachedCerts {
-		v.verdicts = make(map[*accountability.Certificate]*certVerdict)
-	}
 }
 
 // check computes the pure verdict: statement mismatches, duplicate

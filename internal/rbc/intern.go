@@ -27,7 +27,9 @@ type Intern struct {
 }
 
 // NewIntern creates an empty intern table; scope it to one deployment
-// (cluster or node process) so retained payloads die with the run.
+// (cluster or node process). Entries live until the instance that stored
+// them is retired and calls Release, so a long-running node holds only
+// the payloads of its live consensus instances.
 func NewIntern() *Intern {
 	return &Intern{m: make(map[types.Digest][]byte)}
 }
@@ -51,7 +53,20 @@ func (in *Intern) Bytes(d types.Digest, p []byte) []byte {
 	return p
 }
 
-// Len reports how many distinct payloads are interned (test hook).
+// Release drops the canonical entry for a digest. Holders keep their own
+// references to the slice; only the table's sharing index forgets it, so
+// releasing a digest another live instance still uses costs at most one
+// duplicate copy if the payload is stored again.
+func (in *Intern) Release(d types.Digest) {
+	if in == nil {
+		return
+	}
+	in.mu.Lock()
+	delete(in.m, d)
+	in.mu.Unlock()
+}
+
+// Len reports how many distinct payloads are interned.
 func (in *Intern) Len() int {
 	if in == nil {
 		return 0

@@ -493,6 +493,14 @@ func (r *Instance) OnPayloadResp(_ types.ReplicaID, msg *PayloadResp) {
 	r.maybeDeliver(d)
 }
 
+// Release drops this slot's payloads from the intern table; the owner
+// calls it when it retires the instance.
+func (r *Instance) Release() {
+	for d := range r.payloads {
+		r.cfg.Intern.Release(d)
+	}
+}
+
 // Digests returns every digest with at least one echo or ready, sorted;
 // used by tests to observe partitioned state.
 func (r *Instance) Digests() []types.Digest { return r.knownDigests() }

@@ -105,6 +105,46 @@ func (d *Decision) TotalClaimedTx() int {
 	return sum
 }
 
+// AnswerPull answers a late payload pull — an rbc.PayloadReq or a
+// ProposalReq — from the decision alone, with the same response the live
+// instance gave for a slot decided 1 (its rbc state and delivery map are
+// what the decision was assembled from). It returns nil for any other
+// message, and for slots or digests the decision does not carry. The
+// replica uses it once it has retired the instance's protocol state.
+func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
+	switch m := msg.(type) {
+	case *rbc.PayloadReq:
+		p, ok := d.Proposals[m.Broadcaster]
+		if !ok || p.Digest != m.Digest {
+			return nil
+		}
+		return &rbc.PayloadResp{
+			Context:      m.Context,
+			Instance:     m.Instance,
+			Broadcaster:  m.Broadcaster,
+			Payload:      p.Payload,
+			ClaimedBytes: p.ClaimedBytes,
+			ClaimedSigs:  p.ClaimedSigs,
+		}
+	case *ProposalReq:
+		p, ok := d.Proposals[m.Slot]
+		if !ok {
+			return nil
+		}
+		return &ProposalResp{
+			Context:      m.Context,
+			Instance:     m.Instance,
+			Slot:         m.Slot,
+			Payload:      p.Payload,
+			ClaimedBytes: p.ClaimedBytes,
+			ClaimedSigs:  p.ClaimedSigs,
+			Cert:         d.ReadyCerts[m.Slot],
+			InitStmt:     d.InitStmts[m.Slot],
+		}
+	}
+	return nil
+}
+
 // ProposalReq asks a peer for a full delivered proposal after the binary
 // consensus decided 1 for a slot we have no payload for.
 type ProposalReq struct {
@@ -623,6 +663,14 @@ func (s *Instance) onProposalResp(_ types.ReplicaID, m *ProposalResp) {
 		InitStmt:     m.InitStmt,
 	}
 	s.maybeComplete()
+}
+
+// Release drops the instance's payloads from the intern table; the owner
+// calls it when it retires the instance.
+func (s *Instance) Release() {
+	for _, r := range s.rbcs {
+		r.Release()
+	}
 }
 
 // Reevaluate re-runs quorum checks in every live binary consensus after a

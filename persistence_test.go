@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"github.com/zeroloss/zlb"
+	"github.com/zeroloss/zlb/internal/asmr"
+	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/latency"
 )
 
 // runPersistedScenario drives the fixed-seed workload of
@@ -119,5 +122,73 @@ func TestNewClusterRefusesUsedDataDir(t *testing.T) {
 	}
 	if _, err := zlb.NewCluster(cfg); err == nil {
 		t.Fatal("NewCluster accepted a data dir that already holds a chain")
+	}
+}
+
+// TestRestartOnLongChainHoldsNoOldState restarts a replica on a chain of
+// more than 200 persisted blocks. The blocks it recovers from disk never
+// run here again, so they come back as bare records: right after the
+// restart the replica holds protocol state for the instance it resumes at
+// and nothing else, and at the end of the run for the retention window
+// plus the few instances it caught up on (which never become final here,
+// see ARCHITECTURE.md).
+func TestRestartOnLongChainHoldsNoOldState(t *testing.T) {
+	const total, crashAt = 260, 200
+	c, err := harness.New(harness.Options{
+		N:            4,
+		Accountable:  true,
+		Recover:      true,
+		MaxInstances: total,
+		BaseLatency:  latency.Uniform(time.Millisecond, 8*time.Millisecond),
+		Seed:         5,
+		DataDir:      t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseStores()
+	victim := c.Members[3]
+	c.ExcludeFromMetrics(victim)
+	c.Start()
+	for c.Replicas[victim].CommittedCount() < crashAt {
+		if c.Net.Now() > 10*time.Minute {
+			t.Fatalf("victim decided %d instances in 10 virtual minutes", c.Replicas[victim].CommittedCount())
+		}
+		c.Run(c.Net.Now() + 50*time.Millisecond)
+	}
+	if err := c.CrashToDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(c.Net.Now() + 200*time.Millisecond) // the others move on
+	if err := c.RestartFromDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	r := c.Replicas[victim]
+	restored := r.CommittedCount()
+	if restored < crashAt {
+		t.Fatalf("restored %d instances, want >= %d from disk", restored, crashAt)
+	}
+	if s := r.Stats(); s.LiveInstances > 1 {
+		t.Fatalf("%d live instances right after restoring %d blocks, want the one it resumes at", s.LiveInstances, restored)
+	}
+
+	c.RunUntilQuiet(20 * time.Minute)
+	// The instance the others were deciding during the restart can stay a
+	// gap (its DECIDEs went to the dead incarnation and the restart's one
+	// catch-up request came too early for it); a second request fills it.
+	r.RequestCatchup()
+	c.RunUntilQuiet(20 * time.Minute)
+	if err := c.StoreErr(); err != nil {
+		t.Fatal(err)
+	}
+	if match, have, want := c.ChainAgreement(victim); !match || want != total {
+		t.Fatalf("restarted replica agrees on %d/%d instances, want %d", have, want, total)
+	}
+	s := r.Stats()
+	if s.LiveInstances-s.UnfinalInstances > asmr.RetainDepth+2 {
+		t.Errorf("%d live instances (%d of them unfinal) at the end, want <= %d in the window", s.LiveInstances, s.UnfinalInstances, asmr.RetainDepth+2)
+	}
+	if s.UnfinalInstances > total-restored {
+		t.Errorf("%d unfinal instances, but only %d were decided after the restart", s.UnfinalInstances, total-restored)
 	}
 }
