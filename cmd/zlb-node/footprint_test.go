@@ -1,0 +1,79 @@
+package main
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/zeroloss/zlb/internal/obs"
+	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/utxo"
+	"github.com/zeroloss/zlb/internal/wire"
+)
+
+// footprintPerTx is how much heap one committed payment may leave on a
+// node beside its bytes in the retained decision: its ID in the ledger's
+// committed set and in the mempool's (≈80 B each as map entries) and the
+// one output it adds to the UTXO table and to its owner's outpoint set
+// (≈280 B). That is ≈440 B; the test measures ≈470 B. A second copy of the
+// transaction as decoded objects costs ≈450 B more and does not fit.
+const footprintPerTx = 640
+
+// TestCommittedHistoryFootprint commits 60 blocks of 1000 chained faucet
+// payments through the node's commit path (decode through the batch cache,
+// ledger, mempool prune, metrics) and fails when the heap in use grows by
+// more than the payload bytes, which the test holds in the decisions as a
+// replica does, plus footprintPerTx per transaction.
+func TestCommittedHistoryFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("signs and verifies 60000 payments")
+	}
+	const blocks, perBlock = 60, 1000
+	nodes, addrs := startCluster(t, 1, 23, func(_ int, cfg *nodeConfig) { cfg.LogLevel = obs.LevelWarn })
+	rn := nodes[0]
+	client := newTestClient(t, 23, addrs)
+
+	decisions := make([]*sbc.Decision, 0, blocks)
+	before := heapInUse()
+	payloadTotal := 0
+	for k := uint64(1); k <= blocks; k++ {
+		txs := make([]*utxo.Transaction, perBlock)
+		for i := range txs {
+			txs[i] = client.pay(1)
+		}
+		payload, err := wire.EncodeBatch(txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloadTotal += len(payload)
+		d := &sbc.Decision{
+			Instance: types.Instance(k),
+			Bits:     map[types.ReplicaID]bool{1: true},
+			Proposals: map[types.ReplicaID]sbc.ProposalInfo{
+				1: {Broadcaster: 1, Payload: payload, Digest: types.Hash(payload), ClaimedSigs: perBlock},
+			},
+		}
+		decisions = append(decisions, d)
+		done := make(chan struct{})
+		rn.node.Do(func() {
+			rn.onCommit(k, 0, d)
+			close(done)
+		})
+		<-done
+	}
+	after := heapInUse()
+
+	if got := rn.metrics.txApplied.Value(); got != blocks*perBlock {
+		t.Fatalf("applied %d payments, want %d", got, blocks*perBlock)
+	}
+	if got := rn.metrics.retainedPayload.Value(); got != int64(payloadTotal) {
+		t.Errorf("zlb_retained_payload_bytes = %d, the decisions hold %d", got, payloadTotal)
+	}
+	grown, budget := int64(after)-int64(before), int64(payloadTotal)+blocks*perBlock*footprintPerTx
+	t.Logf("heap in use grew %.1f MB over %d payments: %.1f MB of payloads and %d B per payment beside them (budget %d)",
+		float64(grown)/(1<<20), blocks*perBlock, float64(payloadTotal)/(1<<20), (grown-int64(payloadTotal))/(blocks*perBlock), footprintPerTx)
+	if grown > budget {
+		t.Errorf("heap in use grew by %d B, budget %d B", grown, budget)
+	}
+	runtime.KeepAlive(decisions)
+}

@@ -302,7 +302,7 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		cfg:       cfg,
 		log:       obs.NewLogger(cfg.Logf, cfg.LogLevel),
 		pool:      mempool.NewWithPolicy(cfg.Mempool),
-		batches:   wire.NewBatchCache(0),
+		batches:   wire.NewBatchCache(2 * cfg.N), // the proposals of the instance committing and of the one in flight
 		proposeAt: make(map[uint64]time.Time),
 		startedAt: start,
 		syncResps: make(map[types.ReplicaID]*wire.SyncResp),
@@ -399,33 +399,15 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 			if err != nil {
 				return asmr.Batch{}
 			}
+			// The proposal comes back through OnProposal and OnCommit: let
+			// both find the pool's own, already verified transactions.
+			rn.batches.Seed(data, txs)
 			if _, ok := rn.proposeAt[k]; !ok {
 				rn.proposeAt[k] = time.Now()
 			}
 			return asmr.Batch{Payload: data, ClaimedSigs: len(txs)}
 		},
-		OnCommit: func(k uint64, attempt uint32, d *sbc.Decision) {
-			block := blockFrom(k, d, rn.batches)
-			applied := rn.ledger.CommitBlock(block)
-			rn.persist(block, attempt, false)
-			rn.pool.Prune(block.Txs)
-			rn.metrics.committed.Inc()
-			if rn.st == nil && cfg.CheckpointEvery > 0 && rn.metrics.committed.Value()%cfg.CheckpointEvery == 0 {
-				// No store, so no checkpoint will ever bound the committed-
-				// transaction dedup set (persist): trim on the same cadence.
-				// A transaction resubmitted after that is admitted again and
-				// skipped by the ledger, which knows every applied ID.
-				rn.pool.TrimCommitted()
-			}
-			rn.metrics.txApplied.Add(uint64(applied))
-			rn.metrics.height.Set(int64(rn.ledger.Height()))
-			if t0, ok := rn.proposeAt[k]; ok {
-				delete(rn.proposeAt, k)
-				rn.metrics.commitLat.Observe(time.Since(t0).Seconds())
-			}
-			rn.log.Infof("block %d committed: %d txs applied, height %d, faucet=%d",
-				k, applied, rn.ledger.Height(), rn.ledger.Table().Balance(rn.faucet))
-		},
+		OnCommit: rn.onCommit,
 		OnDisagreement: func(k uint64, _, remote *sbc.Decision) {
 			block := blockFrom(k, remote, rn.batches)
 			merged := rn.ledger.MergeBlock(block)
@@ -467,6 +449,32 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	}
 	rn.log.Infof("replica %v listening on %s (n=%d)", cfg.Self, cfg.Listen, cfg.N)
 	return rn, nil
+}
+
+// onCommit applies a decided superblock: ledger, store, mempool, metrics.
+// Event loop only.
+func (rn *replicaNode) onCommit(k uint64, attempt uint32, d *sbc.Decision) {
+	block := blockFrom(k, d, rn.batches)
+	applied := rn.ledger.CommitBlock(block)
+	rn.persist(block, attempt, false)
+	rn.pool.Prune(block.Txs)
+	rn.metrics.committed.Inc()
+	if rn.st == nil && rn.cfg.CheckpointEvery > 0 && rn.metrics.committed.Value()%rn.cfg.CheckpointEvery == 0 {
+		// No store, so no checkpoint will ever bound the committed-
+		// transaction dedup set (persist): trim on the same cadence.
+		// A transaction resubmitted after that is admitted again and
+		// skipped by the ledger, which knows every applied ID.
+		rn.pool.TrimCommitted()
+	}
+	rn.metrics.txApplied.Add(uint64(applied))
+	rn.metrics.height.Set(int64(rn.ledger.Height()))
+	rn.metrics.retainedPayload.Set(rn.metrics.retainedPayload.Value() + int64(payloadBytes(d)))
+	if t0, ok := rn.proposeAt[k]; ok {
+		delete(rn.proposeAt, k)
+		rn.metrics.commitLat.Observe(time.Since(t0).Seconds())
+	}
+	rn.log.Infof("block %d committed: %d txs applied, height %d, faucet=%d",
+		k, applied, rn.ledger.Height(), rn.ledger.Table().Balance(rn.faucet))
 }
 
 // seedGenesis seeds a fresh ledger with the demo genesis: one faucet
@@ -692,6 +700,7 @@ func (h *appHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 			// Once per block, after the replica has retired what the new
 			// block pushed out of its window.
 			h.rn.metrics.publishReplica(h.rn.replica.Stats())
+			h.rn.metrics.publishMemory(h.rn.ledger, h.rn.batches)
 		}
 	}
 }
@@ -712,13 +721,20 @@ func (h *appHandler) OnTimer(payload any) {
 // blockFrom assembles the application block of a decision, decoding each
 // proposal payload through the shared batch cache (internal/wire).
 func blockFrom(k uint64, d *sbc.Decision, batches *wire.BatchCache) *bm.Block {
-	var txs []*utxo.Transaction
-	seen := make(map[types.Digest]bool)
-	for _, p := range d.OrderedProposals() {
+	proposals := d.OrderedProposals()
+	decoded := make([][]*utxo.Transaction, 0, len(proposals))
+	total := 0
+	for _, p := range proposals {
 		batch, err := batches.Decode(p.Payload)
 		if err != nil {
 			continue
 		}
+		decoded = append(decoded, batch)
+		total += len(batch)
+	}
+	var txs []*utxo.Transaction
+	seen := make(map[types.Digest]bool, total)
+	for _, batch := range decoded {
 		for _, tx := range batch {
 			id := tx.ID()
 			if !seen[id] {

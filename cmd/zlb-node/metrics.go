@@ -15,10 +15,13 @@ import (
 	"time"
 
 	"github.com/zeroloss/zlb/internal/asmr"
+	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/obs"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/transport"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // commitLatencyBounds bucket the propose→commit wall-clock latency
@@ -50,6 +53,14 @@ type nodeMetrics struct {
 	internedPayloads *obs.Gauge
 	compacted        *obs.Counter
 	lateDropped      *obs.Counter
+
+	// What committed history leaves in memory, published with the above.
+	// Everything but the batch cache grows with the chain.
+	ledgerBlocks    *obs.Gauge
+	committedTxIDs  *obs.Gauge
+	utxoEntries     *obs.Gauge
+	batchCache      *obs.Gauge
+	retainedPayload *obs.Gauge
 }
 
 func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
@@ -70,6 +81,12 @@ func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
 		internedPayloads: reg.Gauge("zlb_interned_payloads", "Proposal payloads held by the reliable-broadcast intern table."),
 		compacted:        reg.Counter("zlb_compacted_instances_total", "Finalized instances retired to their compact record (decision only)."),
 		lateDropped:      reg.Counter("zlb_late_frames_dropped_total", "Consensus frames that arrived for an already retired instance."),
+
+		ledgerBlocks:    reg.Gauge("zlb_ledger_blocks", "Blocks the ledger holds, as index and digest."),
+		committedTxIDs:  reg.Gauge("zlb_committed_txids", "Committed transaction IDs the ledger holds."),
+		utxoEntries:     reg.Gauge("zlb_utxo_entries", "Unspent outputs in the UTXO table."),
+		batchCache:      reg.Gauge("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n)."),
+		retainedPayload: reg.Gauge("zlb_retained_payload_bytes", "Proposal payload bytes in the decisions this replica committed and retains."),
 	}
 	reg.GaugeFunc("zlb_mempool_pending", "Transactions pending in the mempool.",
 		func() float64 { return float64(pool.Stats().Pending) })
@@ -97,6 +114,29 @@ func (m *nodeMetrics) publishReplica(s asmr.Stats) {
 	m.internedPayloads.Set(int64(s.InternedPayloads))
 	m.compacted.Add(s.RetiredInstances - m.compacted.Value())
 	m.lateDropped.Add(s.LateFramesDropped - m.lateDropped.Value())
+}
+
+// publishMemory publishes what committed history holds in the ledger and
+// how many decoded batches are cached. Event loop only, once per block.
+func (m *nodeMetrics) publishMemory(l *bm.Ledger, batches *wire.BatchCache) {
+	m.ledgerBlocks.Set(int64(l.Height()))
+	m.committedTxIDs.Set(int64(l.TxCount()))
+	m.utxoEntries.Set(int64(l.Table().Size()))
+	m.batchCache.Set(int64(batches.Len()))
+}
+
+// payloadBytes is what retaining d costs in proposal payloads. Equal
+// payloads are one array (rbc.Intern) and count once.
+func payloadBytes(d *sbc.Decision) int {
+	total := 0
+	counted := make(map[types.Digest]bool, len(d.Proposals))
+	for _, p := range d.Proposals {
+		if !counted[p.Digest] {
+			counted[p.Digest] = true
+			total += len(p.Payload)
+		}
+	}
+	return total
 }
 
 // wireTransport registers the transport's node-wide counters and the
@@ -154,6 +194,7 @@ type status struct {
 	TxsApplied      uint64          `json:"txs_applied"`
 	ProvenCulprits  uint64          `json:"proven_culprits"`
 	Replica         replicaStatus   `json:"replica"`
+	Memory          memoryStatus    `json:"memory"`
 	Mempool         mempool.Stats   `json:"mempool"`
 	// Transport is the node-wide transport counter snapshot; Peers is
 	// per-peer send-path health (state, failures, drops, reconnects).
@@ -168,6 +209,16 @@ type replicaStatus struct {
 	LiveInstances      int64  `json:"live_instances"`
 	CompactedInstances uint64 `json:"compacted_instances_total"`
 	UnfinalInstances   int64  `json:"unfinal_instances"`
+}
+
+// memoryStatus is what committed history holds in memory on this node:
+// the zlb_ledger_blocks … zlb_retained_payload_bytes series.
+type memoryStatus struct {
+	LedgerBlocks         int64 `json:"ledger_blocks"`
+	CommittedTxIDs       int64 `json:"committed_txids"`
+	UTXOEntries          int64 `json:"utxo_entries"`
+	BatchCacheEntries    int64 `json:"batch_cache_entries"`
+	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
 }
 
 func (rn *replicaNode) statusSnapshot() status {
@@ -185,6 +236,13 @@ func (rn *replicaNode) statusSnapshot() status {
 			LiveInstances:      m.liveInstances.Value(),
 			CompactedInstances: m.compacted.Value(),
 			UnfinalInstances:   m.unfinalInstances.Value(),
+		},
+		Memory: memoryStatus{
+			LedgerBlocks:         m.ledgerBlocks.Value(),
+			CommittedTxIDs:       m.committedTxIDs.Value(),
+			UTXOEntries:          m.utxoEntries.Value(),
+			BatchCacheEntries:    m.batchCache.Value(),
+			RetainedPayloadBytes: m.retainedPayload.Value(),
 		},
 		Mempool:       rn.pool.Stats(),
 		Transport:     rn.node.Stats(),

@@ -229,6 +229,26 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		st.Replica.CompactedInstances < blocks+more-window || st.Replica.UnfinalInstances != 0 {
 		t.Errorf("/status replica = %+v after %d blocks", st.Replica, blocks+more)
 	}
+
+	// What committed history holds: a record per block, an ID per payment,
+	// the sink's outputs and the faucet's change, the payloads in the
+	// retained decisions (a payment is ≈240 B), and decoded batches only
+	// for what is in flight.
+	for series, want := range map[string][2]float64{
+		"zlb_ledger_blocks":          {blocks + more, blocks + more},
+		"zlb_committed_txids":        {blocks + more, blocks + more},
+		"zlb_utxo_entries":           {blocks + more + 1, blocks + more + 1},
+		"zlb_batch_cache_entries":    {1, 2 * n},
+		"zlb_retained_payload_bytes": {200 * (blocks + more), 400 * (blocks + more)},
+	} {
+		if v := seriesValue(t, body, series); v < want[0] || v > want[1] {
+			t.Errorf("%s = %v after %d blocks, want %v..%v", series, v, blocks+more, want[0], want[1])
+		}
+	}
+	if m := st.Memory; m.LedgerBlocks != blocks+more || m.CommittedTxIDs != blocks+more || m.UTXOEntries != blocks+more+1 ||
+		m.BatchCacheEntries < 1 || m.BatchCacheEntries > 2*n || m.RetainedPayloadBytes < 200*(blocks+more) {
+		t.Errorf("/status memory = %+v after %d blocks", m, blocks+more)
+	}
 }
 
 func scrape(t *testing.T, url string) string {

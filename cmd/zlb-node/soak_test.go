@@ -17,10 +17,20 @@ import (
 
 // soakHeapPerBlock is how much heap one committed block may leave behind
 // on one node over the soak. A retired instance keeps its decision
-// (≈7 KB at n=4: four proposals, eight certificates) and the ledger keeps
-// the block and its outputs (≈3 KB at 100 tx/s); the soak measures
-// ≈11 KB. Protocol state that stopped retiring shows as 45 KB and more.
-const soakHeapPerBlock = 16 << 10
+// (≈7 KB at n=4: four proposals with their payloads, eight certificates);
+// the ledger keeps the block's index and digest (≈100 B) and, for each of
+// its three or four payments at 100 tx/s, the ID and one unspent output
+// (≈360 B) — no block body and no decoded transaction. The soak measures
+// ≈10 KB. Protocol state that stopped retiring shows as 45 KB and more.
+const soakHeapPerBlock = 14 << 10
+
+// heapInUse is the heap in use once a full collection has run.
+func heapInUse() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse
+}
 
 // TestRetentionSoak is the nightly bounded-memory soak: ZLB_SOAK=10m runs
 // a real-TCP n=4 cluster at 100 tx/s for ten minutes, scrapes replica 1's
@@ -62,12 +72,6 @@ func TestRetentionSoak(t *testing.T) {
 	}
 	client := newTestClient(t, seed, addrs)
 
-	heapInUse := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapInuse
-	}
 	const window = asmr.RetainDepth + 2
 	var early uint64
 	var earlyHeight int

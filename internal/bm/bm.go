@@ -16,9 +16,12 @@ import (
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
-// Block is a decided batch of transactions at chain index K.
+// Block is a decided batch of transactions at chain index K. The ledger
+// stores only K and Digest of a block it committed or merged: BlockAt
+// returns blocks without Txs.
 type Block struct {
 	K      uint64
 	Digest types.Digest
@@ -60,9 +63,15 @@ type Ledger struct {
 	punished map[utxo.Address]bool
 	// txs is the set of committed transaction IDs (line 6).
 	txs map[types.Digest]bool
-	// blocks stores the chain; byDigest detects conflicting blocks.
-	blocks  []*Block
-	byIndex map[uint64]*Block
+	// blocks is the chain in append order, merged siblings included, as
+	// {K, Digest} records: the transactions of a stored block live on as
+	// their IDs in txs and their outputs in the table, nowhere else (the
+	// bytes are in the store and in the replica's retained decision).
+	// byIndex holds the digest stored first at each index, the reference
+	// fork detection compares against; lastK is the highest index stored.
+	blocks  []wire.BlockDigest
+	byIndex map[uint64]types.Digest
+	lastK   uint64
 	merged  map[types.Digest]bool
 	// Stats for the experiments.
 	MergedTxs        int
@@ -84,7 +93,7 @@ func NewLedger(scheme crypto.Scheme) *Ledger {
 		inputsDeposit: make(map[utxo.Outpoint]utxo.Input),
 		punished:      make(map[utxo.Address]bool),
 		txs:           make(map[types.Digest]bool),
-		byIndex:       make(map[uint64]*Block),
+		byIndex:       make(map[uint64]types.Digest),
 		merged:        make(map[types.Digest]bool),
 	}
 }
@@ -136,24 +145,34 @@ func (l *Ledger) Genesis(allocs map[utxo.Address]types.Amount) {
 // Height returns the number of stored blocks.
 func (l *Ledger) Height() int { return len(l.blocks) }
 
-// BlockAt returns the block stored for index k.
+// BlockAt returns the block stored first at index k: its index and
+// digest, without transactions.
 func (l *Ledger) BlockAt(k uint64) (*Block, bool) {
-	b, ok := l.byIndex[k]
-	return b, ok
+	d, ok := l.byIndex[k]
+	if !ok {
+		return nil, false
+	}
+	return &Block{K: k, Digest: d}, true
 }
+
+// LastK returns the highest stored chain index (0 for an empty chain).
+func (l *Ledger) LastK() uint64 { return l.lastK }
 
 // BlockDigests returns the digest of every stored block, keyed by chain
 // index (determinism checks compare these across runs).
 func (l *Ledger) BlockDigests() map[uint64]types.Digest {
 	out := make(map[uint64]types.Digest, len(l.byIndex))
-	for k, b := range l.byIndex {
-		out[k] = b.Digest
+	for k, d := range l.byIndex {
+		out[k] = d
 	}
 	return out
 }
 
 // HasTx reports whether a transaction is committed.
 func (l *Ledger) HasTx(id types.Digest) bool { return l.txs[id] }
+
+// TxCount returns the number of committed transaction IDs.
+func (l *Ledger) TxCount() int { return len(l.txs) }
 
 // SetParallel enables the parallel commit path on the given worker pool
 // (nil disables it — the forced-sequential mode of the commit pipeline).
@@ -189,7 +208,7 @@ func (l *Ledger) CommitBlock(b *Block) (applied int) {
 			applied++
 		}
 	}
-	l.storeBlock(b)
+	l.storeBlock(b.K, b.Digest)
 	return applied
 }
 
@@ -340,8 +359,8 @@ func (l *Ledger) MergeBlock(b *Block) int {
 			}
 		}
 	}
-	l.RefundInputs() // line 15
-	l.storeBlock(b)  // line 16
+	l.RefundInputs()            // line 15
+	l.storeBlock(b.K, b.Digest) // line 16
 	return mergedCount
 }
 
@@ -404,13 +423,19 @@ func (l *Ledger) confiscateOutput(op utxo.Outpoint) {
 	}
 }
 
-func (l *Ledger) storeBlock(b *Block) {
-	if prev, ok := l.byIndex[b.K]; ok && prev.Digest == b.Digest {
+// storeBlock records a committed or merged block as {K, Digest}; the
+// first digest stored at an index keeps it.
+func (l *Ledger) storeBlock(k uint64, digest types.Digest) {
+	prev, ok := l.byIndex[k]
+	if ok && prev == digest {
 		return
 	}
-	l.blocks = append(l.blocks, b)
-	if _, ok := l.byIndex[b.K]; !ok {
-		l.byIndex[b.K] = b
+	l.blocks = append(l.blocks, wire.BlockDigest{K: k, Digest: digest})
+	if !ok {
+		l.byIndex[k] = digest
+	}
+	if k > l.lastK {
+		l.lastK = k
 	}
 }
 
@@ -418,7 +443,7 @@ func (l *Ledger) storeBlock(b *Block) {
 // block at the same index (fork detection, §4.2.1).
 func (l *Ledger) Conflicts(b *Block) bool {
 	stored, ok := l.byIndex[b.K]
-	return ok && stored.Digest != b.Digest
+	return ok && stored != b.Digest
 }
 
 // String summarizes the ledger for logs.

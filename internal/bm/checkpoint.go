@@ -18,9 +18,9 @@ import (
 // CheckpointState snapshots the full ledger state: UTXO table, deposit
 // pool, punished accounts, committed transaction IDs, deposit-funded
 // inputs, merged-block digests and the chain's block digests. Block
-// bodies are deliberately not included — after a restore, BlockAt
-// returns digest-only tombstones for pruned indices, which is all fork
-// detection (Conflicts) and determinism checks (BlockDigests) need.
+// bodies are not included, and the ledger does not hold them either: a
+// stored block is its index and digest, which is all fork detection
+// (Conflicts) and determinism checks (BlockDigests) need.
 func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	cp := &wire.CheckpointState{
 		Deposit:          l.deposit,
@@ -31,12 +31,8 @@ func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	// The block list keeps append order and includes merged siblings at
 	// an already-occupied index: replaying it into storeBlock rebuilds
 	// both the blocks slice (Height) and the first-wins byIndex map.
-	for _, b := range l.blocks {
-		cp.Blocks = append(cp.Blocks, wire.BlockDigest{K: b.K, Digest: b.Digest})
-		if b.K > cp.LastK {
-			cp.LastK = b.K
-		}
-	}
+	cp.Blocks = append(cp.Blocks, l.blocks...)
+	cp.LastK = l.lastK
 	cp.Merged = sortedDigests(l.merged)
 	for _, e := range l.table.Entries() {
 		cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{Op: e.Op, Out: e.Out})
@@ -66,10 +62,9 @@ func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	return cp
 }
 
-// RestoreLedger rebuilds a ledger from a checkpoint snapshot. Pruned
-// blocks come back as digest-only tombstones: Conflicts and BlockDigests
-// behave exactly as before the restart, while the transaction bodies
-// live only in the committed-ID set and the UTXO table.
+// RestoreLedger rebuilds a ledger from a checkpoint snapshot, in the
+// representation the live ledger has: Height, LastK, BlockAt, Conflicts
+// and BlockDigests answer exactly as before the restart.
 func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 	l := NewLedger(scheme)
 	l.deposit = cp.Deposit
@@ -77,11 +72,7 @@ func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 	l.DepositFundedTxs = int(cp.DepositFundedTxs)
 	l.Refunds = int(cp.Refunds)
 	for _, b := range cp.Blocks {
-		tomb := &Block{K: b.K, Digest: b.Digest}
-		l.blocks = append(l.blocks, tomb)
-		if _, ok := l.byIndex[b.K]; !ok {
-			l.byIndex[b.K] = tomb
-		}
+		l.storeBlock(b.K, b.Digest)
 	}
 	for _, d := range cp.Merged {
 		l.merged[d] = true
@@ -99,17 +90,6 @@ func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 		l.inputsDeposit[in.Op] = utxo.Input{Prev: in.Op, Value: in.Value}
 	}
 	return l
-}
-
-// LastK returns the highest stored chain index (0 for an empty chain).
-func (l *Ledger) LastK() uint64 {
-	var last uint64
-	for k := range l.byIndex {
-		if k > last {
-			last = k
-		}
-	}
-	return last
 }
 
 // sortedDigests flattens a digest set deterministically.

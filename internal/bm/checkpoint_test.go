@@ -79,7 +79,7 @@ func TestCheckpointRoundTripRestoresLedger(t *testing.T) {
 
 // TestCheckpointRestoredLedgerKeepsWorking drives post-restore commits and
 // merges: the restored ledger must behave exactly like the original —
-// dedup committed txs, detect forks against tombstones, refund
+// dedup committed txs, detect forks against restored block records, refund
 // remembered deposit inputs.
 func TestCheckpointRestoredLedgerKeepsWorking(t *testing.T) {
 	f := newFixture(t)
@@ -103,10 +103,10 @@ func TestCheckpointRestoredLedgerKeepsWorking(t *testing.T) {
 	if got := r.Deposit(); got != 1_000_000 {
 		t.Errorf("deposit after post-restore refund = %d, want 1_000_000", got)
 	}
-	// Conflict detection against a tombstone block.
+	// Conflict detection against a restored block record.
 	other := NewBlock(2, []*utxo.Transaction{txAB})
 	if !r.Conflicts(other) {
-		t.Error("fork against a restored tombstone not detected")
+		t.Error("fork against a restored block record not detected")
 	}
 	// Committed-tx dedup across the restore.
 	if applied := r.CommitBlock(NewBlock(3, []*utxo.Transaction{txBC})); applied != 0 {
@@ -215,5 +215,86 @@ func TestMergeThenConflictDetection(t *testing.T) {
 	third := NewBlock(1, []*utxo.Transaction{txA, txB})
 	if !l.Conflicts(third) {
 		t.Error("third digest at merged index not detected")
+	}
+}
+
+// TestLiveAndRestoredLedgerAnswerAlike pins that a ledger that committed
+// its blocks itself and one rebuilt from its checkpoint are one
+// representation: neither keeps block bodies, and Height, LastK, BlockAt,
+// BlockDigests, Conflicts and a MergeBlock at an occupied index answer
+// identically on both.
+func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
+	f := newFixture(t)
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *Ledger
+	}{
+		{"empty", func(t *testing.T) *Ledger { return f.genesisLedger(t) }},
+		{"chain of 12", func(t *testing.T) *Ledger {
+			l := f.genesisLedger(t)
+			for k := uint64(1); k <= 12; k++ {
+				l.CommitBlock(NewBlock(k, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), types.Amount(k))}))
+			}
+			return l
+		}},
+		{"gap and index zero", func(t *testing.T) *Ledger {
+			l := f.genesisLedger(t)
+			l.AddDeposit(1_000_000)
+			l.CommitBlock(NewBlock(7, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), 7)}))
+			l.MergeBlock(NewBlock(0, []*utxo.Transaction{pay(t, l, f.alice, f.carol.Address(), 9)}))
+			return l
+		}},
+		{"merged sibling and punished account", func(t *testing.T) *Ledger { return buildForkedLedger(t, f) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			live := tc.build(t)
+			restored := RestoreLedger(f.scheme, live.CheckpointState())
+			// A sibling for every index up to one past the chain: a fork where
+			// the index is occupied, a plain merge where it is not.
+			payer := f.alice
+			if live.Punished(payer.Address()) {
+				payer = f.bob
+			}
+			var probes []*Block
+			for k := uint64(0); k <= live.LastK()+1; k++ {
+				probes = append(probes, NewBlock(k, []*utxo.Transaction{pay(t, live, payer, f.carol.Address(), types.Amount(100+k))}))
+			}
+			compare := func(when string) {
+				t.Helper()
+				if live.Height() != restored.Height() || live.LastK() != restored.LastK() {
+					t.Fatalf("%s: height %d/%d, lastK %d/%d", when, live.Height(), restored.Height(), live.LastK(), restored.LastK())
+				}
+				ld, rd := live.BlockDigests(), restored.BlockDigests()
+				if len(ld) != len(rd) {
+					t.Fatalf("%s: %d/%d block digests", when, len(ld), len(rd))
+				}
+				for _, p := range probes {
+					lb, lok := live.BlockAt(p.K)
+					rb, rok := restored.BlockAt(p.K)
+					if lok != rok || (lok && (lb.K != p.K || rb.K != p.K || lb.Txs != nil || rb.Txs != nil ||
+						lb.Digest != ld[p.K] || rb.Digest != ld[p.K] || rd[p.K] != ld[p.K])) {
+						t.Errorf("%s: BlockAt(%d) = %+v,%v live, %+v,%v restored", when, p.K, lb, lok, rb, rok)
+					}
+					// A probe conflicts unless it is itself what the index holds.
+					if want := lok && lb.Digest != p.Digest; live.Conflicts(p) != want || restored.Conflicts(p) != want {
+						t.Errorf("%s: Conflicts at %d: %v live, %v restored, want %v", when, p.K, live.Conflicts(p), restored.Conflicts(p), want)
+					}
+					if lok && (live.Conflicts(lb) || restored.Conflicts(lb)) {
+						t.Errorf("%s: the block stored at %d conflicts with itself", when, p.K)
+					}
+				}
+			}
+			compare("after restore")
+			for _, p := range probes {
+				if lm, rm := live.MergeBlock(p), restored.MergeBlock(p); lm != rm || lm != 1 {
+					t.Errorf("MergeBlock at %d merged %d txs live, %d restored", p.K, lm, rm)
+				}
+				compare("after merge")
+			}
+			if ls, rs := live.String(), restored.String(); ls != rs {
+				t.Errorf("ledgers differ after the merges: %s vs %s", ls, rs)
+			}
+		})
 	}
 }

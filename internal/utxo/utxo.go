@@ -426,7 +426,6 @@ const tableStripes = 64
 type opStripe struct {
 	mu    sync.RWMutex
 	utxos map[Outpoint]Output
-	owner map[Outpoint]Address
 }
 
 // addrStripe holds the account-keyed state of one stripe.
@@ -460,7 +459,6 @@ func NewTable() *Table {
 	t := &Table{}
 	for i := range t.ops {
 		t.ops[i].utxos = make(map[Outpoint]Output)
-		t.ops[i].owner = make(map[Outpoint]Address)
 	}
 	for i := range t.addrs {
 		t.addrs[i].byAddr = make(map[Address]map[Outpoint]struct{})
@@ -490,7 +488,6 @@ func (t *Table) Credit(op Outpoint, out Output) {
 		return
 	}
 	s.utxos[op] = out
-	s.owner[op] = out.Account
 	s.mu.Unlock()
 
 	a := t.addrStripeOf(out.Account)
@@ -524,7 +521,6 @@ func (t *Table) Consume(op Outpoint) bool {
 		return false
 	}
 	delete(s.utxos, op)
-	delete(s.owner, op)
 	s.mu.Unlock()
 
 	a := t.addrStripeOf(out.Account)

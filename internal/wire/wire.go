@@ -98,14 +98,21 @@ func DecodeBatch(payload []byte) ([]*utxo.Transaction, error) {
 	return txs, nil
 }
 
-// BatchCache memoizes decoded batches by payload digest. In the simulated
-// deployment every replica receives the identical committed payload; the
-// cache decodes it once and shares the transaction pointers, which also
-// shares their memoized IDs. Entries are evicted FIFO once cap is
-// exceeded. Safe for concurrent use, singleflight-style: the commit
-// pipeline decodes proposals speculatively on worker goroutines while
-// the event loop reads. The lock covers only the map bookkeeping; the
-// decode itself runs outside it, so a cache hit never waits behind an
+// BatchCache memoizes decoded batches by payload digest, so that a
+// payload decoded speculatively at delivery is not decoded (or verified:
+// the verdicts sit on the transactions) again at commit. Entries are
+// evicted FIFO once cap is exceeded, and an evicted batch's transaction
+// objects go with it; a later Decode of the same bytes builds new ones.
+// Size it to what is in flight. A TCP node sees n proposals per instance
+// and holds 2n: the instance committing and the one being broadcast. The
+// simulated deployment shares one cache between every replica of the
+// cluster (they all receive the identical payload and share the decoded
+// transactions and their memoized IDs) and keeps the default.
+//
+// Safe for concurrent use, singleflight-style: the commit pipeline
+// decodes proposals speculatively on worker goroutines while the event
+// loop reads. The lock covers only the map bookkeeping; the decode
+// itself runs outside it, so a cache hit never waits behind an
 // in-flight decode of a *different* payload, while concurrent requests
 // for the *same* payload share one decode.
 type BatchCache struct {
@@ -137,8 +144,42 @@ func NewBatchCache(cap int) *BatchCache {
 	return &BatchCache{cap: cap, entries: make(map[types.Digest]*batchEntry, cap)}
 }
 
+// Len returns the number of cached batches.
+func (c *BatchCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// insert adds e under key, evicting the oldest entry of a full cache.
+// The caller holds c.mu.
+func (c *BatchCache) insert(key types.Digest, e *batchEntry) {
+	if len(c.order) >= c.cap {
+		delete(c.entries, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.entries[key] = e
+	c.order = append(c.order, key)
+}
+
+// Seed caches txs as the decoded form of payload, which must be
+// EncodeBatch(txs): a proposer's own batch then commits as the objects
+// its mempool admitted and verified, instead of a second decoded set. A
+// payload already cached keeps its entry.
+func (c *BatchCache) Seed(payload []byte, txs []*utxo.Transaction) {
+	key := types.Hash(payload)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
+		return
+	}
+	e := &batchEntry{done: make(chan struct{}), txs: txs}
+	close(e.done)
+	c.insert(key, e)
+}
+
 // Decode returns the decoded transactions of payload, from cache when the
-// same payload bytes were decoded before.
+// same payload bytes were decoded or seeded before.
 func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 	key := types.Hash(payload)
 	c.mu.Lock()
@@ -149,13 +190,7 @@ func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 		return e.txs, e.err
 	}
 	e := &batchEntry{done: make(chan struct{})}
-	if len(c.order) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
-	}
-	c.entries[key] = e
-	c.order = append(c.order, key)
+	c.insert(key, e)
 	c.Misses++
 	c.mu.Unlock()
 

@@ -172,6 +172,23 @@ func TestBatchCache(t *testing.T) {
 	if cache.Misses != 4 {
 		t.Errorf("misses=%d, want 4 (evicted entry re-decoded)", cache.Misses)
 	}
+
+	// A seeded batch is served as the very objects it was encoded from,
+	// without a decode; seeding a cached payload changes nothing.
+	own := testBatch(t, 7)
+	p, err := EncodeBatch(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Seed(p, own)
+	cache.Seed(payload, own)
+	got, err := cache.Decode(p)
+	if err != nil || &got[0] != &own[0] || cache.Misses != 4 || cache.Len() != 2 {
+		t.Errorf("seeded batch: err=%v shared=%v misses=%d len=%d", err, err == nil && &got[0] == &own[0], cache.Misses, cache.Len())
+	}
+	if again, _ := cache.Decode(payload); len(again) != len(txs) {
+		t.Errorf("seeding over a cached payload replaced its %d transactions with %d", len(txs), len(again))
+	}
 }
 
 func TestPoFsRoundtrip(t *testing.T) {
