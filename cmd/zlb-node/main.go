@@ -308,7 +308,7 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		syncResps: make(map[types.ReplicaID]*wire.SyncResp),
 		served:    make(chan struct{}),
 	}
-	rn.metrics = newNodeMetrics(rn.pool)
+	rn.metrics = newNodeMetrics(rn.pool, rn.batches)
 	// Rate-limit windows run on wall time since process start (a real
 	// deployment has no virtual clock to share).
 	rn.pool.SetClock(func() time.Duration { return time.Since(start) })
@@ -385,11 +385,8 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		Certs:            rn.certs,
 		// One canonical copy per proposal digest: a node stores a pulled
 		// PayloadResp and the original Init as the same bytes.
-		Intern: rbc.NewIntern(),
-		OnProposal: func(k uint64, payload []byte) {
-			// Pre-validate the delivered batch while consensus decides.
-			rn.txv.SpeculateBatch(payload, rn.batches)
-		},
+		Intern:     rbc.NewIntern(),
+		OnProposal: rn.onProposal,
 		BatchSource: func(k uint64) asmr.Batch {
 			txs := rn.pool.Take(2000)
 			if len(txs) == 0 {
@@ -451,6 +448,13 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	return rn, nil
 }
 
+// onProposal pre-validates a delivered batch while consensus decides
+// whether it commits. Event loop only.
+func (rn *replicaNode) onProposal(_ uint64, payload []byte) {
+	rn.metrics.proposalsDelivered.Inc()
+	rn.txv.SpeculateBatch(payload, rn.batches)
+}
+
 // onCommit applies a decided superblock: ledger, store, mempool, metrics.
 // Event loop only.
 func (rn *replicaNode) onCommit(k uint64, attempt uint32, d *sbc.Decision) {
@@ -459,6 +463,7 @@ func (rn *replicaNode) onCommit(k uint64, attempt uint32, d *sbc.Decision) {
 	rn.persist(block, attempt, false)
 	rn.pool.Prune(block.Txs)
 	rn.metrics.committed.Inc()
+	rn.metrics.proposalsCommitted.Add(uint64(len(d.Proposals)))
 	if rn.st == nil && rn.cfg.CheckpointEvery > 0 && rn.metrics.committed.Value()%rn.cfg.CheckpointEvery == 0 {
 		// No store, so no checkpoint will ever bound the committed-
 		// transaction dedup set (persist): trim on the same cadence.

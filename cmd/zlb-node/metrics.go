@@ -30,9 +30,9 @@ var commitLatencyBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // nodeMetrics is the replica's metric surface. Event-driven series
 // (heights, counts, latencies) are updated from the consensus callbacks
-// on the event loop; mempool series are sampled from Pool.Stats at
-// scrape time, since the pool already maintains those counters under its
-// own lock.
+// on the event loop; mempool and batch-cache series are sampled from
+// Pool.Stats and BatchCache.Stats at scrape time, since both already
+// maintain those counters under their own lock.
 type nodeMetrics struct {
 	reg *obs.Metrics
 
@@ -43,6 +43,12 @@ type nodeMetrics struct {
 	txApplied *obs.Counter
 	culprits  *obs.Counter
 	commitLat *obs.Histogram
+
+	// Proposals the reliable broadcast delivered here against proposals
+	// the decisions selected: the difference was carried, decoded and
+	// verified for nothing, and its owner proposes it again.
+	proposalsDelivered *obs.Counter
+	proposalsCommitted *obs.Counter
 
 	// What the replica holds in memory (asmr.Stats), published by the
 	// event loop once per block: the scrape goroutine reads these atomics
@@ -63,7 +69,7 @@ type nodeMetrics struct {
 	retainedPayload *obs.Gauge
 }
 
-func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
+func newNodeMetrics(pool *mempool.Pool, batches *wire.BatchCache) *nodeMetrics {
 	reg := obs.NewMetrics()
 	m := &nodeMetrics{
 		reg:       reg,
@@ -74,6 +80,9 @@ func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
 		txApplied: reg.Counter("zlb_txs_applied_total", "Transactions applied to the ledger by committed blocks."),
 		culprits:  reg.Counter("zlb_proven_culprits_total", "Replicas convicted by a proof of fraud."),
 		commitLat: reg.Histogram("zlb_commit_latency_seconds", "Wall-clock latency from batch proposal to commit.", commitLatencyBounds),
+
+		proposalsDelivered: reg.Counter("zlb_proposals_delivered_total", "Proposal payloads the reliable broadcast delivered to this replica."),
+		proposalsCommitted: reg.Counter("zlb_proposals_committed_total", "Proposals selected by the decisions this replica committed."),
 
 		liveInstances:    reg.Gauge("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth."),
 		unfinalInstances: reg.Gauge("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here."),
@@ -96,6 +105,10 @@ func newNodeMetrics(pool *mempool.Pool) *nodeMetrics {
 		func() float64 { return float64(pool.Stats().Admitted) })
 	reg.CounterFunc("zlb_mempool_evictions_total", "Transactions evicted by mempool admission policy.",
 		func() float64 { return float64(pool.Stats().Evictions) })
+	reg.CounterFunc("zlb_batch_txs_decoded_total", "Transactions the batch cache built anew while decoding a proposal payload.",
+		func() float64 { return float64(batches.Stats().TxsDecoded) })
+	reg.CounterFunc("zlb_batch_txs_reused_total", "Transactions of a decoded payload the batch cache served as the object, verdict included, of a batch it already held.",
+		func() float64 { return float64(batches.Stats().TxsReused) })
 	for _, reason := range mempool.RejectReasons {
 		r := reason
 		reg.CounterFunc("zlb_mempool_rejects_total", "Transactions rejected by the mempool, by reason.",
@@ -195,6 +208,7 @@ type status struct {
 	ProvenCulprits  uint64          `json:"proven_culprits"`
 	Replica         replicaStatus   `json:"replica"`
 	Memory          memoryStatus    `json:"memory"`
+	Pipeline        pipelineStatus  `json:"pipeline"`
 	Mempool         mempool.Stats   `json:"mempool"`
 	// Transport is the node-wide transport counter snapshot; Peers is
 	// per-peer send-path health (state, failures, drops, reconnects).
@@ -221,8 +235,18 @@ type memoryStatus struct {
 	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
 }
 
+// pipelineStatus is where proposal work went: the
+// zlb_proposals_delivered_total … zlb_batch_txs_reused_total series.
+type pipelineStatus struct {
+	ProposalsDelivered uint64 `json:"proposals_delivered"`
+	ProposalsCommitted uint64 `json:"proposals_committed"`
+	BatchTxsDecoded    int    `json:"batch_txs_decoded"`
+	BatchTxsReused     int    `json:"batch_txs_reused"`
+}
+
 func (rn *replicaNode) statusSnapshot() status {
 	m := rn.metrics
+	cache := rn.batches.Stats()
 	return status{
 		ID:              rn.cfg.Self,
 		N:               rn.cfg.N,
@@ -243,6 +267,12 @@ func (rn *replicaNode) statusSnapshot() status {
 			UTXOEntries:          m.utxoEntries.Value(),
 			BatchCacheEntries:    m.batchCache.Value(),
 			RetainedPayloadBytes: m.retainedPayload.Value(),
+		},
+		Pipeline: pipelineStatus{
+			ProposalsDelivered: m.proposalsDelivered.Value(),
+			ProposalsCommitted: m.proposalsCommitted.Value(),
+			BatchTxsDecoded:    cache.TxsDecoded,
+			BatchTxsReused:     cache.TxsReused,
 		},
 		Mempool:       rn.pool.Stats(),
 		Transport:     rn.node.Stats(),

@@ -245,6 +245,28 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v after %d blocks, want %v..%v", series, v, blocks+more, want[0], want[1])
 		}
 	}
+	// Where proposal work went. Every payment is broadcast, so a block is
+	// decided from up to n one-payment proposals, usually n−t of them
+	// selected and never none, and nothing is selected that was not
+	// delivered. Those proposals are the bytes replica 1 encoded itself and
+	// hit the batch cache whole; whatever payload it did decode held one
+	// transaction. TestReproposedTransactionsCommitAsFirstDecoded pins the
+	// counters' values.
+	delivered := seriesValue(t, body, "zlb_proposals_delivered_total")
+	selected := seriesValue(t, body, "zlb_proposals_committed_total")
+	if selected < blocks+more || delivered < selected || delivered > n*(blocks+more+1) {
+		t.Errorf("zlb_proposals_delivered_total = %v, zlb_proposals_committed_total = %v after %d blocks", delivered, selected, blocks+more)
+	}
+	decoded := seriesValue(t, body, "zlb_batch_txs_decoded_total")
+	reused := seriesValue(t, body, "zlb_batch_txs_reused_total")
+	if decoded+reused > delivered {
+		t.Errorf("zlb_batch_txs_decoded_total = %v, zlb_batch_txs_reused_total = %v with %v proposals delivered", decoded, reused, delivered)
+	}
+	if p := st.Pipeline; float64(p.ProposalsDelivered) < delivered || float64(p.ProposalsCommitted) < selected ||
+		p.ProposalsDelivered < p.ProposalsCommitted || float64(p.BatchTxsDecoded+p.BatchTxsReused) < decoded+reused {
+		t.Errorf("/status pipeline = %+v, /metrics read delivered %v selected %v decoded %v reused %v", p, delivered, selected, decoded, reused)
+	}
+
 	if m := st.Memory; m.LedgerBlocks != blocks+more || m.CommittedTxIDs != blocks+more || m.UTXOEntries != blocks+more+1 ||
 		m.BatchCacheEntries < 1 || m.BatchCacheEntries > 2*n || m.RetainedPayloadBytes < 200*(blocks+more) {
 		t.Errorf("/status memory = %+v after %d blocks", m, blocks+more)

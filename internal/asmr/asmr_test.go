@@ -1,6 +1,7 @@
 package asmr
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -40,6 +41,8 @@ func decideInstance(t *testing.T, n int) (*sbc.Decision, []*crypto.Signer) {
 		members[i] = types.ReplicaID(i + 1)
 	}
 	net := simnet.New(simnet.Config{Latency: latency.Uniform(time.Millisecond, 8*time.Millisecond), Seed: 21})
+	// OnDecide runs inside the simulator's parallel windows.
+	var mu sync.Mutex
 	decisions := map[types.ReplicaID]*sbc.Decision{}
 	instances := map[types.ReplicaID]*sbc.Instance{}
 	for i, id := range members {
@@ -56,7 +59,11 @@ func decideInstance(t *testing.T, n int) (*sbc.Decision, []*crypto.Signer) {
 				Log:         log,
 				Env:         env,
 				Accountable: true,
-				OnDecide:    func(d *sbc.Decision) { decisions[id] = d },
+				OnDecide: func(d *sbc.Decision) {
+					mu.Lock()
+					decisions[id] = d
+					mu.Unlock()
+				},
 			})
 			instances[id] = inst
 			return sbcHandler{inst}

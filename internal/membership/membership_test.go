@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -179,6 +180,8 @@ func TestMembershipChangeEndToEnd(t *testing.T) {
 	}
 
 	net := simnet.New(simnet.Config{Latency: latency.Uniform(time.Millisecond, 10*time.Millisecond), Seed: 11})
+	// OnResult runs inside the simulator's parallel windows.
+	var resultsMu sync.Mutex
 	results := map[types.ReplicaID]*Result{}
 	honest := members[3:]
 	for _, id := range honest {
@@ -202,7 +205,11 @@ func TestMembershipChangeEndToEnd(t *testing.T) {
 					CoordTimeout: func(r types.Round) time.Duration {
 						return 40 * time.Millisecond * time.Duration(r+1)
 					},
-					OnResult: func(res *Result) { results[id] = res },
+					OnResult: func(res *Result) {
+						resultsMu.Lock()
+						results[id] = res
+						resultsMu.Unlock()
+					},
 				})
 			}}
 		})

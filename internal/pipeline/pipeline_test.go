@@ -205,3 +205,80 @@ func TestSpeculateBatchWarmsCache(t *testing.T) {
 	// Garbage payloads must not poison anything.
 	tv.SpeculateBatch([]byte("not a batch"), cache)
 }
+
+// countingScheme counts the signature checks that reach the scheme.
+type countingScheme struct {
+	crypto.Scheme
+	verifies atomic.Int64
+}
+
+func (s *countingScheme) Verify(pub crypto.PublicKey, digest types.Digest, sig crypto.Signature) bool {
+	s.verifies.Add(1)
+	return s.Scheme.Verify(pub, digest, sig)
+}
+
+// TestSpeculateBatchVerifiesEachTransactionOnce speculates the four
+// proposals of one superblock in the broadcast shape — overlapping, not
+// byte-identical, each replica having taken a slightly different slice of
+// the same client traffic — and then commits them. Every distinct
+// transaction must reach the scheme exactly once, however many payloads
+// carry it.
+func TestSpeculateBatchVerifiesEachTransactionOnce(t *testing.T) {
+	const distinct, n = 40, 4
+	inner, err := crypto.NewScheme(crypto.SchemeEd25519, crypto.NewRegistry(crypto.SchemeEd25519))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := &countingScheme{Scheme: inner}
+	kp, err := scheme.GenerateKey(crypto.NewDeterministicRand(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := utxo.NewWallet(kp, inner)
+	txs := make([]*utxo.Transaction, distinct)
+	for i := range txs {
+		txs[i], err = w.Pay(
+			[]utxo.Input{{Prev: utxo.Outpoint{TxID: types.Hash([]byte("prev")), Index: uint32(i)}, Value: 100}},
+			[]utxo.Output{{Account: w.Address(), Value: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	payloads := make([][]byte, n)
+	copies := 0
+	for i := range payloads {
+		slice := txs[2*i : distinct-2*(n-1-i)]
+		copies += len(slice)
+		if payloads[i], err = wire.EncodeBatch(slice); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cache := wire.NewBatchCache(2 * n)
+	tv := NewTxVerifier(Shared(), scheme)
+	for _, p := range payloads {
+		tv.SpeculateBatch(p, cache)
+	}
+	// Commit: decode through the cache and check every signature, which
+	// waits for (or, where the pool dropped the task, performs) the
+	// speculation.
+	seen := make(map[types.Digest]bool)
+	for _, p := range payloads {
+		batch, err := cache.Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range batch {
+			if err := tx.VerifySig(scheme); err != nil {
+				t.Fatal(err)
+			}
+			seen[tx.ID()] = true
+		}
+	}
+	if len(seen) != distinct {
+		t.Fatalf("committed %d distinct transactions, want %d", len(seen), distinct)
+	}
+	if got := scheme.verifies.Load(); got != distinct {
+		t.Errorf("%d signature checks for %d distinct transactions carried as %d copies", got, distinct, copies)
+	}
+}

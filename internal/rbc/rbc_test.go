@@ -2,6 +2,7 @@ package rbc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,12 +37,15 @@ func (n *rbcNode) OnMessage(from types.ReplicaID, msg simnet.Message) {
 func (n *rbcNode) OnTimer(any) {}
 
 type rbcCluster struct {
-	net       *simnet.Network
-	nodes     map[types.ReplicaID]*rbcNode
+	net     *simnet.Network
+	nodes   map[types.ReplicaID]*rbcNode
+	logs    map[types.ReplicaID]*accountability.Log
+	members []types.ReplicaID
+	// mu orders the writes of the callbacks below, which the simulator's
+	// parallel windows run on several goroutines. Tests read after the run.
+	mu        sync.Mutex
 	delivered map[types.ReplicaID]Delivery
-	logs      map[types.ReplicaID]*accountability.Log
 	pofs      map[types.ReplicaID][]accountability.PoF
-	members   []types.ReplicaID
 }
 
 func buildRBC(t *testing.T, n int, broadcaster types.ReplicaID, eq func(types.ReplicaID) *Equivocator) *rbcCluster {
@@ -67,7 +71,9 @@ func buildRBC(t *testing.T, n int, broadcaster types.ReplicaID, eq func(types.Re
 		signer := signers[i]
 		c.net.AddNode(id, func(env simnet.Env) simnet.Handler {
 			log := accountability.NewLog(signer, func(p accountability.PoF) {
+				c.mu.Lock()
 				c.pofs[id] = append(c.pofs[id], p)
+				c.mu.Unlock()
 			})
 			c.logs[id] = log
 			var e *Equivocator
@@ -85,7 +91,11 @@ func buildRBC(t *testing.T, n int, broadcaster types.ReplicaID, eq func(types.Re
 				Env:         env,
 				Accountable: true,
 				Equivocator: e,
-				OnDeliver:   func(d Delivery) { c.delivered[id] = d },
+				OnDeliver: func(d Delivery) {
+					c.mu.Lock()
+					c.delivered[id] = d
+					c.mu.Unlock()
+				},
 			})}
 			c.nodes[id] = node
 			return node

@@ -2,6 +2,7 @@ package sbc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,8 +35,12 @@ type cluster struct {
 	nodes   map[types.ReplicaID]*testNode
 	signers []*crypto.Signer
 	views   map[types.ReplicaID]*committee.View
-	decided map[types.ReplicaID]*Decision
 	members []types.ReplicaID
+	// decided is written by OnDecide, which the simulator's parallel
+	// windows call from several goroutines: mu orders those writes. Tests
+	// read it after the run has returned.
+	mu      sync.Mutex
+	decided map[types.ReplicaID]*Decision
 }
 
 // buildCluster wires n replicas running one SBC instance each.
@@ -74,7 +79,11 @@ func buildCluster(t *testing.T, n int, accountable bool, lat latency.Model, seed
 				Log:         log,
 				Env:         env,
 				Accountable: accountable,
-				OnDecide:    func(d *Decision) { c.decided[id] = d },
+				OnDecide: func(d *Decision) {
+					c.mu.Lock()
+					c.decided[id] = d
+					c.mu.Unlock()
+				},
 			})
 			c.nodes[id] = node
 			return node

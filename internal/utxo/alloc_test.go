@@ -96,6 +96,72 @@ func TestInvalidateRecomputes(t *testing.T) {
 	}
 }
 
+// TestSigDigestIsHashOfSignaturelessEncoding pins SigDigest, which hashes
+// a prefix of the canonical encoding, to the hash of the transaction
+// encoded without its signature: for constructed and decoded
+// transactions under ed25519 and ecdsa, for signatures of any length (the
+// field is the unframed remainder of the encoding), and again after
+// Invalidate.
+func TestSigDigestIsHashOfSignaturelessEncoding(t *testing.T) {
+	for _, kind := range []crypto.SchemeKind{crypto.SchemeEd25519, crypto.SchemeECDSA} {
+		scheme, err := crypto.NewScheme(kind, crypto.NewRegistry(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 16; seed++ {
+			w := newWallet(t, scheme, seed)
+			tx, err := w.Pay([]Input{{Prev: Outpoint{TxID: types.Hash([]byte("prev")), Index: uint32(seed)}, Value: 100}},
+				[]Output{{Account: w.Address(), Value: 60}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := types.Hash(tx.encode(false))
+			if tx.SigDigest() != want {
+				t.Fatalf("%v seed %d: constructed SigDigest differs from the hash of the signatureless encoding", kind, seed)
+			}
+			if !bytes.Equal(tx.Canonical(), tx.encode(true)) {
+				t.Fatalf("%v seed %d: signing memoized an encoding without the signature", kind, seed)
+			}
+			dec, err := DecodeTransaction(append([]byte{}, tx.Canonical()...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.SigDigest() != want {
+				t.Fatalf("%v seed %d: decoded SigDigest differs from the hash of the signatureless encoding", kind, seed)
+			}
+			if err := dec.VerifySig(scheme); err != nil {
+				t.Fatalf("%v seed %d: decoded transaction rejected: %v", kind, seed, err)
+			}
+
+			dec.Nonce++
+			dec.Invalidate()
+			if got := dec.SigDigest(); got == want || got != types.Hash(dec.encode(false)) {
+				t.Fatalf("%v seed %d: SigDigest not recomputed after Invalidate", kind, seed)
+			}
+			if err := dec.VerifySig(scheme); err == nil {
+				t.Fatalf("%v seed %d: mutated transaction still verifies", kind, seed)
+			}
+		}
+	}
+
+	for _, sigLen := range []int{0, 1, 63, 72, 200} {
+		tx := signedTx(t)
+		tx.Sig = bytes.Repeat([]byte{0xA5}, sigLen)
+		tx.Invalidate()
+		want := types.Hash(tx.encode(false))
+		if tx.SigDigest() != want {
+			t.Errorf("%d-byte signature: constructed SigDigest differs", sigLen)
+		}
+		dec, err := DecodeTransaction(tx.encode(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.SigDigest() != want || len(dec.Sig) != sigLen {
+			t.Errorf("%d-byte signature: decoded SigDigest differs (decoded %d signature bytes)", sigLen, len(dec.Sig))
+		}
+	}
+}
+
 // TestInputsForOrderMatchesSeed verifies the single-sort selection picks
 // the same inputs (dust first, ties by outpoint) as the seed tree's
 // sort-then-stable-sort pair.

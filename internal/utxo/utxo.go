@@ -113,10 +113,19 @@ var (
 )
 
 // SigDigest returns the digest the sender signs: everything except the
-// signature itself. The result is memoized.
+// signature itself. The signature is the trailing field of the canonical
+// encoding, so for a signed transaction this hashes a prefix of the
+// memoized encoding and encodes nothing. A transaction still waiting for
+// its signature is encoded here, and the encoding its signature will
+// extend is not memoized. The result is memoized.
 func (tx *Transaction) SigDigest() types.Digest {
 	if !tx.haveSD {
-		tx.sigDigest = types.Hash(tx.encode(false))
+		if len(tx.Sig) == 0 {
+			tx.sigDigest = types.Hash(tx.encode(false))
+		} else {
+			enc := tx.Canonical()
+			tx.sigDigest = types.Hash(enc[:len(enc)-len(tx.Sig)])
+		}
 		tx.haveSD = true
 	}
 	return tx.sigDigest

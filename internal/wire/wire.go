@@ -103,6 +103,23 @@ func DecodeBatch(payload []byte) ([]*utxo.Transaction, error) {
 // the verdicts sit on the transactions) again at commit. Entries are
 // evicted FIFO once cap is exceeded, and an evicted batch's transaction
 // objects go with it; a later Decode of the same bytes builds new ones.
+//
+// Across the batches it holds, the cache also keeps one object per
+// transaction: an index from transaction ID to the decoded (or seeded)
+// object. A Decode that meets an indexed ID returns the indexed object in
+// place of the one it just built, so a transaction re-proposed inside a
+// different payload, or carried by two overlapping proposals, is the same
+// pointer with the same memoized verdict and is verified once. The ID is
+// the hash of the full encoding, signature included: equal IDs are equal
+// bytes and equal verdicts, and a copy with another signature is another
+// transaction. An index entry belongs to the newest batch that returned
+// its object (eviction is FIFO, so that batch leaves last) and is dropped
+// when that batch is evicted: a transaction proposed again and again stays
+// one object for as long as a cached batch carries it, the index is
+// bounded by the transactions of cap batches, and a reused object, which
+// aliases the payload it was first decoded from, is let go once every
+// batch that returned it has left the window.
+//
 // Size it to what is in flight. A TCP node sees n proposals per instance
 // and holds 2n: the instance committing and the one being broadcast. The
 // simulated deployment shares one cache between every replica of the
@@ -120,15 +137,29 @@ type BatchCache struct {
 	cap     int
 	entries map[types.Digest]*batchEntry
 	order   []types.Digest
-	// Hits and Misses instrument the cache for benchmarks; read them only
-	// when no concurrent decodes are in flight.
-	Hits   int
-	Misses int
+	index   map[types.Digest]indexedTx
+	// Hits and Misses count payloads served from the cache and payloads
+	// decoded; TxsDecoded and TxsReused count the transactions of decoded
+	// payloads that Decode built anew and that it took from the index.
+	// They instrument the cache for benchmarks and metrics; read them only
+	// when no concurrent decodes are in flight, or through Stats.
+	Hits       int
+	Misses     int
+	TxsDecoded int
+	TxsReused  int
+}
+
+// indexedTx is the one object serving a transaction ID and the cached
+// batch whose eviction unindexes it.
+type indexedTx struct {
+	tx    *utxo.Transaction
+	owner *batchEntry
 }
 
 // batchEntry is one in-flight or settled decode; done closes when txs/err
 // are final. Waiters hold the entry pointer directly, so eviction can
-// never strand them.
+// never strand them. txs is assigned under the cache lock, final: an
+// eviction, which holds the lock, sees no transactions or all of them.
 type batchEntry struct {
 	done chan struct{}
 	txs  []*utxo.Transaction
@@ -141,7 +172,11 @@ func NewBatchCache(cap int) *BatchCache {
 	if cap <= 0 {
 		cap = 64
 	}
-	return &BatchCache{cap: cap, entries: make(map[types.Digest]*batchEntry, cap)}
+	return &BatchCache{
+		cap:     cap,
+		entries: make(map[types.Digest]*batchEntry, cap),
+		index:   make(map[types.Digest]indexedTx),
+	}
 }
 
 // Len returns the number of cached batches.
@@ -151,10 +186,30 @@ func (c *BatchCache) Len() int {
 	return len(c.entries)
 }
 
-// insert adds e under key, evicting the oldest entry of a full cache.
-// The caller holds c.mu.
+// BatchCacheStats is a snapshot of a cache's counters and sizes.
+type BatchCacheStats struct {
+	Hits, Misses          int
+	TxsDecoded, TxsReused int
+	Batches, IndexedTxs   int
+}
+
+// Stats returns the counters and sizes under the cache lock, for readers
+// that run beside in-flight decodes.
+func (c *BatchCache) Stats() BatchCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return BatchCacheStats{
+		Hits: c.Hits, Misses: c.Misses,
+		TxsDecoded: c.TxsDecoded, TxsReused: c.TxsReused,
+		Batches: len(c.entries), IndexedTxs: len(c.index),
+	}
+}
+
+// insert adds e under key, evicting the oldest entry of a full cache and
+// the index entries it owns. The caller holds c.mu.
 func (c *BatchCache) insert(key types.Digest, e *batchEntry) {
 	if len(c.order) >= c.cap {
+		c.unindex(c.entries[c.order[0]])
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
 	}
@@ -162,12 +217,26 @@ func (c *BatchCache) insert(key types.Digest, e *batchEntry) {
 	c.order = append(c.order, key)
 }
 
+// unindex drops the index entries e owns: those of its objects that no
+// newer batch has returned since. The caller holds c.mu.
+func (c *BatchCache) unindex(e *batchEntry) {
+	for _, tx := range e.txs {
+		if id := tx.ID(); c.index[id].owner == e {
+			delete(c.index, id)
+		}
+	}
+}
+
 // Seed caches txs as the decoded form of payload, which must be
 // EncodeBatch(txs): a proposer's own batch then commits as the objects
-// its mempool admitted and verified, instead of a second decoded set. A
+// its mempool admitted and verified, instead of a second decoded set, and
+// a foreign payload carrying one of them decodes to that object. A
 // payload already cached keeps its entry.
 func (c *BatchCache) Seed(payload []byte, txs []*utxo.Transaction) {
 	key := types.Hash(payload)
+	for _, tx := range txs {
+		tx.ID() // memoized before the index shares the object
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -176,10 +245,19 @@ func (c *BatchCache) Seed(payload []byte, txs []*utxo.Transaction) {
 	e := &batchEntry{done: make(chan struct{}), txs: txs}
 	close(e.done)
 	c.insert(key, e)
+	for _, tx := range txs {
+		// An ID served by another object keeps it; the pool's own objects,
+		// seeded again inside a later batch, move under that batch.
+		id := tx.ID()
+		if cur, ok := c.index[id]; !ok || cur.tx == tx {
+			c.index[id] = indexedTx{tx, e}
+		}
+	}
 }
 
 // Decode returns the decoded transactions of payload, from cache when the
-// same payload bytes were decoded or seeded before.
+// same payload bytes were decoded or seeded before. A transaction whose
+// ID is indexed under a cached batch is returned as that batch's object.
 func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 	key := types.Hash(payload)
 	c.mu.Lock()
@@ -194,36 +272,49 @@ func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 	c.Misses++
 	c.mu.Unlock()
 
-	e.txs, e.err = DecodeBatch(payload)
+	txs, err := DecodeBatch(payload)
 	// Warm the memoized IDs and signing digests before publishing the
 	// batch: cached transactions are shared by every replica committing
 	// the same decision, and with the parallel simulator those replicas
 	// hash them concurrently. After this loop the accessors are
 	// read-only.
-	for _, tx := range e.txs {
+	for _, tx := range txs {
 		tx.ID()
 		tx.SigDigest()
 	}
-	close(e.done)
-	if e.err != nil {
+	c.mu.Lock()
+	// A batch evicted while it was decoding (more than cap decodes in
+	// flight) owns no index entry: no eviction would remove it.
+	live := c.entries[key] == e
+	for i, tx := range txs {
+		id := tx.ID()
+		if cur, ok := c.index[id]; ok {
+			txs[i] = cur.tx
+			c.TxsReused++
+		} else {
+			c.TxsDecoded++
+		}
+		if live {
+			c.index[id] = indexedTx{txs[i], e}
+		}
+	}
+	e.txs, e.err = txs, err
+	if err != nil && live {
 		// Do not cache failures: drop the entry so the counters and
 		// contents match the sequential cache's behaviour (a corrupt
 		// payload is re-attempted, deterministically failing again).
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-			for i, k := range c.order {
-				if k == key {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
+		delete(c.entries, key)
+		for i, k := range c.order {
+			if k == key {
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
 			}
-			c.Misses--
 		}
-		c.mu.Unlock()
-		return nil, e.err
+		c.Misses--
 	}
-	return e.txs, nil
+	c.mu.Unlock()
+	close(e.done)
+	return txs, err
 }
 
 // --- Membership payloads ---
