@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/zeroloss/zlb/internal/crypto"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/transport"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
@@ -47,14 +48,9 @@ func main() {
 func run(addrs []string, seed int64, schemeName, toHex string, amount types.Amount, count int) error {
 	transport.RegisterWireTypes()
 
-	var kind crypto.SchemeKind
-	switch schemeName {
-	case "", "ed25519":
-		kind = crypto.SchemeEd25519
-	case "ecdsa", "ecdsa-p256":
-		kind = crypto.SchemeECDSA
-	default:
-		return fmt.Errorf("unknown -scheme %q (want ed25519 or ecdsa)", schemeName)
+	kind, err := node.SchemeKind(schemeName)
+	if err != nil {
+		return fmt.Errorf("-scheme: %w", err)
 	}
 	reg := crypto.NewRegistry(kind)
 	scheme, err := crypto.NewScheme(kind, reg)

@@ -142,9 +142,9 @@ func (c *chaosCluster) State(id types.ReplicaID) (chaos.ChainState, error) {
 	ch := make(chan chaos.ChainState, 1)
 	go rn.node.Do(func() {
 		ch <- chaos.ChainState{
-			Height:  rn.ledger.Height(),
-			LastK:   rn.ledger.LastK(),
-			Digests: rn.ledger.BlockDigests(),
+			Height:  rn.app.Ledger().Height(),
+			LastK:   rn.app.Ledger().LastK(),
+			Digests: rn.app.Ledger().BlockDigests(),
 		}
 	})
 	select {

@@ -43,10 +43,10 @@ import (
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/membership"
 	"github.com/zeroloss/zlb/internal/mempool"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
-	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/transport"
@@ -56,71 +56,44 @@ import (
 )
 
 func main() {
+	cfg := nodeConfig{Logf: log.Printf}
 	id := flag.Uint("id", 0, "replica ID (1..n)")
-	n := flag.Int("n", 4, "committee size")
-	listen := flag.String("listen", "", "listen address, e.g. :7001")
+	flag.IntVar(&cfg.N, "n", 4, "committee size")
+	flag.StringVar(&cfg.Listen, "listen", "", "listen address, e.g. :7001")
 	peersFlag := flag.String("peers", "", "comma-separated peer addresses in ID order (1..n)")
-	seed := flag.Int64("seed", 1, "shared PKI seed (demo key derivation)")
-	dataDir := flag.String("data-dir", "", "durable block store directory (empty = in-memory only)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 16, "blocks between UTXO checkpoints")
-	sync := flag.Bool("sync", false, "bootstrap an empty -data-dir from peers (checkpoint + log tail) before joining")
-	sequential := flag.Bool("sequential", false, "disable the multi-core commit pipeline (verify and apply inline)")
-	schemeName := flag.String("scheme", "ed25519", "signature scheme for the demo PKI and transactions: ed25519 or ecdsa (must match peers and clients)")
-	aggregateCerts := flag.Bool("aggregate-certs", false, "assemble aggregate certificates when the scheme supports aggregation (falls back to signed statements otherwise)")
-	poolMax := flag.Int("mempool-max", 0, "mempool admission: max pending transactions (0 = unlimited)")
-	poolMaxBytes := flag.Int64("mempool-max-bytes", 0, "mempool admission: max pending canonical bytes (0 = unlimited)")
-	poolAcctCap := flag.Int("mempool-account-cap", 0, "mempool admission: max pending transactions per sender (0 = unlimited)")
-	poolRate := flag.Int("mempool-rate", 0, "mempool admission: max admissions per sender per rate window (0 = unlimited)")
-	poolRateWindow := flag.Duration("mempool-rate-window", time.Second, "mempool admission: rate-limit window")
-	poolMinFee := flag.Uint64("mempool-min-fee", 0, "mempool admission: reject transactions below this fee")
-	poolPriority := flag.Bool("mempool-priority", false, "mempool admission: batch by fee rate instead of arrival order")
-	poolReplaceBump := flag.Int("mempool-replace-bump", 0, "mempool admission: replacement-by-fee bump percentage (0 = replacement off)")
-	peerQueue := flag.Int("peer-queue", 0, "outbound frames buffered per peer before drop-oldest displacement (0 = default 4096)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /status (JSON) and /debug/pprof/ on this address (empty = disabled)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "shared PKI seed (demo key derivation)")
+	flag.StringVar(&cfg.DataDir, "data-dir", "", "durable block store directory (empty = in-memory only)")
+	flag.Uint64Var(&cfg.CheckpointEvery, "checkpoint-every", 16, "blocks between UTXO checkpoints")
+	flag.BoolVar(&cfg.Sync, "sync", false, "bootstrap an empty -data-dir from peers (checkpoint + log tail) before joining")
+	flag.StringVar(&cfg.Scheme, "scheme", "ed25519", "signature scheme for the demo PKI and transactions: ed25519 or ecdsa (must match peers and clients)")
+	flag.IntVar(&cfg.Mempool.MaxTxs, "mempool-max", 0, "mempool admission: max pending transactions (0 = unlimited)")
+	flag.Int64Var(&cfg.Mempool.MaxBytes, "mempool-max-bytes", 0, "mempool admission: max pending canonical bytes (0 = unlimited)")
+	flag.IntVar(&cfg.Mempool.MaxPerAccount, "mempool-account-cap", 0, "mempool admission: max pending transactions per sender (0 = unlimited)")
+	flag.IntVar(&cfg.Mempool.RatePerAccount, "mempool-rate", 0, "mempool admission: max admissions per sender per rate window (0 = unlimited)")
+	flag.DurationVar(&cfg.Mempool.RateWindow, "mempool-rate-window", time.Second, "mempool admission: rate-limit window")
+	flag.Uint64Var((*uint64)(&cfg.Mempool.MinFee), "mempool-min-fee", 0, "mempool admission: reject transactions below this fee")
+	flag.BoolVar(&cfg.Mempool.PriorityOrder, "mempool-priority", false, "mempool admission: batch by fee rate instead of arrival order")
+	flag.IntVar(&cfg.Mempool.ReplaceBumpPct, "mempool-replace-bump", 0, "mempool admission: replacement-by-fee bump percentage (0 = replacement off)")
+	flag.IntVar(&cfg.PeerQueue, "peer-queue", 0, "outbound frames buffered per peer before drop-oldest displacement (0 = default 4096)")
+	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text), /status (JSON) and /debug/pprof/ on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "minimum log severity (debug, info, warn, error)")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
+	var err error
+	if cfg.LogLevel, err = obs.ParseLevel(*logLevel); err != nil {
 		log.Fatal(err)
 	}
-
-	if *id == 0 || *listen == "" || *peersFlag == "" {
+	if *id == 0 || cfg.Listen == "" || *peersFlag == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	addrs := strings.Split(*peersFlag, ",")
-	if len(addrs) != *n {
-		log.Fatalf("got %d peer addresses for n=%d", len(addrs), *n)
+	cfg.Self = types.ReplicaID(*id)
+	cfg.Peers = strings.Split(*peersFlag, ",")
+	if len(cfg.Peers) != cfg.N {
+		log.Fatalf("got %d peer addresses for n=%d", len(cfg.Peers), cfg.N)
 	}
 
-	rn, err := newReplicaNode(nodeConfig{
-		Self:            types.ReplicaID(*id),
-		N:               *n,
-		Listen:          *listen,
-		Peers:           addrs,
-		Seed:            *seed,
-		DataDir:         *dataDir,
-		CheckpointEvery: *checkpointEvery,
-		Sync:            *sync,
-		Sequential:      *sequential,
-		Scheme:          *schemeName,
-		AggregateCerts:  *aggregateCerts,
-		Mempool: mempool.Policy{
-			MaxTxs:         *poolMax,
-			MaxBytes:       *poolMaxBytes,
-			MaxPerAccount:  *poolAcctCap,
-			RatePerAccount: *poolRate,
-			RateWindow:     *poolRateWindow,
-			MinFee:         types.Amount(*poolMinFee),
-			ReplaceBumpPct: *poolReplaceBump,
-			PriorityOrder:  *poolPriority,
-		},
-		PeerQueue:   *peerQueue,
-		MetricsAddr: *metricsAddr,
-		LogLevel:    level,
-		Logf:        log.Printf,
-	})
+	rn, err := newReplicaNode(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -176,22 +149,12 @@ type nodeConfig struct {
 	DataDir         string
 	CheckpointEvery uint64
 	Sync            bool
-	// Sequential disables the multi-core commit pipeline: certificates,
-	// transaction signatures and block application run inline on the
-	// event loop. The chain is bit-identical either way.
-	Sequential bool
 	// Scheme names the signature scheme for both the demo consensus PKI
 	// and transaction signatures: "ed25519" (default) or "ecdsa". Every
 	// node and client of a deployment must agree. "sim" is rejected —
 	// its registry-backed MACs cannot authenticate out-of-process
 	// clients.
 	Scheme string
-	// AggregateCerts requests aggregate certificate assembly. It only
-	// takes effect when the consensus scheme implements
-	// crypto.Aggregator; the demo ed25519/ecdsa PKIs do not, so
-	// certificates stay in signed-statement form and the flag is
-	// forward plumbing for aggregation-capable schemes.
-	AggregateCerts bool
 	// Mempool is the admission policy the replica's pool enforces (zero
 	// value = permissive arrival-order queueing). Rate windows run on
 	// wall time since process start.
@@ -213,37 +176,22 @@ type nodeConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// replicaNode is one running replica: transport node, consensus replica,
-// payment state and (optionally) the durable store.
+// replicaNode is one running replica: transport node, consensus replica
+// and the payment application (internal/node) with its optional store.
 type replicaNode struct {
-	cfg      nodeConfig
-	log      *obs.Logger
-	node     *transport.Node
-	replica  *asmr.Replica
-	pool     *mempool.Pool
-	batches  *wire.BatchCache
-	txScheme crypto.Scheme
-	faucet   utxo.Address
+	cfg     nodeConfig
+	log     *obs.Logger
+	node    *transport.Node
+	replica *asmr.Replica
+	app     *node.Node
+	faucet  utxo.Address
 
-	// Observability (metrics.go): the registry is always maintained, the
-	// HTTP listener only exists under -metrics-addr.
-	metrics   *nodeMetrics
+	// Observability (metrics.go): the node's registry is always
+	// maintained, the HTTP listener only exists under -metrics-addr.
 	metricsLn net.Listener
 	httpSrv   *http.Server
-	startedAt time.Time
-	// Commit pipeline (nil in -sequential mode): shared certificate
-	// verdicts for the consensus layer, speculative transaction
-	// verification for the payment layer.
-	certs *pipeline.Verifier
-	txv   *pipeline.TxVerifier
 
 	// All fields below are touched only on the transport event loop.
-	ledger *bm.Ledger
-	st     *store.Store
-	// proposeAt is the wall-clock start per instance, feeding the commit
-	// latency histogram.
-	proposeAt map[uint64]time.Time
-
 	started   bool
 	syncPeers []types.ReplicaID
 	syncResps map[types.ReplicaID]*wire.SyncResp
@@ -261,30 +209,15 @@ type (
 	syncRetry    struct{}
 )
 
-// nodeSchemeKind resolves the -scheme flag. The empty string (tests
-// building nodeConfig directly) means ed25519, matching the flag default.
-func nodeSchemeKind(name string) (crypto.SchemeKind, error) {
-	switch name {
-	case "", "ed25519":
-		return crypto.SchemeEd25519, nil
-	case "ecdsa", "ecdsa-p256":
-		return crypto.SchemeECDSA, nil
-	case "sim":
-		return 0, fmt.Errorf("-scheme sim is registry-internal and cannot authenticate clients (use ed25519 or ecdsa)")
-	default:
-		return 0, fmt.Errorf("unknown -scheme %q (want ed25519 or ecdsa)", name)
-	}
-}
-
 func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	transport.RegisterWireTypes()
 	if cfg.SyncTimeout == 0 {
 		cfg.SyncTimeout = 5 * time.Second
 	}
 
-	kind, err := nodeSchemeKind(cfg.Scheme)
+	kind, err := node.SchemeKind(cfg.Scheme)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-scheme: %w", err)
 	}
 	signers, _, err := crypto.GenerateCluster(kind, cfg.N, cfg.Seed)
 	if err != nil {
@@ -297,23 +230,11 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		peers[types.ReplicaID(i+1)] = cfg.Peers[i]
 	}
 
-	start := time.Now()
 	rn := &replicaNode{
 		cfg:       cfg,
 		log:       obs.NewLogger(cfg.Logf, cfg.LogLevel),
-		pool:      mempool.NewWithPolicy(cfg.Mempool),
-		batches:   wire.NewBatchCache(2 * cfg.N), // the proposals of the instance committing and of the one in flight
-		proposeAt: make(map[uint64]time.Time),
-		startedAt: start,
 		syncResps: make(map[types.ReplicaID]*wire.SyncResp),
 		served:    make(chan struct{}),
-	}
-	rn.metrics = newNodeMetrics(rn.pool, rn.batches)
-	// Rate-limit windows run on wall time since process start (a real
-	// deployment has no virtual clock to share).
-	rn.pool.SetClock(func() time.Duration { return time.Since(start) })
-	if !cfg.Sequential {
-		rn.certs = pipeline.NewVerifier(pipeline.Shared())
 	}
 	rn.node = transport.NewNode(transport.Config{
 		Self:          cfg.Self,
@@ -322,56 +243,61 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		SendQueueSize: cfg.PeerQueue,
 		Logger:        rn.log,
 	})
-	rn.metrics.wireTransport(rn.node, members)
 
-	// Payment application state (same scheme as the consensus PKI, so one
-	// -scheme flag keeps nodes and clients in agreement).
-	txReg := crypto.NewRegistry(kind)
-	txScheme, err := crypto.NewScheme(kind, txReg)
+	// Payment application (same scheme as the consensus PKI, so one
+	// -scheme flag keeps nodes and clients in agreement). The demo genesis
+	// is one faucet account derived from the shared seed.
+	txScheme, err := crypto.NewScheme(kind, crypto.NewRegistry(kind))
 	if err != nil {
 		return nil, err
-	}
-	rn.txScheme = txScheme
-	if !cfg.Sequential {
-		rn.txv = pipeline.NewTxVerifier(pipeline.Shared(), txScheme)
-		// Pipeline handoff: transactions start verifying the moment a
-		// client submit lands in the mempool.
-		rn.pool.SetPreverify(func(tx *utxo.Transaction) {
-			rn.txv.Preverify([]*utxo.Transaction{tx})
-		})
 	}
 	faucetKP, err := txScheme.GenerateKey(crypto.NewDeterministicRand(cfg.Seed ^ 0xFA0CE7))
 	if err != nil {
 		return nil, err
 	}
 	rn.faucet = utxo.AddressOf(faucetKP.Public())
-
-	// Durable store + ledger recovery.
-	var restored []asmr.RestoredBlock
-	if cfg.DataDir != "" {
-		st, err := store.Open(cfg.DataDir, store.Options{CheckpointEvery: cfg.CheckpointEvery, Fsync: true})
-		if err != nil {
-			return nil, err
-		}
-		rn.st = st
-		if _, hasBlocks := st.LastK(); hasBlocks {
-			ledger, err := st.Recover(txScheme, rn.seedGenesis)
-			if err != nil {
-				return nil, fmt.Errorf("recovering chain: %w", err)
-			}
-			rn.ledger = ledger
-			for _, rec := range st.BlockRecords() {
-				restored = append(restored, asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Digest})
-			}
-			rn.log.Infof("recovered chain from %s: height %d, lastK %d, faucet=%d",
-				cfg.DataDir, ledger.Height(), ledger.LastK(), ledger.Table().Balance(rn.faucet))
-		}
+	txv := pipeline.NewTxVerifier(pipeline.Shared(), txScheme)
+	rn.app, err = node.New(node.Options{
+		Env:    rn.node, // rate-limit windows run on wall time since process start
+		Scheme: txScheme,
+		Genesis: func(l *bm.Ledger) {
+			l.Genesis(map[utxo.Address]types.Amount{rn.faucet: 1_000_000_000})
+		},
+		Mempool:         cfg.Mempool,
+		BatchTxs:        2000,
+		Batches:         wire.NewBatchCache(2 * cfg.N), // the proposals of the instance committing and of the one in flight
+		Verifier:        txv,
+		DataDir:         cfg.DataDir,
+		CheckpointEvery: cfg.CheckpointEvery,
+		// Persistence failures are fatal for a durable node: continuing
+		// would silently break the recovery contract.
+		OnStoreError: func(err error) {
+			rn.log.Errorf("%v", err)
+			os.Exit(1)
+		},
+		OnCommitted: func(k uint64, _ *bm.Block, applied int) {
+			l := rn.app.Ledger()
+			rn.log.Infof("block %d committed: %d txs applied, height %d, faucet=%d",
+				k, applied, l.Height(), l.Table().Balance(rn.faucet))
+		},
+		OnMerged: func(k uint64, merged int) {
+			rn.log.Warnf("fork at block %d reconciled: %d txs merged", k, merged)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if rn.ledger == nil {
-		rn.ledger = bm.NewLedger(txScheme)
-		rn.seedGenesis(rn.ledger)
+	// Pipeline handoff: transactions start verifying the moment a client
+	// submit lands in the mempool.
+	rn.app.Pool().SetPreverify(func(tx *utxo.Transaction) {
+		txv.Preverify([]*utxo.Transaction{tx})
+	})
+	if rn.app.Restored() {
+		l := rn.app.Ledger()
+		rn.log.Infof("recovered chain from %s: height %d, lastK %d, faucet=%d",
+			cfg.DataDir, l.Height(), l.LastK(), l.Table().Balance(rn.faucet))
 	}
-	rn.ledger.SetParallel(rn.txv.Pool())
+	wireTransport(rn.app.Metrics(), rn.node, members)
 
 	rn.replica = asmr.NewReplica(asmr.Config{
 		Self:             cfg.Self,
@@ -381,62 +307,29 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		Accountable:      true,
 		Recover:          true,
 		WaitForWork:      true,
-		AggregateCerts:   cfg.AggregateCerts,
-		Certs:            rn.certs,
+		// Shared certificate verdicts, checked on the worker pool.
+		Certs: pipeline.NewVerifier(pipeline.Shared()),
 		// One canonical copy per proposal digest: a node stores a pulled
 		// PayloadResp and the original Init as the same bytes.
-		Intern:     rbc.NewIntern(),
-		OnProposal: rn.onProposal,
-		BatchSource: func(k uint64) asmr.Batch {
-			txs := rn.pool.Take(2000)
-			if len(txs) == 0 {
-				return asmr.Batch{}
-			}
-			data, err := wire.EncodeBatch(txs)
-			if err != nil {
-				return asmr.Batch{}
-			}
-			// The proposal comes back through OnProposal and OnCommit: let
-			// both find the pool's own, already verified transactions.
-			rn.batches.Seed(data, txs)
-			if _, ok := rn.proposeAt[k]; !ok {
-				rn.proposeAt[k] = time.Now()
-			}
-			return asmr.Batch{Payload: data, ClaimedSigs: len(txs)}
-		},
-		OnCommit: rn.onCommit,
-		OnDisagreement: func(k uint64, _, remote *sbc.Decision) {
-			block := blockFrom(k, remote, rn.batches)
-			merged := rn.ledger.MergeBlock(block)
-			rn.persist(block, 0, true)
-			rn.metrics.merged.Inc()
-			rn.metrics.height.Set(int64(rn.ledger.Height()))
-			rn.log.Warnf("fork at block %d reconciled: %d txs merged", k, merged)
-		},
+		Intern: rbc.NewIntern(),
 		OnPoF: func(p accountability.PoF) {
-			rn.metrics.culprits.Inc()
 			rn.log.Warnf("proof of fraud against replica %v", p.Culprit)
 		},
 		OnMembershipChange: func(res *membership.Result) {
-			rn.metrics.epoch.Set(int64(res.Epoch))
 			rn.log.Infof("membership change: excluded %v, included %v", res.Excluded, res.Included)
 		},
 	})
-	if len(restored) > 0 {
-		rn.replica.Restore(restored)
-	}
-
-	handler := &appHandler{rn: rn}
-	rn.node.SetHandler(handler)
+	rn.app.Attach(rn.replica)
+	rn.node.SetHandler(&appHandler{rn: rn})
 
 	// Launch sequencing runs on the event loop: either straight into
 	// consensus, or after the standby bootstrap completes.
 	rn.node.Do(func() {
-		if cfg.Sync && rn.st != nil && len(restored) == 0 {
+		if cfg.Sync && cfg.DataDir != "" && !rn.app.Restored() {
 			rn.beginSync()
 			return
 		}
-		rn.start(len(restored) > 0)
+		rn.start()
 	})
 	if cfg.MetricsAddr != "" {
 		if err := rn.startMetricsServer(cfg.MetricsAddr); err != nil {
@@ -448,85 +341,16 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	return rn, nil
 }
 
-// onProposal pre-validates a delivered batch while consensus decides
-// whether it commits. Event loop only.
-func (rn *replicaNode) onProposal(_ uint64, payload []byte) {
-	rn.metrics.proposalsDelivered.Inc()
-	rn.txv.SpeculateBatch(payload, rn.batches)
-}
-
-// onCommit applies a decided superblock: ledger, store, mempool, metrics.
-// Event loop only.
-func (rn *replicaNode) onCommit(k uint64, attempt uint32, d *sbc.Decision) {
-	block := blockFrom(k, d, rn.batches)
-	applied := rn.ledger.CommitBlock(block)
-	rn.persist(block, attempt, false)
-	rn.pool.Prune(block.Txs)
-	rn.metrics.committed.Inc()
-	rn.metrics.proposalsCommitted.Add(uint64(len(d.Proposals)))
-	if rn.st == nil && rn.cfg.CheckpointEvery > 0 && rn.metrics.committed.Value()%rn.cfg.CheckpointEvery == 0 {
-		// No store, so no checkpoint will ever bound the committed-
-		// transaction dedup set (persist): trim on the same cadence.
-		// A transaction resubmitted after that is admitted again and
-		// skipped by the ledger, which knows every applied ID.
-		rn.pool.TrimCommitted()
-	}
-	rn.metrics.txApplied.Add(uint64(applied))
-	rn.metrics.height.Set(int64(rn.ledger.Height()))
-	rn.metrics.retainedPayload.Set(rn.metrics.retainedPayload.Value() + int64(payloadBytes(d)))
-	if t0, ok := rn.proposeAt[k]; ok {
-		delete(rn.proposeAt, k)
-		rn.metrics.commitLat.Observe(time.Since(t0).Seconds())
-	}
-	rn.log.Infof("block %d committed: %d txs applied, height %d, faucet=%d",
-		k, applied, rn.ledger.Height(), rn.ledger.Table().Balance(rn.faucet))
-}
-
-// seedGenesis seeds a fresh ledger with the demo genesis: one faucet
-// account derived from the shared seed.
-func (rn *replicaNode) seedGenesis(l *bm.Ledger) {
-	l.Genesis(map[utxo.Address]types.Amount{rn.faucet: 1_000_000_000})
-}
-
-// start launches consensus; recovered reports whether a persisted chain
-// was restored, in which case the replica asks its peers for the
-// instances decided while it was down.
-func (rn *replicaNode) start(recovered bool) {
+// start launches consensus. A replica whose chain was restored, from disk
+// or from its peers' stores, asks them for the instances decided since.
+func (rn *replicaNode) start() {
 	if rn.started {
 		return
 	}
 	rn.started = true
 	rn.replica.Start()
-	if recovered {
+	if rn.app.Restored() {
 		rn.replica.RequestCatchup()
-	}
-}
-
-// persist writes a block through to the store and cuts a checkpoint when
-// due. Persistence failures are fatal for a durable node: continuing
-// would silently break the recovery contract.
-func (rn *replicaNode) persist(b *bm.Block, attempt uint32, merge bool) {
-	if rn.st == nil {
-		return
-	}
-	var err error
-	if merge {
-		err = rn.st.AppendMerge(b, attempt)
-	} else {
-		err = rn.st.AppendBlock(b, attempt)
-	}
-	if err == nil && rn.st.ShouldCheckpoint() {
-		err = rn.st.WriteCheckpoint(rn.ledger.CheckpointState())
-		if err == nil {
-			// The checkpoint bounds the committed-transaction dedup set.
-			rn.pool.TrimCommitted()
-		}
-	}
-	if err == nil {
-		err = rn.st.Flush()
-	}
-	if err != nil {
-		log.Fatalf("persisting block %d: %v", b.K, err)
 	}
 }
 
@@ -546,7 +370,7 @@ func (rn *replicaNode) beginSync() {
 		rn.node.Send(id, &transport.SyncFrame{Req: true, Payload: payload})
 	}
 	if len(rn.syncPeers) == 0 {
-		rn.start(false)
+		rn.start()
 		return
 	}
 	rn.node.SetTimer(rn.cfg.SyncTimeout/2, syncRetry{})
@@ -573,19 +397,16 @@ func (rn *replicaNode) retrySync() {
 // during a bootstrap.
 func (rn *replicaNode) onSyncFrame(from types.ReplicaID, f *transport.SyncFrame) {
 	if f.Req {
-		if rn.st == nil {
-			return
-		}
 		req, err := wire.DecodeSyncReq(f.Payload)
 		if err != nil {
 			return
 		}
-		resp, err := rn.st.BuildSyncResp(req)
+		resp, err := rn.app.SyncResp(req)
 		if err != nil {
 			rn.log.Warnf("building sync response: %v", err)
-			return
+		} else if resp != nil {
+			rn.node.Send(from, &transport.SyncFrame{Payload: wire.EncodeSyncResp(resp)})
 		}
-		rn.node.Send(from, &transport.SyncFrame{Payload: wire.EncodeSyncResp(resp)})
 		return
 	}
 	if rn.syncOver || rn.started {
@@ -606,7 +427,9 @@ func (rn *replicaNode) onSyncFrame(from types.ReplicaID, f *transport.SyncFrame)
 
 // finishSync cross-checks the collected responses (a majority of the
 // queried peers must agree on the chain) and installs the winner into
-// the store + ledger, then joins consensus.
+// the store + ledger, then joins consensus — from genesis, over a store
+// the node has emptied again, when there is no winner or it does not
+// install.
 func (rn *replicaNode) finishSync() {
 	if rn.syncOver {
 		return
@@ -618,37 +441,14 @@ func (rn *replicaNode) finishSync() {
 	}
 	best, err := store.CrossCheck(resps)
 	if err == nil {
-		var ledger *bm.Ledger
-		ledger, err = store.InstallSync(rn.st, rn.txScheme, best, rn.seedGenesis)
-		if err == nil {
-			rn.ledger = ledger
-			rn.ledger.SetParallel(rn.txv.Pool())
-			restored := make([]asmr.RestoredBlock, 0)
-			for _, rec := range rn.st.BlockRecords() {
-				restored = append(restored, asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Digest})
-			}
-			rn.replica.Restore(restored)
-			rn.log.Infof("bootstrap installed: height %d, lastK %d", ledger.Height(), ledger.LastK())
-			rn.start(true)
-			return
-		}
+		err = rn.app.InstallSync(best)
 	}
-	// Roll back before falling back: an install that failed midway (I/O
-	// error after the verify phase) may have left foreign state in the
-	// store, and running from genesis on top of it would corrupt every
-	// future recovery. The directory was empty before the bootstrap
-	// (sync only runs on an empty store), so wiping restores that.
-	rn.st.Close()
-	if rmErr := os.RemoveAll(rn.cfg.DataDir); rmErr != nil {
-		log.Fatalf("rolling back failed bootstrap: %v", rmErr)
+	if err != nil {
+		rn.log.Warnf("bootstrap failed (%v), starting from genesis", err)
+	} else {
+		rn.log.Infof("bootstrap installed: height %d, lastK %d", rn.app.Ledger().Height(), rn.app.Ledger().LastK())
 	}
-	st, openErr := store.Open(rn.cfg.DataDir, store.Options{CheckpointEvery: rn.cfg.CheckpointEvery, Fsync: true})
-	if openErr != nil {
-		log.Fatalf("reopening store after failed bootstrap: %v", openErr)
-	}
-	rn.st = st
-	rn.log.Warnf("bootstrap failed (%v), starting from genesis", err)
-	rn.start(false)
+	rn.start()
 }
 
 // Serve runs the node until Close. The store is closed here, after the
@@ -658,10 +458,8 @@ func (rn *replicaNode) finishSync() {
 // fatal ErrClosed mid-commit.
 func (rn *replicaNode) Serve() error {
 	err := rn.node.Serve()
-	if rn.st != nil {
-		if cerr := rn.st.Close(); cerr != nil {
-			rn.log.Errorf("closing store: %v", cerr)
-		}
+	if cerr := rn.app.Close(); cerr != nil {
+		rn.log.Errorf("closing store: %v", cerr)
 	}
 	close(rn.served)
 	return err
@@ -690,22 +488,21 @@ func (h *appHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 		if m.Tx == nil {
 			return
 		}
-		if err := h.rn.pool.Add(m.Tx); err == nil {
+		if err := h.rn.app.Pool().Add(m.Tx); err == nil {
 			h.rn.replica.Kick()
-			h.rn.log.Infof("tx %v enqueued (mempool %d)", m.Tx.ID(), h.rn.pool.Len())
+			h.rn.log.Infof("tx %v enqueued (mempool %d)", m.Tx.ID(), h.rn.app.Pool().Len())
 		} else {
 			h.rn.log.Warnf("tx %v rejected: %v", m.Tx.ID(), err)
 		}
 	case *transport.SyncFrame:
 		h.rn.onSyncFrame(from, m)
 	default:
-		committed := h.rn.metrics.committed.Value()
+		committed := h.rn.app.BlocksCommitted()
 		h.rn.replica.OnMessage(from, msg)
-		if h.rn.metrics.committed.Value() != committed {
+		if h.rn.app.BlocksCommitted() != committed {
 			// Once per block, after the replica has retired what the new
 			// block pushed out of its window.
-			h.rn.metrics.publishReplica(h.rn.replica.Stats())
-			h.rn.metrics.publishMemory(h.rn.ledger, h.rn.batches)
+			h.rn.app.Publish()
 		}
 	}
 }
@@ -721,32 +518,4 @@ func (h *appHandler) OnTimer(payload any) {
 	default:
 		h.rn.replica.OnTimer(payload)
 	}
-}
-
-// blockFrom assembles the application block of a decision, decoding each
-// proposal payload through the shared batch cache (internal/wire).
-func blockFrom(k uint64, d *sbc.Decision, batches *wire.BatchCache) *bm.Block {
-	proposals := d.OrderedProposals()
-	decoded := make([][]*utxo.Transaction, 0, len(proposals))
-	total := 0
-	for _, p := range proposals {
-		batch, err := batches.Decode(p.Payload)
-		if err != nil {
-			continue
-		}
-		decoded = append(decoded, batch)
-		total += len(batch)
-	}
-	var txs []*utxo.Transaction
-	seen := make(map[types.Digest]bool, total)
-	for _, batch := range decoded {
-		for _, tx := range batch {
-			id := tx.ID()
-			if !seen[id] {
-				seen[id] = true
-				txs = append(txs, tx)
-			}
-		}
-	}
-	return bm.NewBlock(k, txs)
 }

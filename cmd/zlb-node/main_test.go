@@ -28,10 +28,10 @@ func (rn *replicaNode) state() nodeState {
 	ch := make(chan nodeState, 1)
 	rn.node.Do(func() {
 		ch <- nodeState{
-			Height:  rn.ledger.Height(),
-			LastK:   rn.ledger.LastK(),
-			Digests: rn.ledger.BlockDigests(),
-			Faucet:  rn.ledger.Table().Balance(rn.faucet),
+			Height:  rn.app.Ledger().Height(),
+			LastK:   rn.app.Ledger().LastK(),
+			Digests: rn.app.Ledger().BlockDigests(),
+			Faucet:  rn.app.Ledger().Table().Balance(rn.faucet),
 		}
 	})
 	return <-ch
@@ -515,7 +515,7 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	refusedCommitted := func() uint64 {
 		var sum uint64
 		for _, rn := range nodes {
-			sum += rn.pool.Stats().Rejects["committed"]
+			sum += rn.app.Pool().Stats().Rejects["committed"]
 		}
 		return sum
 	}
@@ -531,7 +531,7 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 
 	client.submit(501, all...)
 	waitHeight(2) // the second block trims
-	applied := nodes[0].metrics.txApplied.Value()
+	applied := nodes[0].app.Status().TxsApplied
 	faucet := nodes[0].state().Faucet
 	client.send(first, all...)
 	waitHeight(3) // admitted again, proposed, committed as an empty block
@@ -539,7 +539,7 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 		t.Errorf("%d committed-refusals after the trim, want the %d from before it", got, n)
 	}
 	for i, rn := range nodes {
-		if got := rn.metrics.txApplied.Value(); got != applied {
+		if got := rn.app.Status().TxsApplied; got != applied {
 			t.Errorf("replica %d applied %d transactions, want %d: the ledger let a committed transaction through", i+1, got, applied)
 		}
 	}

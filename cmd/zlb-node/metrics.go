@@ -1,9 +1,11 @@
 // Node observability: a dependency-free HTTP endpoint (-metrics-addr)
 // exposing Prometheus-text metrics at /metrics, an operator-facing JSON
 // snapshot at /status, and the standard pprof profiling handlers under
-// /debug/pprof/. The registry (internal/obs) is always maintained —
-// counter updates are lock-free atomics, negligible next to a commit —
-// and only the HTTP listener is conditional on the flag.
+// /debug/pprof/. The registry is the payment application's
+// (internal/node), which always maintains it — counter updates are
+// lock-free atomics, negligible next to a commit; this file adds the
+// transport's series to it, and only the HTTP listener is conditional on
+// the flag.
 package main
 
 import (
@@ -12,152 +14,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
-	"github.com/zeroloss/zlb/internal/asmr"
-	"github.com/zeroloss/zlb/internal/bm"
-	"github.com/zeroloss/zlb/internal/mempool"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/transport"
 	"github.com/zeroloss/zlb/internal/types"
-	"github.com/zeroloss/zlb/internal/wire"
 )
-
-// commitLatencyBounds bucket the propose→commit wall-clock latency
-// histogram (seconds).
-var commitLatencyBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// nodeMetrics is the replica's metric surface. Event-driven series
-// (heights, counts, latencies) are updated from the consensus callbacks
-// on the event loop; mempool and batch-cache series are sampled from
-// Pool.Stats and BatchCache.Stats at scrape time, since both already
-// maintain those counters under their own lock.
-type nodeMetrics struct {
-	reg *obs.Metrics
-
-	height    *obs.Gauge
-	epoch     *obs.Gauge
-	committed *obs.Counter
-	merged    *obs.Counter
-	txApplied *obs.Counter
-	culprits  *obs.Counter
-	commitLat *obs.Histogram
-
-	// Proposals the reliable broadcast delivered here against proposals
-	// the decisions selected: the difference was carried, decoded and
-	// verified for nothing, and its owner proposes it again.
-	proposalsDelivered *obs.Counter
-	proposalsCommitted *obs.Counter
-
-	// What the replica holds in memory (asmr.Stats), published by the
-	// event loop once per block: the scrape goroutine reads these atomics
-	// and never touches replica state.
-	liveInstances    *obs.Gauge
-	unfinalInstances *obs.Gauge
-	logStatements    *obs.Gauge
-	internedPayloads *obs.Gauge
-	compacted        *obs.Counter
-	lateDropped      *obs.Counter
-
-	// What committed history leaves in memory, published with the above.
-	// Everything but the batch cache grows with the chain.
-	ledgerBlocks    *obs.Gauge
-	committedTxIDs  *obs.Gauge
-	utxoEntries     *obs.Gauge
-	batchCache      *obs.Gauge
-	retainedPayload *obs.Gauge
-}
-
-func newNodeMetrics(pool *mempool.Pool, batches *wire.BatchCache) *nodeMetrics {
-	reg := obs.NewMetrics()
-	m := &nodeMetrics{
-		reg:       reg,
-		height:    reg.Gauge("zlb_height", "Committed chain height of this replica."),
-		epoch:     reg.Gauge("zlb_epoch", "Current membership epoch."),
-		committed: reg.Counter("zlb_blocks_committed_total", "Blocks committed by consensus."),
-		merged:    reg.Counter("zlb_blocks_merged_total", "Forked blocks reconciled by the merge procedure."),
-		txApplied: reg.Counter("zlb_txs_applied_total", "Transactions applied to the ledger by committed blocks."),
-		culprits:  reg.Counter("zlb_proven_culprits_total", "Replicas convicted by a proof of fraud."),
-		commitLat: reg.Histogram("zlb_commit_latency_seconds", "Wall-clock latency from batch proposal to commit.", commitLatencyBounds),
-
-		proposalsDelivered: reg.Counter("zlb_proposals_delivered_total", "Proposal payloads the reliable broadcast delivered to this replica."),
-		proposalsCommitted: reg.Counter("zlb_proposals_committed_total", "Proposals selected by the decisions this replica committed."),
-
-		liveInstances:    reg.Gauge("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth."),
-		unfinalInstances: reg.Gauge("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here."),
-		logStatements:    reg.Gauge("zlb_log_statements", "Signed statements held by the accountability log."),
-		internedPayloads: reg.Gauge("zlb_interned_payloads", "Proposal payloads held by the reliable-broadcast intern table."),
-		compacted:        reg.Counter("zlb_compacted_instances_total", "Finalized instances retired to their compact record (decision only)."),
-		lateDropped:      reg.Counter("zlb_late_frames_dropped_total", "Consensus frames that arrived for an already retired instance."),
-
-		ledgerBlocks:    reg.Gauge("zlb_ledger_blocks", "Blocks the ledger holds, as index and digest."),
-		committedTxIDs:  reg.Gauge("zlb_committed_txids", "Committed transaction IDs the ledger holds."),
-		utxoEntries:     reg.Gauge("zlb_utxo_entries", "Unspent outputs in the UTXO table."),
-		batchCache:      reg.Gauge("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n)."),
-		retainedPayload: reg.Gauge("zlb_retained_payload_bytes", "Proposal payload bytes in the decisions this replica committed and retains."),
-	}
-	reg.GaugeFunc("zlb_mempool_pending", "Transactions pending in the mempool.",
-		func() float64 { return float64(pool.Stats().Pending) })
-	reg.GaugeFunc("zlb_mempool_bytes", "Canonical bytes pending in the mempool.",
-		func() float64 { return float64(pool.Stats().Bytes) })
-	reg.CounterFunc("zlb_mempool_admitted_total", "Transactions admitted by the mempool.",
-		func() float64 { return float64(pool.Stats().Admitted) })
-	reg.CounterFunc("zlb_mempool_evictions_total", "Transactions evicted by mempool admission policy.",
-		func() float64 { return float64(pool.Stats().Evictions) })
-	reg.CounterFunc("zlb_batch_txs_decoded_total", "Transactions the batch cache built anew while decoding a proposal payload.",
-		func() float64 { return float64(batches.Stats().TxsDecoded) })
-	reg.CounterFunc("zlb_batch_txs_reused_total", "Transactions of a decoded payload the batch cache served as the object, verdict included, of a batch it already held.",
-		func() float64 { return float64(batches.Stats().TxsReused) })
-	for _, reason := range mempool.RejectReasons {
-		r := reason
-		reg.CounterFunc("zlb_mempool_rejects_total", "Transactions rejected by the mempool, by reason.",
-			func() float64 { return float64(pool.Stats().Rejects[r]) }, "reason", r)
-	}
-	return m
-}
-
-// publishReplica copies a replica snapshot into the exported series.
-// Event loop only: it is the single writer, which is what makes the
-// counter deltas exact.
-func (m *nodeMetrics) publishReplica(s asmr.Stats) {
-	m.liveInstances.Set(int64(s.LiveInstances))
-	m.unfinalInstances.Set(int64(s.UnfinalInstances))
-	m.logStatements.Set(int64(s.LogStatements))
-	m.internedPayloads.Set(int64(s.InternedPayloads))
-	m.compacted.Add(s.RetiredInstances - m.compacted.Value())
-	m.lateDropped.Add(s.LateFramesDropped - m.lateDropped.Value())
-}
-
-// publishMemory publishes what committed history holds in the ledger and
-// how many decoded batches are cached. Event loop only, once per block.
-func (m *nodeMetrics) publishMemory(l *bm.Ledger, batches *wire.BatchCache) {
-	m.ledgerBlocks.Set(int64(l.Height()))
-	m.committedTxIDs.Set(int64(l.TxCount()))
-	m.utxoEntries.Set(int64(l.Table().Size()))
-	m.batchCache.Set(int64(batches.Len()))
-}
-
-// payloadBytes is what retaining d costs in proposal payloads. Equal
-// payloads are one array (rbc.Intern) and count once.
-func payloadBytes(d *sbc.Decision) int {
-	total := 0
-	counted := make(map[types.Digest]bool, len(d.Proposals))
-	for _, p := range d.Proposals {
-		if !counted[p.Digest] {
-			counted[p.Digest] = true
-			total += len(p.Payload)
-		}
-	}
-	return total
-}
 
 // wireTransport registers the transport's node-wide counters and the
 // per-peer health series. All values are read from the transport's
 // lock-free counters at scrape time, so the series cost nothing on the
 // consensus path.
-func (m *nodeMetrics) wireTransport(node *transport.Node, members []types.ReplicaID) {
-	reg := m.reg
+func wireTransport(reg *obs.Metrics, node *transport.Node, members []types.ReplicaID) {
 	reg.CounterFunc("zlb_transport_frames_sent_total", "Frames written to peer connections.",
 		func() float64 { return float64(node.Stats().Sent) })
 	reg.CounterFunc("zlb_transport_events_received_total", "Events handled by the replica's event loop.",
@@ -198,18 +66,11 @@ func (m *nodeMetrics) wireTransport(node *transport.Node, members []types.Replic
 // status is the /status JSON document: the same state the metrics expose,
 // in one human- and script-friendly snapshot.
 type status struct {
-	ID              types.ReplicaID `json:"id"`
-	N               int             `json:"n"`
-	Height          int64           `json:"height"`
-	Epoch           int64           `json:"epoch"`
-	BlocksCommitted uint64          `json:"blocks_committed"`
-	BlocksMerged    uint64          `json:"blocks_merged"`
-	TxsApplied      uint64          `json:"txs_applied"`
-	ProvenCulprits  uint64          `json:"proven_culprits"`
-	Replica         replicaStatus   `json:"replica"`
-	Memory          memoryStatus    `json:"memory"`
-	Pipeline        pipelineStatus  `json:"pipeline"`
-	Mempool         mempool.Stats   `json:"mempool"`
+	ID types.ReplicaID `json:"id"`
+	N  int             `json:"n"`
+	// Chain height and counts, and the "replica", "memory", "pipeline"
+	// and "mempool" objects.
+	node.Status
 	// Transport is the node-wide transport counter snapshot; Peers is
 	// per-peer send-path health (state, failures, drops, reconnects).
 	Transport     transport.Stats        `json:"transport"`
@@ -217,67 +78,14 @@ type status struct {
 	UptimeSeconds float64                `json:"uptime_seconds"`
 }
 
-// replicaStatus is the consensus-state part of /status: how many
-// instances hold protocol state and how many gave it up.
-type replicaStatus struct {
-	LiveInstances      int64  `json:"live_instances"`
-	CompactedInstances uint64 `json:"compacted_instances_total"`
-	UnfinalInstances   int64  `json:"unfinal_instances"`
-}
-
-// memoryStatus is what committed history holds in memory on this node:
-// the zlb_ledger_blocks … zlb_retained_payload_bytes series.
-type memoryStatus struct {
-	LedgerBlocks         int64 `json:"ledger_blocks"`
-	CommittedTxIDs       int64 `json:"committed_txids"`
-	UTXOEntries          int64 `json:"utxo_entries"`
-	BatchCacheEntries    int64 `json:"batch_cache_entries"`
-	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
-}
-
-// pipelineStatus is where proposal work went: the
-// zlb_proposals_delivered_total … zlb_batch_txs_reused_total series.
-type pipelineStatus struct {
-	ProposalsDelivered uint64 `json:"proposals_delivered"`
-	ProposalsCommitted uint64 `json:"proposals_committed"`
-	BatchTxsDecoded    int    `json:"batch_txs_decoded"`
-	BatchTxsReused     int    `json:"batch_txs_reused"`
-}
-
 func (rn *replicaNode) statusSnapshot() status {
-	m := rn.metrics
-	cache := rn.batches.Stats()
 	return status{
-		ID:              rn.cfg.Self,
-		N:               rn.cfg.N,
-		Height:          m.height.Value(),
-		Epoch:           m.epoch.Value(),
-		BlocksCommitted: m.committed.Value(),
-		BlocksMerged:    m.merged.Value(),
-		TxsApplied:      m.txApplied.Value(),
-		ProvenCulprits:  m.culprits.Value(),
-		Replica: replicaStatus{
-			LiveInstances:      m.liveInstances.Value(),
-			CompactedInstances: m.compacted.Value(),
-			UnfinalInstances:   m.unfinalInstances.Value(),
-		},
-		Memory: memoryStatus{
-			LedgerBlocks:         m.ledgerBlocks.Value(),
-			CommittedTxIDs:       m.committedTxIDs.Value(),
-			UTXOEntries:          m.utxoEntries.Value(),
-			BatchCacheEntries:    m.batchCache.Value(),
-			RetainedPayloadBytes: m.retainedPayload.Value(),
-		},
-		Pipeline: pipelineStatus{
-			ProposalsDelivered: m.proposalsDelivered.Value(),
-			ProposalsCommitted: m.proposalsCommitted.Value(),
-			BatchTxsDecoded:    cache.TxsDecoded,
-			BatchTxsReused:     cache.TxsReused,
-		},
-		Mempool:       rn.pool.Stats(),
+		ID:            rn.cfg.Self,
+		N:             rn.cfg.N,
+		Status:        rn.app.Status(),
 		Transport:     rn.node.Stats(),
 		Peers:         rn.node.PeerHealth(),
-		UptimeSeconds: time.Since(rn.startedAt).Seconds(),
+		UptimeSeconds: rn.node.Now().Seconds(),
 	}
 }
 
@@ -292,7 +100,7 @@ func (rn *replicaNode) startMetricsServer(addr string) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = rn.metrics.reg.WritePrometheus(w)
+		_ = rn.app.Metrics().WritePrometheus(w)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -212,7 +212,6 @@ type AppBindings struct {
 	BatchSource        func(k uint64) Batch
 	OnProposal         func(k uint64, payload []byte)
 	OnCommit           func(k uint64, attempt uint32, d *sbc.Decision)
-	OnFinal            func(k uint64, digest types.Digest)
 	OnDisagreement     func(k uint64, local, remote *sbc.Decision)
 	OnPoF              func(accountability.PoF)
 	OnMembershipChange func(*membership.Result)
@@ -236,9 +235,6 @@ func (r *Replica) Rebind(b AppBindings) {
 			}
 			next(k, attempt, d)
 		}
-	}
-	if b.OnFinal != nil {
-		r.cfg.OnFinal = b.OnFinal
 	}
 	if b.OnDisagreement != nil {
 		r.cfg.OnDisagreement = b.OnDisagreement
@@ -295,13 +291,13 @@ func (r *Replica) View() *committee.View { return r.view }
 // Log exposes the accountability log (read-only use).
 func (r *Replica) Log() *accountability.Log { return r.log }
 
-// Now returns the replica's virtual clock — the per-event time of its
-// simulation environment. Application callbacks (OnCommit and friends)
-// must timestamp with this, not with the global simulator clock: under
-// conservative-parallel windows the global clock can sit anywhere in the
-// window while an event runs, whereas the event time is bit-identical
-// across execution modes.
-func (r *Replica) Now() time.Duration { return r.cfg.Env.Now() }
+// Env returns the environment the replica runs on, for the application
+// layered on it. Application callbacks (OnCommit and friends) must
+// timestamp with its clock — the per-event time — not with the global
+// simulator clock: under conservative-parallel windows the global clock
+// can sit anywhere in the window while an event runs, whereas the event
+// time is bit-identical across execution modes.
+func (r *Replica) Env() simnet.Env { return r.cfg.Env }
 
 // Epoch returns the number of completed membership changes.
 func (r *Replica) Epoch() uint64 { return r.epoch }

@@ -18,6 +18,7 @@ import (
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/membership"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
@@ -436,11 +437,7 @@ func (c *Cluster) RestartFromDisk(id types.ReplicaID) error {
 		return c.buildReplica(id, signer, env)
 	})
 	r := c.Replicas[id] // buildReplica re-registered the fresh replica
-	restored := make([]asmr.RestoredBlock, 0)
-	for _, rec := range st.BlockRecords() {
-		restored = append(restored, asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Digest})
-	}
-	r.Restore(restored)
+	r.Restore(node.RestoredBlocks(st))
 	c.Net.SetUp(id, true)
 	r.Start()
 	r.RequestCatchup()

@@ -1,10 +1,9 @@
-package main
+package node
 
 import (
 	"runtime"
 	"testing"
 
-	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
@@ -29,9 +28,7 @@ func TestCommittedHistoryFootprint(t *testing.T) {
 		t.Skip("signs and verifies 60000 payments")
 	}
 	const blocks, perBlock = 60, 1000
-	nodes, addrs := startCluster(t, 1, 23, func(_ int, cfg *nodeConfig) { cfg.LogLevel = obs.LevelWarn })
-	rn := nodes[0]
-	client := newTestClient(t, 23, addrs)
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(2*1), nil)
 
 	decisions := make([]*sbc.Decision, 0, blocks)
 	before := heapInUse()
@@ -39,12 +36,9 @@ func TestCommittedHistoryFootprint(t *testing.T) {
 	for k := uint64(1); k <= blocks; k++ {
 		txs := make([]*utxo.Transaction, perBlock)
 		for i := range txs {
-			txs[i] = client.pay(1)
+			txs[i] = f.faucet.pay(1)
 		}
-		payload, err := wire.EncodeBatch(txs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := encode(t, txs...)
 		payloadTotal += len(payload)
 		d := &sbc.Decision{
 			Instance: types.Instance(k),
@@ -54,19 +48,15 @@ func TestCommittedHistoryFootprint(t *testing.T) {
 			},
 		}
 		decisions = append(decisions, d)
-		done := make(chan struct{})
-		rn.node.Do(func() {
-			rn.onCommit(k, 0, d)
-			close(done)
-		})
-		<-done
+		f.Commit(k, 0, d)
 	}
 	after := heapInUse()
 
-	if got := rn.metrics.txApplied.Value(); got != blocks*perBlock {
+	st := f.Status()
+	if got := st.TxsApplied; got != blocks*perBlock {
 		t.Fatalf("applied %d payments, want %d", got, blocks*perBlock)
 	}
-	if got := rn.metrics.retainedPayload.Value(); got != int64(payloadTotal) {
+	if got := st.Memory.RetainedPayloadBytes; got != int64(payloadTotal) {
 		t.Errorf("zlb_retained_payload_bytes = %d, the decisions hold %d", got, payloadTotal)
 	}
 	grown, budget := int64(after)-int64(before), int64(payloadTotal)+blocks*perBlock*footprintPerTx

@@ -1,11 +1,10 @@
-package main
+package node
 
 import (
 	"runtime"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/crypto"
-	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
@@ -41,58 +40,15 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 		t.Skip("signs and verifies 40000 payments")
 	}
 	const n, rounds, perProposal = 4, 40, 250
-	nodes, addrs := startCluster(t, n, 29, func(_ int, cfg *nodeConfig) { cfg.LogLevel = obs.LevelWarn })
-	rn := nodes[0] // its peers have nothing to propose and stay idle
-	onLoop := func(fn func()) {
-		done := make(chan struct{})
-		rn.node.Do(func() {
-			fn()
-			close(done)
-		})
-		<-done
-	}
-	decide := func(k uint64, payloads map[types.ReplicaID][]byte) *sbc.Decision {
-		d := &sbc.Decision{
-			Instance:  types.Instance(k),
-			Bits:      make(map[types.ReplicaID]bool, len(payloads)),
-			Proposals: make(map[types.ReplicaID]sbc.ProposalInfo, len(payloads)),
-		}
-		for id, p := range payloads {
-			d.Bits[id] = true
-			d.Proposals[id] = sbc.ProposalInfo{Broadcaster: id, Payload: p, Digest: types.Hash(p)}
-		}
-		return d
-	}
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(2*n), nil)
 
 	// Block 1 splits the faucet between four payers, one per proposer, so
 	// that each proposer's payments chain among themselves only.
-	faucet := newTestClient(t, 29, addrs)
-	payers := make([]*testClient, n)
-	outs := make([]utxo.Output, n)
-	for s := range payers {
-		kp, err := rn.txScheme.GenerateKey(crypto.NewDeterministicRand(int64(100 + s)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		payers[s] = &testClient{t: t, faucet: utxo.NewWallet(kp, rn.txScheme)}
-		outs[s] = utxo.Output{Account: payers[s].faucet.Address(), Value: 1_000_000}
-	}
-	split, err := faucet.faucet.Pay([]utxo.Input{faucet.prev}, outs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, p := range payers {
-		p.prev = utxo.Input{Prev: utxo.Outpoint{TxID: split.ID(), Index: uint32(s)}, Value: outs[s].Value}
-	}
-	first, err := wire.EncodeBatch([]*utxo.Transaction{split})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payers, split := f.splitFaucet(t, n)
+	first := encode(t, split)
 	decisions := []*sbc.Decision{decide(1, map[types.ReplicaID][]byte{1: first})}
-	onLoop(func() {
-		rn.onProposal(1, first)
-		rn.onCommit(1, 0, decisions[0])
-	})
+	f.Prevalidate(1, first)
+	f.Commit(1, 0, decisions[0])
 
 	before := heapInUse()
 	payloadTotal, committed := 0, 1
@@ -113,9 +69,7 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 			for i := 0; i < perProposal; i++ {
 				txs = append(txs, payers[s].pay(1))
 			}
-			if payloads[s], err = wire.EncodeBatch(txs); err != nil {
-				t.Fatal(err)
-			}
+			payloads[s] = encode(t, txs...)
 			if s == dropped {
 				droppedTxs = txs
 			} else {
@@ -123,11 +77,9 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 				payloadTotal += len(payloads[s])
 			}
 		}
-		onLoop(func() {
-			for _, p := range payloads {
-				rn.onProposal(k, p)
-			}
-		})
+		for _, p := range payloads {
+			f.Prevalidate(k, p)
+		}
 
 		// What the commit will see of the re-proposed transactions.
 		selected := make(map[types.ReplicaID][]byte, n-1)
@@ -139,14 +91,14 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 		d := decide(k, selected)
 		if len(carried) > 0 {
 			inBlock := make(map[*utxo.Transaction]bool)
-			for _, tx := range blockFrom(k, d, rn.batches).Txs {
+			for _, tx := range f.blockFrom(k, d).Txs {
 				inBlock[tx] = true
 			}
 			for i, tx := range decoded {
 				if !inBlock[tx] {
 					t.Fatalf("instance %d: re-proposed transaction %d reaches the commit as a second object", k, i)
 				}
-				if err := tx.VerifySig(noVerifyScheme{rn.txScheme, t}); err != nil {
+				if err := tx.VerifySig(noVerifyScheme{f.scheme, t}); err != nil {
 					t.Fatalf("instance %d: re-proposed transaction %d: %v", k, i, err)
 				}
 			}
@@ -155,33 +107,34 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 		// The first delivery of what this instance drops: decoded and
 		// verified now, by the speculation or (where the pool dropped the
 		// task) by what stands in for it here.
-		if decoded, err = rn.batches.Decode(payloads[dropped]); err != nil {
+		var err error
+		if decoded, err = f.opts.Batches.Decode(payloads[dropped]); err != nil {
 			t.Fatal(err)
 		}
 		for _, tx := range decoded {
-			if err := tx.VerifySig(rn.txScheme); err != nil {
+			if err := tx.VerifySig(f.scheme); err != nil {
 				t.Fatal(err)
 			}
 		}
 		carried = droppedTxs
 
-		onLoop(func() { rn.onCommit(k, 0, d) })
+		f.Commit(k, 0, d)
 		decisions = append(decisions, d)
 	}
 	carried, decoded = nil, nil
 	after := heapInUse()
 
-	if got := rn.metrics.txApplied.Value(); got != uint64(committed) {
+	if got := f.Status().TxsApplied; got != uint64(committed) {
 		t.Errorf("applied %d payments, want %d", got, committed)
 	}
-	st := rn.statusSnapshot().Pipeline
+	st := f.Status().Pipeline
 	if st.ProposalsDelivered != 1+n*rounds || st.ProposalsCommitted != 1+(n-1)*rounds {
 		t.Errorf("proposals delivered : committed = %d : %d, want %d : %d", st.ProposalsDelivered, st.ProposalsCommitted, 1+n*rounds, 1+(n-1)*rounds)
 	}
 	if wantDecoded, wantReused := 1+n*rounds*perProposal, (rounds-1)*perProposal; st.BatchTxsDecoded != wantDecoded || st.BatchTxsReused != wantReused {
 		t.Errorf("batch transactions decoded %d reused %d, want %d and %d", st.BatchTxsDecoded, st.BatchTxsReused, wantDecoded, wantReused)
 	}
-	if s := rn.batches.Stats(); s.Batches > 2*n || s.IndexedTxs > 2*n*2*perProposal {
+	if s := f.opts.Batches.Stats(); s.Batches > 2*n || s.IndexedTxs > 2*n*2*perProposal {
 		t.Errorf("batch cache holds %d batches and %d indexed transactions, the window is %d batches", s.Batches, s.IndexedTxs, 2*n)
 	}
 

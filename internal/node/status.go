@@ -1,0 +1,179 @@
+package node
+
+import (
+	"github.com/zeroloss/zlb/internal/mempool"
+	"github.com/zeroloss/zlb/internal/obs"
+	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/types"
+)
+
+// Status is the node's part of the /status document, and the state its
+// metric series are views of.
+type Status struct {
+	Height          int64          `json:"height"`
+	Epoch           int64          `json:"epoch"`
+	BlocksCommitted uint64         `json:"blocks_committed"`
+	BlocksMerged    uint64         `json:"blocks_merged"`
+	TxsApplied      uint64         `json:"txs_applied"`
+	ProvenCulprits  uint64         `json:"proven_culprits"`
+	Replica         ReplicaStatus  `json:"replica"`
+	Memory          MemoryStatus   `json:"memory"`
+	Pipeline        PipelineStatus `json:"pipeline"`
+	Mempool         mempool.Stats  `json:"mempool"`
+}
+
+// ReplicaStatus is the consensus-state part of Status: how many
+// instances hold protocol state and how many gave it up.
+type ReplicaStatus struct {
+	LiveInstances      int64  `json:"live_instances"`
+	CompactedInstances uint64 `json:"compacted_instances_total"`
+	UnfinalInstances   int64  `json:"unfinal_instances"`
+}
+
+// MemoryStatus is what committed history holds in memory on this node:
+// the zlb_ledger_blocks … zlb_retained_payload_bytes series. Everything
+// but the batch cache grows with the chain.
+type MemoryStatus struct {
+	LedgerBlocks         int64 `json:"ledger_blocks"`
+	CommittedTxIDs       int64 `json:"committed_txids"`
+	UTXOEntries          int64 `json:"utxo_entries"`
+	BatchCacheEntries    int64 `json:"batch_cache_entries"`
+	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
+}
+
+// PipelineStatus is where proposal work went: the
+// zlb_proposals_delivered_total … zlb_batch_txs_reused_total series.
+// Proposals the reliable broadcast delivered here against proposals the
+// decisions selected: the difference was carried, decoded and verified
+// for nothing, and its owner proposes it again.
+type PipelineStatus struct {
+	ProposalsDelivered uint64 `json:"proposals_delivered"`
+	ProposalsCommitted uint64 `json:"proposals_committed"`
+	BatchTxsDecoded    int    `json:"batch_txs_decoded"`
+	BatchTxsReused     int    `json:"batch_txs_reused"`
+}
+
+// update changes the status on the event loop.
+func (n *Node) update(change func(*Status)) {
+	n.mu.Lock()
+	change(&n.status)
+	n.mu.Unlock()
+}
+
+// Status snapshots the node's state. Safe from any goroutine.
+func (n *Node) Status() Status {
+	n.mu.Lock()
+	s := n.status
+	n.mu.Unlock()
+	cache := n.opts.Batches.Stats()
+	s.Pipeline.BatchTxsDecoded, s.Pipeline.BatchTxsReused = cache.TxsDecoded, cache.TxsReused
+	s.Mempool = n.pool.Stats()
+	return s
+}
+
+// noteLedger records the chain height, what committed history holds in
+// the ledger and how many decoded batches are cached.
+func (n *Node) noteLedger(s *Status) {
+	s.Height = int64(n.ledger.Height())
+	s.Memory.LedgerBlocks = s.Height
+	s.Memory.CommittedTxIDs = int64(n.ledger.TxCount())
+	s.Memory.UTXOEntries = int64(n.ledger.Table().Size())
+	s.Memory.BatchCacheEntries = int64(n.opts.Batches.Len())
+}
+
+// payloadBytes is what retaining d costs in proposal payloads. Equal
+// payloads are one array (rbc.Intern) and count once.
+func payloadBytes(d *sbc.Decision) int {
+	total := 0
+	counted := make(map[types.Digest]bool, len(d.Proposals))
+	for _, p := range d.Proposals {
+		if !counted[p.Digest] {
+			counted[p.Digest] = true
+			total += len(p.Payload)
+		}
+	}
+	return total
+}
+
+// Publish records what the attached replica holds in memory. Call it on
+// the event loop once an event that committed a block has returned, when
+// the replica has retired what the new block pushed out of its window.
+func (n *Node) Publish() {
+	held := n.replica.Stats()
+	n.update(func(s *Status) {
+		n.held = held
+		s.Replica = ReplicaStatus{
+			LiveInstances:      int64(held.LiveInstances),
+			CompactedInstances: held.RetiredInstances,
+			UnfinalInstances:   int64(held.UnfinalInstances),
+		}
+	})
+}
+
+// BlocksCommitted counts the blocks consensus committed here. Event loop
+// only.
+func (n *Node) BlocksCommitted() uint64 { return n.status.BlocksCommitted }
+
+// Metrics is the registry holding the node's series; a shell adds its own
+// (transport, peers) and serves it.
+func (n *Node) Metrics() *obs.Metrics { return n.series }
+
+// registerSeries registers the node's metric series. Every one is sampled
+// at scrape time: from the status under its lock, or from Pool.Stats and
+// BatchCache.Stats, which maintain their counters under their own. A
+// scrape never touches replica state.
+func (n *Node) registerSeries() {
+	reg := obs.NewMetrics()
+	n.series = reg
+	// The propose→commit latency histogram, in seconds of the node's clock.
+	n.commitLat = reg.Histogram("zlb_commit_latency_seconds", "Wall-clock latency from batch proposal to commit.",
+		[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})
+	locked := func(read func() int64) func() float64 {
+		return func() float64 {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return float64(read())
+		}
+	}
+	s, pool, batches := &n.status, n.pool, n.opts.Batches
+	reg.GaugeFunc("zlb_height", "Committed chain height of this replica.", locked(func() int64 { return s.Height }))
+	reg.GaugeFunc("zlb_epoch", "Current membership epoch.", locked(func() int64 { return s.Epoch }))
+	reg.CounterFunc("zlb_blocks_committed_total", "Blocks committed by consensus.", locked(func() int64 { return int64(s.BlocksCommitted) }))
+	reg.CounterFunc("zlb_blocks_merged_total", "Forked blocks reconciled by the merge procedure.", locked(func() int64 { return int64(s.BlocksMerged) }))
+	reg.CounterFunc("zlb_txs_applied_total", "Transactions applied to the ledger by committed blocks.", locked(func() int64 { return int64(s.TxsApplied) }))
+	reg.CounterFunc("zlb_proven_culprits_total", "Replicas convicted by a proof of fraud.", locked(func() int64 { return int64(s.ProvenCulprits) }))
+
+	reg.CounterFunc("zlb_proposals_delivered_total", "Proposal payloads the reliable broadcast delivered to this replica.", locked(func() int64 { return int64(s.Pipeline.ProposalsDelivered) }))
+	reg.CounterFunc("zlb_proposals_committed_total", "Proposals selected by the decisions this replica committed.", locked(func() int64 { return int64(s.Pipeline.ProposalsCommitted) }))
+
+	reg.GaugeFunc("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth.", locked(func() int64 { return s.Replica.LiveInstances }))
+	reg.GaugeFunc("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here.", locked(func() int64 { return s.Replica.UnfinalInstances }))
+	reg.GaugeFunc("zlb_log_statements", "Signed statements held by the accountability log.", locked(func() int64 { return int64(n.held.LogStatements) }))
+	reg.GaugeFunc("zlb_interned_payloads", "Proposal payloads held by the reliable-broadcast intern table.", locked(func() int64 { return int64(n.held.InternedPayloads) }))
+	reg.CounterFunc("zlb_compacted_instances_total", "Finalized instances retired to their compact record (decision only).", locked(func() int64 { return int64(s.Replica.CompactedInstances) }))
+	reg.CounterFunc("zlb_late_frames_dropped_total", "Consensus frames that arrived for an already retired instance.", locked(func() int64 { return int64(n.held.LateFramesDropped) }))
+
+	reg.GaugeFunc("zlb_ledger_blocks", "Blocks the ledger holds, as index and digest.", locked(func() int64 { return s.Memory.LedgerBlocks }))
+	reg.GaugeFunc("zlb_committed_txids", "Committed transaction IDs the ledger holds.", locked(func() int64 { return s.Memory.CommittedTxIDs }))
+	reg.GaugeFunc("zlb_utxo_entries", "Unspent outputs in the UTXO table.", locked(func() int64 { return s.Memory.UTXOEntries }))
+	reg.GaugeFunc("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n).", locked(func() int64 { return s.Memory.BatchCacheEntries }))
+	reg.GaugeFunc("zlb_retained_payload_bytes", "Proposal payload bytes in the decisions this replica committed and retains.", locked(func() int64 { return s.Memory.RetainedPayloadBytes }))
+
+	reg.GaugeFunc("zlb_mempool_pending", "Transactions pending in the mempool.",
+		func() float64 { return float64(pool.Stats().Pending) })
+	reg.GaugeFunc("zlb_mempool_bytes", "Canonical bytes pending in the mempool.",
+		func() float64 { return float64(pool.Stats().Bytes) })
+	reg.CounterFunc("zlb_mempool_admitted_total", "Transactions admitted by the mempool.",
+		func() float64 { return float64(pool.Stats().Admitted) })
+	reg.CounterFunc("zlb_mempool_evictions_total", "Transactions evicted by mempool admission policy.",
+		func() float64 { return float64(pool.Stats().Evictions) })
+	reg.CounterFunc("zlb_batch_txs_decoded_total", "Transactions the batch cache built anew while decoding a proposal payload.",
+		func() float64 { return float64(batches.Stats().TxsDecoded) })
+	reg.CounterFunc("zlb_batch_txs_reused_total", "Transactions of a decoded payload the batch cache served as the object, verdict included, of a batch it already held.",
+		func() float64 { return float64(batches.Stats().TxsReused) })
+	for _, reason := range mempool.RejectReasons {
+		r := reason
+		reg.CounterFunc("zlb_mempool_rejects_total", "Transactions rejected by the mempool, by reason.",
+			func() float64 { return float64(pool.Stats().Rejects[r]) }, "reason", r)
+	}
+}

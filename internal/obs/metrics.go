@@ -12,8 +12,9 @@ import (
 
 // Metrics is a small dependency-free metrics registry rendering the
 // Prometheus text exposition format. Registration happens at setup time
-// (mutex-guarded); updates are lock-free atomics, safe from the node's
-// event loop while an HTTP scrape renders concurrently.
+// (mutex-guarded). Counters and gauges are functions sampled at scrape
+// time, which must be safe to call from the scraping goroutine while the
+// node's event loop runs; histogram observations are lock-free atomics.
 type Metrics struct {
 	mu     sync.Mutex
 	series []*series
@@ -26,55 +27,12 @@ type series struct {
 	typ    string // "counter", "gauge", "histogram"
 	labels string // rendered `{k="v",...}` or ""
 
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	fn   func() float64
+	hist *Histogram
 }
 
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
-
-// Counter is a monotonically increasing counter. Methods are nil-safe.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value reads the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value. Methods are nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // Histogram is a fixed-bucket histogram (cumulative buckets in the
 // exposition, per Prometheus convention). Observations are lock-free.
@@ -136,30 +94,15 @@ func (m *Metrics) add(s *series) {
 	m.series = append(m.series, s)
 }
 
-// Counter registers and returns a counter. kv are label key,value pairs.
-func (m *Metrics) Counter(name, help string, kv ...string) *Counter {
-	c := &Counter{}
-	m.add(&series{name: name, help: help, typ: "counter", labels: renderLabels(kv), counter: c})
-	return c
-}
-
-// Gauge registers and returns a gauge.
-func (m *Metrics) Gauge(name, help string, kv ...string) *Gauge {
-	g := &Gauge{}
-	m.add(&series{name: name, help: help, typ: "gauge", labels: renderLabels(kv), gauge: g})
-	return g
-}
-
-// GaugeFunc registers a gauge sampled by calling fn at scrape time. fn
-// must be safe to call from the scraping goroutine.
+// GaugeFunc registers a gauge sampled by calling fn at scrape time. kv
+// are label key,value pairs.
 func (m *Metrics) GaugeFunc(name, help string, fn func() float64, kv ...string) {
 	m.add(&series{name: name, help: help, typ: "gauge", labels: renderLabels(kv), fn: fn})
 }
 
-// CounterFunc registers a counter sampled by calling fn at scrape time —
-// for monotone counts another component already maintains (e.g. mempool
-// admission statistics). fn must be safe to call from the scraping
-// goroutine.
+// CounterFunc registers a counter sampled by calling fn at scrape time:
+// a monotone count its owner maintains (e.g. mempool admission
+// statistics).
 func (m *Metrics) CounterFunc(name, help string, fn func() float64, kv ...string) {
 	m.add(&series{name: name, help: help, typ: "counter", labels: renderLabels(kv), fn: fn})
 }
@@ -204,10 +147,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			lastFamily = s.name
 		}
 		switch {
-		case s.counter != nil:
-			fmt.Fprintf(&b, "%s%s %d\n", s.name, s.labels, s.counter.Value())
-		case s.gauge != nil:
-			fmt.Fprintf(&b, "%s%s %d\n", s.name, s.labels, s.gauge.Value())
 		case s.fn != nil:
 			fmt.Fprintf(&b, "%s%s %s\n", s.name, s.labels, formatFloat(s.fn()))
 		case s.hist != nil:

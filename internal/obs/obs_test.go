@@ -88,14 +88,12 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 // grouping, label determinism, histogram cumulative buckets.
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
-	c := m.Counter("zlb_blocks_committed_total", "Blocks committed.")
-	c.Add(3)
-	rej := m.Counter("zlb_mempool_rejected_total", "Rejected transactions.", "reason", "full")
-	rej.Inc()
-	m.Counter("zlb_mempool_rejected_total", "Rejected transactions.", "reason", "duplicate").Add(2)
-	g := m.Gauge("zlb_chain_height", "Chain height.")
-	g.Set(17)
-	m.GaugeFunc("zlb_mempool_pending", "Pool entries.", func() float64 { return 5 })
+	constant := func(v float64) func() float64 { return func() float64 { return v } }
+	m.CounterFunc("zlb_blocks_committed_total", "Blocks committed.", constant(3))
+	m.CounterFunc("zlb_mempool_rejected_total", "Rejected transactions.", constant(1), "reason", "full")
+	m.CounterFunc("zlb_mempool_rejected_total", "Rejected transactions.", constant(2), "reason", "duplicate")
+	m.GaugeFunc("zlb_chain_height", "Chain height.", constant(17))
+	m.GaugeFunc("zlb_mempool_pending", "Pool entries.", constant(5))
 	h := m.Histogram("zlb_commit_seconds", "Commit gap.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)

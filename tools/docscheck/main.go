@@ -27,6 +27,7 @@ var readmeRequired = []string{
 	"internal/adversary",
 	"internal/crypto",
 	"internal/harness",
+	"internal/node",
 	"internal/simnet",
 	"internal/scenario",
 	"internal/store",

@@ -70,10 +70,10 @@ import (
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/membership"
 	"github.com/zeroloss/zlb/internal/mempool"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/payment"
 	"github.com/zeroloss/zlb/internal/pipeline"
-	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
@@ -109,6 +109,10 @@ type (
 	// permissive arrival-order queueing — the pre-admission behavior all
 	// fixed-seed goldens run under.
 	MempoolPolicy = mempool.Policy
+	// NodeStatus is a replica's status snapshot: chain height and counts,
+	// and the "replica", "memory" and "pipeline" objects a deployed node
+	// serves at /status (internal/node).
+	NodeStatus = node.Status
 )
 
 // Attack selects a coalition attack for adversarial experiments.
@@ -251,7 +255,7 @@ var (
 type Cluster struct {
 	cfg     Config
 	inner   *harness.Cluster
-	nodes   map[ReplicaID]*node
+	nodes   map[ReplicaID]*replica
 	wallets []*Wallet
 	scheme  crypto.Scheme
 	genesis map[Address]Amount
@@ -267,14 +271,12 @@ type Cluster struct {
 	txv *pipeline.TxVerifier
 }
 
-// node is the per-replica application state: mempool + ledger, plus the
-// durable store when Config.DataDir is set.
-type node struct {
-	id       ReplicaID
-	ledger   *bm.Ledger
-	mempool  *mempool.Pool
-	stakes   map[ReplicaID]Amount
-	store    *store.Store
+// replica is one replica's payment application (internal/node: mempool,
+// ledger and, when Config.DataDir is set, the durable store) and the
+// first persistence failure of its store, which Close surfaces — the
+// simulation itself proceeds in memory.
+type replica struct {
+	app      *node.Node
 	storeErr error
 }
 
@@ -310,25 +312,10 @@ func applyDefaults(cfg *Config) error {
 	if cfg.Scheme == "" {
 		cfg.Scheme = "ed25519"
 	}
-	if _, err := paymentSchemeKind(cfg.Scheme); err != nil {
-		return err
+	if _, err := node.SchemeKind(cfg.Scheme); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	return nil
-}
-
-// paymentSchemeKind maps Config.Scheme to the crypto scheme kind,
-// rejecting schemes that cannot authenticate external wallets.
-func paymentSchemeKind(name string) (crypto.SchemeKind, error) {
-	switch name {
-	case "ed25519":
-		return crypto.SchemeEd25519, nil
-	case "ecdsa", "ecdsa-p256":
-		return crypto.SchemeECDSA, nil
-	case "sim":
-		return 0, fmt.Errorf("%w: scheme %q is registry-internal and cannot sign wallet transactions (use \"ed25519\" or \"ecdsa\")", ErrBadConfig, name)
-	default:
-		return 0, fmt.Errorf("%w: unknown scheme %q (want \"ed25519\" or \"ecdsa\")", ErrBadConfig, name)
-	}
 }
 
 // paymentSetup derives the payment-side PKI, the pre-funded test wallets
@@ -337,7 +324,7 @@ func paymentSchemeKind(name string) (crypto.SchemeKind, error) {
 // to replay a persisted chain. It also resolves GainBound and returns
 // the per-replica stake.
 func paymentSetup(cfg *Config) (crypto.Scheme, []*Wallet, map[Address]Amount, Amount, error) {
-	kind, err := paymentSchemeKind(cfg.Scheme)
+	kind, err := node.SchemeKind(cfg.Scheme)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -382,7 +369,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:     cfg,
-		nodes:   make(map[ReplicaID]*node),
+		nodes:   make(map[ReplicaID]*replica),
 		batches: wire.NewBatchCache(0),
 		scheme:  scheme,
 		wallets: wallets,
@@ -435,8 +422,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.inner = inner
 
 	// Wire the payment application into every replica (committee + pool).
-	all := append(append([]ReplicaID{}, inner.Members...), inner.PoolIDs...)
-	for _, id := range all {
+	for _, id := range inner.Net.NodeIDs() {
 		n, err := c.newNode(id)
 		if err != nil {
 			return nil, fmt.Errorf("zlb: replica %v store: %w", id, err)
@@ -446,45 +432,76 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) newNode(id ReplicaID) (*node, error) {
-	n := &node{
-		id:      id,
-		ledger:  bm.NewLedger(c.scheme),
-		mempool: mempool.NewWithPolicy(c.cfg.Mempool),
-		stakes:  make(map[ReplicaID]Amount),
+// seedLedger returns the genesis seeding of a ledger: the allocation
+// and the n committee members' deposits, staked up front (§B assumption
+// 2) so that the pool is available the moment a merge needs to fund a
+// conflicting input. NewCluster and RecoverChain must seed alike.
+func seedLedger(genesis map[Address]Amount, n int, stake Amount) func(*bm.Ledger) {
+	return func(l *bm.Ledger) {
+		l.Genesis(genesis)
+		for i := 0; i < n; i++ {
+			l.AddDeposit(stake)
+		}
 	}
-	// Rate-limit windows follow the simulator's clock, so a fixed seed
-	// admits the same transactions in every execution mode.
-	n.mempool.SetClock(c.inner.Net.Now)
-	n.ledger.SetParallel(c.txv.Pool())
+}
+
+func (c *Cluster) newNode(id ReplicaID) (*replica, error) {
+	// The replica's own clock stamps what it observes: its per-event time
+	// is bit-identical across sequential and parallel simulation, which
+	// the global clock inside a window is not.
+	env := c.inner.Replicas[id].Env()
+	nt := c.cfg.Tracer.Node(id) // nil when tracing is off
+	r := &replica{}
+	opts := node.Options{
+		Env:      env,
+		Scheme:   c.scheme,
+		Genesis:  seedLedger(c.genesis, c.cfg.N, c.stake),
+		Mempool:  c.cfg.Mempool,
+		BatchTxs: c.cfg.BatchTxs,
+		Batches:  c.batches,
+		Verifier: c.txv,
+		OnStoreError: func(err error) {
+			if r.storeErr == nil {
+				r.storeErr = err
+			}
+		},
+		OnCommitted: func(k uint64, b *bm.Block, _ int) {
+			if id != c.observer() {
+				return
+			}
+			if c.cfg.OnBlock != nil {
+				c.cfg.OnBlock(k, len(b.Txs))
+			}
+			if c.cfg.OnCommittedBatch != nil {
+				c.cfg.OnCommittedBatch(k, b.Txs, env.Now())
+			}
+		},
+		OnMerged: func(k uint64, _ int) {
+			nt.Record(env.Now(), obs.PhaseMerge, k, 0, 0, "")
+		},
+	}
 	if c.cfg.DataDir != "" {
-		st, err := store.Open(replicaDataDir(c.cfg.DataDir, id),
-			store.Options{CheckpointEvery: c.cfg.CheckpointEvery})
-		if err != nil {
-			return nil, err
-		}
-		// A simulated cluster always starts its chain at instance 1: a
-		// directory already holding blocks would interleave two chains in
-		// one log. RecoverChain is the read path for a finished run.
-		if last, hasBlocks := st.LastK(); hasBlocks {
-			st.Close()
-			return nil, fmt.Errorf("%w: DataDir already holds a chain up to block %d (use RecoverChain to read it, or a fresh directory)",
-				ErrBadConfig, last)
-		}
-		n.store = st
+		opts.DataDir = replicaDataDir(c.cfg.DataDir, id)
+		opts.CheckpointEvery = c.cfg.CheckpointEvery
 	}
-	n.ledger.Genesis(c.genesis)
-	// Replicas stake their deposits up front (§B assumption 2): the pool
-	// is available the moment a merge needs to fund a conflicting input.
-	for _, m := range c.inner.Members {
-		n.stakes[m] = c.stake
-		n.ledger.AddDeposit(c.stake)
+	app, err := node.New(opts)
+	if err != nil {
+		return nil, err
 	}
-	r := c.inner.Replicas[id]
-	// The replica is already built by the harness; the app layer hooks in
-	// through the cluster-level callbacks below (see Run loop handlers).
-	_ = r
-	return n, nil
+	// A simulated cluster always starts its chain at instance 1: a
+	// directory already holding blocks would interleave two chains in one
+	// log. RecoverChain is the read path for a finished run.
+	if app.Restored() {
+		app.Close()
+		return nil, fmt.Errorf("%w: DataDir already holds a chain up to block %d (use RecoverChain to read it, or a fresh directory)",
+			ErrBadConfig, app.Ledger().LastK())
+	}
+	// Submit runs between simulation events, where only the simulator's
+	// global clock is current: rate-limit windows follow it, so a fixed
+	// seed admits the same transactions in every execution mode.
+	app.Pool().SetClock(c.inner.Net.Now)
+	r.app = app
+	return r, nil
 }
 
 // replicaDataDir is the per-replica store location under a data dir.
@@ -520,16 +537,11 @@ func (c *Cluster) NewWallet(funds Amount) (*Wallet, error) {
 	w := utxo.NewWallet(kp, c.scheme)
 	c.wallets = append(c.wallets, w)
 	c.genesis[w.Address()] += funds
+	// Rebuilding the ledgers re-applies the staked deposits too: an empty
+	// slash pool would silently underfund the conflicting branch of a
+	// later merge.
 	for _, n := range c.nodes {
-		n.ledger = bm.NewLedger(c.scheme)
-		n.ledger.SetParallel(c.txv.Pool())
-		n.ledger.Genesis(c.genesis)
-		// Re-apply the staked deposits: rebuilding the ledger must not
-		// empty the slash pool, or merges after a fork would silently
-		// underfund the conflicting branch.
-		for _, stake := range n.stakes {
-			n.ledger.AddDeposit(stake)
-		}
+		n.app.Reseed()
 	}
 	return w, nil
 }
@@ -545,7 +557,7 @@ func (c *Cluster) Pay(w *Wallet, to Address, amount Amount) (*Transaction, error
 // selected against an honest replica's current ledger state and must
 // cover amount plus fee.
 func (c *Cluster) PayWithFee(w *Wallet, to Address, amount, fee Amount) (*Transaction, error) {
-	ledger := c.nodes[c.observer()].ledger
+	ledger := c.nodes[c.observer()].app.Ledger()
 	inputs, err := ledger.Table().InputsFor(w.Address(), amount+fee)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInsufficient, err)
@@ -569,9 +581,9 @@ func (c *Cluster) Submit(tx *Transaction) error {
 	c.txv.Preverify([]*utxo.Transaction{tx})
 	observer := c.observer()
 	var verdict error
-	for _, n := range c.nodes {
-		err := n.mempool.Add(tx)
-		if n.id == observer {
+	for id, n := range c.nodes {
+		err := n.app.Pool().Add(tx)
+		if id == observer {
 			verdict = err
 		}
 	}
@@ -610,159 +622,45 @@ func DecodeBatch(payload []byte) ([]*Transaction, error) {
 	return txs, nil
 }
 
-// Start wires the application callbacks and launches consensus. It must
-// be called exactly once, before Run.
+// Start wires the payment application into the replicas the harness
+// built and launches consensus. It must be called exactly once, before
+// Run.
 func (c *Cluster) Start() {
 	for id, n := range c.nodes {
-		id := id
-		n := n
-		r := c.inner.Replicas[id]
-		c.bindNode(r, n)
+		app, r := n.app, c.inner.Replicas[id]
+		app.Attach(r)
+		bindings := asmr.AppBindings{
+			OnPoF: func(p PoF) {
+				if id == c.observer() && c.cfg.OnFraud != nil {
+					c.cfg.OnFraud(p.Culprit)
+				}
+			},
+			OnMembershipChange: func(res *membership.Result) {
+				// The excluded replicas forfeit their stakes (the application
+				// punishment of Alg. 1 line 38); the coins were pooled at
+				// staking time, so nothing moves. New members stake in.
+				for range res.Included {
+					app.Ledger().AddDeposit(c.stake)
+				}
+				if id == c.observer() && c.cfg.OnMembershipChange != nil {
+					c.cfg.OnMembershipChange(res.Excluded, res.Included)
+				}
+			},
+		}
+		// A deceitful proposer re-binds its attack payloads (the reliable
+		// broadcast attack forks the proposal itself).
+		if adv, ok := c.inner.Adversaries[id]; ok && c.cfg.Attack == ReliableBroadcastAttack {
+			bindings.BatchSource = func(k uint64) asmr.Batch {
+				batch := app.Propose(k)
+				if len(batch.Payload) > 0 {
+					c.inner.Coalition.BindRBCastPayload(id, adv, batch.Payload)
+				}
+				return batch
+			}
+		}
+		r.Rebind(bindings)
 	}
 	c.inner.Start()
-}
-
-func (c *Cluster) bindNode(r *asmr.Replica, n *node) {
-	// The harness built the replica with its own BatchSource/OnCommit;
-	// rebind them to the payment application.
-	cfg := c.harnessConfigFor(r, n)
-	r.Rebind(cfg)
-}
-
-// harnessConfigFor builds the application bindings for one node. The
-// replica is passed alongside for its virtual clock: commit timestamps
-// must come from the replica's per-event time, which is bit-identical
-// across sequential and parallel simulation modes.
-func (c *Cluster) harnessConfigFor(r *asmr.Replica, n *node) asmr.AppBindings {
-	nt := c.cfg.Tracer.Node(n.id) // nil when tracing is off
-	return asmr.AppBindings{
-		BatchSource: func(k uint64) asmr.Batch {
-			// Take up to BatchTxs pending transactions; an empty mempool
-			// defers the instance (Fig. 2: instances start only when
-			// requests are enqueued).
-			txs := n.mempool.Take(c.cfg.BatchTxs)
-			if len(txs) == 0 {
-				return asmr.Batch{}
-			}
-			payload, err := wire.EncodeBatch(txs)
-			if err != nil {
-				return asmr.Batch{}
-			}
-			// A deceitful proposer re-binds its attack payloads (the
-			// reliable broadcast attack forks the proposal itself).
-			if adv, ok := c.inner.Adversaries[n.id]; ok && c.cfg.Attack == ReliableBroadcastAttack {
-				c.inner.Coalition.BindRBCastPayload(n.id, adv, payload)
-			}
-			return asmr.Batch{Payload: payload, ClaimedSigs: len(txs)}
-		},
-		OnProposal: func(k uint64, payload []byte) {
-			// Speculative pre-validation (pipeline stage ②): decode the
-			// delivered proposal and verify its transaction signatures on
-			// the worker pool while the binary consensus is still deciding.
-			// Verdicts land in the shared batch cache and the transactions'
-			// memoized verdict slots, so the decided batch commits without
-			// re-verification.
-			c.txv.SpeculateBatch(payload, c.batches)
-		},
-		OnCommit: func(k uint64, attempt uint32, d *sbc.Decision) {
-			block := c.blockFrom(k, d)
-			applied := n.ledger.CommitBlock(block)
-			_ = applied
-			n.persistBlock(block, attempt, false)
-			n.pruneMempool(block)
-			if n.id == c.observer() {
-				if c.cfg.OnBlock != nil {
-					c.cfg.OnBlock(k, len(block.Txs))
-				}
-				if c.cfg.OnCommittedBatch != nil {
-					c.cfg.OnCommittedBatch(k, block.Txs, r.Now())
-				}
-			}
-		},
-		OnDisagreement: func(k uint64, _, remote *sbc.Decision) {
-			// Reconciliation (phase ⑤): merge the conflicting branch.
-			nt.Record(r.Now(), obs.PhaseMerge, k, 0, 0, "")
-			block := c.blockFrom(k, remote)
-			n.ledger.MergeBlock(block)
-			n.persistBlock(block, 0, true)
-			n.pruneMempool(block)
-		},
-		OnPoF: func(p PoF) {
-			if n.id == c.observer() && c.cfg.OnFraud != nil {
-				c.cfg.OnFraud(p.Culprit)
-			}
-		},
-		OnMembershipChange: func(res *membership.Result) {
-			// The excluded replicas forfeit their stakes (the application
-			// punishment of Alg. 1 line 38); the coins were pooled at
-			// staking time, so only the bookkeeping moves. New members
-			// stake in.
-			for _, ex := range res.Excluded {
-				n.stakes[ex] = 0
-			}
-			for _, in := range res.Included {
-				n.stakes[in] = c.stake
-				n.ledger.AddDeposit(c.stake)
-			}
-			if n.id == c.observer() && c.cfg.OnMembershipChange != nil {
-				c.cfg.OnMembershipChange(res.Excluded, res.Included)
-			}
-		},
-	}
-}
-
-// blockFrom assembles the application block of a decision: the union of
-// all decided proposals' transactions in deterministic order (§4.1 ⑤).
-// Payloads are decoded through the cluster's batch cache, so the n
-// replicas committing the same decision decode it once.
-func (c *Cluster) blockFrom(k uint64, d *sbc.Decision) *bm.Block {
-	var txs []*Transaction
-	seen := make(map[types.Digest]bool)
-	for _, p := range d.OrderedProposals() {
-		batch, err := c.batches.Decode(p.Payload)
-		if err != nil {
-			continue
-		}
-		for _, tx := range batch {
-			id := tx.ID()
-			if !seen[id] {
-				seen[id] = true
-				txs = append(txs, tx)
-			}
-		}
-	}
-	return bm.NewBlock(k, txs)
-}
-
-func (n *node) pruneMempool(b *bm.Block) {
-	n.mempool.Prune(b.Txs)
-}
-
-// persistBlock writes a committed (or merged) block through to the
-// node's durable store and cuts a UTXO checkpoint when one is due.
-// Persistence failures are remembered on the cluster and surfaced by
-// Close — the simulation itself proceeds in-memory.
-func (n *node) persistBlock(b *bm.Block, attempt uint32, merge bool) {
-	if n.store == nil {
-		return
-	}
-	var err error
-	if merge {
-		err = n.store.AppendMerge(b, attempt)
-	} else {
-		err = n.store.AppendBlock(b, attempt)
-	}
-	if err == nil && n.store.ShouldCheckpoint() {
-		err = n.store.WriteCheckpoint(n.ledger.CheckpointState())
-		if err == nil {
-			// The checkpoint bounds how far back a committed-transaction
-			// retry must be rejected; older dedup state is released here.
-			n.mempool.TrimCommitted()
-		}
-	}
-	if err != nil && n.storeErr == nil {
-		n.storeErr = err
-	}
 }
 
 // Run advances the virtual clock by d, processing all due events.
@@ -800,13 +698,13 @@ func (c *Cluster) Now() time.Duration { return c.inner.Net.Now() }
 // pending transactions, their total canonical bytes, and the cumulative
 // count of entries shed by replacement-by-fee and capacity eviction.
 func (c *Cluster) MempoolStats() (pending int, bytes int64, evictions uint64) {
-	p := c.nodes[c.observer()].mempool
+	p := c.nodes[c.observer()].app.Pool()
 	return p.Len(), p.Bytes(), p.Evictions()
 }
 
 // Balance reads an account balance at the first honest replica.
 func (c *Cluster) Balance(addr Address) Amount {
-	return c.nodes[c.observer()].ledger.Table().Balance(addr)
+	return c.nodes[c.observer()].app.Ledger().Table().Balance(addr)
 }
 
 // BalanceAt reads an account balance at a specific replica.
@@ -815,7 +713,7 @@ func (c *Cluster) BalanceAt(id ReplicaID, addr Address) Amount {
 	if !ok {
 		return 0
 	}
-	return n.ledger.Table().Balance(addr)
+	return n.app.Ledger().Table().Balance(addr)
 }
 
 // Height returns the number of blocks committed at the first honest
@@ -828,12 +726,21 @@ func (c *Cluster) Height() int {
 // honest replica, keyed by chain index. Determinism tests compare these
 // across runs and across codec versions.
 func (c *Cluster) BlockDigests() map[uint64]types.Digest {
-	return c.nodes[c.observer()].ledger.BlockDigests()
+	return c.nodes[c.observer()].app.Ledger().BlockDigests()
 }
 
 // Deposit returns the slashed-deposit pool at the first honest replica.
 func (c *Cluster) Deposit() Amount {
-	return c.nodes[c.observer()].ledger.Deposit()
+	return c.nodes[c.observer()].app.Ledger().Deposit()
+}
+
+// Status snapshots the first honest replica's node status, as a deployed
+// node serves it: what the replica and its committed history hold in
+// memory and where proposal work went. Call it between Run calls.
+func (c *Cluster) Status() NodeStatus {
+	n := c.nodes[c.observer()]
+	n.app.Publish()
+	return n.app.Status()
 }
 
 // Members returns the current committee at the first honest replica.
@@ -872,26 +779,16 @@ func (c *Cluster) MinFinalizationDepth(rho float64) (int, error) {
 // encountered during the run, if any.
 func (c *Cluster) Close() error {
 	var first error
-	for _, id := range types.SortReplicas(c.nodeIDs()) {
+	for _, id := range c.inner.Net.NodeIDs() { // committee, then pool, by ID
 		n := c.nodes[id]
 		if n.storeErr != nil && first == nil {
 			first = n.storeErr
 		}
-		if n.store != nil {
-			if err := n.store.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := n.app.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
-}
-
-func (c *Cluster) nodeIDs() []ReplicaID {
-	ids := make([]ReplicaID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // RecoveredChain is a replica's persisted state read back from its data
@@ -937,14 +834,7 @@ func RecoverChain(cfg Config, id ReplicaID) (*RecoveredChain, error) {
 		return nil, fmt.Errorf("zlb: %w", err)
 	}
 	defer st.Close()
-	ledger, err := st.Recover(scheme, func(l *bm.Ledger) {
-		l.Genesis(genesis)
-		// Replicas stake their deposits up front, exactly as NewCluster
-		// seeds every node (§B assumption 2).
-		for i := 0; i < cfg.N; i++ {
-			l.AddDeposit(stake)
-		}
-	})
+	ledger, err := st.Recover(scheme, seedLedger(genesis, cfg.N, stake))
 	if err != nil {
 		return nil, fmt.Errorf("zlb: %w", err)
 	}

@@ -3,6 +3,8 @@ package zlb
 import (
 	"testing"
 	"time"
+
+	"github.com/zeroloss/zlb/internal/asmr"
 )
 
 // TestZeroLossUnderRBCastAttack mirrors TestZeroLossUnderAttack for the
@@ -190,9 +192,57 @@ func TestRBCastVariantPayloadsMerge(t *testing.T) {
 	}
 	merged := 0
 	for _, n := range c.nodes {
-		merged += n.ledger.MergedTxs
+		merged += n.app.Ledger().MergedTxs
 	}
 	if merged == 0 {
 		t.Fatal("no replica merged any transaction from the forked branch: variant payloads are not decoding")
+	}
+}
+
+// TestStatusBoundedOverLongRun reads the node status of a simulated
+// replica — the objects a deployed node serves at /status — after every
+// block of a 100-block run: the instances holding protocol state stay
+// within the retention window plus what is in flight, everything older
+// is retired to its compact record, and the memory and pipeline objects
+// follow the chain.
+func TestStatusBoundedOverLongRun(t *testing.T) {
+	const blocks = 100
+	c, err := NewCluster(Config{N: 4, Seed: 3, MaxBlocks: blocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, _ := c.WalletFor(0)
+	bob, _ := c.WalletFor(1)
+	c.Start()
+	const window = asmr.RetainDepth + 2
+	for b := 1; b <= blocks; b++ {
+		tx, err := c.Pay(alice, bob.Address(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		c.RunUntilQuiet(c.Now() + time.Minute)
+		st := c.Status()
+		if st.Height != int64(b) || st.BlocksCommitted != uint64(b) {
+			t.Fatalf("after payment %d: height %d, %d blocks committed", b, st.Height, st.BlocksCommitted)
+		}
+		if live := st.Replica.LiveInstances; live < 1 || live > window {
+			t.Fatalf("block %d: %d live instances, want 1..%d", b, live, window)
+		}
+	}
+	st := c.Status()
+	if st.Replica.CompactedInstances < blocks-window || st.Replica.UnfinalInstances != 0 {
+		t.Errorf("replica %+v after %d blocks, want >= %d compacted and none unfinal", st.Replica, blocks, blocks-window)
+	}
+	if m := st.Memory; m.LedgerBlocks != blocks || m.CommittedTxIDs != blocks || m.BatchCacheEntries < 1 || m.RetainedPayloadBytes < 200*blocks {
+		t.Errorf("memory %+v after %d one-payment blocks", m, blocks)
+	}
+	if p := st.Pipeline; st.TxsApplied != blocks || p.ProposalsCommitted < blocks || p.ProposalsDelivered < p.ProposalsCommitted {
+		t.Errorf("%d payments applied, pipeline %+v after %d blocks", st.TxsApplied, p, blocks)
+	}
+	if st.Mempool.Admitted != blocks || st.Mempool.Pending != 0 {
+		t.Errorf("mempool %+v after %d payments", st.Mempool, blocks)
 	}
 }
