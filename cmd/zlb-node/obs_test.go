@@ -262,6 +262,18 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	if decoded+reused > delivered {
 		t.Errorf("zlb_batch_txs_decoded_total = %v, zlb_batch_txs_reused_total = %v with %v proposals delivered", decoded, reused, delivered)
 	}
+	// Where signature work went: statements checked, statements the log
+	// already held (this node's own, at the least), and certificates
+	// pulled — one per slot and block would already be generous.
+	checks := seriesValue(t, body, "zlb_stmt_sig_checks_total")
+	known := seriesValue(t, body, "zlb_stmt_sig_known_total")
+	pulls := seriesValue(t, body, "zlb_decide_pulls_total")
+	if checks <= 0 || known <= 0 || pulls > n*(blocks+more+1) {
+		t.Errorf("zlb_stmt_sig_checks_total = %v, zlb_stmt_sig_known_total = %v, zlb_decide_pulls_total = %v after %d blocks", checks, known, pulls, blocks+more)
+	}
+	if p := st.Pipeline; float64(p.StmtSigChecks) < checks || float64(p.StmtSigKnown) < known || float64(p.DecidePulls) < pulls {
+		t.Errorf("/status pipeline = %+v, /metrics read checks %v known %v pulls %v", p, checks, known, pulls)
+	}
 	if p := st.Pipeline; float64(p.ProposalsDelivered) < delivered || float64(p.ProposalsCommitted) < selected ||
 		p.ProposalsDelivered < p.ProposalsCommitted || float64(p.BatchTxsDecoded+p.BatchTxsReused) < decoded+reused {
 		t.Errorf("/status pipeline = %+v, /metrics read delivered %v selected %v decoded %v reused %v", p, delivered, selected, decoded, reused)

@@ -203,13 +203,13 @@ func TestLogDetectsEquivocation(t *testing.T) {
 
 	a, _ := SignStatement(signers[0], auxStmt(1, 1, 0, true))
 	b, _ := SignStatement(signers[0], auxStmt(1, 1, 0, false))
-	if pof := log.Record(a); pof != nil {
+	if pof := log.record(a); pof != nil {
 		t.Fatal("single statement produced a PoF")
 	}
-	if pof := log.Record(a); pof != nil {
+	if pof := log.record(a); pof != nil {
 		t.Fatal("duplicate statement produced a PoF")
 	}
-	pof := log.Record(b)
+	pof := log.record(b)
 	if pof == nil || pof.Culprit != signers[0].ID() {
 		t.Fatal("equivocation not detected")
 	}
@@ -219,8 +219,8 @@ func TestLogDetectsEquivocation(t *testing.T) {
 	// Culprit reported once even with further evidence.
 	c, _ := SignStatement(signers[0], auxStmt(1, 1, 1, true))
 	d, _ := SignStatement(signers[0], auxStmt(1, 1, 1, false))
-	log.Record(c)
-	log.Record(d)
+	log.record(c)
+	log.record(d)
 	if len(fired) != 1 {
 		t.Fatalf("callback fired %d times after more evidence, want 1", len(fired))
 	}
@@ -343,8 +343,8 @@ func TestLogPostExclusionIdempotence(t *testing.T) {
 
 	a, _ := SignStatement(signers[0], auxStmt(1, 1, 0, true))
 	b, _ := SignStatement(signers[0], auxStmt(1, 1, 0, false))
-	log.Record(a)
-	if pof := log.Record(b); pof == nil {
+	log.record(a)
+	if pof := log.record(b); pof == nil {
 		t.Fatal("equivocation not detected")
 	}
 	pof, _ := log.PoFFor(culprit)
@@ -364,8 +364,8 @@ func TestLogPostExclusionIdempotence(t *testing.T) {
 	// certificate replayed during catch-up.
 	c, _ := SignStatement(signers[0], auxStmt(1, 1, 1, true))
 	d, _ := SignStatement(signers[0], auxStmt(1, 1, 1, false))
-	log.Record(c)
-	if got := log.Record(d); got != nil {
+	log.record(c)
+	if got := log.record(d); got != nil {
 		t.Fatal("post-exclusion equivocation produced a PoF")
 	}
 	if fired != 1 {
@@ -378,8 +378,8 @@ func TestLogPostExclusionIdempotence(t *testing.T) {
 	// An unrelated culprit is still detected normally.
 	e, _ := SignStatement(signers[2], auxStmt(1, 1, 0, true))
 	f, _ := SignStatement(signers[2], auxStmt(1, 1, 0, false))
-	log.Record(e)
-	if got := log.Record(f); got == nil || got.Culprit != signers[2].ID() {
+	log.record(e)
+	if got := log.record(f); got == nil || got.Culprit != signers[2].ID() {
 		t.Fatal("new culprit not detected after an exclusion")
 	}
 	if fired != 2 || log.CulpritCount() != 1 {

@@ -184,39 +184,19 @@ func containsReplica(ids []types.ReplicaID, id types.ReplicaID) bool {
 
 // Verify checks structure, distinctness, signatures and that the
 // certificate reaches the quorum for committee size n among members
-// accepted by the membership test (nil accepts all). The statement digest
-// is computed once and shared by every signature check — all signatures
-// in a certificate cover the same statement.
+// accepted by the membership test (nil accepts all).
 func (c *Certificate) Verify(v *crypto.Signer, n int, member func(types.ReplicaID) bool) error {
-	if c.Agg != nil {
-		if err := c.verifyAggregate(v); err != nil {
-			return err
-		}
-		if counted := c.SignerCount(member); counted < types.Quorum(n) {
-			return fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, types.Quorum(n))
-		}
-		return nil
+	return c.verify(v, nil, n, member)
+}
+
+// verify is Verify with the signature check of the signed-statement form
+// supplied by the caller (nil asks the scheme): the accountability log
+// answers from its record for the signatures it already holds.
+func (c *Certificate) verify(v *crypto.Signer, check func(Signed, types.Digest) bool, n int, member func(types.ReplicaID) bool) error {
+	if err := c.verifySigs(v, check); err != nil {
+		return err
 	}
-	digest := c.Stmt.Digest()
-	var scratch [128]types.ReplicaID
-	seen := scratch[:0]
-	counted := 0
-	for _, s := range c.Sigs {
-		if s.Stmt != c.Stmt {
-			return ErrCertMismatch
-		}
-		if containsReplica(seen, s.Signer) {
-			return fmt.Errorf("%w: %v", ErrCertDuplicate, s.Signer)
-		}
-		seen = append(seen, s.Signer)
-		if !v.Verify(s.Signer, digest, s.Sig) {
-			return fmt.Errorf("%w: signer %v", ErrCertSignature, s.Signer)
-		}
-		if member == nil || member(s.Signer) {
-			counted++
-		}
-	}
-	if counted < types.Quorum(n) {
+	if counted := c.SignerCount(member); counted < types.Quorum(n) {
 		return fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, types.Quorum(n))
 	}
 	return nil
@@ -249,8 +229,19 @@ func (c *Certificate) verifyAggregate(v *crypto.Signer) error {
 // replicas; quorum against a specific committee is checked separately via
 // SignerCount.
 func (c *Certificate) VerifySigs(v *crypto.Signer) error {
+	return c.verifySigs(v, nil)
+}
+
+// verifySigs is VerifySigs with the per-signature check supplied by the
+// caller (nil asks the scheme). The statement digest is computed once and
+// shared by every check — all signatures in a certificate cover the same
+// statement.
+func (c *Certificate) verifySigs(v *crypto.Signer, check func(Signed, types.Digest) bool) error {
 	if c.Agg != nil {
 		return c.verifyAggregate(v)
+	}
+	if check == nil {
+		check = func(s Signed, digest types.Digest) bool { return v.Verify(s.Signer, digest, s.Sig) }
 	}
 	digest := c.Stmt.Digest()
 	var scratch [128]types.ReplicaID
@@ -263,7 +254,7 @@ func (c *Certificate) VerifySigs(v *crypto.Signer) error {
 			return fmt.Errorf("%w: %v", ErrCertDuplicate, s.Signer)
 		}
 		seen = append(seen, s.Signer)
-		if !v.Verify(s.Signer, digest, s.Sig) {
+		if !check(s, digest) {
 			return fmt.Errorf("%w: signer %v", ErrCertSignature, s.Signer)
 		}
 	}

@@ -1,6 +1,8 @@
 package accountability
 
 import (
+	"bytes"
+
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -12,15 +14,26 @@ import (
 // a proof of fraud. This is the replicas "cross-checking their
 // certificates" of paper §4.1 .
 //
+// The log is also the replica's set of verified statements. Nothing
+// enters it unverified: a statement from outside comes in through
+// RecordVerify or RecordVerifyCertificate, the replica's own through Sign,
+// and RecordCertificate is for a caller that has just verified the
+// certificate itself. So a signed statement the log already holds —
+// same statement, signer and signature bytes — needs no second signature
+// check, and the entry points that verify do not make one: each signature
+// is checked once per replica, for as long as its instance is in the log.
+//
 // Log is not safe for concurrent use; in the simulator each node owns one
 // and all its protocol components share it.
 type Log struct {
+	// verifier is the owning replica's signer: it checks every signature
+	// and signs the replica's own statements.
 	verifier *crypto.Signer
 	// first statement seen per (slot, signer), grouped by the consensus
 	// instance the statement belongs to, so DropInstance releases one
 	// retired instance's statements in O(its entries). Within an instance
 	// the map is flat — keyed by the combined (slot, signer) pair, with no
-	// per-slot inner-map allocation (Record runs for every signed statement
+	// per-slot inner-map allocation (record runs for every signed statement
 	// every replica sees).
 	seen map[InstanceKey]map[slotSigner]Signed
 	// statements is the number of entries across seen.
@@ -43,8 +56,14 @@ type Log struct {
 	proven map[types.ReplicaID]bool
 	// onPoF, if set, fires once per new culprit.
 	onPoF func(PoF)
-	// verified statements count, for metrics
-	Recorded int
+	// SigChecks counts the statement signatures handed to the scheme,
+	// SigKnown those accepted without one because the log held that exact
+	// signed statement (an aggregate certificate is one check).
+	SigChecks, SigKnown uint64
+	// CertPulls counts the certificates the replica asked a peer for
+	// because an announcement was news or evidence; the protocol that sends
+	// the request bumps it.
+	CertPulls uint64
 }
 
 // InstanceKey names one consensus instance across contexts: the unit the
@@ -66,11 +85,11 @@ type slotSigner struct {
 	signer types.ReplicaID
 }
 
-// NewLog creates an empty log. verifier supplies signature verification;
+// NewLog creates an empty log for the replica that signs as signer;
 // onPoF (optional) observes each newly proven culprit exactly once.
-func NewLog(verifier *crypto.Signer, onPoF func(PoF)) *Log {
+func NewLog(signer *crypto.Signer, onPoF func(PoF)) *Log {
 	return &Log{
-		verifier: verifier,
+		verifier: signer,
 		seen:     make(map[InstanceKey]map[slotSigner]Signed),
 		pofs:     make(map[types.ReplicaID]PoF),
 		treated:  make(map[types.ReplicaID]bool),
@@ -79,12 +98,9 @@ func NewLog(verifier *crypto.Signer, onPoF func(PoF)) *Log {
 	}
 }
 
-// Record ingests a signed statement whose signature has already been
-// verified by the caller (protocols verify on receipt; certificates are
-// verified wholesale). It returns a PoF if this statement completes one,
-// or nil.
-func (l *Log) Record(s Signed) *PoF {
-	l.Recorded++
+// record ingests a signed statement whose signature has been verified. It
+// returns a PoF if this statement completes one, or nil.
+func (l *Log) record(s Signed) *PoF {
 	inst := s.Stmt.InstanceKey()
 	stmts := l.seen[inst]
 	if stmts == nil {
@@ -131,23 +147,79 @@ func (l *Log) DropInstance(k InstanceKey) {
 // Statements returns how many first-seen statements the log holds.
 func (l *Log) Statements() int { return l.statements }
 
-// RecordVerify verifies the signature first, then records. It returns
-// false when the signature is invalid.
+// holds reports whether the log holds exactly this signed statement:
+// same statement, signer and signature bytes. A statement it holds under
+// other bytes is not known — whoever adopts a certificate serves it later,
+// so every byte of it must have been checked.
+func (l *Log) holds(s Signed) bool {
+	prev, ok := l.seen[s.Stmt.InstanceKey()][slotSigner{slot: s.Stmt.Key(), signer: s.Signer}]
+	return ok && prev.Stmt.Value == s.Stmt.Value && bytes.Equal(prev.Sig, s.Sig)
+}
+
+// check reports whether s carries a valid signature over digest, the
+// digest of its statement: from the log when it holds s, from the scheme
+// otherwise. An invalid signature is never remembered.
+func (l *Log) check(s Signed, digest types.Digest) bool {
+	if l.holds(s) {
+		l.SigKnown++
+		return true
+	}
+	l.SigChecks++
+	return l.verifier.Verify(s.Signer, digest, s.Sig)
+}
+
+// RecordVerify records a signed statement received from outside, checking
+// its signature unless the log already holds that exact signed statement.
+// It returns false, and records nothing, when the signature is invalid.
 func (l *Log) RecordVerify(s Signed) bool {
-	if !s.Verify(l.verifier) {
+	if !l.check(s, s.Stmt.Digest()) {
 		return false
 	}
-	l.Record(s)
+	l.record(s)
 	return true
 }
 
-// RecordCertificate ingests every signature of a certificate. The caller
-// is expected to have verified the certificate. Aggregate-form
+// Sign signs a statement as the log's own replica and records it, so the
+// copy the replica delivers to itself is known when it arrives.
+func (l *Log) Sign(stmt Statement) (Signed, error) {
+	s, err := SignStatement(l.verifier, stmt)
+	if err != nil {
+		return Signed{}, err
+	}
+	l.record(s)
+	return s, nil
+}
+
+// RecordVerifyCertificate is Certificate.Verify followed by
+// RecordCertificate, with the signatures the log already holds taken from
+// it: same structure, distinctness and quorum rules, one scheme check per
+// signature not seen before. Nothing is recorded unless the whole
+// certificate passes. An aggregate certificate is one constant-size check
+// however much of it is known.
+func (l *Log) RecordVerifyCertificate(c *Certificate, n int, member func(types.ReplicaID) bool) error {
+	if c.Agg != nil {
+		l.SigChecks++
+	}
+	if err := c.verify(l.verifier, l.check, n, member); err != nil {
+		return err
+	}
+	l.RecordCertificate(c)
+	return nil
+}
+
+// RecordCertificate ingests every signature of a certificate the caller
+// has just verified itself (the cold audits of catch-up, join and
+// conflicting blocks verify on the worker pool). Aggregate-form
 // certificates are expanded back to per-signer signed statements through
 // the log's verifier (crypto.SignatureExtractor), so equivocation
 // evidence inside an aggregate still attributes each culprit; a scheme
 // that cannot extract contributes nothing (its aggregates carry no
 // per-signer evidence by construction).
+//
+// Every audit holds the certificate's statement against the slot it vouches
+// for and then checks signatures over that statement, so a signature filed
+// under another statement is one no audit looked at: a certificate
+// containing one is refused whole.
 func (l *Log) RecordCertificate(c *Certificate) {
 	sigs := c.Sigs
 	if c.Agg != nil {
@@ -156,8 +228,13 @@ func (l *Log) RecordCertificate(c *Certificate) {
 			return
 		}
 	}
+	for i := range sigs {
+		if sigs[i].Stmt != c.Stmt {
+			return
+		}
+	}
 	for _, s := range sigs {
-		l.Record(s)
+		l.record(s)
 	}
 }
 
@@ -211,7 +288,7 @@ func (l *Log) PoFFor(id types.ReplicaID) (PoF, bool) {
 
 // Forget removes proofs for culprits that have been handled by a completed
 // membership change (Alg. 1 line 39 discards treated PoFs). Forgotten
-// culprits are remembered as treated: Record and AddPoF ignore further
+// culprits are remembered as treated: record and AddPoF ignore further
 // evidence against them, making exclusion idempotent under replayed
 // gossip and certificates re-examined during catch-up.
 func (l *Log) Forget(ids []types.ReplicaID) {

@@ -543,9 +543,8 @@ func (r *Replica) onDecide(st *instState, d *sbc.Decision) {
 			Instance: WireInstance(st.k, st.attempt),
 			Value:    st.digest,
 		}
-		signed, err := accountability.SignStatement(r.cfg.Signer, stmt)
+		signed, err := r.log.Sign(stmt)
 		if err == nil {
-			r.log.Record(signed)
 			msg := &Confirm{K: st.k, Attempt: st.attempt, Digest: st.digest, Stmt: signed}
 			for _, m := range r.view.Members() {
 				if m != r.cfg.Self {
@@ -608,10 +607,9 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 	if known && st.retired() && m.Digest == st.digest {
 		return // agrees with a decision that needs no more confirmations
 	}
-	if !s.Verify(r.cfg.Signer) {
+	if !r.log.RecordVerify(s) { // conflicting confirms by one replica → PoF
 		return
 	}
-	r.log.Record(s) // conflicting confirms by one replica → PoF
 	if !known {
 		st = r.ensureInstance(m.K)
 	}
@@ -626,12 +624,19 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 		return
 	}
 	st.confirms[from] = m.Digest
-	if st.decided {
-		if m.Digest != st.digest {
-			r.requestBlock(st, from)
-		} else {
-			r.checkConfirmation(st)
+	switch {
+	case !st.decided:
+		// A confirmation announces every binary decision of the instance
+		// at once. The announcements themselves normally came first and
+		// were acted on; to a replica that was down or cut off when they
+		// were sent, this is the only word of them it gets.
+		if st.attempt == m.Attempt && !st.stopped {
+			st.inst.PullDecisions(from)
 		}
+	case m.Digest != st.digest:
+		r.requestBlock(st, from)
+	default:
+		r.checkConfirmation(st)
 	}
 	r.flushPoFs()
 }

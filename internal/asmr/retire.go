@@ -112,7 +112,8 @@ func (r *Replica) onLateFrame(from types.ReplicaID, st *instState, attempt uint3
 	r.lateDropped++
 }
 
-// Stats is a snapshot of what the replica holds in memory and why.
+// Stats is a snapshot of what the replica holds in memory and why, and of
+// what its signatures cost it.
 type Stats struct {
 	// LiveInstances counts main-chain instances holding protocol state:
 	// in flight, or decided within the last RetainDepth.
@@ -130,6 +131,15 @@ type Stats struct {
 	LogStatements int
 	// InternedPayloads is the number of payloads in the intern table.
 	InternedPayloads int
+	// StmtSigChecks counts the statement signatures the replica handed to
+	// its signature scheme; StmtSigKnown those it accepted without a check
+	// because its log held that exact signed statement: its own, and the
+	// votes inside a certificate that had arrived as messages before.
+	StmtSigChecks, StmtSigKnown uint64
+	// DecidePulls counts the bincon.DecideReq sent: binary decisions
+	// announced here before this replica had reached them, or against
+	// what it decided.
+	DecidePulls uint64
 }
 
 // Stats reports the replica's retained state. Like every Replica method
@@ -142,5 +152,8 @@ func (r *Replica) Stats() Stats {
 		LateFramesDropped: r.lateDropped,
 		LogStatements:     r.log.Statements(),
 		InternedPayloads:  r.cfg.Intern.Len(),
+		StmtSigChecks:     r.log.SigChecks,
+		StmtSigKnown:      r.log.SigKnown,
+		DecidePulls:       r.log.CertPulls,
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/asmr"
+	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/conformance"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
@@ -124,9 +125,10 @@ func (p *probe) OnMessage(_ types.ReplicaID, msg simnet.Message) { p.got = appen
 func (p *probe) OnTimer(any)                                     {}
 
 // TestRetiredInstanceAnswersIdentically asks a replica for an old
-// instance's payload, proposal, block and catch-up transfer while the
-// instance is live and again after it retired: the answers are equal
-// field for field (a catch-up transfer grows, so its common prefix is).
+// instance's payload, proposal, binary decision certificate, block and
+// catch-up transfer while the instance is live and again after it retired:
+// the answers are equal field for field (a catch-up transfer grows, so its
+// common prefix is).
 func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	const n, k, slot = 4, 5, types.ReplicaID(2)
 	c := benignCluster(t, n, 120)
@@ -148,6 +150,7 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 		for i, req := range []simnet.Message{
 			&rbc.PayloadReq{Context: accountability.CtxMain, Instance: wi, Broadcaster: slot, Digest: d.Proposals[slot].Digest},
 			&sbc.ProposalReq{Context: accountability.CtxMain, Instance: wi, Slot: slot},
+			&bincon.DecideReq{Context: accountability.CtxMain, Instance: wi, Slot: uint32(slot)},
 			&asmr.BlockReq{K: k},
 			&asmr.CatchupReq{FromK: 1},
 		} {
@@ -155,8 +158,8 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 			c.Net.Inject(probeID, target, req, time.Duration(i+1)*50*time.Millisecond)
 		}
 		c.Run(c.Net.Now() + time.Second)
-		if len(p.got) != 4 {
-			t.Fatalf("probe got %d answers, want 4", len(p.got))
+		if len(p.got) != 5 {
+			t.Fatalf("probe got %d answers, want 5", len(p.got))
 		}
 		return p.got
 	}
@@ -172,13 +175,24 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	}
 	retired := ask()
 
-	for i, name := range []string{"PayloadResp", "ProposalResp", "BlockResp"} {
+	for i, name := range []string{"PayloadResp", "ProposalResp", "Decide", "BlockResp"} {
 		if !reflect.DeepEqual(live[i], retired[i]) {
 			t.Errorf("%s for a retired instance differs:\nlive    %+v\nretired %+v", name, live[i], retired[i])
 		}
 	}
-	before := live[3].(*asmr.CatchupResp).Blocks
-	after := retired[3].(*asmr.CatchupResp).Blocks
+	// Both pulls that stand in for the INIT carry the broadcaster's signed
+	// statement, and the pulled DECIDE its certificate.
+	if got := retired[0].(*rbc.PayloadResp).InitStmt; got == nil || got.Signer != slot {
+		t.Errorf("PayloadResp carries INIT statement %+v, want slot %v's", got, slot)
+	}
+	if got := retired[1].(*sbc.ProposalResp).InitStmt; got == nil || got.Signer != slot {
+		t.Errorf("ProposalResp carries INIT statement %+v, want slot %v's", got, slot)
+	}
+	if got := retired[2].(*bincon.Decide); got.Cert == nil || got.Cert.SignerCount(nil) < types.Quorum(n) {
+		t.Errorf("pulled DECIDE carries certificate %+v, want a quorum", got.Cert)
+	}
+	before := live[4].(*asmr.CatchupResp).Blocks
+	after := retired[4].(*asmr.CatchupResp).Blocks
 	if len(before) < 10 || len(after) != 120 {
 		t.Fatalf("catch-up transfers carry %d and %d blocks, want >= 10 and 120", len(before), len(after))
 	}
@@ -390,5 +404,52 @@ func TestAggressiveDepthKeepsAccountability(t *testing.T) {
 	// rule must hold on to every instance the fork could reach.
 	if got.retired != 0 {
 		t.Errorf("attack-detect-exclude-merge at depth 1 retired %d instances of a chain under attack", got.retired)
+	}
+}
+
+// TestConfirmAnnouncesEveryDecision cuts one replica off from the whole
+// binary phase of one instance: votes and DECIDE announcements are lost, as
+// they are for a replica that was down while the others decided. The
+// confirmations, sent once the instance is over, do reach it; each one
+// stands for the announcements it missed, so it pulls the certificates,
+// adopts them and finishes the instance with the same digest.
+func TestConfirmAnnouncesEveryDecision(t *testing.T) {
+	const n, cut, victim = 4, 3, types.ReplicaID(4)
+	c := benignCluster(t, n, 8)
+	pulled := 0
+	c.Net.DeliverRule = func(_, to types.ReplicaID, msg simnet.Message) simnet.Message {
+		if to != victim {
+			return msg
+		}
+		_, wi, _ := sbc.ContextInstanceOf(msg)
+		if k, _ := asmr.SplitInstance(wi); k != cut {
+			return msg
+		}
+		switch m := msg.(type) {
+		case *bincon.Est, *bincon.Coord, *bincon.Aux:
+			return nil
+		case *bincon.Decide:
+			if m.Cert == nil {
+				return nil
+			}
+			pulled++
+		}
+		return msg
+	}
+	c.Start()
+	c.RunUntilQuiet(10 * time.Minute)
+	r := c.Replicas[victim]
+	if got := r.CommittedCount(); got != 8 {
+		t.Fatalf("replica %v committed %d of 8 instances", victim, got)
+	}
+	ref := c.Replicas[c.Members[0]].ChainDigests()
+	for k, d := range r.ChainDigests() {
+		if d != ref[k] {
+			t.Errorf("instance %d: replica %v holds another digest", k, victim)
+		}
+	}
+	// One certificate per slot at the least, one per slot and peer at most.
+	if pulled < n || pulled > n*(n-1) {
+		t.Errorf("replica %v received %d certificates for instance %d, want %d to %d", victim, pulled, cut, n, n*(n-1))
 	}
 }

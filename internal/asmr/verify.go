@@ -92,7 +92,7 @@ func VerifyDecisionWith(certs *pipeline.Verifier, v *crypto.Signer, d *sbc.Decis
 			return fmt.Errorf("%w: slot %v", ErrBadPayload, id)
 		}
 		p := d.Proposals[id]
-		if rc := d.ReadyCerts[id]; rc != nil {
+		if rc := auditedReadyCert(d, id); rc != nil {
 			if rc.Stmt.Kind != accountability.KindReady ||
 				rc.Stmt.Instance != d.Instance ||
 				rc.Stmt.Slot != uint32(id) ||
@@ -127,6 +127,19 @@ func VerifyDecisionWith(certs *pipeline.Verifier, v *crypto.Signer, d *sbc.Decis
 		}
 	}
 	return nil
+}
+
+// auditedReadyCert returns the ready certificate of a slot if the audit
+// covers it. A slot decided 0 selects no proposal, so there is no digest a
+// ready certificate for it could be held against; an honest decision
+// carries none, and one a peer attached is neither checked nor absorbed.
+// VerifyDecisionWith and AbsorbDecision both read the certificate through
+// here, so what is recorded is what was verified.
+func auditedReadyCert(d *sbc.Decision, id types.ReplicaID) *accountability.Certificate {
+	if !d.Bits[id] {
+		return nil
+	}
+	return d.ReadyCerts[id]
 }
 
 // verifyDecisionLegacy is the original inline implementation, kept as
@@ -196,9 +209,17 @@ func verifyDecisionLegacy(v *crypto.Signer, d *sbc.Decision, n int) error {
 	return nil
 }
 
-// AbsorbDecision records every certificate of a verified decision into the
-// accountability log, surfacing PoFs against any replica that signed
-// conflicting statements across branches — the cross-check of §4.1 .
+// AbsorbDecision records the certificates of a decision VerifyDecision has
+// accepted into the accountability log, surfacing PoFs against any replica
+// that signed conflicting statements across branches — the cross-check of
+// §4.1 . It records exactly what that audit checked: the binary
+// certificate of every slot in Bits and the ready certificate of every slot
+// decided 1. Anything else a peer put into the block — a certificate under
+// a slot outside Bits, a ready certificate on a slot decided 0 — stays out
+// of the log. The broadcasters' INIT statements are no part of the audit
+// either: each is recorded only if it is the slot owner's statement for the
+// proposal the decision carries and its signature verifies, and dropped
+// otherwise (the block stands without it).
 func AbsorbDecision(log *accountability.Log, d *sbc.Decision) {
 	if d == nil {
 		return
@@ -212,11 +233,20 @@ func AbsorbDecision(log *accountability.Log, d *sbc.Decision) {
 		if c := d.BinCerts[id]; c != nil {
 			log.RecordCertificate(c)
 		}
-		if c := d.ReadyCerts[id]; c != nil {
+		if c := auditedReadyCert(d, id); c != nil {
 			log.RecordCertificate(c)
 		}
-		if s := d.InitStmts[id]; s != nil {
-			log.Record(*s)
+		if s, p := d.InitStmts[id], d.Proposals[id]; s != nil && d.Bits[id] && s.Signer == id {
+			want := accountability.Statement{
+				Context:  accountability.CtxMain,
+				Kind:     accountability.KindInit,
+				Instance: d.Instance,
+				Slot:     uint32(id),
+				Value:    p.Digest,
+			}
+			if s.Stmt == want {
+				log.RecordVerify(*s)
+			}
 		}
 	}
 }

@@ -21,8 +21,14 @@
 //     unanimous on v ≠ r mod 2, adopt est = v; else est = r mod 2. Next
 //     round.
 //
-// Deciders broadcast DECIDE(v, certificate); a valid DECIDE is adopted and
-// forwarded once, so decisions reliably propagate.
+// Deciders announce DECIDE(v) to everyone and keep the certificate: a
+// replica to which the announcement is news (it has not decided) or
+// evidence (it decided the other value) asks the announcer for it with a
+// DecideReq, once, and gets DECIDE(v, certificate) back. Only that one
+// decides anything: it is verified, adopted, and announced on once, so
+// decisions reliably propagate while a certificate crosses a link only
+// where it is used. Without accountability there is no certificate and
+// the announcement is the decision.
 package bincon
 
 import (
@@ -33,7 +39,6 @@ import (
 	"github.com/zeroloss/zlb/internal/committee"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -78,7 +83,9 @@ func (m *Aux) SimBytes() int { return 160 }
 // SimSigOps implements simnet.Meter.
 func (m *Aux) SimSigOps() int { return 1 }
 
-// Decide carries a decision and its certificate.
+// Decide carries a decision. In accountable mode the multicast one is an
+// announcement, without Cert; the answer to a DecideReq carries the
+// certificate.
 type Decide struct {
 	Context  uint8
 	Instance types.Instance
@@ -88,12 +95,26 @@ type Decide struct {
 }
 
 // SimBytes implements simnet.Meter. The certificate term depends on its
-// form: per-signed-statement for the quorum form (unchanged cost), one
-// aggregate plus a signer bitmap for the aggregate form.
+// form: per-signed-statement for the quorum form, one aggregate plus a
+// signer bitmap for the aggregate form, nothing for an announcement.
 func (m *Decide) SimBytes() int { return 48 + m.Cert.ModelBytes() }
 
 // SimSigOps implements simnet.Meter.
 func (m *Decide) SimSigOps() int { return m.Cert.SigOps() }
+
+// DecideReq asks the replica that announced a decision for the DECIDE
+// with its certificate.
+type DecideReq struct {
+	Context  uint8
+	Instance types.Instance
+	Slot     uint32
+}
+
+// SimBytes implements simnet.Meter.
+func (m *DecideReq) SimBytes() int { return 48 }
+
+// SimSigOps implements simnet.Meter.
+func (m *DecideReq) SimSigOps() int { return 0 }
 
 // Decision is the output of one binary consensus slot.
 type Decision struct {
@@ -116,9 +137,9 @@ type Equivocator struct {
 	// CoordFor splits the coordinator value per recipient when this
 	// replica coordinates; ok=false suppresses.
 	CoordFor func(to types.ReplicaID, round types.Round) (bool, bool)
-	// SuppressDecide stops this replica from multicasting DECIDE
-	// messages: a deceitful replica does not forward the certificates
-	// that would incriminate its coalition across partitions.
+	// SuppressDecide stops this replica from announcing its decisions
+	// and from serving their certificates: a deceitful replica does not
+	// carry what would incriminate its coalition across partitions.
 	SuppressDecide bool
 }
 
@@ -139,14 +160,6 @@ type Config struct {
 	CoordTimeout func(round types.Round) time.Duration
 	OnDecide     func(Decision)
 	Equivocator  *Equivocator
-	// Certs, when set, routes decision-certificate verification through
-	// the commit pipeline: the verdict is computed once per certificate
-	// object for the whole deployment (a DECIDE multicast used to be
-	// re-verified by each of its n receivers), its signatures fan out
-	// across the worker pool, and the sender speculates the check before
-	// the first delivery. Nil verifies inline — same verdicts, one
-	// receiver at a time.
-	Certs *pipeline.Verifier
 	// AggregateCerts assembles decision certificates in aggregate form
 	// when the scheme supports it (crypto.Aggregator): one aggregate
 	// signature plus a signer bitmap instead of a quorum of signed
@@ -200,6 +213,8 @@ type Instance struct {
 	pendingCoord []pendingSigned
 	pendingAux   []pendingSigned
 	forwarded    bool
+	// asked holds the announcers already sent a DecideReq: one each.
+	asked *types.ReplicaSet
 	// playedRounds tracks rounds already played in scripted mode.
 	playedRounds map[types.Round]bool
 }
@@ -218,7 +233,7 @@ type pendingSigned struct {
 
 // New creates the slot state machine.
 func New(cfg Config) *Instance {
-	return &Instance{cfg: cfg, rounds: make(map[types.Round]*roundState)}
+	return &Instance{cfg: cfg, rounds: make(map[types.Round]*roundState), asked: types.NewReplicaSet()}
 }
 
 // Decided reports whether the slot has decided, and the decision.
@@ -290,13 +305,13 @@ func (b *Instance) playRound(r types.Round) {
 			}
 		}
 		if v, ok := eq.AuxFor(m, r); ok {
-			b.cfg.Env.Send(m, &Aux{Stmt: b.sign(b.stmt(accountability.KindAux, r, v))})
+			b.cfg.Env.Send(m, &Aux{Stmt: b.signSplit(b.stmt(accountability.KindAux, r, v))})
 		}
 	}
 	if eq.CoordFor != nil && b.cfg.View.Coordinator(b.cfg.Instance, b.cfg.Slot, r) == b.cfg.Self {
 		for _, m := range b.cfg.View.Members() {
 			if v, ok := eq.CoordFor(m, r); ok {
-				b.cfg.Env.Send(m, &Coord{Stmt: b.sign(b.stmt(accountability.KindCoord, r, v))})
+				b.cfg.Env.Send(m, &Coord{Stmt: b.signSplit(b.stmt(accountability.KindCoord, r, v))})
 			}
 		}
 	}
@@ -313,7 +328,23 @@ func (b *Instance) stmt(kind accountability.Kind, round types.Round, v bool) acc
 	}
 }
 
+// sign signs the one statement an honest replica makes per kind and
+// round, through the log: the copy the multicast delivers back to this
+// replica is then a statement the log holds, not a signature to check.
 func (b *Instance) sign(stmt accountability.Statement) accountability.Signed {
+	if !b.cfg.Accountable {
+		return accountability.Signed{Stmt: stmt, Signer: b.cfg.Self}
+	}
+	signed, err := b.cfg.Log.Sign(stmt)
+	if err != nil {
+		panic(fmt.Sprintf("bincon: signing failed: %v", err))
+	}
+	return signed
+}
+
+// signSplit signs one of an equivocator's per-recipient statements. They
+// stay out of its own log, which would convict it.
+func (b *Instance) signSplit(stmt accountability.Statement) accountability.Signed {
 	if !b.cfg.Accountable {
 		return accountability.Signed{Stmt: stmt, Signer: b.cfg.Self}
 	}
@@ -384,7 +415,7 @@ func (b *Instance) maybeCoordinate(r types.Round) {
 	if eq := b.cfg.Equivocator; eq != nil && eq.CoordFor != nil {
 		for _, m := range b.cfg.View.Members() {
 			if val, ok := eq.CoordFor(m, r); ok {
-				b.cfg.Env.Send(m, &Coord{Stmt: b.sign(b.stmt(accountability.KindCoord, r, val))})
+				b.cfg.Env.Send(m, &Coord{Stmt: b.signSplit(b.stmt(accountability.KindCoord, r, val))})
 			}
 		}
 		return
@@ -449,15 +480,10 @@ func (b *Instance) OnCoord(from types.ReplicaID, msg *Coord) {
 	if from != b.cfg.View.Coordinator(b.cfg.Instance, b.cfg.Slot, r) {
 		return
 	}
-	if b.cfg.Accountable {
-		if !s.Verify(b.cfg.Signer) {
-			return
-		}
-		// Record even when already decided: post-decision equivocations
-		// are evidence the cross-checking needs.
-		if b.cfg.Log != nil {
-			b.cfg.Log.Record(s)
-		}
+	// Recorded even when already decided: post-decision equivocations are
+	// evidence the cross-checking needs.
+	if b.cfg.Accountable && !b.cfg.Log.RecordVerify(s) {
+		return
 	}
 	if b.scripted() {
 		if b.started {
@@ -505,15 +531,10 @@ func (b *Instance) OnAux(from types.ReplicaID, msg *Aux) {
 		s.Stmt.Instance != b.cfg.Instance || s.Stmt.Slot != b.cfg.Slot || s.Signer != from {
 		return
 	}
-	if b.cfg.Accountable {
-		if !s.Verify(b.cfg.Signer) {
-			return
-		}
-		// Record even when already decided: post-decision equivocations
-		// are evidence the cross-checking needs.
-		if b.cfg.Log != nil {
-			b.cfg.Log.Record(s)
-		}
+	// Recorded even when already decided: post-decision equivocations are
+	// evidence the cross-checking needs.
+	if b.cfg.Accountable && !b.cfg.Log.RecordVerify(s) {
+		return
 	}
 	r := s.Stmt.Round
 	if b.scripted() {
@@ -601,7 +622,7 @@ func (b *Instance) sendAux(r types.Round, v bool) {
 	if eq := b.cfg.Equivocator; eq != nil && eq.AuxFor != nil {
 		for _, m := range b.cfg.View.Members() {
 			if val, ok := eq.AuxFor(m, r); ok {
-				b.cfg.Env.Send(m, &Aux{Stmt: b.sign(b.stmt(accountability.KindAux, r, val))})
+				b.cfg.Env.Send(m, &Aux{Stmt: b.signSplit(b.stmt(accountability.KindAux, r, val))})
 			}
 		}
 		return
@@ -693,19 +714,46 @@ func (b *Instance) drainPending() {
 	b.reevaluate(b.round)
 }
 
-// verifyCert checks a decision certificate through the pipeline verifier
-// when one is configured, inline otherwise — identical verdicts either
-// way.
-func (b *Instance) verifyCert(cert *accountability.Certificate) error {
-	if b.cfg.Certs != nil {
-		return b.cfg.Certs.VerifyCertificate(cert, b.cfg.Signer, b.cfg.View.Size(), nil)
+// Pull asks from, a committee member known to have decided this slot, for
+// the DECIDE with its certificate. Each replica is asked once.
+func (b *Instance) Pull(from types.ReplicaID) {
+	if b.cfg.Accountable && b.cfg.View.Contains(from) && b.asked.Add(from) {
+		b.cfg.Log.CertPulls++
+		b.cfg.Env.Send(from, &DecideReq{Context: b.cfg.Context, Instance: b.cfg.Instance, Slot: b.cfg.Slot})
 	}
-	return cert.Verify(b.cfg.Signer, b.cfg.View.Size(), nil)
+}
+
+// OnDecideReq serves the decision, certificate included, to a replica it
+// was announced to.
+func (b *Instance) OnDecideReq(from types.ReplicaID, msg *DecideReq) {
+	if msg.Context != b.cfg.Context || msg.Instance != b.cfg.Instance || msg.Slot != b.cfg.Slot {
+		return
+	}
+	if !b.decided || b.decision.Cert == nil || (b.cfg.Equivocator != nil && b.cfg.Equivocator.SuppressDecide) {
+		return
+	}
+	b.cfg.Env.Send(from, &Decide{
+		Context:  b.cfg.Context,
+		Instance: b.cfg.Instance,
+		Slot:     b.cfg.Slot,
+		Value:    b.decision.Value,
+		Cert:     b.decision.Cert,
+	})
 }
 
 // OnDecide handles a propagated decision.
 func (b *Instance) OnDecide(from types.ReplicaID, msg *Decide) {
 	if msg.Context != b.cfg.Context || msg.Instance != b.cfg.Instance || msg.Slot != b.cfg.Slot {
+		return
+	}
+	if b.cfg.Accountable && msg.Cert == nil {
+		// An announcement decides nothing. Its certificate is worth a
+		// round trip where it is news — nothing decided here yet — or
+		// evidence: the other value decided here, so the two quorums
+		// convict the signers they share.
+		if !b.decided || b.decision.Value != msg.Value {
+			b.Pull(from)
+		}
 		return
 	}
 	if b.scripted() {
@@ -722,21 +770,16 @@ func (b *Instance) OnDecide(from types.ReplicaID, msg *Decide) {
 		return
 	}
 	if b.cfg.Accountable {
-		if msg.Cert == nil {
-			return
-		}
 		expect := b.stmt(accountability.KindAux, msg.Cert.Stmt.Round, msg.Value)
 		if msg.Cert.Stmt != expect {
 			return
 		}
 		// Quorum is evaluated against the full committee size; member
 		// filter nil so certificates with excluded signers remain
-		// transiently acceptable (paper §4.1 ).
-		if err := b.verifyCert(msg.Cert); err != nil {
+		// transiently acceptable (paper §4.1 ). The AUX votes in it that
+		// arrived as messages are in the log already and cost nothing.
+		if err := b.cfg.Log.RecordVerifyCertificate(msg.Cert, b.cfg.View.Size(), nil); err != nil {
 			return
-		}
-		if b.cfg.Log != nil {
-			b.cfg.Log.RecordCertificate(msg.Cert)
 		}
 	}
 	b.deliverDecision(Decision{Slot: msg.Slot, Value: msg.Value, Cert: msg.Cert, Round: func() types.Round {
@@ -773,16 +816,14 @@ func (b *Instance) deliverDecision(d Decision, own bool) {
 	suppress := b.cfg.Equivocator != nil && b.cfg.Equivocator.SuppressDecide
 	if (own || !b.forwarded) && !suppress {
 		b.forwarded = true
-		// Speculate the certificate check on the pipeline: the receivers'
-		// verdict is settled (once, off the event loop) while the DECIDE
-		// messages are still in flight.
-		b.cfg.Certs.Speculate(d.Cert, b.cfg.Signer)
+		// Announced without the certificate, which stays here to be pulled
+		// (OnDecideReq): by the time a replica decides, most of the others
+		// have too, from the same votes.
 		b.multicast(&Decide{
 			Context:  b.cfg.Context,
 			Instance: b.cfg.Instance,
 			Slot:     b.cfg.Slot,
 			Value:    d.Value,
-			Cert:     d.Cert,
 		})
 	}
 	if b.cfg.OnDecide != nil {

@@ -15,6 +15,9 @@ import (
 
 type binNode struct {
 	inst *Instance
+	// What reached the node, by kind: announcements (DECIDE without a
+	// certificate), certificates (DECIDE with one) and requests for them.
+	announcements, certs, reqs int
 }
 
 func (n *binNode) OnMessage(from types.ReplicaID, msg simnet.Message) {
@@ -26,7 +29,15 @@ func (n *binNode) OnMessage(from types.ReplicaID, msg simnet.Message) {
 	case *Aux:
 		n.inst.OnAux(from, m)
 	case *Decide:
+		if m.Cert == nil {
+			n.announcements++
+		} else {
+			n.certs++
+		}
 		n.inst.OnDecide(from, m)
+	case *DecideReq:
+		n.reqs++
+		n.inst.OnDecideReq(from, m)
 	}
 }
 
@@ -215,9 +226,10 @@ func TestBinConCrashMinorityStillDecides(t *testing.T) {
 
 // TestBinConScriptedEquivocatorCreatesEvidence replays the binary
 // consensus attack at the protocol level: the scripted coalition pushes
-// value 1 to one partition and 0 to the other; whichever way it ends, the
-// coalition's conflicting AUX signatures surface as PoFs when certificates
-// circulate.
+// value 1 to one partition and 0 to the other. Each side announces what it
+// decided; to a replica that decided the other value the announcement is
+// evidence, so it pulls the certificate, and the coalition's conflicting
+// AUX signatures surface as PoFs.
 func TestBinConScriptedEquivocatorCreatesEvidence(t *testing.T) {
 	partition := map[types.ReplicaID]bool{5: true, 6: true} // "A" = {5,6}; B = {7,8,9}
 	deceitful := map[types.ReplicaID]bool{1: true, 2: true, 3: true, 4: true}
@@ -238,69 +250,215 @@ func TestBinConScriptedEquivocatorCreatesEvidence(t *testing.T) {
 		}
 	}
 	c := buildBin(t, 9, eq, 5)
+	// The honest partitions hear each other a second late, the coalition
+	// hears and reaches everyone: each side decides alone, with the
+	// coalition's votes, before the other side's announcement arrives.
+	c.net.DelayRule = simnet.PartitionDelay(func(id types.ReplicaID) int {
+		switch {
+		case deceitful[id]:
+			return -1
+		case partition[id]:
+			return 0
+		}
+		return 1
+	}, time.Second)
 	values := map[types.ReplicaID]bool{5: true, 6: true} // honest A proposes 1, B proposes 0
 	c.propose(values)
 	c.net.RunUntilQuiet(5 * time.Minute)
 
-	// All honest must eventually hold PoFs against the equivocators once
-	// the decisions' certificates circulate (same round, both values).
-	evidence := 0
-	for id, pofs := range c.pofs {
-		if deceitful[id] {
-			continue
+	forked := false
+	for _, id := range c.members[4:] {
+		d, ok := c.decided[id]
+		if !ok {
+			t.Fatalf("honest replica %v did not decide", id)
 		}
-		for _, p := range pofs {
+		if d.Value != c.decided[5].Value {
+			forked = true
+		}
+	}
+	if !forked {
+		t.Fatal("the attack did not fork the honest replicas: nothing to pull as evidence")
+	}
+	// Every honest replica decided before the other side's announcement
+	// could reach it, so every certificate it received was pulled as
+	// evidence, and holds the coalition's other vote.
+	for _, id := range c.members[4:] {
+		if c.nodes[id].certs == 0 {
+			t.Errorf("honest replica %v pulled no certificate for the other value", id)
+		}
+		if len(c.pofs[id]) == 0 {
+			t.Errorf("equivocation left no evidence at honest replica %v", id)
+		}
+		for _, p := range c.pofs[id] {
 			if !deceitful[p.Culprit] {
 				t.Fatalf("honest replica %v accused honest %v", id, p.Culprit)
 			}
-			evidence++
 		}
-	}
-	if evidence == 0 {
-		t.Fatal("equivocation left no evidence at any honest replica")
 	}
 }
 
-func TestBinConDecidePropagationAdoptsCert(t *testing.T) {
+// freshInstance is a slot state machine that has seen nothing, on its own
+// node of a network that records what it sends to the committee members.
+func freshInstance(t *testing.T, self types.ReplicaID, members []types.ReplicaID, signer *crypto.Signer, onDecide func(Decision)) (*Instance, *accountability.Log, *simnet.Network, map[types.ReplicaID]*binNode) {
+	t.Helper()
+	net := simnet.New(simnet.Config{Latency: latency.Fixed(time.Millisecond), Seed: 6})
+	log := accountability.NewLog(signer, nil)
+	var fresh *Instance
+	net.AddNode(self, func(env simnet.Env) simnet.Handler {
+		fresh = New(Config{
+			Context: accountability.CtxMain, Instance: 1, Slot: 3, Self: self,
+			View:   committee.NewView(members),
+			Signer: signer, Log: log, Env: env, Accountable: true,
+			OnDecide: onDecide,
+		})
+		return &binNode{inst: fresh}
+	})
+	// The peers only count what reaches them.
+	peers := make(map[types.ReplicaID]*binNode)
+	for _, id := range members {
+		if id == self {
+			continue
+		}
+		id := id
+		net.AddNode(id, func(env simnet.Env) simnet.Handler {
+			peers[id] = &binNode{inst: New(Config{
+				Context: accountability.CtxMain, Instance: 1, Slot: 3, Self: id,
+				View: committee.NewView(members), Signer: signer, Log: accountability.NewLog(signer, nil), Env: env, Accountable: true,
+			})}
+			return peers[id]
+		})
+	}
+	return fresh, log, net, peers
+}
+
+// decidedCert runs an honest n=4 slot and returns the committee, its
+// signers and replica 1's decision.
+func decidedCert(t *testing.T) ([]types.ReplicaID, []*crypto.Signer, Decision) {
+	t.Helper()
 	c := buildBin(t, 4, nil, 6)
-	values := map[types.ReplicaID]bool{1: true, 2: true, 3: true, 4: true}
-	c.propose(values)
+	c.propose(map[types.ReplicaID]bool{1: true, 2: true, 3: true, 4: true})
 	c.net.RunUntilQuiet(time.Minute)
-	d := c.decided[1]
-	// A fresh instance adopting the decision via OnDecide must accept a
-	// valid certificate and reject a truncated one.
 	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := simnet.New(simnet.Config{Latency: latency.Fixed(time.Millisecond), Seed: 6})
-	var fresh *Instance
-	net.AddNode(9, func(env simnet.Env) simnet.Handler {
-		fresh = New(Config{
-			Context: accountability.CtxMain, Instance: 1, Slot: 3, Self: 9,
-			View:   committee.NewView(c.members),
-			Signer: signers[0], Env: env, Accountable: true,
-		})
-		return &binNode{inst: fresh}
-	})
+	return c.members, signers, c.decided[1]
+}
+
+func TestBinConDecidePropagationAdoptsCert(t *testing.T) {
+	members, signers, d := decidedCert(t)
+	// A fresh instance adopting the decision via OnDecide must accept a
+	// valid certificate and reject a truncated one.
+	fresh, _, _, _ := freshInstance(t, 4, members, signers[3], nil)
 	fresh.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value, Cert: d.Cert})
 	if dec, ok := fresh.Decided(); !ok || dec.Value != d.Value {
 		t.Fatal("valid decision certificate rejected")
 	}
 	// Truncated cert must be rejected by another fresh instance.
-	var fresh2 *Instance
-	net.AddNode(10, func(env simnet.Env) simnet.Handler {
-		fresh2 = New(Config{
-			Context: accountability.CtxMain, Instance: 1, Slot: 3, Self: 10,
-			View:   committee.NewView(c.members),
-			Signer: signers[1], Env: env, Accountable: true,
-		})
-		return &binNode{inst: fresh2}
-	})
+	fresh2, _, _, _ := freshInstance(t, 4, members, signers[3], nil)
 	bad := &accountability.Certificate{Stmt: d.Cert.Stmt, Sigs: d.Cert.Sigs[:1]}
 	fresh2.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value, Cert: bad})
 	if _, ok := fresh2.Decided(); ok {
 		t.Fatal("truncated certificate accepted")
+	}
+}
+
+// TestBinConForgedSignatureInPulledCertificate: one bad signature among
+// genuine ones rejects the certificate, and none of it enters the log.
+func TestBinConForgedSignatureInPulledCertificate(t *testing.T) {
+	members, signers, d := decidedCert(t)
+	fresh, log, _, _ := freshInstance(t, 4, members, signers[3], nil)
+	forged := &accountability.Certificate{Stmt: d.Cert.Stmt, Sigs: append([]accountability.Signed(nil), d.Cert.Sigs...)}
+	last := len(forged.Sigs) - 1
+	forged.Sigs[last].Sig = append(crypto.Signature(nil), forged.Sigs[last].Sig...)
+	forged.Sigs[last].Sig[0] ^= 0xff
+	fresh.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value, Cert: forged})
+	if _, ok := fresh.Decided(); ok {
+		t.Fatal("certificate with a forged signature adopted")
+	}
+	if got := log.Statements(); got != 0 {
+		t.Fatalf("%d statements of a rejected certificate entered the log", got)
+	}
+	// The genuine certificate is still welcome afterwards.
+	fresh.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value, Cert: d.Cert})
+	if _, ok := fresh.Decided(); !ok {
+		t.Fatal("genuine certificate rejected after a forged one")
+	}
+	if got := log.Statements(); got != len(d.Cert.Sigs) {
+		t.Fatalf("log holds %d statements of the adopted certificate, want %d", got, len(d.Cert.Sigs))
+	}
+}
+
+// TestBinConAnnouncementNeverDecides: a DECIDE without a certificate
+// decides nothing however many replicas send it; it is answered with one
+// DecideReq per announcer, repeats and strangers included.
+func TestBinConAnnouncementNeverDecides(t *testing.T) {
+	members, signers, d := decidedCert(t)
+	adopted := 0
+	fresh, log, net, peers := freshInstance(t, 4, members, signers[3], func(Decision) { adopted++ })
+	announce := &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value}
+	for round := 0; round < 3; round++ {
+		for _, from := range []types.ReplicaID{1, 2, 77} { // 77 is no member
+			fresh.OnDecide(from, announce)
+		}
+	}
+	net.RunUntilQuiet(time.Minute)
+	if _, ok := fresh.Decided(); ok || adopted != 0 {
+		t.Fatal("an announcement without a certificate decided the slot")
+	}
+	for _, id := range []types.ReplicaID{1, 2} {
+		if got := peers[id].reqs; got != 1 {
+			t.Errorf("announcer %v was asked for its certificate %d times, want once", id, got)
+		}
+	}
+	if log.CertPulls != 2 {
+		t.Errorf("the log counts %d certificate pulls, want the 2 requests sent", log.CertPulls)
+	}
+	// The peers here have decided nothing, so nothing came back; the
+	// certificate, when it does, is what decides.
+	fresh.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: d.Value, Cert: d.Cert})
+	if _, ok := fresh.Decided(); !ok || adopted != 1 {
+		t.Fatal("the pulled certificate did not decide the slot")
+	}
+	// Decided: the same value announced again is not worth a pull (the
+	// other value is: TestBinConScriptedEquivocatorCreatesEvidence).
+	fresh.OnDecide(3, announce)
+	net.RunUntilQuiet(time.Minute)
+	if got := peers[3].reqs; got != 0 {
+		t.Fatalf("a decided replica pulled the value it already holds (%d requests)", got)
+	}
+}
+
+// TestBinConCutOffReplicaAdoptsThroughPull: a replica that receives no AUX
+// vote cannot decide by itself. The others decide and announce; it pulls
+// one certificate, checks it, adopts it and announces in turn.
+func TestBinConCutOffReplicaAdoptsThroughPull(t *testing.T) {
+	const cutOff = types.ReplicaID(4)
+	c := buildBin(t, 4, nil, 8)
+	c.net.DeliverRule = func(from, to types.ReplicaID, msg simnet.Message) simnet.Message {
+		if _, aux := msg.(*Aux); aux && to == cutOff && from != cutOff {
+			return nil
+		}
+		return msg
+	}
+	c.propose(map[types.ReplicaID]bool{1: true, 2: true, 3: true, 4: true})
+	c.net.RunUntilQuiet(time.Minute)
+	d, ok := c.decided[cutOff]
+	if !ok {
+		t.Fatal("the cut-off replica never decided")
+	}
+	if d.Value != c.decided[1].Value || d.Cert == nil || d.Cert.SignerCount(nil) < types.Quorum(4) {
+		t.Fatalf("the cut-off replica adopted %+v, others decided %v", d, c.decided[1].Value)
+	}
+	if got := c.nodes[cutOff].certs; got == 0 || got > 3 {
+		t.Errorf("the cut-off replica received %d certificates, want 1 to 3: one per announcer it asked", got)
+	}
+	for _, id := range c.members[:3] {
+		// One from each replica, itself and the cut-off one announcing on
+		// included.
+		if got := c.nodes[id].announcements; got != 4 {
+			t.Errorf("replica %v received %d announcements, want 4", id, got)
+		}
 	}
 }
 
@@ -312,7 +470,7 @@ func TestBinConMeters(t *testing.T) {
 		t.Fatal("AUX/COORD carry one signature")
 	}
 	d := &Decide{}
-	if d.SimSigOps() != 0 {
-		t.Fatal("certless decide")
+	if d.SimSigOps() != 0 || d.SimBytes() != (&DecideReq{}).SimBytes() {
+		t.Fatal("an announcement costs a header and no signature check")
 	}
 }

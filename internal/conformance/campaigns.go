@@ -5,9 +5,11 @@ import (
 
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/adversary"
+	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/rbc"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -137,12 +139,14 @@ func runStaleEpoch(n int, seed int64) (Result, error) {
 	return finish("stale-epoch", n, seed, c, inj, nil, campaignDrain), nil
 }
 
-// runCertMutation shadows every DECIDE with three certificate mutants
-// whose individual signatures all verify: one below quorum, one padding
-// the quorum with a duplicated signer, one claiming the opposite value
-// under the genuine certificate. Receivers must reject all three — on the
-// quorum count, the distinctness check, and the statement match — while
-// the original DECIDE keeps the chain committing.
+// runCertMutation shadows every DECIDE that carries a certificate — the
+// answers to a DecideReq; an announcement has nothing to mutate — with
+// three certificate mutants whose individual signatures all verify: one
+// below quorum, one padding the quorum with a duplicated signer, one
+// claiming the opposite value under the genuine certificate. Receivers
+// must reject all three — on the quorum count, the distinctness check, and
+// the statement match — while the original DECIDE keeps the chain
+// committing.
 func runCertMutation(n int, seed int64) (Result, error) {
 	c, err := newCluster(n, seed, func(o *harness.Options) {
 		o.PoolSize = 1
@@ -201,8 +205,29 @@ func runReplayReorder(n int, seed int64) (Result, error) {
 	return finish("replay-reorder", n, seed, c, inj, nil, campaignDrain), nil
 }
 
-// mergeCaptureLimit bounds how many distinct DECIDEs the merge campaign
-// records for replay; enough to cover both branches' instances.
+// newForkCluster is the deployment of the two campaigns with a real
+// scripted coalition: the paper's binary-consensus attack over four
+// instances.
+func newForkCluster(n int, seed int64) (*harness.Cluster, error) {
+	return newCluster(n, seed, func(o *harness.Options) {
+		o.Deceitful = adversary.DeceitfulCount(n)
+		o.Attack = adversary.AttackBinary
+		o.MaxInstances = 4
+	})
+}
+
+// forkThenHeal starts the cluster with the coalition's partitions deciding
+// alone behind a 5 s stall, and heals the network after 6 s.
+func forkThenHeal(c *harness.Cluster) {
+	c.Net.DelayRule = simnet.PartitionDelay(c.Coalition.PartitionOf, 5*time.Second)
+	c.Start()
+	c.Run(6 * time.Second)
+	c.Net.DelayRule = nil
+}
+
+// mergeCaptureLimit bounds how many distinct DECIDEs with a certificate the
+// merge campaign records for replay; enough to cover both branches'
+// instances.
 const mergeCaptureLimit = 16
 
 // runMergeDuringCatchup is the only campaign with a real scripted
@@ -214,11 +239,7 @@ const mergeCaptureLimit = 16
 // a culprit. The run must still end converged, with ≥ ⌈n/3⌉ proven
 // culprits everywhere and the coalition excluded.
 func runMergeDuringCatchup(n int, seed int64) (Result, error) {
-	c, err := newCluster(n, seed, func(o *harness.Options) {
-		o.Deceitful = adversary.DeceitfulCount(n)
-		o.Attack = adversary.AttackBinary
-		o.MaxInstances = 4
-	})
+	c, err := newForkCluster(n, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -230,24 +251,94 @@ func runMergeDuringCatchup(n int, seed int64) (Result, error) {
 	var caps []captured
 	seen := make(map[*bincon.Decide]bool)
 	inj.SetRule(func(from, to types.ReplicaID, msg simnet.Message) simnet.Message {
-		if d, ok := msg.(*bincon.Decide); ok && !seen[d] && len(caps) < mergeCaptureLimit {
+		if d, ok := msg.(*bincon.Decide); ok && d.Cert != nil && !seen[d] && len(caps) < mergeCaptureLimit {
 			seen[d] = true
 			caps = append(caps, captured{from: from, msg: d})
 		}
 		return msg
 	})
 
-	// Fork: the coalition's partitions decide alone behind a 5 s stall.
-	c.Net.DelayRule = simnet.PartitionDelay(c.Coalition.PartitionOf, 5*time.Second)
-	c.Start()
-	c.Run(6 * time.Second)
-
-	// Heal, then replay the fork-era DECIDEs into everyone mid-merge.
-	c.Net.DelayRule = nil
+	// Fork and heal, then replay the fork-era DECIDEs into everyone
+	// mid-merge.
+	forkThenHeal(c)
 	for i, cap := range caps {
 		for _, h := range c.HonestMembers() {
 			inj.Inject(cap.from, h, cap.msg, time.Duration(i+1)*10*time.Millisecond)
 		}
 	}
 	return finish("merge-during-catchup", n, seed, c, inj, nil, campaignDrain), nil
+}
+
+// runForgedInit forks the chain like runMergeDuringCatchup, and on the way
+// to every honest replica rewrites each certified block — the BlockResp a
+// conflicting confirmation pulls, the CatchupResp and the JoinNotice of the
+// membership change — in the two places its audit does not read. The INIT
+// statement of an honest broadcaster names another payload under the old
+// signature (ForgeInitStmt), and a slot decided 0 gains a ready certificate
+// holding an honest signer of the slot's binary certificate to the opposite
+// vote, unsigned (PlantVote). The block's real certificates are genuine and
+// it is adopted or merged as usual; both additions must be dropped on the
+// way into the log. A replica that records either unverified proves an
+// honest replica deceitful and counts it towards the exclusion threshold:
+// invariant (d).
+func runForgedInit(n int, seed int64) (Result, error) {
+	c, err := newForkCluster(n, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	// forge re-values the INIT statement of the first honest slot that has
+	// one and plants a vote on the first slot decided 0 whose certificate an
+	// honest replica signed; a block with neither passes unchanged.
+	forge := func(d *sbc.Decision) *sbc.Decision {
+		if d == nil {
+			return nil
+		}
+		for _, slot := range c.Members {
+			if !c.Coalition.IsDeceitful(slot) && d.InitStmts[slot] != nil {
+				d = ForgeInitStmt(d, slot)
+				break
+			}
+		}
+		for _, slot := range c.Members {
+			if bit, ok := d.Bits[slot]; !ok || bit || d.BinCerts[slot] == nil {
+				continue
+			}
+			for _, signer := range d.BinCerts[slot].Signers() {
+				if !c.Coalition.IsDeceitful(signer) {
+					return PlantVote(d, slot, signer)
+				}
+			}
+		}
+		return d
+	}
+	forgeBlocks := func(blocks []asmr.BlockRecord) []asmr.BlockRecord {
+		out := make([]asmr.BlockRecord, len(blocks))
+		for i, b := range blocks {
+			b.Decision = forge(b.Decision)
+			out[i] = b
+		}
+		return out
+	}
+	inj := Arm(c)
+	inj.SetRule(func(_, to types.ReplicaID, msg simnet.Message) simnet.Message {
+		if c.Coalition.IsDeceitful(to) {
+			return msg
+		}
+		switch m := msg.(type) {
+		case *asmr.BlockResp:
+			cp := *m
+			cp.Decision = forge(m.Decision)
+			return &cp
+		case *asmr.CatchupResp:
+			return &asmr.CatchupResp{Blocks: forgeBlocks(m.Blocks)}
+		case *asmr.JoinNotice:
+			cp := *m
+			cp.Blocks = forgeBlocks(m.Blocks)
+			return &cp
+		}
+		return msg
+	})
+
+	forkThenHeal(c)
+	return finish("forged-init", n, seed, c, inj, nil, campaignDrain), nil
 }

@@ -129,6 +129,13 @@ var campaigns = []Campaign{
 			"are replayed into the merge: culprits proven, branches merge",
 		Run: runMergeDuringCatchup,
 	},
+	{
+		Name: "forged-init",
+		Description: "a coalition fork heals while every certified block shipped to an honest " +
+			"replica has an honest INIT statement re-valued under its old signature and an unsigned " +
+			"vote planted on a slot decided 0: both dropped, nobody honest accused",
+		Run: runForgedInit,
+	},
 }
 
 // Names lists the registered campaigns in registration order.

@@ -4,6 +4,7 @@ import (
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/rbc"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -87,5 +88,48 @@ func DuplicateSignerCert(d *bincon.Decide) *bincon.Decide {
 func FlipDecideValue(d *bincon.Decide) *bincon.Decide {
 	cp := *d
 	cp.Value = !cp.Value
+	return &cp
+}
+
+// ForgeInitStmt returns a copy of a certified block whose INIT statement
+// for slot names another payload under the original signature, which no
+// longer covers it. Every certificate in the block is untouched and the
+// block still passes its audit; the statement is outside what the audit
+// covers, so a receiver that takes it on trust holds two INIT values
+// "signed" by slot's owner — an accusation against a replica that signed
+// one. The block must carry an INIT statement for slot.
+func ForgeInitStmt(d *sbc.Decision, slot types.ReplicaID) *sbc.Decision {
+	cp := *d
+	cp.InitStmts = make(map[types.ReplicaID]*accountability.Signed, len(d.InitStmts))
+	for id, s := range d.InitStmts {
+		cp.InitStmts[id] = s
+	}
+	forged := *d.InitStmts[slot]
+	forged.Stmt.Value[0] ^= 0xa5
+	cp.InitStmts[slot] = &forged
+	return &cp
+}
+
+// PlantVote returns a copy of a certified block with a fabricated ready
+// certificate on slot, which the block decided 0: a one-signature
+// "certificate" for the opposite of the slot's binary decision — same
+// instance, slot and round as the block's own binary certificate — under
+// victim's name and no signature at all. An honest block carries no ready
+// certificate on a slot decided 0 and its audit reads none there, so the
+// block still passes; a receiver that records the certificate with the
+// audited ones holds both votes of victim, a replica that cast one. The
+// block must carry a binary certificate for slot.
+func PlantVote(d *sbc.Decision, slot, victim types.ReplicaID) *sbc.Decision {
+	stmt := d.BinCerts[slot].Stmt
+	stmt.Value = accountability.BoolDigest(!accountability.DigestBool(stmt.Value))
+	cp := *d
+	cp.ReadyCerts = make(map[types.ReplicaID]*accountability.Certificate, len(d.ReadyCerts)+1)
+	for id, c := range d.ReadyCerts {
+		cp.ReadyCerts[id] = c
+	}
+	cp.ReadyCerts[slot] = &accountability.Certificate{
+		Stmt: stmt,
+		Sigs: []accountability.Signed{{Stmt: stmt, Signer: victim, Sig: []byte("unsigned")}},
+	}
 	return &cp
 }

@@ -539,6 +539,12 @@ func (c *Cluster) disagreementsByInstance() map[uint64]int {
 				if oc.bit && oc.digest.IsZero() {
 					continue
 				}
+				// A 0-decision selects no proposal: whether the payload
+				// had reached this replica when it decided is not part of
+				// the outcome.
+				if !oc.bit {
+					oc.digest = types.Digest{}
+				}
 				m, ok := perSlot[slot]
 				if !ok {
 					m = make(map[slotOutcome]bool)

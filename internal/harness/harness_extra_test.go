@@ -6,6 +6,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/types"
 )
 
 // TestAttackAfterBuildsCleanPrefix checks the AttackAfter option: the
@@ -156,5 +157,33 @@ func TestHonestMembersExcludesBenign(t *testing.T) {
 		if c.Coalition.IsDeceitful(id) {
 			t.Fatalf("deceitful %v in honest set", id)
 		}
+	}
+}
+
+// TestZeroDecisionIgnoresLocalPayload: a slot decided 0 selects no
+// proposal, so a replica that had the payload when it decided and one that
+// had not reached the same outcome, whichever of them is read first. A
+// slot decided both ways, or decided 1 for two payloads, still counts.
+func TestZeroDecisionIgnoresLocalPayload(t *testing.T) {
+	c, err := New(Options{N: 4, Accountable: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, other := types.Hash([]byte("delivered")), types.Hash([]byte("another"))
+	const slot = types.ReplicaID(3)
+	set := func(k uint64, outcomes ...slotOutcome) {
+		for i, oc := range outcomes {
+			c.slotOutcomes[c.Members[i]][k] = map[types.ReplicaID]slotOutcome{slot: oc}
+		}
+	}
+	set(1, slotOutcome{bit: false, digest: payload}, slotOutcome{bit: false})
+	set(2, slotOutcome{bit: false}, slotOutcome{bit: false, digest: payload})
+	if got := c.Disagreements(); got != 0 {
+		t.Fatalf("honest replicas on the same 0-decisions read as %d disagreements: %v", got, c.DisagreementsByInstance())
+	}
+	set(3, slotOutcome{bit: false, digest: payload}, slotOutcome{bit: true, digest: payload})
+	set(4, slotOutcome{bit: true, digest: payload}, slotOutcome{bit: true, digest: other})
+	if got := c.DisagreementsByInstance(); len(got) != 2 || got[3] != 1 || got[4] != 1 {
+		t.Fatalf("disagreements by instance = %v, want one each at 3 and 4", got)
 	}
 }

@@ -41,16 +41,21 @@ type MemoryStatus struct {
 	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
 }
 
-// PipelineStatus is where proposal work went: the
-// zlb_proposals_delivered_total … zlb_batch_txs_reused_total series.
+// PipelineStatus is where proposal and signature work went: the
+// zlb_proposals_delivered_total … zlb_decide_pulls_total series.
 // Proposals the reliable broadcast delivered here against proposals the
 // decisions selected: the difference was carried, decoded and verified
-// for nothing, and its owner proposes it again.
+// for nothing, and its owner proposes it again. Statement signatures
+// checked against those the accountability log already held, and the
+// decision certificates pulled after an announcement.
 type PipelineStatus struct {
 	ProposalsDelivered uint64 `json:"proposals_delivered"`
 	ProposalsCommitted uint64 `json:"proposals_committed"`
 	BatchTxsDecoded    int    `json:"batch_txs_decoded"`
 	BatchTxsReused     int    `json:"batch_txs_reused"`
+	StmtSigChecks      uint64 `json:"stmt_sig_checks"`
+	StmtSigKnown       uint64 `json:"stmt_sig_known"`
+	DecidePulls        uint64 `json:"decide_pulls"`
 }
 
 // update changes the status on the event loop.
@@ -107,6 +112,8 @@ func (n *Node) Publish() {
 			CompactedInstances: held.RetiredInstances,
 			UnfinalInstances:   int64(held.UnfinalInstances),
 		}
+		s.Pipeline.StmtSigChecks, s.Pipeline.StmtSigKnown = held.StmtSigChecks, held.StmtSigKnown
+		s.Pipeline.DecidePulls = held.DecidePulls
 	})
 }
 
@@ -145,6 +152,10 @@ func (n *Node) registerSeries() {
 
 	reg.CounterFunc("zlb_proposals_delivered_total", "Proposal payloads the reliable broadcast delivered to this replica.", locked(func() int64 { return int64(s.Pipeline.ProposalsDelivered) }))
 	reg.CounterFunc("zlb_proposals_committed_total", "Proposals selected by the decisions this replica committed.", locked(func() int64 { return int64(s.Pipeline.ProposalsCommitted) }))
+
+	reg.CounterFunc("zlb_stmt_sig_checks_total", "Protocol statement signatures (votes, certificates) handed to the signature scheme.", locked(func() int64 { return int64(s.Pipeline.StmtSigChecks) }))
+	reg.CounterFunc("zlb_stmt_sig_known_total", "Protocol statement signatures accepted without a check: the accountability log held that exact signed statement.", locked(func() int64 { return int64(s.Pipeline.StmtSigKnown) }))
+	reg.CounterFunc("zlb_decide_pulls_total", "Binary decision certificates requested (DecideReq) after an announcement.", locked(func() int64 { return int64(s.Pipeline.DecidePulls) }))
 
 	reg.GaugeFunc("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth.", locked(func() int64 { return s.Replica.LiveInstances }))
 	reg.GaugeFunc("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here.", locked(func() int64 { return s.Replica.UnfinalInstances }))

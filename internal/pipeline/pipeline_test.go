@@ -114,15 +114,6 @@ func TestVerifyCertificateMatchesInline(t *testing.T) {
 	check("duplicate signer", dup, 12, nil)
 }
 
-func TestSpeculateSettlesVerdict(t *testing.T) {
-	signers, _, cert := clusterFixture(t, 10)
-	v := NewVerifier(Shared())
-	v.Speculate(cert, signers[0])
-	if err := v.VerifyCertificate(cert, signers[0], 10, nil); err != nil {
-		t.Fatalf("speculated certificate rejected: %v", err)
-	}
-}
-
 func TestVerifySignedBatch(t *testing.T) {
 	signers, _, cert := clusterFixture(t, 10)
 	v := NewVerifier(Shared())

@@ -28,28 +28,24 @@ const maxCachedCerts = 1 << 14
 type certVerdict struct {
 	// claimed serializes the verify-and-memoize step: whoever wins the
 	// claim computes the verdict and closes done; everyone else waits.
-	// Speculated entries are claimed only when a worker actually starts
-	// the check — a demand-side caller that arrives first steals the
-	// work instead of blocking on a task still sitting in the pool
-	// queue. That steal is what makes the verifier deadlock-free when
-	// the parallel simulator runs event handlers on the pool itself:
-	// every worker blocked in VerifyCertificate would otherwise wait for
-	// queue capacity that only those workers can free.
 	claimed atomic.Bool
 	done    chan struct{}
 	err     error
 }
 
 // Verifier checks certificates on the worker pool and memoizes verdicts
-// by certificate identity. One Verifier serves one deployment (a
-// simulated cluster or one TCP node process). In the simulator a
-// certificate multicast to n replicas arrives as n references to the same
-// immutable object, so the first check settles it for everyone — the n−1
-// repeat verifications that used to dominate the commit path become map
-// hits. Over TCP every frame decodes a fresh object, so only the sender's
-// speculated self-delivery hits; each entry pins its certificate, which
-// is why verdicts are grouped by the consensus instance the certificate
-// vouches for and dropped with it (ForgetInstance).
+// by certificate identity. It serves the cold audits: a decided block
+// received whole (catch-up, join notice, conflicting branch) and the ready
+// certificate of a pulled proposal. The certificates of a running
+// instance do not come here — each replica checks those against its
+// accountability log, which already holds most of their signatures. One
+// Verifier serves one deployment (a simulated cluster or one TCP node
+// process). In the simulator a block shipped to several replicas arrives
+// as references to the same immutable certificates, so the first audit
+// settles them for everyone. Over TCP every frame decodes a fresh object
+// and nothing hits; each entry pins its certificate, which is why verdicts
+// are grouped by the consensus instance the certificate vouches for and
+// dropped with it (ForgetInstance).
 //
 // Only the pure part of the verdict is cached (statement mismatches,
 // duplicate signers, signature validity). Quorum is evaluated per call:
@@ -120,33 +116,6 @@ func (v *Verifier) Pool() *Pool {
 	return v.pool
 }
 
-// Speculate starts verifying cert in the background so that the verdict
-// is (probably) settled by the time a receiver needs it. The sender of a
-// DECIDE multicast calls this right before handing the message to the
-// network: the checks overlap with every event the loop processes until
-// the first delivery. Dropped silently when the pool is saturated or
-// sequential — the verdict is then computed on first demand.
-func (v *Verifier) Speculate(cert *accountability.Certificate, signer *crypto.Signer) {
-	if v == nil || cert == nil || v.pool == nil {
-		return
-	}
-	v.mu.Lock()
-	if _, seen := v.verdicts[cert.Stmt.InstanceKey()][cert]; seen {
-		v.mu.Unlock()
-		return
-	}
-	c := &certVerdict{done: make(chan struct{})}
-	if v.pool.TryDo(func() {
-		if c.claimed.CompareAndSwap(false, true) {
-			c.err = v.check(cert, signer)
-			close(c.done)
-		}
-	}) {
-		v.store(cert, c)
-	}
-	v.mu.Unlock()
-}
-
 // VerifyCertificate checks structure, signer distinctness, signatures and
 // the quorum among members accepted by the membership test (nil accepts
 // all) for committee size n — the same contract as
@@ -184,15 +153,13 @@ func (v *Verifier) VerifyCertSigs(cert *accountability.Certificate, signer *cryp
 	}
 	v.mu.Unlock()
 	if c.claimed.CompareAndSwap(false, true) {
-		// First to claim (or the speculated task has not started yet):
-		// compute here. The verdict is a pure function of the
-		// certificate, so stealing queued speculation changes nothing
-		// but latency.
 		c.err = v.check(cert, signer)
 		close(c.done)
 	} else {
-		// Claimed by a goroutine that is actively computing (never by a
-		// queued task), so this wait always makes progress.
+		// Claimed by a goroutine that is computing right now (the claim is
+		// taken by the caller itself, never by a queued task), so this
+		// wait always makes progress — also when the parallel simulator
+		// runs event handlers on the pool's own workers.
 		<-c.done
 	}
 	return c.err

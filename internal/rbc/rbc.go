@@ -3,9 +3,11 @@
 // messages are signed statements, so a replica that echoes two different
 // digests for the same broadcast — the core of the paper's "reliable
 // broadcast attack" (§B) — leaves transferable equivocation evidence.
-// Delivery produces a certificate (a quorum of signed READY statements
-// plus the broadcaster's signed INIT) that travels with decisions and lets
-// other partitions cross-check.
+// Delivery produces a certificate (a quorum of signed READY statements)
+// and the broadcaster's signed INIT, which travel with decisions and let
+// other partitions cross-check. The INIT statement crosses a link with the
+// INIT itself or with the pull that stands in for it (PayloadResp), never
+// on READY: one signature, sent and checked once.
 //
 // Thresholds: echo quorum ⌈2n/3⌉, ready amplification at t+1, delivery at
 // 2t+1, with t = ⌈n/3⌉−1.
@@ -55,19 +57,16 @@ func (m *Echo) SimBytes() int { return 160 }
 // SimSigOps implements simnet.Meter.
 func (m *Echo) SimSigOps() int { return 1 }
 
-// Ready is a signed ready for the proposal digest. It carries the
-// broadcaster's signed INIT statement when known, so delivery certificates
-// embed evidence against an equivocating broadcaster.
+// Ready is a signed ready for the proposal digest.
 type Ready struct {
-	Stmt     accountability.Signed // KindReady, Slot = broadcaster, Value = digest
-	InitStmt *accountability.Signed
+	Stmt accountability.Signed // KindReady, Slot = broadcaster, Value = digest
 }
 
 // SimBytes implements simnet.Meter.
-func (m *Ready) SimBytes() int { return 280 }
+func (m *Ready) SimBytes() int { return 160 }
 
 // SimSigOps implements simnet.Meter.
-func (m *Ready) SimSigOps() int { return 2 }
+func (m *Ready) SimSigOps() int { return 1 }
 
 // PayloadReq asks a peer for the payload matching a digest (the requester
 // saw a READY quorum before the INIT reached it).
@@ -84,7 +83,9 @@ func (m *PayloadReq) SimBytes() int { return 64 }
 // SimSigOps implements simnet.Meter.
 func (m *PayloadReq) SimSigOps() int { return 0 }
 
-// PayloadResp answers a PayloadReq.
+// PayloadResp answers a PayloadReq with what the INIT would have brought:
+// the payload and, when the responder has it, the broadcaster's signed INIT
+// statement.
 type PayloadResp struct {
 	Context      uint8
 	Instance     types.Instance
@@ -92,18 +93,32 @@ type PayloadResp struct {
 	Payload      []byte
 	ClaimedBytes int
 	ClaimedSigs  int
+	InitStmt     *accountability.Signed
 }
+
+// initStmtModelBytes is the modeled wire cost of the INIT statement riding
+// on a pull response.
+const initStmtModelBytes = 120
 
 // SimBytes implements simnet.Meter.
 func (m *PayloadResp) SimBytes() int {
+	n := len(m.Payload) + 40
 	if m.ClaimedBytes > 0 {
-		return m.ClaimedBytes + 40
+		n = m.ClaimedBytes + 40
 	}
-	return len(m.Payload) + 40
+	if m.InitStmt != nil {
+		n += initStmtModelBytes
+	}
+	return n
 }
 
 // SimSigOps implements simnet.Meter.
-func (m *PayloadResp) SimSigOps() int { return m.ClaimedSigs }
+func (m *PayloadResp) SimSigOps() int {
+	if m.InitStmt != nil {
+		return m.ClaimedSigs + 1
+	}
+	return m.ClaimedSigs
+}
 
 // Delivery is the output of one reliable broadcast.
 type Delivery struct {
@@ -205,7 +220,23 @@ func (r *Instance) stmt(kind accountability.Kind, digest types.Digest) accountab
 	}
 }
 
+// sign signs the one statement an honest replica makes per kind and slot,
+// through the log: the copy the multicast delivers back to this replica is
+// then a statement the log holds, not a signature to check.
 func (r *Instance) sign(stmt accountability.Statement) accountability.Signed {
+	if !r.cfg.Accountable {
+		return accountability.Signed{Stmt: stmt, Signer: r.cfg.Self}
+	}
+	signed, err := r.cfg.Log.Sign(stmt)
+	if err != nil {
+		panic(fmt.Sprintf("rbc: signing failed: %v", err))
+	}
+	return signed
+}
+
+// signSplit signs one of an equivocator's per-recipient statements. They
+// stay out of its own log, which would convict it.
+func (r *Instance) signSplit(stmt accountability.Statement) accountability.Signed {
 	if !r.cfg.Accountable {
 		return accountability.Signed{Stmt: stmt, Signer: r.cfg.Self}
 	}
@@ -217,7 +248,8 @@ func (r *Instance) sign(stmt accountability.Statement) accountability.Signed {
 }
 
 // verifyStmt authenticates a received statement: right shape, claimed
-// signer matches the transport sender, valid signature (accountable mode).
+// signer matches the transport sender, and (accountable mode) a signature
+// the log holds or the scheme accepts.
 func (r *Instance) verifyStmt(from types.ReplicaID, s accountability.Signed, kind accountability.Kind) bool {
 	if s.Stmt.Kind != kind || s.Stmt.Context != r.cfg.Context ||
 		s.Stmt.Instance != r.cfg.Instance || s.Stmt.Slot != uint32(r.cfg.Broadcaster) {
@@ -226,16 +258,7 @@ func (r *Instance) verifyStmt(from types.ReplicaID, s accountability.Signed, kin
 	if s.Signer != from {
 		return false
 	}
-	if !r.cfg.Accountable {
-		return true
-	}
-	if !s.Verify(r.cfg.Signer) {
-		return false
-	}
-	if r.cfg.Log != nil {
-		r.cfg.Log.Record(s)
-	}
-	return true
+	return !r.cfg.Accountable || r.cfg.Log.RecordVerify(s)
 }
 
 func (r *Instance) multicast(msg simnet.Message) {
@@ -259,7 +282,7 @@ func (r *Instance) Broadcast(payload []byte, claimedBytes, claimedSigs int) {
 				continue
 			}
 			d := types.Hash(p)
-			signed := r.sign(r.stmt(accountability.KindInit, d))
+			signed := r.signSplit(r.stmt(accountability.KindInit, d))
 			r.cfg.Env.Send(m, &Init{Stmt: signed, Payload: p, ClaimedBytes: claimedBytes, ClaimedSigs: claimedSigs})
 		}
 		return
@@ -315,12 +338,12 @@ func (r *Instance) splitEchoReady(kind accountability.Kind, fallback types.Diges
 		if d.IsZero() {
 			d = fallback
 		}
-		signed := r.sign(r.stmt(kind, d))
+		signed := r.signSplit(r.stmt(kind, d))
 		switch kind {
 		case accountability.KindEcho:
 			r.cfg.Env.Send(m, &Echo{Stmt: signed})
 		case accountability.KindReady:
-			r.cfg.Env.Send(m, &Ready{Stmt: signed, InitStmt: r.initStmts[d]})
+			r.cfg.Env.Send(m, &Ready{Stmt: signed})
 		}
 	}
 }
@@ -379,7 +402,7 @@ func (r *Instance) maybeReady(d types.Digest) {
 		return
 	}
 	signed := r.sign(r.stmt(accountability.KindReady, d))
-	r.multicast(&Ready{Stmt: signed, InitStmt: r.initStmts[d]})
+	r.multicast(&Ready{Stmt: signed})
 }
 
 // OnReady handles a signed ready.
@@ -391,19 +414,6 @@ func (r *Instance) OnReady(from types.ReplicaID, msg *Ready) {
 		return
 	}
 	d := msg.Stmt.Stmt.Value
-	if msg.InitStmt != nil && r.cfg.Accountable {
-		if msg.InitStmt.Stmt.Kind == accountability.KindInit &&
-			msg.InitStmt.Stmt.Value == d &&
-			msg.InitStmt.Signer == r.cfg.Broadcaster &&
-			msg.InitStmt.Verify(r.cfg.Signer) {
-			if _, known := r.initStmts[d]; !known {
-				r.initStmts[d] = msg.InitStmt
-			}
-			if r.cfg.Log != nil {
-				r.cfg.Log.Record(*msg.InitStmt)
-			}
-		}
-	}
 	set, ok := r.readies[d]
 	if !ok {
 		set = types.NewReplicaSet()
@@ -480,15 +490,21 @@ func (r *Instance) OnPayloadReq(from types.ReplicaID, msg *PayloadReq) {
 		Payload:      payload,
 		ClaimedBytes: meta[0],
 		ClaimedSigs:  meta[1],
+		InitStmt:     r.initStmts[msg.Digest],
 	})
 }
 
-// OnPayloadResp stores a pulled payload and retries delivery.
+// OnPayloadResp stores a pulled payload, and the broadcaster's INIT
+// statement for it if one came along and verifies, and retries delivery.
 func (r *Instance) OnPayloadResp(_ types.ReplicaID, msg *PayloadResp) {
 	d := types.Hash(msg.Payload)
 	if _, known := r.payloads[d]; !known {
 		r.payloads[d] = r.cfg.Intern.Bytes(d, msg.Payload)
 		r.claimedMeta[d] = [2]int{msg.ClaimedBytes, msg.ClaimedSigs}
+	}
+	if s := msg.InitStmt; s != nil && r.cfg.Accountable && r.initStmts[d] == nil &&
+		s.Stmt.Value == d && r.verifyStmt(r.cfg.Broadcaster, *s, accountability.KindInit) {
+		r.initStmts[d] = s
 	}
 	r.maybeDeliver(d)
 }

@@ -231,6 +231,62 @@ func TestRBCLatePayloadPull(t *testing.T) {
 	if !Equal(d.Payload, payload) {
 		t.Fatal("pulled payload mismatch")
 	}
+	// The pull stands in for the INIT: the broadcaster's signed statement
+	// came with it, checked, so replica 4's delivery carries it too.
+	if d.InitStmt == nil || d.InitStmt.Signer != 1 || d.InitStmt.Stmt.Value != d.Digest || !d.InitStmt.Verify(c.nodes[4].inst.cfg.Signer) {
+		t.Fatalf("replica 4 delivered without the broadcaster's INIT statement: %+v", d.InitStmt)
+	}
+}
+
+// TestRBCPulledInitStatementIsChecked: an INIT statement riding on a
+// PayloadResp is kept only if it is the broadcaster's, for that payload,
+// and its signature verifies; a bad one costs the statement, not the
+// payload, and accuses nobody.
+func TestRBCPulledInitStatementIsChecked(t *testing.T) {
+	payload := []byte("pull me")
+	d := types.Hash(payload)
+	c := buildRBC(t, 4, 1, nil)
+	signer1 := c.nodes[1].inst.cfg.Signer
+	sign := func(signer *crypto.Signer, value types.Digest) *accountability.Signed {
+		s, err := accountability.SignStatement(signer, accountability.Statement{
+			Context: accountability.CtxMain, Kind: accountability.KindInit, Instance: 1, Slot: 1, Value: value,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &s
+	}
+	revalued := *sign(signer1, d)
+	revalued.Stmt.Value = types.Hash([]byte("another payload")) // signature no longer covers it
+	unsigned := *sign(signer1, d)
+	unsigned.Sig = append(crypto.Signature(nil), unsigned.Sig...)
+	unsigned.Sig[0] ^= 0xff
+	inst := c.nodes[4].inst
+	for name, bad := range map[string]*accountability.Signed{
+		"re-valued":       &revalued,
+		"bad signature":   &unsigned,
+		"not broadcaster": sign(c.nodes[2].inst.cfg.Signer, d),
+		"other payload":   sign(signer1, types.Hash([]byte("another payload"))),
+	} {
+		inst.OnPayloadResp(2, &PayloadResp{Context: accountability.CtxMain, Instance: 1, Broadcaster: 1, Payload: payload, InitStmt: bad})
+		if inst.initStmts[d] != nil {
+			t.Fatalf("%s INIT statement kept", name)
+		}
+		if _, ok := inst.payloads[d]; !ok {
+			t.Fatalf("%s INIT statement cost the payload", name)
+		}
+	}
+	if got := c.logs[4].Statements(); got != 0 {
+		t.Fatalf("%d rejected statements entered the log", got)
+	}
+	good := sign(signer1, d)
+	inst.OnPayloadResp(2, &PayloadResp{Context: accountability.CtxMain, Instance: 1, Broadcaster: 1, Payload: payload, InitStmt: good})
+	if inst.initStmts[d] != good {
+		t.Fatal("genuine INIT statement not kept")
+	}
+	if len(c.pofs[4]) != 0 {
+		t.Fatalf("replica 4 accused %v", c.pofs[4])
+	}
 }
 
 func TestRBCClaimedSizesPropagate(t *testing.T) {
@@ -258,8 +314,13 @@ func TestRBCMessageMeters(t *testing.T) {
 			t.Fatalf("%T reports non-positive size", m)
 		}
 	}
-	if (&Echo{}).SimSigOps() != 1 || (&Ready{}).SimSigOps() != 2 {
-		t.Fatal("sig op counts")
+	if (&Echo{}).SimSigOps() != 1 || (&Ready{}).SimSigOps() != 1 || (&Ready{}).SimBytes() != (&Echo{}).SimBytes() {
+		t.Fatal("ECHO and READY are one signed statement each")
+	}
+	with := &PayloadResp{Payload: make([]byte, 100), ClaimedSigs: 7, InitStmt: &accountability.Signed{}}
+	without := &PayloadResp{Payload: make([]byte, 100), ClaimedSigs: 7}
+	if with.SimSigOps() != without.SimSigOps()+1 || with.SimBytes() <= without.SimBytes() {
+		t.Fatal("the INIT statement on a pull response costs one statement")
 	}
 }
 

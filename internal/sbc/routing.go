@@ -30,6 +30,8 @@ func ContextInstanceOf(msg simnet.Message) (uint8, types.Instance, bool) {
 		return m.Stmt.Stmt.Context, m.Stmt.Stmt.Instance, true
 	case *bincon.Decide:
 		return m.Context, m.Instance, true
+	case *bincon.DecideReq:
+		return m.Context, m.Instance, true
 	case *ProposalReq:
 		return m.Context, m.Instance, true
 	case *ProposalResp:

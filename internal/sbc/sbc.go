@@ -105,12 +105,13 @@ func (d *Decision) TotalClaimedTx() int {
 	return sum
 }
 
-// AnswerPull answers a late payload pull — an rbc.PayloadReq or a
-// ProposalReq — from the decision alone, with the same response the live
-// instance gave for a slot decided 1 (its rbc state and delivery map are
-// what the decision was assembled from). It returns nil for any other
-// message, and for slots or digests the decision does not carry. The
-// replica uses it once it has retired the instance's protocol state.
+// AnswerPull answers a late pull — an rbc.PayloadReq or a ProposalReq for
+// a slot decided 1, a bincon.DecideReq for any slot — from the decision
+// alone, with the same response the live instance gave (its rbc state,
+// delivery map and binary decisions are what the decision was assembled
+// from). It returns nil for any other message, and for slots or digests
+// the decision does not carry. The replica uses it once it has retired the
+// instance's protocol state.
 func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
 	switch m := msg.(type) {
 	case *rbc.PayloadReq:
@@ -125,6 +126,20 @@ func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
 			Payload:      p.Payload,
 			ClaimedBytes: p.ClaimedBytes,
 			ClaimedSigs:  p.ClaimedSigs,
+			InitStmt:     d.InitStmts[m.Broadcaster],
+		}
+	case *bincon.DecideReq:
+		slot := types.ReplicaID(m.Slot)
+		cert := d.BinCerts[slot]
+		if cert == nil {
+			return nil
+		}
+		return &bincon.Decide{
+			Context:  m.Context,
+			Instance: m.Instance,
+			Slot:     m.Slot,
+			Value:    d.Bits[slot],
+			Cert:     cert,
 		}
 	case *ProposalReq:
 		p, ok := d.Proposals[m.Slot]
@@ -215,8 +230,9 @@ type Config struct {
 	// Validate, if set, rejects invalid proposal payloads before they can
 	// be echoed (SBC-Validity).
 	Validate func(broadcaster types.ReplicaID, payload []byte) bool
-	// Certs, when set, routes certificate verification through the commit
-	// pipeline (shared verdicts, worker-pool signature fan-out).
+	// Certs, when set, audits the ready certificate of a pulled proposal
+	// through the commit pipeline (shared verdicts, worker-pool signature
+	// fan-out).
 	Certs *pipeline.Verifier
 	// AggregateCerts assembles certificates (ready and decision) in
 	// aggregate form when the scheme supports it (crypto.Aggregator).
@@ -374,7 +390,6 @@ func (s *Instance) binFor(slot types.ReplicaID) *bincon.Instance {
 			Accountable:    s.cfg.Accountable,
 			Equivocator:    eq,
 			CoordTimeout:   s.cfg.CoordTimeout,
-			Certs:          s.cfg.Certs,
 			AggregateCerts: s.cfg.AggregateCerts,
 			Tracer:         s.cfg.Tracer,
 			OnDecide:       func(d bincon.Decision) { s.onBinDecide(d) },
@@ -557,6 +572,11 @@ func (s *Instance) OnMessage(from types.ReplicaID, msg simnet.Message) bool {
 			return false
 		}
 		s.binFor(types.ReplicaID(m.Slot)).OnDecide(from, m)
+	case *bincon.DecideReq:
+		if m.Context != s.cfg.Context || m.Instance != s.cfg.Instance {
+			return false
+		}
+		s.binFor(types.ReplicaID(m.Slot)).OnDecideReq(from, m)
 	case *ProposalReq:
 		if m.Context != s.cfg.Context || m.Instance != s.cfg.Instance {
 			return false
@@ -607,6 +627,7 @@ func (s *Instance) onProposalResp(_ types.ReplicaID, m *ProposalResp) {
 		return
 	}
 	d := types.Hash(m.Payload)
+	var initStmt *accountability.Signed
 	if s.cfg.Accountable {
 		if m.Cert == nil {
 			return
@@ -643,8 +664,14 @@ func (s *Instance) onProposalResp(_ types.ReplicaID, m *ProposalResp) {
 				return
 			}
 		}
-		if s.cfg.Log != nil {
-			s.cfg.Log.RecordCertificate(m.Cert)
+		s.cfg.Log.RecordCertificate(m.Cert)
+		// The broadcaster's INIT statement is kept — to be served and
+		// absorbed later — only if it is the one for this payload and
+		// verifies; a bad one costs the statement, not the proposal.
+		expect.Kind = accountability.KindInit
+		if m.InitStmt != nil && m.InitStmt.Signer == m.Slot && m.InitStmt.Stmt == expect &&
+			s.cfg.Log.RecordVerify(*m.InitStmt) {
+			initStmt = m.InitStmt
 		}
 	}
 	if s.cfg.Validate != nil && !s.cfg.Validate(m.Slot, m.Payload) {
@@ -660,9 +687,20 @@ func (s *Instance) onProposalResp(_ types.ReplicaID, m *ProposalResp) {
 		ClaimedBytes: m.ClaimedBytes,
 		ClaimedSigs:  m.ClaimedSigs,
 		Cert:         m.Cert,
-		InitStmt:     m.InitStmt,
+		InitStmt:     initStmt,
 	}
 	s.maybeComplete()
+}
+
+// PullDecisions asks from, which has decided the whole instance, for the
+// decision certificate of every slot still undecided here (once per slot:
+// bincon does not ask the same replica twice).
+func (s *Instance) PullDecisions(from types.ReplicaID) {
+	for _, slot := range s.members {
+		if _, decided := s.decidedB[slot]; !decided {
+			s.binFor(slot).Pull(from)
+		}
+	}
 }
 
 // Release drops the instance's payloads from the intern table; the owner

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
@@ -72,6 +73,64 @@ func TestSBCProposalPull(t *testing.T) {
 	}
 }
 
+// TestSBCPulledInitStatementsAreChecked: a replica that the reliable
+// broadcasts never reach completes by pulling certified proposals, and each
+// pull brings the broadcaster's signed INIT, so its decision carries the
+// statements it never saw as messages. One slot's statement is re-valued in
+// flight under the old signature: the proposal is kept, the statement is
+// not, and nobody is accused.
+func TestSBCPulledInitStatementsAreChecked(t *testing.T) {
+	const n, starved, forgedSlot = 7, types.ReplicaID(7), types.ReplicaID(2)
+	c := buildCluster(t, n, true, latency.Uniform(2*time.Millisecond, 15*time.Millisecond), 78)
+	c.net.DeliverRule = func(from, to types.ReplicaID, msg simnet.Message) simnet.Message {
+		if to != starved {
+			return msg
+		}
+		switch m := msg.(type) {
+		case *rbc.Init, *rbc.Echo, *rbc.Ready:
+			return nil
+		case *ProposalResp:
+			if m.Slot == forgedSlot && m.InitStmt != nil {
+				forged := *m.InitStmt
+				forged.Stmt.Value[0] ^= 0xa5
+				cp := *m
+				cp.InitStmt = &forged
+				return &cp
+			}
+		}
+		return msg
+	}
+	c.proposeAll(nil)
+	c.net.RunUntilQuiet(10 * time.Minute)
+	d := c.decided[starved]
+	if d == nil {
+		t.Fatal("starved replica never completed the instance")
+	}
+	if d.Digest() != c.decided[c.members[0]].Digest() {
+		t.Fatal("starved replica decided a different superblock")
+	}
+	if !d.Bits[forgedSlot] {
+		t.Fatalf("slot %v was not selected: nothing was pulled for it", forgedSlot)
+	}
+	for slot, bit := range d.Bits {
+		if !bit {
+			continue
+		}
+		s := d.InitStmts[slot]
+		switch {
+		case slot == forgedSlot:
+			if s != nil {
+				t.Errorf("slot %v: the re-valued INIT statement was kept: %+v", slot, s)
+			}
+		case s == nil || s.Signer != slot || s.Stmt.Value != d.Proposals[slot].Digest || !s.Verify(c.signers[0]):
+			t.Errorf("slot %v: pulled proposal came without its broadcaster's INIT statement: %+v", slot, s)
+		}
+	}
+	if got := c.logs[starved].ProvenCount(); got != 0 {
+		t.Fatalf("starved replica proved %d culprits on an honest run", got)
+	}
+}
+
 func TestSBCDecisionCertificatesCoverAllSlots(t *testing.T) {
 	n := 7
 	c := buildCluster(t, n, true, latency.Uniform(2*time.Millisecond, 15*time.Millisecond), 79)
@@ -129,6 +188,7 @@ func TestContextInstanceOf(t *testing.T) {
 	msgs := []simnet.Message{
 		&ProposalReq{Context: 2, Instance: 9},
 		&ProposalResp{Context: 3, Instance: 11},
+		&bincon.DecideReq{Context: 1, Instance: 12},
 	}
 	for _, m := range msgs {
 		ctx, inst, ok := ContextInstanceOf(m)

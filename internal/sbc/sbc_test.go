@@ -35,6 +35,7 @@ type cluster struct {
 	nodes   map[types.ReplicaID]*testNode
 	signers []*crypto.Signer
 	views   map[types.ReplicaID]*committee.View
+	logs    map[types.ReplicaID]*accountability.Log
 	members []types.ReplicaID
 	// decided is written by OnDecide, which the simulator's parallel
 	// windows call from several goroutines: mu orders those writes. Tests
@@ -59,6 +60,7 @@ func buildCluster(t *testing.T, n int, accountable bool, lat latency.Model, seed
 		nodes:   make(map[types.ReplicaID]*testNode),
 		signers: signers,
 		views:   make(map[types.ReplicaID]*committee.View),
+		logs:    make(map[types.ReplicaID]*accountability.Log),
 		decided: make(map[types.ReplicaID]*Decision),
 		members: members,
 	}
@@ -69,6 +71,7 @@ func buildCluster(t *testing.T, n int, accountable bool, lat latency.Model, seed
 			view := committee.NewView(members)
 			c.views[id] = view
 			log := accountability.NewLog(signer, nil)
+			c.logs[id] = log
 			node := &testNode{}
 			node.inst = New(Config{
 				Context:     accountability.CtxMain,

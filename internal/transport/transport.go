@@ -65,6 +65,7 @@ func RegisterWireTypes() {
 	gob.Register(&bincon.Coord{})
 	gob.Register(&bincon.Aux{})
 	gob.Register(&bincon.Decide{})
+	gob.Register(&bincon.DecideReq{})
 	gob.Register(&sbc.ProposalReq{})
 	gob.Register(&sbc.ProposalResp{})
 	gob.Register(&asmr.Confirm{})
