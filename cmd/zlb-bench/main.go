@@ -34,21 +34,19 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale sweeps (slower)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	jsonDir := flag.String("json", "", "also emit machine-readable BENCH_<experiment>.json files into this directory")
-	sequential := flag.Bool("sequential", false, "fig3 only: force the commit pipeline off (A/B wall-clock comparisons)")
-	sequentialSim := flag.Bool("sequential-sim", false, "fig3 only: force the simulator's sequential event loop instead of parallel windows (A/B wall-clock comparisons; virtual-time metrics are bit-identical)")
 	nsFlag := flag.String("ns", "", "fig3 only: comma-separated committee sizes overriding the default sweep")
 	traceOut := flag.String("trace-out", "", "fig3 only: write the deterministic consensus trace (JSONL, one run header per point) to this file; analyze with tools/tracelat")
 	flag.Parse()
 
 	start := time.Now()
-	if err := run(*experiment, *full, *seed, *jsonDir, *sequential, *sequentialSim, *nsFlag, *traceOut); err != nil {
+	if err := run(*experiment, *full, *seed, *jsonDir, *nsFlag, *traceOut); err != nil {
 		fmt.Fprintf(os.Stderr, "zlb-bench: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "\n[%v elapsed]\n", time.Since(start).Round(time.Millisecond))
 }
 
-func run(experiment string, full bool, seed int64, jsonDir string, sequential, sequentialSim bool, nsFlag, traceOut string) error {
+func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, traceOut string) error {
 	// emit mirrors an experiment's points into BENCH_<name>.json when
 	// -json is set, so the perf trajectory is tracked across PRs.
 	emit := func(name string, data any) error {
@@ -81,7 +79,7 @@ func run(experiment string, full bool, seed int64, jsonDir string, sequential, s
 				ns = append(ns, v)
 			}
 		}
-		cfg := bench.Fig3Config{Ns: ns, Instances: 3, Seed: seed, Sequential: sequential, SequentialSim: sequentialSim}
+		cfg := bench.Fig3Config{Ns: ns, Instances: 3, Seed: seed}
 		if traceOut != "" {
 			f, err := os.Create(traceOut)
 			if err != nil {

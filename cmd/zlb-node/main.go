@@ -299,7 +299,9 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	}
 	wireTransport(rn.app.Metrics(), rn.node, members)
 
-	rn.replica = asmr.NewReplica(asmr.Config{
+	// The replica is built around the application: its own log lines
+	// first, then what the node binds (internal/node).
+	replicaCfg := asmr.Config{
 		Self:             cfg.Self,
 		Signer:           signers[int(cfg.Self)-1],
 		Env:              rn.node,
@@ -318,7 +320,9 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		OnMembershipChange: func(res *membership.Result) {
 			rn.log.Infof("membership change: excluded %v, included %v", res.Excluded, res.Included)
 		},
-	})
+	}
+	rn.app.Bind(&replicaCfg)
+	rn.replica = asmr.NewReplica(replicaCfg)
 	rn.app.Attach(rn.replica)
 	rn.node.SetHandler(&appHandler{rn: rn})
 
@@ -341,17 +345,14 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	return rn, nil
 }
 
-// start launches consensus. A replica whose chain was restored, from disk
-// or from its peers' stores, asks them for the instances decided since.
+// start launches consensus, once: straight away, or when the standby
+// bootstrap is over.
 func (rn *replicaNode) start() {
 	if rn.started {
 		return
 	}
 	rn.started = true
-	rn.replica.Start()
-	if rn.app.Restored() {
-		rn.replica.RequestCatchup()
-	}
+	rn.app.Start()
 }
 
 // --- Standby bootstrap (store-level catch-up) ---

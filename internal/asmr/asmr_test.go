@@ -331,36 +331,3 @@ func TestReplicaAccessors(t *testing.T) {
 		t.Fatal("pool node claims membership")
 	}
 }
-
-func TestRebindChains(t *testing.T) {
-	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, 4, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := simnet.New(simnet.Config{Latency: latency.Fixed(time.Millisecond), Seed: 33})
-	calls := []string{}
-	var r *Replica
-	net.AddNode(1, func(env simnet.Env) simnet.Handler {
-		r = NewReplica(Config{
-			Self:             1,
-			Signer:           signers[0],
-			Env:              env,
-			InitialCommittee: []types.ReplicaID{1, 2, 3, 4},
-			OnCommit: func(uint64, uint32, *sbc.Decision) {
-				calls = append(calls, "original")
-			},
-		})
-		return r
-	})
-	r.Rebind(AppBindings{
-		OnCommit: func(uint64, uint32, *sbc.Decision) {
-			calls = append(calls, "rebound")
-		},
-	})
-	// Simulate a decision through the internal path.
-	st := r.ensureInstance(1)
-	r.onDecide(st, &sbc.Decision{Instance: WireInstance(1, 0), Bits: map[types.ReplicaID]bool{}})
-	if len(calls) != 2 || calls[0] != "original" || calls[1] != "rebound" {
-		t.Fatalf("rebind chain = %v", calls)
-	}
-}

@@ -204,63 +204,6 @@ type bufferedMsg struct {
 // dropped (protocols recover via decision propagation and catch-up).
 const maxPending = 1 << 17
 
-// AppBindings are the application-facing callbacks a replica can be
-// rebound to after construction: the public zlb package layers the
-// payment application on top of replicas built by the experiment harness.
-// Nil fields keep the existing binding.
-type AppBindings struct {
-	BatchSource        func(k uint64) Batch
-	OnProposal         func(k uint64, payload []byte)
-	OnCommit           func(k uint64, attempt uint32, d *sbc.Decision)
-	OnDisagreement     func(k uint64, local, remote *sbc.Decision)
-	OnPoF              func(accountability.PoF)
-	OnMembershipChange func(*membership.Result)
-}
-
-// Rebind replaces the application callbacks. It must be called before
-// Start; later calls risk missing events already delivered.
-func (r *Replica) Rebind(b AppBindings) {
-	if b.BatchSource != nil {
-		r.cfg.BatchSource = b.BatchSource
-	}
-	if b.OnProposal != nil {
-		r.cfg.OnProposal = b.OnProposal
-	}
-	if b.OnCommit != nil {
-		prev := r.cfg.OnCommit
-		next := b.OnCommit
-		r.cfg.OnCommit = func(k uint64, attempt uint32, d *sbc.Decision) {
-			if prev != nil {
-				prev(k, attempt, d)
-			}
-			next(k, attempt, d)
-		}
-	}
-	if b.OnDisagreement != nil {
-		r.cfg.OnDisagreement = b.OnDisagreement
-	}
-	if b.OnPoF != nil {
-		prev := r.cfg.OnPoF
-		next := b.OnPoF
-		r.cfg.OnPoF = func(p accountability.PoF) {
-			if prev != nil {
-				prev(p)
-			}
-			next(p)
-		}
-	}
-	if b.OnMembershipChange != nil {
-		prev := r.cfg.OnMembershipChange
-		next := b.OnMembershipChange
-		r.cfg.OnMembershipChange = func(res *membership.Result) {
-			if prev != nil {
-				prev(res)
-			}
-			next(res)
-		}
-	}
-}
-
 // NewReplica builds a replica. Call Start to begin proposing; pool nodes
 // skip Start and wait for a JoinNotice.
 func NewReplica(cfg Config) *Replica {
@@ -290,14 +233,6 @@ func (r *Replica) View() *committee.View { return r.view }
 
 // Log exposes the accountability log (read-only use).
 func (r *Replica) Log() *accountability.Log { return r.log }
-
-// Env returns the environment the replica runs on, for the application
-// layered on it. Application callbacks (OnCommit and friends) must
-// timestamp with its clock — the per-event time — not with the global
-// simulator clock: under conservative-parallel windows the global clock
-// can sit anywhere in the window while an event runs, whereas the event
-// time is bit-identical across execution modes.
-func (r *Replica) Env() simnet.Env { return r.cfg.Env }
 
 // Epoch returns the number of completed membership changes.
 func (r *Replica) Epoch() uint64 { return r.epoch }

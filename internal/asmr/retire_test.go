@@ -27,7 +27,15 @@ const inFlight = 2
 // long enough for retirement to reach its steady state.
 func benignCluster(t *testing.T, n int, instances uint64) *harness.Cluster {
 	t.Helper()
+	return benignClusterOf(t, n, instances, nil)
+}
+
+// benignClusterOf is benignCluster with every replica built around the
+// application app returns (nil: the harness's synthetic workload).
+func benignClusterOf(t *testing.T, n int, instances uint64, app func(types.ReplicaID, simnet.Env) (harness.Application, error)) *harness.Cluster {
+	t.Helper()
 	c, err := harness.New(harness.Options{
+		App:          app,
 		N:            n,
 		Accountable:  true,
 		Recover:      true,
@@ -40,6 +48,28 @@ func benignCluster(t *testing.T, n int, instances uint64) *harness.Cluster {
 	}
 	return c
 }
+
+// fork is one conflicting decision a replica handed its application.
+type fork struct {
+	k             uint64
+	local, remote *sbc.Decision
+}
+
+// forkRecorder is an application that proposes the replica's default
+// batches and keeps the forks it is asked to merge.
+type forkRecorder struct {
+	r     *asmr.Replica
+	forks []fork
+}
+
+func (a *forkRecorder) Bind(cfg *asmr.Config) {
+	cfg.OnDisagreement = func(k uint64, local, remote *sbc.Decision) {
+		a.forks = append(a.forks, fork{k, local, remote})
+	}
+}
+func (a *forkRecorder) Attach(r *asmr.Replica) { a.r = r }
+func (a *forkRecorder) Start()                 { a.r.Start() }
+func (a *forkRecorder) Close() error           { return nil }
 
 // runUntilHeight advances the simulation until every committee member
 // has decided height instances.
@@ -255,17 +285,13 @@ func conflictingDecision(t *testing.T, c *harness.Cluster, local *sbc.Decision, 
 // is convicted, and the application gets both branches to merge — once.
 func TestLateConflictAfterRetirement(t *testing.T) {
 	const n, k = 4, 5
-	c := benignCluster(t, n, 100)
+	apps := make(map[types.ReplicaID]*forkRecorder)
+	c := benignClusterOf(t, n, 100, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
+		apps[id] = &forkRecorder{}
+		return apps[id], nil
+	})
 	victim := c.Members[n-1]
 	r := c.Replicas[victim]
-	type call struct {
-		k             uint64
-		local, remote *sbc.Decision
-	}
-	var calls []call
-	r.Rebind(asmr.AppBindings{OnDisagreement: func(k uint64, local, remote *sbc.Decision) {
-		calls = append(calls, call{k, local, remote})
-	}})
 	c.Start()
 	runUntilHeight(t, c, 100)
 	if got := r.Stats().LiveInstances; got > asmr.RetainDepth+inFlight {
@@ -283,7 +309,7 @@ func TestLateConflictAfterRetirement(t *testing.T) {
 	}
 	c.Run(c.Net.Now() + 500*time.Millisecond)
 
-	if len(calls) != 1 || calls[0].k != k || calls[0].local != local || calls[0].remote != remote {
+	if calls := apps[victim].forks; len(calls) != 1 || calls[0] != (fork{k, local, remote}) {
 		t.Fatalf("OnDisagreement calls = %+v, want exactly one with (%d, local, remote)", calls, k)
 	}
 	if !r.Disagreed(k) {

@@ -91,15 +91,6 @@ type Fig3Config struct {
 	Seed      int64
 	// Systems defaults to all four.
 	Systems []System
-	// Sequential forces the commit pipeline off (harness.Options.
-	// Sequential) — the A/B switch behind EXPERIMENTS.md's wall-clock
-	// table. Virtual-time throughput is identical either way.
-	Sequential bool
-	// SequentialSim forces the simulator's sequential event loop instead
-	// of conservative parallel windows (harness.Options.SequentialSim) —
-	// the A/B switch for the parallel-simnet wall-clock table. All
-	// virtual-time metrics are identical either way.
-	SequentialSim bool
 	// TraceSink, when set, receives one obs run-header line followed by
 	// the merged deterministic event stream (JSONL) for every ZLB-stack
 	// point (HotStuff has no instrumented consensus stack and emits
@@ -124,7 +115,7 @@ func RunFig3(cfg Fig3Config) ([]Fig3Point, error) {
 	var out []Fig3Point
 	for _, n := range cfg.Ns {
 		for _, sys := range systems {
-			p, err := runFig3Point(sys, n, cfg.Instances, cfg.Seed, cfg.Sequential, cfg.SequentialSim, cfg.TraceSink)
+			p, err := runFig3Point(sys, n, cfg.Instances, cfg.Seed, cfg.TraceSink)
 			if err != nil {
 				return nil, fmt.Errorf("fig3 %s n=%d: %w", sys, n, err)
 			}
@@ -165,13 +156,11 @@ func ZLBFig3Options(n int, instances uint64, seed int64) harness.Options {
 	}
 }
 
-func runFig3Point(sys System, n int, instances uint64, seed int64, sequential, sequentialSim bool, traceSink io.Writer) (Fig3Point, error) {
+func runFig3Point(sys System, n int, instances uint64, seed int64, traceSink io.Writer) (Fig3Point, error) {
 	if sys == SystemHotStuff {
-		return runFig3HotStuff(n, instances, seed, sequentialSim)
+		return runFig3HotStuff(n, instances, seed)
 	}
 	opts := ZLBFig3Options(n, instances, seed)
-	opts.Sequential = sequential
-	opts.SequentialSim = sequentialSim
 	var tracer *obs.Tracer
 	if traceSink != nil {
 		tracer = obs.NewTracer()
@@ -258,7 +247,7 @@ func commitGapPercentiles(ats []time.Duration) (p50, p99 float64) {
 	return ms(load.Percentile(gaps, 0.50)), ms(load.Percentile(gaps, 0.99))
 }
 
-func runFig3HotStuff(n int, instances uint64, seed int64, sequentialSim bool) (Fig3Point, error) {
+func runFig3HotStuff(n int, instances uint64, seed int64) (Fig3Point, error) {
 	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, n, seed)
 	if err != nil {
 		return Fig3Point{}, err
@@ -268,10 +257,9 @@ func runFig3HotStuff(n int, instances uint64, seed int64, sequentialSim bool) (F
 		members[i] = types.ReplicaID(i + 1)
 	}
 	net := simnet.New(simnet.Config{
-		Latency:       latency.NewAWSMatrix(),
-		Cost:          costModel(1),
-		Seed:          seed,
-		SequentialSim: sequentialSim,
+		Latency: latency.NewAWSMatrix(),
+		Cost:    costModel(1),
+		Seed:    seed,
 	})
 	replicas := make(map[types.ReplicaID]*hotstuff.Replica, n)
 	type commitRec struct {

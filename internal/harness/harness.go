@@ -8,23 +8,19 @@ package harness
 import (
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/asmr"
-	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/membership"
-	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
-	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -79,12 +75,13 @@ type Options struct {
 	AggregateCerts bool
 	// CoordTimeout overrides the binary consensus coordinator timeout.
 	CoordTimeout func(types.Round) time.Duration
-	// DataDir, when set, gives every replica a durable block store
-	// (internal/store) at <DataDir>/r<id>: commits and merges write
-	// through as digest-only records, and RestartFromDisk can
-	// crash-restart a replica from its persisted chain. Empty keeps the
-	// cluster fully in-memory.
-	DataDir string
+	// App builds the application each replica runs — the parameter ASMR
+	// takes in the paper: what proposes, and what a commit or a fork
+	// merge becomes. It is called with the replica's ID and environment
+	// while the replica is built, and again on every Restart. Nil is the
+	// synthetic workload of the experiments: tagged 32-byte batches of
+	// claimed size, no state beyond the chain coordinates in Commits.
+	App func(id types.ReplicaID, env simnet.Env) (Application, error)
 	// Sequential forces the commit pipeline off: every signature and
 	// certificate verifies inline on the event loop, with no worker pool,
 	// no speculation and no shared verdicts. All virtual-time metrics and
@@ -101,6 +98,24 @@ type Options struct {
 	// merged stream is bit-identical across Sequential/SequentialSim
 	// modes. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
+}
+
+// Application is what a replica is built around. The payment node
+// (internal/node) is one; the synthetic workload is the harness's own.
+type Application interface {
+	// Bind adds the application's callbacks to the replica configuration
+	// under construction. The harness composes its recorders in front of
+	// them and binds a deceitful proposer's attack payload to whatever
+	// the batch source returns.
+	Bind(cfg *asmr.Config)
+	// Attach hands over the replica built from that configuration, before
+	// it starts: an application that recovered a chain restores it here.
+	Attach(r *asmr.Replica)
+	// Start launches the attached replica, and its catch-up when a chain
+	// was restored.
+	Start()
+	// Close releases what the application holds; a crash calls it.
+	Close() error
 }
 
 // Commit records one replica's commit of one instance.
@@ -120,10 +135,8 @@ type Cluster struct {
 	Coalition *adversary.Coalition
 	Replicas  map[types.ReplicaID]*asmr.Replica
 	Signers   map[types.ReplicaID]*crypto.Signer
-	// Adversaries holds each deceitful replica's live attack wiring, so
-	// application layers that rebind BatchSource can re-bind attack
-	// payloads too.
-	Adversaries map[types.ReplicaID]*sbc.Adversary
+	// apps holds each replica's application, for Start, Crash and Restart.
+	apps map[types.ReplicaID]Application
 
 	// Commits[id][k] is the decision replica id committed for instance k.
 	Commits map[types.ReplicaID]map[uint64]*Commit
@@ -134,9 +147,6 @@ type Cluster struct {
 	// JoinVerified records when an included pool node finished verifying
 	// its catch-up (for the Fig. 5 catch-up series).
 	JoinVerified map[types.ReplicaID]time.Duration
-	// Stores holds each replica's durable block store when Options.DataDir
-	// is set (nil entries otherwise).
-	Stores map[types.ReplicaID]*store.Store
 	// Certs is the cluster's shared pipeline verifier: one certificate
 	// verdict cache for all replicas, fanning signature checks out over
 	// the process-wide worker pool (nil when Options.Sequential).
@@ -146,17 +156,11 @@ type Cluster struct {
 	Intern *rbc.Intern
 	// mu guards the callback-written cluster maps that are not strictly
 	// per-replica (ChangeResults, JoinVerified, the lazy outer map of
-	// slotOutcomes, storeErr): with the parallel simulator, callbacks of
+	// slotOutcomes): with the parallel simulator, callbacks of
 	// different replicas run concurrently inside a window. Values are
 	// still deterministic — per-replica entries are disjoint — the lock
 	// only serializes map internals.
 	mu sync.Mutex
-	// storeErr records the first persistence failure; Run-level callers
-	// surface it through StoreErr.
-	storeErr error
-	// TxCommitted accumulates claimed transactions committed (first honest
-	// replica's view).
-	TxCommitted int
 	// slotOutcomes[id][k][slot] is the first per-slot binary decision at
 	// replica id: the granularity Fig. 4 counts disagreements at.
 	slotOutcomes map[types.ReplicaID]map[uint64]map[types.ReplicaID]slotOutcome
@@ -226,12 +230,11 @@ func New(opts Options) (*Cluster, error) {
 		Coalition:     coalition,
 		Replicas:      make(map[types.ReplicaID]*asmr.Replica, total),
 		Signers:       make(map[types.ReplicaID]*crypto.Signer, total),
-		Adversaries:   make(map[types.ReplicaID]*sbc.Adversary),
+		apps:          make(map[types.ReplicaID]Application, total),
 		Commits:       make(map[types.ReplicaID]map[uint64]*Commit),
 		Finals:        make(map[types.ReplicaID]map[uint64]time.Duration),
 		ChangeResults: make(map[types.ReplicaID][]*membership.Result),
 		JoinVerified:  make(map[types.ReplicaID]time.Duration),
-		Stores:        make(map[types.ReplicaID]*store.Store),
 		slotOutcomes:  make(map[types.ReplicaID]map[uint64]map[types.ReplicaID]slotOutcome),
 	}
 	c.Net = simnet.New(simnet.Config{Latency: model, Cost: opts.Cost, Seed: opts.Seed, SequentialSim: opts.SequentialSim})
@@ -242,25 +245,16 @@ func New(opts Options) (*Cluster, error) {
 
 	all := append(append([]types.ReplicaID{}, members...), pool...)
 	for i, id := range all {
-		id := id
-		signer := signers[i]
-		c.Signers[id] = signer
+		c.Signers[id] = signers[i]
 		c.Commits[id] = make(map[uint64]*Commit)
 		c.Finals[id] = make(map[uint64]time.Duration)
 		// Pre-size the per-replica outcome maps so callbacks only ever
 		// write per-replica inner maps (no lazy outer-map writes from
 		// concurrently executing window batches).
 		c.slotOutcomes[id] = make(map[uint64]map[types.ReplicaID]slotOutcome)
-		if opts.DataDir != "" {
-			st, err := store.Open(c.storeDir(id), store.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("harness: %w", err)
-			}
-			c.Stores[id] = st
+		if err := c.install(c.Net.AddNode, id); err != nil {
+			return nil, err
 		}
-		c.Net.AddNode(id, func(env simnet.Env) simnet.Handler {
-			return c.buildReplica(id, signer, env)
-		})
 	}
 
 	// Benign replicas crash: the last q honest committee members.
@@ -271,14 +265,34 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) buildReplica(id types.ReplicaID, signer *crypto.Signer, env simnet.Env) *asmr.Replica {
-	adv := c.Coalition.SBCAdversary(id)
-	if adv != nil {
-		c.Adversaries[id] = adv
+// install registers replica id on the network — AddNode at New,
+// ReplaceHandler at Restart — as the replica buildReplica returns.
+func (c *Cluster) install(register func(types.ReplicaID, func(simnet.Env) simnet.Handler), id types.ReplicaID) error {
+	var err error
+	register(id, func(env simnet.Env) simnet.Handler {
+		var r *asmr.Replica
+		r, err = c.buildReplica(id, env)
+		return r
+	})
+	return err
+}
+
+// buildReplica assembles one replica around its application — the one
+// way a replica is put together, at New and at every Restart: the
+// application binds its callbacks into the configuration, the harness
+// puts its recorders in front of them, and the replica is built once.
+func (c *Cluster) buildReplica(id types.ReplicaID, env simnet.Env) (*asmr.Replica, error) {
+	var app Application = &synthetic{c: c, id: id}
+	if c.Opts.App != nil {
+		var err error
+		if app, err = c.Opts.App(id, env); err != nil {
+			return nil, fmt.Errorf("harness: application of replica %v: %w", id, err)
+		}
 	}
+	adv := c.Coalition.SBCAdversary(id)
 	cfg := asmr.Config{
 		Self:               id,
-		Signer:             signer,
+		Signer:             c.Signers[id],
 		Env:                env,
 		InitialCommittee:   c.Members,
 		PoolCandidates:     c.PoolIDs,
@@ -295,27 +309,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, signer *crypto.Signer, env si
 		Certs:              c.Certs,
 		Intern:             c.Intern,
 		Tracer:             c.Opts.Tracer.Node(id),
-		BatchSource: func(k uint64) asmr.Batch {
-			return c.batchFor(id, adv, k)
-		},
-		OnCommit: func(k uint64, attempt uint32, d *sbc.Decision) {
-			c.Commits[id][k] = &Commit{K: k, Attempt: attempt, Decision: d, At: env.Now()}
-			if st := c.Stores[id]; st != nil {
-				// Digest-only persistence: the synthetic workload has no
-				// transaction bodies, and the chain digest is what the
-				// crash-recovery scenario verifies.
-				if err := st.AppendBlock(&bm.Block{K: k, Digest: d.Digest()}, attempt); err != nil {
-					c.recordStoreErr(err)
-				}
-			}
-		},
-		OnDisagreement: func(k uint64, _, remote *sbc.Decision) {
-			if st := c.Stores[id]; st != nil {
-				if err := st.AppendMerge(&bm.Block{K: k, Digest: remote.Digest()}, uint32(0)); err != nil {
-					c.recordStoreErr(err)
-				}
-			}
-		},
 		OnSlotDecide: func(k uint64, _ uint32, slot types.ReplicaID, value bool, digest types.Digest) {
 			byK := c.slotOutcomes[id]
 			bySlot, ok := byK[k]
@@ -330,117 +323,118 @@ func (c *Cluster) buildReplica(id types.ReplicaID, signer *crypto.Signer, env si
 		OnFinal: func(k uint64, _ types.Digest) {
 			c.Finals[id][k] = env.Now()
 		},
-		OnMembershipChange: func(res *membership.Result) {
-			c.mu.Lock()
-			c.ChangeResults[id] = append(c.ChangeResults[id], res)
-			c.mu.Unlock()
-		},
 		OnJoined: func(uint64, []types.ReplicaID) {
 			c.mu.Lock()
 			c.JoinVerified[id] = env.Now()
 			c.mu.Unlock()
 		},
 	}
+	app.Bind(&cfg)
+	// What the harness shares with the application: its recorders run
+	// first (the metrics read a commit the application is still applying),
+	// and the reliable broadcast attack forks whatever batch was proposed.
+	propose, commit, changed := cfg.BatchSource, cfg.OnCommit, cfg.OnMembershipChange
+	if adv != nil && c.Coalition.Attack == adversary.AttackRBCast {
+		cfg.BatchSource = func(k uint64) asmr.Batch {
+			batch := propose(k)
+			if len(batch.Payload) > 0 {
+				c.Coalition.BindRBCastPayload(id, adv, batch.Payload)
+			}
+			return batch
+		}
+	}
+	cfg.OnCommit = func(k uint64, attempt uint32, d *sbc.Decision) {
+		c.Commits[id][k] = &Commit{K: k, Attempt: attempt, Decision: d, At: env.Now()}
+		if commit != nil {
+			commit(k, attempt, d)
+		}
+	}
+	cfg.OnMembershipChange = func(res *membership.Result) {
+		c.mu.Lock()
+		c.ChangeResults[id] = append(c.ChangeResults[id], res)
+		c.mu.Unlock()
+		if changed != nil {
+			changed(res)
+		}
+	}
 	r := asmr.NewReplica(cfg)
-	c.Replicas[id] = r
-	return r
+	app.Attach(r)
+	c.Replicas[id], c.apps[id] = r, app
+	return r, nil
 }
 
-// batchFor builds the synthetic batch for (replica, instance) and binds
-// the attack payload when the replica is deceitful.
-func (c *Cluster) batchFor(id types.ReplicaID, adv *sbc.Adversary, k uint64) asmr.Batch {
+// synthetic is the application of the experiments: it proposes a tagged
+// batch of the claimed size and keeps nothing. Its chain is what the
+// harness recorded in Commits, which is what a restarted replica restores.
+type synthetic struct {
+	c  *Cluster
+	id types.ReplicaID
+	r  *asmr.Replica
+}
+
+func (s *synthetic) Bind(cfg *asmr.Config) { cfg.BatchSource = s.propose }
+
+func (s *synthetic) propose(k uint64) asmr.Batch {
 	payload := make([]byte, 32)
-	binary.BigEndian.PutUint32(payload[0:], uint32(id))
+	binary.BigEndian.PutUint32(payload[0:], uint32(s.id))
 	binary.BigEndian.PutUint64(payload[4:], k)
 	copy(payload[12:], "batch-payload-tag")
-	if adv != nil && c.Coalition.Attack == adversary.AttackRBCast {
-		c.Coalition.BindRBCastPayload(id, adv, payload)
-	}
 	return asmr.Batch{
 		Payload:      payload,
-		ClaimedBytes: c.Opts.BatchBytes,
-		ClaimedSigs:  c.Opts.BatchTxs,
+		ClaimedBytes: s.c.Opts.BatchBytes,
+		ClaimedSigs:  s.c.Opts.BatchTxs,
 	}
 }
+
+func (s *synthetic) Attach(r *asmr.Replica) {
+	s.r = r
+	blocks := make([]asmr.RestoredBlock, 0, len(s.c.Commits[s.id]))
+	for _, commit := range s.c.Commits[s.id] {
+		blocks = append(blocks, asmr.RestoredBlock{K: commit.K, Attempt: commit.Attempt, Digest: commit.Decision.Digest()})
+	}
+	r.Restore(blocks)
+}
+
+func (s *synthetic) Start() {
+	s.r.Start()
+	if s.r.CommittedCount() > 0 {
+		s.r.RequestCatchup()
+	}
+}
+
+func (s *synthetic) Close() error { return nil }
 
 // Start launches every committee member.
 func (c *Cluster) Start() {
 	for _, id := range c.Members {
-		c.Replicas[id].Start()
+		c.apps[id].Start()
 	}
 }
-
-// storeDir is the per-replica data directory under Options.DataDir.
-func (c *Cluster) storeDir(id types.ReplicaID) string {
-	return filepath.Join(c.Opts.DataDir, fmt.Sprintf("r%d", id))
-}
-
-// recordStoreErr remembers the first persistence failure (callbacks of
-// different replicas may race inside a parallel window).
-func (c *Cluster) recordStoreErr(err error) {
-	c.mu.Lock()
-	if c.storeErr == nil {
-		c.storeErr = err
-	}
-	c.mu.Unlock()
-}
-
-// StoreErr returns the first persistence failure, if any.
-func (c *Cluster) StoreErr() error { return c.storeErr }
 
 // Exhausted reports whether the simulator stopped on its MaxEvents budget
 // — a truncated run whose metrics must not be reported as results.
 func (c *Cluster) Exhausted() bool { return c.Net.Exhausted }
 
-// CloseStores flushes and closes every replica store.
-func (c *Cluster) CloseStores() error {
-	var first error
-	for _, id := range c.Net.NodeIDs() {
-		if st := c.Stores[id]; st != nil {
-			if err := st.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// CrashToDisk crashes a replica: it drops off the network and its store
-// is closed, exactly the state a killed process leaves behind. Pair with
-// RestartFromDisk.
-func (c *Cluster) CrashToDisk(id types.ReplicaID) error {
+// Crash kills a replica: it drops off the network and its application is
+// closed, the state a killed process leaves behind. Pair with Restart.
+func (c *Cluster) Crash(id types.ReplicaID) error {
 	c.Net.SetUp(id, false)
-	st := c.Stores[id]
-	if st == nil {
-		return fmt.Errorf("harness: replica %v has no store (set Options.DataDir)", id)
-	}
-	return st.Close()
+	return c.apps[id].Close()
 }
 
-// RestartFromDisk restarts a crashed replica as a fresh process: the old
+// Restart brings a crashed replica back as a fresh process: the old
 // in-memory protocol state is discarded (simnet.ReplaceHandler), the
-// persisted chain is recovered from its data directory, and the new
-// incarnation rejoins the network, resumes at its next instance, and
-// requests certificate-verified catch-up for everything decided while it
-// was down.
-func (c *Cluster) RestartFromDisk(id types.ReplicaID) error {
-	if c.Stores[id] == nil {
-		return fmt.Errorf("harness: replica %v has no store (set Options.DataDir)", id)
+// replica is built again around a new application, which recovers what
+// the old one left behind, and the new incarnation rejoins the network,
+// resumes at its next instance and requests certificate-verified catch-up
+// for everything decided while it was down. A replica whose application
+// does not come back stays down.
+func (c *Cluster) Restart(id types.ReplicaID) error {
+	if err := c.install(c.Net.ReplaceHandler, id); err != nil {
+		return err
 	}
-	st, err := store.Open(c.storeDir(id), store.Options{})
-	if err != nil {
-		return fmt.Errorf("harness: reopening store of %v: %w", id, err)
-	}
-	c.Stores[id] = st
-	signer := c.Signers[id]
-	c.Net.ReplaceHandler(id, func(env simnet.Env) simnet.Handler {
-		return c.buildReplica(id, signer, env)
-	})
-	r := c.Replicas[id] // buildReplica re-registered the fresh replica
-	r.Restore(node.RestoredBlocks(st))
 	c.Net.SetUp(id, true)
-	r.Start()
-	r.RequestCatchup()
+	c.apps[id].Start()
 	return nil
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // TestCrashRestartFromDiskCatchesUp is the harness half of the
-// crash-recovery arc: a replica is killed mid-run (its store closed like
-// a dead process's file descriptors), the cluster keeps committing
-// without it, and the restarted incarnation recovers its chain from disk
-// and catches the tail up via certificate-verified CatchupResp — ending
-// in full digest agreement with the honest chain.
+// crash-recovery arc: a replica is killed mid-run (its protocol state
+// gone), the cluster keeps committing without it, and the restarted
+// incarnation restores the chain it had committed — all the synthetic
+// workload keeps — and catches the tail up via certificate-verified
+// CatchupResp, ending in full digest agreement with the honest chain.
 func TestCrashRestartFromDiskCatchesUp(t *testing.T) {
 	victim := types.ReplicaID(7)
 	c, err := New(Options{
@@ -24,18 +24,16 @@ func TestCrashRestartFromDiskCatchesUp(t *testing.T) {
 		BaseLatency:  latency.Uniform(5*time.Millisecond, 25*time.Millisecond),
 		CoordTimeout: fastCoordTimeout,
 		Seed:         3,
-		DataDir:      t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.CloseStores()
 	c.ExcludeFromMetrics(victim)
 	c.Start()
 
 	// Let some instances commit, then kill the victim mid-load.
 	c.Run(2 * time.Second)
-	if err := c.CrashToDisk(victim); err != nil {
+	if err := c.Crash(victim); err != nil {
 		t.Fatal(err)
 	}
 	beforeCrash := len(c.Commits[victim])
@@ -43,18 +41,15 @@ func TestCrashRestartFromDiskCatchesUp(t *testing.T) {
 		t.Fatal("victim committed nothing before the crash; test needs a longer warmup")
 	}
 	c.Run(6 * time.Second)
-	if err := c.RestartFromDisk(victim); err != nil {
+	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
-	// The fresh incarnation must have restored its persisted chain.
+	// The fresh incarnation must have restored the chain of the old one.
 	if got := c.Replicas[victim].CommittedCount(); got < beforeCrash {
-		t.Fatalf("restored %d instances, want ≥ %d from disk", got, beforeCrash)
+		t.Fatalf("restored %d instances, want ≥ %d", got, beforeCrash)
 	}
 	c.RunUntilQuiet(20 * time.Minute)
 
-	if err := c.StoreErr(); err != nil {
-		t.Fatalf("persistence error: %v", err)
-	}
 	match, have, want := c.ChainAgreement(victim)
 	if !match {
 		t.Fatalf("restarted replica agrees on %d/%d instances", have, want)

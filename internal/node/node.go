@@ -1,14 +1,14 @@
 // Package node is the payment-replica runtime: the one place where a
 // decided superblock becomes ledger, store and mempool state (§4.1 ⑤ of
 // the paper; the blockchain manager of Red Belly). A Node owns a
-// replica's mempool, ledger and optional durable store, hands
-// asmr.Replica its application bindings — batch source, speculative
-// pre-validation, commit, fork merge — runs the store's open, recover and
-// Restore sequence, and produces the node's metric series and status
-// objects. The simulated cluster (package zlb) and the TCP binary
-// (cmd/zlb-node) are shells over it: they differ in the simnet.Env the
-// node runs on, the batch cache it is given, how genesis is seeded, and
-// what their observers do with a commit.
+// replica's mempool, ledger and optional durable store, binds itself
+// into the configuration its replica is built from — batch source,
+// speculative pre-validation, commit, fork merge — runs the store's open,
+// recover, Restore and catch-up sequence, and produces the node's metric
+// series and status objects. The simulated cluster (package zlb) and the
+// TCP binary (cmd/zlb-node) are shells over it: they differ in the
+// simnet.Env the node runs on, the batch cache it is given, how genesis
+// is seeded, and what their observers do with a commit.
 package node
 
 import (
@@ -146,27 +146,57 @@ func (n *Node) Reseed() {
 	n.opts.Genesis(n.ledger)
 }
 
-// Attach binds the node to its replica, before the replica starts: the
-// application callbacks, after any the replica was built with, and the
-// instances a recovered chain already decided.
-func (n *Node) Attach(r *asmr.Replica) {
-	n.replica = r
-	r.Rebind(asmr.AppBindings{
-		BatchSource:        n.Propose,
-		OnProposal:         n.Prevalidate,
-		OnCommit:           n.Commit,
-		OnDisagreement:     n.Merge,
-		OnPoF:              func(accountability.PoF) { n.update(func(s *Status) { s.ProvenCulprits++ }) },
-		OnMembershipChange: func(res *membership.Result) { n.update(func(s *Status) { s.Epoch = int64(res.Epoch) }) },
+// Bind adds the node to a replica configuration under construction: it
+// is the batch source, the proposal, commit and fork-merge callbacks, and
+// it counts proofs of fraud and membership changes after whatever
+// observers the configuration already has.
+func (n *Node) Bind(cfg *asmr.Config) {
+	cfg.BatchSource = n.Propose
+	cfg.OnProposal = n.Prevalidate
+	cfg.OnCommit = n.Commit
+	cfg.OnDisagreement = n.Merge
+	cfg.OnPoF = after(cfg.OnPoF, func(accountability.PoF) {
+		n.update(func(s *Status) { s.ProvenCulprits++ })
 	})
-	if n.restored {
-		r.Restore(RestoredBlocks(n.store))
+	cfg.OnMembershipChange = after(cfg.OnMembershipChange, func(res *membership.Result) {
+		n.update(func(s *Status) { s.Epoch = int64(res.Epoch) })
+	})
+}
+
+// after returns the observer that runs first, when there is one, and then
+// next.
+func after[T any](first, next func(T)) func(T) {
+	if first == nil {
+		return next
+	}
+	return func(v T) {
+		first(v)
+		next(v)
 	}
 }
 
-// RestoredBlocks lists the coordinates of every block a store holds, in
+// Attach gives the node the replica built from the configuration it was
+// bound to, before that replica starts, and restores into it the
+// instances a recovered chain already decided.
+func (n *Node) Attach(r *asmr.Replica) {
+	n.replica = r
+	if n.restored {
+		r.Restore(restoredBlocks(n.store))
+	}
+}
+
+// Start launches consensus. A replica whose chain was restored, from disk
+// or from its peers' stores, asks them for the instances decided since.
+func (n *Node) Start() {
+	n.replica.Start()
+	if n.restored {
+		n.replica.RequestCatchup()
+	}
+}
+
+// restoredBlocks lists the coordinates of every block a store holds, in
 // the form asmr.Replica.Restore takes.
-func RestoredBlocks(st *store.Store) []asmr.RestoredBlock {
+func restoredBlocks(st *store.Store) []asmr.RestoredBlock {
 	recs := st.BlockRecords()
 	out := make([]asmr.RestoredBlock, len(recs))
 	for i, rec := range recs {
@@ -248,8 +278,18 @@ func (n *Node) Commit(k uint64, attempt uint32, d *sbc.Decision) {
 // Merge reconciles a fork at k (phase ⑤): the conflicting branch's
 // transactions are merged into the ledger rather than discarded, the
 // merge is persisted, and what it carried leaves the mempool.
-func (n *Node) Merge(k uint64, _, remote *sbc.Decision) {
+//
+// A restored instance has no local decision to tell the branches apart by
+// (the store keeps the ledger digest, asmr compares decision digests), so
+// an agreeing peer's block can arrive here as "remote": when it is the
+// block the ledger already holds at k there is no fork and nothing to do.
+func (n *Node) Merge(k uint64, local, remote *sbc.Decision) {
 	block := n.blockFrom(k, remote)
+	if local == nil {
+		if held, ok := n.ledger.BlockAt(k); ok && held.Digest == block.Digest {
+			return
+		}
+	}
 	merged := n.ledger.MergeBlock(block)
 	n.persist(block, 0, true)
 	n.pool.Prune(block.Txs)
@@ -339,7 +379,7 @@ func (n *Node) InstallSync(resp *wire.SyncResp) error {
 	ledger, err := store.InstallSync(n.store, n.opts.Scheme, resp, n.opts.Genesis)
 	if err == nil {
 		n.adopt(ledger)
-		n.replica.Restore(RestoredBlocks(n.store))
+		n.replica.Restore(restoredBlocks(n.store))
 		return nil
 	}
 	n.store.Close()

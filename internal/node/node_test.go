@@ -223,8 +223,53 @@ func TestRecoversPersistedChain(t *testing.T) {
 	if got := g.Ledger().Table().Balance(g.faucet.wallet.Address()); got != balance {
 		t.Errorf("recovered faucet balance %d, want %d", got, balance)
 	}
-	if got := len(RestoredBlocks(g.store)); got != 3 {
+	if got := len(restoredBlocks(g.store)); got != 3 {
 		t.Errorf("%d block records to restore, want 3", got)
+	}
+}
+
+// TestRestoredBranchIsNotMerged hands a restarted node, as the "remote"
+// branch of an instance it restored, the decision it committed before the
+// restart — what an agreeing peer's late Confirm leads to, since a
+// restored instance keeps the ledger digest and not the decision's (see
+// ROADMAP item 3). That is no fork: nothing is merged, written or
+// reported. A branch that does differ still merges.
+func TestRestoredBranchIsNotMerged(t *testing.T) {
+	durable := func(dir string) func(*Options) {
+		return func(o *Options) { o.DataDir = dir }
+	}
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(t.TempDir()))
+	committed := decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))})
+	f.Commit(1, 0, committed)
+	other := decide(1, map[types.ReplicaID][]byte{2: encode(t, f.faucet.pay(2))})
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	merges := 0
+	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) {
+		durable(f.opts.DataDir)(o)
+		o.OnMerged = func(uint64, int) { merges++ }
+	})
+	signers, _, err := crypto.GenerateCluster(crypto.SchemeEd25519, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: g.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true})
+	g.Attach(r)
+	if _, restored := r.Committed(1); !restored {
+		t.Fatal("the replica did not restore instance 1")
+	}
+
+	g.Merge(1, nil, committed)
+	if st := g.Status(); st.BlocksMerged != 0 || merges != 0 || len(g.store.Tail()) != 1 {
+		t.Fatalf("merging the branch the node holds: %d blocks merged, %d reported, %d store records; want 0, 0 and 1",
+			st.BlocksMerged, merges, len(g.store.Tail()))
+	}
+	g.Merge(1, nil, other)
+	if st := g.Status(); st.BlocksMerged != 1 || merges != 1 || len(g.store.Tail()) != 2 {
+		t.Fatalf("merging a branch that differs: %d blocks merged, %d reported, %d store records; want 1, 1 and 2",
+			st.BlocksMerged, merges, len(g.store.Tail()))
 	}
 }
 

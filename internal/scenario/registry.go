@@ -59,8 +59,8 @@ var builders = []Builder{
 	},
 	{
 		Name: "crash-recover-catchup",
-		Description: "a replica is killed mid-load, restarts from its durable " +
-			"store and catches up to the honest chain digest",
+		Description: "a replica is killed mid-load, restarts on the chain it " +
+			"had committed and catches up to the honest chain digest",
 		Build: buildCrashRecoverCatchup,
 	},
 }
@@ -281,10 +281,11 @@ func buildPartitionThenHeal(n int, seed int64) Scenario {
 }
 
 // buildCrashRecoverCatchup kills the highest-ID replica mid-load —
-// process down, in-memory consensus state gone — and restarts it from
-// its durable block store (internal/store) one phase later: the
-// recovered incarnation restores its persisted chain, rejoins, and pulls
-// the instances it missed through certificate-verified catch-up. The
+// process down, in-memory consensus state gone — and restarts it one
+// phase later: the new incarnation restores the chain it had committed
+// (the synthetic workload's whole state, harness.Cluster.Restart),
+// rejoins, and pulls the instances it missed through
+// certificate-verified catch-up. The
 // golden pins that it ends in full digest agreement with the honest
 // chain and that the recovery produces zero disagreements.
 func buildCrashRecoverCatchup(n int, seed int64) Scenario {
@@ -296,7 +297,6 @@ func buildCrashRecoverCatchup(n int, seed int64) Scenario {
 	return Scenario{
 		Name:         "crash-recover-catchup",
 		Opts:         opts,
-		NeedsDataDir: true,
 		VerifyChains: []types.ReplicaID{victim},
 		Phases: []Phase{
 			{Name: "warmup", Duration: 6 * time.Second},

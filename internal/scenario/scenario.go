@@ -24,7 +24,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -66,10 +65,6 @@ type Scenario struct {
 	// the event queue until quiet (bounded by Drain extra virtual time),
 	// so in-flight recoveries can complete.
 	Drain time.Duration
-	// NeedsDataDir gives every replica a durable block store: Run
-	// provisions a temporary data directory (removed afterwards) when
-	// Opts.DataDir is empty. Campaigns using CrashRestart require it.
-	NeedsDataDir bool
 	// VerifyChains lists replicas whose final decided chain is compared
 	// digest-for-digest against the first honest replica's; the outcome
 	// lands in Result.Recovered (and the campaign's golden).
@@ -86,7 +81,7 @@ type Runtime struct {
 	drops  []stackedRule[func(from, to types.ReplicaID, msg simnet.Message) bool]
 	delays []stackedRule[func(from, to types.ReplicaID, msg simnet.Message) time.Duration]
 	// err records the first fault-application failure (e.g. a restart
-	// whose store cannot be reopened); Run surfaces it.
+	// whose application does not come back); Run surfaces it.
 	err error
 }
 
@@ -218,11 +213,10 @@ func (f *Sleep) Revert(rt *Runtime) {
 }
 
 // CrashRestart kills replicas at phase start — process down, in-memory
-// consensus state lost, store closed like a dead process's descriptors —
-// and restarts them from their on-disk stores at phase end. The
-// restarted incarnation recovers its persisted chain, rejoins, and
-// requests certificate-verified catch-up for everything it missed. The
-// enclosing scenario must set NeedsDataDir.
+// consensus state lost, application closed like a dead process's
+// descriptors — and restarts them at phase end. The restarted
+// incarnation restores the chain its application recovers, rejoins, and
+// requests certificate-verified catch-up for everything it missed.
 type CrashRestart struct {
 	IDs []types.ReplicaID
 }
@@ -235,14 +229,14 @@ func (f *CrashRestart) MetricExclusions() []types.ReplicaID { return f.IDs }
 func (f *CrashRestart) Apply(rt *Runtime) {
 	rt.Cluster.ExcludeFromMetrics(f.IDs...)
 	for _, id := range f.IDs {
-		rt.fail(rt.Cluster.CrashToDisk(id))
+		rt.fail(rt.Cluster.Crash(id))
 	}
 }
 
 // Revert implements Fault: the phase boundary is the restart.
 func (f *CrashRestart) Revert(rt *Runtime) {
 	for _, id := range f.IDs {
-		rt.fail(rt.Cluster.RestartFromDisk(id))
+		rt.fail(rt.Cluster.Restart(id))
 	}
 }
 
@@ -392,19 +386,10 @@ type Result struct {
 
 // Run executes the scenario and returns its per-phase metrics.
 func Run(s Scenario) (*Result, error) {
-	if s.NeedsDataDir && s.Opts.DataDir == "" {
-		dir, err := os.MkdirTemp("", "zlb-scenario-")
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		defer os.RemoveAll(dir)
-		s.Opts.DataDir = dir
-	}
 	c, err := harness.New(s.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	defer c.CloseStores()
 	rt := NewRuntime(c)
 	// Exclude every replica any phase will crash or sleep before the
 	// first snapshot: the honest metric set stays constant for the whole
@@ -443,9 +428,6 @@ func Run(s Scenario) (*Result, error) {
 	}
 	if rt.err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, rt.err)
-	}
-	if err := c.StoreErr(); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if c.Exhausted() {
 		return nil, fmt.Errorf("scenario %s: simulator exhausted its MaxEvents budget mid-run; metrics would come from a truncated simulation", s.Name)

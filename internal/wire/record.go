@@ -101,8 +101,7 @@ func DecodeRecord(buf []byte) (kind RecordKind, payload, rest []byte, err error)
 
 // BlockRecord is the payload of a RecordBlock / RecordSupersede frame: a
 // decided block with the consensus coordinates needed to resume after a
-// restart. Txs may be empty — the metrics harness persists digest-only
-// records for synthetic (non-payment) workloads.
+// restart. Txs may be empty.
 type BlockRecord struct {
 	K       uint64
 	Attempt uint32

@@ -1,6 +1,7 @@
 package zlb_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -125,6 +126,113 @@ func TestNewClusterRefusesUsedDataDir(t *testing.T) {
 	}
 }
 
+// restartOutcome is what TestClusterRestartRecoversFromStore compares
+// across simulator modes.
+type restartOutcome struct {
+	digests  map[uint64]zlb.Digest
+	balances [3]zlb.Amount
+}
+
+// runRestartScenario crashes replica 4 of a durable four-replica payment
+// cluster between rounds of payments and restarts it on its directory:
+// the sequence a deployed node runs — recover the chain, restore the
+// instances, catch up, commit further blocks onto the recovered ledger.
+func runRestartScenario(t *testing.T, sequentialSim bool) restartOutcome {
+	t.Helper()
+	const victim = zlb.ReplicaID(4)
+	cfg := zlb.Config{N: 4, Seed: 11, WalletCount: 3, DataDir: t.TempDir(), CheckpointEvery: 2, SequentialSim: sequentialSim}
+	c, err := zlb.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws [3]*zlb.Wallet
+	for i := range ws {
+		if ws[i], err = c.WalletFor(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// payRound has every wallet pay the next one and runs the cluster
+	// until the payments have committed.
+	payRound := func(amount zlb.Amount) {
+		t.Helper()
+		for i, w := range ws {
+			tx, err := c.Pay(w, ws[(i+1)%len(ws)].Address(), amount+zlb.Amount(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.RunUntilQuiet(c.Now() + 5*time.Minute)
+	}
+	victimBalances := func() (b [3]zlb.Amount) {
+		for i, w := range ws {
+			b[i] = c.BalanceAt(victim, w.Address())
+		}
+		return b
+	}
+	genesis := victimBalances()
+
+	c.Start()
+	payRound(100)
+	payRound(200)
+	beforeCrash := victimBalances()
+	if beforeCrash == genesis {
+		t.Fatal("the victim committed nothing before the crash")
+	}
+	if err := c.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	payRound(300)
+	if err := c.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := victimBalances(); got != beforeCrash {
+		t.Fatalf("balances recovered from the store %v, want those at the crash %v", got, beforeCrash)
+	}
+	payRound(400)
+
+	out := restartOutcome{digests: c.BlockDigests()}
+	for i, w := range ws {
+		out.balances[i] = c.Balance(w.Address())
+	}
+	if got := victimBalances(); got != out.balances {
+		t.Errorf("restarted replica's balances %v, observer's %v", got, out.balances)
+	}
+	if out.balances == beforeCrash {
+		t.Fatal("nothing committed after the restart")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	rec, err := zlb.RecoverChain(cfg, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Digests, out.digests) {
+		t.Errorf("restarted replica's store holds digests %v, the observer committed %v", rec.Digests, out.digests)
+	}
+	for i, w := range ws {
+		if got := rec.Balance(w.Address()); got != out.balances[i] {
+			t.Errorf("wallet %d: balance %d in the restarted replica's store, want %d", i, got, out.balances[i])
+		}
+	}
+	return out
+}
+
+// TestClusterRestartRecoversFromStore runs the shipping restart path
+// (internal/node, as cmd/zlb-node assembles it) under the simulator: the
+// restarted replica ends on the observer's ledger, live and on disk, in
+// both simulator modes alike.
+func TestClusterRestartRecoversFromStore(t *testing.T) {
+	parallel := runRestartScenario(t, false)
+	sequential := runRestartScenario(t, true)
+	if !reflect.DeepEqual(parallel, sequential) {
+		t.Errorf("simulator modes differ:\nparallel   %+v\nsequential %+v", parallel, sequential)
+	}
+}
+
 // TestRestartOnLongChainHoldsNoOldState restarts a replica on a chain of
 // more than 200 persisted blocks. The blocks it recovers from disk never
 // run here again, so they come back as bare records: right after the
@@ -141,12 +249,10 @@ func TestRestartOnLongChainHoldsNoOldState(t *testing.T) {
 		MaxInstances: total,
 		BaseLatency:  latency.Uniform(time.Millisecond, 8*time.Millisecond),
 		Seed:         5,
-		DataDir:      t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.CloseStores()
 	victim := c.Members[3]
 	c.ExcludeFromMetrics(victim)
 	c.Start()
@@ -156,11 +262,11 @@ func TestRestartOnLongChainHoldsNoOldState(t *testing.T) {
 		}
 		c.Run(c.Net.Now() + 50*time.Millisecond)
 	}
-	if err := c.CrashToDisk(victim); err != nil {
+	if err := c.Crash(victim); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(c.Net.Now() + 200*time.Millisecond) // the others move on
-	if err := c.RestartFromDisk(victim); err != nil {
+	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
 	r := c.Replicas[victim]
@@ -178,9 +284,6 @@ func TestRestartOnLongChainHoldsNoOldState(t *testing.T) {
 	// catch-up request came too early for it); a second request fills it.
 	r.RequestCatchup()
 	c.RunUntilQuiet(20 * time.Minute)
-	if err := c.StoreErr(); err != nil {
-		t.Fatal(err)
-	}
 	if match, have, want := c.ChainAgreement(victim); !match || want != total {
 		t.Fatalf("restarted replica agrees on %d/%d instances, want %d", have, want, total)
 	}

@@ -37,13 +37,9 @@
 //	sim         no (registry-backed MAC)   yes (harness)     yes          yes
 //
 // The simulated consensus PKI is the registry-backed sim scheme, which
-// implements every capability, so Config.AggregateCerts always takes
-// effect: certificates carry one aggregate signature plus a signer
-// bitmap instead of a quorum of signed statements, shrinking DECIDE
-// messages and catch-up transfers while preserving proof-of-fraud
-// attribution (per-signer statements are re-extracted on demand).
-// Payments cannot use sim: its MACs only authenticate identities inside
-// the shared registry, not out-of-process wallets.
+// implements every capability. Payments cannot use sim: its MACs only
+// authenticate identities inside the shared registry, not out-of-process
+// wallets.
 //
 // Quickstart:
 //
@@ -161,15 +157,6 @@ type Config struct {
 	// independent (the harness's sim scheme); see the package comment's
 	// compatibility matrix.
 	Scheme string
-	// AggregateCerts makes every consensus certificate carry one
-	// aggregate signature plus a signer bitmap instead of a quorum of
-	// individual signed statements, when the consensus scheme implements
-	// crypto.Aggregator (the simulated PKI does). Decisions, exclusions
-	// and proven culprits are identical either way — only certificate
-	// size and verification cost change, so virtual-time metrics shift.
-	// Off by default, which keeps all fixed-seed goldens bit-identical.
-	AggregateCerts bool
-
 	// SequentialCommit forces the multi-core commit pipeline
 	// (internal/pipeline) off: transaction signatures, certificates and
 	// block application all run inline on the event loop, with no worker
@@ -192,7 +179,8 @@ type Config struct {
 	// durable block store (internal/store) under <DataDir>/r<id>:
 	// committed blocks and reconciliation merges write through, and a
 	// UTXO checkpoint is cut every CheckpointEvery blocks. The default
-	// (empty) keeps the deployment fully in-memory. RecoverChain reads a
+	// (empty) keeps the deployment fully in-memory. Restart recovers a
+	// crashed replica's chain from there, and RecoverChain reads a
 	// replica's persisted state back after the cluster is gone.
 	DataDir string
 	// CheckpointEvery is the checkpoint cadence in blocks (default 8)
@@ -272,12 +260,39 @@ type Cluster struct {
 }
 
 // replica is one replica's payment application (internal/node: mempool,
-// ledger and, when Config.DataDir is set, the durable store) and the
-// first persistence failure of its store, which Close surfaces — the
-// simulation itself proceeds in memory.
+// ledger and, when Config.DataDir is set, the durable store), the
+// cluster's observers behind it, and the first persistence failure of its
+// store, which Close surfaces — the simulation itself proceeds in memory.
 type replica struct {
-	app      *node.Node
+	*node.Node
+	c        *Cluster
+	id       ReplicaID
 	storeErr error
+}
+
+// Bind implements harness.Application: the node's callbacks, then what
+// the cluster does with a proof of fraud and a membership change.
+func (r *replica) Bind(cfg *asmr.Config) {
+	r.Node.Bind(cfg)
+	c, counted, changed := r.c, cfg.OnPoF, cfg.OnMembershipChange
+	cfg.OnPoF = func(p PoF) {
+		counted(p)
+		if r.id == c.observer() && c.cfg.OnFraud != nil {
+			c.cfg.OnFraud(p.Culprit)
+		}
+	}
+	cfg.OnMembershipChange = func(res *membership.Result) {
+		changed(res)
+		// The excluded replicas forfeit their stakes (the application
+		// punishment of Alg. 1 line 38); the coins were pooled at
+		// staking time, so nothing moves. New members stake in.
+		for range res.Included {
+			r.Ledger().AddDeposit(c.stake)
+		}
+		if r.id == c.observer() && c.cfg.OnMembershipChange != nil {
+			c.cfg.OnMembershipChange(res.Excluded, res.Included)
+		}
+	}
 }
 
 // applyDefaults fills the zero-valued knobs of a configuration.
@@ -396,7 +411,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		partDelay = latency.UniformMean(time.Duration(cfg.PartitionDelayMs) * time.Millisecond)
 	}
 
-	inner, err := harness.New(harness.Options{
+	// The harness builds every replica (committee + pool) around the
+	// payment application newNode hands it.
+	c.inner, err = harness.New(harness.Options{
+		App:            c.newNode,
 		N:              cfg.N,
 		PoolSize:       cfg.PoolSize,
 		Deceitful:      cfg.Deceitful,
@@ -410,24 +428,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		WaitForWork:    true,
 		Sequential:     cfg.SequentialCommit,
 		SequentialSim:  cfg.SequentialSim,
-		AggregateCerts: cfg.AggregateCerts,
 		Tracer:         cfg.Tracer,
 		CoordTimeout: func(r types.Round) time.Duration {
 			return 150 * time.Millisecond * time.Duration(r+1)
 		},
 	})
 	if err != nil {
-		return nil, err
-	}
-	c.inner = inner
-
-	// Wire the payment application into every replica (committee + pool).
-	for _, id := range inner.Net.NodeIDs() {
-		n, err := c.newNode(id)
-		if err != nil {
-			return nil, fmt.Errorf("zlb: replica %v store: %w", id, err)
+		for _, n := range c.nodes {
+			n.Close()
 		}
-		c.nodes[id] = n
+		return nil, err
 	}
 	return c, nil
 }
@@ -445,13 +455,15 @@ func seedLedger(genesis map[Address]Amount, n int, stake Amount) func(*bm.Ledger
 	}
 }
 
-func (c *Cluster) newNode(id ReplicaID) (*replica, error) {
-	// The replica's own clock stamps what it observes: its per-event time
-	// is bit-identical across sequential and parallel simulation, which
-	// the global clock inside a window is not.
-	env := c.inner.Replicas[id].Env()
+// newNode builds replica id's payment application on the environment the
+// simulator gave the replica: the harness calls it while it builds the
+// replica, at NewCluster and again at Restart. The replica's own clock
+// stamps what it observes: its per-event time is bit-identical across
+// sequential and parallel simulation, which the global clock inside a
+// window is not.
+func (c *Cluster) newNode(id ReplicaID, env simnet.Env) (harness.Application, error) {
 	nt := c.cfg.Tracer.Node(id) // nil when tracing is off
-	r := &replica{}
+	r := &replica{c: c, id: id}
 	opts := node.Options{
 		Env:      env,
 		Scheme:   c.scheme,
@@ -488,10 +500,11 @@ func (c *Cluster) newNode(id ReplicaID) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A simulated cluster always starts its chain at instance 1: a
-	// directory already holding blocks would interleave two chains in one
-	// log. RecoverChain is the read path for a finished run.
-	if app.Restored() {
+	// A new cluster (c.inner is not set yet) starts its chain at instance
+	// 1: a directory already holding blocks would interleave two chains in
+	// one log. Only a restarted replica recovers one; RecoverChain is the
+	// read path for a finished run.
+	if c.inner == nil && app.Restored() {
 		app.Close()
 		return nil, fmt.Errorf("%w: DataDir already holds a chain up to block %d (use RecoverChain to read it, or a fresh directory)",
 			ErrBadConfig, app.Ledger().LastK())
@@ -499,8 +512,9 @@ func (c *Cluster) newNode(id ReplicaID) (*replica, error) {
 	// Submit runs between simulation events, where only the simulator's
 	// global clock is current: rate-limit windows follow it, so a fixed
 	// seed admits the same transactions in every execution mode.
-	app.Pool().SetClock(c.inner.Net.Now)
-	r.app = app
+	app.Pool().SetClock(c.Now)
+	r.Node = app
+	c.nodes[id] = r
 	return r, nil
 }
 
@@ -541,7 +555,7 @@ func (c *Cluster) NewWallet(funds Amount) (*Wallet, error) {
 	// slash pool would silently underfund the conflicting branch of a
 	// later merge.
 	for _, n := range c.nodes {
-		n.app.Reseed()
+		n.Reseed()
 	}
 	return w, nil
 }
@@ -557,7 +571,7 @@ func (c *Cluster) Pay(w *Wallet, to Address, amount Amount) (*Transaction, error
 // selected against an honest replica's current ledger state and must
 // cover amount plus fee.
 func (c *Cluster) PayWithFee(w *Wallet, to Address, amount, fee Amount) (*Transaction, error) {
-	ledger := c.nodes[c.observer()].app.Ledger()
+	ledger := c.nodes[c.observer()].Ledger()
 	inputs, err := ledger.Table().InputsFor(w.Address(), amount+fee)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInsufficient, err)
@@ -565,9 +579,9 @@ func (c *Cluster) PayWithFee(w *Wallet, to Address, amount, fee Amount) (*Transa
 	return w.PayWithFee(inputs, []utxo.Output{{Account: to, Value: amount}}, fee)
 }
 
-// Submit places a transaction in every replica's mempool (clients
-// broadcast requests to all replicas, §4.2) and wakes replicas that were
-// waiting for work. The mempools share the transaction pointer, so its
+// Submit places a transaction in every running replica's mempool (clients
+// broadcast requests to all replicas, §4.2; a crashed one hears nothing)
+// and wakes replicas that were waiting for work. The mempools share the transaction pointer, so its
 // digest is computed once for the whole cluster — and its signature
 // check starts on the commit pipeline here, typically settling before
 // consensus decides the batch that carries it.
@@ -582,7 +596,7 @@ func (c *Cluster) Submit(tx *Transaction) error {
 	observer := c.observer()
 	var verdict error
 	for id, n := range c.nodes {
-		err := n.app.Pool().Add(tx)
+		err := n.Pool().Add(tx)
 		if id == observer {
 			verdict = err
 		}
@@ -598,7 +612,9 @@ func (c *Cluster) Submit(tx *Transaction) error {
 		}
 	}
 	for _, id := range c.inner.Members {
-		c.inner.Replicas[id].Kick()
+		if _, running := c.nodes[id]; running {
+			c.inner.Replicas[id].Kick()
+		}
 	}
 	return verdict
 }
@@ -622,45 +638,39 @@ func DecodeBatch(payload []byte) ([]*Transaction, error) {
 	return txs, nil
 }
 
-// Start wires the payment application into the replicas the harness
-// built and launches consensus. It must be called exactly once, before
-// Run.
-func (c *Cluster) Start() {
-	for id, n := range c.nodes {
-		app, r := n.app, c.inner.Replicas[id]
-		app.Attach(r)
-		bindings := asmr.AppBindings{
-			OnPoF: func(p PoF) {
-				if id == c.observer() && c.cfg.OnFraud != nil {
-					c.cfg.OnFraud(p.Culprit)
-				}
-			},
-			OnMembershipChange: func(res *membership.Result) {
-				// The excluded replicas forfeit their stakes (the application
-				// punishment of Alg. 1 line 38); the coins were pooled at
-				// staking time, so nothing moves. New members stake in.
-				for range res.Included {
-					app.Ledger().AddDeposit(c.stake)
-				}
-				if id == c.observer() && c.cfg.OnMembershipChange != nil {
-					c.cfg.OnMembershipChange(res.Excluded, res.Included)
-				}
-			},
-		}
-		// A deceitful proposer re-binds its attack payloads (the reliable
-		// broadcast attack forks the proposal itself).
-		if adv, ok := c.inner.Adversaries[id]; ok && c.cfg.Attack == ReliableBroadcastAttack {
-			bindings.BatchSource = func(k uint64) asmr.Batch {
-				batch := app.Propose(k)
-				if len(batch.Payload) > 0 {
-					c.inner.Coalition.BindRBCastPayload(id, adv, batch.Payload)
-				}
-				return batch
-			}
-		}
-		r.Rebind(bindings)
+// Start launches consensus. It must be called exactly once, before Run.
+func (c *Cluster) Start() { c.inner.Start() }
+
+// Crash kills a running replica, like a killed process: it drops off the
+// network, its in-memory state is lost and its store is closed. What the
+// store failed on, during the run or while closing, is returned. The
+// first honest replica, whose view the read accessors report, cannot be
+// crashed.
+func (c *Cluster) Crash(id ReplicaID) error {
+	n, running := c.nodes[id]
+	if !running {
+		return fmt.Errorf("%w: replica %v is not running", ErrBadConfig, id)
 	}
-	c.inner.Start()
+	if id == c.observer() {
+		return fmt.Errorf("%w: replica %v is the observer", ErrBadConfig, id)
+	}
+	delete(c.nodes, id)
+	if err := c.inner.Crash(id); err != nil {
+		return err
+	}
+	return n.storeErr
+}
+
+// Restart brings a crashed replica back the way a deployed node starts:
+// a fresh payment application recovers the chain its predecessor
+// persisted under Config.DataDir (nothing, without one), the new replica
+// restores those instances, rejoins and catches up on what was decided
+// while it was down. Its mempool starts empty.
+func (c *Cluster) Restart(id ReplicaID) error {
+	if _, running := c.nodes[id]; running {
+		return fmt.Errorf("%w: replica %v is running", ErrBadConfig, id)
+	}
+	return c.inner.Restart(id)
 }
 
 // Run advances the virtual clock by d, processing all due events.
@@ -698,13 +708,13 @@ func (c *Cluster) Now() time.Duration { return c.inner.Net.Now() }
 // pending transactions, their total canonical bytes, and the cumulative
 // count of entries shed by replacement-by-fee and capacity eviction.
 func (c *Cluster) MempoolStats() (pending int, bytes int64, evictions uint64) {
-	p := c.nodes[c.observer()].app.Pool()
+	p := c.nodes[c.observer()].Pool()
 	return p.Len(), p.Bytes(), p.Evictions()
 }
 
 // Balance reads an account balance at the first honest replica.
 func (c *Cluster) Balance(addr Address) Amount {
-	return c.nodes[c.observer()].app.Ledger().Table().Balance(addr)
+	return c.nodes[c.observer()].Ledger().Table().Balance(addr)
 }
 
 // BalanceAt reads an account balance at a specific replica.
@@ -713,7 +723,7 @@ func (c *Cluster) BalanceAt(id ReplicaID, addr Address) Amount {
 	if !ok {
 		return 0
 	}
-	return n.app.Ledger().Table().Balance(addr)
+	return n.Ledger().Table().Balance(addr)
 }
 
 // Height returns the number of blocks committed at the first honest
@@ -726,12 +736,12 @@ func (c *Cluster) Height() int {
 // honest replica, keyed by chain index. Determinism tests compare these
 // across runs and across codec versions.
 func (c *Cluster) BlockDigests() map[uint64]types.Digest {
-	return c.nodes[c.observer()].app.Ledger().BlockDigests()
+	return c.nodes[c.observer()].Ledger().BlockDigests()
 }
 
 // Deposit returns the slashed-deposit pool at the first honest replica.
 func (c *Cluster) Deposit() Amount {
-	return c.nodes[c.observer()].app.Ledger().Deposit()
+	return c.nodes[c.observer()].Ledger().Deposit()
 }
 
 // Status snapshots the first honest replica's node status, as a deployed
@@ -739,8 +749,8 @@ func (c *Cluster) Deposit() Amount {
 // memory and where proposal work went. Call it between Run calls.
 func (c *Cluster) Status() NodeStatus {
 	n := c.nodes[c.observer()]
-	n.app.Publish()
-	return n.app.Status()
+	n.Publish()
+	return n.Status()
 }
 
 // Members returns the current committee at the first honest replica.
@@ -780,11 +790,14 @@ func (c *Cluster) MinFinalizationDepth(rho float64) (int, error) {
 func (c *Cluster) Close() error {
 	var first error
 	for _, id := range c.inner.Net.NodeIDs() { // committee, then pool, by ID
-		n := c.nodes[id]
+		n, running := c.nodes[id]
+		if !running {
+			continue // crashed, and closed then
+		}
 		if n.storeErr != nil && first == nil {
 			first = n.storeErr
 		}
-		if err := n.app.Close(); err != nil && first == nil {
+		if err := n.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -192,7 +192,7 @@ func TestRBCastVariantPayloadsMerge(t *testing.T) {
 	}
 	merged := 0
 	for _, n := range c.nodes {
-		merged += n.app.Ledger().MergedTxs
+		merged += n.Ledger().MergedTxs
 	}
 	if merged == 0 {
 		t.Fatal("no replica merged any transaction from the forked branch: variant payloads are not decoding")
