@@ -309,8 +309,6 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		Accountable:      true,
 		Recover:          true,
 		WaitForWork:      true,
-		// Shared certificate verdicts, checked on the worker pool.
-		Certs: pipeline.NewVerifier(pipeline.Shared()),
 		// One canonical copy per proposal digest: a node stores a pulled
 		// PayloadResp and the original Init as the same bytes.
 		Intern: rbc.NewIntern(),

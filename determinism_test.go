@@ -297,30 +297,6 @@ func TestPipelineModesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScenarioGoldenSequentialMode re-runs one registered campaign with
-// the pipeline forced off and pins its per-phase metrics to the same
-// golden the parallel run satisfies: fault campaigns (attacks, merges,
-// membership changes) must be pipeline-invariant too.
-func TestScenarioGoldenSequentialMode(t *testing.T) {
-	const name = "attack-detect-exclude-merge"
-	s, err := scenario.Build(name, 9, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Opts.Sequential = true
-	res, err := scenario.Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "scenario_goldens", name+".golden"))
-	if err != nil {
-		t.Fatalf("missing golden: %v", err)
-	}
-	if res.Format() != string(want) {
-		t.Errorf("sequential-mode metrics diverged from golden:\n--- got\n%s--- want\n%s", res.Format(), want)
-	}
-}
-
 // widenSharedPool forces a multi-worker shared pool before anything
 // sizes it, so the parallel-simnet subtests below exercise real
 // concurrency even on a single-core host (see the comment in

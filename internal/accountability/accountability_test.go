@@ -292,8 +292,11 @@ func TestLogExactFaultThresholdCulprits(t *testing.T) {
 			t.Fatalf("duplicate PoF for %v re-added", p.Culprit)
 		}
 	}
-	log.RecordCertificate(certA)
-	log.RecordCertificate(certB)
+	for _, c := range []*Certificate{certA, certB} {
+		if err := log.RecordVerifyCertificate(c, types.Quorum(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got, want := log.CulpritCount(), types.FaultThreshold(n); got != want {
 		t.Fatalf("culprit count %d, want exactly %d", got, want)
 	}

@@ -28,7 +28,7 @@ import (
 // Aggregate certificates keep full PoF attribution: the signer set is
 // explicit, and schemes implementing crypto.SignatureExtractor (the sim
 // scheme) reconstruct each constituent signed statement bit-identically,
-// so CrossCheckWith and Log.RecordCertificate attribute equivocators
+// so CrossCheckWith and the accountability log attribute equivocators
 // exactly as they would from the signed-statement form.
 type Certificate struct {
 	Stmt Statement       // the statement every signature covers (value included)
@@ -42,8 +42,7 @@ type Certificate struct {
 // as a bitmap over the crypto.Registry's canonical signer index (see
 // internal/wire); in memory it stays decoded so threshold checks need no
 // registry. An AggregateProof is immutable after construction —
-// certificates are shared across the simulated cluster and cached by
-// pointer in the pipeline verifier.
+// certificates are shared across the simulated cluster.
 type AggregateProof struct {
 	Signers []types.ReplicaID // sorted, distinct
 	Sig     crypto.Signature  // aggregate signature on Stmt.Digest()
@@ -186,20 +185,73 @@ func containsReplica(ids []types.ReplicaID, id types.ReplicaID) bool {
 // certificate reaches the quorum for committee size n among members
 // accepted by the membership test (nil accepts all).
 func (c *Certificate) Verify(v *crypto.Signer, n int, member func(types.ReplicaID) bool) error {
-	return c.verify(v, nil, n, member)
+	_, err := c.checkVotes(v, nil, types.Quorum(n), member)
+	return err
 }
 
-// verify is Verify with the signature check of the signed-statement form
-// supplied by the caller (nil asks the scheme): the accountability log
-// answers from its record for the signatures it already holds.
-func (c *Certificate) verify(v *crypto.Signer, check func(Signed, types.Digest) bool, n int, member func(types.ReplicaID) bool) error {
-	if err := c.verifySigs(v, check); err != nil {
-		return err
+// checkVotes is the one rule a certificate's votes are held to, in either
+// form: every vote covers c.Stmt, no signer appears twice (refused, not
+// skipped), at least need of the signers pass the membership test (nil
+// accepts all), and every signature is valid — all or nothing. held, when
+// set, names the votes whose signature needs no check (the accountability
+// log answers for the ones it holds); the rest go to the scheme together
+// (verifyVotes). It returns how many signatures the scheme was asked about;
+// an aggregate is one.
+func (c *Certificate) checkVotes(v *crypto.Signer, held func(Signed) bool, need int, member func(types.ReplicaID) bool) (checked int, err error) {
+	if c.Agg != nil {
+		if counted := c.SignerCount(member); counted < need {
+			return 0, fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, need)
+		}
+		return 1, c.verifyAggregate(v)
 	}
-	if counted := c.SignerCount(member); counted < types.Quorum(n) {
-		return fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, types.Quorum(n))
+	var scratch [128]types.ReplicaID
+	seen := scratch[:0]
+	counted := 0
+	signers := make([]types.ReplicaID, 0, len(c.Sigs))
+	sigs := make([]crypto.Signature, 0, len(c.Sigs))
+	for _, s := range c.Sigs {
+		if s.Stmt != c.Stmt {
+			return 0, ErrCertMismatch
+		}
+		if containsReplica(seen, s.Signer) {
+			return 0, fmt.Errorf("%w: %v", ErrCertDuplicate, s.Signer)
+		}
+		seen = append(seen, s.Signer)
+		if member == nil || member(s.Signer) {
+			counted++
+		}
+		if held == nil || !held(s) {
+			signers = append(signers, s.Signer)
+			sigs = append(sigs, s.Sig)
+		}
 	}
-	return nil
+	if counted < need {
+		return 0, fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, need)
+	}
+	if bad := verifyVotes(v, signers, c.Stmt.Digest(), sigs); bad >= 0 {
+		return bad + 1, fmt.Errorf("%w: signer %v", ErrCertSignature, signers[bad])
+	}
+	return len(sigs), nil
+}
+
+// verifyVotes checks sigs[i] as signers[i]'s signature over digest, the
+// statement all of them cover, and returns the index of the first invalid
+// one (-1 when all verify). A scheme with the crypto.BatchVerifier
+// capability takes them in one call, which amortizes the per-signature
+// setup (one registry pass); any other is asked one signature at a time.
+func verifyVotes(v *crypto.Signer, signers []types.ReplicaID, digest types.Digest, sigs []crypto.Signature) int {
+	if len(sigs) == 0 {
+		return -1
+	}
+	if bv, ok := v.Scheme().(crypto.BatchVerifier); ok {
+		return bv.VerifyBatch(v.Registry(), signers, digest, sigs)
+	}
+	for i := range sigs {
+		if !v.Verify(signers[i], digest, sigs[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // verifyAggregate checks the aggregate form's structure and signature:
@@ -219,44 +271,6 @@ func (c *Certificate) verifyAggregate(v *crypto.Signer) error {
 	}
 	if !agg.VerifyAggregate(v.Registry(), c.Agg.Signers, c.Stmt.Digest(), c.Agg.Sig) {
 		return ErrCertSignature
-	}
-	return nil
-}
-
-// VerifySigs checks the membership-independent part of the certificate —
-// structure, signer distinctness and signatures — for either form. This
-// is the cacheable "pure" check the pipeline verifier shares across
-// replicas; quorum against a specific committee is checked separately via
-// SignerCount.
-func (c *Certificate) VerifySigs(v *crypto.Signer) error {
-	return c.verifySigs(v, nil)
-}
-
-// verifySigs is VerifySigs with the per-signature check supplied by the
-// caller (nil asks the scheme). The statement digest is computed once and
-// shared by every check — all signatures in a certificate cover the same
-// statement.
-func (c *Certificate) verifySigs(v *crypto.Signer, check func(Signed, types.Digest) bool) error {
-	if c.Agg != nil {
-		return c.verifyAggregate(v)
-	}
-	if check == nil {
-		check = func(s Signed, digest types.Digest) bool { return v.Verify(s.Signer, digest, s.Sig) }
-	}
-	digest := c.Stmt.Digest()
-	var scratch [128]types.ReplicaID
-	seen := scratch[:0]
-	for _, s := range c.Sigs {
-		if s.Stmt != c.Stmt {
-			return ErrCertMismatch
-		}
-		if containsReplica(seen, s.Signer) {
-			return fmt.Errorf("%w: %v", ErrCertDuplicate, s.Signer)
-		}
-		seen = append(seen, s.Signer)
-		if !check(s, digest) {
-			return fmt.Errorf("%w: signer %v", ErrCertSignature, s.Signer)
-		}
 	}
 	return nil
 }

@@ -16,12 +16,12 @@ import (
 //
 // The log is also the replica's set of verified statements. Nothing
 // enters it unverified: a statement from outside comes in through
-// RecordVerify or RecordVerifyCertificate, the replica's own through Sign,
-// and RecordCertificate is for a caller that has just verified the
-// certificate itself. So a signed statement the log already holds —
-// same statement, signer and signature bytes — needs no second signature
-// check, and the entry points that verify do not make one: each signature
-// is checked once per replica, for as long as its instance is in the log.
+// RecordVerify, a certificate — whatever brought it — through
+// VerifyCertificate, the replica's own statements through Sign. So a signed
+// statement the log already holds — same statement, signer and signature
+// bytes — needs no second signature check, and no entry point makes one:
+// each signature is checked once per replica, for as long as its instance
+// is in the log.
 //
 // Log is not safe for concurrent use; in the simulator each node owns one
 // and all its protocol components share it.
@@ -156,27 +156,60 @@ func (l *Log) holds(s Signed) bool {
 	return ok && prev.Stmt.Value == s.Stmt.Value && bytes.Equal(prev.Sig, s.Sig)
 }
 
-// check reports whether s carries a valid signature over digest, the
-// digest of its statement: from the log when it holds s, from the scheme
-// otherwise. An invalid signature is never remembered.
-func (l *Log) check(s Signed, digest types.Digest) bool {
-	if l.holds(s) {
-		l.SigKnown++
+// known is holds, counted: a vote accepted without a signature check.
+func (l *Log) known(s Signed) bool {
+	if !l.holds(s) {
+		return false
+	}
+	l.SigKnown++
+	return true
+}
+
+// check reports whether s carries a valid signature: from the log when it
+// holds s, from the scheme otherwise. An invalid signature is never
+// remembered.
+func (l *Log) check(s Signed) bool {
+	if l.known(s) {
 		return true
 	}
 	l.SigChecks++
-	return l.verifier.Verify(s.Signer, digest, s.Sig)
+	return l.verifier.Verify(s.Signer, s.Stmt.Digest(), s.Sig)
 }
 
 // RecordVerify records a signed statement received from outside, checking
 // its signature unless the log already holds that exact signed statement.
 // It returns false, and records nothing, when the signature is invalid.
 func (l *Log) RecordVerify(s Signed) bool {
-	if !l.check(s, s.Stmt.Digest()) {
+	if !l.check(s) {
 		return false
 	}
 	l.record(s)
 	return true
+}
+
+// Verified is a run of signed statements the log has checked and not yet
+// recorded. Only the log's Verify and VerifyCertificate add to one, so
+// Record cannot be handed a statement nobody checked. A caller that adopts
+// several certificates together or not at all — a block received whole —
+// collects them in one Verified and records it when the last has passed.
+type Verified struct{ stmts []Signed }
+
+// Verify is RecordVerify with the recording left to Record: s is added to
+// into when its signature is valid.
+func (l *Log) Verify(s Signed, into *Verified) bool {
+	if !l.check(s) {
+		return false
+	}
+	into.stmts = append(into.stmts, s)
+	return true
+}
+
+// Record ingests what Verify and VerifyCertificate collected, in the order
+// it was checked.
+func (l *Log) Record(v Verified) {
+	for _, s := range v.stmts {
+		l.record(s)
+	}
 }
 
 // Sign signs a statement as the log's own replica and records it, so the
@@ -190,52 +223,44 @@ func (l *Log) Sign(stmt Statement) (Signed, error) {
 	return s, nil
 }
 
-// RecordVerifyCertificate is Certificate.Verify followed by
-// RecordCertificate, with the signatures the log already holds taken from
-// it: same structure, distinctness and quorum rules, one scheme check per
-// signature not seen before. Nothing is recorded unless the whole
-// certificate passes. An aggregate certificate is one constant-size check
-// however much of it is known.
-func (l *Log) RecordVerifyCertificate(c *Certificate, n int, member func(types.ReplicaID) bool) error {
-	if c.Agg != nil {
-		l.SigChecks++
-	}
-	if err := c.verify(l.verifier, l.check, n, member); err != nil {
+// VerifyCertificate is the one way a received certificate is checked,
+// whatever brought it — a pulled DECIDE, a pulled proposal, a block
+// received whole. The caller holds c.Stmt against the statement it
+// expects and names the signer count the certificate must reach: ⌈2n/3⌉
+// for a decision certificate, 2t+1 for a ready certificate. The rule is
+// Certificate.Verify's (every vote covers c.Stmt, a signer appearing twice
+// is refused, all or nothing), with the signatures the log already holds
+// taken from it and the others sent to the scheme together. On success the
+// votes are added to into, for Record; on failure nothing is. Signers
+// excluded since the certificate was assembled still count, so certificates
+// from before a membership change stay acceptable (paper §4.1).
+//
+// An aggregate certificate is one constant-size check however much of it
+// is known. It is expanded back to per-signer signed statements through
+// the log's verifier (crypto.SignatureExtractor), so equivocation evidence
+// inside an aggregate still attributes each culprit; a scheme that cannot
+// extract contributes nothing (its aggregates carry no per-signer evidence
+// by construction).
+func (l *Log) VerifyCertificate(c *Certificate, need int, into *Verified) error {
+	checked, err := c.checkVotes(l.verifier, l.known, need, nil)
+	l.SigChecks += uint64(checked)
+	if err != nil {
 		return err
 	}
-	l.RecordCertificate(c)
+	votes, _ := c.ExtractSigned(l.verifier)
+	into.stmts = append(into.stmts, votes...)
 	return nil
 }
 
-// RecordCertificate ingests every signature of a certificate the caller
-// has just verified itself (the cold audits of catch-up, join and
-// conflicting blocks verify on the worker pool). Aggregate-form
-// certificates are expanded back to per-signer signed statements through
-// the log's verifier (crypto.SignatureExtractor), so equivocation
-// evidence inside an aggregate still attributes each culprit; a scheme
-// that cannot extract contributes nothing (its aggregates carry no
-// per-signer evidence by construction).
-//
-// Every audit holds the certificate's statement against the slot it vouches
-// for and then checks signatures over that statement, so a signature filed
-// under another statement is one no audit looked at: a certificate
-// containing one is refused whole.
-func (l *Log) RecordCertificate(c *Certificate) {
-	sigs := c.Sigs
-	if c.Agg != nil {
-		var ok bool
-		if sigs, ok = c.ExtractSigned(l.verifier); !ok {
-			return
-		}
+// RecordVerifyCertificate is VerifyCertificate followed by Record, for a
+// certificate adopted by itself.
+func (l *Log) RecordVerifyCertificate(c *Certificate, need int) error {
+	var v Verified
+	if err := l.VerifyCertificate(c, need, &v); err != nil {
+		return err
 	}
-	for i := range sigs {
-		if sigs[i].Stmt != c.Stmt {
-			return
-		}
-	}
-	for _, s := range sigs {
-		l.record(s)
-	}
+	l.Record(v)
+	return nil
 }
 
 // AddPoF ingests an externally received, already verified PoF (replicas

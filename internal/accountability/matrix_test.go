@@ -179,8 +179,11 @@ func TestLogRecordCertificateEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := NewLog(signers[6], nil)
-		log.RecordCertificate(ca)
-		log.RecordCertificate(cb)
+		for _, c := range []*Certificate{ca, cb} {
+			if err := log.RecordVerifyCertificate(c, types.Quorum(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		out := log.Culprits()
 		types.SortReplicas(out)
 		return out

@@ -89,13 +89,13 @@ func TestRecordVerifyCertificate(t *testing.T) {
 	if !log.RecordVerify(cert.Sigs[0]) { // arrived as an AUX message before
 		t.Fatal("valid vote refused")
 	}
-	if err := log.RecordVerifyCertificate(cert, 4, nil); err != nil {
+	if err := log.RecordVerifyCertificate(cert, types.Quorum(4)); err != nil {
 		t.Fatalf("valid certificate refused: %v", err)
 	}
 	if log.SigChecks != 3 || log.SigKnown != 1 || log.Statements() != 3 {
 		t.Fatalf("%d checks, %d known, %d statements; want 3, 1, 3", log.SigChecks, log.SigKnown, log.Statements())
 	}
-	if err := log.RecordVerifyCertificate(cert, 4, nil); err != nil || log.SigChecks != 3 {
+	if err := log.RecordVerifyCertificate(cert, types.Quorum(4)); err != nil || log.SigChecks != 3 {
 		t.Fatalf("a certificate seen before cost %d checks (err %v)", log.SigChecks-3, err)
 	}
 
@@ -103,7 +103,7 @@ func TestRecordVerifyCertificate(t *testing.T) {
 	forged := &Certificate{Stmt: stmt, Sigs: append([]Signed(nil), cert.Sigs...)}
 	forged.Sigs[2] = alteredSig(forged.Sigs[2])
 	fresh := NewLog(signers[3], nil)
-	if err := fresh.RecordVerifyCertificate(forged, 4, nil); !errors.Is(err, ErrCertSignature) {
+	if err := fresh.RecordVerifyCertificate(forged, types.Quorum(4)); !errors.Is(err, ErrCertSignature) {
 		t.Fatalf("forged signature: err = %v, want ErrCertSignature", err)
 	}
 	if fresh.Statements() != 0 {
@@ -111,7 +111,7 @@ func TestRecordVerifyCertificate(t *testing.T) {
 	}
 	// In the log that holds the genuine vote too: the forged copy is not
 	// known by its (signer, statement) alone.
-	if err := log.RecordVerifyCertificate(forged, 4, nil); !errors.Is(err, ErrCertSignature) {
+	if err := log.RecordVerifyCertificate(forged, types.Quorum(4)); !errors.Is(err, ErrCertSignature) {
 		t.Fatalf("forged copy of a held vote: err = %v, want ErrCertSignature", err)
 	}
 
@@ -128,7 +128,7 @@ func TestRecordVerifyCertificate(t *testing.T) {
 		"duplicate signer": {dup, ErrCertDuplicate},
 		"other statement":  {mismatch, ErrCertMismatch},
 	} {
-		if err := log.RecordVerifyCertificate(tc.cert, 4, nil); !errors.Is(err, tc.want) {
+		if err := log.RecordVerifyCertificate(tc.cert, types.Quorum(4)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}
 		if err := tc.cert.Verify(signers[3], 4, nil); !errors.Is(err, tc.want) {
@@ -136,8 +136,55 @@ func TestRecordVerifyCertificate(t *testing.T) {
 		}
 	}
 	member := func(id types.ReplicaID) bool { return id != signers[0].ID() }
-	if err := log.RecordVerifyCertificate(cert, 4, member); !errors.Is(err, ErrCertQuorum) {
+	if err := cert.Verify(signers[3], 4, member); !errors.Is(err, ErrCertQuorum) {
 		t.Errorf("membership filter: err = %v, want ErrCertQuorum", err)
+	}
+	// The caller names the count: the three votes are a ready certificate
+	// at n=4 (2t+1 = 3) and at n=5 (3), not a decision certificate at n=5
+	// (⌈2n/3⌉ = 4).
+	if err := log.RecordVerifyCertificate(cert, 2*types.MaxClassicFaults(5)+1); err != nil {
+		t.Errorf("2t+1 votes refused as a ready certificate: %v", err)
+	}
+	if err := log.RecordVerifyCertificate(cert, types.Quorum(5)); !errors.Is(err, ErrCertQuorum) {
+		t.Errorf("2t+1 votes as a decision certificate: err = %v, want ErrCertQuorum", err)
+	}
+}
+
+// TestVerifyCertificateRecordsNothingUntilRecord: a block is adopted whole
+// or not at all, so what VerifyCertificate and Verify checked stays out of
+// the log — not held, accusing nobody — until Record is handed it; a
+// refused certificate adds nothing to what is collected.
+func TestVerifyCertificateRecordsNothingUntilRecord(t *testing.T) {
+	signers := testSigners(t, 4)
+	var culprits int
+	log := NewLog(signers[3], func(PoF) { culprits++ })
+	first, _ := SignStatement(signers[0], auxStmt(1, 1, 0, true))
+	if !log.RecordVerify(first) {
+		t.Fatal("valid vote refused")
+	}
+	remote := quorumCert(t, auxStmt(1, 1, 0, false), signers[:3])
+	forged := &Certificate{Stmt: remote.Stmt, Sigs: append([]Signed(nil), remote.Sigs...)}
+	forged.Sigs[1] = alteredSig(forged.Sigs[1])
+	single, _ := SignStatement(signers[1], auxStmt(1, 2, 0, true))
+
+	var v Verified
+	if err := log.VerifyCertificate(remote, types.Quorum(4), &v); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.VerifyCertificate(forged, types.Quorum(4), &v); !errors.Is(err, ErrCertSignature) {
+		t.Fatalf("forged certificate: err = %v, want ErrCertSignature", err)
+	}
+	if !log.Verify(single, &v) || log.Verify(alteredSig(single), &v) {
+		t.Fatal("single statement: the genuine one refused or the altered one accepted")
+	}
+	if log.Statements() != 1 || culprits != 0 {
+		t.Fatalf("%d statements, %d culprits before Record; want 1, 0", log.Statements(), culprits)
+	}
+	log.Record(v)
+	// signers[0]'s second vote completes a proof and is not stored beside
+	// the first; the other two votes and the single statement are new.
+	if log.Statements() != 4 || culprits != 1 {
+		t.Fatalf("%d statements, %d culprits after Record; want 4, 1", log.Statements(), culprits)
 	}
 }
 
@@ -159,7 +206,7 @@ func TestEquivocationInsideCertificateOnly(t *testing.T) {
 		t.Fatal("valid vote refused")
 	}
 	remote := quorumCert(t, auxStmt(1, 1, 0, false), signers[:3])
-	if err := log.RecordVerifyCertificate(remote, 4, nil); err != nil {
+	if err := log.RecordVerifyCertificate(remote, types.Quorum(4)); err != nil {
 		t.Fatalf("the other partition's certificate refused: %v", err)
 	}
 	if len(culprits) != 1 || culprits[0] != signers[0].ID() {
@@ -170,20 +217,20 @@ func TestEquivocationInsideCertificateOnly(t *testing.T) {
 	}
 }
 
-// TestRecordCertificateRefusesOtherStatements: RecordCertificate trusts its
-// caller's audit, and an audit checks signatures over the certificate's
-// statement. A certificate that files a signature under any other
-// statement — here two values "signed" by one honest replica, which
-// recorded as they are would prove it deceitful — is recorded not at all.
+// TestRecordCertificateRefusesOtherStatements: signatures are checked over
+// the certificate's statement, so a certificate that files a signature
+// under any other statement — here two values "signed" by one honest
+// replica, which recorded as they are would prove it deceitful — is refused
+// whole and recorded not at all.
 func TestRecordCertificateRefusesOtherStatements(t *testing.T) {
 	signers := testSigners(t, 4)
 	log := NewLog(signers[3], func(p PoF) { t.Errorf("replica %v accused", p.Culprit) })
 	stmt := auxStmt(1, 1, 0, true)
 	genuine, _ := SignStatement(signers[0], stmt)
 	planted := Signed{Stmt: auxStmt(1, 1, 0, false), Signer: signers[1].ID(), Sig: crypto.Signature("unsigned")}
-	log.RecordCertificate(&Certificate{Stmt: stmt, Sigs: []Signed{genuine, planted}})
-	if log.Statements() != 0 {
-		t.Fatalf("%d statements recorded from a certificate no audit could have passed", log.Statements())
+	err := log.RecordVerifyCertificate(&Certificate{Stmt: stmt, Sigs: []Signed{genuine, planted}}, 1)
+	if !errors.Is(err, ErrCertMismatch) || log.Statements() != 0 {
+		t.Fatalf("err = %v with %d statements recorded, want ErrCertMismatch and none", err, log.Statements())
 	}
 	own, _ := SignStatement(signers[1], stmt)
 	if !log.RecordVerify(own) || log.ProvenCount() != 0 {

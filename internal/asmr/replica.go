@@ -24,7 +24,6 @@ import (
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/membership"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
@@ -82,12 +81,6 @@ type Config struct {
 	// every channel that would incriminate the coalition (confirmation
 	// broadcasts, PoF gossip, membership changes, block evidence service).
 	Deceitful bool
-	// Certs, when set, routes every certificate verification this replica
-	// performs (binary-consensus decisions, catch-up blocks, join
-	// notices) through the commit pipeline: verdicts are cached per
-	// certificate for the whole deployment and signature checks fan out
-	// across the worker pool. Nil verifies inline.
-	Certs *pipeline.Verifier
 	// AggregateCerts assembles certificates in aggregate form — one
 	// aggregate signature plus a signer bitmap instead of a quorum of
 	// signed statements — whenever the signer's scheme implements
@@ -429,7 +422,6 @@ func (r *Replica) buildSBC(k uint64, st *instState) *sbc.Instance {
 		Accountable:    r.cfg.Accountable,
 		AggregateCerts: r.cfg.AggregateCerts,
 		CoordTimeout:   r.cfg.CoordTimeout,
-		Certs:          r.cfg.Certs,
 		Intern:         r.cfg.Intern,
 		Tracer:         r.cfg.Tracer,
 		OnProposal: func(payload []byte) {
@@ -601,9 +593,9 @@ func (r *Replica) onBlockReq(from types.ReplicaID, m *BlockReq) {
 	r.cfg.Env.Send(from, &BlockResp{K: m.K, Attempt: st.attempt, Decision: st.decision})
 }
 
-// onBlockResp audits a conflicting block: verify its certificates, absorb
-// them into the log (creating PoFs), and hand the branch to the
-// reconciliation callback (phase ⑤).
+// onBlockResp audits a conflicting block, records its certificates in the
+// log (creating PoFs), and hands the branch to the reconciliation callback
+// (phase ⑤).
 func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
 	if m.Decision == nil || !r.cfg.Accountable {
 		return
@@ -616,14 +608,20 @@ func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
 	if st.remoteSeen[dig] {
 		return
 	}
-	if err := VerifyDecisionWith(r.cfg.Certs, r.cfg.Signer, m.Decision, r.view.Size()); err != nil {
+	remote, err := auditBlock(r.log, BlockRecord(*m), r.view.Size())
+	if err != nil {
 		return
 	}
 	if st.retired() {
 		// Retirement dropped this instance's statements from the log. Put
 		// the local decision's certificates back before the remote ones, so
 		// cross-checking the two quorums convicts the signers they share.
-		AbsorbDecision(r.log, st.decision)
+		// They go through the same audit, signatures checked again: a late
+		// conflict on a retired instance is the rare path.
+		own := BlockRecord{K: st.k, Attempt: st.attempt, Decision: st.decision}
+		if local, err := auditBlock(r.log, own, r.view.Size()); err == nil {
+			r.log.Record(local)
+		}
 		if st.remoteSeen == nil {
 			st.remoteSeen = make(map[types.Digest]bool)
 		}
@@ -631,7 +629,7 @@ func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
 	st.remoteSeen[dig] = true
 	st.disagreement = true
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseDisagreement, m.K, 0, st.attempt, "")
-	AbsorbDecision(r.log, m.Decision)
+	r.log.Record(remote)
 	if st.decided && r.cfg.OnDisagreement != nil {
 		r.cfg.OnDisagreement(st.k, st.decision, m.Decision)
 	}
@@ -826,16 +824,17 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	}
 	// Audit the shipped chain; the cost (certificates over n signers per
 	// block) is the catch-up cost of Fig. 5 (right).
-	n := len(m.Committee)
-	for _, b := range m.Blocks {
-		if err := VerifyDecisionWith(r.cfg.Certs, r.cfg.Signer, b.Decision, n); err != nil {
+	audited := make([]accountability.Verified, len(m.Blocks))
+	for i, b := range m.Blocks {
+		var err error
+		if audited[i], err = auditBlock(r.log, b, len(m.Committee)); err != nil {
 			return
 		}
 	}
 	r.member = true
 	r.epoch = m.Epoch
 	r.view = committee.NewView(m.Committee)
-	for _, b := range m.Blocks {
+	for i, b := range m.Blocks {
 		if _, dup := r.committed[b.K]; !dup {
 			st := r.ensureInstance(b.K)
 			st.attempt = b.Attempt
@@ -843,7 +842,7 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 			st.decision = b.Decision
 			st.digest = b.Decision.Digest()
 			r.committed[b.K] = b.Decision
-			AbsorbDecision(r.log, b.Decision)
+			r.log.Record(audited[i])
 			if r.cfg.OnCommit != nil {
 				r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
 			}
@@ -901,7 +900,8 @@ func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
 		if _, dup := r.committed[b.K]; dup {
 			continue
 		}
-		if err := VerifyDecisionWith(r.cfg.Certs, r.cfg.Signer, b.Decision, r.view.Size()); err != nil {
+		verified, err := auditBlock(r.log, b, r.view.Size())
+		if err != nil {
 			continue
 		}
 		st := r.ensureInstance(b.K)
@@ -911,7 +911,7 @@ func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
 		st.digest = b.Decision.Digest()
 		r.committed[b.K] = b.Decision
 		r.noteProgress(st)
-		AbsorbDecision(r.log, b.Decision)
+		r.log.Record(verified)
 		if r.cfg.OnCommit != nil {
 			r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
 		}

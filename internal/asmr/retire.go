@@ -81,15 +81,13 @@ func (r *Replica) retireFinalized() {
 // retire releases everything instance k holds beyond its decision: the
 // SBC state machine with its rbc/bincon slots, the confirmation
 // bookkeeping, and — for every attempt k ran under — the signed
-// statements in the accountability log, the certificate verdicts and the
-// interned payloads.
+// statements in the accountability log and the interned payloads.
 func (r *Replica) retire(st *instState) {
 	st.inst.Release()
 	st.inst, st.confirms, st.remoteSeen, st.reqSent = nil, nil, nil, nil
 	for a := uint32(0); a <= st.attempt; a++ {
 		key := accountability.InstanceKey{Context: accountability.CtxMain, Instance: WireInstance(st.k, a)}
 		r.log.DropInstance(key)
-		r.cfg.Certs.ForgetInstance(key)
 	}
 	r.live--
 	r.retiredTotal++

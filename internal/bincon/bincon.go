@@ -774,11 +774,10 @@ func (b *Instance) OnDecide(from types.ReplicaID, msg *Decide) {
 		if msg.Cert.Stmt != expect {
 			return
 		}
-		// Quorum is evaluated against the full committee size; member
-		// filter nil so certificates with excluded signers remain
-		// transiently acceptable (paper §4.1 ). The AUX votes in it that
-		// arrived as messages are in the log already and cost nothing.
-		if err := b.cfg.Log.RecordVerifyCertificate(msg.Cert, b.cfg.View.Size(), nil); err != nil {
+		// Quorum is evaluated against the full committee size. The AUX
+		// votes in it that arrived as messages are in the log already and
+		// cost nothing.
+		if err := b.cfg.Log.RecordVerifyCertificate(msg.Cert, types.Quorum(b.cfg.View.Size())); err != nil {
 			return
 		}
 	}

@@ -8,15 +8,16 @@ import (
 	"github.com/zeroloss/zlb/internal/harness"
 )
 
-// runAB drives the fig3 ZLB n=30 configuration (bench.ZLBFig3Options,
-// the same options CI's perf gate runs) with the simulator's execution
-// mode as the only variable — the A/B pair behind the EXPERIMENTS.md
-// parallel-simnet wall-clock comparison. The reported tx/s and event
-// counts must be identical between the two benchmarks (bit-identity is
-// pinned by TestParallelSimnetBitIdentical at the repository root);
-// only ns/op may differ.
-func runAB(b *testing.B, seqSim bool) {
-	opts := bench.ZLBFig3Options(30, 2, 42)
+// runAB drives the fig3 ZLB configuration at committee size n
+// (bench.ZLBFig3Options, the same options CI's perf gate runs) with the
+// simulator's execution mode as the only variable — the A/B pairs behind
+// the EXPERIMENTS.md parallel-simnet wall-clock comparison. The reported
+// tx/s and event counts must be identical within a pair (bit-identity is
+// pinned by TestParallelSimnetBitIdentical at the repository root); only
+// ns/op may differ. The windows cost below about n=50 and pay above it,
+// from two cores up, so there is a pair on each side.
+func runAB(b *testing.B, n int, seqSim bool) {
+	opts := bench.ZLBFig3Options(n, 2, 42)
 	opts.SequentialSim = seqSim
 	for i := 0; i < b.N; i++ {
 		c, err := harness.New(opts)
@@ -35,5 +36,7 @@ func runAB(b *testing.B, seqSim bool) {
 	}
 }
 
-func BenchmarkSimSeq30(b *testing.B) { runAB(b, true) }
-func BenchmarkSimPar30(b *testing.B) { runAB(b, false) }
+func BenchmarkSimSeq30(b *testing.B) { runAB(b, 30, true) }
+func BenchmarkSimPar30(b *testing.B) { runAB(b, 30, false) }
+func BenchmarkSimSeq60(b *testing.B) { runAB(b, 60, true) }
+func BenchmarkSimPar60(b *testing.B) { runAB(b, 60, false) }

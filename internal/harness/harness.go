@@ -17,7 +17,6 @@ import (
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/membership"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
@@ -82,21 +81,14 @@ type Options struct {
 	// synthetic workload of the experiments: tagged 32-byte batches of
 	// claimed size, no state beyond the chain coordinates in Commits.
 	App func(id types.ReplicaID, env simnet.Env) (Application, error)
-	// Sequential forces the commit pipeline off: every signature and
-	// certificate verifies inline on the event loop, with no worker pool,
-	// no speculation and no shared verdicts. All virtual-time metrics and
-	// chain digests are bit-identical either way (the determinism tests
-	// pin this); the knob exists for those tests and for debugging.
-	Sequential bool
 	// SequentialSim forces the simulator's classic one-event-at-a-time
 	// loop instead of conservative parallel windows (simnet.Config.
-	// SequentialSim). Orthogonal to Sequential: one gates the commit
-	// pipeline, the other gates event dispatch. Bit-identical either way.
+	// SequentialSim). Bit-identical either way.
 	SequentialSim bool
 	// Tracer, when non-nil, records every replica's consensus lifecycle
 	// into per-node buffers with virtual timestamps (internal/obs). The
-	// merged stream is bit-identical across Sequential/SequentialSim
-	// modes. Nil disables tracing at zero cost.
+	// merged stream is bit-identical with and without SequentialSim. Nil
+	// disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -147,10 +139,6 @@ type Cluster struct {
 	// JoinVerified records when an included pool node finished verifying
 	// its catch-up (for the Fig. 5 catch-up series).
 	JoinVerified map[types.ReplicaID]time.Duration
-	// Certs is the cluster's shared pipeline verifier: one certificate
-	// verdict cache for all replicas, fanning signature checks out over
-	// the process-wide worker pool (nil when Options.Sequential).
-	Certs *pipeline.Verifier
 	// Intern is the cluster-wide RBC payload intern table: one canonical
 	// byte slice per proposal digest instead of one copy per replica.
 	Intern *rbc.Intern
@@ -238,9 +226,6 @@ func New(opts Options) (*Cluster, error) {
 		slotOutcomes:  make(map[types.ReplicaID]map[uint64]map[types.ReplicaID]slotOutcome),
 	}
 	c.Net = simnet.New(simnet.Config{Latency: model, Cost: opts.Cost, Seed: opts.Seed, SequentialSim: opts.SequentialSim})
-	if !opts.Sequential {
-		c.Certs = pipeline.NewVerifier(pipeline.Shared())
-	}
 	c.Intern = rbc.NewIntern()
 
 	all := append(append([]types.ReplicaID{}, members...), pool...)
@@ -306,7 +291,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, env simnet.Env) (*asmr.Replic
 		WaitForWork:        c.Opts.WaitForWork,
 		Deceitful:          c.Coalition.IsDeceitful(id),
 		AggregateCerts:     c.Opts.AggregateCerts,
-		Certs:              c.Certs,
 		Intern:             c.Intern,
 		Tracer:             c.Opts.Tracer.Node(id),
 		OnSlotDecide: func(k uint64, _ uint32, slot types.ReplicaID, value bool, digest types.Digest) {

@@ -94,11 +94,9 @@ type Config struct {
 	// MaxBlocks bounds the chain length (default 1<<16 — effectively
 	// unbounded for campaign-scale runs).
 	MaxBlocks uint64
-	// SequentialSim / SequentialCommit select the simulator's event loop
-	// and the commit pipeline mode; reports are bit-identical across all
-	// four combinations.
-	SequentialSim    bool
-	SequentialCommit bool
+	// SequentialSim selects the simulator's one-event-at-a-time loop;
+	// reports are bit-identical either way.
+	SequentialSim bool
 }
 
 // arrival is one scheduled submission.
@@ -153,7 +151,6 @@ func Run(cfg Config) (*Report, error) {
 		Mempool:          cfg.Policy,
 		BatchTxs:         cfg.BatchTxs,
 		SequentialSim:    cfg.SequentialSim,
-		SequentialCommit: cfg.SequentialCommit,
 		OnCommittedBatch: rec.onCommit,
 	})
 	if err != nil {

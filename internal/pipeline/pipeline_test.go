@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
@@ -49,86 +48,6 @@ func TestTryDoDropsWhenSequential(t *testing.T) {
 	var p *Pool
 	if p.TryDo(func() { t.Fatal("nil pool ran a task") }) {
 		t.Fatal("nil pool accepted a task")
-	}
-}
-
-func clusterFixture(t *testing.T, n int) ([]*crypto.Signer, accountability.Statement, *accountability.Certificate) {
-	t.Helper()
-	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, n, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmt := accountability.Statement{
-		Context:  accountability.CtxMain,
-		Kind:     accountability.KindAux,
-		Instance: 1,
-		Slot:     3,
-		Round:    0,
-		Value:    accountability.BoolDigest(true),
-	}
-	sigs := make([]accountability.Signed, 0, n)
-	for _, s := range signers {
-		signed, err := accountability.SignStatement(s, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sigs = append(sigs, signed)
-	}
-	cert, err := accountability.NewCertificate(stmt, sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return signers, stmt, cert
-}
-
-// TestVerifyCertificateMatchesInline pins the pipelined verdict (cached,
-// fanned out) to accountability.(*Certificate).Verify across valid,
-// forged and sub-quorum certificates, and across repeat calls that hit
-// the cache.
-func TestVerifyCertificateMatchesInline(t *testing.T) {
-	signers, stmt, cert := clusterFixture(t, 12)
-	v := NewVerifier(Shared())
-
-	check := func(name string, c *accountability.Certificate, n int, member func(types.ReplicaID) bool) {
-		t.Helper()
-		want := c.Verify(signers[0], n, member)
-		for i := 0; i < 2; i++ { // second round hits the verdict cache
-			got := v.VerifyCertificate(c, signers[0], n, member)
-			if (want == nil) != (got == nil) {
-				t.Errorf("%s (round %d): inline err=%v, pipelined err=%v", name, i, want, got)
-			}
-		}
-	}
-
-	check("valid", cert, 12, nil)
-	check("below quorum n", cert, 19, nil)
-	check("member filter excludes", cert, 12, func(id types.ReplicaID) bool { return id <= 2 })
-
-	forged := &accountability.Certificate{Stmt: stmt, Sigs: append([]accountability.Signed{}, cert.Sigs...)}
-	forged.Sigs[5].Sig = append([]byte{}, forged.Sigs[5].Sig...)
-	forged.Sigs[5].Sig[0] ^= 0xff
-	check("forged signature", forged, 12, nil)
-
-	dup := &accountability.Certificate{Stmt: stmt, Sigs: append([]accountability.Signed{}, cert.Sigs...)}
-	dup.Sigs[1] = dup.Sigs[0]
-	check("duplicate signer", dup, 12, nil)
-}
-
-func TestVerifySignedBatch(t *testing.T) {
-	signers, _, cert := clusterFixture(t, 10)
-	v := NewVerifier(Shared())
-	if i := v.VerifySignedBatch(cert.Sigs, signers[0]); i != -1 {
-		t.Fatalf("valid batch flagged index %d", i)
-	}
-	bad := append([]accountability.Signed{}, cert.Sigs...)
-	bad[7].Sig = append([]byte{}, bad[7].Sig...)
-	bad[7].Sig[0] ^= 1
-	if i := v.VerifySignedBatch(bad, signers[0]); i != 7 {
-		t.Fatalf("forged index reported as %d, want 7", i)
-	}
-	var nilV *Verifier
-	if i := nilV.VerifySignedBatch(bad, signers[0]); i != 7 {
-		t.Fatalf("nil verifier reported %d, want 7", i)
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package pipeline is the multi-core commit pipeline: a bounded worker
 // pool plus the verification stages that run on it. The discrete-event
 // simulator and the TCP node both process protocol events on a single
-// goroutine; everything CPU-heavy on the commit path — certificate
-// signature checks, transaction signature checks, batch decoding, UTXO
-// application — is a pure function of the message bytes and the PKI, so
-// it can be fanned out across cores (and speculatively started before
-// consensus decides) without changing a single protocol decision.
+// goroutine; everything CPU-heavy on the commit path — transaction
+// signature checks, batch decoding, UTXO application — is a pure function
+// of the message bytes and the PKI, so it can be fanned out across cores
+// (and speculatively started before consensus decides) without changing a
+// single protocol decision. Protocol signatures — statements and
+// certificates — are not checked here: each replica's accountability log
+// is its one set of verified statements.
 //
 // Determinism contract: the pipeline never touches event ordering or the
 // virtual clock. Workers only compute verdicts that are pure functions of
 // their inputs, fan-in order is by task index, and every cached verdict
 // is exactly what the sequential code would have computed. Forcing
-// sequential mode (Options.Sequential, zlb.Config.SequentialCommit)
+// sequential mode (zlb.Config.SequentialCommit: a nil TxVerifier)
 // executes the same code inline and must produce bit-identical results —
 // the determinism tests pin this.
 package pipeline

@@ -21,7 +21,6 @@ import (
 	"github.com/zeroloss/zlb/internal/committee"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
@@ -230,10 +229,6 @@ type Config struct {
 	// Validate, if set, rejects invalid proposal payloads before they can
 	// be echoed (SBC-Validity).
 	Validate func(broadcaster types.ReplicaID, payload []byte) bool
-	// Certs, when set, audits the ready certificate of a pulled proposal
-	// through the commit pipeline (shared verdicts, worker-pool signature
-	// fan-out).
-	Certs *pipeline.Verifier
 	// AggregateCerts assembles certificates (ready and decision) in
 	// aggregate form when the scheme supports it (crypto.Aggregator).
 	AggregateCerts bool
@@ -642,29 +637,10 @@ func (s *Instance) onProposalResp(_ types.ReplicaID, m *ProposalResp) {
 		if m.Cert.Stmt != expect {
 			return
 		}
-		// Delivery needs 2t+1 readies; re-verify against committee size.
-		if m.Cert.SignerCount(nil) < 2*types.MaxClassicFaults(len(s.members))+1 {
+		// Delivery needs 2t+1 readies, against the committee size.
+		if s.cfg.Log.RecordVerifyCertificate(m.Cert, 2*types.MaxClassicFaults(len(s.members))+1) != nil {
 			return
 		}
-		if m.Cert.IsAggregate() {
-			// One aggregate check, cached across receivers by the
-			// pipeline's verdict map (a nil Certs verifier checks inline).
-			if s.cfg.Certs.VerifyCertSigs(m.Cert, s.cfg.Signer) != nil {
-				return
-			}
-		} else {
-			for _, sig := range m.Cert.Sigs {
-				if sig.Stmt != m.Cert.Stmt {
-					return
-				}
-			}
-			// Signature checks fan out across the pipeline's worker pool (a
-			// nil Certs verifier runs them inline, same verdict).
-			if s.cfg.Certs.VerifySignedBatch(m.Cert.Sigs, s.cfg.Signer) >= 0 {
-				return
-			}
-		}
-		s.cfg.Log.RecordCertificate(m.Cert)
 		// The broadcaster's INIT statement is kept — to be served and
 		// absorbed later — only if it is the one for this payload and
 		// verifies; a bad one costs the statement, not the proposal.

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/bincon"
+	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
@@ -128,6 +130,65 @@ func TestSBCPulledInitStatementsAreChecked(t *testing.T) {
 	}
 	if got := c.logs[starved].ProvenCount(); got != 0 {
 		t.Fatalf("starved replica proved %d culprits on an honest run", got)
+	}
+}
+
+// TestSBCPulledReadyCertificateRule: the ready certificate of a pulled
+// proposal is held to the one certificate rule, counted at 2t+1. Exactly
+// 2t+1 distinct signers deliver the proposal; one signer short, the same
+// padded back to 2t+1 votes with a repeated signer, a full certificate
+// padded with one, a forged vote, and no votes at all deliver nothing and
+// record nothing.
+func TestSBCPulledReadyCertificateRule(t *testing.T) {
+	const n, seed = 7, 78
+	lat := latency.Uniform(2*time.Millisecond, 15*time.Millisecond)
+	done := buildCluster(t, n, true, lat, seed)
+	done.proposeAll(nil)
+	done.net.RunUntilQuiet(10 * time.Minute)
+	slot := done.decided[1].OrderedProposals()[0].Broadcaster // any slot decided 1
+	resp, ok := done.decided[1].AnswerPull(&ProposalReq{Context: accountability.CtxMain, Instance: 1, Slot: slot}).(*ProposalResp)
+	if !ok || resp.Cert == nil {
+		t.Fatal("the decision does not answer the pull with a certified proposal")
+	}
+	readyMin := 2*types.MaxClassicFaults(n) + 1
+	if len(resp.Cert.Sigs) < readyMin {
+		t.Fatalf("ready certificate of %d votes, want >= %d", len(resp.Cert.Sigs), readyMin)
+	}
+	with := func(sigs ...accountability.Signed) *ProposalResp {
+		cp := *resp
+		cp.Cert = &accountability.Certificate{Stmt: resp.Cert.Stmt, Sigs: sigs}
+		return &cp
+	}
+	votes := func() []accountability.Signed {
+		return append([]accountability.Signed(nil), resp.Cert.Sigs[:readyMin]...)
+	}
+	forged := votes()
+	forged[1].Sig = append(crypto.Signature(nil), forged[1].Sig...)
+	forged[1].Sig[0] ^= 0xff
+
+	// The same keys, nothing run: replica 7 has seen no vote of the instance.
+	fresh := buildCluster(t, n, true, lat, seed)
+	inst, log := fresh.nodes[n].inst, fresh.logs[n]
+	for name, bad := range map[string]*ProposalResp{
+		"one signer short":  with(votes()[:readyMin-1]...),
+		"short, padded":     with(append(votes()[:readyMin-1], resp.Cert.Sigs[0])...),
+		"full, padded":      with(append(votes(), resp.Cert.Sigs[0])...),
+		"forged vote":       with(forged...),
+		"empty certificate": with(),
+		"no certificate":    {Context: resp.Context, Instance: resp.Instance, Slot: slot, Payload: resp.Payload},
+	} {
+		inst.onProposalResp(1, bad)
+		if _, delivered := inst.delivered[slot]; delivered || log.Statements() != 0 {
+			t.Fatalf("%s: delivered = %v with %d statements recorded", name, delivered, log.Statements())
+		}
+	}
+	inst.onProposalResp(1, with(votes()...))
+	if _, delivered := inst.delivered[slot]; !delivered {
+		t.Fatal("proposal under 2t+1 distinct readies not delivered")
+	}
+	// The 2t+1 readies and the broadcaster's INIT statement.
+	if got, want := log.Statements(), readyMin+1; got != want {
+		t.Fatalf("%d statements recorded, want %d", got, want)
 	}
 }
 

@@ -13,7 +13,7 @@
 //     cross-checking the responses of several peers (CrossCheck — a
 //     majority of the committee must agree on the chain) or, at the
 //     consensus layer, by the certificate audit the replica performs on
-//     the decisions it adopts (asmr.VerifyDecision on catch-up; the
+//     the decisions it adopts (asmr's block audit on catch-up; the
 //     committee's certificates are the root of trust, per §4.1).
 
 package store

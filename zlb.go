@@ -158,13 +158,13 @@ type Config struct {
 	// compatibility matrix.
 	Scheme string
 	// SequentialCommit forces the multi-core commit pipeline
-	// (internal/pipeline) off: transaction signatures, certificates and
-	// block application all run inline on the event loop, with no worker
-	// pool, no speculative pre-verification and no shared verdicts. The
-	// default (false) fans that work out across runtime.GOMAXPROCS
-	// workers. Both modes produce bit-identical chains, balances and
-	// virtual-time metrics — the determinism tests pin this; the knob
-	// exists for those tests and for debugging.
+	// (internal/pipeline) off: transaction signatures and block
+	// application run inline on the event loop, with no worker pool and
+	// no speculative pre-verification. The default (false) fans that work
+	// out across runtime.GOMAXPROCS workers. Both modes produce
+	// bit-identical chains, balances and virtual-time metrics — the
+	// determinism tests pin this; the knob exists for those tests and for
+	// debugging.
 	SequentialCommit bool
 
 	// SequentialSim forces the simulator's classic one-event-at-a-time
@@ -426,7 +426,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		PartitionDelay: partDelay,
 		Seed:           cfg.Seed,
 		WaitForWork:    true,
-		Sequential:     cfg.SequentialCommit,
 		SequentialSim:  cfg.SequentialSim,
 		Tracer:         cfg.Tracer,
 		CoordTimeout: func(r types.Round) time.Duration {
