@@ -152,10 +152,9 @@ type Replica struct {
 	pool *committee.Pool
 	log  *accountability.Log
 
-	member  bool // are we currently in the committee?
-	epoch   uint64
-	change  *membership.Change
-	changes []*membership.Result
+	member bool // are we currently in the committee?
+	epoch  uint64
+	change *membership.Change
 
 	instances map[uint64]*instState // by logical k
 	nextK     uint64
@@ -229,16 +228,6 @@ func (r *Replica) Log() *accountability.Log { return r.log }
 
 // Epoch returns the number of completed membership changes.
 func (r *Replica) Epoch() uint64 { return r.epoch }
-
-// Changes returns the completed membership change results.
-func (r *Replica) Changes() []*membership.Result { return r.changes }
-
-// ActiveChange returns the current membership change, if any (diagnostics).
-func (r *Replica) ActiveChange() *membership.Change { return r.change }
-
-// PendingBuffered returns how many consensus messages await routing
-// (diagnostics).
-func (r *Replica) PendingBuffered() int { return len(r.pending) }
 
 // Committed returns the locally committed decision for k, if any.
 func (r *Replica) Committed(k uint64) (*sbc.Decision, bool) {
@@ -718,7 +707,6 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 	// Slot/Round encode how many replicas left and joined the committee.
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseExclusion, res.Epoch, uint32(len(res.Excluded)), uint32(len(res.Included)), "")
 	r.epoch = res.Epoch
-	r.changes = append(r.changes, res)
 	r.view.Exclude(res.Excluded)
 	r.view.Include(res.Included)
 	r.pool.MarkTaken(res.Included)

@@ -239,9 +239,6 @@ func New(cfg Config) *Instance {
 // Decided reports whether the slot has decided, and the decision.
 func (b *Instance) Decided() (Decision, bool) { return b.decision, b.decided }
 
-// Started reports whether Propose has been called.
-func (b *Instance) Started() bool { return b.started }
-
 // TimerPayload is the payload bincon attaches to its coordinator timers;
 // the owning node routes OnTimer back via HandleTimer.
 type TimerPayload struct {
@@ -828,13 +825,6 @@ func (b *Instance) deliverDecision(d Decision, own bool) {
 	if b.cfg.OnDecide != nil {
 		b.cfg.OnDecide(d)
 	}
-}
-
-// DebugState summarizes the instance state for diagnostics.
-func (b *Instance) DebugState() string {
-	st := b.state(b.round)
-	return fmt.Sprintf("round=%d est=%v started=%v decided=%v bin=%v auxSent=%v auxRecv=%d coord=%v timer=%v pendingAux=%d",
-		b.round, b.est, b.started, b.decided, st.binOrder, st.auxSent, len(st.auxValues), st.coordValue, st.timerFired, len(b.pendingAux))
 }
 
 // Reevaluate re-runs quorum checks after an external committee change

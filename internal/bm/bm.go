@@ -5,10 +5,17 @@
 // already consumed on the local branch are funded from the slashed
 // deposit of the deceitful replicas, and the deposit is replenished when
 // the remembered inputs become spendable again.
+//
+// A block enters the ledger one of two ways — CommitBlock on the happy
+// path, MergeBlock for a conflicting branch — and both walk its
+// transactions in order on the caller's goroutine, as Alg. 2 does. The
+// one thing that leaves that goroutine is the check of signatures nobody
+// has verified yet (verifySigs), a pure function of each transaction. A
+// Ledger and the utxo.Table it holds are owned by the replica's event
+// loop and are not safe for concurrent use.
 package bm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -43,13 +50,14 @@ func NewBlock(k uint64, txs []*utxo.Transaction) *Block {
 	return b
 }
 
-// Ledger is the blockchain record Ω of Alg. 2.
+// Ledger is the blockchain record Ω of Alg. 2. It belongs to one
+// goroutine, the event loop of the replica that commits into it.
 type Ledger struct {
 	scheme crypto.Scheme
 	table  *utxo.Table
-	// pool, when set, enables the parallel commit path: independent
-	// transactions of a block apply concurrently on the striped UTXO
-	// table (SetParallel).
+	// pool, when set, checks a block's not-yet-verified signatures in
+	// parallel before the block applies (SetParallel, verifySigs). Nothing
+	// else of the ledger is touched off the caller's goroutine.
 	pool *pipeline.Pool
 
 	// deposit is the pooled slashed stake available to fund conflicting
@@ -78,11 +86,6 @@ type Ledger struct {
 	DepositFundedTxs int
 	Refunds          int
 }
-
-// Errors returned by the ledger.
-var (
-	ErrStaleBlock = errors.New("bm: block index already holds this block")
-)
 
 // NewLedger creates an empty ledger over a fresh UTXO table. scheme may be
 // nil to skip transaction signature verification (protocol-level tests).
@@ -174,154 +177,63 @@ func (l *Ledger) HasTx(id types.Digest) bool { return l.txs[id] }
 // TxCount returns the number of committed transaction IDs.
 func (l *Ledger) TxCount() int { return len(l.txs) }
 
-// SetParallel enables the parallel commit path on the given worker pool
-// (nil disables it — the forced-sequential mode of the commit pipeline).
-// Both paths produce bit-identical ledger state and applied counts; the
-// determinism tests pin this.
+// SetParallel fans the signature step of CommitBlock and MergeBlock out
+// over the given worker pool (nil: every signature is checked inline, in
+// block order — the sequential reference mode). The ledger state and the
+// applied counts are bit-identical either way; the determinism tests pin
+// this.
 func (l *Ledger) SetParallel(pool *pipeline.Pool) { l.pool = pool }
 
-// minParallelTxs is the block size below which the parallel commit path
-// is not worth its classification pass.
+// minParallelTxs is the block size below which the signature fan-out is
+// not worth waking the workers.
 const minParallelTxs = 16
 
-// CommitBlock appends a decided block on the happy path: transactions are
-// validated strictly against the UTXO table; invalid ones are skipped
-// (SBC-Validity filtered them at proposal time; a residue can appear when
-// two proposals in one superblock spend the same output — first one wins,
-// deterministically by block order). With SetParallel, transactions the
-// conflict analysis proves independent are verified and applied
-// concurrently on the worker pool; everything else falls back to
-// sequential block order.
-func (l *Ledger) CommitBlock(b *Block) (applied int) {
-	if l.pool != nil && l.scheme != nil && len(b.Txs) >= minParallelTxs {
-		applied = l.commitParallel(b)
-	} else {
-		for _, tx := range b.Txs {
-			id := tx.ID()
-			if l.txs[id] {
-				continue
-			}
-			if err := l.table.Apply(tx, l.scheme); err != nil {
-				continue
-			}
-			l.txs[id] = true
-			applied++
+// verifySigs is the one step of a block's entry that leaves the event
+// loop: the signatures nobody has checked yet fan out over the pool.
+// VerifySig is a pure function of the transaction and memoizes its
+// verdict on it, claimed before it is computed, so a signature still
+// being checked by the speculation (pipeline.TxVerifier) is waited for,
+// not checked twice, and the ordered apply that follows finds every
+// verdict settled. Transactions the apply will not ask about — already
+// committed, or of invalid shape — are not checked here either. IDs are
+// memoized on this goroutine first; the workers only read them.
+func (l *Ledger) verifySigs(txs []*utxo.Transaction) {
+	if l.pool == nil || l.scheme == nil || len(txs) < minParallelTxs {
+		return
+	}
+	pending := make([]*utxo.Transaction, 0, len(txs))
+	for _, tx := range txs {
+		if !l.txs[tx.ID()] {
+			pending = append(pending, tx)
 		}
 	}
-	l.storeBlock(b.K, b.Digest)
-	return applied
+	l.pool.Map(len(pending), func(i int) {
+		if tx := pending[i]; tx.CheckShape() == nil {
+			_ = tx.VerifySig(l.scheme) // the apply reads the memoized verdict
+		}
+	})
 }
 
-// Transaction classes of the parallel commit's conflict analysis.
-const (
-	classPar  uint8 = iota // independent: applies on the worker pool
-	classSeq               // conflicting or dependent: sequential, block order
-	classSkip              // already committed before this block
-)
-
-// commitParallel is the conflict-detecting parallel apply. A transaction
-// runs in the parallel set only when nothing else in the block can
-// influence its validity or effects: its inputs are not consumed by any
-// other block transaction, it does not spend an output produced inside
-// the block, no block transaction spends its outputs, and its ID is
-// unique in the block. Such transactions validate against pre-block table
-// state whatever the order, and their effects land on disjoint outpoints
-// (striped-table balance updates commute), so parallel application is
-// bit-identical to sequential. Everything else — intra-block dependency
-// chains, double spends resolved first-wins, duplicate IDs — replays
-// sequentially in block order after the parallel set, which cannot change
-// its outcome either (the sequential residue never touches a parallel
-// transaction's inputs or outputs).
-func (l *Ledger) commitParallel(b *Block) (applied int) {
-	n := len(b.Txs)
-	ids := make([]types.Digest, n)
-	classes := make([]uint8, n)
-	blockIDs := make(map[types.Digest]int, n)  // tx ID -> first index
-	inputUse := make(map[utxo.Outpoint]int, n) // input -> spending txs
-	refs := make(map[types.Digest]bool, n)     // in-block produced IDs spent by the block
-	for i, tx := range b.Txs {
-		ids[i] = tx.ID() // memoize on this goroutine; workers only read
-		if l.txs[ids[i]] {
-			classes[i] = classSkip
+// CommitBlock appends a decided block on the happy path: transactions are
+// validated strictly against the UTXO table, in block order on the
+// caller's goroutine; invalid ones are skipped (SBC-Validity filtered
+// them at proposal time; a residue can appear when two proposals in one
+// superblock spend the same output — first one wins, deterministically by
+// block order).
+func (l *Ledger) CommitBlock(b *Block) (applied int) {
+	l.verifySigs(b.Txs)
+	for _, tx := range b.Txs {
+		id := tx.ID()
+		if l.txs[id] {
 			continue
 		}
-		if first, dup := blockIDs[ids[i]]; dup {
-			// Duplicate IDs replay sequentially so first-wins (and the
-			// pathological fail-then-succeed retry) behave exactly as the
-			// sequential loop.
-			classes[first] = classSeq
-			classes[i] = classSeq
-		} else {
-			blockIDs[ids[i]] = i
-		}
-		for _, in := range tx.Inputs {
-			inputUse[in.Prev]++
-		}
-	}
-	for i, tx := range b.Txs {
-		if classes[i] == classSkip {
+		if err := l.table.Apply(tx, l.scheme); err != nil {
 			continue
 		}
-		for _, in := range tx.Inputs {
-			if _, inBlock := blockIDs[in.Prev.TxID]; inBlock {
-				refs[in.Prev.TxID] = true
-			}
-		}
+		l.txs[id] = true
+		applied++
 	}
-	var parIdx []int
-	for i, tx := range b.Txs {
-		if classes[i] != classPar {
-			continue
-		}
-		indep := !refs[ids[i]]
-		if indep {
-			for _, in := range tx.Inputs {
-				if inputUse[in.Prev] > 1 {
-					indep = false
-					break
-				}
-				if _, inBlock := blockIDs[in.Prev.TxID]; inBlock {
-					indep = false
-					break
-				}
-			}
-		}
-		if indep {
-			parIdx = append(parIdx, i)
-		} else {
-			classes[i] = classSeq
-		}
-	}
-
-	ok := make([]bool, len(parIdx))
-	l.pool.Map(len(parIdx), func(j int) {
-		tx := b.Txs[parIdx[j]]
-		ok[j] = l.table.Apply(tx, l.scheme) == nil
-	})
-
-	// Bookkeeping fans in on this goroutine, in block order; the
-	// sequential residue applies here too.
-	next := 0
-	for i, tx := range b.Txs {
-		switch classes[i] {
-		case classSkip:
-		case classPar:
-			if ok[next] {
-				l.txs[ids[i]] = true
-				applied++
-			}
-			next++
-		case classSeq:
-			if l.txs[ids[i]] {
-				continue
-			}
-			if err := l.table.Apply(tx, l.scheme); err != nil {
-				continue
-			}
-			l.txs[ids[i]] = true
-			applied++
-		}
-	}
+	l.storeBlock(b.K, b.Digest)
 	return applied
 }
 
@@ -336,6 +248,7 @@ func (l *Ledger) MergeBlock(b *Block) int {
 	}
 	l.merged[b.Digest] = true
 	mergedCount := 0
+	l.verifySigs(b.Txs)
 	for _, tx := range b.Txs { // go through all txs (line 9)
 		id := tx.ID()
 		if l.txs[id] { // check inclusion (line 10)

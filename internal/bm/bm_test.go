@@ -17,11 +17,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	reg := crypto.NewRegistry(crypto.SchemeEd25519)
-	scheme, err := crypto.NewScheme(crypto.SchemeEd25519, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scheme := ed25519Scheme(t)
 	mk := func(seed int64) *utxo.Wallet {
 		kp, err := scheme.GenerateKey(crypto.NewDeterministicRand(seed))
 		if err != nil {

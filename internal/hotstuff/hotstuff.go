@@ -138,14 +138,13 @@ type Replica struct {
 	highQC  *QC
 	genesis types.Digest
 
-	votes      map[uint64]map[types.ReplicaID]*Vote
-	proposed   map[uint64]bool
-	voted      map[uint64]bool
-	newViews   map[uint64]map[types.ReplicaID]*QC
-	committed  map[types.Digest]bool
-	lastCommit *Block
-	timerID    simnet.TimerID
-	failures   uint
+	votes     map[uint64]map[types.ReplicaID]*Vote
+	proposed  map[uint64]bool
+	voted     map[uint64]bool
+	newViews  map[uint64]map[types.ReplicaID]*QC
+	committed map[types.Digest]bool
+	timerID   simnet.TimerID
+	failures  uint
 
 	// Committed counts blocks committed (experiments).
 	Committed int
@@ -181,9 +180,6 @@ func New(cfg Config) *Replica {
 
 // Start enters view 1.
 func (r *Replica) Start() { r.enterView(1) }
-
-// CurrentView returns the replica's view number.
-func (r *Replica) CurrentView() uint64 { return r.curView }
 
 func (r *Replica) leader(view uint64) types.ReplicaID {
 	members := r.cfg.View.Members()
@@ -410,16 +406,12 @@ func (r *Replica) commitChain(b *Block) {
 		r.commitChain(parent)
 	}
 	r.committed[d] = true
-	r.lastCommit = b
 	r.Committed++
 	r.CommittedTxs += b.ClaimedTxs
 	if r.cfg.OnCommit != nil {
 		r.cfg.OnCommit(b)
 	}
 }
-
-// LastCommitted returns the most recently committed block.
-func (r *Replica) LastCommitted() *Block { return r.lastCommit }
 
 // String summarizes the replica state.
 func (r *Replica) String() string {

@@ -72,11 +72,6 @@ func NewAWSMatrix() *AWSMatrix {
 	}}
 }
 
-// NewAWSMatrixAssigned builds the model with a custom region assignment.
-func NewAWSMatrixAssigned(assign func(types.ReplicaID) Region) *AWSMatrix {
-	return &AWSMatrix{assign: assign}
-}
-
 // RegionOf exposes the region assignment.
 func (m *AWSMatrix) RegionOf(id types.ReplicaID) Region { return m.assign(id) }
 

@@ -214,20 +214,8 @@ func (c *Change) Phase() string {
 	}
 }
 
-// CPrime exposes the runtime exclusion committee view (diagnostics).
-func (c *Change) CPrime() *committee.View { return c.cPrime }
-
-// ExclusionInstance exposes the exclusion SBC (diagnostics/tests).
-func (c *Change) ExclusionInstance() *sbc.Instance { return c.exclusion }
-
-// InclusionInstance exposes the inclusion SBC (diagnostics/tests).
-func (c *Change) InclusionInstance() *sbc.Instance { return c.inclusion }
-
 // Excluded exposes the exclusion outcome (diagnostics/tests).
 func (c *Change) Excluded() []types.ReplicaID { return c.excluded }
-
-// ExclusionOutcome exposes the raw exclusion decision (diagnostics).
-func (c *Change) ExclusionOutcome() *sbc.Decision { return c.exclusionDec }
 
 // Epoch returns the change's epoch number.
 func (c *Change) Epoch() uint64 { return c.cfg.Epoch }

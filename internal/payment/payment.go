@@ -167,12 +167,6 @@ func PerReplicaDeposit(n int, depositFactor float64, gainBound types.Amount) typ
 	return types.Amount(math.Ceil(per))
 }
 
-// CoalitionDeposit is the total deposit held by a coalition of the given
-// size under PerReplicaDeposit staking.
-func CoalitionDeposit(n, coalition int, depositFactor float64, gainBound types.Amount) types.Amount {
-	return PerReplicaDeposit(n, depositFactor, gainBound) * types.Amount(coalition)
-}
-
 // MeasuredRho estimates ρ from experiment outcomes: successful
 // disagreement attempts over total attempts (used to produce Fig. 6 from
 // the Fig. 4 simulations).

@@ -308,32 +308,6 @@ func (s *Instance) Done() bool { return s.done }
 // Decision returns the decision once Done.
 func (s *Instance) Decision() *Decision { return s.decision }
 
-// Progress summarizes the instance state for diagnostics: delivered
-// proposals, decided binary slots, total slots.
-func (s *Instance) Progress() (delivered, decided, total int) {
-	return len(s.delivered), len(s.decidedB), len(s.members)
-}
-
-// DebugSlot returns the binary consensus diagnostic string for a slot.
-func (s *Instance) DebugSlot(slot types.ReplicaID) string {
-	if b, ok := s.bins[slot]; ok {
-		return b.DebugState()
-	}
-	return "no bincon"
-}
-
-// UndecidedSlots lists slots whose binary consensus has not decided
-// (diagnostics).
-func (s *Instance) UndecidedSlots() []types.ReplicaID {
-	var out []types.ReplicaID
-	for _, m := range s.members {
-		if _, ok := s.decidedB[m]; !ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 func (s *Instance) rbcFor(slot types.ReplicaID) *rbc.Instance {
 	r, ok := s.rbcs[slot]
 	if !ok {

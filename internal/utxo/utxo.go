@@ -4,6 +4,13 @@
 // producing new ones, validated against an in-memory UTXO table kept to a
 // minimum number of entries by consuming as many UTXOs as possible per
 // transaction.
+//
+// Two things live here with two different concurrency contracts. A
+// Transaction is immutable once signed and its signature verdict sits in
+// an atomic slot, so any goroutine may verify it (VerifySig) and each
+// signature is checked once. A Table is mutable state with no lock: it
+// belongs to the event loop of the replica that owns it, which is the
+// only goroutine that validates against it or applies to it.
 package utxo
 
 import (
@@ -12,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -427,154 +433,84 @@ func (w *Wallet) PayWithFee(inputs []Input, to []Output, fee types.Amount) (*Tra
 	return tx, nil
 }
 
-// tableStripes is the number of lock stripes the table's state is
-// sharded across. A power of two so the stripe index is a mask.
-const tableStripes = 64
-
-// opStripe holds the outpoint-keyed state of one stripe.
-type opStripe struct {
-	mu    sync.RWMutex
-	utxos map[Outpoint]Output
-}
-
-// addrStripe holds the account-keyed state of one stripe.
-type addrStripe struct {
-	mu     sync.RWMutex
+// Table is the in-memory UTXO table (paper §4.2.2): the unspent outputs,
+// indexed by outpoint and by owning account, and each account's running
+// balance. It is three plain maps with no lock, owned by one goroutine —
+// the event loop of the replica whose ledger (bm.Ledger) holds it. A
+// block applies to it in order on that loop (Alg. 2), the signature
+// checks that do run elsewhere never read it (VerifySig is a function of
+// the transaction alone), and a metrics scrape reads the node's status
+// snapshot, not the table. A caller on another goroutine must be given
+// its own synchronization, and named here, before the table grows one.
+type Table struct {
+	utxos  map[Outpoint]Output
 	byAddr map[Address]map[Outpoint]struct{}
 	// bal holds each address's running balance so Balance is O(1) instead
 	// of iterating the outpoint set.
 	bal map[Address]types.Amount
 }
 
-// Table is the in-memory UTXO table (paper §4.2.2), lock-striped across
-// tableStripes shards: unspent outputs shard by outpoint, account indexes
-// and balances shard by address. Every individual operation (Credit,
-// Consume, Spendable, Balance, ...) is atomic and safe for concurrent
-// use; compound operations like Apply are atomic only per map access.
-// That is exactly what the commit pipeline (internal/pipeline, internal/
-// bm) needs: it only applies transactions concurrently when its conflict
-// analysis proved them disjoint on inputs and independent of every other
-// transaction in the block, so per-access atomicity composes to a result
-// bit-identical to sequential application. Balance updates from
-// concurrent credits to one account are commutative additions under the
-// account's stripe lock.
-type Table struct {
-	ops   [tableStripes]opStripe
-	addrs [tableStripes]addrStripe
-}
-
 // NewTable creates an empty table.
 func NewTable() *Table {
-	t := &Table{}
-	for i := range t.ops {
-		t.ops[i].utxos = make(map[Outpoint]Output)
+	return &Table{
+		utxos:  make(map[Outpoint]Output),
+		byAddr: make(map[Address]map[Outpoint]struct{}),
+		bal:    make(map[Address]types.Amount),
 	}
-	for i := range t.addrs {
-		t.addrs[i].byAddr = make(map[Address]map[Outpoint]struct{})
-		t.addrs[i].bal = make(map[Address]types.Amount)
-	}
-	return t
-}
-
-// opStripeOf maps an outpoint to its stripe. TxIDs are hashes, so the
-// first byte is uniform; XOR-ing the index spreads the outputs of one
-// transaction (and the genesis block) across stripes.
-func (t *Table) opStripeOf(op Outpoint) *opStripe {
-	return &t.ops[(uint32(op.TxID[0])^op.Index)&(tableStripes-1)]
-}
-
-// addrStripeOf maps an account to its stripe (addresses are hashes).
-func (t *Table) addrStripeOf(addr Address) *addrStripe {
-	return &t.addrs[addr[0]&(tableStripes-1)]
 }
 
 // Credit inserts an unspent output (genesis allocation or tx product).
 func (t *Table) Credit(op Outpoint, out Output) {
-	s := t.opStripeOf(op)
-	s.mu.Lock()
-	if _, dup := s.utxos[op]; dup {
-		s.mu.Unlock()
+	if _, dup := t.utxos[op]; dup {
 		return
 	}
-	s.utxos[op] = out
-	s.mu.Unlock()
-
-	a := t.addrStripeOf(out.Account)
-	a.mu.Lock()
-	a.bal[out.Account] += out.Value
-	set, ok := a.byAddr[out.Account]
+	t.utxos[op] = out
+	t.bal[out.Account] += out.Value
+	set, ok := t.byAddr[out.Account]
 	if !ok {
 		set = make(map[Outpoint]struct{})
-		a.byAddr[out.Account] = set
+		t.byAddr[out.Account] = set
 	}
 	set[op] = struct{}{}
-	a.mu.Unlock()
 }
 
 // Spendable reports whether the outpoint is unspent, and its output.
 func (t *Table) Spendable(op Outpoint) (Output, bool) {
-	s := t.opStripeOf(op)
-	s.mu.RLock()
-	out, ok := s.utxos[op]
-	s.mu.RUnlock()
+	out, ok := t.utxos[op]
 	return out, ok
 }
 
 // Consume removes an unspent output; it reports whether it was present.
 func (t *Table) Consume(op Outpoint) bool {
-	s := t.opStripeOf(op)
-	s.mu.Lock()
-	out, ok := s.utxos[op]
+	out, ok := t.utxos[op]
 	if !ok {
-		s.mu.Unlock()
 		return false
 	}
-	delete(s.utxos, op)
-	s.mu.Unlock()
-
-	a := t.addrStripeOf(out.Account)
-	a.mu.Lock()
-	if next := a.bal[out.Account] - out.Value; next == 0 {
-		delete(a.bal, out.Account)
+	delete(t.utxos, op)
+	if next := t.bal[out.Account] - out.Value; next == 0 {
+		delete(t.bal, out.Account)
 	} else {
-		a.bal[out.Account] = next
+		t.bal[out.Account] = next
 	}
-	if set, ok := a.byAddr[out.Account]; ok {
+	if set, ok := t.byAddr[out.Account]; ok {
 		delete(set, op)
 		if len(set) == 0 {
-			delete(a.byAddr, out.Account)
+			delete(t.byAddr, out.Account)
 		}
 	}
-	a.mu.Unlock()
 	return true
 }
 
 // Balance returns the account's running balance in O(1).
-func (t *Table) Balance(addr Address) types.Amount {
-	a := t.addrStripeOf(addr)
-	a.mu.RLock()
-	bal := a.bal[addr]
-	a.mu.RUnlock()
-	return bal
-}
-
-// outpointsOf copies the account's unspent outpoint set under its stripe
-// lock.
-func (t *Table) outpointsOf(addr Address) []Outpoint {
-	a := t.addrStripeOf(addr)
-	a.mu.RLock()
-	ops := make([]Outpoint, 0, len(a.byAddr[addr]))
-	for op := range a.byAddr[addr] {
-		ops = append(ops, op)
-	}
-	a.mu.RUnlock()
-	return ops
-}
+func (t *Table) Balance(addr Address) types.Amount { return t.bal[addr] }
 
 // Outpoints returns the account's unspent outpoints sorted by (TxID,
 // Index) — deterministic input selection for wallets.
 func (t *Table) Outpoints(addr Address) []Outpoint {
-	ops := t.outpointsOf(addr)
+	ops := make([]Outpoint, 0, len(t.byAddr[addr]))
+	for op := range t.byAddr[addr] {
+		ops = append(ops, op)
+	}
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].TxID != ops[j].TxID {
 			return ops[i].TxID.Less(ops[j].TxID)
@@ -594,12 +530,9 @@ func (t *Table) InputsFor(addr Address, amount types.Amount) ([]Input, error) {
 	if have := t.Balance(addr); have < amount {
 		return nil, fmt.Errorf("%w: account %v has %d, needs %d", ErrMissingUTXO, addr, have, amount)
 	}
-	ops := t.outpointsOf(addr)
-	picked := make([]Input, 0, len(ops))
-	for _, op := range ops {
-		if out, ok := t.Spendable(op); ok {
-			picked = append(picked, Input{Prev: op, Value: out.Value})
-		}
+	picked := make([]Input, 0, len(t.byAddr[addr]))
+	for op := range t.byAddr[addr] {
+		picked = append(picked, Input{Prev: op, Value: t.utxos[op].Value})
 	}
 	sort.Slice(picked, func(i, j int) bool {
 		if picked[i].Value != picked[j].Value {
@@ -621,16 +554,7 @@ func (t *Table) InputsFor(addr Address, amount types.Amount) ([]Input, error) {
 }
 
 // Size returns the number of unspent outputs.
-func (t *Table) Size() int {
-	total := 0
-	for i := range t.ops {
-		s := &t.ops[i]
-		s.mu.RLock()
-		total += len(s.utxos)
-		s.mu.RUnlock()
-	}
-	return total
-}
+func (t *Table) Size() int { return len(t.utxos) }
 
 // Validate checks a transaction against the table without mutating it:
 // shape, signature (if scheme non-nil), spendability, ownership and value
@@ -686,14 +610,9 @@ type Entry struct {
 // deterministic enumeration ledger checkpoints (internal/store) are
 // built from.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, t.Size())
-	for i := range t.ops {
-		s := &t.ops[i]
-		s.mu.RLock()
-		for op, o := range s.utxos {
-			out = append(out, Entry{Op: op, Out: o})
-		}
-		s.mu.RUnlock()
+	out := make([]Entry, 0, len(t.utxos))
+	for op, o := range t.utxos {
+		out = append(out, Entry{Op: op, Out: o})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Op.TxID != out[j].Op.TxID {
@@ -707,13 +626,8 @@ func (t *Table) Entries() []Entry {
 // TotalValue sums every unspent output: conservation checks in tests.
 func (t *Table) TotalValue() types.Amount {
 	var sum types.Amount
-	for i := range t.ops {
-		s := &t.ops[i]
-		s.mu.RLock()
-		for _, out := range s.utxos {
-			sum += out.Value
-		}
-		s.mu.RUnlock()
+	for _, out := range t.utxos {
+		sum += out.Value
 	}
 	return sum
 }
@@ -721,13 +635,8 @@ func (t *Table) TotalValue() types.Amount {
 // Clone deep-copies the table (branch simulation in tests and merges).
 func (t *Table) Clone() *Table {
 	c := NewTable()
-	for i := range t.ops {
-		s := &t.ops[i]
-		s.mu.RLock()
-		for op, out := range s.utxos {
-			c.Credit(op, out)
-		}
-		s.mu.RUnlock()
+	for op, out := range t.utxos {
+		c.Credit(op, out)
 	}
 	return c
 }

@@ -10,8 +10,12 @@ import (
 	"github.com/zeroloss/zlb/internal/types"
 )
 
-// Certificate codec. Certificates travel in durable sync transfers and
-// catch-up responses, so the format is versioned from day one:
+// Certificate codec. Nothing on a node calls it yet: certificates cross
+// the network inside the transport's gob frames, and the store persists
+// blocks, not certificates. It is the certificate half of the one wire
+// format that retires gob (ROADMAP item 6), and today's one caller outside
+// the tests is the size meter of the `certs` experiment
+// (internal/bench/certs.go). The format is versioned from day one:
 //
 //	byte 0        format version (certFormatV1)
 //	byte 1        scheme kind (crypto.SchemeKind)

@@ -143,9 +143,6 @@ type Config struct {
 	GainBound Amount
 	// DepositFactor is b in D = b·G (default 0.1, the paper's Fig. 6).
 	DepositFactor float64
-	// FinalizationDepth is m, the blockdepth before deposits return
-	// (default: derived from DepositFactor for ρ = 0.55 per §B).
-	FinalizationDepth int
 	// MaxBlocks bounds the chain length for bounded runs (default 32).
 	MaxBlocks uint64
 	// Seed drives all randomness (default 1).
@@ -158,10 +155,11 @@ type Config struct {
 	// compatibility matrix.
 	Scheme string
 	// SequentialCommit forces the multi-core commit pipeline
-	// (internal/pipeline) off: transaction signatures and block
-	// application run inline on the event loop, with no worker pool and
-	// no speculative pre-verification. The default (false) fans that work
-	// out across runtime.GOMAXPROCS workers. Both modes produce
+	// (internal/pipeline) off: every transaction signature is checked
+	// inline on the event loop as its block applies, with no worker pool
+	// and no speculative pre-verification. The default (false) fans the
+	// signature checks out across runtime.GOMAXPROCS workers; a block
+	// applies in order on the event loop either way. Both modes produce
 	// bit-identical chains, balances and virtual-time metrics — the
 	// determinism tests pin this; the knob exists for those tests and for
 	// debugging.
@@ -231,10 +229,9 @@ type Config struct {
 
 // Errors returned by the public API.
 var (
-	ErrBadConfig       = errors.New("zlb: invalid configuration")
-	ErrUnknownWallet   = errors.New("zlb: unknown wallet index")
-	ErrInsufficient    = errors.New("zlb: insufficient funds")
-	ErrClusterFinished = errors.New("zlb: cluster reached MaxBlocks")
+	ErrBadConfig     = errors.New("zlb: invalid configuration")
+	ErrUnknownWallet = errors.New("zlb: unknown wallet index")
+	ErrInsufficient  = errors.New("zlb: insufficient funds")
 )
 
 // Cluster is an in-process simulated ZLB deployment: n replicas over the
@@ -773,8 +770,10 @@ func (c *Cluster) Converged() bool { return c.inner.ConvergedAgreement() }
 // PerReplicaStake returns the deposit each replica posts (3·b·G/n, §B).
 func (c *Cluster) PerReplicaStake() Amount { return c.stake }
 
-// MinFinalizationDepth computes Theorem .5's minimum blockdepth for the
+// MinFinalizationDepth computes Theorem .5's minimum blockdepth m for the
 // cluster's deposit factor and an observed attack success probability.
+// The depth is computed, not configured: the cluster holds no finalization
+// depth of its own and never returns a deposit.
 func (c *Cluster) MinFinalizationDepth(rho float64) (int, error) {
 	branches := payment.MaxBranchesCount(c.cfg.N, c.cfg.Deceitful)
 	if branches < 2 {
