@@ -120,11 +120,10 @@ type clientEnvelope struct {
 }
 
 // submit pays amount to a throwaway recipient, broadcasting to the given
-// replica subset (indices into addrs). Delivery to EVERY listed replica
-// is retried until it succeeds: when exactly n−t replicas are alive, SBC
-// waits for n−t delivered proposals before voting 0 on absent slots, so
-// every live replica must have work to propose or the instance stalls —
-// real clients likewise broadcast with retries (§4.2).
+// replica subset (indices into addrs). Delivery to every listed replica
+// is retried until it succeeds, as real clients broadcast with retries
+// (§4.2): a test that kills a replica next counts on the others holding
+// the transaction.
 func (c *testClient) submit(amount types.Amount, to ...int) {
 	c.t.Helper()
 	c.send(c.pay(amount), to...)
@@ -182,6 +181,37 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 		time.Sleep(100 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestTransactionSubmittedToOneReplicaCommits: a payment only replica 1
+// has heard of is applied by all four. The three idle replicas join the
+// instance replica 1 starts with empty proposals, so the block commits
+// without n−t pools holding traffic, every slot decides 1 in one round, and
+// nobody starts a second instance no one has work for.
+func TestTransactionSubmittedToOneReplicaCommits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-TCP integration test")
+	}
+	const n = 4
+	nodes, addrs := startCluster(t, n, 31, nil)
+	client := newTestClient(t, 31, addrs)
+	before := nodes[0].state().Faucet
+	client.submit(700, 0)
+	waitFor(t, 30*time.Second, "the payment applied on all replicas", func() bool {
+		for _, rn := range nodes {
+			if rn.state().Faucet != before-700 {
+				return false
+			}
+		}
+		return true
+	})
+	for i, rn := range nodes {
+		p := rn.app.Status().Pipeline
+		if st := rn.state(); st.Height != 1 || p.BinconSlotsOne != n || p.BinconSlotsZero != 0 || p.BinconRounds != n {
+			t.Errorf("replica %d: height %d, slots decided 1/0 = %d/%d in %d rounds; want one block of %d proposals, a round each",
+				i+1, st.Height, p.BinconSlotsOne, p.BinconSlotsZero, p.BinconRounds, n)
+		}
+	}
 }
 
 // TestNodeKillRestartRecovers is the acceptance integration test: a

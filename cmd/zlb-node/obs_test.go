@@ -246,7 +246,7 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// Where proposal work went. Every payment is broadcast, so a block is
-	// decided from up to n one-payment proposals, usually n−t of them
+	// decided from up to n one-payment proposals, usually all of them
 	// selected and never none, and nothing is selected that was not
 	// delivered. Those proposals are the bytes replica 1 encoded itself and
 	// hit the batch cache whole; whatever payload it did decode held one
@@ -261,6 +261,19 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	reused := seriesValue(t, body, "zlb_batch_txs_reused_total")
 	if decoded+reused > delivered {
 		t.Errorf("zlb_batch_txs_decoded_total = %v, zlb_batch_txs_reused_total = %v with %v proposals delivered", decoded, reused, delivered)
+	}
+	// The agreements behind those blocks: n binary consensuses a block, one
+	// decided 1 per selected proposal, each taking at least a round.
+	rounds := seriesValue(t, body, "zlb_bincon_rounds_total")
+	zeros := seriesValue(t, body, `zlb_bincon_slots_decided_total{value="0"}`)
+	ones := seriesValue(t, body, `zlb_bincon_slots_decided_total{value="1"}`)
+	if zeros+ones != n*(blocks+more) || ones != selected || rounds < zeros+ones {
+		t.Errorf("zlb_bincon_rounds_total = %v, zlb_bincon_slots_decided_total = %v zeros + %v ones after %d blocks of %v proposals",
+			rounds, zeros, ones, blocks+more, selected)
+	}
+	if p := st.Pipeline; float64(p.BinconRounds) < rounds || float64(p.BinconSlotsZero) < zeros || float64(p.BinconSlotsOne) < ones ||
+		p.BinconRounds < p.BinconSlotsZero+p.BinconSlotsOne {
+		t.Errorf("/status pipeline = %+v, /metrics read rounds %v zeros %v ones %v", p, rounds, zeros, ones)
 	}
 	// Where signature work went: statements checked, statements the log
 	// already held (this node's own, at the least), and certificates

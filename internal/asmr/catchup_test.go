@@ -7,6 +7,10 @@ import (
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/crypto"
+	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/obs"
+	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -126,5 +130,52 @@ func TestCatchupAdoptsNothingFromForgedBlock(t *testing.T) {
 		if d != want[k] {
 			t.Fatalf("block %d adopted as %v, the source holds %v", k, d, want[k])
 		}
+	}
+}
+
+// TestJoinerRunsInFlightInstancesAtTheEpochItJoins: the members restart
+// the undecided instances under the new committee before they send the
+// join notice, so a frame of the restarted attempt can reach a pool node
+// first and make it open the instance under the epoch it still knows. Once
+// it joins, it proposes for the attempt its committee runs — on the old one
+// its proposal reaches nobody, and with the three it replaced excluded the
+// committee is then short of the n−t proposals an instance needs.
+func TestJoinerRunsInFlightInstancesAtTheEpochItJoins(t *testing.T) {
+	tracer := obs.NewTracer()
+	c, err := harness.New(harness.Options{
+		N:           4,
+		PoolSize:    1,
+		Accountable: true,
+		Recover:     true,
+		BaseLatency: latency.Fixed(time.Millisecond),
+		Seed:        7,
+		Tracer:      tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner, sponsor := c.PoolIDs[0], c.Members[1]
+	early := &rbc.Init{Stmt: accountability.Signed{Signer: sponsor, Stmt: accountability.Statement{
+		Context:  accountability.CtxMain,
+		Kind:     accountability.KindInit,
+		Instance: asmr.WireInstance(1, 1),
+		Slot:     uint32(sponsor),
+	}}}
+	c.Net.Inject(sponsor, joiner, early, time.Millisecond)
+	committee := append(append([]types.ReplicaID(nil), c.Members[1:]...), joiner)
+	c.Net.Inject(sponsor, joiner, &asmr.JoinNotice{Epoch: 1, Committee: committee, NextK: 1}, 2*time.Millisecond)
+	c.Run(3 * time.Millisecond)
+
+	proposed := false
+	for _, ev := range tracer.Events() {
+		if ev.Node == joiner && ev.Phase == obs.PhaseBatchPropose {
+			proposed = true
+			if ev.K != 1 || ev.Round != 1 {
+				t.Fatalf("the joiner proposed for instance %d at attempt %d, its committee runs instance 1 at attempt 1", ev.K, ev.Round)
+			}
+		}
+	}
+	if !proposed {
+		t.Fatal("the joiner proposed nothing")
 	}
 }

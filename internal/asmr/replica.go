@@ -65,7 +65,8 @@ type Config struct {
 	// WaitForWork makes the replica defer starting an instance until
 	// BatchSource returns a non-empty batch (paper Fig. 2: "if there are
 	// enqueued requests that wait to be served, then a replica starts a
-	// new instance"). Kick retries after new work arrives.
+	// new instance") or a peer's proposal for it arrives, which it joins
+	// with an empty one. Kick retries after new work arrives.
 	WaitForWork bool
 	// MaxInstances stops starting new instances after this many (0 = no
 	// limit); experiments use it to bound runs.
@@ -351,8 +352,13 @@ func (r *Replica) startInstance(k uint64) {
 	if r.cfg.BatchSource != nil {
 		batch = r.cfg.BatchSource(k)
 	}
-	if r.cfg.WaitForWork && len(batch.Payload) == 0 && batch.ClaimedSigs == 0 {
-		return // no enqueued requests; Kick retries when work arrives
+	if r.cfg.WaitForWork && len(batch.Payload) == 0 && batch.ClaimedSigs == 0 && !st.inst.HasProposal() {
+		// No enqueued requests here or, as far as this replica knows,
+		// anywhere: Kick retries when work arrives. Once a peer's proposal
+		// for k has, the replica joins with the empty batch — n−t pools need
+		// not have traffic for one transaction to commit, and no slot of a
+		// benign instance waits out the 0-votes.
+		return
 	}
 	st.proposed = true
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseBatchPropose, k, 0, st.attempt, "")
@@ -822,6 +828,16 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	r.member = true
 	r.epoch = m.Epoch
 	r.view = committee.NewView(m.Committee)
+	// Frames of the restarted attempts can overtake the notice, and made
+	// this node open their instances while it was still in the pool, under
+	// the epoch and the committee it knew then. They run at the epoch it
+	// joins, like every other in-flight instance.
+	for k, st := range r.instances {
+		if !st.decided && st.attempt < uint32(r.epoch) {
+			st.inst.Release()
+			r.newInstance(k)
+		}
+	}
 	for i, b := range m.Blocks {
 		if _, dup := r.committed[b.K]; !dup {
 			st := r.ensureInstance(b.K)
@@ -839,8 +855,6 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	if m.NextK > r.nextK {
 		r.nextK = m.NextK
 	}
-	// In-flight instances run at attempt = epoch; ensureInstance picks
-	// that up from the epoch adopted above.
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseInclusion, m.Epoch, uint32(r.cfg.Self), 0, "")
 	if r.cfg.OnJoined != nil {
 		r.cfg.OnJoined(m.Epoch, m.Committee)
@@ -973,6 +987,9 @@ func (r *Replica) routeConsensus(from types.ReplicaID, msg simnet.Message, mayBu
 			return true
 		case st.attempt == attempt && !st.stopped:
 			st.inst.OnMessage(from, msg)
+			if _, init := msg.(*rbc.Init); init && k == r.nextK {
+				r.Kick() // a replica waiting for work joins the instance a peer started
+			}
 			return true
 		case attempt > st.attempt || st.stopped:
 			// A peer already restarted this instance; we will too after

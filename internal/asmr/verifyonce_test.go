@@ -34,9 +34,10 @@ func (s *tallyScheme) Verify(pub crypto.PublicKey, digest types.Digest, sig cryp
 // TestEverySignatureCheckedOncePerNode runs an honest n=4 chain and reads
 // each node's scheme: no (signer, statement, signature) is checked twice,
 // none of the node's own is checked at all, so the checks a node makes are
-// the distinct foreign signatures it saw — per instance and slot one INIT,
-// n−1 ECHOs, n−1 READYs and, per bincon round, the COORD and n−1 AUXs,
-// plus n−1 CONFIRMs: about 56 at n=4 and 1.75 rounds per slot.
+// the distinct foreign signatures it saw. Every proposal commits and every
+// slot decides 1 in one binary round, so per instance that is n−1 INITs,
+// n(n−1) ECHOs, n(n−1) READYs, n−1 COORDs (the node coordinates one slot in
+// n itself), n(n−1) AUXs and n−1 CONFIRMs: 3(n−1)(n+1), 45 at n=4.
 func TestEverySignatureCheckedOncePerNode(t *testing.T) {
 	const n, instances = 4, 24
 	reg := crypto.NewRegistry(crypto.SchemeSim)
@@ -94,9 +95,8 @@ func TestEverySignatureCheckedOncePerNode(t *testing.T) {
 				t.Errorf("replica %v checked a signature of its own", members[i])
 			}
 		}
-		// At most two bincon rounds on a benign run.
-		if most := instances * (n*(1+2*(n-1)+2*n) + n - 1); total > most {
-			t.Errorf("replica %v made %d signature checks, want <= %d: the foreign signatures of %d instances", members[i], total, most, instances)
+		if want := instances * 3 * (n - 1) * (n + 1); total != want {
+			t.Errorf("replica %v made %d signature checks, want %d: the foreign signatures of %d one-round instances", members[i], total, want, instances)
 		}
 		log := r.Log()
 		if log.SigChecks != uint64(total) {

@@ -16,10 +16,16 @@
 //  3. once bin_values ≠ ∅ and (coord value arrived or timeout): broadcast
 //     one signed AUX[r](v) — the coordinator's value if valid, else the
 //     first of bin_values.
-//  4. on ⌈2n/3⌉ AUX[r] votes with values ⊆ bin_values: if unanimous on v
-//     and v = r mod 2, decide v with the vote quorum as certificate; if
-//     unanimous on v ≠ r mod 2, adopt est = v; else est = r mod 2. Next
-//     round.
+//  4. on ⌈2n/3⌉ AUX[r] votes with values ⊆ bin_values: round r favours
+//     the value f = 1 − (r mod 2). If unanimous on v = f, decide v with
+//     the vote quorum as certificate; if unanimous on v ≠ f, adopt est =
+//     v; else est = f. Next round.
+//
+// Rounds are numbered from 0 here and from 1 in DBFT, whose round r
+// favours r mod 2: the first round favours 1 in both. The set consensus
+// proposes 1 for every delivered proposal, so the common case — everybody
+// holds the proposal — decides in one round, and a slot nobody has a
+// proposal for decides 0 in two.
 //
 // Deciders announce DECIDE(v) to everyone and keep the certificate: a
 // replica to which the announcement is news (it has not decided) or
@@ -603,14 +609,16 @@ func (b *Instance) reevaluate(r types.Round) {
 	if count < quorum {
 		return
 	}
-	parity := r%2 == 1 // round r favors value (r mod 2): r=0 → false, r=1 → true
+	// Even rounds favour 1, odd rounds 0: DBFT's alternation with its first
+	// round, which favours 1, numbered 0.
+	favoured := r%2 == 0
 	switch {
 	case falseCount == count:
-		b.finishRound(r, false, parity == false)
+		b.finishRound(r, false, !favoured)
 	case trueCount == count:
-		b.finishRound(r, true, parity == true)
+		b.finishRound(r, true, favoured)
 	default:
-		b.est = parity
+		b.est = favoured
 		b.advance(r + 1)
 	}
 }

@@ -121,6 +121,9 @@ func (c *binCluster) propose(values map[types.ReplicaID]bool) {
 	}
 }
 
+// Rounds count from 0 and the even ones favour 1 (DBFT's first round): a
+// unanimous 1 — a delivered proposal — decides in the first round, and a
+// unanimous 0 — an absent one — in the second.
 func TestBinConUnanimousTrue(t *testing.T) {
 	c := buildBin(t, 7, nil, 1)
 	values := map[types.ReplicaID]bool{}
@@ -136,13 +139,16 @@ func TestBinConUnanimousTrue(t *testing.T) {
 		if !d.Value {
 			t.Fatalf("replica %v decided false on unanimous true", id)
 		}
+		if d.Round != 0 {
+			t.Fatalf("replica %v decided at round %d; round 0 favours 1", id, d.Round)
+		}
 		if d.Cert == nil || d.Cert.SignerCount(nil) < types.Quorum(7) {
 			t.Fatalf("replica %v decision cert invalid", id)
 		}
 	}
 }
 
-func TestBinConUnanimousFalseDecidesRoundZero(t *testing.T) {
+func TestBinConUnanimousFalseDecidesRoundOne(t *testing.T) {
 	c := buildBin(t, 7, nil, 2)
 	values := map[types.ReplicaID]bool{}
 	c.propose(values) // all false
@@ -151,8 +157,8 @@ func TestBinConUnanimousFalseDecidesRoundZero(t *testing.T) {
 		if d.Value {
 			t.Fatalf("replica %v decided true on unanimous false", id)
 		}
-		if d.Round != 0 {
-			t.Fatalf("replica %v decided at round %d; parity favors 0 at round 0", id, d.Round)
+		if d.Round != 1 {
+			t.Fatalf("replica %v decided at round %d; round 0 favours 1, round 1 favours 0", id, d.Round)
 		}
 	}
 	if len(c.decided) != 7 {

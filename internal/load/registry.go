@@ -144,10 +144,10 @@ func sybilSpamFlood(n int, seed int64) Campaign {
 			{Name: "cooldown", Duration: 2 * time.Second, Rates: []float64{30, 0}},
 		},
 		// Small proposals (~340 tx/s of commit capacity at this committee
-		// size) put the 630 tx/s flood firmly past saturation: the
-		// baseline's arrival-order backlog is what degrades the honest
-		// tail.
-		BatchTxs: 60,
+		// size: 8.6 blocks a second since an instance is one binary round)
+		// put the 630 tx/s flood firmly past saturation: the baseline's
+		// arrival-order backlog is what degrades the honest tail.
+		BatchTxs: 40,
 		Drain:    20 * time.Second,
 	}
 	admission := base
@@ -182,9 +182,10 @@ func feeSqueeze(n int, seed int64) Campaign {
 			ReplaceBumpPct: 10,
 			PriorityOrder:  true,
 		},
-		// ~220 tx/s of commit capacity against 340 tx/s offered during
-		// the squeeze: the bounded pool must arbitrate by fee rate.
-		BatchTxs: 40,
+		// ~220 tx/s of commit capacity (8.6 blocks a second) against 340
+		// tx/s offered during the squeeze: the bounded pool must arbitrate
+		// by fee rate.
+		BatchTxs: 25,
 		Drain:    20 * time.Second,
 	}
 	return Campaign{Variants: []Variant{{Label: "admission", Config: cfg}}}

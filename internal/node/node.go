@@ -256,6 +256,7 @@ func (n *Node) Commit(k uint64, attempt uint32, d *sbc.Decision) {
 		s.BlocksCommitted++
 		s.TxsApplied += uint64(applied)
 		s.Pipeline.ProposalsCommitted += uint64(len(d.Proposals))
+		s.Pipeline.noteBinary(d)
 		s.Memory.RetainedPayloadBytes += int64(payloadBytes(d))
 		n.noteLedger(s)
 	})

@@ -23,15 +23,18 @@ func (s noVerifyScheme) Verify(crypto.PublicKey, types.Digest, crypto.Signature)
 	return false
 }
 
-// TestReproposedTransactionsCommitAsFirstDecoded replays what the
-// sharded workload does to one node (every transaction goes to one
-// replica, so the four proposals of an instance are disjoint): each
-// instance delivers four proposals and selects three, and the owner of
+// TestReproposedTransactionsCommitAsFirstDecoded replays, on one node, a
+// proposal losing its slot instance after instance — what every instance
+// of a sharded workload did while the reduction voted 0 at the n−t-th
+// delivery, and what a proposal slower than n−t agreements still meets.
+// The test drives the deliveries and decisions by hand: each instance
+// delivers four disjoint proposals and selects three, and the owner of
 // the dropped one proposes its transactions again one instance later, in
 // front of its new ones, as a payload with different bytes. Those
 // transactions must come out of the batch cache, and so reach the commit,
-// as the objects the first delivery decoded and verified; the four
-// counters must read 4 : 3 and a quarter reused; and the dropped payloads,
+// as the objects the first delivery decoded and verified; the counters
+// must read four delivered to three committed, as driven, and a quarter
+// reused; and the dropped payloads,
 // which the reused objects alias, must leave with the cache's window: the
 // heap may grow by the committed payloads plus footprintPerTx per payment,
 // the budget of TestCommittedHistoryFootprint.

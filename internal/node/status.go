@@ -1,6 +1,8 @@
 package node
 
 import (
+	"strconv"
+
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/sbc"
@@ -41,16 +43,22 @@ type MemoryStatus struct {
 	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
 }
 
-// PipelineStatus is where proposal and signature work went: the
+// PipelineStatus is where proposal, agreement and signature work went: the
 // zlb_proposals_delivered_total … zlb_decide_pulls_total series.
 // Proposals the reliable broadcast delivered here against proposals the
 // decisions selected: the difference was carried, decoded and verified
 // for nothing, and its owner proposes it again. Statement signatures
 // checked against those the accountability log already held, and the
-// decision certificates pulled after an announcement.
+// decision certificates pulled after an announcement. The binary
+// consensuses of the committed decisions, by decided value, and the rounds
+// they took (a decision certificate's round, counted from one): rounds per
+// slot and the share of slots decided 0 read off these.
 type PipelineStatus struct {
 	ProposalsDelivered uint64 `json:"proposals_delivered"`
 	ProposalsCommitted uint64 `json:"proposals_committed"`
+	BinconRounds       uint64 `json:"bincon_rounds"`
+	BinconSlotsZero    uint64 `json:"bincon_slots_decided_0"`
+	BinconSlotsOne     uint64 `json:"bincon_slots_decided_1"`
 	BatchTxsDecoded    int    `json:"batch_txs_decoded"`
 	BatchTxsReused     int    `json:"batch_txs_reused"`
 	StmtSigChecks      uint64 `json:"stmt_sig_checks"`
@@ -84,6 +92,21 @@ func (n *Node) noteLedger(s *Status) {
 	s.Memory.CommittedTxIDs = int64(n.ledger.TxCount())
 	s.Memory.UTXOEntries = int64(n.ledger.Table().Size())
 	s.Memory.BatchCacheEntries = int64(n.opts.Batches.Len())
+}
+
+// noteBinary counts the binary consensuses of committed decision d.
+func (p *PipelineStatus) noteBinary(d *sbc.Decision) {
+	for slot, one := range d.Bits {
+		p.BinconRounds++
+		if cert := d.BinCerts[slot]; cert != nil {
+			p.BinconRounds += uint64(cert.Stmt.Round)
+		}
+		if one {
+			p.BinconSlotsOne++
+		} else {
+			p.BinconSlotsZero++
+		}
+	}
 }
 
 // payloadBytes is what retaining d costs in proposal payloads. Equal
@@ -152,6 +175,12 @@ func (n *Node) registerSeries() {
 
 	reg.CounterFunc("zlb_proposals_delivered_total", "Proposal payloads the reliable broadcast delivered to this replica.", locked(func() int64 { return int64(s.Pipeline.ProposalsDelivered) }))
 	reg.CounterFunc("zlb_proposals_committed_total", "Proposals selected by the decisions this replica committed.", locked(func() int64 { return int64(s.Pipeline.ProposalsCommitted) }))
+
+	reg.CounterFunc("zlb_bincon_rounds_total", "Rounds the binary consensuses of committed decisions took to decide (the decision certificate's round, counted from one).", locked(func() int64 { return int64(s.Pipeline.BinconRounds) }))
+	for value, slots := range []*uint64{&s.Pipeline.BinconSlotsZero, &s.Pipeline.BinconSlotsOne} {
+		reg.CounterFunc("zlb_bincon_slots_decided_total", "Binary consensuses (proposer slots) of committed decisions, by decided value.",
+			locked(func() int64 { return int64(*slots) }), "value", strconv.Itoa(value))
+	}
 
 	reg.CounterFunc("zlb_stmt_sig_checks_total", "Protocol statement signatures (votes, certificates) handed to the signature scheme.", locked(func() int64 { return int64(s.Pipeline.StmtSigChecks) }))
 	reg.CounterFunc("zlb_stmt_sig_known_total", "Protocol statement signatures accepted without a check: the accountability log held that exact signed statement.", locked(func() int64 { return int64(s.Pipeline.StmtSigKnown) }))

@@ -210,6 +210,10 @@ func New(cfg Config) *Instance {
 // Delivered reports whether the slot has delivered.
 func (r *Instance) Delivered() bool { return r.delivered }
 
+// HasPayload reports whether a proposal for this slot has arrived, by the
+// broadcaster's INIT or pulled.
+func (r *Instance) HasPayload() bool { return len(r.payloads) > 0 }
+
 func (r *Instance) stmt(kind accountability.Kind, digest types.Digest) accountability.Statement {
 	return accountability.Statement{
 		Context:  r.cfg.Context,

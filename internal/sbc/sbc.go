@@ -6,9 +6,16 @@
 // votes and the decision carries certificates (Polygraph); with it unset
 // the stack is the non-accountable Red Belly baseline.
 //
-// Once n−t proposals have been reliably delivered, the remaining slots'
-// binary consensuses start with input 0, so a crashed proposer cannot
-// block the instance.
+// The reduction is Red Belly's and DBFT's: a replica proposes 1 to a slot's
+// binary consensus when the reliable broadcast delivers the slot's
+// proposal, and proposes 0 to the slots it has not delivered only once n−t
+// binary consensuses have decided 1. A crashed proposer therefore cannot
+// block the instance — n−t correct proposals are delivered everywhere and
+// decide 1 — and a proposal that is merely late has the length of those
+// n−t agreements to arrive, so on a cluster where every replica proposes,
+// every proposal commits. A proposal slower than that still loses its slot;
+// its owner proposes the transactions again in the next instance, which is
+// the exception, not the steady state.
 package sbc
 
 import (
@@ -270,7 +277,8 @@ type Instance struct {
 	delivered map[types.ReplicaID]rbc.Delivery
 	decidedB  map[types.ReplicaID]bincon.Decision
 	proposed  bool
-	zerosSent bool
+	ones      int  // slots decided 1
+	zerosSent bool // the 0-votes of maybeVoteZeros went out
 	done      bool
 	decision  *Decision
 	reqSent   map[types.ReplicaID]bool
@@ -368,6 +376,17 @@ func (s *Instance) binFor(slot types.ReplicaID) *bincon.Instance {
 	return b
 }
 
+// HasProposal reports whether any replica's proposal for this instance has
+// reached this one: somebody has work, so the instance is running.
+func (s *Instance) HasProposal() bool {
+	for _, r := range s.rbcs {
+		if r.HasPayload() {
+			return true
+		}
+	}
+	return false
+}
+
 // Propose starts the instance with this replica's proposal payload.
 // claimedBytes/claimedSigs model large batches for the cost model.
 func (s *Instance) Propose(payload []byte, claimedBytes, claimedSigs int) {
@@ -392,16 +411,6 @@ func (s *Instance) onDeliver(d rbc.Delivery) {
 	s.delivered[d.Broadcaster] = d
 	// A delivered proposal votes 1 for its slot.
 	s.binFor(d.Broadcaster).Propose(true)
-	// Once n−t proposals are in (measured against the live view: slots of
-	// excluded replicas never propose), vote 0 for every other slot.
-	if !s.zerosSent && len(s.delivered) >= s.cfg.View.Size()-s.cfg.View.MaxFaults() {
-		s.zerosSent = true
-		for _, slot := range s.members {
-			if _, have := s.delivered[slot]; !have {
-				s.binFor(slot).Propose(false)
-			}
-		}
-	}
 	s.maybeComplete()
 }
 
@@ -418,7 +427,29 @@ func (s *Instance) onBinDecide(d bincon.Decision) {
 		}
 		s.cfg.OnSlotDecide(slot, d.Value, digest)
 	}
+	if d.Value {
+		s.ones++
+		s.maybeVoteZeros()
+	}
 	s.maybeComplete()
+}
+
+// maybeVoteZeros is the reduction's second half: once n−t binary
+// consensuses have decided 1 (measured against the live view: slots of
+// excluded replicas never propose), vote 0 for every slot whose proposal
+// has not been delivered here. Until then an undelivered slot has no input
+// from this replica, so a proposal that is merely late has the length of
+// those n−t agreements to arrive and be voted 1.
+func (s *Instance) maybeVoteZeros() {
+	if s.zerosSent || s.ones < s.cfg.View.Size()-s.cfg.View.MaxFaults() {
+		return
+	}
+	s.zerosSent = true
+	for _, slot := range s.members {
+		if _, have := s.delivered[slot]; !have {
+			s.binFor(slot).Propose(false)
+		}
+	}
 }
 
 // maybeComplete assembles the decision when every slot's binary consensus
@@ -662,8 +693,9 @@ func (s *Instance) Release() {
 }
 
 // Reevaluate re-runs quorum checks in every live binary consensus after a
-// committee change.
+// committee change, and the n−t of the 0-votes, which shrank with it.
 func (s *Instance) Reevaluate() {
+	s.maybeVoteZeros()
 	for _, slot := range s.members {
 		if b, ok := s.bins[slot]; ok {
 			b.Reevaluate()

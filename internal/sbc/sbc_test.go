@@ -11,6 +11,7 @@ import (
 	"github.com/zeroloss/zlb/internal/committee"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -37,6 +38,7 @@ type cluster struct {
 	views   map[types.ReplicaID]*committee.View
 	logs    map[types.ReplicaID]*accountability.Log
 	members []types.ReplicaID
+	tracer  *obs.Tracer
 	// decided is written by OnDecide, which the simulator's parallel
 	// windows call from several goroutines: mu orders those writes. Tests
 	// read it after the run has returned.
@@ -63,6 +65,7 @@ func buildCluster(t *testing.T, n int, accountable bool, lat latency.Model, seed
 		logs:    make(map[types.ReplicaID]*accountability.Log),
 		decided: make(map[types.ReplicaID]*Decision),
 		members: members,
+		tracer:  obs.NewTracer(),
 	}
 	for i, id := range members {
 		id := id
@@ -82,6 +85,7 @@ func buildCluster(t *testing.T, n int, accountable bool, lat latency.Model, seed
 				Log:         log,
 				Env:         env,
 				Accountable: accountable,
+				Tracer:      c.tracer.Node(id),
 				OnDecide: func(d *Decision) {
 					c.mu.Lock()
 					c.decided[id] = d
@@ -127,18 +131,19 @@ func TestSBCAllHonestAgree(t *testing.T) {
 						t.Fatalf("replica %v decided %v, want %v (disagreement)", id, d.Digest(), ref)
 					}
 				}
-				// SBC-Nontriviality-ish: with all honest, at least n−t
-				// proposals must be included.
+				// Every replica proposed at once, so every proposal is
+				// delivered long before n−t slots have decided 1: the
+				// superblock holds n of n, each slot decided in one round.
 				d := c.decided[c.members[0]]
-				included := 0
-				for _, bit := range d.Bits {
-					if bit {
-						included++
+				for _, id := range c.members {
+					if !d.Bits[id] {
+						t.Fatalf("proposal of %v left out of a symmetric instance: bits %v", id, d.Bits)
+					}
+					if cert := d.BinCerts[id]; accountable && cert.Stmt.Round != 0 {
+						t.Fatalf("slot %v decided 1 at round %d, want round 0", id, cert.Stmt.Round)
 					}
 				}
-				if min := n - types.MaxClassicFaults(n); included < min {
-					t.Fatalf("only %d proposals included, want at least %d", included, min)
-				}
+				c.checkZeroVotesFollowOnes(t)
 			})
 		}
 	}
@@ -170,12 +175,92 @@ func TestSBCToleratesCrashedProposers(t *testing.T) {
 			t.Fatalf("disagreement at replica %v", id)
 		}
 		live++
-		// Crashed proposers' slots must be decided 0.
+		// Crashed proposers' slots must be decided 0: nobody has a 1 to
+		// vote, so in the first round that favours 0.
 		for cid := range crashed {
 			if d.Bits[cid] {
 				t.Fatalf("slot of crashed proposer %v decided 1", cid)
 			}
+			if r := d.BinCerts[cid].Stmt.Round; r != 1 {
+				t.Fatalf("slot of crashed proposer %v decided 0 at round %d, want round 1", cid, r)
+			}
 		}
+	}
+	if zeros := c.checkZeroVotesFollowOnes(t); zeros != live*len(crashed) {
+		t.Fatalf("%d zero votes cast, want one per live replica and crashed slot (%d)", zeros, live*len(crashed))
+	}
+}
+
+// checkZeroVotesFollowOnes reads the reduction's rule off the trace: a
+// replica enters a slot's binary consensus with 1 when it has delivered the
+// slot's proposal and with 0 otherwise, and every 0 comes after n−t of its
+// binary consensuses have decided 1. It returns the number of 0 inputs.
+func (c *cluster) checkZeroVotesFollowOnes(t *testing.T) int {
+	t.Helper()
+	n := len(c.members)
+	need := n - types.MaxClassicFaults(n)
+	type slotAt struct {
+		node types.ReplicaID
+		slot uint32
+	}
+	delivered := make(map[slotAt]bool)
+	ones := make(map[types.ReplicaID]int)
+	zeros := 0
+	for _, ev := range c.tracer.Events() { // per node, in the order recorded
+		switch {
+		case ev.Phase == obs.PhaseRBCDeliver:
+			delivered[slotAt{ev.Node, ev.Slot}] = true
+		case ev.Phase == obs.PhaseBinDecide && ev.ID == "1":
+			ones[ev.Node]++
+		case ev.Phase == obs.PhaseBinRound && ev.Round == 0 && !delivered[slotAt{ev.Node, ev.Slot}]:
+			zeros++
+			if ones[ev.Node] < need {
+				t.Fatalf("replica %v voted 0 on slot %d after %d decisions of 1, before the %d the reduction waits for",
+					ev.Node, ev.Slot, ones[ev.Node], need)
+			}
+		}
+	}
+	return zeros
+}
+
+// TestSBCLateProposalIsIncluded: a proposal delivered after n−t others
+// have been, but before n−t slots have decided 1, is in the superblock.
+// Ten milliseconds a hop: replicas 1–3 propose at 0 and deliver each
+// other's proposals at 30 ms; their slots decide 1 at 60 ms (EST, COORD,
+// AUX). Replica 4 proposes at 25 ms, delivered at 55 ms: a reduction that
+// voted 0 at the n−t-th delivery would have dropped it at 30 ms.
+func TestSBCLateProposalIsIncluded(t *testing.T) {
+	c := buildCluster(t, 4, true, latency.Fixed(10*time.Millisecond), 1)
+	c.proposeAll(map[types.ReplicaID]bool{4: true})
+	c.net.Run(25 * time.Millisecond)
+	c.nodes[4].inst.Propose([]byte("proposal-from-4"), 0, 0)
+	c.net.RunUntilQuiet(time.Minute)
+	var deliveredAt, firstOneAt time.Duration
+	for _, ev := range c.tracer.Events() {
+		if ev.Node != 1 {
+			continue
+		}
+		if ev.Phase == obs.PhaseRBCDeliver && ev.Slot == 4 {
+			deliveredAt = ev.At
+		}
+		if ev.Phase == obs.PhaseBinDecide && firstOneAt == 0 {
+			firstOneAt = ev.At
+		}
+	}
+	if deliveredAt <= 30*time.Millisecond || deliveredAt >= firstOneAt {
+		t.Fatalf("slot 4 delivered at %v, first decision at %v: the schedule no longer puts the delivery between the n−t-th delivery (30ms) and the decisions", deliveredAt, firstOneAt)
+	}
+	for _, id := range c.members {
+		d, ok := c.decided[id]
+		if !ok {
+			t.Fatalf("replica %v did not decide", id)
+		}
+		if !d.Bits[4] || len(d.Proposals) != 4 {
+			t.Fatalf("replica %v: late proposal left out, bits %v", id, d.Bits)
+		}
+	}
+	if zeros := c.checkZeroVotesFollowOnes(t); zeros != 0 {
+		t.Fatalf("%d zero votes cast in an instance every proposal reached in time", zeros)
 	}
 }
 

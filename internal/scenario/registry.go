@@ -303,7 +303,9 @@ func buildCrashRecoverCatchup(n int, seed int64) Scenario {
 			{Name: "crashed", Duration: 10 * time.Second, Faults: []Fault{&CrashRestart{IDs: []types.ReplicaID{victim}}}},
 			{Name: "catchup", Duration: 10 * time.Second},
 		},
-		Drain: 2 * time.Minute,
+		// Long enough at n=18, where the restarted replica verifies sixteen
+		// blocks of seventeen proposals before it is level (150 s).
+		Drain: 3 * time.Minute,
 	}
 }
 
