@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (fig3, fig4top, fig4bottom, catastrophic, table1, fig5, catchup, fig6, appendixB, scenarios, load, certs, all)")
+	experiment := flag.String("experiment", "all", "which experiment to run (fig3, fig4top, fig4bottom, catastrophic, table1, fig5, catchup, fig6, appendixB, scenarios, load, all)")
 	full := flag.Bool("full", false, "paper-scale sweeps (slower)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	jsonDir := flag.String("json", "", "also emit machine-readable BENCH_<experiment>.json files into this directory")
@@ -244,22 +244,6 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 		}
 		bench.PrintLoad(os.Stdout, results)
 		if err := emit("load", results); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if all || experiment == "certs" {
-		ran = true
-		nsCerts := []int{9, 18}
-		if full {
-			nsCerts = []int{9, 18, 90}
-		}
-		points, err := bench.RunCerts(nsCerts, seed)
-		if err != nil {
-			return err
-		}
-		bench.PrintCerts(os.Stdout, points)
-		if err := emit("certs", points); err != nil {
 			return err
 		}
 		fmt.Println()

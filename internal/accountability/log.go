@@ -58,7 +58,7 @@ type Log struct {
 	onPoF func(PoF)
 	// SigChecks counts the statement signatures handed to the scheme,
 	// SigKnown those accepted without one because the log held that exact
-	// signed statement (an aggregate certificate is one check).
+	// signed statement.
 	SigChecks, SigKnown uint64
 	// CertPulls counts the certificates the replica asked a peer for
 	// because an announcement was news or evidence; the protocol that sends
@@ -234,21 +234,13 @@ func (l *Log) Sign(stmt Statement) (Signed, error) {
 // votes are added to into, for Record; on failure nothing is. Signers
 // excluded since the certificate was assembled still count, so certificates
 // from before a membership change stay acceptable (paper §4.1).
-//
-// An aggregate certificate is one constant-size check however much of it
-// is known. It is expanded back to per-signer signed statements through
-// the log's verifier (crypto.SignatureExtractor), so equivocation evidence
-// inside an aggregate still attributes each culprit; a scheme that cannot
-// extract contributes nothing (its aggregates carry no per-signer evidence
-// by construction).
 func (l *Log) VerifyCertificate(c *Certificate, need int, into *Verified) error {
 	checked, err := c.checkVotes(l.verifier, l.known, need, nil)
 	l.SigChecks += uint64(checked)
 	if err != nil {
 		return err
 	}
-	votes, _ := c.ExtractSigned(l.verifier)
-	into.stmts = append(into.stmts, votes...)
+	into.stmts = append(into.stmts, c.Sigs...)
 	return nil
 }
 

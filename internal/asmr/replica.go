@@ -82,14 +82,6 @@ type Config struct {
 	// every channel that would incriminate the coalition (confirmation
 	// broadcasts, PoF gossip, membership changes, block evidence service).
 	Deceitful bool
-	// AggregateCerts assembles certificates in aggregate form — one
-	// aggregate signature plus a signer bitmap instead of a quorum of
-	// signed statements — whenever the signer's scheme implements
-	// crypto.Aggregator. Threaded into every consensus this replica runs
-	// (main, exclusion, inclusion). Schemes without the capability fall
-	// back to signed-statement certificates; defaults off, which keeps
-	// the wire and cost model bit-identical to the pre-aggregate code.
-	AggregateCerts bool
 	// Intern, when set, canonicalizes reliable-broadcast payload bytes by
 	// digest across the deployment — one copy of each proposal instead of
 	// one per replica (rbc.Config.Intern). Nil keeps per-message slices.
@@ -407,18 +399,17 @@ func (r *Replica) buildSBC(k uint64, st *instState) *sbc.Instance {
 		adv = nil
 	}
 	return sbc.New(sbc.Config{
-		Context:        accountability.CtxMain,
-		Instance:       WireInstance(k, st.attempt),
-		Self:           r.cfg.Self,
-		View:           r.view,
-		Signer:         r.cfg.Signer,
-		Log:            r.logIfAccountable(),
-		Env:            r.cfg.Env,
-		Accountable:    r.cfg.Accountable,
-		AggregateCerts: r.cfg.AggregateCerts,
-		CoordTimeout:   r.cfg.CoordTimeout,
-		Intern:         r.cfg.Intern,
-		Tracer:         r.cfg.Tracer,
+		Context:      accountability.CtxMain,
+		Instance:     WireInstance(k, st.attempt),
+		Self:         r.cfg.Self,
+		View:         r.view,
+		Signer:       r.cfg.Signer,
+		Log:          r.logIfAccountable(),
+		Env:          r.cfg.Env,
+		Accountable:  r.cfg.Accountable,
+		CoordTimeout: r.cfg.CoordTimeout,
+		Intern:       r.cfg.Intern,
+		Tracer:       r.cfg.Tracer,
 		OnProposal: func(payload []byte) {
 			if r.cfg.OnProposal != nil {
 				r.cfg.OnProposal(st.k, payload)
@@ -590,12 +581,17 @@ func (r *Replica) onBlockReq(from types.ReplicaID, m *BlockReq) {
 
 // onBlockResp audits a conflicting block, records its certificates in the
 // log (creating PoFs), and hands the branch to the reconciliation callback
-// (phase ⑤).
+// (phase ⑤). A BlockReq is only sent for an instance this replica holds
+// (retired ones included), so an answer naming any other is unsolicited and
+// dropped before it can build protocol state.
 func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
 	if m.Decision == nil || !r.cfg.Accountable {
 		return
 	}
-	st := r.ensureInstance(m.K)
+	st, ok := r.instances[m.K]
+	if !ok {
+		return
+	}
 	dig := m.Decision.Digest()
 	if st.decided && dig == st.digest {
 		return // same branch after all
@@ -691,17 +687,16 @@ func (r *Replica) maybeStartChange() {
 		}
 	}
 	r.change = membership.NewChange(membership.Config{
-		Epoch:          r.epoch + 1,
-		Self:           r.cfg.Self,
-		Signer:         r.cfg.Signer,
-		Log:            r.log,
-		Env:            r.cfg.Env,
-		Committee:      r.view.MembersCopy(),
-		Pool:           r.pool,
-		TargetSize:     r.view.Size(),
-		CoordTimeout:   r.cfg.CoordTimeout,
-		AggregateCerts: r.cfg.AggregateCerts,
-		OnResult:       func(res *membership.Result) { r.onChangeResult(res) },
+		Epoch:        r.epoch + 1,
+		Self:         r.cfg.Self,
+		Signer:       r.cfg.Signer,
+		Log:          r.log,
+		Env:          r.cfg.Env,
+		Committee:    r.view.MembersCopy(),
+		Pool:         r.pool,
+		TargetSize:   r.view.Size(),
+		CoordTimeout: r.cfg.CoordTimeout,
+		OnResult:     func(res *membership.Result) { r.onChangeResult(res) },
 	})
 	// Exclusion traffic from peers that started before us is waiting.
 	r.replayPending()

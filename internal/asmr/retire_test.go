@@ -325,6 +325,36 @@ func TestLateConflictAfterRetirement(t *testing.T) {
 	}
 }
 
+// TestUnsolicitedBlockRespBuildsNoState sends a replica a BlockResp for an
+// instance it never opened, so never asked about: the frame is dropped
+// before it costs an SBC state machine or a signature check.
+func TestUnsolicitedBlockRespBuildsNoState(t *testing.T) {
+	const n, height = 4, 6
+	c := benignCluster(t, n, height)
+	victim := c.Members[n-1]
+	r := c.Replicas[victim]
+	c.Start()
+	runUntilHeight(t, c, height)
+	c.Run(c.Net.Now() + 500*time.Millisecond) // let the last instance's tail drain
+
+	const k = height + 1000
+	before := r.Stats()
+	decision, _ := r.Committed(height)
+	c.Net.Inject(c.Members[0], victim, &asmr.BlockResp{K: k, Decision: decision}, 10*time.Millisecond)
+	c.Run(c.Net.Now() + 500*time.Millisecond)
+
+	after := r.Stats()
+	if after.LiveInstances != before.LiveInstances {
+		t.Errorf("live instances %d -> %d: the frame built protocol state", before.LiveInstances, after.LiveInstances)
+	}
+	if after.StmtSigChecks != before.StmtSigChecks {
+		t.Errorf("signature checks %d -> %d: the frame was audited", before.StmtSigChecks, after.StmtSigChecks)
+	}
+	if _, ok := r.Committed(k); ok {
+		t.Errorf("instance %d committed from an unsolicited frame", k)
+	}
+}
+
 // TestAggressiveDepthKeepsAccountability reruns the adversarial campaigns
 // with instances retiring one instance behind the chain head instead of
 // RetainDepth, so that every fork, replay and catch-up in them meets

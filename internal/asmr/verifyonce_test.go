@@ -19,8 +19,8 @@ type sigCheck struct {
 }
 
 // tallyScheme counts, per (key, digest, signature), the checks that reach
-// one node's scheme. Embedding the interface hides the batch and aggregate
-// capabilities, so every check comes through Verify.
+// one node's scheme. Embedding the interface hides the batch capability,
+// so every check comes through Verify.
 type tallyScheme struct {
 	crypto.Scheme
 	checks map[sigCheck]int

@@ -100,9 +100,8 @@ type Decide struct {
 	Cert     *accountability.Certificate
 }
 
-// SimBytes implements simnet.Meter. The certificate term depends on its
-// form: per-signed-statement for the quorum form, one aggregate plus a
-// signer bitmap for the aggregate form, nothing for an announcement.
+// SimBytes implements simnet.Meter. The certificate term is one signed
+// statement per vote, nothing for an announcement.
 func (m *Decide) SimBytes() int { return 48 + m.Cert.ModelBytes() }
 
 // SimSigOps implements simnet.Meter.
@@ -166,12 +165,6 @@ type Config struct {
 	CoordTimeout func(round types.Round) time.Duration
 	OnDecide     func(Decision)
 	Equivocator  *Equivocator
-	// AggregateCerts assembles decision certificates in aggregate form
-	// when the scheme supports it (crypto.Aggregator): one aggregate
-	// signature plus a signer bitmap instead of a quorum of signed
-	// statements. Schemes without the capability fall back to the
-	// signed-statement form regardless of this flag.
-	AggregateCerts bool
 
 	// Tracer, when non-nil, records round starts and decisions with
 	// virtual timestamps. Nil disables tracing at zero cost.
@@ -657,7 +650,7 @@ func (b *Instance) buildCert(r types.Round, v bool) *accountability.Certificate 
 			sigs = append(sigs, st.auxRecv[id])
 		}
 	}
-	cert, err := accountability.NewCertificateFor(b.cfg.Signer, stmt, sigs, b.cfg.AggregateCerts)
+	cert, err := accountability.NewCertificate(stmt, sigs)
 	if err != nil {
 		return nil
 	}

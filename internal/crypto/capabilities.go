@@ -1,52 +1,22 @@
 package crypto
 
-import (
-	"errors"
+import "github.com/zeroloss/zlb/internal/types"
 
-	"github.com/zeroloss/zlb/internal/types"
-)
-
-// This file defines the optional capability interfaces a Scheme may
-// implement beyond core Sign/Verify. Callers discover capabilities by
-// type assertion — `agg, ok := scheme.(Aggregator)` — so schemes that
-// predate (or simply lack) a capability keep working unchanged, and new
-// capabilities can be added without touching existing implementations.
-// This is the crypto-agility seam: the accountability layer chooses its
-// certificate representation per scheme capability instead of hard-coding
-// one wire format for all three schemes.
+// This file defines the optional capability interface a Scheme may
+// implement beyond core Sign/Verify. Callers discover a capability by
+// type assertion — `bv, ok := scheme.(BatchVerifier)` — so schemes that
+// predate (or simply lack) it keep working unchanged, and a new capability
+// can be added without touching existing implementations.
 //
 // Capability support today:
 //
-//	scheme    Aggregator  BatchVerifier  SignatureExtractor
-//	ecdsa     no          no             no
-//	ed25519   no          yes            no
-//	sim       yes         yes            yes
+//	scheme    BatchVerifier
+//	ecdsa     no
+//	ed25519   yes
+//	sim       yes
 //
-// ECDSA deliberately implements none of them: it exercises the fallback
-// path every capability consumer must keep (signed-statement certificates,
-// per-signature verification).
-
-// ErrNotAggregatable is returned when aggregation is requested from a
-// scheme that does not implement Aggregator.
-var ErrNotAggregatable = errors.New("crypto: scheme cannot aggregate signatures")
-
-// Aggregator combines many signatures over the SAME digest into one
-// compact aggregate, and verifies an aggregate against the claimed signer
-// set. BLS-style schemes implement this natively; the sim scheme
-// implements it by XOR-folding its deterministic MACs (sound only against
-// the in-process adversary model the sim scheme already assumes — the
-// registry holds every seed, so the verifier recomputes each constituent
-// MAC exactly).
-type Aggregator interface {
-	// Aggregate folds the signatures into one aggregate signature. All
-	// signatures must cover the same digest; the signers slice gives the
-	// identity behind sigs[i]. Aggregate does not verify the inputs.
-	Aggregate(signers []types.ReplicaID, sigs []Signature) (Signature, error)
-	// VerifyAggregate reports whether agg is a valid aggregate of
-	// signatures by exactly the given signers over digest, resolving
-	// public keys through reg.
-	VerifyAggregate(reg *Registry, signers []types.ReplicaID, digest types.Digest, agg Signature) bool
-}
+// ECDSA deliberately lacks it: it exercises the fallback path the
+// capability's consumer must keep (per-signature verification).
 
 // BatchVerifier verifies many (signer, sig) pairs over the same digest
 // with better constants than one Verify call per pair. Implementations
@@ -60,76 +30,9 @@ type BatchVerifier interface {
 	VerifyBatch(reg *Registry, signers []types.ReplicaID, digest types.Digest, sigs []Signature) int
 }
 
-// SignatureExtractor recovers an individual signer's signature over a
-// digest without having seen it on the wire. Only deterministic
-// registry-backed schemes can do this (the sim scheme recomputes the MAC
-// from the registered seed). The accountability layer uses it to turn an
-// aggregate certificate back into per-signer evidence for proof-of-fraud
-// attribution — the extracted signature is bit-identical to the one the
-// signer originally produced.
-type SignatureExtractor interface {
-	// ExtractSignature returns signer's signature over digest, or false
-	// when the signer is unknown to reg or the scheme cannot reconstruct
-	// signatures.
-	ExtractSignature(reg *Registry, signer types.ReplicaID, digest types.Digest) (Signature, bool)
-}
-
 // --- sim scheme capabilities ---
 
-// simAggLen is the sim aggregate signature length: one MAC width,
-// regardless of quorum size.
-const simAggLen = 32
-
-var (
-	_ Aggregator         = (*simScheme)(nil)
-	_ BatchVerifier      = (*simScheme)(nil)
-	_ SignatureExtractor = (*simScheme)(nil)
-)
-
-// Aggregate XOR-folds the MACs: the aggregate of k sim signatures is 32
-// bytes independent of k. Verification recomputes every constituent MAC
-// from the registry's seeds, so a forged aggregate would need a seed the
-// registry does not hold — the same trust boundary as sim Verify itself.
-func (s *simScheme) Aggregate(signers []types.ReplicaID, sigs []Signature) (Signature, error) {
-	if len(sigs) == 0 || len(signers) != len(sigs) {
-		return nil, ErrNotAggregatable
-	}
-	agg := make(Signature, simAggLen)
-	for _, sig := range sigs {
-		if len(sig) != simAggLen {
-			return nil, ErrNotAggregatable
-		}
-		for i, b := range sig {
-			agg[i] ^= b
-		}
-	}
-	return agg, nil
-}
-
-func (s *simScheme) VerifyAggregate(reg *Registry, signers []types.ReplicaID, digest types.Digest, agg Signature) bool {
-	if reg == nil {
-		reg = s.reg
-	}
-	if len(agg) != simAggLen || len(signers) == 0 {
-		return false
-	}
-	var want [simAggLen]byte
-	for _, id := range signers {
-		seed, ok := reg.seedOf(id)
-		if !ok {
-			return false
-		}
-		mac := simMAC(seed, digest)
-		for i, b := range mac {
-			want[i] ^= b
-		}
-	}
-	var diff byte
-	for i := range want {
-		diff |= want[i] ^ agg[i]
-	}
-	return diff == 0
-}
+var _ BatchVerifier = (*simScheme)(nil)
 
 func (s *simScheme) VerifyBatch(reg *Registry, signers []types.ReplicaID, digest types.Digest, sigs []Signature) int {
 	if reg == nil {
@@ -144,7 +47,7 @@ func (s *simScheme) VerifyBatch(reg *Registry, signers []types.ReplicaID, digest
 			return i
 		}
 		mac := simMAC(seed, digest)
-		if len(sigs[i]) != simAggLen {
+		if len(sigs[i]) != len(mac) {
 			return i
 		}
 		var diff byte
@@ -156,18 +59,6 @@ func (s *simScheme) VerifyBatch(reg *Registry, signers []types.ReplicaID, digest
 		}
 	}
 	return -1
-}
-
-func (s *simScheme) ExtractSignature(reg *Registry, signer types.ReplicaID, digest types.Digest) (Signature, bool) {
-	if reg == nil {
-		reg = s.reg
-	}
-	seed, ok := reg.seedOf(signer)
-	if !ok {
-		return nil, false
-	}
-	mac := simMAC(seed, digest)
-	return mac[:], true
 }
 
 // --- ed25519 scheme capabilities ---

@@ -53,150 +53,25 @@ func TestRegisterRejectsKeySwap(t *testing.T) {
 	}
 }
 
-// The registry's canonical signer index is sorted by replica ID no matter
-// the registration order — it is the coordinate system aggregate
-// certificate bitmaps are defined over.
-func TestSignerIndexCanonical(t *testing.T) {
-	reg := NewRegistry(SchemeSim)
-	scheme, err := NewScheme(SchemeSim, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []types.ReplicaID{9, 2, 5}
-	for i, id := range ids {
-		kp, err := scheme.GenerateKey(NewDeterministicRand(int64(i + 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Register(id, kp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []types.ReplicaID{2, 5, 9}
-	for i, id := range want {
-		got, ok := reg.SignerAt(i)
-		if !ok || got != id {
-			t.Fatalf("SignerAt(%d) = %v, %v; want %v", i, got, ok, id)
-		}
-		idx, ok := reg.SignerIndex(id)
-		if !ok || idx != i {
-			t.Fatalf("SignerIndex(%v) = %d, %v; want %d", id, idx, ok, i)
-		}
-	}
-	if _, ok := reg.SignerIndex(3); ok {
-		t.Fatal("unregistered identity has an index")
-	}
-	if _, ok := reg.SignerAt(3); ok {
-		t.Fatal("out-of-range index resolves")
-	}
-}
-
-// The capability matrix is deliberate: ECDSA implements nothing (it
-// exercises every fallback path), ed25519 batches but cannot aggregate,
-// sim implements everything.
+// The capability matrix is deliberate: ECDSA lacks BatchVerifier (it
+// exercises the per-signature fallback), ed25519 and sim batch.
 func TestCapabilityMatrix(t *testing.T) {
 	for _, tc := range []struct {
-		kind              SchemeKind
-		agg, batch, extra bool
+		kind  SchemeKind
+		batch bool
 	}{
-		{SchemeECDSA, false, false, false},
-		{SchemeEd25519, false, true, false},
-		{SchemeSim, true, true, true},
+		{SchemeECDSA, false},
+		{SchemeEd25519, true},
+		{SchemeSim, true},
 	} {
 		reg := NewRegistry(tc.kind)
 		scheme, err := NewScheme(tc.kind, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := scheme.(Aggregator); ok != tc.agg {
-			t.Errorf("%v: Aggregator = %v, want %v", tc.kind, ok, tc.agg)
-		}
 		if _, ok := scheme.(BatchVerifier); ok != tc.batch {
 			t.Errorf("%v: BatchVerifier = %v, want %v", tc.kind, ok, tc.batch)
 		}
-		if _, ok := scheme.(SignatureExtractor); ok != tc.extra {
-			t.Errorf("%v: SignatureExtractor = %v, want %v", tc.kind, ok, tc.extra)
-		}
-	}
-}
-
-func TestSimAggregateRoundTrip(t *testing.T) {
-	signers, reg, err := GenerateCluster(SchemeSim, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, ok := signers[0].Scheme().(Aggregator)
-	if !ok {
-		t.Fatal("sim scheme lost Aggregator")
-	}
-	digest := types.Hash([]byte("decide"))
-	quorum := []types.ReplicaID{1, 3, 4, 6, 7}
-	var sigs []Signature
-	for _, id := range quorum {
-		sig, err := signers[id-1].Sign(digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sigs = append(sigs, sig)
-	}
-	aggSig, err := agg.Aggregate(quorum, sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggSig) != simAggLen {
-		t.Fatalf("aggregate is %dB, want constant %dB", len(aggSig), simAggLen)
-	}
-	if !agg.VerifyAggregate(reg, quorum, digest, aggSig) {
-		t.Fatal("valid aggregate rejected")
-	}
-	// Wrong signer set (missing/extra/substituted member) must fail.
-	if agg.VerifyAggregate(reg, quorum[:4], digest, aggSig) {
-		t.Fatal("aggregate accepted for a subset of its signers")
-	}
-	if agg.VerifyAggregate(reg, []types.ReplicaID{1, 2, 4, 6, 7}, digest, aggSig) {
-		t.Fatal("aggregate accepted for a substituted signer set")
-	}
-	if agg.VerifyAggregate(reg, quorum, types.Hash([]byte("other")), aggSig) {
-		t.Fatal("aggregate accepted for a different digest")
-	}
-	bad := append(Signature(nil), aggSig...)
-	bad[0] ^= 1
-	if agg.VerifyAggregate(reg, quorum, digest, bad) {
-		t.Fatal("tampered aggregate accepted")
-	}
-	if _, err := agg.Aggregate(quorum, sigs[:3]); err == nil {
-		t.Fatal("mismatched signers/sigs accepted")
-	}
-	if _, err := agg.Aggregate(nil, nil); err == nil {
-		t.Fatal("empty aggregation accepted")
-	}
-}
-
-// Extraction reconstructs the exact signature a signer produced — the
-// property that makes PoF attribution from aggregate certificates
-// equivalent to the signed-statement form.
-func TestSimExtractSignatureBitIdentical(t *testing.T) {
-	signers, reg, err := GenerateCluster(SchemeSim, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := signers[0].Scheme().(SignatureExtractor)
-	digest := types.Hash([]byte("vote"))
-	for _, s := range signers {
-		orig, err := s.Sign(digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := ex.ExtractSignature(reg, s.ID(), digest)
-		if !ok {
-			t.Fatalf("extraction failed for %v", s.ID())
-		}
-		if !bytes.Equal(orig, got) {
-			t.Fatalf("extracted signature differs for %v", s.ID())
-		}
-	}
-	if _, ok := ex.ExtractSignature(reg, 99, digest); ok {
-		t.Fatal("extracted a signature for an unregistered identity")
 	}
 }
 

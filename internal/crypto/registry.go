@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/zeroloss/zlb/internal/types"
@@ -15,20 +14,11 @@ import (
 // mapping from replica identities to public keys, common to all replicas.
 // It is safe for concurrent use; the TCP transport verifies signatures
 // from multiple connection goroutines.
-//
-// Beyond key lookup, the registry defines the canonical signer index:
-// position i in the sorted list of registered identities. Aggregate
-// certificates encode their signer sets as bitmaps over this index, so
-// every replica that registered the same PKI decodes the same bitmap to
-// the same signer set.
 type Registry struct {
 	mu    sync.RWMutex
 	kind  SchemeKind
 	keys  map[types.ReplicaID]PublicKey
 	seeds map[string][]byte // sim-scheme seeds, keyed by string(pub)
-	// order is the sorted registered identities — the canonical signer
-	// index backing aggregate-certificate bitmaps.
-	order []types.ReplicaID
 }
 
 // NewRegistry creates an empty registry for the given scheme kind.
@@ -66,10 +56,6 @@ func (r *Registry) Register(id types.ReplicaID, kp *KeyPair) error {
 		return nil
 	}
 	r.keys[id] = kp.pub
-	i := sort.Search(len(r.order), func(i int) bool { return r.order[i] >= id })
-	r.order = append(r.order, 0)
-	copy(r.order[i+1:], r.order[i:])
-	r.order[i] = id
 	if kp.kind == SchemeSim {
 		r.seeds[string(kp.pub)] = kp.simSeed
 	}
@@ -91,29 +77,6 @@ func (r *Registry) Size() int {
 	return len(r.keys)
 }
 
-// SignerIndex returns id's position in the canonical signer index (the
-// sorted registered identities), or false if id is not registered.
-func (r *Registry) SignerIndex(id types.ReplicaID) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i := sort.Search(len(r.order), func(i int) bool { return r.order[i] >= id })
-	if i < len(r.order) && r.order[i] == id {
-		return i, true
-	}
-	return 0, false
-}
-
-// SignerAt returns the identity at position i of the canonical signer
-// index, or false if i is out of range.
-func (r *Registry) SignerAt(i int) (types.ReplicaID, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if i < 0 || i >= len(r.order) {
-		return 0, false
-	}
-	return r.order[i], true
-}
-
 func (r *Registry) simSeed(pub PublicKey) ([]byte, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -122,7 +85,7 @@ func (r *Registry) simSeed(pub PublicKey) ([]byte, bool) {
 }
 
 // seedOf resolves an identity straight to its sim seed (one lock, one
-// lookup chain) for the batch/aggregate fast paths.
+// lookup chain) for the batch fast path.
 func (r *Registry) seedOf(id types.ReplicaID) ([]byte, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -65,13 +65,6 @@ type Options struct {
 	// WaitForWork defers instance starts until batches are non-empty
 	// (used by the payment application).
 	WaitForWork bool
-	// AggregateCerts assembles consensus certificates in aggregate form
-	// (one aggregate signature plus a signer bitmap) instead of quorums
-	// of signed statements; see asmr.Config.AggregateCerts. The cluster
-	// PKI is the sim scheme, which implements crypto.Aggregator, so the
-	// flag takes effect in every harness run. Off by default: the
-	// signed-statement cost model and every golden stay bit-identical.
-	AggregateCerts bool
 	// CoordTimeout overrides the binary consensus coordinator timeout.
 	CoordTimeout func(types.Round) time.Duration
 	// App builds the application each replica runs — the parameter ASMR
@@ -290,7 +283,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, env simnet.Env) (*asmr.Replic
 		AttackFromInstance: c.Opts.AttackAfter,
 		WaitForWork:        c.Opts.WaitForWork,
 		Deceitful:          c.Coalition.IsDeceitful(id),
-		AggregateCerts:     c.Opts.AggregateCerts,
 		Intern:             c.Intern,
 		Tracer:             c.Opts.Tracer.Node(id),
 		OnSlotDecide: func(k uint64, _ uint32, slot types.ReplicaID, value bool, digest types.Digest) {

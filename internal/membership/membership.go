@@ -68,9 +68,6 @@ type Config struct {
 	TargetSize int
 	// CoordTimeout is passed to the binary consensuses.
 	CoordTimeout func(round types.Round) time.Duration
-	// AggregateCerts is passed to the exclusion/inclusion consensuses
-	// (sbc.Config.AggregateCerts).
-	AggregateCerts bool
 	// OnResult fires once, when the inclusion consensus completes.
 	OnResult func(*Result)
 }
@@ -160,19 +157,18 @@ func NewChange(cfg Config) *Change {
 // and proposes our PoF set (Alg. 1 line 22).
 func (c *Change) startExclusion() {
 	c.exclusion = sbc.New(sbc.Config{
-		Context:        accountability.CtxExclusion,
-		Instance:       ChangeInstance(c.cfg.Epoch, c.exAttempt),
-		Self:           c.cfg.Self,
-		Slots:          c.cfg.Committee,
-		View:           c.cPrime,
-		Signer:         c.cfg.Signer,
-		Log:            c.cfg.Log,
-		Env:            c.cfg.Env,
-		Accountable:    true,
-		AggregateCerts: c.cfg.AggregateCerts,
-		Validate:       c.validateExclusionProposal,
-		CoordTimeout:   c.cfg.CoordTimeout,
-		OnDecide:       c.onExclusionDecided,
+		Context:      accountability.CtxExclusion,
+		Instance:     ChangeInstance(c.cfg.Epoch, c.exAttempt),
+		Self:         c.cfg.Self,
+		Slots:        c.cfg.Committee,
+		View:         c.cPrime,
+		Signer:       c.cfg.Signer,
+		Log:          c.cfg.Log,
+		Env:          c.cfg.Env,
+		Accountable:  true,
+		Validate:     c.validateExclusionProposal,
+		CoordTimeout: c.cfg.CoordTimeout,
+		OnDecide:     c.onExclusionDecided,
 	})
 	payload, err := EncodePoFs(c.cfg.Log.PoFs())
 	if err != nil {
@@ -329,18 +325,17 @@ func (c *Change) onExclusionDecided(d *sbc.Decision) {
 // and proposes candidates from the pool (Alg. 1 lines 41-42).
 func (c *Change) startInclusion() {
 	c.inclusion = sbc.New(sbc.Config{
-		Context:        accountability.CtxInclusion,
-		Instance:       ChangeInstance(c.cfg.Epoch, c.incAttempt),
-		Self:           c.cfg.Self,
-		View:           c.cUpdated,
-		Signer:         c.cfg.Signer,
-		Log:            c.cfg.Log,
-		Env:            c.cfg.Env,
-		Accountable:    true,
-		AggregateCerts: c.cfg.AggregateCerts,
-		Validate:       c.validateInclusionProposal,
-		CoordTimeout:   c.cfg.CoordTimeout,
-		OnDecide:       c.onInclusionDecided,
+		Context:      accountability.CtxInclusion,
+		Instance:     ChangeInstance(c.cfg.Epoch, c.incAttempt),
+		Self:         c.cfg.Self,
+		View:         c.cUpdated,
+		Signer:       c.cfg.Signer,
+		Log:          c.cfg.Log,
+		Env:          c.cfg.Env,
+		Accountable:  true,
+		Validate:     c.validateInclusionProposal,
+		CoordTimeout: c.cfg.CoordTimeout,
+		OnDecide:     c.onInclusionDecided,
 	})
 	want := c.cfg.TargetSize - c.cUpdated.Size()
 	if want < 0 {

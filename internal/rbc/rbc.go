@@ -159,10 +159,7 @@ type Config struct {
 	Log         *accountability.Log // may be nil when Accountable is false
 	Env         simnet.Env
 	Accountable bool
-	// AggregateCerts assembles ready certificates in aggregate form when
-	// the scheme supports it (crypto.Aggregator); see bincon.Config.
-	AggregateCerts bool
-	OnDeliver      func(Delivery)
+	OnDeliver   func(Delivery)
 	// Equivocator, when non-nil, makes this replica deceitful for this
 	// broadcast.
 	Equivocator *Equivocator
@@ -463,7 +460,7 @@ func (r *Instance) maybeDeliver(d types.Digest) {
 	var cert *accountability.Certificate
 	if r.cfg.Accountable {
 		stmts := r.readyStmts[d]
-		c, err := accountability.NewCertificateFor(r.cfg.Signer, r.stmt(accountability.KindReady, d), stmts, r.cfg.AggregateCerts)
+		c, err := accountability.NewCertificate(r.stmt(accountability.KindReady, d), stmts)
 		if err == nil {
 			cert = c
 		}

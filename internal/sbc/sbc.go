@@ -236,9 +236,6 @@ type Config struct {
 	// Validate, if set, rejects invalid proposal payloads before they can
 	// be echoed (SBC-Validity).
 	Validate func(broadcaster types.ReplicaID, payload []byte) bool
-	// AggregateCerts assembles certificates (ready and decision) in
-	// aggregate form when the scheme supports it (crypto.Aggregator).
-	AggregateCerts bool
 	// Intern, when set, canonicalizes reliable-broadcast payload bytes by
 	// digest across the deployment (rbc.Config.Intern).
 	Intern *rbc.Intern
@@ -328,20 +325,19 @@ func (s *Instance) rbcFor(slot types.ReplicaID) *rbc.Instance {
 			}
 		}
 		r = rbc.New(rbc.Config{
-			Context:        s.cfg.Context,
-			Instance:       s.cfg.Instance,
-			Broadcaster:    slot,
-			Self:           s.cfg.Self,
-			View:           s.cfg.View,
-			Signer:         s.cfg.Signer,
-			Log:            s.cfg.Log,
-			Env:            s.cfg.Env,
-			Accountable:    s.cfg.Accountable,
-			AggregateCerts: s.cfg.AggregateCerts,
-			Equivocator:    eq,
-			Intern:         s.cfg.Intern,
-			Tracer:         s.cfg.Tracer,
-			OnDeliver:      func(d rbc.Delivery) { s.onDeliver(d) },
+			Context:     s.cfg.Context,
+			Instance:    s.cfg.Instance,
+			Broadcaster: slot,
+			Self:        s.cfg.Self,
+			View:        s.cfg.View,
+			Signer:      s.cfg.Signer,
+			Log:         s.cfg.Log,
+			Env:         s.cfg.Env,
+			Accountable: s.cfg.Accountable,
+			Equivocator: eq,
+			Intern:      s.cfg.Intern,
+			Tracer:      s.cfg.Tracer,
+			OnDeliver:   func(d rbc.Delivery) { s.onDeliver(d) },
 		})
 		s.rbcs[slot] = r
 	}
@@ -356,20 +352,19 @@ func (s *Instance) binFor(slot types.ReplicaID) *bincon.Instance {
 			eq = s.cfg.Adversary.Bin(slot)
 		}
 		b = bincon.New(bincon.Config{
-			Context:        s.cfg.Context,
-			Instance:       s.cfg.Instance,
-			Slot:           uint32(slot),
-			Self:           s.cfg.Self,
-			View:           s.cfg.View,
-			Signer:         s.cfg.Signer,
-			Log:            s.cfg.Log,
-			Env:            s.cfg.Env,
-			Accountable:    s.cfg.Accountable,
-			Equivocator:    eq,
-			CoordTimeout:   s.cfg.CoordTimeout,
-			AggregateCerts: s.cfg.AggregateCerts,
-			Tracer:         s.cfg.Tracer,
-			OnDecide:       func(d bincon.Decision) { s.onBinDecide(d) },
+			Context:      s.cfg.Context,
+			Instance:     s.cfg.Instance,
+			Slot:         uint32(slot),
+			Self:         s.cfg.Self,
+			View:         s.cfg.View,
+			Signer:       s.cfg.Signer,
+			Log:          s.cfg.Log,
+			Env:          s.cfg.Env,
+			Accountable:  s.cfg.Accountable,
+			Equivocator:  eq,
+			CoordTimeout: s.cfg.CoordTimeout,
+			Tracer:       s.cfg.Tracer,
+			OnDecide:     func(d bincon.Decision) { s.onBinDecide(d) },
 		})
 		s.bins[slot] = b
 	}

@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/accountability"
@@ -11,11 +14,13 @@ import (
 	"github.com/zeroloss/zlb/internal/types"
 )
 
+var certSchemes = []crypto.SchemeKind{crypto.SchemeECDSA, crypto.SchemeEd25519, crypto.SchemeSim}
+
 // certFixture builds a quorum certificate over a fresh n-replica cluster
-// of the given scheme, in either form.
-func certFixture(t testing.TB, kind crypto.SchemeKind, n int, aggregate bool) (*crypto.Registry, *accountability.Certificate) {
+// of the given scheme.
+func certFixture(t testing.TB, kind crypto.SchemeKind, n int) *accountability.Certificate {
 	t.Helper()
-	signers, reg, err := crypto.GenerateCluster(kind, n, 1)
+	signers, _, err := crypto.GenerateCluster(kind, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,24 +40,18 @@ func certFixture(t testing.TB, kind crypto.SchemeKind, n int, aggregate bool) (*
 		}
 		sigs = append(sigs, sg)
 	}
-	cert, err := accountability.NewCertificateFor(signers[0], stmt, sigs, aggregate)
+	cert, err := accountability.NewCertificate(stmt, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aggregate && !cert.IsAggregate() {
-		t.Fatalf("scheme %v did not produce an aggregate certificate", kind)
-	}
-	return reg, cert
+	return cert
 }
 
 func TestCertificateRoundTripSigned(t *testing.T) {
-	for _, kind := range []crypto.SchemeKind{crypto.SchemeECDSA, crypto.SchemeEd25519, crypto.SchemeSim} {
-		reg, cert := certFixture(t, kind, 4, false)
-		data, err := EncodeCertificate(kind, reg, cert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeCertificate(kind, reg, data)
+	for _, kind := range certSchemes {
+		cert := certFixture(t, kind, 4)
+		data := EncodeCertificate(kind, cert)
+		back, err := DecodeCertificate(kind, data)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -60,142 +59,84 @@ func TestCertificateRoundTripSigned(t *testing.T) {
 			t.Fatalf("%v: round trip mismatch", kind)
 		}
 		// Decode → re-encode is byte-identical: the codec is canonical.
-		again, err := EncodeCertificate(kind, reg, back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, data) {
+		if again := EncodeCertificate(kind, back); !bytes.Equal(again, data) {
 			t.Fatalf("%v: re-encode differs", kind)
 		}
 	}
 }
 
-func TestCertificateRoundTripAggregate(t *testing.T) {
-	reg, cert := certFixture(t, crypto.SchemeSim, 7, true)
-	data, err := EncodeCertificate(crypto.SchemeSim, reg, cert)
+// corpusSeed reads the one []byte argument of a committed fuzz corpus file.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeCertificate/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeCertificate(crypto.SchemeSim, reg, data)
-	if err != nil {
-		t.Fatal(err)
+	_, arg, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	arg = strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")")
+	seed, err := strconv.Unquote(arg)
+	if !ok || err != nil {
+		t.Fatalf("corpus file %s is not one []byte literal: %v", name, err)
 	}
-	if !back.IsAggregate() {
-		t.Fatal("aggregate form lost in transit")
-	}
-	if !reflect.DeepEqual(back.Agg.Signers, cert.Agg.Signers) {
-		t.Fatalf("signers %v != %v", back.Agg.Signers, cert.Agg.Signers)
-	}
-	if !bytes.Equal(back.Agg.Sig, cert.Agg.Sig) {
-		t.Fatal("aggregate signature mismatch")
-	}
-	again, err := EncodeCertificate(crypto.SchemeSim, reg, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, data) {
-		t.Fatal("re-encode differs")
-	}
-	// The wire trip preserves verifiability.
-	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Verify(signers[0], 7, nil); err != nil {
-		t.Fatalf("decoded aggregate certificate fails verification: %v", err)
-	}
-}
-
-// The aggregate form is dramatically smaller than the signed form for the
-// same quorum — the point of the redesign.
-func TestCertificateAggregateSmaller(t *testing.T) {
-	reg, signed := certFixture(t, crypto.SchemeSim, 18, false)
-	_, agg := certFixture(t, crypto.SchemeSim, 18, true)
-	sb, err := EncodeCertificate(crypto.SchemeSim, reg, signed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := EncodeCertificate(crypto.SchemeSim, reg, agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab)*4 > len(sb) {
-		t.Fatalf("aggregate form %dB not ≥4× smaller than signed form %dB", len(ab), len(sb))
-	}
+	return []byte(seed)
 }
 
 func TestCertificateDecodeRejections(t *testing.T) {
-	reg, cert := certFixture(t, crypto.SchemeSim, 4, true)
-	data, err := EncodeCertificate(crypto.SchemeSim, reg, cert)
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range certSchemes {
+		other := certSchemes[0]
+		if kind == other {
+			other = certSchemes[1]
+		}
+		data := EncodeCertificate(kind, certFixture(t, kind, 4))
+
+		bad := append([]byte(nil), data...)
+		bad[0] = 2 // future format version
+		if _, err := DecodeCertificate(kind, bad); !errors.Is(err, ErrCertVersion) {
+			t.Fatalf("%v: future version accepted: %v", kind, err)
+		}
+
+		bad = append([]byte(nil), data...)
+		bad[1] = 99 // unknown scheme kind
+		if _, err := DecodeCertificate(kind, bad); !errors.Is(err, ErrCertScheme) {
+			t.Fatalf("%v: unknown kind accepted: %v", kind, err)
+		}
+
+		// Valid kind byte, but not the kind this deployment runs.
+		if _, err := DecodeCertificate(other, data); !errors.Is(err, ErrCertScheme) {
+			t.Fatalf("%v: cross-scheme certificate accepted: %v", kind, err)
+		}
+
+		if _, err := DecodeCertificate(kind, data[:len(data)-1]); err == nil {
+			t.Fatalf("%v: truncated certificate accepted", kind)
+		}
+		if _, err := DecodeCertificate(kind, data[:2]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%v: truncated header accepted", kind)
+		}
+
+		// Unknown form byte.
+		bad = append([]byte(nil), data...)
+		bad[2] = 7
+		if _, err := DecodeCertificate(kind, bad); err == nil {
+			t.Fatalf("%v: unknown form accepted", kind)
+		}
+
+		if _, err := DecodeCertificate(kind, append(data, 0)); err == nil {
+			t.Fatalf("%v: trailing bytes accepted", kind)
+		}
 	}
 
-	bad := append([]byte(nil), data...)
-	bad[0] = 2 // future format version
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, bad); !errors.Is(err, ErrCertVersion) {
-		t.Fatalf("future version accepted: %v", err)
-	}
-
-	bad = append([]byte(nil), data...)
-	bad[1] = 99 // unknown scheme kind
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, bad); !errors.Is(err, ErrCertScheme) {
-		t.Fatalf("unknown kind accepted: %v", err)
-	}
-
-	// Valid kind byte, but not the kind this deployment runs.
-	if _, err := DecodeCertificate(crypto.SchemeEd25519, reg, data); !errors.Is(err, ErrCertScheme) {
-		t.Fatalf("cross-scheme certificate accepted: %v", err)
-	}
-
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, data[:len(data)-1]); err == nil {
-		t.Fatal("truncated certificate accepted")
-	}
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, data[:2]); !errors.Is(err, ErrTruncated) {
-		t.Fatal("truncated header accepted")
-	}
-
-	// Unknown form byte.
-	bad = append([]byte(nil), data...)
-	bad[2] = 7
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, bad); err == nil {
-		t.Fatal("unknown form accepted")
-	}
-
-	// A bitmap naming an identity outside the registry.
-	small, smallCert := certFixture(t, crypto.SchemeSim, 4, true)
-	raw, err := EncodeCertificate(crypto.SchemeSim, small, smallCert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny := crypto.NewRegistry(crypto.SchemeSim) // empty registry: no index
-	if _, err := DecodeCertificate(crypto.SchemeSim, tiny, raw); !errors.Is(err, ErrCertSigner) {
-		t.Fatalf("unregistered signer accepted: %v", err)
-	}
-
-	// Signed form with trailing garbage.
-	_, sc := certFixture(t, crypto.SchemeSim, 4, false)
-	sb, err := EncodeCertificate(crypto.SchemeSim, reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCertificate(crypto.SchemeSim, reg, append(sb, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestCertificateEncodeRejectsUnindexedSigner(t *testing.T) {
-	_, cert := certFixture(t, crypto.SchemeSim, 4, true)
-	tiny := crypto.NewRegistry(crypto.SchemeSim)
-	if _, err := EncodeCertificate(crypto.SchemeSim, tiny, cert); !errors.Is(err, ErrCertSigner) {
-		t.Fatalf("want ErrCertSigner, got %v", err)
+	// Form byte 1, the retired aggregate form: the committed seed decoded
+	// before the form was removed, and is refused by name since.
+	retired := corpusSeed(t, "aggregate-small")
+	if _, err := DecodeCertificate(crypto.SchemeSim, retired); err == nil || !strings.Contains(err.Error(), "form 1") {
+		t.Fatalf("retired aggregate form not refused by name: %v", err)
 	}
 }
 
 func FuzzDecodeCertificate(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{certFormatV1, byte(crypto.SchemeSim), certFormAggregate})
-	signers, reg, err := crypto.GenerateCluster(crypto.SchemeSim, 4, 1)
+	f.Add([]byte{certFormatV1, byte(crypto.SchemeSim), 1}) // the retired form byte
+	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, 4, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -214,34 +155,20 @@ func FuzzDecodeCertificate(f *testing.F) {
 		}
 		sigs = append(sigs, sg)
 	}
-	for _, aggregate := range []bool{false, true} {
-		cert, err := accountability.NewCertificateFor(signers[0], stmt, sigs, aggregate)
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := EncodeCertificate(crypto.SchemeSim, reg, cert)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	cert, err := accountability.NewCertificate(stmt, sigs)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(EncodeCertificate(crypto.SchemeSim, cert))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The registry indexes identities 1..4; decoding with nil exercises
-		// the identity mapping as well.
-		for _, r := range []*crypto.Registry{reg, nil} {
-			c, err := DecodeCertificate(crypto.SchemeSim, r, data)
-			if err != nil {
-				continue
-			}
-			// A decoded certificate re-encodes byte-identically: the format
-			// admits exactly one encoding per certificate.
-			again, err := EncodeCertificate(crypto.SchemeSim, r, c)
-			if err != nil {
-				t.Fatalf("decoded certificate fails to re-encode: %v", err)
-			}
-			if !bytes.Equal(again, data) {
-				t.Fatalf("re-encode differs from input:\n  in  %x\n  out %x", data, again)
-			}
+		c, err := DecodeCertificate(crypto.SchemeSim, data)
+		if err != nil {
+			return
+		}
+		// A decoded certificate re-encodes byte-identically: the format
+		// admits exactly one encoding per certificate.
+		if again := EncodeCertificate(crypto.SchemeSim, c); !bytes.Equal(again, data) {
+			t.Fatalf("re-encode differs from input:\n  in  %x\n  out %x", data, again)
 		}
 	})
 }

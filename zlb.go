@@ -27,19 +27,17 @@
 // # Crypto-agility
 //
 // Signature schemes are capability-based (internal/crypto): every scheme
-// signs and verifies, and may additionally implement aggregation, batch
-// verification, or per-signer extraction, discovered at runtime by the
-// certificate layer. The matrix:
+// signs and verifies, and may additionally implement batch verification,
+// discovered at runtime by the certificate layer. The matrix:
 //
-//	scheme      payments (Config.Scheme)   consensus certs   Aggregator   BatchVerifier
-//	ed25519     yes (default)              no (sim PKI)      no           yes
-//	ecdsa       yes                        no (sim PKI)      no           no
-//	sim         no (registry-backed MAC)   yes (harness)     yes          yes
+//	scheme      payments (Config.Scheme)   consensus certs   BatchVerifier
+//	ed25519     yes (default)              no (sim PKI)      yes
+//	ecdsa       yes                        no (sim PKI)      no
+//	sim         no (registry-backed MAC)   yes (harness)     yes
 //
-// The simulated consensus PKI is the registry-backed sim scheme, which
-// implements every capability. Payments cannot use sim: its MACs only
-// authenticate identities inside the shared registry, not out-of-process
-// wallets.
+// The simulated consensus PKI is the registry-backed sim scheme. Payments
+// cannot use sim: its MACs only authenticate identities inside the shared
+// registry, not out-of-process wallets.
 //
 // Quickstart:
 //
