@@ -17,6 +17,7 @@ import (
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/scenario"
+	"github.com/zeroloss/zlb/internal/simnet"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite the scenario golden files under testdata/")
@@ -157,16 +158,12 @@ func TestScenarioGoldens(t *testing.T) {
 }
 
 // runLoadCampaign executes one registered open-loop campaign at n=9,
-// seed 42 and returns its formatted report, optionally forcing the
-// sequential simulation loop on every variant.
-func runLoadCampaign(t *testing.T, name string, seqSim bool) string {
+// seed 42 and returns its formatted report.
+func runLoadCampaign(t *testing.T, name string) string {
 	t.Helper()
 	c, err := load.BuildCampaign(name, 9, 42)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range c.Variants {
-		c.Variants[i].Config.SequentialSim = seqSim
 	}
 	res, err := load.RunCampaign(c)
 	if err != nil {
@@ -186,8 +183,8 @@ func TestLoadGoldens(t *testing.T) {
 	for _, name := range load.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			first := runLoadCampaign(t, name, false)
-			second := runLoadCampaign(t, name, false)
+			first := runLoadCampaign(t, name)
+			second := runLoadCampaign(t, name)
 			if first != second {
 				t.Fatalf("two fixed-seed runs differ:\n--- run 1\n%s--- run 2\n%s", first, second)
 			}
@@ -312,11 +309,9 @@ func widenSharedPool() {
 // leave untouched: committed instances, throughput, disagreements, the
 // final virtual clock, the simulator event/byte counters and the full
 // chain digests of every honest replica.
-func fig3Fingerprint(t *testing.T, seqSim bool) string {
+func fig3Fingerprint(t *testing.T) string {
 	t.Helper()
-	opts := bench.ZLBFig3Options(30, 2, 42)
-	opts.SequentialSim = seqSim
-	c, err := harness.New(opts)
+	c, err := harness.New(bench.ZLBFig3Options(30, 2, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +344,7 @@ func fig3Fingerprint(t *testing.T, seqSim bool) string {
 // every registered open-loop load campaign and the fig3 ZLB point at
 // n=30 must produce bit-identical goldens, final
 // clocks, event counts and chain digests under the sequential loop
-// (SequentialSim) and under conservative parallel windows at
+// (simnet.SequentialSim) and under conservative parallel windows at
 // GOMAXPROCS=1 and GOMAXPROCS=4. The nightly workflow re-runs it under
 // the race detector.
 func TestParallelSimnetBitIdentical(t *testing.T) {
@@ -363,12 +358,15 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 		{"parallel/GOMAXPROCS=1", false, 1},
 		{"parallel/GOMAXPROCS=4", false, 4},
 	}
-	runMode := func(t *testing.T, maxprocs int, fn func() string) string {
+	// The mode is the simulator's own and process-wide, like GOMAXPROCS:
+	// set around the run, on whatever builds the network underneath.
+	runMode := func(seqSim bool, maxprocs int, fn func() string) string {
+		simnet.SequentialSim = seqSim
+		defer func() { simnet.SequentialSim = false }()
 		if maxprocs > 0 {
 			prev := runtime.GOMAXPROCS(maxprocs)
 			defer runtime.GOMAXPROCS(prev)
 		}
-		_ = t
 		return fn()
 	}
 	for _, name := range scenario.Names() {
@@ -376,12 +374,11 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 		t.Run("scenario/"+name, func(t *testing.T) {
 			var ref string
 			for i, m := range modes {
-				got := runMode(t, m.maxprocs, func() string {
+				got := runMode(m.seqSim, m.maxprocs, func() string {
 					s, err := scenario.Build(name, 9, 42)
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.Opts.SequentialSim = m.seqSim
 					res, err := scenario.Run(s)
 					if err != nil {
 						t.Fatal(err)
@@ -403,7 +400,7 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 		t.Run("load/"+name, func(t *testing.T) {
 			var ref string
 			for i, m := range modes {
-				got := runMode(t, m.maxprocs, func() string { return runLoadCampaign(t, name, m.seqSim) })
+				got := runMode(m.seqSim, m.maxprocs, func() string { return runLoadCampaign(t, name) })
 				if i == 0 {
 					ref = got
 					continue
@@ -420,7 +417,7 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 		}
 		var ref string
 		for i, m := range modes {
-			got := runMode(t, m.maxprocs, func() string { return fig3Fingerprint(t, m.seqSim) })
+			got := runMode(m.seqSim, m.maxprocs, func() string { return fig3Fingerprint(t) })
 			if i == 0 {
 				ref = got
 				continue
@@ -441,12 +438,11 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 		const name = "attack-detect-exclude-merge"
 		var ref string
 		for i, m := range modes {
-			got := runMode(t, m.maxprocs, func() string {
+			got := runMode(m.seqSim, m.maxprocs, func() string {
 				s, err := scenario.Build(name, 9, 42)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Opts.SequentialSim = m.seqSim
 				s.Opts.Tracer = obs.NewTracer()
 				if _, err := scenario.Run(s); err != nil {
 					t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/zeroloss/zlb/internal/accountability"
+	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/harness"
@@ -12,6 +13,7 @@ import (
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -177,5 +179,163 @@ func TestJoinerRunsInFlightInstancesAtTheEpochItJoins(t *testing.T) {
 	}
 	if !proposed {
 		t.Fatal("the joiner proposed nothing")
+	}
+}
+
+// forkCluster is the deployment the conformance campaigns fork (their
+// newForkCluster): n=9 with the largest coalition the paper tolerates
+// running the binary-consensus attack on the campaigns' network and cost
+// model, every replica built around the application app returns (nil: the
+// harness's synthetic workload).
+func forkCluster(t *testing.T, instances uint64, app func(types.ReplicaID, simnet.Env) (harness.Application, error)) *harness.Cluster {
+	t.Helper()
+	const n = 9
+	c, err := harness.New(harness.Options{
+		App:          app,
+		N:            n,
+		Deceitful:    adversary.DeceitfulCount(n),
+		Attack:       adversary.AttackBinary,
+		Accountable:  true,
+		Recover:      true,
+		BaseLatency:  latency.Jittered(latency.NewAWSMatrix(), 0.2),
+		Cost:         simnet.DefaultCostModel(),
+		Seed:         42,
+		BatchTxs:     500,
+		BatchBytes:   400 * 500,
+		MaxInstances: instances,
+		CoordTimeout: func(r types.Round) time.Duration { return 120 * time.Millisecond * time.Duration(r+1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// startForked starts c with the coalition's partitions deciding alone
+// behind a 5 s stall, as the campaigns' forkThenHeal does, and runs it to
+// until; the caller heals by clearing Net.DelayRule.
+func startForked(c *harness.Cluster, until time.Duration) {
+	c.Net.DelayRule = simnet.PartitionDelay(c.Coalition.PartitionOf, 5*time.Second)
+	c.Start()
+	c.Run(until)
+}
+
+// TestAdoptedBlockKeepsItsAttempt: a block adopted whole is served on
+// under the attempt it was decided under, not the epoch of the replica
+// that adopted it. A committee forks, excludes the coalition, includes as
+// many standbys and decides the rest of the chain at attempt 1. A standby
+// that was not included, still at epoch 0, adopts those blocks from a
+// CatchupResp; asked for its chain, it answers with records another standby
+// audits against WireInstance(K, 1) — and adopts, every one.
+func TestAdoptedBlockKeepsItsAttempt(t *testing.T) {
+	c := forkCluster(t, 6, nil)
+	startForked(c, 6*time.Second)
+	c.Net.DelayRule = nil
+	c.RunUntilQuiet(10 * time.Minute)
+
+	source := c.HonestMembers()[0]
+	changes := c.ChangeResults[source]
+	if len(changes) == 0 || len(changes[0].Excluded) == 0 || len(changes[0].Included) != len(changes[0].Excluded) {
+		t.Fatalf("membership changes at replica %v: %+v, want one that excluded and included as many", source, changes)
+	}
+	var blocks []asmr.BlockRecord
+	for k := uint64(1); k <= 6; k++ {
+		if commit, ok := c.Commits[source][k]; ok && commit.Attempt > 0 {
+			blocks = append(blocks, asmr.BlockRecord{K: k, Attempt: commit.Attempt, Decision: commit.Decision})
+		}
+	}
+	if len(blocks) == 0 {
+		t.Fatal("no block was decided after the membership change")
+	}
+	var standbys []types.ReplicaID
+	for _, id := range c.PoolIDs {
+		if r := c.Replicas[id]; !r.IsMember() && r.Epoch() == 0 && r.CommittedCount() == 0 {
+			standbys = append(standbys, id)
+		}
+	}
+	if len(standbys) < 2 {
+		t.Fatalf("%d standbys left outside the committee, want 2", len(standbys))
+	}
+	first, second := standbys[0], standbys[1]
+
+	c.Net.Inject(source, first, &asmr.CatchupResp{Blocks: blocks}, time.Millisecond)
+	c.Run(c.Net.Now() + 10*time.Millisecond)
+	if got := c.Replicas[first].CommittedCount(); got != len(blocks) {
+		t.Fatalf("standby %v adopted %d of %d blocks decided at attempt 1", first, got, len(blocks))
+	}
+	// The answer goes to the standby the request names as its sender.
+	c.Net.Inject(second, first, &asmr.CatchupReq{FromK: 1}, time.Millisecond)
+	c.Run(c.Net.Now() + time.Second)
+	r := c.Replicas[second]
+	if got := r.CommittedCount(); got != len(blocks) {
+		t.Fatalf("standby %v adopted %d of the %d blocks standby %v served: they left under another attempt than they were decided under",
+			second, got, len(blocks), first)
+	}
+	want := c.Replicas[source].ChainDigests()
+	for _, b := range blocks {
+		if got := r.ChainDigests()[b.K]; got != want[b.K] {
+			t.Errorf("block %d adopted as %v, replica %v decided %v", b.K, got, source, want[b.K])
+		}
+	}
+}
+
+// TestCatchupConflictIsEvidence: a certified block that conflicts with
+// what a replica decided is the evidence the paper's accountability runs
+// on, whatever message it arrives in. While the partition still stands, and
+// before any frame has crossed it, a decided block of one branch reaches an
+// honest replica of the other in a CatchupResp, twice: the two quorums
+// convict the ⌈n/3⌉ signers they share, all of the coalition, and the
+// application is handed the branch to merge, once.
+func TestCatchupConflictIsEvidence(t *testing.T) {
+	apps := make(map[types.ReplicaID]*forkRecorder)
+	c := forkCluster(t, 4, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
+		apps[id] = &forkRecorder{}
+		return apps[id], nil
+	})
+	startForked(c, 4*time.Second) // the stall is 5 s: nothing has crossed
+	honest := c.HonestMembers()
+	victim := honest[0]
+	r := c.Replicas[victim]
+	var remote asmr.BlockRecord
+	ours := r.ChainDigests()
+	for _, id := range honest[1:] {
+		for k, theirs := range c.Replicas[id].ChainDigests() {
+			if mine, ok := ours[k]; ok && mine != theirs && (remote.K == 0 || k < remote.K) {
+				d, _ := c.Replicas[id].Committed(k)
+				remote = asmr.BlockRecord{K: k, Attempt: c.Commits[id][k].Attempt, Decision: d}
+			}
+		}
+	}
+	if remote.K == 0 {
+		t.Fatal("the partitions decided no instance differently")
+	}
+	if r.Disagreed(remote.K) || r.Log().ProvenCount() != 0 {
+		t.Fatalf("replica %v holds evidence before any crossed the partition: disagreed %v, culprits %v",
+			victim, r.Disagreed(remote.K), r.Log().ProvenCulprits())
+	}
+	local, _ := r.Committed(remote.K)
+
+	for i := 0; i < 2; i++ { // the second copy must be recognised as seen
+		c.Net.Inject(honest[1], victim, &asmr.CatchupResp{Blocks: []asmr.BlockRecord{remote}}, time.Duration(i+1)*10*time.Millisecond)
+	}
+	c.Run(c.Net.Now() + 100*time.Millisecond)
+
+	if !r.Disagreed(remote.K) {
+		t.Fatalf("instance %d not marked disagreed: the conflicting block was discarded", remote.K)
+	}
+	culprits := r.Log().ProvenCulprits()
+	if len(culprits) < types.FaultThreshold(c.Opts.N) {
+		t.Errorf("proven culprits %v, want >= %d", culprits, types.FaultThreshold(c.Opts.N))
+	}
+	for _, id := range culprits {
+		if !c.Coalition.IsDeceitful(id) {
+			t.Errorf("honest replica %v convicted", id)
+		}
+	}
+	if calls := apps[victim].forks; len(calls) != 1 || calls[0] != (fork{remote.K, local, remote.Decision}) {
+		t.Errorf("OnDisagreement calls = %+v, want exactly one with (%d, local, remote)", calls, remote.K)
+	}
+	if d, _ := r.Committed(remote.K); d != local {
+		t.Error("the local decision was replaced: the first decision wins locally")
 	}
 }

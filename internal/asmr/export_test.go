@@ -8,3 +8,7 @@ func SetRetainDepth(d uint64) (restore func()) {
 	retainDepth = d
 	return func() { retainDepth = old }
 }
+
+// JoinNoticeBlocks is the chain the replica would ship an included replica
+// now. Tests only: a join notice is otherwise sent by a membership change.
+func (r *Replica) JoinNoticeBlocks() []BlockRecord { return r.buildJoinNotice().Blocks }

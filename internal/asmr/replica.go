@@ -16,6 +16,7 @@ package asmr
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/zeroloss/zlb/internal/accountability"
@@ -115,12 +116,13 @@ type Config struct {
 	OnJoined func(epoch uint64, committee []types.ReplicaID)
 }
 
-// instState is one main-chain instance at this replica. While the
-// instance is live it owns the SBC state machine and the confirmation
-// bookkeeping; once retired (retire.go) inst and the three maps are
-// released and only k, attempt, the flags, digest and decision remain —
-// what Committed, Final, Disagreed, ChainDigests and the block/catch-up
-// serving paths read.
+// instState is one main-chain instance at this replica and the one record
+// of what it decided: Committed, ChainDigests and records read the chain
+// here. attempt is the one the instance runs under and, once decided, was
+// decided under — a block adopted whole keeps its record's, not the
+// adopter's epoch. While live it owns the SBC state machine and the
+// confirmation bookkeeping; retirement (retire.go) releases inst and the
+// three maps and leaves k, attempt, the flags, digest and decision.
 type instState struct {
 	k        uint64
 	attempt  uint32
@@ -149,13 +151,13 @@ type Replica struct {
 	epoch  uint64
 	change *membership.Change
 
-	instances map[uint64]*instState // by logical k
+	// instances is every main-chain instance by logical k, and so the
+	// chain: the first decision wins locally (conflicting certified ones
+	// surface through OnDisagreement) and every decided k is below nextK.
+	instances map[uint64]*instState
 	nextK     uint64
+	decided   int // how many of them are decided: live, adopted or restored
 	started   bool
-
-	// committed decisions by k (first decision wins locally; conflicting
-	// certified decisions surface through OnDisagreement)
-	committed map[uint64]*sbc.Decision
 
 	// detection metrics (for the experiment harness)
 	FirstPoFAt    time.Duration
@@ -199,15 +201,10 @@ func NewReplica(cfg Config) *Replica {
 		cfg:       cfg,
 		view:      committee.NewView(cfg.InitialCommittee),
 		pool:      committee.NewPool(cfg.PoolCandidates),
+		member:    slices.Contains(cfg.InitialCommittee, cfg.Self),
 		instances: make(map[uint64]*instState),
-		committed: make(map[uint64]*sbc.Decision),
 		nextK:     1,
 		sweptTo:   1,
-	}
-	for _, id := range cfg.InitialCommittee {
-		if id == cfg.Self {
-			r.member = true
-		}
 	}
 	r.log = accountability.NewLog(cfg.Signer, func(p accountability.PoF) { r.onPoF(p) })
 	return r
@@ -222,14 +219,18 @@ func (r *Replica) Log() *accountability.Log { return r.log }
 // Epoch returns the number of completed membership changes.
 func (r *Replica) Epoch() uint64 { return r.epoch }
 
-// Committed returns the locally committed decision for k, if any.
+// Committed returns the locally committed decision for k, if any (nil for
+// a block restored from disk).
 func (r *Replica) Committed(k uint64) (*sbc.Decision, bool) {
-	d, ok := r.committed[k]
-	return d, ok
+	st, ok := r.instances[k]
+	if !ok || !st.decided {
+		return nil, false
+	}
+	return st.decision, true
 }
 
 // CommittedCount returns how many instances have decided locally.
-func (r *Replica) CommittedCount() int { return len(r.committed) }
+func (r *Replica) CommittedCount() int { return r.decided }
 
 // IsMember reports whether the replica currently sits on the committee.
 func (r *Replica) IsMember() bool { return r.member }
@@ -259,17 +260,18 @@ type RestoredBlock struct {
 // consensus-layer half of a crash recovery. It must run before Start.
 // The store does not retain decision bodies (certificates), so restored
 // instances are committed without refiring OnCommit (the application
-// already recovered their content from disk) and cannot serve catch-up
-// to peers; peers that need those blocks fetch them from replicas that
+// already recovered their content from disk) and records has no body to
+// serve for them; peers that need those blocks fetch them from replicas that
 // decided them live. A restored instance never runs here again, so it is
-// created already retired: no protocol state, whatever the chain length.
+// created already retired: no decision, no protocol state, whatever the
+// chain length.
 func (r *Replica) Restore(blocks []RestoredBlock) {
 	for _, b := range blocks {
-		if _, dup := r.committed[b.K]; dup {
+		if _, dup := r.Committed(b.K); dup {
 			continue
 		}
 		r.instances[b.K] = &instState{k: b.K, attempt: b.Attempt, decided: true, digest: b.Digest}
-		r.committed[b.K] = nil
+		r.decided++
 		if b.K >= r.nextK {
 			r.nextK = b.K + 1
 		}
@@ -284,7 +286,7 @@ func (r *Replica) Restore(blocks []RestoredBlock) {
 func (r *Replica) RequestCatchup() {
 	fromK := r.nextK
 	for k := uint64(1); k < r.nextK; k++ {
-		if _, ok := r.committed[k]; !ok {
+		if _, ok := r.Committed(k); !ok {
 			fromK = k
 			break
 		}
@@ -300,9 +302,9 @@ func (r *Replica) RequestCatchup() {
 // ChainDigests returns the decided digest of every committed instance —
 // the recovered-chain comparison the crash-recovery scenario verifies.
 func (r *Replica) ChainDigests() map[uint64]types.Digest {
-	out := make(map[uint64]types.Digest, len(r.committed))
-	for k := range r.committed {
-		if st, ok := r.instances[k]; ok && st.decided {
+	out := make(map[uint64]types.Digest, r.decided)
+	for k, st := range r.instances {
+		if st.decided {
 			out[k] = st.digest
 		}
 	}
@@ -440,7 +442,7 @@ func (r *Replica) onDecide(st *instState, d *sbc.Decision) {
 	st.decided = true
 	st.decision = d
 	st.digest = d.Digest()
-	r.committed[st.k] = d
+	r.decided++
 	r.noteProgress(st)
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseCommit, st.k, 0, st.attempt, "")
 	if r.cfg.OnCommit != nil {
@@ -566,65 +568,125 @@ func (r *Replica) requestBlock(st *instState, from types.ReplicaID) {
 	r.cfg.Env.Send(from, &BlockReq{K: st.k, Attempt: st.attempt})
 }
 
+// records is the one way out for a block that travels whole — in a
+// BlockResp, a CatchupResp or a JoinNotice: the decided blocks from..to,
+// ascending (every decided k is below nextK), each under the attempt it was
+// decided under, which is what the receiver's audit holds it against. A
+// block restored from disk has no body to serve and is skipped.
+func (r *Replica) records(from, to uint64) []BlockRecord {
+	var blocks []BlockRecord
+	for k := from; k <= to && k < r.nextK; k++ {
+		if st, ok := r.instances[k]; ok && st.decided && st.decision != nil {
+			blocks = append(blocks, BlockRecord{K: k, Attempt: st.attempt, Decision: st.decision})
+		}
+	}
+	return blocks
+}
+
 func (r *Replica) onBlockReq(from types.ReplicaID, m *BlockReq) {
 	if r.cfg.Deceitful {
 		return
 	}
-	st, ok := r.instances[m.K]
-	if !ok || !st.decided || st.decision == nil {
-		// st.decision is nil for instances restored from disk: the store
-		// keeps no certificates, so there is no auditable body to serve.
-		return
+	for _, b := range r.records(m.K, m.K) {
+		r.cfg.Env.Send(from, &BlockResp{K: b.K, Attempt: b.Attempt, Decision: b.Decision})
 	}
-	r.cfg.Env.Send(from, &BlockResp{K: m.K, Attempt: st.attempt, Decision: st.decision})
 }
 
-// onBlockResp audits a conflicting block, records its certificates in the
-// log (creating PoFs), and hands the branch to the reconciliation callback
-// (phase ⑤). A BlockReq is only sent for an instance this replica holds
-// (retired ones included), so an answer naming any other is unsolicited and
-// dropped before it can build protocol state.
+func (r *Replica) onCatchupReq(from types.ReplicaID, m *CatchupReq) {
+	r.cfg.Env.Send(from, &CatchupResp{Blocks: r.records(m.FromK, r.nextK)})
+}
+
+// onBlockResp receives the conflicting block a BlockReq asked for. One is
+// only sent for an instance this replica holds (retired ones included), so
+// an answer naming any other is unsolicited and dropped before it can build
+// protocol state.
 func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
-	if m.Decision == nil || !r.cfg.Accountable {
+	if _, ok := r.instances[m.K]; ok && r.cfg.Accountable {
+		r.receive(BlockRecord(*m))
+	}
+}
+
+// onCatchupResp receives the blocks decided while this replica was down or
+// stopped; one that fails its audit is skipped alone.
+func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
+	for _, b := range m.Blocks {
+		r.receive(b)
+	}
+}
+
+// receive audits a block that arrived alone and absorbs it if it stands.
+// One this replica already holds — as its own decision, or as a conflicting
+// one it has seen — is dropped before the audit.
+func (r *Replica) receive(b BlockRecord) {
+	if b.Decision == nil {
 		return
 	}
-	st, ok := r.instances[m.K]
-	if !ok {
-		return
-	}
-	dig := m.Decision.Digest()
-	if st.decided && dig == st.digest {
-		return // same branch after all
-	}
-	if st.remoteSeen[dig] {
-		return
-	}
-	remote, err := auditBlock(r.log, BlockRecord(*m), r.view.Size())
-	if err != nil {
-		return
-	}
-	if st.retired() {
-		// Retirement dropped this instance's statements from the log. Put
-		// the local decision's certificates back before the remote ones, so
-		// cross-checking the two quorums convicts the signers they share.
-		// They go through the same audit, signatures checked again: a late
-		// conflict on a retired instance is the rare path.
-		own := BlockRecord{K: st.k, Attempt: st.attempt, Decision: st.decision}
-		if local, err := auditBlock(r.log, own, r.view.Size()); err == nil {
-			r.log.Record(local)
-		}
-		if st.remoteSeen == nil {
-			st.remoteSeen = make(map[types.Digest]bool)
+	if st, ok := r.instances[b.K]; ok {
+		dig := b.Decision.Digest()
+		if (st.decided && dig == st.digest) || st.remoteSeen[dig] {
+			return
 		}
 	}
-	st.remoteSeen[dig] = true
-	st.disagreement = true
-	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseDisagreement, m.K, 0, st.attempt, "")
-	r.log.Record(remote)
-	if st.decided && r.cfg.OnDisagreement != nil {
-		r.cfg.OnDisagreement(st.k, st.decision, m.Decision)
+	if verified, err := auditBlock(r.log, b, r.view.Size()); err == nil {
+		r.absorb(b, verified)
 	}
-	r.flushPoFs()
+}
+
+// absorb is the one way in for a block that travels whole: b passed
+// auditBlock, which returned verified, and the replica does the one of
+// three things the paper allows with a certified decision. Not decided
+// here: adopt it, under the attempt it was decided under (no Confirm is
+// sent for it: ROADMAP 5(b)). Decided with the same digest: nothing.
+// Decided with another digest: the two decisions are the evidence of a
+// fork — both go into the log, whose cross-check convicts the signers the
+// quorums share, and the branch goes to the reconciliation callback
+// (phase ⑤), once.
+func (r *Replica) absorb(b BlockRecord, verified accountability.Verified) {
+	st := r.ensureInstance(b.K)
+	dig := b.Decision.Digest()
+	switch {
+	case !st.decided:
+		st.attempt = b.Attempt
+		st.decided = true
+		st.stopped = true // supersede any parallel restarted run
+		st.decision = b.Decision
+		st.digest = dig
+		r.decided++
+		r.noteProgress(st)
+		r.log.Record(verified)
+		if r.cfg.OnCommit != nil {
+			r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
+		}
+		if b.K >= r.nextK {
+			r.nextK = b.K + 1
+			r.Kick() // not a pool node reading its join notice: it starts after
+		}
+	case dig == st.digest || st.remoteSeen[dig]: // already on record
+	default:
+		if st.retired() {
+			// Retirement dropped this instance's statements from the log. Put
+			// the local decision's certificates back before the remote ones, so
+			// cross-checking the two quorums convicts the signers they share.
+			// They go through the same audit, signatures checked again: a late
+			// conflict on a retired instance is the rare path.
+			for _, own := range r.records(b.K, b.K) {
+				if local, err := auditBlock(r.log, own, r.view.Size()); err == nil {
+					r.log.Record(local)
+				}
+			}
+			if st.remoteSeen == nil {
+				st.remoteSeen = make(map[types.Digest]bool)
+			}
+		}
+		st.remoteSeen[dig] = true
+		st.disagreement = true
+		r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseDisagreement, b.K, 0, st.attempt, "")
+		r.log.Record(verified)
+		if r.cfg.OnDisagreement != nil {
+			r.cfg.OnDisagreement(b.K, st.decision, b.Decision)
+		}
+		r.flushPoFs()
+	}
 }
 
 // onPoF fires from the accountability log exactly once per culprit.
@@ -729,7 +791,7 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 			restartKs = append(restartKs, k)
 		}
 	}
-	sortUint64(restartKs)
+	slices.Sort(restartKs)
 	for _, k := range restartKs {
 		r.instances[k].inst.Release()
 		r.newInstance(k)
@@ -767,19 +829,6 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 }
 
 func (r *Replica) buildJoinNotice() *JoinNotice {
-	ks := make([]uint64, 0, len(r.committed))
-	for k := range r.committed {
-		ks = append(ks, k)
-	}
-	sortUint64(ks)
-	blocks := make([]BlockRecord, 0, len(ks))
-	for _, k := range ks {
-		st := r.instances[k]
-		if st.decision == nil {
-			continue // restored from disk: no certificates to ship
-		}
-		blocks = append(blocks, BlockRecord{K: k, Attempt: st.attempt, Decision: st.decision})
-	}
 	pending := make(map[uint64]uint32)
 	for k, st := range r.instances {
 		if !st.decided && !st.stopped {
@@ -790,7 +839,7 @@ func (r *Replica) buildJoinNotice() *JoinNotice {
 		Epoch:           r.epoch,
 		Committee:       r.view.MembersCopy(),
 		NextK:           r.nextK,
-		Blocks:          blocks,
+		Blocks:          r.records(1, r.nextK),
 		PendingAttempts: pending,
 	}
 }
@@ -801,14 +850,7 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	if r.member || m.Epoch == 0 {
 		return
 	}
-	inCommittee := false
-	for _, id := range m.Committee {
-		if id == r.cfg.Self {
-			inCommittee = true
-			break
-		}
-	}
-	if !inCommittee {
+	if !slices.Contains(m.Committee, r.cfg.Self) {
 		return
 	}
 	// Audit the shipped chain; the cost (certificates over n signers per
@@ -834,18 +876,7 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 		}
 	}
 	for i, b := range m.Blocks {
-		if _, dup := r.committed[b.K]; !dup {
-			st := r.ensureInstance(b.K)
-			st.attempt = b.Attempt
-			st.decided = true
-			st.decision = b.Decision
-			st.digest = b.Decision.Digest()
-			r.committed[b.K] = b.Decision
-			r.log.Record(audited[i])
-			if r.cfg.OnCommit != nil {
-				r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
-			}
-		}
+		r.absorb(b, audited[i])
 	}
 	if m.NextK > r.nextK {
 		r.nextK = m.NextK
@@ -857,7 +888,6 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	r.started = true
 	r.startInstance(r.nextK)
 	r.replayPending()
-	r.flushPoFs()
 }
 
 // onPoFGossip ingests gossiped PoFs outside a membership change.
@@ -868,53 +898,6 @@ func (r *Replica) onPoFGossip(_ types.ReplicaID, m *PoFGossip) {
 	for _, p := range m.PoFs {
 		if p.Verify(r.cfg.Signer) {
 			r.log.AddPoF(p)
-		}
-	}
-	r.flushPoFs()
-}
-
-func (r *Replica) onCatchupReq(from types.ReplicaID, m *CatchupReq) {
-	ks := make([]uint64, 0, len(r.committed))
-	for k := range r.committed {
-		if k >= m.FromK {
-			ks = append(ks, k)
-		}
-	}
-	sortUint64(ks)
-	blocks := make([]BlockRecord, 0, len(ks))
-	for _, k := range ks {
-		st := r.instances[k]
-		if st.decision == nil {
-			continue // restored from disk: no certificates to ship
-		}
-		blocks = append(blocks, BlockRecord{K: k, Attempt: st.attempt, Decision: st.decision})
-	}
-	r.cfg.Env.Send(from, &CatchupResp{Blocks: blocks})
-}
-
-func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
-	for _, b := range m.Blocks {
-		if _, dup := r.committed[b.K]; dup {
-			continue
-		}
-		verified, err := auditBlock(r.log, b, r.view.Size())
-		if err != nil {
-			continue
-		}
-		st := r.ensureInstance(b.K)
-		st.decided = true
-		st.stopped = true // supersede any parallel restarted run
-		st.decision = b.Decision
-		st.digest = b.Decision.Digest()
-		r.committed[b.K] = b.Decision
-		r.noteProgress(st)
-		r.log.Record(verified)
-		if r.cfg.OnCommit != nil {
-			r.cfg.OnCommit(b.K, b.Attempt, b.Decision)
-		}
-		if b.K >= r.nextK {
-			r.nextK = b.K + 1
-			r.startInstance(r.nextK)
 		}
 	}
 	r.flushPoFs()

@@ -80,12 +80,12 @@ func (r *Replica) retireFinalized() {
 
 // retire releases everything instance k holds beyond its decision: the
 // SBC state machine with its rbc/bincon slots, the confirmation
-// bookkeeping, and — for every attempt k ran under — the signed
-// statements in the accountability log and the interned payloads.
+// bookkeeping, and — for every attempt k ran under here or, adopted whole,
+// was decided under — the log's signed statements and the interned payloads.
 func (r *Replica) retire(st *instState) {
 	st.inst.Release()
 	st.inst, st.confirms, st.remoteSeen, st.reqSent = nil, nil, nil, nil
-	for a := uint32(0); a <= st.attempt; a++ {
+	for a := uint32(0); a <= max(st.attempt, uint32(r.epoch)); a++ {
 		key := accountability.InstanceKey{Context: accountability.CtxMain, Instance: WireInstance(st.k, a)}
 		r.log.DropInstance(key)
 	}

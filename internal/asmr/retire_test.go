@@ -152,10 +152,10 @@ func (p *probe) OnMessage(_ types.ReplicaID, msg simnet.Message) { p.got = appen
 func (p *probe) OnTimer(any)                                     {}
 
 // TestRetiredInstanceAnswersIdentically asks a replica for an old
-// instance's payload, proposal, binary decision certificate, block and
-// catch-up transfer while the instance is live and again after it retired:
-// the answers are equal field for field (a catch-up transfer grows, so its
-// common prefix is).
+// instance's payload, proposal, binary decision certificate, block,
+// catch-up transfer and the chain of a join notice while the instance is
+// live and again after it retired: the answers are equal field for field (a
+// catch-up transfer and a join notice grow, so their common prefix is).
 func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	const n, k, slot = 4, 5, types.ReplicaID(2)
 	c := benignCluster(t, n, 120)
@@ -195,7 +195,7 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	if got := r.Stats().RetiredInstances; got != 0 {
 		t.Fatalf("%d instances retired at height 10", got)
 	}
-	live := ask()
+	live, liveNotice := ask(), r.JoinNoticeBlocks()
 	runUntilHeight(t, c, 120)
 	if got := r.Stats().RetiredInstances; got < 80 {
 		t.Fatalf("only %d instances retired at height 120", got)
@@ -225,6 +225,9 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after[:len(before)]) {
 		t.Error("catch-up transfer from instance 1 changed for blocks that retired in between")
+	}
+	if notice := r.JoinNoticeBlocks(); len(liveNotice) < 10 || len(notice) < 120 || !reflect.DeepEqual(liveNotice, notice[:len(liveNotice)]) {
+		t.Errorf("join notices carry %d and %d blocks, want >= 10 and >= 120, the first a prefix of the second", len(liveNotice), len(notice))
 	}
 	if got := r.Stats().LateFramesDropped; got != 0 {
 		t.Errorf("%d late frames dropped; the pulls were to be answered", got)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/bench"
 	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/simnet"
 )
 
 // runAB drives the fig3 ZLB configuration at committee size n
@@ -18,7 +19,8 @@ import (
 // from two cores up, so there is a pair on each side.
 func runAB(b *testing.B, n int, seqSim bool) {
 	opts := bench.ZLBFig3Options(n, 2, 42)
-	opts.SequentialSim = seqSim
+	simnet.SequentialSim = seqSim
+	defer func() { simnet.SequentialSim = false }()
 	for i := 0; i < b.N; i++ {
 		c, err := harness.New(opts)
 		if err != nil {

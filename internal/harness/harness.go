@@ -74,14 +74,10 @@ type Options struct {
 	// synthetic workload of the experiments: tagged 32-byte batches of
 	// claimed size, no state beyond the chain coordinates in Commits.
 	App func(id types.ReplicaID, env simnet.Env) (Application, error)
-	// SequentialSim forces the simulator's classic one-event-at-a-time
-	// loop instead of conservative parallel windows (simnet.Config.
-	// SequentialSim). Bit-identical either way.
-	SequentialSim bool
 	// Tracer, when non-nil, records every replica's consensus lifecycle
 	// into per-node buffers with virtual timestamps (internal/obs). The
-	// merged stream is bit-identical with and without SequentialSim. Nil
-	// disables tracing at zero cost.
+	// merged stream is bit-identical in both of the simulator's execution
+	// modes. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -218,7 +214,7 @@ func New(opts Options) (*Cluster, error) {
 		JoinVerified:  make(map[types.ReplicaID]time.Duration),
 		slotOutcomes:  make(map[types.ReplicaID]map[uint64]map[types.ReplicaID]slotOutcome),
 	}
-	c.Net = simnet.New(simnet.Config{Latency: model, Cost: opts.Cost, Seed: opts.Seed, SequentialSim: opts.SequentialSim})
+	c.Net = simnet.New(simnet.Config{Latency: model, Cost: opts.Cost, Seed: opts.Seed})
 	c.Intern = rbc.NewIntern()
 
 	all := append(append([]types.ReplicaID{}, members...), pool...)

@@ -94,9 +94,6 @@ type Config struct {
 	// MaxBlocks bounds the chain length (default 1<<16 — effectively
 	// unbounded for campaign-scale runs).
 	MaxBlocks uint64
-	// SequentialSim selects the simulator's one-event-at-a-time loop;
-	// reports are bit-identical either way.
-	SequentialSim bool
 }
 
 // arrival is one scheduled submission.
@@ -150,7 +147,6 @@ func Run(cfg Config) (*Report, error) {
 		MaxBlocks:        cfg.MaxBlocks,
 		Mempool:          cfg.Policy,
 		BatchTxs:         cfg.BatchTxs,
-		SequentialSim:    cfg.SequentialSim,
 		OnCommittedBatch: rec.onCommit,
 	})
 	if err != nil {

@@ -170,7 +170,7 @@ func (c *Change) startExclusion() {
 		CoordTimeout: c.cfg.CoordTimeout,
 		OnDecide:     c.onExclusionDecided,
 	})
-	payload, err := EncodePoFs(c.cfg.Log.PoFs())
+	payload, err := wire.EncodePoFs(c.cfg.Log.PoFs())
 	if err != nil {
 		panic(fmt.Sprintf("membership: encoding pofs: %v", err))
 	}
@@ -257,7 +257,7 @@ func (c *Change) OnPoFs(pofs []accountability.PoF) {
 // set of valid PoFs on committee members (SBC-Validity for the exclusion
 // consensus).
 func (c *Change) validateExclusionProposal(_ types.ReplicaID, payload []byte) bool {
-	pofs, err := DecodePoFs(payload)
+	pofs, err := wire.DecodePoFs(payload)
 	if err != nil || len(pofs) == 0 {
 		return false
 	}
@@ -282,7 +282,7 @@ func (c *Change) onExclusionDecided(d *sbc.Decision) {
 	}
 	union := make(map[types.ReplicaID]accountability.PoF)
 	for _, p := range d.OrderedProposals() {
-		pofs, err := DecodePoFs(p.Payload)
+		pofs, err := wire.DecodePoFs(p.Payload)
 		if err != nil {
 			continue // validated at echo time; defensive
 		}
@@ -342,7 +342,7 @@ func (c *Change) startInclusion() {
 		want = 0
 	}
 	candidates := c.cfg.Pool.Peek(want)
-	payload, err := EncodeReplicas(candidates)
+	payload, err := wire.EncodeReplicas(candidates)
 	if err != nil {
 		panic(fmt.Sprintf("membership: encoding candidates: %v", err))
 	}
@@ -360,7 +360,7 @@ func (c *Change) startInclusion() {
 // validateInclusionProposal accepts proposals that decode to candidate
 // replicas that are neither current members nor excluded culprits.
 func (c *Change) validateInclusionProposal(_ types.ReplicaID, payload []byte) bool {
-	ids, err := DecodeReplicas(payload)
+	ids, err := wire.DecodeReplicas(payload)
 	if err != nil {
 		return false
 	}
@@ -390,7 +390,7 @@ func (c *Change) onInclusionDecided(d *sbc.Decision) {
 
 	proposalSets := make([][]types.ReplicaID, 0, len(d.Proposals))
 	for _, p := range d.OrderedProposals() {
-		ids, err := DecodeReplicas(p.Payload)
+		ids, err := wire.DecodeReplicas(p.Payload)
 		if err != nil {
 			continue
 		}
@@ -503,42 +503,4 @@ func Choose(count int, proposals [][]types.ReplicaID) []types.ReplicaID {
 	}
 	types.SortReplicas(chosen)
 	return chosen
-}
-
-// --- Encoding helpers (length-prefixed binary, internal/wire) ---
-
-// EncodePoFs serializes a PoF set for an exclusion proposal.
-func EncodePoFs(pofs []accountability.PoF) ([]byte, error) {
-	payload, err := wire.EncodePoFs(pofs)
-	if err != nil {
-		return nil, fmt.Errorf("membership: encode pofs: %w", err)
-	}
-	return payload, nil
-}
-
-// DecodePoFs parses an exclusion proposal.
-func DecodePoFs(payload []byte) ([]accountability.PoF, error) {
-	pofs, err := wire.DecodePoFs(payload)
-	if err != nil {
-		return nil, fmt.Errorf("membership: decode pofs: %w", err)
-	}
-	return pofs, nil
-}
-
-// EncodeReplicas serializes a candidate list for an inclusion proposal.
-func EncodeReplicas(ids []types.ReplicaID) ([]byte, error) {
-	payload, err := wire.EncodeReplicas(ids)
-	if err != nil {
-		return nil, fmt.Errorf("membership: encode replicas: %w", err)
-	}
-	return payload, nil
-}
-
-// DecodeReplicas parses an inclusion proposal.
-func DecodeReplicas(payload []byte) ([]types.ReplicaID, error) {
-	ids, err := wire.DecodeReplicas(payload)
-	if err != nil {
-		return nil, fmt.Errorf("membership: decode replicas: %w", err)
-	}
-	return ids, nil
 }

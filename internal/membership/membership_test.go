@@ -12,6 +12,7 @@ import (
 	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 func TestChoose(t *testing.T) {
@@ -71,11 +72,11 @@ func TestEncodingRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := EncodePoFs([]accountability.PoF{pof})
+	payload, err := wire.EncodePoFs([]accountability.PoF{pof})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePoFs(payload)
+	back, err := wire.DecodePoFs(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +88,18 @@ func TestEncodingRoundTrips(t *testing.T) {
 	}
 
 	ids := []types.ReplicaID{5, 6, 7}
-	rp, err := EncodeReplicas(ids)
+	rp, err := wire.EncodeReplicas(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, err := DecodeReplicas(rp)
+	gotIDs, err := wire.DecodeReplicas(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gotIDs) != 3 || gotIDs[0] != 5 {
 		t.Fatalf("replica round trip = %v", gotIDs)
 	}
-	if _, err := DecodePoFs([]byte("garbage")); err == nil {
+	if _, err := wire.DecodePoFs([]byte("garbage")); err == nil {
 		t.Fatal("garbage PoF payload accepted")
 	}
 }
@@ -286,7 +287,7 @@ func TestValidateExclusionProposalRejectsGarbage(t *testing.T) {
 	if change.validateExclusionProposal(3, []byte("garbage")) {
 		t.Fatal("garbage proposal validated")
 	}
-	empty, _ := EncodePoFs(nil)
+	empty, _ := wire.EncodePoFs(nil)
 	if change.validateExclusionProposal(3, empty) {
 		t.Fatal("empty PoF set validated")
 	}

@@ -14,7 +14,6 @@
 package rbc
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/zeroloss/zlb/internal/accountability"
@@ -521,6 +520,3 @@ func (r *Instance) Release() {
 // Digests returns every digest with at least one echo or ready, sorted;
 // used by tests to observe partitioned state.
 func (r *Instance) Digests() []types.Digest { return r.knownDigests() }
-
-// Equal reports whether two payloads are the same bytes (test helper).
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -1,6 +1,7 @@
 package rbc
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func TestRBCAllDeliverSamePayload(t *testing.T) {
 		if d.Digest != want {
 			t.Fatalf("replica %v delivered %v", id, d.Digest)
 		}
-		if !Equal(d.Payload, payload) {
+		if !bytes.Equal(d.Payload, payload) {
 			t.Fatalf("replica %v payload mismatch", id)
 		}
 		if d.Cert == nil {
@@ -228,7 +229,7 @@ func TestRBCLatePayloadPull(t *testing.T) {
 	if !ok {
 		t.Fatal("replica 4 never delivered")
 	}
-	if !Equal(d.Payload, payload) {
+	if !bytes.Equal(d.Payload, payload) {
 		t.Fatal("pulled payload mismatch")
 	}
 	// The pull stands in for the INIT: the broadcaster's signed statement

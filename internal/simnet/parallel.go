@@ -46,8 +46,7 @@ const minParallelNodes = 4
 // in the exact sequential pop order (see runWindow) — the trace stream
 // is bit-identical to the sequential loop's.
 func (n *Network) parallelOK() bool {
-	return n.lookahead > 0 && !n.cfg.SequentialSim &&
-		n.DeliverRule == nil && len(n.order) >= minParallelNodes
+	return n.lookahead > 0 && n.DeliverRule == nil && len(n.order) >= minParallelNodes
 }
 
 // winCreation is one buffered side effect of an in-window handler

@@ -77,7 +77,9 @@ func (c *chatter) OnTimer(payload any) {
 // buildChatterNet wires nNodes chatter handlers over the given latency
 // model and returns the network plus the per-node handlers.
 func buildChatterNet(nNodes int, model latency.Model, cost CostModel, seqSim bool, maxEvents int) (*Network, []*chatter) {
-	n := New(Config{Latency: model, Cost: cost, Seed: 7, SequentialSim: seqSim, MaxEvents: maxEvents})
+	SequentialSim = seqSim
+	n := New(Config{Latency: model, Cost: cost, Seed: 7, MaxEvents: maxEvents})
+	SequentialSim = false
 	peers := make([]types.ReplicaID, nNodes)
 	for i := range peers {
 		peers[i] = types.ReplicaID(i + 1)
@@ -254,8 +256,8 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 			p := msg.(*ping)
 			trace += fmt.Sprintf("at=%d %d->%d hop=%d tag=%s\n", at, from, to, p.Hop, p.Tag)
 		}
-		if !seqSim && !n.parallelOK() {
-			t.Fatal("Trace disabled parallel windows")
+		if n.parallelOK() == seqSim {
+			t.Fatalf("parallel windows usable = %v in mode seqSim=%v: Trace must not disable them, SequentialSim must", !seqSim, seqSim)
 		}
 		for i := 0; i < 3; i++ {
 			n.Inject(100, types.ReplicaID(i+1), &ping{Hop: 0, Tag: fmt.Sprintf("seed%d", i), Size: 256}, time.Duration(i)*time.Millisecond)

@@ -21,7 +21,7 @@
 // exact order sequential execution would have produced. Every metric,
 // RNG draw and queue ordering is bit-identical to sequential execution —
 // see README.md ("Conservative parallel windows") for the argument, and
-// Config.SequentialSim for the forced-sequential reference mode.
+// SequentialSim for the forced-sequential reference mode.
 package simnet
 
 import (
@@ -132,12 +132,12 @@ type Config struct {
 	// Hitting it sets Network.Exhausted — callers must treat the run as
 	// failed, not as a drained queue.
 	MaxEvents int
-	// SequentialSim forces the classic one-event-at-a-time loop even when
-	// the latency model supports a parallel lookahead. Results are
-	// bit-identical either way (the determinism suite pins this); the
-	// knob exists for A/B wall-clock comparisons and debugging.
-	SequentialSim bool
 }
+
+// SequentialSim makes New build networks that run the classic
+// one-event-at-a-time loop whatever the latency model: the bit-identical
+// reference mode, set process-wide by tests that run one at a time.
+var SequentialSim bool
 
 type eventKind int
 
@@ -342,7 +342,7 @@ func New(cfg Config) *Network {
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Latency != nil {
+	if cfg.Latency != nil && !SequentialSim {
 		if min := latency.MinDelayOf(cfg.Latency); min > 0 {
 			n.lookahead = min + cfg.Cost.SendBase
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/simnet"
 )
 
 // runPersistedScenario drives the fixed-seed workload of
@@ -139,8 +140,10 @@ type restartOutcome struct {
 // instances, catch up, commit further blocks onto the recovered ledger.
 func runRestartScenario(t *testing.T, sequentialSim bool) restartOutcome {
 	t.Helper()
+	simnet.SequentialSim = sequentialSim
+	defer func() { simnet.SequentialSim = false }()
 	const victim = zlb.ReplicaID(4)
-	cfg := zlb.Config{N: 4, Seed: 11, WalletCount: 3, DataDir: t.TempDir(), CheckpointEvery: 2, SequentialSim: sequentialSim}
+	cfg := zlb.Config{N: 4, Seed: 11, WalletCount: 3, DataDir: t.TempDir(), CheckpointEvery: 2}
 	c, err := zlb.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -163,14 +163,6 @@ type Config struct {
 	// debugging.
 	SequentialCommit bool
 
-	// SequentialSim forces the simulator's classic one-event-at-a-time
-	// loop instead of conservative parallel windows
-	// (simnet.Config.SequentialSim). Orthogonal to SequentialCommit: one
-	// gates event dispatch, the other the commit pipeline. Results are
-	// bit-identical either way; the knob exists for the determinism
-	// suite and wall-clock A/B runs.
-	SequentialSim bool
-
 	// DataDir, when set, makes every replica persist its chain to a
 	// durable block store (internal/store) under <DataDir>/r<id>:
 	// committed blocks and reconciliation merges write through, and a
@@ -206,8 +198,8 @@ type Config struct {
 	// whole deployment (internal/obs): transaction admission at the
 	// observer replica, every replica's consensus lifecycle, and branch
 	// merges, all with virtual timestamps. The merged event stream is
-	// bit-identical across SequentialCommit/SequentialSim modes. Nil
-	// disables tracing at zero cost.
+	// bit-identical across SequentialCommit and across the simulator's two
+	// execution modes. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 
 	// OnBlock, if set, observes every committed block at replica 1.
@@ -421,7 +413,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		PartitionDelay: partDelay,
 		Seed:           cfg.Seed,
 		WaitForWork:    true,
-		SequentialSim:  cfg.SequentialSim,
 		Tracer:         cfg.Tracer,
 		CoordTimeout: func(r types.Round) time.Duration {
 			return 150 * time.Millisecond * time.Duration(r+1)
