@@ -32,9 +32,9 @@ func wireTransport(reg *obs.Metrics, node *transport.Node, members []types.Repli
 		func() float64 { return float64(node.Stats().Received) })
 	reg.CounterFunc("zlb_transport_events_dropped", "Inbound or self events dropped by a full event queue.",
 		func() float64 { return float64(node.Stats().EventsDropped) })
-	reg.CounterFunc("zlb_transport_decode_errors", "Inbound frames that failed to decode (connection dropped).",
+	reg.CounterFunc("zlb_transport_decode_errors", "Inbound frames that failed to decode or were refused (connection dropped).",
 		func() float64 { return float64(node.Stats().DecodeErrors) })
-	reg.CounterFunc("zlb_transport_send_drops_total", "Outbound frames displaced from full peer queues.",
+	reg.CounterFunc("zlb_transport_send_drops_total", "Outbound frames dropped: displaced from full peer queues, failed past the retry budget, or refused unencodable.",
 		func() float64 { return float64(node.Stats().SendDrops) })
 	reg.CounterFunc("zlb_transport_submit_backpressure_total", "Client submits refused with a backpressure ack.",
 		func() float64 { return float64(node.Stats().SubmitBackpressure) })
@@ -56,7 +56,9 @@ func wireTransport(reg *obs.Metrics, node *transport.Node, members []types.Repli
 			func() float64 { return float64(node.PeerHealthFor(peer).SentMsgs) }, "peer", label)
 		reg.CounterFunc("zlb_peer_sent_bytes_total", "Bytes delivered to the peer.",
 			func() float64 { return float64(node.PeerHealthFor(peer).SentBytes) }, "peer", label)
-		reg.CounterFunc("zlb_peer_drops_total", "Frames to the peer displaced by queue overflow or failed past the retry budget.",
+		reg.CounterFunc("zlb_peer_writes_total", "Writes that carried frames to the peer; zlb_peer_sent_total over this is frames per write.",
+			func() float64 { return float64(node.PeerHealthFor(peer).Writes) }, "peer", label)
+		reg.CounterFunc("zlb_peer_drops_total", "Frames to the peer displaced by queue overflow, failed past the retry budget, or refused unencodable.",
 			func() float64 { return float64(node.PeerHealthFor(peer).Drops) }, "peer", label)
 		reg.CounterFunc("zlb_peer_reconnects_total", "Times the writer re-established the peer's connection.",
 			func() float64 { return float64(node.PeerHealthFor(peer).Reconnects) }, "peer", label)

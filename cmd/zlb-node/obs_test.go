@@ -130,6 +130,7 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 			"zlb_peer_consecutive_failures",
 			"zlb_peer_sent_total",
 			"zlb_peer_sent_bytes_total",
+			"zlb_peer_writes_total",
 			"zlb_peer_drops_total",
 			"zlb_peer_reconnects_total",
 		} {
@@ -167,6 +168,9 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		}
 		if p.SentMsgs == 0 {
 			t.Errorf("/status peer %v shows no delivered frames after committed blocks", p.ID)
+		}
+		if p.Writes == 0 || p.Writes > p.SentMsgs {
+			t.Errorf("/status peer %v counts %d writes for %d frames, want 1..frames", p.ID, p.Writes, p.SentMsgs)
 		}
 	}
 	if st.Transport.Sent <= 0 {

@@ -115,6 +115,15 @@ func (s Statement) Encode() []byte {
 	return buf
 }
 
+// AppendEncoding appends the canonical encoding to buf, allocating
+// nothing beyond what buf's growth needs: frame encoders call it once per
+// signed statement they send.
+func (s Statement) AppendEncoding(buf []byte) []byte {
+	var enc [encodedLen]byte
+	s.encodeInto(&enc)
+	return append(buf, enc[:]...)
+}
+
 func (s Statement) encodeInto(buf *[encodedLen]byte) {
 	buf[0] = s.Context
 	buf[1] = byte(s.Kind)

@@ -1,11 +1,11 @@
 package transport
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -74,10 +74,13 @@ type PeerHealth struct {
 	LastSuccessAgo time.Duration `json:"last_success_ago_ns"`
 	SentMsgs       uint64        `json:"sent_msgs"`
 	SentBytes      uint64        `json:"sent_bytes"`
-	Drops          uint64        `json:"drops"`
-	Reconnects     uint64        `json:"reconnects"`
-	QueueLen       int           `json:"queue_len"`
-	QueueCap       int           `json:"queue_cap"`
+	// Writes counts the writes that carried SentMsgs: frames per write
+	// is their ratio.
+	Writes     uint64 `json:"writes"`
+	Drops      uint64 `json:"drops"`
+	Reconnects uint64 `json:"reconnects"`
+	QueueLen   int    `json:"queue_len"`
+	QueueCap   int    `json:"queue_cap"`
 }
 
 // PeerHealth snapshots every configured peer (self excluded), sorted by
@@ -109,17 +112,22 @@ func (n *Node) PeerHealthFor(id types.ReplicaID) PeerHealth {
 	return p.health()
 }
 
-// peer is one remote replica's send path: a bounded queue drained by a
-// dedicated writer goroutine that owns the connection lifecycle. All
-// health fields are atomics — updated by the writer and the enqueuers,
-// read by metrics scrapes — so no snapshot ever takes the node lock on
-// the hot path.
+// maxBatch bounds one write: the writer drains queued frames into a
+// batch until the next one would take it past maxBatch. A frame larger
+// than that goes alone.
+const maxBatch = 64 << 10
+
+// peer is one remote replica's send path: a bounded queue of encoded
+// frames drained by a dedicated writer goroutine that owns the connection
+// lifecycle. All health fields are atomics — updated by the writer and the
+// enqueuers, read by metrics scrapes — so no snapshot ever takes the node
+// lock on the hot path.
 type peer struct {
 	node *Node
 	id   types.ReplicaID
 	addr string
 
-	q chan simnet.Message
+	q chan []byte
 
 	// connMu guards conn only for the benefit of Node.Close, which
 	// snaps the live connection to unblock a writer mid-write; the
@@ -127,11 +135,20 @@ type peer struct {
 	connMu sync.Mutex
 	conn   net.Conn
 
+	// The writer goroutine's own state: whether conn has carried the
+	// preamble, the batch in hand, a frame drained past the last batch's
+	// limit, and the buffer a batch is assembled in.
+	greeted bool
+	batch   [][]byte
+	held    []byte
+	buf     []byte
+
 	state       atomic.Int32
 	consecFails atomic.Int64
 	lastSuccess atomic.Int64 // wall nanos of the last successful write; 0 = never
 	sentMsgs    atomic.Uint64
 	sentBytes   atomic.Uint64
+	writes      atomic.Uint64
 	drops       atomic.Uint64
 	reconnects  atomic.Uint64
 	dials       atomic.Uint64
@@ -158,7 +175,7 @@ func newPeer(n *Node, id types.ReplicaID, addr string) *peer {
 		node: n,
 		id:   id,
 		addr: addr,
-		q:    make(chan simnet.Message, n.cfg.SendQueueSize),
+		q:    make(chan []byte, n.cfg.SendQueueSize),
 		rng:  rngSource{r: rand.New(rand.NewSource(int64(n.cfg.Self)*104729 + int64(id)*31 + 13))},
 	}
 }
@@ -176,6 +193,7 @@ func (p *peer) health() PeerHealth {
 		LastSuccessAgo:      ago,
 		SentMsgs:            p.sentMsgs.Load(),
 		SentBytes:           p.sentBytes.Load(),
+		Writes:              p.writes.Load(),
 		Drops:               p.drops.Load(),
 		Reconnects:          p.reconnects.Load(),
 		QueueLen:            len(p.q),
@@ -183,19 +201,39 @@ func (p *peer) health() PeerHealth {
 	}
 }
 
-// enqueue adds msg to the peer's queue, displacing the oldest queued
+// frame encodes msg for the queue. A message with no frame — a type
+// without a kind, or one over the length cap — is refused here, before
+// it is queued: counted as a drop and logged, with the connection and the
+// peer's health untouched.
+func (p *peer) frame(msg simnet.Message) ([]byte, error) {
+	frame, err := appendFrame(make([]byte, 0, sizeHint(msg)), msg)
+	if err != nil {
+		p.countDrops(1)
+		if p.node.warnRefuse.allow(time.Second) {
+			p.node.cfg.Logger.Warnf("transport: refused a message to replica %v (%d drops to it so far): %v",
+				p.id, p.drops.Load(), err)
+		}
+	}
+	return frame, err
+}
+
+// enqueue adds a frame to the peer's queue, displacing the oldest queued
 // frame when full (drop-oldest: under overload the freshest consensus
 // state survives, and quorum protocols recover whatever is lost).
-func (p *peer) enqueue(msg simnet.Message) {
+func (p *peer) enqueue(frame []byte) {
 	for {
 		select {
-		case p.q <- msg:
+		case p.q <- frame:
 			return
 		default:
 		}
 		select {
 		case <-p.q:
-			p.countDrop()
+			p.countDrops(1)
+			if p.node.warnDrop.allow(time.Second) {
+				p.node.cfg.Logger.Warnf("transport: send queue to replica %v full, dropped %d frames to it so far",
+					p.id, p.drops.Load())
+			}
 		default:
 			// Lost the displacement race to the writer draining the
 			// queue; the next iteration's send will almost surely fit.
@@ -203,69 +241,102 @@ func (p *peer) enqueue(msg simnet.Message) {
 	}
 }
 
-// tryEnqueue adds msg or fails fast with ErrBackpressure, displacing
+// tryEnqueue adds a frame or fails fast with ErrBackpressure, displacing
 // nothing.
-func (p *peer) tryEnqueue(msg simnet.Message) error {
+func (p *peer) tryEnqueue(frame []byte) error {
 	select {
-	case p.q <- msg:
+	case p.q <- frame:
 		return nil
 	default:
 		return ErrBackpressure
 	}
 }
 
-func (p *peer) countDrop() {
-	p.drops.Add(1)
-	p.node.sendDrops.Add(1)
-	if p.node.warnDrop.allow(time.Second) {
-		p.node.cfg.Logger.Warnf("transport: send queue to replica %v full, dropped %d frames to it so far",
-			p.id, p.drops.Load())
-	}
+func (p *peer) countDrops(frames int) {
+	p.drops.Add(uint64(frames))
+	p.node.sendDrops.Add(uint64(frames))
 }
 
 // writeLoop drains the queue for the writer's lifetime, owning the
-// connection: dial with jittered exponential backoff, write each frame
-// under a deadline, reconnect and retry on failure. Dial failures cost
-// backoff only — a frame is never dropped because the peer is
-// unreachable, so traffic queued across a partition flushes on heal —
-// while writes that fail on an established connection consume the
-// frame's Config.SendAttempts budget before it is dropped.
+// connection. Each wake-up takes one frame, dials if there is no
+// connection (jittered exponential backoff), then drains whatever else is
+// queued into the batch and writes it in one write. A frame therefore
+// leaves the queue only once a connection exists, bar the one in hand.
+// Dial failures cost backoff only — a frame is never dropped because the
+// peer is unreachable, so traffic queued across a partition flushes on
+// heal — while writes that fail on an established connection consume
+// the batch's Config.SendAttempts budget before it is dropped.
 func (p *peer) writeLoop() {
 	defer p.node.wg.Done()
 	defer p.closeConn()
-	var enc *gob.Encoder
-	var counter *countingWriter
 	backoff := p.node.cfg.SendBackoff
 	for {
-		var msg simnet.Message
-		select {
-		case <-p.node.stopIO:
-			return
-		case msg = <-p.q:
+		first := p.held
+		p.held = nil
+		if first == nil {
+			select {
+			case <-p.node.stopIO:
+				return
+			case first = <-p.q:
+			}
 		}
-		writeFails := 0
-		for {
-			if p.currentConn() == nil {
-				conn := p.connect(&backoff)
-				if conn == nil {
-					return // shutdown
-				}
-				counter = &countingWriter{w: conn}
-				enc = gob.NewEncoder(counter)
+		if p.currentConn() == nil && p.connect(&backoff) == nil {
+			return // shutdown
+		}
+		p.fill(first)
+		if !p.flush(&backoff) {
+			return // shutdown
+		}
+	}
+}
+
+// fill starts the batch with first and drains queued frames into it until
+// the queue is empty or the next frame would take the batch past
+// maxBatch; that frame is held for the next batch.
+func (p *peer) fill(first []byte) {
+	p.batch = append(p.batch[:0], first)
+	size := len(first)
+	for {
+		select {
+		case f := <-p.q:
+			if size+len(f) > maxBatch {
+				p.held = f
+				return
 			}
-			if p.write(enc, counter, msg) {
-				backoff = p.node.cfg.SendBackoff
-				break
+			p.batch = append(p.batch, f)
+			size += len(f)
+		default:
+			return
+		}
+	}
+}
+
+// flush writes the batch, redialing and retrying it whole after a failed
+// write until Config.SendAttempts writes have failed, then drops it. It
+// reports false on shutdown.
+func (p *peer) flush(backoff *time.Duration) bool {
+	defer clear(p.batch) // the frames are garbage once written or dropped
+	for fails := 0; ; {
+		conn := p.currentConn()
+		if conn == nil {
+			if conn = p.connect(backoff); conn == nil {
+				return false
 			}
-			enc, counter = nil, nil
-			writeFails++
-			if writeFails >= p.node.cfg.SendAttempts {
-				p.countDrop()
-				break
+		}
+		if p.write(conn) {
+			*backoff = p.node.cfg.SendBackoff
+			return true
+		}
+		if fails++; fails >= p.node.cfg.SendAttempts {
+			p.countDrops(len(p.batch))
+			if p.node.warnDrop.allow(time.Second) {
+				p.node.cfg.Logger.Warnf("transport: %d frames to replica %v dropped after %d failed writes, %d so far",
+					len(p.batch), p.id, fails, p.drops.Load())
 			}
-			if !p.sleep(&backoff) {
-				return // shutdown
-			}
+			return true
+		}
+		if !p.sleep(backoff) {
+			return false
 		}
 	}
 }
@@ -284,6 +355,7 @@ func (p *peer) connect(backoff *time.Duration) net.Conn {
 		conn, err := net.DialTimeout("tcp", p.addr, p.node.cfg.DialBackoff)
 		if err == nil {
 			p.setConn(conn)
+			p.greeted = false
 			if p.dials.Load() > 1 {
 				p.reconnects.Add(1)
 			}
@@ -297,30 +369,54 @@ func (p *peer) connect(backoff *time.Duration) net.Conn {
 	}
 }
 
-// write sends one frame under the write deadline. On failure the
-// connection is closed and failure counters advance.
-func (p *peer) write(enc *gob.Encoder, counter *countingWriter, msg simnet.Message) bool {
-	conn := p.currentConn()
-	if conn == nil {
-		return false
+// write sends the batch in one write, after the preamble on a fresh
+// connection. On failure the connection is closed and failure counters
+// advance.
+func (p *peer) write(conn net.Conn) bool {
+	out := p.batch[0]
+	if len(p.batch) > 1 || !p.greeted {
+		b := p.buf[:0]
+		if !p.greeted {
+			b = appendPreamble(b, p.node.cfg.Self)
+		}
+		for _, f := range p.batch {
+			b = append(b, f...)
+		}
+		out = b
+		if cap(b) <= maxBatch+preambleLen {
+			p.buf = b // a lone large frame's copy is not kept
+		}
 	}
-	if wt := p.node.cfg.WriteTimeout; wt > 0 {
-		conn.SetWriteDeadline(time.Now().Add(wt))
-	}
-	before := counter.n
-	if err := enc.Encode(envelope{From: p.node.cfg.Self, Msg: msg}); err != nil {
+	if err := p.writeAll(conn, out); err != nil {
 		p.closeConn()
 		p.fail()
 		return false
 	}
-	conn.SetWriteDeadline(time.Time{})
-	p.sentMsgs.Add(1)
-	p.sentBytes.Add(counter.n - before)
-	p.node.Sent.Add(1)
+	p.greeted = true
+	p.writes.Add(1)
+	p.sentMsgs.Add(uint64(len(p.batch)))
+	p.sentBytes.Add(uint64(len(out)))
+	p.node.Sent.Add(int64(len(p.batch)))
 	p.consecFails.Store(0)
 	p.lastSuccess.Store(time.Now().UnixNano())
 	p.state.Store(int32(StateConnected))
 	return true
+}
+
+// writeAll writes b under the write deadline, renewed whenever a write
+// moved bytes: a slow reader drains a batch at its own pace, and only a
+// reader that takes nothing for Config.WriteTimeout fails it.
+func (p *peer) writeAll(conn net.Conn, b []byte) error {
+	for len(b) > 0 {
+		conn.SetWriteDeadline(time.Now().Add(p.node.cfg.WriteTimeout))
+		n, err := conn.Write(b)
+		b = b[n:]
+		if err != nil && (n == 0 || !errors.Is(err, os.ErrDeadlineExceeded)) {
+			return err
+		}
+	}
+	conn.SetWriteDeadline(time.Time{})
+	return nil
 }
 
 // fail records one dial or write failure and degrades the health state.
@@ -371,19 +467,6 @@ func (p *peer) closeConn() {
 		p.conn.Close()
 		p.conn = nil
 	}
-}
-
-// countingWriter counts bytes flowing to the connection, feeding the
-// per-peer sent-bytes health counter.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (c *countingWriter) Write(b []byte) (int, error) {
-	n, err := c.w.Write(b)
-	c.n += uint64(n)
-	return n, err
 }
 
 // rateLimiter allows one event per interval, CAS-guarded so concurrent

@@ -1,37 +1,35 @@
 // Package transport runs an event-driven replica (any simnet.Handler,
 // e.g. an asmr.Replica) over real TCP instead of the simulator: the same
 // protocol state machines, driven by a single event loop per node, with
-// length-prefixed gob frames between peers. Message authenticity is
+// length-prefixed binary frames between peers. Message authenticity is
 // end-to-end (every accountable statement is signed), so the transport
 // only provides framing and ordering, exactly like the paper's raw TCP
 // replica links.
 //
-// Delivery is asynchronous: Send is a non-blocking enqueue onto a
+// Delivery is asynchronous: Send encodes the message into its frame on
+// the caller's goroutine and enqueues the frame, without blocking, onto a
 // bounded per-peer queue drained by a dedicated writer goroutine that
 // owns that peer's connection lifecycle — dial, jittered exponential
-// backoff, redial, per-frame write deadlines. A dead or slow peer
+// backoff, redial, write deadlines. Each time the writer wakes it writes
+// whatever is queued, up to 64 KiB, in one write. A dead or slow peer
 // therefore never stalls the event loop or delays sends to healthy
 // peers; its queue fills and overflows by dropping the oldest frame
 // (quorum protocols recover via retransmitted decisions and catch-up),
 // while client submits that hit a full event queue are refused with a
 // typed backpressure error instead of being silently lost. Per-peer
-// health (state, consecutive failures, drops, reconnects) is tracked in
-// lock-free counters and exported through PeerHealth for the node's
-// /metrics and /status surfaces. See README.md for the architecture.
+// health (state, consecutive failures, drops, reconnects, writes) is
+// tracked in lock-free counters and exported through PeerHealth for the
+// node's /metrics and /status surfaces.
 //
-// Framing deliberately still uses encoding/gob while the consensus
-// payload internals (transaction batches, PoF sets, replica lists)
-// moved to the binary codecs of internal/wire: the transport must
-// round-trip ~25 heterogeneous protocol message types behind one
-// interface, which gob's self-describing streams handle with a single
-// RegisterWireTypes call, and peer framing is not on the simulator's
-// benchmarked hot path — the wire codecs are, because their payloads
-// are built and decoded inside consensus. A replica therefore sends
-// gob-framed messages whose payload bytes are wire-encoded.
+// A listener serves two kinds of connection, told apart by their first
+// byte: a peer link opens with a preamble naming its sender and carries
+// one frame per protocol message (frame.go), and anything else is a
+// client speaking gob envelopes, which may only submit transactions
+// (client.go). See README.md for the architecture and the frame layout.
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -41,76 +39,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/zeroloss/zlb/internal/accountability"
-	"github.com/zeroloss/zlb/internal/asmr"
-	"github.com/zeroloss/zlb/internal/bincon"
-	"github.com/zeroloss/zlb/internal/membership"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/rbc"
-	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
-	"github.com/zeroloss/zlb/internal/utxo"
 )
-
-// RegisterWireTypes registers every protocol message with gob. Call once
-// per process before serving or dialing.
-func RegisterWireTypes() {
-	gob.Register(&rbc.Init{})
-	gob.Register(&rbc.Echo{})
-	gob.Register(&rbc.Ready{})
-	gob.Register(&rbc.PayloadReq{})
-	gob.Register(&rbc.PayloadResp{})
-	gob.Register(&bincon.Est{})
-	gob.Register(&bincon.Coord{})
-	gob.Register(&bincon.Aux{})
-	gob.Register(&bincon.Decide{})
-	gob.Register(&bincon.DecideReq{})
-	gob.Register(&sbc.ProposalReq{})
-	gob.Register(&sbc.ProposalResp{})
-	gob.Register(&asmr.Confirm{})
-	gob.Register(&asmr.BlockReq{})
-	gob.Register(&asmr.BlockResp{})
-	gob.Register(&asmr.PoFGossip{})
-	gob.Register(&asmr.JoinNotice{})
-	gob.Register(&asmr.CatchupReq{})
-	gob.Register(&asmr.CatchupResp{})
-	gob.Register(&membership.PoFBroadcast{})
-	gob.Register(&accountability.Certificate{})
-	gob.Register(&utxo.Transaction{})
-	gob.Register(&SubmitTx{})
-	gob.Register(&SubmitAck{})
-	gob.Register(&SyncFrame{})
-}
-
-// envelope is the wire frame between peers.
-type envelope struct {
-	From types.ReplicaID
-	Msg  any
-}
-
-// SubmitTx is the client-facing request carrying a transaction to a
-// replica's mempool.
-type SubmitTx struct {
-	Tx *utxo.Transaction
-}
-
-// SubmitAck is the node's reply to a SubmitTx on the same connection:
-// OK means the submit was handed to the replica's event loop (admission
-// may still reject it later), !OK with Err set means it was refused at
-// the transport edge — today always backpressure on an overloaded event
-// queue. Wallets that care read the ack; fire-and-forget clients may
-// ignore it.
-type SubmitAck struct {
-	OK  bool
-	Err string
-}
 
 // SyncFrame carries a durable-store catch-up payload between nodes: a
 // wire.EncodeSyncReq payload when Req is set, a wire.EncodeSyncResp
 // payload otherwise. The binary payloads keep the store's CRC-framed
-// records end-to-end verifiable; gob only provides the outer framing,
-// like every other peer message.
+// records end-to-end verifiable; the frame carries them as opaque bytes.
 type SyncFrame struct {
 	Req     bool
 	Payload []byte
@@ -137,19 +74,21 @@ type Config struct {
 	// a single connection attempt and the cap on the writer's retry
 	// backoff schedule (default 500 ms).
 	DialBackoff time.Duration
-	// SendAttempts bounds how many times the writer re-writes one frame
-	// across reconnects before dropping it (default 3). Dial failures do
-	// not consume the budget — an unreachable peer costs backoff, not
-	// frames — only writes that fail on an established connection do.
+	// SendAttempts bounds how many times the writer re-writes one batch
+	// of frames across reconnects before dropping it (default 3). Dial
+	// failures do not consume the budget — an unreachable peer costs
+	// backoff, not frames — only writes that fail on an established
+	// connection do.
 	SendAttempts int
 	// SendBackoff is the initial backoff between the writer's connection
 	// attempts (default 20 ms). It doubles per retry, capped at
 	// DialBackoff, with full jitter so restarting peers are not hammered
 	// in lockstep.
 	SendBackoff time.Duration
-	// WriteTimeout is the per-frame write deadline (default 2 s): a peer
-	// that accepted the connection but stopped reading fails the frame
-	// instead of wedging the writer forever.
+	// WriteTimeout is the write deadline (default 2 s): a write that
+	// moves no byte for this long fails, so a peer that accepted the
+	// connection but stopped reading fails the batch instead of wedging
+	// the writer forever. A slow reader that keeps taking bytes does not.
 	WriteTimeout time.Duration
 	// QueueSize bounds the event queue (default 65536).
 	QueueSize int
@@ -200,12 +139,13 @@ type Node struct {
 	Received atomic.Int64
 
 	eventsDropped atomic.Uint64 // inbound/self events lost to a full event queue
-	decodeErrors  atomic.Uint64 // frames a readLoop failed to decode mid-stream
-	sendDrops     atomic.Uint64 // outbound frames dropped across all peer queues
+	decodeErrors  atomic.Uint64 // inbound frames a readLoop failed to decode or refused
+	sendDrops     atomic.Uint64 // outbound frames dropped or refused across all peers
 	submitBackoff atomic.Uint64 // client submits refused with ErrBackpressure
 
 	warnDrop   rateLimiter
 	warnDecode rateLimiter
+	warnRefuse rateLimiter
 }
 
 // Stats is a point-in-time snapshot of the node's transport counters.
@@ -293,15 +233,17 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// Send implements simnet.Env: a non-blocking enqueue onto the peer's
-// outbound queue (self sends loop back through the event queue). The
-// peer's writer goroutine owns delivery — dialing, backoff, redial and
-// write deadlines — so Send never sleeps and never blocks the caller,
-// whatever state the peer is in. A full peer queue drops the oldest
-// queued frame to make room: protocol traffic tolerates loss via
-// quorums and catch-up, and displacing the oldest frame preserves the
-// freshest consensus state. Sends to unknown peers or after Close are
-// dropped.
+// Send implements simnet.Env: the message is encoded into its frame on
+// the caller's goroutine and enqueued, without blocking, onto the peer's
+// outbound queue (self sends loop back through the event queue
+// unencoded). The peer's writer goroutine owns delivery — dialing,
+// backoff, redial and write deadlines — so Send never sleeps and never
+// blocks the caller, whatever state the peer is in. A full peer queue
+// drops the oldest queued frame to make room: protocol traffic tolerates
+// loss via quorums and catch-up, and displacing the oldest frame
+// preserves the freshest consensus state. Sends to unknown peers or after
+// Close are dropped, and so is a message that has no frame, counted in
+// the peer's drops.
 func (n *Node) Send(to types.ReplicaID, msg simnet.Message) {
 	if to == n.cfg.Self {
 		n.enqueue(event{kind: 1, from: to, msg: msg})
@@ -311,7 +253,9 @@ func (n *Node) Send(to types.ReplicaID, msg simnet.Message) {
 	if err != nil {
 		return
 	}
-	p.enqueue(msg)
+	if frame, err := p.frame(msg); err == nil {
+		p.enqueue(frame)
+	}
 }
 
 // TrySend is Send with fail-fast backpressure instead of drop-oldest:
@@ -331,7 +275,11 @@ func (n *Node) TrySend(to types.ReplicaID, msg simnet.Message) error {
 	if err != nil {
 		return err
 	}
-	return p.tryEnqueue(msg)
+	frame, err := p.frame(msg)
+	if err != nil {
+		return err
+	}
+	return p.tryEnqueue(frame)
 }
 
 // peerFor returns (creating and starting its writer if necessary) the
@@ -490,48 +438,43 @@ func (n *Node) dispatch(ev event) {
 	}
 }
 
-// readLoop decodes frames from one inbound connection. Client submits
-// (SubmitTx) are acked on the same connection: accepted ones with an OK
-// ack, ones that hit a full event queue with a backpressure ack — the
-// typed overload signal wallets see instead of silent loss. Protocol
-// frames are never acked.
+// readLoop serves one inbound connection. Its first byte says what it
+// is: the peer preamble starts a peer link, anything else is a client
+// (serveClient). A frame this node cannot decode, or refuses, is counted
+// and ends the connection; the peer redials.
 func (n *Node) readLoop(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	var enc *gob.Encoder // lazily created for submit acks
+	br := bufio.NewReaderSize(conn, maxBatch)
+	first, err := br.Peek(1)
+	if err == nil {
+		if first[0] == preambleByte {
+			err = n.readPeer(br)
+		} else {
+			err = n.serveClient(conn, br)
+		}
+	}
+	if err != nil && !isConnClosed(err) {
+		n.decodeErrors.Add(1)
+		if n.warnDecode.allow(time.Second) {
+			n.cfg.Logger.Warnf("transport: decode error from %s (%d total): %v",
+				conn.RemoteAddr(), n.decodeErrors.Load(), err)
+		}
+	}
+}
+
+// readPeer reads a peer link's preamble, then its frames, each one an
+// event from the sender the preamble names.
+func (n *Node) readPeer(r io.Reader) error {
+	from, err := readPreamble(r)
+	if err != nil {
+		return err
+	}
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			if !isConnClosed(err) {
-				// A frame this node could not decode: count it and drop
-				// the connection; the peer redials with a fresh stream.
-				n.decodeErrors.Add(1)
-				if n.warnDecode.allow(time.Second) {
-					n.cfg.Logger.Warnf("transport: decode error from %s (%d total): %v",
-						conn.RemoteAddr(), n.decodeErrors.Load(), err)
-				}
-			}
-			return
+		msg, err := readFrame(r)
+		if err != nil {
+			return err
 		}
-		if _, isSubmit := env.Msg.(*SubmitTx); isSubmit {
-			ack := SubmitAck{OK: true}
-			select {
-			case n.events <- event{kind: 1, from: env.From, msg: env.Msg}:
-			default:
-				n.submitBackoff.Add(1)
-				ack = SubmitAck{OK: false, Err: ErrBackpressure.Error()}
-			}
-			if enc == nil {
-				enc = gob.NewEncoder(conn)
-			}
-			conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-			if err := enc.Encode(envelope{From: n.cfg.Self, Msg: &ack}); err != nil {
-				return
-			}
-			conn.SetWriteDeadline(time.Time{})
-			continue
-		}
-		n.enqueue(event{kind: 1, from: env.From, msg: env.Msg})
+		n.enqueue(event{kind: 1, from: from, msg: msg})
 	}
 }
 

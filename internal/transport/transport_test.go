@@ -2,42 +2,51 @@ package transport
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/accountability"
+	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
-// echoHandler counts messages and echoes pings back to the sender.
+// echoHandler answers every ping with a pong to its sender and records
+// the pongs, timers and client submits it sees. Pings and pongs are
+// SyncFrames, a peer message every node can frame: a request is a ping,
+// an answer a pong.
 type echoHandler struct {
 	node *Node
 	mu   sync.Mutex
 	got  []string
 }
 
-type ping struct{ Text string }
-type pong struct{ Text string }
+func ping(text string) *SyncFrame { return &SyncFrame{Req: true, Payload: []byte(text)} }
 
 func (h *echoHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case *ping:
-		h.node.Send(from, &pong{Text: m.Text})
-	case *pong:
-		h.mu.Lock()
-		h.got = append(h.got, m.Text)
-		h.mu.Unlock()
+	case *SyncFrame:
+		if m.Req {
+			h.node.Send(from, &SyncFrame{Payload: m.Payload})
+			return
+		}
+		h.record(string(m.Payload))
+	case *SubmitTx:
+		h.record("submit")
 	}
 }
 
-func (h *echoHandler) OnTimer(payload any) {
+func (h *echoHandler) record(s string) {
 	h.mu.Lock()
-	h.got = append(h.got, fmt.Sprintf("timer:%v", payload))
+	h.got = append(h.got, s)
 	h.mu.Unlock()
 }
+
+func (h *echoHandler) OnTimer(payload any) { h.record(fmt.Sprintf("timer:%v", payload)) }
 
 func (h *echoHandler) snapshot() []string {
 	h.mu.Lock()
@@ -72,8 +81,6 @@ func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2)
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 
@@ -91,7 +98,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	defer nodes[1].Close()
 	time.Sleep(50 * time.Millisecond) // listeners up
 
-	nodes[0].Do(func() { nodes[0].Send(2, &ping{Text: "hello"}) })
+	nodes[0].Do(func() { nodes[0].Send(2, ping("hello")) })
 
 	waitCond(t, 5*time.Second, "round trip", func() bool {
 		got := handlers[0].snapshot()
@@ -110,8 +117,6 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPTimer(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 1)
 	n := NewNode(Config{Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{}})
 	h := &echoHandler{node: n}
@@ -132,8 +137,6 @@ func TestTCPTimer(t *testing.T) {
 }
 
 func TestTCPSelfSend(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 1)
 	n := NewNode(Config{Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{}})
 	h := &echoHandler{node: n}
@@ -144,7 +147,7 @@ func TestTCPSelfSend(t *testing.T) {
 
 	// Self-ping loops back through the queue: the handler replies to
 	// itself with a pong.
-	n.Do(func() { n.Send(1, &ping{Text: "self"}) })
+	n.Do(func() { n.Send(1, ping("self")) })
 	waitCond(t, 2*time.Second, "self send", func() bool {
 		got := h.snapshot()
 		return len(got) == 1 && got[0] == "self"
@@ -158,8 +161,6 @@ func TestTCPSelfSend(t *testing.T) {
 // wait in the peer queue and land once the listener exists, instead of
 // being dropped on the first refused dial.
 func TestSendSurvivesListenerGap(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2)
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 	n := NewNode(Config{
@@ -185,17 +186,22 @@ func TestSendSurvivesListenerGap(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var env envelope
-		if err := gob.NewDecoder(conn).Decode(&env); err != nil {
+		if from, err := readPreamble(conn); err != nil || from != 1 {
+			t.Errorf("preamble names %v (%v), want replica 1", from, err)
 			return
 		}
-		if p, ok := env.Msg.(*ping); ok {
-			got <- p.Text
+		msg, err := readFrame(conn)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if f, ok := msg.(*SyncFrame); ok {
+			got <- string(f.Payload)
 		}
 	}()
 
 	start := time.Now()
-	n.Send(2, &ping{Text: "late"})
+	n.Send(2, ping("late"))
 	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
 		t.Fatalf("Send blocked for %v, want a non-blocking enqueue", elapsed)
 	}
@@ -219,8 +225,6 @@ func TestSendSurvivesListenerGap(t *testing.T) {
 // the event loop) never sleeps through backoff — and the peer's health
 // degrades to backoff and then suspect while frames wait in its queue.
 func TestSendNonBlockingToDeadPeer(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2) // addrs[1] never listens
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 	n := NewNode(Config{
@@ -234,7 +238,7 @@ func TestSendNonBlockingToDeadPeer(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 100; i++ {
-		n.Send(2, &ping{Text: "doomed"})
+		n.Send(2, ping("doomed"))
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("100 sends to a dead peer took %v, want immediate enqueues", elapsed)
@@ -256,8 +260,6 @@ func TestSendNonBlockingToDeadPeer(t *testing.T) {
 // promptly — under the old blocking-retry Send, each dead-peer send
 // slept through its whole backoff budget on the loop first.
 func TestDeadPeerDoesNotDelayHealthyPeers(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 3) // addrs[2] never listens
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1], 3: addrs[2]}
 
@@ -276,8 +278,8 @@ func TestDeadPeerDoesNotDelayHealthyPeers(t *testing.T) {
 	start := time.Now()
 	a.Do(func() {
 		for i := 0; i < rounds; i++ {
-			a.Send(3, &ping{Text: "void"}) // dead peer first
-			a.Send(2, &ping{Text: fmt.Sprintf("live-%d", i)})
+			a.Send(3, ping("void")) // dead peer first
+			a.Send(2, ping(fmt.Sprintf("live-%d", i)))
 		}
 	})
 	waitCond(t, 5*time.Second, "all echoes from the live peer", func() bool {
@@ -295,8 +297,6 @@ func TestDeadPeerDoesNotDelayHealthyPeers(t *testing.T) {
 // counts the drop, rather than blocking the sender or dropping the
 // newest state.
 func TestQueueOverflowDropsOldest(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2) // addrs[1] never listens
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 	n := NewNode(Config{
@@ -308,7 +308,7 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	defer n.Close()
 
 	for i := 0; i < 50; i++ {
-		n.Send(2, &ping{Text: fmt.Sprintf("%d", i)})
+		n.Send(2, ping(fmt.Sprintf("%d", i)))
 	}
 	h := n.PeerHealthFor(2)
 	// The writer may hold one frame in hand; everything else beyond the
@@ -325,8 +325,6 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 // TestTrySendBackpressure pins the fail-fast flavor: a full queue
 // returns ErrBackpressure and displaces nothing.
 func TestTrySendBackpressure(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2) // addrs[1] never listens
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 	n := NewNode(Config{
@@ -339,7 +337,7 @@ func TestTrySendBackpressure(t *testing.T) {
 
 	var hit bool
 	for i := 0; i < 50 && !hit; i++ {
-		if err := n.TrySend(2, &ping{Text: "x"}); err == ErrBackpressure {
+		if err := n.TrySend(2, ping("x")); err == ErrBackpressure {
 			hit = true
 		}
 	}
@@ -354,8 +352,6 @@ func TestTrySendBackpressure(t *testing.T) {
 // TestSendUnknownPeerFailsFast pins that an ID with no address is
 // dropped immediately, without a queue or a writer.
 func TestSendUnknownPeerFailsFast(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 1)
 	n := NewNode(Config{Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{}})
 	n.SetHandler(&echoHandler{node: n})
@@ -364,7 +360,7 @@ func TestSendUnknownPeerFailsFast(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	start := time.Now()
-	n.Send(99, &ping{Text: "nowhere"})
+	n.Send(99, ping("nowhere"))
 	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
 		t.Fatalf("unknown-peer send took %v, want immediate drop", elapsed)
 	}
@@ -378,8 +374,6 @@ func TestSendUnknownPeerFailsFast(t *testing.T) {
 // forever when the queue was full at shutdown. Close must return even
 // with the loop wedged and the queue saturated.
 func TestCloseWithSaturatedQueue(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 1)
 	n := NewNode(Config{
 		Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{},
@@ -395,7 +389,7 @@ func TestCloseWithSaturatedQueue(t *testing.T) {
 	n.Do(func() { <-unblock })
 	waitCond(t, 2*time.Second, "queue saturation", func() bool {
 		before := n.Stats().EventsDropped
-		n.Send(1, &ping{Text: "filler"})
+		n.Send(1, ping("filler"))
 		return n.Stats().EventsDropped > before
 	})
 
@@ -428,7 +422,6 @@ func TestCloseWithSaturatedQueue(t *testing.T) {
 // overload — while a submit with queue room is acked OK.
 func TestSubmitBackpressureAck(t *testing.T) {
 	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 1)
 	n := NewNode(Config{
 		Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{},
@@ -439,26 +432,7 @@ func TestSubmitBackpressureAck(t *testing.T) {
 	defer n.Close()
 	time.Sleep(20 * time.Millisecond)
 
-	submit := func() SubmitAck {
-		t.Helper()
-		conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := gob.NewEncoder(conn).Encode(envelope{From: 0, Msg: &SubmitTx{Tx: nil}}); err != nil {
-			t.Fatal(err)
-		}
-		var resp envelope
-		if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-			t.Fatalf("reading submit ack: %v", err)
-		}
-		ack, ok := resp.Msg.(*SubmitAck)
-		if !ok {
-			t.Fatalf("ack frame carries %T, want *SubmitAck", resp.Msg)
-		}
-		return *ack
-	}
+	submit := func() SubmitAck { return gobSubmit(t, addrs[0]) }
 
 	if ack := submit(); !ack.OK {
 		t.Fatalf("submit with a free queue refused: %+v", ack)
@@ -471,7 +445,7 @@ func TestSubmitBackpressureAck(t *testing.T) {
 	n.Do(func() { <-unblock })
 	waitCond(t, 2*time.Second, "queue saturation", func() bool {
 		before := n.Stats().EventsDropped
-		n.Send(1, &ping{Text: "filler"})
+		n.Send(1, ping("filler"))
 		return n.Stats().EventsDropped > before
 	})
 
@@ -493,8 +467,6 @@ func TestSubmitBackpressureAck(t *testing.T) {
 // and the writer redials and delivers subsequent traffic (health:
 // connected again) without the sender ever blocking.
 func TestPeerRestartUnderLoad(t *testing.T) {
-	RegisterWireTypes()
-	registerTestTypes()
 	addrs := freePorts(t, 2)
 	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
 
@@ -527,7 +499,7 @@ func TestPeerRestartUnderLoad(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
-				a.Send(2, &ping{Text: fmt.Sprintf("seq-%d", i)})
+				a.Send(2, ping(fmt.Sprintf("seq-%d", i)))
 			}
 		}
 	}()
@@ -555,13 +527,163 @@ func TestPeerRestartUnderLoad(t *testing.T) {
 	}
 }
 
-var registerOnce sync.Once
+// gobSubmit submits an empty transaction over the client socket, as
+// zlb-client does, and returns the node's ack.
+func gobSubmit(t *testing.T, addr string) SubmitAck {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(envelope{From: 0, Msg: &SubmitTx{Tx: nil}}); err != nil {
+		t.Fatal(err)
+	}
+	var resp envelope
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("reading submit ack: %v", err)
+	}
+	ack, ok := resp.Msg.(*SubmitAck)
+	if !ok {
+		t.Fatalf("ack frame carries %T, want *SubmitAck", resp.Msg)
+	}
+	return *ack
+}
 
-// registerTestTypes registers the test-only ping/pong frames exactly once
-// (gob.Register panics on duplicates).
-func registerTestTypes() {
-	registerOnce.Do(func() {
-		gob.Register(&ping{})
-		gob.Register(&pong{})
+// startPair serves two connected nodes, 1 and 2, each answering pings.
+func startPair(t *testing.T) (a, b *Node, ha, hb *echoHandler) {
+	t.Helper()
+	addrs := freePorts(t, 2)
+	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
+	a = NewNode(Config{Self: 1, Listen: addrs[0], Peers: peers})
+	b = NewNode(Config{Self: 2, Listen: addrs[1], Peers: peers})
+	ha, hb = &echoHandler{node: a}, &echoHandler{node: b}
+	a.SetHandler(ha)
+	b.SetHandler(hb)
+	go func() { _ = a.Serve() }()
+	go func() { _ = b.Serve() }()
+	t.Cleanup(a.Close)
+	t.Cleanup(b.Close)
+	time.Sleep(50 * time.Millisecond) // listeners up
+	return a, b, ha, hb
+}
+
+// TestClientAndPeerShareListener: one listener tells a gob client from a
+// peer link by the first byte, and serves both at once.
+func TestClientAndPeerShareListener(t *testing.T) {
+	RegisterWireTypes()
+	a, b, ha, hb := startPair(t)
+	a.Do(func() { a.Send(2, ping("before")) })
+	waitCond(t, 5*time.Second, "a peer round trip", func() bool { return len(ha.snapshot()) == 1 })
+
+	if ack := gobSubmit(t, b.cfg.Listen); !ack.OK {
+		t.Fatalf("client submit beside a peer link refused: %+v", ack)
+	}
+	a.Do(func() { a.Send(2, ping("after")) })
+	waitCond(t, 5*time.Second, "the submit and a second round trip", func() bool {
+		return len(ha.snapshot()) == 2 && len(hb.snapshot()) == 1
 	})
+	if got := hb.snapshot(); got[0] != "submit" {
+		t.Fatalf("node 2 handled %v, want the submit", got)
+	}
+	if got := ha.snapshot(); got[0] != "before" || got[1] != "after" {
+		t.Fatalf("node 1 got pongs %v, want [before after]", got)
+	}
+	if a.Stats().DecodeErrors+b.Stats().DecodeErrors != 0 {
+		t.Fatal("decode errors on a shared listener")
+	}
+	if rc := a.PeerHealthFor(2).Reconnects; rc != 0 {
+		t.Fatalf("the peer link reconnected %d times beside a client", rc)
+	}
+}
+
+// TestRefusedStreamsCountAsDecodeErrors: a protocol message on the client
+// socket, a bad preamble and an unknown preamble version are each a
+// decode error that ends the connection.
+func TestRefusedStreamsCountAsDecodeErrors(t *testing.T) {
+	RegisterWireTypes()
+	addrs := freePorts(t, 1)
+	n := NewNode(Config{Self: 1, Listen: addrs[0], Peers: map[types.ReplicaID]string{}})
+	n.SetHandler(&echoHandler{node: n})
+	go func() { _ = n.Serve() }()
+	defer n.Close()
+	time.Sleep(20 * time.Millisecond)
+
+	echo := &rbc.Echo{Stmt: accountability.Signed{Signer: 2, Sig: []byte{1}}}
+	preamble := appendPreamble(nil, 2)
+	badMagic := append([]byte(nil), preamble...)
+	badMagic[1] = 'X'
+	badVersion := append([]byte(nil), preamble...)
+	badVersion[5] = preambleVersion + 1
+	for i, stream := range []func(net.Conn) error{
+		func(c net.Conn) error { return gob.NewEncoder(c).Encode(envelope{From: 2, Msg: echo}) },
+		func(c net.Conn) error { _, err := c.Write(badMagic); return err },
+		func(c net.Conn) error { _, err := c.Write(badVersion); return err },
+	} {
+		conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stream(conn); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("stream %d: the node answered instead of dropping the connection", i)
+		}
+		conn.Close()
+		if got := n.Stats().DecodeErrors; got != uint64(i+1) {
+			t.Fatalf("stream %d: %d decode errors, want %d", i, got, i+1)
+		}
+	}
+	if got := n.Stats().Received; got != 0 {
+		t.Fatalf("%d refused messages reached the handler", got)
+	}
+}
+
+// TestBurstCoalescesWrites: frames queued faster than the writer wakes go
+// out several to a write.
+func TestBurstCoalescesWrites(t *testing.T) {
+	a, _, ha, _ := startPair(t)
+	const burst = 200
+	a.Do(func() {
+		for i := 0; i < burst; i++ {
+			a.Send(2, ping(fmt.Sprintf("%d", i)))
+		}
+	})
+	waitCond(t, 5*time.Second, "every pong", func() bool { return len(ha.snapshot()) == burst })
+	h := a.PeerHealthFor(2)
+	if h.SentMsgs != burst || h.Writes == 0 || h.Writes >= h.SentMsgs {
+		t.Fatalf("%d frames in %d writes, want %d frames in fewer writes", h.SentMsgs, h.Writes, burst)
+	}
+	for i, got := range ha.snapshot() {
+		if got != fmt.Sprintf("%d", i) {
+			t.Fatalf("pong %d is %q: frames reordered", i, got)
+		}
+	}
+}
+
+// TestUnframeableMessageRefused: a message type with no frame kind is
+// refused at Send — one drop, nothing written — and costs the live
+// connection nothing: no reconnect, no health change.
+func TestUnframeableMessageRefused(t *testing.T) {
+	type unframed struct{ Text string }
+	a, _, ha, _ := startPair(t)
+	a.Do(func() { a.Send(2, ping("up")) })
+	waitCond(t, 5*time.Second, "the link up", func() bool { return len(ha.snapshot()) == 1 })
+
+	a.Send(2, &unframed{"lost"})
+	a.Do(func() { a.Send(2, ping("still")) })
+	waitCond(t, 5*time.Second, "traffic after the refusal", func() bool { return len(ha.snapshot()) == 2 })
+	h := a.PeerHealthFor(2)
+	if h.Reconnects != 0 || h.State != StateConnected || h.Drops != 1 || h.ConsecutiveFailures != 0 {
+		t.Fatalf("after a refusal: %d reconnects, state %v, %d drops, %d failures; want 0, connected, 1, 0",
+			h.Reconnects, h.State, h.Drops, h.ConsecutiveFailures)
+	}
+	if err := a.TrySend(2, &unframed{"lost"}); !errors.Is(err, errNoKind) {
+		t.Fatalf("TrySend of an unframed type = %v, want errNoKind", err)
+	}
+	if a.Stats().SendDrops != 2 {
+		t.Fatalf("node send drops %d, want 2", a.Stats().SendDrops)
+	}
 }

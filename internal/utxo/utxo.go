@@ -80,8 +80,8 @@ type Transaction struct {
 
 	// Memoized derived values. Unexported on purpose: excluded from the
 	// canonical encoding (internal/wire frames transactions by those
-	// bytes) and invisible to the TCP transport's gob frames, so cached
-	// state never leaks onto either wire.
+	// bytes) and invisible to the client socket's gob envelopes, so
+	// cached state never leaks onto either wire.
 	enc       []byte // canonical encoding, signature included
 	id        types.Digest
 	sigDigest types.Digest

@@ -1,9 +1,11 @@
 // Package wire implements the binary codecs for consensus proposal
-// payloads: transaction batches, proof-of-fraud sets and replica lists.
-// It replaces the reflective encoding/gob codecs that used to live in the
-// zlb package, cmd/zlb-node and internal/membership — a length-prefixed
-// framing over each type's canonical encoding, with no reflection and no
-// per-field allocations on the hot path.
+// payloads: transaction batches, proof-of-fraud sets and replica lists,
+// and the signed-statement and certificate layouts the transport's peer
+// frames are built from. It replaces the reflective encoding/gob codecs
+// that used to live in the zlb package, cmd/zlb-node and
+// internal/membership — a length-prefixed framing over each type's
+// canonical encoding, with no reflection and no per-field allocations on
+// the hot path.
 //
 // Batch layout (all integers big-endian):
 //
@@ -322,16 +324,24 @@ func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 // Signed statement layout: stmt (fixed 50 bytes) + signer uint32 +
 // sigLen uint32 + sig.
 
-func appendSigned(buf []byte, s accountability.Signed) []byte {
-	buf = append(buf, s.Stmt.Encode()...)
+// signedMinLen is the length of a signed statement with an empty
+// signature: the least any element of a list of them occupies.
+const signedMinLen = accountability.EncodedLen + 8
+
+// AppendSigned appends a signed statement in its layout.
+func AppendSigned(buf []byte, s accountability.Signed) []byte {
+	buf = s.Stmt.AppendEncoding(buf)
 	buf = appendUint32(buf, uint32(s.Signer))
 	buf = appendUint32(buf, uint32(len(s.Sig)))
 	return append(buf, s.Sig...)
 }
 
-func decodeSigned(r []byte) (accountability.Signed, []byte, error) {
+// ReadSigned consumes one signed statement from r and returns the rest.
+// The signature is copied out, so a statement kept in a log does not pin
+// the buffer it arrived in; an empty one decodes as nil.
+func ReadSigned(r []byte) (accountability.Signed, []byte, error) {
 	const stmtLen = accountability.EncodedLen
-	if len(r) < stmtLen+8 {
+	if len(r) < signedMinLen {
 		return accountability.Signed{}, nil, ErrTruncated
 	}
 	stmt, err := accountability.DecodeStatement(r[:stmtLen])
@@ -344,7 +354,10 @@ func decodeSigned(r []byte) (accountability.Signed, []byte, error) {
 	if sigLen > maxCount || uint32(len(r)) < sigLen {
 		return accountability.Signed{}, nil, ErrTruncated
 	}
-	sig := r[:sigLen:sigLen]
+	var sig []byte
+	if sigLen > 0 {
+		sig = append(make([]byte, 0, sigLen), r[:sigLen]...)
+	}
 	return accountability.Signed{Stmt: stmt, Signer: signer, Sig: sig}, r[sigLen:], nil
 }
 
@@ -353,8 +366,8 @@ func EncodePoFs(pofs []accountability.PoF) ([]byte, error) {
 	buf := appendUint32(nil, uint32(len(pofs)))
 	for _, p := range pofs {
 		buf = appendUint32(buf, uint32(p.Culprit))
-		buf = appendSigned(buf, p.A)
-		buf = appendSigned(buf, p.B)
+		buf = AppendSigned(buf, p.A)
+		buf = AppendSigned(buf, p.B)
 	}
 	return buf, nil
 }
@@ -367,7 +380,7 @@ func DecodePoFs(payload []byte) ([]accountability.PoF, error) {
 	count := binary.BigEndian.Uint32(payload)
 	r := payload[4:]
 	// A PoF is at least a culprit ID plus two minimal signed statements.
-	const minPoF = 4 + 2*(accountability.EncodedLen+8)
+	const minPoF = 4 + 2*signedMinLen
 	if count > maxCount || int(count) > len(r)/minPoF {
 		return nil, fmt.Errorf("%w: %d pofs in %d bytes", ErrTruncated, count, len(r))
 	}
@@ -381,10 +394,10 @@ func DecodePoFs(payload []byte) ([]accountability.PoF, error) {
 		var p accountability.PoF
 		var err error
 		p.Culprit = culprit
-		if p.A, r, err = decodeSigned(r); err != nil {
+		if p.A, r, err = ReadSigned(r); err != nil {
 			return nil, fmt.Errorf("wire: pof %d: %w", i, err)
 		}
-		if p.B, r, err = decodeSigned(r); err != nil {
+		if p.B, r, err = ReadSigned(r); err != nil {
 			return nil, fmt.Errorf("wire: pof %d: %w", i, err)
 		}
 		pofs = append(pofs, p)
