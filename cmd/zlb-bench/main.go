@@ -13,7 +13,11 @@
 //	zlb-bench -experiment fig6          # minimum finalization blockdepth
 //	zlb-bench -experiment appendixB     # §B worked analysis
 //	zlb-bench -experiment scenarios     # staged multi-phase fault campaigns
+//	zlb-bench -experiment conformance   # message-level Byzantine campaigns, n=9
 //	zlb-bench -experiment load          # open-loop latency-percentile campaigns
+//
+// Both campaign experiments check the paper's four invariants on every
+// run and exit non-zero on any violation.
 package main
 
 import (
@@ -27,10 +31,11 @@ import (
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/bench"
+	"github.com/zeroloss/zlb/internal/conformance"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (fig3, fig4top, fig4bottom, catastrophic, table1, fig5, catchup, fig6, appendixB, scenarios, load, all)")
+	experiment := flag.String("experiment", "all", "which experiment to run (fig3, fig4top, fig4bottom, catastrophic, table1, fig5, catchup, fig6, appendixB, scenarios, conformance, load, all)")
 	full := flag.Bool("full", false, "paper-scale sweeps (slower)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	jsonDir := flag.String("json", "", "also emit machine-readable BENCH_<experiment>.json files into this directory")
@@ -66,6 +71,9 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 
 	all := experiment == "all"
 	ran := false
+	// violations counts the campaigns' failed invariants; any fails the run
+	// once every requested experiment has printed.
+	violations := 0
 
 	if all || experiment == "fig3" {
 		ran = true
@@ -230,6 +238,27 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 		if err := emit("scenarios", results); err != nil {
 			return err
 		}
+		for _, r := range results {
+			violations += len(r.Violations)
+		}
+		fmt.Println()
+	}
+	if all || experiment == "conformance" {
+		ran = true
+		fmt.Println("# Conformance: message-level Byzantine campaigns against the paper's four invariants, n=9")
+		var results []conformance.Result
+		for _, name := range conformance.Names() {
+			res, err := conformance.Run(name, 9, seed)
+			if err != nil {
+				return err
+			}
+			fmt.Print(res.Format())
+			results = append(results, res)
+			violations += len(res.Violations)
+		}
+		if err := emit("conformance", results); err != nil {
+			return err
+		}
 		fmt.Println()
 	}
 	if all || experiment == "load" {
@@ -250,6 +279,9 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", experiment)
+	}
+	if violations > 0 {
+		return fmt.Errorf("%d invariant violations", violations)
 	}
 	return nil
 }

@@ -77,9 +77,8 @@ func (c *chaosCluster) start(id types.ReplicaID) error {
 	logf := c.t.Logf
 	go func() {
 		if err := rn.Serve(); err != nil {
-			// Most likely a lost listen-port race (freeAddrs releases the
-			// reservation before the node re-binds). The replica has no
-			// event loop now; State's bounded probe reports it.
+			// The replica has no event loop now; State's bounded probe
+			// reports it.
 			logf("replica %v serve: %v", id, err)
 		}
 	}()

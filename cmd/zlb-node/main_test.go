@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/chaos"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/transport"
@@ -37,21 +38,18 @@ func (rn *replicaNode) state() nodeState {
 	return <-ch
 }
 
-// freeAddrs reserves n distinct localhost ports and releases them for
-// the nodes to claim.
+// freeAddrs reserves n distinct localhost ports below the kernel's
+// ephemeral range (chaos.Listen) and releases them for the nodes to claim:
+// no outbound connection can take one in between.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range addrs {
+		ln, err := chaos.Listen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
 		ln.Close()
 	}
 	return addrs

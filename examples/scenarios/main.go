@@ -18,7 +18,6 @@ import (
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/harness"
-	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
@@ -48,25 +47,19 @@ func main() {
 	// --- 2. A custom campaign from fault primitives ------------------
 	//
 	// A Scenario is just harness options plus phases; each phase lists
-	// the faults active during its window of virtual time. Here a
+	// the faults active during its window of virtual time. The options
+	// start from the attack regime every registered attack campaign uses. Here a
 	// sub-threshold coalition attacks behind a stalled partition while
 	// the committee also loses a replica to benign churn — a mixed-fault
 	// regime none of the canned experiments covers.
 	fmt.Println("\n== custom campaign: partial attack + churn ==")
-	opts := harness.Options{
-		N:            *n,
-		Deceitful:    2,
-		Attack:       adversary.AttackBinary,
-		Accountable:  true,
-		Recover:      true,
-		BaseLatency:  latency.Jittered(latency.NewAWSMatrix(), 0.2),
-		Cost:         simnet.DefaultCostModel(),
-		Seed:         *seed,
-		BatchTxs:     scenario.ScenarioBatchTxs,
-		BatchBytes:   400 * scenario.ScenarioBatchTxs,
-		MaxInstances: 16,
-		PoolSize:     1,
-	}
+	opts := harness.AttackRegime(*n, *seed)
+	opts.Deceitful = 2
+	opts.Attack = adversary.AttackBinary
+	opts.BatchTxs = scenario.ScenarioBatchTxs
+	opts.BatchBytes = 400 * scenario.ScenarioBatchTxs
+	opts.MaxInstances = 16
+	opts.PoolSize = 1
 	custom := scenario.Scenario{
 		Name: "custom-mixed-faults",
 		Opts: opts,
@@ -83,7 +76,7 @@ func main() {
 					// staged directly; CoalitionPartition is the right
 					// fault when the coalition can actually fork.)
 					&scenario.Partition{
-						Groups: honestHalves(*n, opts.Deceitful),
+						Groups: simnet.HonestHalves(*n, opts.Deceitful),
 						Extra:  800 * time.Millisecond,
 					},
 					// And the highest-ID honest replica naps.
@@ -101,20 +94,4 @@ func main() {
 
 	fmt.Println("\nBoth tables are deterministic: rerun with the same -n and -seed")
 	fmt.Println("and every number reproduces bit for bit.")
-}
-
-// honestHalves splits the honest members (IDs deceitful+1..n) into two
-// groups; the deceitful replicas stay unlisted and therefore
-// unrestricted, the paper's §5.2 partition convention.
-func honestHalves(n, deceitful int) [][]types.ReplicaID {
-	honest := n - deceitful
-	var a, b []types.ReplicaID
-	for i := deceitful + 1; i <= n; i++ {
-		if i-deceitful <= honest/2 {
-			a = append(a, types.ReplicaID(i))
-		} else {
-			b = append(b, types.ReplicaID(i))
-		}
-	}
-	return [][]types.ReplicaID{a, b}
 }

@@ -182,29 +182,21 @@ func TestJoinerRunsInFlightInstancesAtTheEpochItJoins(t *testing.T) {
 	}
 }
 
-// forkCluster is the deployment the conformance campaigns fork (their
-// newForkCluster): n=9 with the largest coalition the paper tolerates
-// running the binary-consensus attack on the campaigns' network and cost
-// model, every replica built around the application app returns (nil: the
-// harness's synthetic workload).
+// forkCluster is the deployment the conformance campaigns fork: n=9 with
+// the largest coalition the paper tolerates running the binary-consensus
+// attack in the attack regime, every replica built around the application
+// app returns (nil: the harness's synthetic workload).
 func forkCluster(t *testing.T, instances uint64, app func(types.ReplicaID, simnet.Env) (harness.Application, error)) *harness.Cluster {
 	t.Helper()
 	const n = 9
-	c, err := harness.New(harness.Options{
-		App:          app,
-		N:            n,
-		Deceitful:    adversary.DeceitfulCount(n),
-		Attack:       adversary.AttackBinary,
-		Accountable:  true,
-		Recover:      true,
-		BaseLatency:  latency.Jittered(latency.NewAWSMatrix(), 0.2),
-		Cost:         simnet.DefaultCostModel(),
-		Seed:         42,
-		BatchTxs:     500,
-		BatchBytes:   400 * 500,
-		MaxInstances: instances,
-		CoordTimeout: func(r types.Round) time.Duration { return 120 * time.Millisecond * time.Duration(r+1) },
-	})
+	opts := harness.AttackRegime(n, 42)
+	opts.App = app
+	opts.Deceitful = adversary.DeceitfulCount(n)
+	opts.Attack = adversary.AttackBinary
+	opts.BatchTxs = 500
+	opts.BatchBytes = 400 * 500
+	opts.MaxInstances = instances
+	c, err := harness.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +204,7 @@ func forkCluster(t *testing.T, instances uint64, app func(types.ReplicaID, simne
 }
 
 // startForked starts c with the coalition's partitions deciding alone
-// behind a 5 s stall, as the campaigns' forkThenHeal does, and runs it to
+// behind a 5 s stall, as the conformance fork campaigns do, and runs it to
 // until; the caller heals by clearing Net.DelayRule.
 func startForked(c *harness.Cluster, until time.Duration) {
 	c.Net.DelayRule = simnet.PartitionDelay(c.Coalition.PartitionOf, 5*time.Second)

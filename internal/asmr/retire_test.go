@@ -377,26 +377,26 @@ func TestAggressiveDepthKeepsAccountability(t *testing.T) {
 		t.Fatalf("a 4-instance run at depth 1 retired %d instances, want >= 2", got)
 	}
 
-	for _, campaign := range conformance.Campaigns() {
-		want, err := campaign.Run(n, seed)
+	for _, name := range conformance.Names() {
+		want, err := conformance.Run(name, n, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		restore := asmr.SetRetainDepth(1)
-		got, err := campaign.Run(n, seed)
+		got, err := conformance.Run(name, n, seed)
 		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.Violations) != 0 {
-			t.Errorf("%s at depth 1: %s", campaign.Name, got.Format())
+			t.Errorf("%s at depth 1: %s", name, got.Format())
 		}
 		if !reflect.DeepEqual(got.Culprits, want.Culprits) || !reflect.DeepEqual(got.Excluded, want.Excluded) {
 			t.Errorf("%s: culprits %v excluded %v at depth 1, %v and %v at RetainDepth",
-				campaign.Name, got.Culprits, got.Excluded, want.Culprits, want.Excluded)
+				name, got.Culprits, got.Excluded, want.Culprits, want.Excluded)
 		}
 		if got.Committed != want.Committed || got.Disagreements != want.Disagreements || got.Converged != want.Converged {
-			t.Errorf("%s differs at depth 1:\n%s%s", campaign.Name, got.Format(), want.Format())
+			t.Errorf("%s differs at depth 1:\n%s%s", name, got.Format(), want.Format())
 		}
 	}
 
@@ -404,7 +404,7 @@ func TestAggressiveDepthKeepsAccountability(t *testing.T) {
 		culprits   []types.ReplicaID
 		retired    uint64 // instances the honest replicas retired
 		healed     uint64 // instances they decided under the committee after the change
-		violations []conformance.Violation
+		violations []scenario.Violation
 		converged  bool
 	}
 	attack := func() outcome {
@@ -412,34 +412,15 @@ func TestAggressiveDepthKeepsAccountability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := harness.New(s.Opts)
+		res, err := scenario.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := scenario.NewRuntime(c)
-		c.Start()
-		var now time.Duration
-		for _, ph := range s.Phases {
-			for _, f := range ph.Faults {
-				f.Apply(rt)
-			}
-			now += ph.Duration
-			c.Run(now)
-			for _, f := range ph.Faults {
-				f.Revert(rt)
-			}
-		}
-		c.RunUntilQuiet(now + s.Drain)
-		corrupt := map[types.ReplicaID]bool{}
-		for _, id := range c.Members {
-			if c.Coalition.IsDeceitful(id) {
-				corrupt[id] = true
-			}
-		}
+		c := res.Cluster
 		out := outcome{
 			culprits:   c.CulpritsDetected(),
-			violations: conformance.CheckInvariants(c, corrupt),
-			converged:  c.ConvergedAgreement(),
+			violations: res.Violations,
+			converged:  res.Converged,
 		}
 		for _, id := range c.HonestMembers() {
 			out.retired += c.Replicas[id].Stats().RetiredInstances

@@ -43,26 +43,6 @@ const (
 	BatchSize = TxBytes * BatchTxs
 )
 
-// costModel returns the c4.xlarge-calibrated CPU model. sigFactor scales
-// signature verification; sendBase overrides the per-message send cost
-// (0 keeps the default) — Polygraph's RSA certificate construction and
-// serialization charge every protocol message, which is what makes it
-// fall behind ZLB past ≈40 replicas (§5.1) while its lighter
-// (non-accountable) verification keeps it ahead below that.
-func costModel(sigFactor float64) simnet.CostModel {
-	c := simnet.DefaultCostModel()
-	c.SigVerify = time.Duration(float64(c.SigVerify) * sigFactor)
-	return c
-}
-
-func costModelSend(sigFactor float64, sendBase time.Duration) simnet.CostModel {
-	c := costModel(sigFactor)
-	if sendBase > 0 {
-		c.SendBase = sendBase
-	}
-	return c
-}
-
 // Fig3Point is one point of Figure 3: decision throughput vs committee
 // size. TxPerSec, Instances and VirtualSec are virtual-time metrics —
 // deterministic for a fixed seed, bit-identical across every execution
@@ -149,10 +129,8 @@ func ZLBFig3Options(n int, instances uint64, seed int64) harness.Options {
 		PoolSize:     1, // no membership changes expected at f=0
 		Accountable:  true,
 		Recover:      true,
-		Cost:         costModel(1),
-		CoordTimeout: func(r types.Round) time.Duration {
-			return 600 * time.Millisecond * time.Duration(r+1)
-		},
+		Cost:         simnet.DefaultCostModel(),
+		CoordTimeout: harness.SteadyRounds,
 	}
 }
 
@@ -177,10 +155,12 @@ func runFig3Point(sys System, n int, instances uint64, seed int64, traceSink io.
 		opts.Recover = false
 		// Polygraph verifies less (its reliable broadcast and distributed
 		// verification are not accountable): 0.55× verification cost. Its
-		// RSA certificates, however, charge every message sent: that
-		// n²-scaling overhead overtakes the verification saving at ≈40
-		// replicas, reproducing the paper's crossover.
-		opts.Cost = costModelSend(0.55, 900*time.Microsecond)
+		// RSA certificate construction and serialization, however, charge
+		// every message sent: that n²-scaling overhead overtakes the
+		// verification saving at ≈40 replicas (§5.1), reproducing the
+		// paper's crossover.
+		opts.Cost.SigVerify = time.Duration(float64(opts.Cost.SigVerify) * 0.55)
+		opts.Cost.SendBase = 900 * time.Microsecond
 	default:
 		return Fig3Point{}, fmt.Errorf("unknown system %q", sys)
 	}
@@ -258,7 +238,7 @@ func runFig3HotStuff(n int, instances uint64, seed int64) (Fig3Point, error) {
 	}
 	net := simnet.New(simnet.Config{
 		Latency: latency.NewAWSMatrix(),
-		Cost:    costModel(1),
+		Cost:    simnet.DefaultCostModel(),
 		Seed:    seed,
 	})
 	replicas := make(map[types.ReplicaID]*hotstuff.Replica, n)
@@ -463,27 +443,12 @@ func RunFig4(cfg Fig4Config) ([]Fig4Point, error) {
 }
 
 func attackCluster(n int, attack adversary.Attack, delay latency.Model, seed int64, instances uint64) (*harness.Cluster, error) {
-	return harness.New(harness.Options{
-		N:              n,
-		Deceitful:      DeceitfulCount(n),
-		Attack:         attack,
-		Accountable:    true,
-		Recover:        true,
-		MaxInstances:   instances,
-		BaseLatency:    latency.Jittered(latency.NewAWSMatrix(), 0.2),
-		PartitionDelay: delay,
-		Cost:           costModel(1),
-		Seed:           seed,
-		// The attack experiments run consensus at wire speed (the paper's
-		// Fig. 4 measures disagreements, not throughput): a short round
-		// timeout lets a partition finish its instance before the other
-		// partition's conflicting evidence crosses the injected delay —
-		// for delays of 500 ms and up, but not for 200 ms, which is the
-		// paper's observed crossover.
-		CoordTimeout: func(r types.Round) time.Duration {
-			return 120 * time.Millisecond * time.Duration(r+1)
-		},
-	})
+	opts := harness.AttackRegime(n, seed)
+	opts.Deceitful = DeceitfulCount(n)
+	opts.Attack = attack
+	opts.MaxInstances = instances
+	opts.PartitionDelay = delay
+	return harness.New(opts)
 }
 
 // Fig5Point is one point of Figure 5: membership-change phase timings.
@@ -547,22 +512,16 @@ func RunCatchup(ns []int, blockCounts []int, seed int64) ([]CatchupPoint, error)
 		for _, blocks := range blockCounts {
 			// Run enough instances to build the chain, then attack so a
 			// membership change ships it to a joiner.
-			c, err := harness.New(harness.Options{
-				N:              n,
-				Deceitful:      DeceitfulCount(n),
-				Attack:         adversary.AttackBinary,
-				Accountable:    true,
-				Recover:        true,
-				MaxInstances:   uint64(blocks),
-				BaseLatency:    latency.Jittered(latency.NewAWSMatrix(), 0.2),
-				PartitionDelay: latency.UniformMean(800 * time.Millisecond),
-				Cost:           costModel(1),
-				Seed:           seed + int64(n*1000+blocks),
-				AttackAfter:    uint64(blocks), // fork on the last instance
-				CoordTimeout: func(r types.Round) time.Duration {
-					return 400 * time.Millisecond * time.Duration(r+1)
-				},
-			})
+			opts := harness.AttackRegime(n, seed+int64(n*1000+blocks))
+			opts.Deceitful = DeceitfulCount(n)
+			opts.Attack = adversary.AttackBinary
+			opts.MaxInstances = uint64(blocks)
+			opts.PartitionDelay = latency.UniformMean(800 * time.Millisecond)
+			opts.AttackAfter = uint64(blocks) // fork on the last instance
+			opts.CoordTimeout = func(r types.Round) time.Duration {
+				return 400 * time.Millisecond * time.Duration(r+1)
+			}
+			c, err := harness.New(opts)
 			if err != nil {
 				return nil, err
 			}

@@ -24,6 +24,7 @@ func RunScenarios(ns []int, seed int64) ([]*scenario.Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s n=%d: %w", name, n, err)
 			}
+			res.Cluster = nil // the report keeps the metrics, not every replica behind them
 			out = append(out, res)
 		}
 	}

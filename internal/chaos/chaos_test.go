@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -290,5 +291,52 @@ func TestCampaignRegistry(t *testing.T) {
 	}
 	if _, err := Find("no-such-campaign"); err == nil {
 		t.Fatal("Find accepted an unknown campaign")
+	}
+}
+
+// TestListenDrawsBelowEphemeralRange checks the listen-port helper from
+// several goroutines at once: every port it hands out lies below the
+// kernel's ephemeral range, where no outbound connection can take it, no
+// port is handed out twice, and a released port binds again.
+func TestListenDrawsBelowEphemeralRange(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen = make(map[int]bool)
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				ln, err := Listen()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				port := ln.Addr().(*net.TCPAddr).Port
+				ln.Close()
+				mu.Lock()
+				dup := seen[port]
+				seen[port] = true
+				mu.Unlock()
+				if dup {
+					t.Errorf("port %d handed out twice", port)
+				}
+				if ports.low > 0 && port >= ports.low {
+					t.Errorf("port %d inside the ephemeral range from %d", port, ports.low)
+				}
+				again, err := net.Listen("tcp", ln.Addr().String())
+				if err != nil {
+					t.Errorf("released port %d does not bind again: %v", port, err)
+					continue
+				}
+				again.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if ports.low == 0 {
+		t.Log("ephemeral range unreadable: Listen bound :0")
 	}
 }

@@ -39,10 +39,10 @@ type Proxy struct {
 	throttleBps atomic.Int64 // forward byte rate cap; 0 = unlimited
 }
 
-// NewProxy starts a proxy on an ephemeral localhost port relaying to
+// NewProxy starts a proxy on a localhost port from Listen relaying to
 // target. name labels the link in logs ("1→2").
 func NewProxy(name, target string) (*Proxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := Listen()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: proxy %s: %w", name, err)
 	}
@@ -84,8 +84,9 @@ func (p *Proxy) Heal() error {
 	if p.closed || !p.partitioned {
 		return nil
 	}
-	// The port was just released; retry briefly in case the close is
-	// still settling.
+	// The port was just released; no outbound connection can take it
+	// (Listen draws it below the ephemeral range), but retry briefly in
+	// case the close is still settling.
 	var ln net.Listener
 	var err error
 	for attempt := 0; attempt < 40; attempt++ {

@@ -14,12 +14,13 @@
 //
 // The injection surface is simnet.Network.DeliverRule: an Injector owns
 // the rule, rewrites or swallows messages at delivery time, and fabricates
-// additional deliveries through simnet.Inject. Mutations therefore compose
-// with the existing fault stack (partitions, delays, crash/restart) and
-// stay fully deterministic under a fixed seed.
+// additional deliveries through simnet.Inject. Each campaign is a
+// scenario.Scenario whose one phase arms its Injector as a fault, so
+// mutations compose with the scenario engine's fault stack (partitions,
+// delays, crash/restart) and stay fully deterministic under a fixed seed.
 //
-// After every campaign the four paper invariants are asserted
-// (see CheckInvariants):
+// scenario.Run, the simulator's one campaign loop, runs every campaign and
+// asserts the four paper invariants on the finished run:
 //
 //	(a) honest replicas agree up to the common prefix, or have provably
 //	    merged when the run forced a disagreement;
@@ -36,21 +37,9 @@ import (
 	"time"
 
 	"github.com/zeroloss/zlb/internal/harness"
-	"github.com/zeroloss/zlb/internal/latency"
-	"github.com/zeroloss/zlb/internal/simnet"
+	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/types"
 )
-
-// Campaign is one registered adversarial strategy: a named way of
-// corrupting the message stream, plus the ground truth of which replicas
-// it corrupts (the set the invariant checker may see accused).
-type Campaign struct {
-	Name        string
-	Description string
-	// Run executes the campaign at committee size n under a fixed seed
-	// and returns the invariant-checked result.
-	Run func(n int, seed int64) (Result, error)
-}
 
 // Result is one campaign run's deterministic outcome: everything the
 // goldens pin plus the invariant verdicts.
@@ -71,7 +60,7 @@ type Result struct {
 	Injected  int
 	Swallowed int
 	// Violations is empty iff all four invariants held.
-	Violations []Violation
+	Violations []scenario.Violation
 }
 
 // Format renders the result in the fixed golden layout.
@@ -90,149 +79,109 @@ func (r Result) Format() string {
 	return b.String()
 }
 
-// campaigns is the ordered registry; order is what reports and the
-// seed-matrix CI job iterate in.
-var campaigns = []Campaign{
-	{
-		Name: "equivocation",
-		Description: "⌈n/3⌉ replicas send conflicting re-signed AUX votes: " +
-			"every honest log gets local PoFs, the coalition is excluded",
-		Run: runEquivocation,
-	},
-	{
-		Name: "twins",
-		Description: "⌈n/3⌉ replicas have a twin holding their signing key " +
-			"that echoes a conflicting digest: local PoFs, exclusion",
-		Run: runTwins,
-	},
-	{
-		Name: "stale-epoch",
-		Description: "unsigned EST votes shifted across rounds, signed votes " +
-			"replayed stale and forged with broken signatures: no accusations",
-		Run: runStaleEpoch,
-	},
-	{
-		Name: "cert-mutation",
-		Description: "DECIDE certificates mutated with valid signatures " +
-			"(truncated, duplicate signer, flipped value): all rejected",
-		Run: runCertMutation,
-	},
-	{
-		Name: "replay-reorder",
-		Description: "deterministic duplication and delayed re-delivery of " +
-			"arbitrary protocol messages: agreement unaffected",
-		Run: runReplayReorder,
-	},
-	{
-		Name: "merge-during-catchup",
-		Description: "a real coalition fork heals while captured stale DECIDEs " +
-			"are replayed into the merge: culprits proven, branches merge",
-		Run: runMergeDuringCatchup,
-	},
-	{
-		Name: "forged-init",
-		Description: "a coalition fork heals while every certified block shipped to an honest " +
-			"replica has an honest INIT statement re-valued under its old signature and an unsigned " +
-			"vote planted on a slot decided 0: both dropped, nobody honest accused",
-		Run: runForgedInit,
-	},
+// campaign is one registered adversarial strategy: a named way of
+// corrupting the message stream (each stage function's comment says what
+// it does and what must hold). stage sets the injector's rule and returns
+// the campaign at committee size n under a fixed seed.
+type campaign struct {
+	name  string
+	stage func(n int, seed int64, inj *Injector) scenario.Scenario
+}
+
+// campaigns is the ordered registry; order is what reports, the seed
+// matrix and FuzzCampaignSeeds' committed corpus iterate in.
+var campaigns = []campaign{
+	{"equivocation", stageEquivocation},
+	{"twins", stageTwins},
+	{"stale-epoch", stageStaleEpoch},
+	{"cert-mutation", stageCertMutation},
+	{"replay-reorder", stageReplayReorder},
+	{"merge-during-catchup", stageMergeDuringCatchup},
+	{"forged-init", stageForgedInit},
 }
 
 // Names lists the registered campaigns in registration order.
 func Names() []string {
 	out := make([]string, len(campaigns))
 	for i, c := range campaigns {
-		out[i] = c.Name
+		out[i] = c.name
 	}
 	return out
 }
 
-// Campaigns returns the registered campaigns in registration order.
-func Campaigns() []Campaign {
-	out := make([]Campaign, len(campaigns))
-	copy(out, campaigns)
-	return out
-}
-
-// Run executes a registered campaign by name.
+// Run executes a registered campaign by name at committee size n under a
+// fixed seed, through scenario.Run, and returns the invariant-checked
+// result.
 func Run(name string, n int, seed int64) (Result, error) {
-	for _, c := range campaigns {
-		if c.Name == name {
-			return c.Run(n, seed)
+	for _, camp := range campaigns {
+		if camp.name != name {
+			continue
 		}
+		inj := &Injector{}
+		res, err := scenario.Run(camp.stage(n, seed, inj))
+		if err != nil {
+			return Result{}, fmt.Errorf("conformance: %w", err)
+		}
+		c := res.Cluster
+		out := Result{
+			Campaign:      name,
+			N:             n,
+			Seed:          seed,
+			Committed:     res.Committed,
+			Disagreements: res.Disagreements,
+			Converged:     res.Converged,
+			Culprits:      c.CulpritsDetected(),
+			Mutated:       inj.Mutated,
+			Injected:      inj.Injected,
+			Swallowed:     inj.Swallowed,
+			Violations:    res.Violations,
+		}
+		if honest := c.HonestMembers(); len(honest) > 0 {
+			seen := make(map[types.ReplicaID]bool)
+			for _, change := range c.ChangeResults[honest[0]] {
+				for _, id := range change.Excluded {
+					if !seen[id] {
+						seen[id] = true
+						out.Excluded = append(out.Excluded, id)
+					}
+				}
+			}
+			out.Excluded = types.SortReplicas(out.Excluded)
+		}
+		return out, nil
 	}
 	return Result{}, fmt.Errorf("conformance: unknown campaign %q (have %v)", name, Names())
 }
 
-// fastRounds is the coordinator timeout every campaign uses: short rounds
-// keep adversarial runs cheap enough for the fuzz budget.
-func fastRounds(r types.Round) time.Duration {
-	return 120 * time.Millisecond * time.Duration(r+1)
+// campaignDrain bounds every campaign from t = 0: long enough for a full
+// detect/exclude/include arc, short enough for the fuzz budget.
+const campaignDrain = 10 * time.Minute
+
+// deployment is the cluster every campaign starts from: the attack regime
+// the scenario campaigns run in, with 500-transaction batches over three
+// instances.
+func deployment(n int, seed int64) harness.Options {
+	opts := harness.AttackRegime(n, seed)
+	opts.BatchTxs = 500
+	opts.BatchBytes = 400 * 500
+	opts.MaxInstances = 3
+	return opts
 }
 
-// newCluster builds the shared campaign deployment: full ZLB
-// (accountable + recover) on the jittered AWS matrix with the c4.xlarge
-// cost model, exactly the scenario engine's environment so conformance
-// results and scenario goldens live in the same regime.
-func newCluster(n int, seed int64, tweak func(*harness.Options)) (*harness.Cluster, error) {
-	opts := harness.Options{
-		N:            n,
-		Accountable:  true,
-		Recover:      true,
-		BaseLatency:  latency.Jittered(latency.NewAWSMatrix(), 0.2),
-		Cost:         simnet.DefaultCostModel(),
-		Seed:         seed,
-		BatchTxs:     500,
-		BatchBytes:   400 * 500,
-		MaxInstances: 3,
-		CoordTimeout: fastRounds,
+// staged is a campaign as the scenario engine runs it: one phase of the
+// given length holding faults, after inj, which is armed before the
+// cluster starts and stays armed through the drain to campaignDrain.
+func staged(name string, opts harness.Options, inj *Injector, phase time.Duration, faults ...scenario.Fault) scenario.Scenario {
+	return scenario.Scenario{
+		Name: name,
+		Opts: opts,
+		Phases: []scenario.Phase{{
+			Name:     "attack",
+			Duration: phase,
+			Faults:   append([]scenario.Fault{&scenario.FromStart{Fault: inj}}, faults...),
+		}},
+		Drain: campaignDrain - phase,
 	}
-	if tweak != nil {
-		tweak(&opts)
-	}
-	return harness.New(opts)
-}
-
-// finish drains the cluster, runs the invariant checker and assembles the
-// Result. corrupt is the campaign's ground-truth corrupt set (coalition
-// members are added automatically).
-func finish(campaign string, n int, seed int64, c *harness.Cluster, inj *Injector, corrupt map[types.ReplicaID]bool, drain time.Duration) Result {
-	c.RunUntilQuiet(drain)
-	res := Result{
-		Campaign:      campaign,
-		N:             n,
-		Seed:          seed,
-		Committed:     c.CommittedInstances(),
-		Disagreements: c.Disagreements(),
-		Converged:     c.ConvergedAgreement(),
-		Culprits:      c.CulpritsDetected(),
-		Mutated:       inj.Mutated,
-		Injected:      inj.Injected,
-		Swallowed:     inj.Swallowed,
-	}
-	if honest := c.HonestMembers(); len(honest) > 0 {
-		seen := make(map[types.ReplicaID]bool)
-		for _, change := range c.ChangeResults[honest[0]] {
-			for _, id := range change.Excluded {
-				if !seen[id] {
-					seen[id] = true
-					res.Excluded = append(res.Excluded, id)
-				}
-			}
-		}
-		res.Excluded = types.SortReplicas(res.Excluded)
-	}
-	full := make(map[types.ReplicaID]bool, len(corrupt))
-	for id := range corrupt {
-		full[id] = true
-	}
-	for _, id := range c.Members {
-		if c.Coalition.IsDeceitful(id) {
-			full[id] = true
-		}
-	}
-	res.Violations = CheckInvariants(c, full)
-	return res
 }
 
 // firstIDs returns replica IDs 1..k — the campaign convention for which

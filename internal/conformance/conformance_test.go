@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -138,54 +137,5 @@ func TestMergeCampaignExercisesAccountability(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Error("honest committee did not converge after the merge")
-	}
-}
-
-// TestCheckInvariantsFlagsHonestAccusation verifies the checker itself:
-// a PoF planted against a replica outside the corrupt set must surface as
-// a violation of invariant (d), and the same PoF inside the corrupt set
-// must not.
-func TestCheckInvariantsFlagsHonestAccusation(t *testing.T) {
-	c, err := newCluster(4, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := c.Members[0]
-	stmt := accountability.Statement{
-		Context:  accountability.CtxMain,
-		Kind:     accountability.KindAux,
-		Instance: 1, Slot: 2, Round: 0,
-		Value: accountability.BoolDigest(false),
-	}
-	a, err := accountability.SignStatement(c.Signers[victim], stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmt.Value = accountability.BoolDigest(true)
-	b, err := accountability.SignStatement(c.Signers[victim], stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pof, err := accountability.NewPoF(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	holder := c.Members[1]
-	if !c.Replicas[holder].Log().AddPoF(pof) {
-		t.Fatal("planted PoF not accepted")
-	}
-
-	violations := CheckInvariants(c, nil)
-	foundD := false
-	for _, v := range violations {
-		if v.Invariant == "d" {
-			foundD = true
-		}
-	}
-	if !foundD {
-		t.Errorf("accusation against %v outside the corrupt set not flagged: %v", victim, violations)
-	}
-	if vs := CheckInvariants(c, map[types.ReplicaID]bool{victim: true}); len(vs) != 0 {
-		t.Errorf("accusation inside the corrupt set flagged: %v", vs)
 	}
 }

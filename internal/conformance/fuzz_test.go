@@ -9,6 +9,7 @@ import (
 	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/wire"
@@ -58,22 +59,7 @@ func FuzzMutationSchedule(f *testing.F) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		c, err := harness.New(harness.Options{
-			N:            4,
-			Accountable:  true,
-			Recover:      true,
-			Cost:         simnet.DefaultCostModel(),
-			Seed:         11,
-			BatchTxs:     50,
-			BatchBytes:   400 * 50,
-			MaxInstances: 2,
-			PoolSize:     1,
-			CoordTimeout: fastRounds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := Arm(c)
+		inj := &Injector{}
 		step := 0
 		inj.SetRule(func(from, to types.ReplicaID, msg simnet.Message) simnet.Message {
 			op := data[step%len(data)]
@@ -95,13 +81,26 @@ func FuzzMutationSchedule(f *testing.F) {
 			}
 			return msg
 		})
-		c.Start()
-		c.RunUntilQuiet(10 * time.Minute)
-		if vs := CheckInvariants(c, nil); len(vs) > 0 {
-			t.Fatalf("schedule %v: %v", data, vs)
+		res, err := scenario.Run(staged("mutation-schedule", harness.Options{
+			N:            4,
+			Accountable:  true,
+			Recover:      true,
+			Cost:         simnet.DefaultCostModel(),
+			Seed:         11,
+			BatchTxs:     50,
+			BatchBytes:   400 * 50,
+			MaxInstances: 2,
+			PoolSize:     1,
+			CoordTimeout: harness.FastRounds,
+		}, inj, 0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range c.HonestMembers() {
-			if got := c.Replicas[id].Log().ProvenCount(); got != 0 {
+		if len(res.Violations) > 0 {
+			t.Fatalf("schedule %v: %v", data, res.Violations)
+		}
+		for _, id := range res.Cluster.HonestMembers() {
+			if got := res.Cluster.Replicas[id].Log().ProvenCount(); got != 0 {
 				t.Fatalf("schedule %v: replica %v proved %d culprits from unattributable noise", data, id, got)
 			}
 		}

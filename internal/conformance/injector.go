@@ -6,6 +6,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -18,8 +19,10 @@ import (
 // one message value across all its recipients.
 type Rule func(from, to types.ReplicaID, msg simnet.Message) simnet.Message
 
-// Injector owns a cluster's delivery-interception surface. It installs
-// itself as the network's DeliverRule and layers three guarantees on top:
+// Injector owns a cluster's delivery-interception surface. It is the
+// scenario fault every campaign arms before the cluster starts: it
+// installs itself as the network's DeliverRule, stays installed through
+// the drain, and layers three guarantees on top:
 //
 //   - messages the injector fabricated (Inject) are never re-mutated, so
 //     rules cannot feed back on their own output;
@@ -32,10 +35,12 @@ type Rule func(from, to types.ReplicaID, msg simnet.Message) simnet.Message
 type Injector struct {
 	c    *harness.Cluster
 	rule Rule
+	// corrupt lists the replicas the rule corrupts outside the coalition.
+	corrupt []types.ReplicaID
 	// injected marks fabricated messages by identity. Entries are kept for
 	// the whole run: the same message may be injected to many recipients.
 	injected map[simnet.Message]bool
-	// epochs snapshots each node's handler epoch at Arm time.
+	// epochs snapshots each node's handler epoch at arming time.
 	epochs map[types.ReplicaID]uint32
 	// Mutated counts in-flight rewrites, Injected fabricated deliveries,
 	// Swallowed rule-dropped messages.
@@ -44,21 +49,27 @@ type Injector struct {
 	Swallowed int
 }
 
-// Arm installs an Injector as the cluster's delivery rule. Installing a
-// DeliverRule forces the simulator into sequential mode, so every rule
-// invocation and injection is deterministic under the cluster seed.
-func Arm(c *harness.Cluster) *Injector {
-	inj := &Injector{
-		c:        c,
-		injected: make(map[simnet.Message]bool),
-		epochs:   make(map[types.ReplicaID]uint32),
-	}
+// Apply implements scenario.Fault: it installs the injector as the
+// cluster's delivery rule. Installing a DeliverRule forces the simulator
+// into sequential mode, so every rule invocation and injection is
+// deterministic under the cluster seed.
+func (inj *Injector) Apply(rt *scenario.Runtime) {
+	c := rt.Cluster
+	inj.c = c
+	inj.injected = make(map[simnet.Message]bool)
+	inj.epochs = make(map[types.ReplicaID]uint32)
 	for _, id := range c.Net.NodeIDs() {
 		inj.epochs[id] = c.Net.Epoch(id)
 	}
 	c.Net.DeliverRule = inj.deliver
-	return inj
 }
+
+// Revert implements scenario.Fault: the rule stays armed through the
+// drain.
+func (inj *Injector) Revert(*scenario.Runtime) {}
+
+// Corrupted implements scenario.Corrupter.
+func (inj *Injector) Corrupted() []types.ReplicaID { return inj.corrupt }
 
 // SetRule installs the campaign's mutator; a nil rule passes everything.
 func (inj *Injector) SetRule(r Rule) { inj.rule = r }

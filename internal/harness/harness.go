@@ -81,6 +81,32 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// AttackRegime is the deployment every attack experiment and campaign
+// starts from: full ZLB (accountable and recovering) on the jittered AWS
+// matrix, the c4.xlarge cost model and FastRounds.
+func AttackRegime(n int, seed int64) Options {
+	return Options{
+		N:            n,
+		Accountable:  true,
+		Recover:      true,
+		BaseLatency:  latency.Jittered(latency.NewAWSMatrix(), 0.2),
+		Cost:         simnet.DefaultCostModel(),
+		Seed:         seed,
+		CoordTimeout: FastRounds,
+	}
+}
+
+// FastRounds is the attack regime's coordinator timeout. The attacks run
+// consensus at wire speed (Fig. 4 measures disagreements, not
+// throughput): a short round lets a partition finish its instance before
+// the other partition's conflicting evidence crosses the injected delay —
+// for delays of 500 ms and up, but not for 200 ms, which is the paper's
+// observed crossover.
+func FastRounds(r types.Round) time.Duration { return 120 * time.Millisecond * time.Duration(r+1) }
+
+// SteadyRounds is the throughput experiments' coordinator timeout.
+func SteadyRounds(r types.Round) time.Duration { return 600 * time.Millisecond * time.Duration(r+1) }
+
 // Application is what a replica is built around. The payment node
 // (internal/node) is one; the synthetic workload is the harness's own.
 type Application interface {

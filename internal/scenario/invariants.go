@@ -1,4 +1,4 @@
-package conformance
+package scenario
 
 import (
 	"fmt"
@@ -14,10 +14,11 @@ type Violation struct {
 	Detail    string
 }
 
-// CheckInvariants asserts the paper's four accountability invariants over
-// a finished run. corrupt is the ground-truth set of replicas the
-// campaign corrupted (wire-level twins and equivocators as well as
-// coalition members); every accusation outside it is a violation.
+// checkInvariants asserts the paper's four accountability invariants over
+// a finished run. The ground-truth corrupt set is the cluster's coalition
+// plus corrupt, the replicas a campaign corrupted outside it (wire-level
+// twins and equivocators); every accusation outside that set is a
+// violation.
 //
 //	(a) Agreement up to common prefix: with no observed disagreement,
 //	    every pair of honest replicas must agree digest-for-digest on
@@ -31,7 +32,7 @@ type Violation struct {
 //	(d) No false accusation: no honest replica is ever proven deceitful,
 //	    at any honest replica, even transiently (the proven set is
 //	    monotone).
-func CheckInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Violation {
+func checkInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Violation {
 	var out []Violation
 	honest := c.HonestMembers()
 	if len(honest) == 0 {
@@ -97,7 +98,7 @@ func CheckInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Vio
 	// (d) no honest replica is ever accused.
 	for _, id := range honest {
 		for _, culprit := range c.Replicas[id].Log().ProvenCulprits() {
-			if !corrupt[culprit] {
+			if !corrupt[culprit] && !c.Coalition.IsDeceitful(culprit) {
 				out = append(out, Violation{
 					Invariant: "d",
 					Detail:    fmt.Sprintf("replica %v holds a PoF against honest replica %v", id, culprit),

@@ -6,7 +6,6 @@ import (
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/harness"
-	"github.com/zeroloss/zlb/internal/latency"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -18,7 +17,7 @@ type Builder struct {
 	Build       func(n int, seed int64) Scenario
 }
 
-// builders is the ordered registry; Names and Campaigns preserve
+// builders is the ordered registry; Names preserves
 // registration order so reports are deterministic.
 var builders = []Builder{
 	{
@@ -74,13 +73,6 @@ func Names() []string {
 	return out
 }
 
-// Campaigns returns the registered builders in registration order.
-func Campaigns() []Builder {
-	out := make([]Builder, len(builders))
-	copy(out, builders)
-	return out
-}
-
 // Build constructs a registered campaign by name, stamping the
 // registry description onto the scenario.
 func Build(name string, n int, seed int64) (Scenario, error) {
@@ -102,19 +94,12 @@ func Build(name string, n int, seed int64) (Scenario, error) {
 const ScenarioBatchTxs = 1000
 
 // baseOpts is the cluster configuration shared by every campaign: the
-// jittered AWS latency matrix, the c4.xlarge cost model, and full ZLB
-// (accountable + recover).
+// attack regime (harness.AttackRegime) with the scenario batch.
 func baseOpts(n int, seed int64) harness.Options {
-	return harness.Options{
-		N:           n,
-		Accountable: true,
-		Recover:     true,
-		BaseLatency: latency.Jittered(latency.NewAWSMatrix(), 0.2),
-		Cost:        simnet.DefaultCostModel(),
-		Seed:        seed,
-		BatchTxs:    ScenarioBatchTxs,
-		BatchBytes:  400 * ScenarioBatchTxs,
-	}
+	opts := harness.AttackRegime(n, seed)
+	opts.BatchTxs = ScenarioBatchTxs
+	opts.BatchBytes = 400 * ScenarioBatchTxs
+	return opts
 }
 
 // subThresholdCoalition is the largest d that cannot sustain a fork
@@ -131,18 +116,6 @@ func subThresholdCoalition(n int) int {
 	return d
 }
 
-// fastRounds is the attack-experiment coordinator timeout (see
-// internal/bench): short enough that a partition finishes its instance
-// before conflicting evidence crosses the injected delay.
-func fastRounds(r types.Round) time.Duration {
-	return 120 * time.Millisecond * time.Duration(r+1)
-}
-
-// steadyRounds is the throughput-experiment coordinator timeout.
-func steadyRounds(r types.Round) time.Duration {
-	return 600 * time.Millisecond * time.Duration(r+1)
-}
-
 // buildAttackDetectExcludeMerge stages the full Fig. 2 arc for either
 // coalition attack: the honest partition is a fault of the first phase
 // only, so healing it is what lets cross-partition evidence flow.
@@ -152,7 +125,6 @@ func buildAttackDetectExcludeMerge(attack adversary.Attack) func(n int, seed int
 		opts.Deceitful = adversary.DeceitfulCount(n)
 		opts.Attack = attack
 		opts.MaxInstances = 4
-		opts.CoordTimeout = fastRounds
 		// A 5 s stall (§5.3's catastrophic delay) keeps each partition
 		// deciding alone for the whole fork phase; healing it is what
 		// lets the conflicting certificates cross.
@@ -186,9 +158,8 @@ func buildPartialCoalition(n int, seed int64) Scenario {
 	opts.Deceitful = subThresholdCoalition(n)
 	opts.Attack = adversary.AttackBinary
 	opts.MaxInstances = 20
-	opts.CoordTimeout = fastRounds
 	opts.PoolSize = 1 // no membership change can trigger
-	partition := &Partition{Groups: honestHalves(n, opts.Deceitful), Extra: 800 * time.Millisecond}
+	partition := &Partition{Groups: simnet.HonestHalves(n, opts.Deceitful), Extra: 800 * time.Millisecond}
 	return Scenario{
 		Name: "partial-coalition",
 		Opts: opts,
@@ -198,22 +169,6 @@ func buildPartialCoalition(n int, seed int64) Scenario {
 		},
 		Drain: 2 * time.Minute,
 	}
-}
-
-// honestHalves splits the honest committee members (IDs d+1..n) into two
-// groups, leaving the d deceitful replicas unlisted — unrestricted, the
-// §5.2 convention that attackers talk to every partition at full speed.
-func honestHalves(n, deceitful int) [][]types.ReplicaID {
-	honest := n - deceitful
-	var a, b []types.ReplicaID
-	for i := deceitful + 1; i <= n; i++ {
-		if i-deceitful <= honest/2 {
-			a = append(a, types.ReplicaID(i))
-		} else {
-			b = append(b, types.ReplicaID(i))
-		}
-	}
-	return [][]types.ReplicaID{a, b}
 }
 
 // buildChurnUnderLoad sleeps two successive waves of benign replicas
@@ -226,7 +181,7 @@ func honestHalves(n, deceitful int) [][]types.ReplicaID {
 func buildChurnUnderLoad(n int, seed int64) Scenario {
 	opts := baseOpts(n, seed)
 	opts.MaxInstances = 24
-	opts.CoordTimeout = steadyRounds
+	opts.CoordTimeout = harness.SteadyRounds
 	opts.PoolSize = 1
 	wave := (n - types.Quorum(n)) / 2
 	if wave < 1 {
@@ -256,19 +211,9 @@ func buildChurnUnderLoad(n int, seed int64) Scenario {
 func buildPartitionThenHeal(n int, seed int64) Scenario {
 	opts := baseOpts(n, seed)
 	opts.MaxInstances = 24
-	opts.CoordTimeout = steadyRounds
+	opts.CoordTimeout = harness.SteadyRounds
 	opts.PoolSize = 1
-	half := n / 2
-	groupA := make([]types.ReplicaID, 0, half)
-	groupB := make([]types.ReplicaID, 0, n-half)
-	for i := 1; i <= n; i++ {
-		if i <= half {
-			groupA = append(groupA, types.ReplicaID(i))
-		} else {
-			groupB = append(groupB, types.ReplicaID(i))
-		}
-	}
-	split := &Partition{Groups: [][]types.ReplicaID{groupA, groupB}, Extra: 3 * time.Second}
+	split := &Partition{Groups: simnet.HonestHalves(n, 0), Extra: 3 * time.Second}
 	return Scenario{
 		Name: "partition-then-heal",
 		Opts: opts,
@@ -291,7 +236,7 @@ func buildPartitionThenHeal(n int, seed int64) Scenario {
 func buildCrashRecoverCatchup(n int, seed int64) Scenario {
 	opts := baseOpts(n, seed)
 	opts.MaxInstances = 24
-	opts.CoordTimeout = steadyRounds
+	opts.CoordTimeout = harness.SteadyRounds
 	opts.PoolSize = 1
 	victim := types.ReplicaID(n)
 	return Scenario{
@@ -315,7 +260,7 @@ func buildCrashRecoverCatchup(n int, seed int64) Scenario {
 func buildSlowProposer(n int, seed int64) Scenario {
 	opts := baseOpts(n, seed)
 	opts.MaxInstances = 24
-	opts.CoordTimeout = steadyRounds
+	opts.CoordTimeout = harness.SteadyRounds
 	opts.PoolSize = 1
 	slow := &SlowReplica{ID: types.ReplicaID(n), Extra: time.Second}
 	return Scenario{

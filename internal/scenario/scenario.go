@@ -20,6 +20,11 @@
 // recoveries the canned single-attack experiments of internal/bench
 // cannot express. Registered campaigns are listed by Names and built by
 // Build; `zlb-bench -experiment scenarios` runs them all.
+//
+// Run is the simulator's one campaign loop: these campaigns and the
+// message-level ones of internal/conformance all run through it, and it
+// checks the paper's four accountability invariants on every finished run
+// (see checkInvariants).
 package scenario
 
 import (
@@ -166,6 +171,22 @@ type MetricExcluder interface {
 	MetricExclusions() []types.ReplicaID
 }
 
+// Corrupter is implemented by faults that corrupt replicas outside the
+// coalition — a twin holding a replica's key, an equivocator at the wire.
+// Run counts them in the ground-truth corrupt set the invariant checker
+// may see accused, and keeps them out of the honest metric readings for
+// the whole run.
+type Corrupter interface {
+	Corrupted() []types.ReplicaID
+}
+
+// FromStart holds a first-phase fault from before the cluster starts, so
+// that the replicas' first proposals already meet it; a fault listed
+// plainly takes hold once the cluster has started. Listed in a later
+// phase it is the fault it wraps, and Run reads the MetricExcluder and
+// Corrupter declarations of the wrapped fault.
+type FromStart struct{ Fault }
+
 // Crash takes replicas down permanently: Revert leaves them down, the
 // paper's benign (mute) fault.
 type Crash struct {
@@ -255,13 +276,7 @@ type Partition struct {
 
 // Apply implements Fault.
 func (f *Partition) Apply(rt *Runtime) {
-	groupOf := make(map[types.ReplicaID]int)
-	for g, ids := range f.Groups {
-		for _, id := range ids {
-			groupOf[id] = g + 1 // 0 means unlisted
-		}
-	}
-	lookup := func(id types.ReplicaID) int { return groupOf[id] - 1 }
+	lookup := simnet.GroupOf(f.Groups)
 	if f.Extra == 0 {
 		f.isDrop = true
 		f.handle = rt.AddDrop(simnet.PartitionDrop(lookup))
@@ -382,22 +397,43 @@ type Result struct {
 	// Recovered holds the end-of-run chain comparison for every replica
 	// in Scenario.VerifyChains (crash-recovery campaigns).
 	Recovered []RecoveryStatus
+	// Violations is empty iff the paper's four invariants held on the
+	// finished run (see checkInvariants).
+	Violations []Violation `json:",omitempty"`
+	// Cluster is the finished cluster, for callers that read more of it.
+	Cluster *harness.Cluster `json:"-"`
 }
 
-// Run executes the scenario and returns its per-phase metrics.
+// Run executes the scenario — the simulator's one campaign loop — and
+// returns its per-phase metrics and the verdict of the paper's four
+// invariants on the finished run.
 func Run(s Scenario) (*Result, error) {
 	c, err := harness.New(s.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	rt := NewRuntime(c)
-	// Exclude every replica any phase will crash or sleep before the
-	// first snapshot: the honest metric set stays constant for the whole
-	// run, keeping per-phase deltas monotone.
+	// Before the cluster starts: arm the first phase's FromStart faults,
+	// collect the corrupt replicas, and exclude every replica any phase
+	// will crash, sleep or corrupt from the metrics — the honest set stays
+	// constant for the whole run, keeping per-phase deltas monotone.
+	corrupt := make(map[types.ReplicaID]bool)
 	for i := range s.Phases {
 		for _, f := range s.Phases[i].Faults {
+			if early, ok := f.(*FromStart); ok {
+				if i == 0 {
+					early.Apply(rt)
+				}
+				f = early.Fault
+			}
 			if ex, ok := f.(MetricExcluder); ok {
 				c.ExcludeFromMetrics(ex.MetricExclusions()...)
+			}
+			if cr, ok := f.(Corrupter); ok {
+				for _, id := range cr.Corrupted() {
+					corrupt[id] = true
+				}
+				c.ExcludeFromMetrics(cr.Corrupted()...)
 			}
 		}
 	}
@@ -409,7 +445,9 @@ func Run(s Scenario) (*Result, error) {
 	for i := range s.Phases {
 		ph := &s.Phases[i]
 		for _, f := range ph.Faults {
-			f.Apply(rt)
+			if _, armed := f.(*FromStart); !armed || i > 0 {
+				f.Apply(rt)
+			}
 		}
 		now += ph.Duration
 		c.Run(now)
@@ -440,6 +478,8 @@ func Run(s Scenario) (*Result, error) {
 		match, have, want := c.ChainAgreement(id)
 		res.Recovered = append(res.Recovered, RecoveryStatus{ID: id, Match: match, Have: have, Want: want})
 	}
+	res.Violations = checkInvariants(c, corrupt)
+	res.Cluster = c
 	return res, nil
 }
 
@@ -491,6 +531,9 @@ func (r *Result) Format() string {
 	for _, rec := range r.Recovered {
 		fmt.Fprintf(&b, "recovered %v: chain %d/%d instances, digests match=%v\n",
 			rec.ID, rec.Have, rec.Want, rec.Match)
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "violation (%s): %s\n", v.Invariant, v.Detail)
 	}
 	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
@@ -234,5 +235,72 @@ func TestAttackCampaignRecovers(t *testing.T) {
 	}
 	if !sawDetect || !sawExclude || !sawInclude {
 		t.Errorf("missing arc events: detect=%v exclude=%v include=%v", sawDetect, sawExclude, sawInclude)
+	}
+}
+
+// TestRegisteredCampaignsKeepInvariants runs every registered campaign at
+// n=9, seed 42 — the goldens' size and seed — and requires the paper's
+// four invariants to hold on each: the fork campaigns merge with ≥ ⌈n/3⌉
+// proven culprits and nobody honest accused, the crash-recover campaign's
+// restarted replica is never accused, the benign ones stay in agreement.
+func TestRegisteredCampaignsKeepInvariants(t *testing.T) {
+	for _, name := range Names() {
+		s, err := Build(name, 9, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) > 0 {
+			t.Errorf("%s: invariant violations:\n%s", name, res.Format())
+		}
+	}
+}
+
+// TestCheckInvariantsFlagsHonestAccusation verifies the checker itself:
+// a PoF planted against a replica outside the corrupt set must surface as
+// a violation of invariant (d), and the same PoF inside the corrupt set
+// must not.
+func TestCheckInvariantsFlagsHonestAccusation(t *testing.T) {
+	c := testCluster(t, 4)
+	victim := c.Members[0]
+	stmt := accountability.Statement{
+		Context:  accountability.CtxMain,
+		Kind:     accountability.KindAux,
+		Instance: 1, Slot: 2, Round: 0,
+		Value: accountability.BoolDigest(false),
+	}
+	a, err := accountability.SignStatement(c.Signers[victim], stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt.Value = accountability.BoolDigest(true)
+	b, err := accountability.SignStatement(c.Signers[victim], stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pof, err := accountability.NewPoF(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := c.Members[1]
+	if !c.Replicas[holder].Log().AddPoF(pof) {
+		t.Fatal("planted PoF not accepted")
+	}
+
+	violations := checkInvariants(c, nil)
+	foundD := false
+	for _, v := range violations {
+		if v.Invariant == "d" {
+			foundD = true
+		}
+	}
+	if !foundD {
+		t.Errorf("accusation against %v outside the corrupt set not flagged: %v", victim, violations)
+	}
+	if vs := checkInvariants(c, map[types.ReplicaID]bool{victim: true}); len(vs) != 0 {
+		t.Errorf("accusation inside the corrupt set flagged: %v", vs)
 	}
 }

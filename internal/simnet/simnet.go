@@ -688,6 +688,36 @@ func PartitionDelay(groupOf func(types.ReplicaID) int, extra time.Duration) func
 	}
 }
 
+// GroupOf returns the groupOf lookup of PartitionDrop and PartitionDelay
+// for explicitly listed groups: a node's index in groups, or -1
+// (unrestricted) for a node listed in none.
+func GroupOf(groups [][]types.ReplicaID) func(types.ReplicaID) int {
+	of := make(map[types.ReplicaID]int)
+	for g, ids := range groups {
+		for _, id := range ids {
+			of[id] = g + 1 // 0 means unlisted
+		}
+	}
+	return func(id types.ReplicaID) int { return of[id] - 1 }
+}
+
+// HonestHalves splits the committee members after the first deceitful
+// ones (IDs deceitful+1..n) into two groups, the first holding the lower
+// half. The deceitful replicas stay unlisted and so unrestricted: the
+// §5.2 convention that attackers talk to every partition at full speed.
+func HonestHalves(n, deceitful int) [][]types.ReplicaID {
+	honest := n - deceitful
+	var a, b []types.ReplicaID
+	for i := deceitful + 1; i <= n; i++ {
+		if i-deceitful <= honest/2 {
+			a = append(a, types.ReplicaID(i))
+		} else {
+			b = append(b, types.ReplicaID(i))
+		}
+	}
+	return [][]types.ReplicaID{a, b}
+}
+
 // Inject delivers a message to a node from an external source (e.g., a
 // client submitting a transaction) at the current clock plus the given
 // delay. The from ID does not need to be a registered node.

@@ -673,14 +673,7 @@ func (c *Cluster) RunUntilQuiet(max time.Duration) { c.inner.RunUntilQuiet(max) 
 // in any group communicate freely. The rule replaces any delay rule a
 // previous StallPartition installed; ClearPartitionStall removes it.
 func (c *Cluster) StallPartition(groups [][]ReplicaID, extra time.Duration) {
-	groupOf := make(map[ReplicaID]int)
-	for g, ids := range groups {
-		for _, id := range ids {
-			groupOf[id] = g + 1 // 0 means unlisted
-		}
-	}
-	lookup := func(id types.ReplicaID) int { return groupOf[id] - 1 }
-	c.inner.Net.DelayRule = simnet.PartitionDelay(lookup, extra)
+	c.inner.Net.DelayRule = simnet.PartitionDelay(simnet.GroupOf(groups), extra)
 }
 
 // ClearPartitionStall heals a StallPartition.
