@@ -45,7 +45,6 @@ import (
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
@@ -256,7 +255,6 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		return nil, err
 	}
 	rn.faucet = utxo.AddressOf(faucetKP.Public())
-	txv := pipeline.NewTxVerifier(pipeline.Shared(), txScheme)
 	rn.app, err = node.New(node.Options{
 		Env:    rn.node, // rate-limit windows run on wall time since process start
 		Scheme: txScheme,
@@ -266,7 +264,6 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		Mempool:         cfg.Mempool,
 		BatchTxs:        2000,
 		Batches:         wire.NewBatchCache(2 * cfg.N), // the proposals of the instance committing and of the one in flight
-		Verifier:        txv,
 		DataDir:         cfg.DataDir,
 		CheckpointEvery: cfg.CheckpointEvery,
 		// Persistence failures are fatal for a durable node: continuing
@@ -287,11 +284,6 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pipeline handoff: transactions start verifying the moment a client
-	// submit lands in the mempool.
-	rn.app.Pool().SetPreverify(func(tx *utxo.Transaction) {
-		txv.Preverify([]*utxo.Transaction{tx})
-	})
 	if rn.app.Restored() {
 		l := rn.app.Ledger()
 		rn.log.Infof("recovered chain from %s: height %d, lastK %d, faucet=%d",

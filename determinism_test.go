@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -61,9 +62,9 @@ func runDeterminismScenario(t *testing.T) (*zlb.Cluster, [3]*zlb.Wallet) {
 // fixed-seed run. The golden value was captured from the seed tree's
 // gob-based codec; the binary wire codec must reproduce it bit for bit
 // (same transactions, same IDs, same deterministic union order).
-func TestFixedSeedBlockDigestGolden(t *testing.T) {
-	const goldenBlock1 = "4906d67bf63200d827133a7e75ce3e27f5855d3fab44bfe9af9cdb07cacd200e"
+const goldenBlock1 = "4906d67bf63200d827133a7e75ce3e27f5855d3fab44bfe9af9cdb07cacd200e"
 
+func TestFixedSeedBlockDigestGolden(t *testing.T) {
 	cluster, ws := runDeterminismScenario(t)
 	if got := cluster.Height(); got != 1 {
 		t.Fatalf("height %d, want 1", got)
@@ -209,95 +210,53 @@ func TestLoadGoldens(t *testing.T) {
 	}
 }
 
-// runPipelineScenario is runDeterminismScenario with an explicit commit
-// mode; it returns the chain digests, the final virtual clock and the
-// three wallet balances — everything the pipeline must leave untouched.
-func runPipelineScenario(t *testing.T, sequential bool) (map[uint64]zlb.Digest, time.Duration, [3]zlb.Amount) {
-	t.Helper()
-	cluster, err := zlb.NewCluster(zlb.Config{N: 7, Seed: 42, WalletCount: 3, SequentialCommit: sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws [3]*zlb.Wallet
-	for i := range ws {
-		w, err := cluster.WalletFor(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
-	}
-	for i := 0; i < 10; i++ {
-		tx, err := cluster.Pay(ws[0], ws[1].Address(), zlb.Amount(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cluster.Submit(tx)
-	}
-	cluster.Start()
-	cluster.RunUntilQuiet(5 * time.Minute)
-	var balances [3]zlb.Amount
-	for i := range ws {
-		balances[i] = cluster.Balance(ws[i].Address())
-	}
-	return cluster.BlockDigests(), cluster.Now(), balances
-}
-
 // TestPipelineModesBitIdentical is the commit pipeline's determinism
-// contract: the parallel pipeline under GOMAXPROCS=1, the parallel
-// pipeline under GOMAXPROCS=4 and the forced-sequential mode
-// (Config.SequentialCommit) must produce identical chain digests,
-// identical virtual clocks and identical balances. The worker pool only
+// contract: the fixed-seed run under GOMAXPROCS=1 and under GOMAXPROCS=4
+// must produce identical chain digests, virtual clocks and balances, and
+// block 1 must be TestFixedSeedBlockDigestGolden's. The worker pool only
 // computes pure verdicts, so scheduling must never leak into results.
+// The reference without a pool is bm's (TestCommitBlockParallelMatchesSequential).
 func TestPipelineModesBitIdentical(t *testing.T) {
-	// Force a multi-worker pool before anything touches it: the shared
-	// pool is sized at first use, and on a single-core host (or if the
-	// sequential reference ran first) it would otherwise degenerate to
-	// one worker and the GOMAXPROCS subtests below would not exercise
-	// concurrent fan-in at all. If another test already created the pool
-	// its width is fixed, but on CI (multi-core) GOMAXPROCS is >1 from
-	// process start, so the pool is multi-worker regardless of ordering.
-	prev := runtime.GOMAXPROCS(4)
-	pipeline.Shared()
-	runtime.GOMAXPROCS(prev)
-
-	refDigests, refNow, refBal := runPipelineScenario(t, true)
-	if len(refDigests) == 0 {
-		t.Fatal("sequential run committed no blocks")
+	widenSharedPool()
+	type run struct {
+		digests  map[uint64]zlb.Digest
+		now      time.Duration
+		balances [3]zlb.Amount
 	}
-	modes := []struct {
-		name     string
-		maxprocs int
-	}{
-		{"parallel/GOMAXPROCS=1", 1},
-		{"parallel/GOMAXPROCS=4", 4},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(m.maxprocs)
+	var ref *run
+	for _, maxprocs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallel/GOMAXPROCS=%d", maxprocs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(maxprocs)
 			defer runtime.GOMAXPROCS(prev)
-			digests, now, bal := runPipelineScenario(t, false)
-			if len(digests) != len(refDigests) {
-				t.Fatalf("chain length %d, want %d", len(digests), len(refDigests))
+			cluster, ws := runDeterminismScenario(t)
+			got := &run{digests: cluster.BlockDigests(), now: cluster.Now()}
+			for i, w := range ws {
+				got.balances[i] = cluster.Balance(w.Address())
 			}
-			for k, d := range refDigests {
-				if digests[k] != d {
-					t.Errorf("block %d digest %v, want %v", k, digests[k], d)
-				}
+			if d := got.digests[1]; d.Hex() != goldenBlock1 {
+				t.Errorf("block 1 digest %v, want golden %s", d, goldenBlock1)
 			}
-			if now != refNow {
-				t.Errorf("virtual clock %v, want %v", now, refNow)
+			if ref == nil {
+				ref = got
+				return
 			}
-			if bal != refBal {
-				t.Errorf("balances %v, want %v", bal, refBal)
+			if !reflect.DeepEqual(got.digests, ref.digests) {
+				t.Errorf("chain digests %v, want %v (GOMAXPROCS=1)", got.digests, ref.digests)
+			}
+			if got.now != ref.now || got.balances != ref.balances {
+				t.Errorf("virtual clock %v and balances %v, want %v and %v (GOMAXPROCS=1)", got.now, got.balances, ref.now, ref.balances)
 			}
 		})
 	}
 }
 
 // widenSharedPool forces a multi-worker shared pool before anything
-// sizes it, so the parallel-simnet subtests below exercise real
-// concurrency even on a single-core host (see the comment in
-// TestPipelineModesBitIdentical).
+// sizes it: the pool is sized at first use, and on a single-core host it
+// would otherwise degenerate to one worker, and the GOMAXPROCS=4 runs
+// would not exercise concurrent fan-in at all. If another test already
+// created the pool its width is fixed, but on CI (multi-core) GOMAXPROCS
+// is >1 from process start, so the pool is multi-worker regardless of
+// ordering.
 func widenSharedPool() {
 	prev := runtime.GOMAXPROCS(4)
 	pipeline.Shared()

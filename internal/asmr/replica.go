@@ -96,7 +96,7 @@ type Config struct {
 	// OnProposal observes every proposal payload the moment the reliable
 	// broadcast delivers it, before the instance decides — the
 	// application's hook for speculative batch pre-validation.
-	OnProposal func(k uint64, payload []byte)
+	OnProposal func(payload []byte)
 	// OnCommit fires when instance k decides (phase ①).
 	OnCommit func(k uint64, attempt uint32, d *sbc.Decision)
 	// OnSlotDecide observes per-slot binary decisions (Fig. 4's
@@ -412,12 +412,8 @@ func (r *Replica) buildSBC(k uint64, st *instState) *sbc.Instance {
 		CoordTimeout: r.cfg.CoordTimeout,
 		Intern:       r.cfg.Intern,
 		Tracer:       r.cfg.Tracer,
-		OnProposal: func(payload []byte) {
-			if r.cfg.OnProposal != nil {
-				r.cfg.OnProposal(st.k, payload)
-			}
-		},
-		Adversary: adv,
+		OnProposal:   r.cfg.OnProposal,
+		Adversary:    adv,
 		OnSlotDecide: func(slot types.ReplicaID, value bool, digest types.Digest) {
 			if r.cfg.OnSlotDecide != nil {
 				r.cfg.OnSlotDecide(st.k, st.attempt, slot, value, digest)

@@ -132,6 +132,85 @@ func TestProxyPartitionResetsLiveConns(t *testing.T) {
 	}
 }
 
+// TestProxyPartitionResetReachesDialer pins what traffic queued across a
+// partition relies on: once Partition returns, the dialer's next write
+// fails, so the sender keeps its frames, instead of succeeding into a
+// connection whose reset has not reached it yet.
+func TestProxyPartitionResetReachesDialer(t *testing.T) {
+	addr, stop := echoServer(t)
+	defer stop()
+	p, err := NewProxy("test", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	for i := 0; i < 20; i++ {
+		conn, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
+			t.Fatal(err)
+		}
+		p.Partition()
+		if _, err := conn.Write([]byte("lost?")); err == nil {
+			t.Fatalf("cycle %d: a write after Partition succeeded", i)
+		}
+		conn.Close()
+		if err := p.Heal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestProxyHoldsFramesForStartingPeer dials a proxy whose target is not
+// listening yet and writes at once: the bytes wait in the proxy and
+// arrive once the target listens, as they would over a direct link whose
+// dial the sender retries.
+func TestProxyHoldsFramesForStartingPeer(t *testing.T) {
+	ln, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	p, err := NewProxy("test", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	conn, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // the proxy's first dials are refused
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(3 * time.Second))
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("the proxy never reached the late peer: %v", err)
+	}
+	defer srv.Close()
+	srv.SetReadDeadline(time.Now().Add(3 * time.Second))
+	got := make([]byte, len("early"))
+	if _, err := io.ReadFull(srv, got); err != nil || string(got) != "early" {
+		t.Fatalf("late peer read %q, %v; want %q", got, err, "early")
+	}
+}
+
 func TestProxyBlackholeDiscards(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()

@@ -11,8 +11,13 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +69,8 @@ func (p *Proxy) Addr() string { return p.addr }
 // Partition refuses new connections (the dialer sees ECONNREFUSED — a
 // dial failure, exactly what a real network split looks like, so the
 // sending transport queues rather than burning its write-retry budget)
-// and resets live ones, until Heal.
+// and resets live ones, until Heal. It returns once the dialers have seen
+// their resets.
 func (p *Proxy) Partition() {
 	p.mu.Lock()
 	p.partitioned = true
@@ -154,16 +160,25 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 }
 
 // relay dials the real peer and pumps both directions until either side
-// dies or a fault kills the pair.
+// dies or a fault kills the pair. A refused dial is retried for 2 s: the
+// dialer may already have written frames into the accepted connection,
+// and a peer that is still starting (or restarting) must get them, as it
+// would over a direct link, whose dial the sender retries.
 func (p *Proxy) relay(client net.Conn) {
-	upstream, err := net.DialTimeout("tcp", p.target, 2*time.Second)
+	var upstream net.Conn
+	var err error
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		upstream, err = net.DialTimeout("tcp", p.target, 2*time.Second)
+		if err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
 	if err != nil {
 		reset(client)
 		return
 	}
 	if !p.track(client, upstream) {
-		reset(client)
-		reset(upstream)
+		reset(client, upstream)
 		return
 	}
 	done := func() {
@@ -247,6 +262,8 @@ func (p *Proxy) untrack(conns ...net.Conn) {
 	}
 }
 
+// dropConns resets every live connection and returns once the dialers
+// have seen their resets.
 func (p *Proxy) dropConns() {
 	p.mu.Lock()
 	conns := make([]net.Conn, 0, len(p.conns))
@@ -254,16 +271,73 @@ func (p *Proxy) dropConns() {
 		conns = append(conns, c)
 	}
 	p.mu.Unlock()
+	var dialers []string
 	for _, c := range conns {
-		reset(c)
+		if c.LocalAddr().String() == p.addr {
+			dialers = append(dialers, c.RemoteAddr().String()+" "+p.addr)
+		}
+	}
+	reset(conns...)
+	awaitResets(dialers)
+}
+
+// awaitResets waits, for up to a second, until no link in links ("dialer
+// proxy" address pairs) is a socket its dialer can still write to. On a
+// busy host a reset can take milliseconds to reach the dialer's socket;
+// until it does, the dialer's writes succeed and their frames are lost
+// with the connection, where after it they fail and stay queued for the
+// heal. Linux lists its sockets in /proc/net/tcp; elsewhere there is no
+// wait.
+func awaitResets(links []string) {
+	if len(links) == 0 {
+		return
+	}
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		table, err := os.ReadFile("/proc/net/tcp")
+		if err != nil || !anyWritable(string(table), links) {
+			return
+		}
 	}
 }
 
-// reset closes a connection with an RST rather than a FIN where the
-// platform allows it — faults should look like failures, not goodbyes.
-func reset(conn net.Conn) {
-	if tcp, ok := conn.(*net.TCPConn); ok {
-		tcp.SetLinger(0)
+// anyWritable reports whether a /proc/net/tcp table lists one of links in
+// a state that still takes writes: 01 established or 08 close-wait.
+func anyWritable(table string, links []string) bool {
+	for _, line := range strings.Split(table, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 3 && (f[3] == "01" || f[3] == "08") && slices.Contains(links, procAddr(f[1])+" "+procAddr(f[2])) {
+			return true
+		}
 	}
-	conn.Close()
+	return false
+}
+
+// procAddr turns a /proc/net/tcp address, "0100007F:B3E6" (the IPv4
+// address as a host-order word, then the port), into "127.0.0.1:46054".
+func procAddr(s string) string {
+	ip, port, _ := strings.Cut(s, ":")
+	a, err := strconv.ParseUint(ip, 16, 32)
+	if err != nil {
+		return ""
+	}
+	pn, err := strconv.ParseUint(port, 16, 16)
+	if err != nil {
+		return ""
+	}
+	return net.JoinHostPort(net.IP(binary.NativeEndian.AppendUint32(nil, uint32(a))).String(), strconv.FormatUint(pn, 10))
+}
+
+// reset closes connections with an RST rather than a FIN where the
+// platform allows it — faults should look like failures, not goodbyes.
+// Every linger is set before the first close: closing one end of a relay
+// lets its pump close the other, which must not go out as a FIN.
+func reset(conns ...net.Conn) {
+	for _, conn := range conns {
+		if tcp, ok := conn.(*net.TCPConn); ok {
+			tcp.SetLinger(0)
+		}
+	}
+	for _, conn := range conns {
+		conn.Close()
+	}
 }

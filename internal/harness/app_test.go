@@ -37,7 +37,7 @@ func (a *recordingApp) Bind(cfg *asmr.Config) {
 		a.proposed[k] = payload
 		return asmr.Batch{Payload: payload}
 	}
-	cfg.OnProposal = func(uint64, []byte) { a.prevalidated++ }
+	cfg.OnProposal = func([]byte) { a.prevalidated++ }
 	cfg.OnCommit = func(k uint64, _ uint32, d *sbc.Decision) {
 		a.commits++
 		if rec := (*a.c).Commits[a.id][k]; rec == nil || rec.Decision != d {

@@ -24,9 +24,13 @@
 //
 // The pool stores shared *utxo.Transaction pointers: in the simulated
 // deployment all replicas index the same transaction objects, so a digest
-// is computed once per transaction for the whole cluster. All methods are
-// safe for concurrent use; the commit pipeline's preverify handoff races
-// Submit against the event loop's Take/Prune (see race_test.go).
+// is computed once per transaction for the whole cluster. The pool checks
+// no signature: a transaction is first checked when a delivered proposal
+// carries it (internal/node). All methods are safe for concurrent use:
+// the lock serves a deployed node's metrics and status scrapes, which
+// read the pool beside the event loop that admits, takes and prunes, and
+// the simulator's Submit, which admits into every replica's pool (see
+// race_test.go).
 package mempool
 
 import (
@@ -154,11 +158,6 @@ type Pool struct {
 	// pins the window at zero, which makes RatePerAccount a cap on total
 	// admissions per sender.
 	clock func() time.Duration
-	// preverify, when set, observes every newly admitted transaction —
-	// the commit pipeline's handoff: transactions start signature
-	// verification on the worker pool the moment they enter the pool.
-	// Invoked outside the pool lock.
-	preverify func(*utxo.Transaction)
 
 	// pending indexes the queued entries by digest.
 	pending map[types.Digest]*entry
@@ -243,14 +242,6 @@ func NewWithPolicy(policy Policy) *Pool {
 // Policy returns the pool's admission policy.
 func (p *Pool) Policy() Policy { return p.policy }
 
-// SetPreverify installs the pipeline handoff called once per admitted
-// transaction (nil disables it — sequential mode).
-func (p *Pool) SetPreverify(fn func(*utxo.Transaction)) {
-	p.mu.Lock()
-	p.preverify = fn
-	p.mu.Unlock()
-}
-
 // SetClock injects the time source for rate-limit windows — the
 // simulator's virtual clock in simulated deployments, wall time since
 // start on a real node. Admission decisions then depend only on the
@@ -302,11 +293,7 @@ func (p *Pool) Add(tx *utxo.Transaction) error {
 		return err
 	}
 	p.admitted++
-	fn := p.preverify
 	p.mu.Unlock()
-	if fn != nil {
-		fn(tx)
-	}
 	return nil
 }
 

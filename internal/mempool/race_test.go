@@ -10,11 +10,9 @@ import (
 )
 
 // TestPoolConcurrentAdmission hammers one admission-controlled pool from
-// parallel submitters, a batching/pruning loop and a preverify re-binder
-// — the shape of the commit pipeline's handoff, where client submissions
-// race the event loop's Take/Prune and the pipeline swaps the preverify
-// hook. The priority index, rate buckets and committed set must stay
-// coherent under -race.
+// parallel submitters and a batching/pruning loop that also reads the
+// counters a metrics scrape reads. The priority index, rate buckets and
+// committed set must stay coherent under -race.
 func TestPoolConcurrentAdmission(t *testing.T) {
 	p := NewWithPolicy(Policy{
 		MaxTxs:         256,
@@ -28,7 +26,6 @@ func TestPoolConcurrentAdmission(t *testing.T) {
 	p.SetClock(func() time.Duration {
 		return time.Duration(atomic.AddInt64(&clock, 1)) * time.Millisecond
 	})
-	p.SetPreverify(func(tx *utxo.Transaction) { _ = tx.ID() })
 
 	const senders = 4
 	const perSender = 200
@@ -76,14 +73,7 @@ func TestPoolConcurrentAdmission(t *testing.T) {
 			_ = p.Len()
 			_ = p.Bytes()
 			_ = p.Evictions()
-		}
-	}()
-	// The pipeline re-binding its handoff mid-run.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		for i := 0; i < 100; i++ {
-			p.SetPreverify(func(tx *utxo.Transaction) { _ = tx.Canonical() })
+			_ = p.Stats()
 		}
 	}()
 

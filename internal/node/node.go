@@ -51,9 +51,6 @@ type Options struct {
 	// whose replicas commit the same payloads, and sized 2n on a TCP node
 	// (the instance committing and the one in flight).
 	Batches *wire.BatchCache
-	// Verifier runs transaction signature checks ahead of the commit on
-	// the worker pool. Nil verifies inline at commit time, bit-identically.
-	Verifier *pipeline.TxVerifier
 	// DataDir, when set, persists the chain to a durable store there and
 	// recovers it on the next start.
 	DataDir string
@@ -80,6 +77,7 @@ type Node struct {
 	ledger  *bm.Ledger
 	store   *store.Store // nil without Options.DataDir
 	replica *asmr.Replica
+	txv     *pipeline.TxVerifier // Prevalidate's, on the shared worker pool
 	// restored reports that the ledger came from disk or from a peer's
 	// store: the replica then restores those instances instead of running
 	// them, and catches up on what it missed.
@@ -103,6 +101,7 @@ func New(opts Options) (*Node, error) {
 	n := &Node{
 		opts:       opts,
 		pool:       mempool.NewWithPolicy(opts.Mempool),
+		txv:        pipeline.NewTxVerifier(pipeline.Shared(), opts.Scheme),
 		proposedAt: make(map[uint64]time.Duration),
 	}
 	n.pool.SetClock(opts.Env.Now)
@@ -135,14 +134,14 @@ func (n *Node) openStore() error {
 // adopt installs a ledger rebuilt from stored blocks.
 func (n *Node) adopt(l *bm.Ledger) {
 	n.ledger, n.restored = l, true
-	l.SetParallel(n.opts.Verifier.Pool())
+	l.SetParallel(pipeline.Shared())
 }
 
 // Reseed replaces the ledger by a fresh one seeded by Options.Genesis —
 // for a deployment whose genesis allocation changes before it starts.
 func (n *Node) Reseed() {
 	n.ledger = bm.NewLedger(n.opts.Scheme)
-	n.ledger.SetParallel(n.opts.Verifier.Pool())
+	n.ledger.SetParallel(pipeline.Shared())
 	n.opts.Genesis(n.ledger)
 }
 
@@ -228,7 +227,7 @@ func (n *Node) Propose(k uint64) asmr.Batch {
 		return asmr.Batch{}
 	}
 	// The proposal comes back through Prevalidate and Commit: let both
-	// find the pool's own, already verified transactions.
+	// find the pool's own objects, so each is verified once.
 	n.opts.Batches.Seed(payload, txs)
 	if _, ok := n.proposedAt[k]; !ok {
 		n.proposedAt[k] = n.opts.Env.Now()
@@ -238,12 +237,12 @@ func (n *Node) Propose(k uint64) asmr.Batch {
 
 // Prevalidate decodes a delivered proposal and verifies its transaction
 // signatures on the worker pool while the binary consensus is still
-// deciding whether it commits (pipeline stage ②). Verdicts land in the
-// batch cache's transactions, so the decided batch commits without
-// verifying anything again.
-func (n *Node) Prevalidate(_ uint64, payload []byte) {
+// deciding whether it commits: the node's one speculation point. Verdicts
+// land in the batch cache's transactions, so the decided batch commits
+// without verifying anything again.
+func (n *Node) Prevalidate(payload []byte) {
 	n.update(func(s *Status) { s.Pipeline.ProposalsDelivered++ })
-	n.opts.Verifier.SpeculateBatch(payload, n.opts.Batches)
+	n.txv.SpeculateBatch(payload, n.opts.Batches)
 }
 
 // Commit applies decided superblock k: ledger, store, mempool, metrics.

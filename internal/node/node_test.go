@@ -77,7 +77,6 @@ func newFixture(t *testing.T, env simnet.Env, batches *wire.BatchCache, tweak fu
 		},
 		BatchTxs:     2000,
 		Batches:      batches,
-		Verifier:     pipeline.NewTxVerifier(pipeline.Shared(), scheme),
 		OnStoreError: func(err error) { t.Errorf("store: %v", err) },
 	}
 	if tweak != nil {
@@ -109,6 +108,20 @@ func (f *fixture) splitFaucet(t *testing.T, n int) ([]*payer, *utxo.Transaction)
 		p.prev = utxo.Input{Prev: utxo.Outpoint{TxID: split.ID(), Index: uint32(s)}, Value: outs[s].Value}
 	}
 	return payers, split
+}
+
+// saturatedPool is a worker pool in the state of a saturated node's: its
+// one worker is held until t ends and its queue is full, so every TryDo
+// is dropped and a Map runs on its caller.
+func saturatedPool(t *testing.T) *pipeline.Pool {
+	p := pipeline.NewPool(1)
+	held, release := make(chan struct{}), make(chan struct{})
+	p.TryDo(func() { close(held); <-release })
+	<-held
+	for p.TryDo(func() { <-release }) {
+	}
+	t.Cleanup(func() { close(release) })
+	return p
 }
 
 // tcpEnv is the environment of a deployed node: a transport.Node, which
@@ -282,11 +295,12 @@ func hostedRun(t *testing.T, env simnet.Env, batches *wire.BatchCache) (*fixture
 	const n, rounds, perProposal = 4, 8, 5
 	var applied []int
 	f := newFixture(t, env, batches, func(o *Options) {
-		// No speculation: it decodes on the worker pool, whenever that
-		// gets to it, and the status compared below counts decodes.
-		o.Verifier = nil
 		o.OnCommitted = func(_ uint64, _ *bm.Block, a int) { applied = append(applied, a) }
 	})
+	// Every speculation dropped, as on a saturated node: it would decode
+	// on the worker pool, whenever that got to it, and the status compared
+	// below counts decodes.
+	f.txv = pipeline.NewTxVerifier(saturatedPool(t), f.scheme)
 	signers, _, err := crypto.GenerateCluster(crypto.SchemeEd25519, n, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +314,7 @@ func hostedRun(t *testing.T, env simnet.Env, batches *wire.BatchCache) (*fixture
 		t.Fatal(err)
 	}
 	first := f.Propose(1)
-	f.Prevalidate(1, first.Payload)
+	f.Prevalidate(first.Payload)
 	f.Commit(1, 0, decide(1, map[types.ReplicaID][]byte{1: first.Payload}))
 
 	var carried []*utxo.Transaction // what the proposer dropped last round proposes again
@@ -328,7 +342,7 @@ func hostedRun(t *testing.T, env simnet.Env, batches *wire.BatchCache) (*fixture
 		}
 		carried = next
 		for _, id := range members {
-			f.Prevalidate(k, payloads[id])
+			f.Prevalidate(payloads[id])
 			// What the speculation would have done, the dropped proposal
 			// included.
 			if _, err := batches.Decode(payloads[id]); err != nil {
@@ -414,7 +428,7 @@ func TestStatusReadBesideCommits(t *testing.T) {
 	}()
 	for k := uint64(1); k <= blocks; k++ {
 		payload := encode(t, f.faucet.pay(1))
-		f.Prevalidate(k, payload)
+		f.Prevalidate(payload)
 		f.Commit(k, 0, decide(k, map[types.ReplicaID][]byte{1: payload}))
 	}
 	close(done)

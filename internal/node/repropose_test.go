@@ -50,7 +50,7 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 	payers, split := f.splitFaucet(t, n)
 	first := encode(t, split)
 	decisions := []*sbc.Decision{decide(1, map[types.ReplicaID][]byte{1: first})}
-	f.Prevalidate(1, first)
+	f.Prevalidate(first)
 	f.Commit(1, 0, decisions[0])
 
 	before := heapInUse()
@@ -81,7 +81,7 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 			}
 		}
 		for _, p := range payloads {
-			f.Prevalidate(k, p)
+			f.Prevalidate(p)
 		}
 
 		// What the commit will see of the re-proposed transactions.

@@ -17,18 +17,18 @@ func TestTracerDeterministicMerge(t *testing.T) {
 			a, b = tr.Node(1), tr.Node(2)
 		}
 		// Same timestamps on both nodes, plus per-node ties.
-		b.RecordK(10*time.Millisecond, PhaseRBCDeliver, 1)
-		a.RecordK(10*time.Millisecond, PhaseRBCDeliver, 1)
-		a.RecordK(10*time.Millisecond, PhaseBinDecide, 1)
-		b.RecordK(5*time.Millisecond, PhaseRBCInit, 1)
+		b.Record(10*time.Millisecond, PhaseRBCDeliver, 1, 0, 0, "")
+		a.Record(10*time.Millisecond, PhaseRBCDeliver, 1, 0, 0, "")
+		a.Record(10*time.Millisecond, PhaseBinDecide, 1, 0, 0, "")
+		b.Record(5*time.Millisecond, PhaseRBCInit, 1, 0, 0, "")
 		return tr.Digest()
 	}
 	if build(true) != build(false) {
 		t.Fatal("merge digest depends on buffer creation order")
 	}
 	tr := NewTracer()
-	tr.Node(2).RecordK(10*time.Millisecond, PhaseCommit, 3)
-	tr.Node(1).RecordK(10*time.Millisecond, PhaseCommit, 3)
+	tr.Node(2).Record(10*time.Millisecond, PhaseCommit, 3, 0, 0, "")
+	tr.Node(1).Record(10*time.Millisecond, PhaseCommit, 3, 0, 0, "")
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].Node != 1 || evs[1].Node != 2 {
 		t.Fatalf("equal-timestamp events not ordered by node: %+v", evs)
@@ -45,8 +45,6 @@ func TestNilTracerZeroCost(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		nt.Record(time.Second, PhaseCommit, 1, 2, 3, "x")
-		nt.RecordK(time.Second, PhaseCommit, 1)
-		nt.RecordID(time.Second, PhasePoF, "r3")
 	})
 	if allocs != 0 {
 		t.Fatalf("nil NodeTracer allocated %.1f per run, want 0", allocs)

@@ -93,22 +93,6 @@ func (t *NodeTracer) Record(at time.Duration, phase string, k uint64, slot, roun
 	t.evs = append(t.evs, Event{At: at, Node: t.node, Phase: phase, K: k, Slot: slot, Round: round, ID: id})
 }
 
-// RecordK appends an instance-scoped event (no slot/round/ID).
-func (t *NodeTracer) RecordK(at time.Duration, phase string, k uint64) {
-	if t == nil {
-		return
-	}
-	t.evs = append(t.evs, Event{At: at, Node: t.node, Phase: phase, K: k})
-}
-
-// RecordID appends an event correlated only by a free-form ID.
-func (t *NodeTracer) RecordID(at time.Duration, phase, id string) {
-	if t == nil {
-		return
-	}
-	t.evs = append(t.evs, Event{At: at, Node: t.node, Phase: phase, ID: id})
-}
-
 // Len reports the number of buffered events (0 on nil).
 func (t *NodeTracer) Len() int {
 	if t == nil {

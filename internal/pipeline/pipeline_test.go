@@ -73,23 +73,40 @@ func paymentTx(t *testing.T, seed int64) (*utxo.Transaction, crypto.Scheme) {
 }
 
 // TestPreverifyPublishesVerdicts checks the speculative path end to end:
-// after Preverify the commit-time VerifySig returns instantly with the
-// same verdict the inline check computes, for valid and forged
-// transactions alike.
+// after SpeculateBatch the commit-time VerifySig returns the same verdict
+// the inline check computes, for valid and forged transactions alike, and
+// publishes it — each transaction reaches the scheme once, however often
+// the commit asks.
 func TestPreverifyPublishesVerdicts(t *testing.T) {
-	good, scheme := paymentTx(t, 11)
+	good, inner := paymentTx(t, 11)
 	bad, _ := paymentTx(t, 12)
 	bad.Sig = append([]byte{}, bad.Sig...)
 	bad.Sig[0] ^= 0x80
 	bad.Invalidate()
-
-	tv := NewTxVerifier(Shared(), scheme)
-	tv.Preverify([]*utxo.Transaction{good, bad})
-	if err := good.VerifySig(scheme); err != nil {
-		t.Fatalf("valid tx rejected: %v", err)
+	payload, err := wire.EncodeBatch([]*utxo.Transaction{good, bad})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := bad.VerifySig(scheme); err == nil {
-		t.Fatal("forged tx accepted")
+	scheme := &countingScheme{Scheme: inner}
+	cache := wire.NewBatchCache(0)
+	NewTxVerifier(Shared(), scheme).SpeculateBatch(payload, cache)
+	txs, err := cache.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txs) != 2 {
+		t.Fatalf("decoded %d txs, want 2", len(txs))
+	}
+	for range 2 {
+		if err := txs[0].VerifySig(scheme); err != nil {
+			t.Fatalf("valid tx rejected: %v", err)
+		}
+		if err := txs[1].VerifySig(scheme); err == nil {
+			t.Fatal("forged tx accepted")
+		}
+	}
+	if got := scheme.verifies.Load(); got != 2 {
+		t.Fatalf("%d signature checks for 2 transactions, want 2", got)
 	}
 }
 

@@ -14,10 +14,10 @@
 // Determinism contract: the pipeline never touches event ordering or the
 // virtual clock. Workers only compute verdicts that are pure functions of
 // their inputs, fan-in order is by task index, and every cached verdict
-// is exactly what the sequential code would have computed. Forcing
-// sequential mode (zlb.Config.SequentialCommit: a nil TxVerifier)
-// executes the same code inline and must produce bit-identical results —
-// the determinism tests pin this.
+// is exactly what the sequential code would have computed. A nil Pool
+// runs the same code inline — bm's tests hold a ledger without a pool
+// against one with — and any GOMAXPROCS must produce bit-identical
+// results; the determinism tests pin both.
 package pipeline
 
 import (
@@ -60,9 +60,9 @@ var (
 )
 
 // Shared returns the process-wide pool, created on first use with
-// GOMAXPROCS workers. Every cluster shares it: worker goroutines are a
-// process resource, while verdict caches (Verifier, TxVerifier) stay
-// per-cluster.
+// GOMAXPROCS workers. Every node and cluster of the process shares it:
+// worker goroutines are a process resource, and a verdict lives on the
+// transaction it is about.
 func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = NewPool(0) })
 	return sharedPool

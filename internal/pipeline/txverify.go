@@ -2,14 +2,8 @@ package pipeline
 
 import (
 	"github.com/zeroloss/zlb/internal/crypto"
-	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
 )
-
-// preverifyChunk is how many transactions one speculative verification
-// task claims: big enough to amortize scheduling, small enough that a
-// batch spreads across all workers.
-const preverifyChunk = 64
 
 // TxVerifier speculatively verifies transaction signatures on the worker
 // pool, ahead of the block commit that needs them. Verdicts are published
@@ -26,41 +20,9 @@ type TxVerifier struct {
 	scheme crypto.Scheme
 }
 
-// NewTxVerifier creates a TxVerifier. pool may be nil (sequential mode):
-// Preverify and SpeculateBatch become no-ops and all verification happens
-// inline at commit time, bit-identically.
+// NewTxVerifier creates a TxVerifier that speculates on pool.
 func NewTxVerifier(pool *Pool, scheme crypto.Scheme) *TxVerifier {
 	return &TxVerifier{pool: pool, scheme: scheme}
-}
-
-// Pool exposes the underlying worker pool (nil in sequential mode).
-func (t *TxVerifier) Pool() *Pool {
-	if t == nil {
-		return nil
-	}
-	return t.pool
-}
-
-// Preverify schedules background signature verification for txs. Dropped
-// (not queued) chunks cost nothing: the commit path computes missing
-// verdicts on demand. Safe to call from the event loop; the transactions
-// may be shared with other replicas of the cluster.
-func (t *TxVerifier) Preverify(txs []*utxo.Transaction) {
-	if t == nil || t.pool == nil || t.scheme == nil {
-		return
-	}
-	for start := 0; start < len(txs); start += preverifyChunk {
-		end := start + preverifyChunk
-		if end > len(txs) {
-			end = len(txs)
-		}
-		chunk := txs[start:end]
-		t.pool.TryDo(func() {
-			for _, tx := range chunk {
-				_ = tx.VerifySig(t.scheme)
-			}
-		})
-	}
 }
 
 // SpeculateBatch decodes a proposal payload through the shared batch
@@ -69,11 +31,9 @@ func (t *TxVerifier) Preverify(txs []*utxo.Transaction) {
 // the binary consensus is still deciding whether the batch commits. The
 // payload must be immutable (consensus payloads are); decode errors are
 // ignored here and resurface, deterministically, wherever the payload is
-// decoded for real.
+// decoded for real. A saturated pool drops the work (TryDo): the commit
+// checks whatever is left.
 func (t *TxVerifier) SpeculateBatch(payload []byte, cache *wire.BatchCache) {
-	if t == nil || t.pool == nil || cache == nil {
-		return
-	}
 	t.pool.TryDo(func() {
 		txs, err := cache.Decode(payload)
 		if err != nil {

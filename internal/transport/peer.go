@@ -153,21 +153,7 @@ type peer struct {
 	reconnects  atomic.Uint64
 	dials       atomic.Uint64
 
-	rng rngSource // jitter; only the writer goroutine draws from it
-}
-
-// rngSource wraps a rand.Rand with a mutex: jitter is drawn by the
-// writer, but tryEnqueue callers never touch it, so this is belt and
-// braces for future use rather than contention.
-type rngSource struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-func (r *rngSource) jitter(d time.Duration) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return d/2 + time.Duration(r.r.Int63n(int64(d/2)+1))
+	rng *rand.Rand // jitter; only the writer goroutine draws from it
 }
 
 func newPeer(n *Node, id types.ReplicaID, addr string) *peer {
@@ -176,7 +162,7 @@ func newPeer(n *Node, id types.ReplicaID, addr string) *peer {
 		id:   id,
 		addr: addr,
 		q:    make(chan []byte, n.cfg.SendQueueSize),
-		rng:  rngSource{r: rand.New(rand.NewSource(int64(n.cfg.Self)*104729 + int64(id)*31 + 13))},
+		rng:  rand.New(rand.NewSource(int64(n.cfg.Self)*104729 + int64(id)*31 + 13)),
 	}
 }
 
@@ -238,17 +224,6 @@ func (p *peer) enqueue(frame []byte) {
 			// Lost the displacement race to the writer draining the
 			// queue; the next iteration's send will almost surely fit.
 		}
-	}
-}
-
-// tryEnqueue adds a frame or fails fast with ErrBackpressure, displacing
-// nothing.
-func (p *peer) tryEnqueue(frame []byte) error {
-	select {
-	case p.q <- frame:
-		return nil
-	default:
-		return ErrBackpressure
 	}
 }
 
@@ -432,7 +407,7 @@ func (p *peer) fail() {
 // sleep waits out the jittered backoff (doubling it, capped at
 // DialBackoff) unless shutdown interrupts; it reports false on shutdown.
 func (p *peer) sleep(backoff *time.Duration) bool {
-	d := p.rng.jitter(*backoff)
+	d := *backoff/2 + time.Duration(p.rng.Int63n(int64(*backoff/2)+1))
 	if *backoff *= 2; *backoff > p.node.cfg.DialBackoff {
 		*backoff = p.node.cfg.DialBackoff
 	}

@@ -166,11 +166,9 @@ var ErrClosed = errors.New("transport: node closed")
 // ErrUnknownPeer marks sends to replica IDs absent from Config.Peers.
 var ErrUnknownPeer = errors.New("transport: unknown peer")
 
-// ErrBackpressure is the typed overload verdict: the queue that would
-// carry the message is full and the caller asked to fail fast rather
-// than displace queued traffic. Client submits hitting a saturated
-// event queue receive it (as a SubmitAck on the wire); TrySend returns
-// it for a full peer queue.
+// ErrBackpressure is the typed overload verdict a client submit receives
+// (as a SubmitAck on the wire) when the event queue that would carry it
+// is full: the submit fails fast rather than displace queued traffic.
 var ErrBackpressure = errors.New("transport: backpressure, queue full")
 
 // NewNode creates the node; call SetHandler then Serve.
@@ -256,30 +254,6 @@ func (n *Node) Send(to types.ReplicaID, msg simnet.Message) {
 	if frame, err := p.frame(msg); err == nil {
 		p.enqueue(frame)
 	}
-}
-
-// TrySend is Send with fail-fast backpressure instead of drop-oldest:
-// a full peer queue returns ErrBackpressure and displaces nothing. For
-// callers that prefer an explicit overload verdict over best-effort
-// delivery (client-facing edges, tests).
-func (n *Node) TrySend(to types.ReplicaID, msg simnet.Message) error {
-	if to == n.cfg.Self {
-		select {
-		case n.events <- event{kind: 1, from: to, msg: msg}:
-			return nil
-		default:
-			return ErrBackpressure
-		}
-	}
-	p, err := n.peerFor(to)
-	if err != nil {
-		return err
-	}
-	frame, err := p.frame(msg)
-	if err != nil {
-		return err
-	}
-	return p.tryEnqueue(frame)
 }
 
 // peerFor returns (creating and starting its writer if necessary) the

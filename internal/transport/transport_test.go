@@ -322,33 +322,6 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-// TestTrySendBackpressure pins the fail-fast flavor: a full queue
-// returns ErrBackpressure and displaces nothing.
-func TestTrySendBackpressure(t *testing.T) {
-	addrs := freePorts(t, 2) // addrs[1] never listens
-	peers := map[types.ReplicaID]string{1: addrs[0], 2: addrs[1]}
-	n := NewNode(Config{
-		Self: 1, Listen: addrs[0], Peers: peers,
-		SendQueueSize: 4,
-	})
-	n.SetHandler(&echoHandler{node: n})
-	go func() { _ = n.Serve() }()
-	defer n.Close()
-
-	var hit bool
-	for i := 0; i < 50 && !hit; i++ {
-		if err := n.TrySend(2, ping("x")); err == ErrBackpressure {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatal("TrySend never returned ErrBackpressure against a full queue")
-	}
-	if drops := n.PeerHealthFor(2).Drops; drops != 0 {
-		t.Fatalf("TrySend displaced %d frames, want 0", drops)
-	}
-}
-
 // TestSendUnknownPeerFailsFast pins that an ID with no address is
 // dropped immediately, without a queue or a writer.
 func TestSendUnknownPeerFailsFast(t *testing.T) {
@@ -672,6 +645,9 @@ func TestUnframeableMessageRefused(t *testing.T) {
 	a.Do(func() { a.Send(2, ping("up")) })
 	waitCond(t, 5*time.Second, "the link up", func() bool { return len(ha.snapshot()) == 1 })
 
+	if _, err := appendFrame(nil, &unframed{"lost"}); !errors.Is(err, errNoKind) {
+		t.Fatalf("framing an unframed type = %v, want errNoKind", err)
+	}
 	a.Send(2, &unframed{"lost"})
 	a.Do(func() { a.Send(2, ping("still")) })
 	waitCond(t, 5*time.Second, "traffic after the refusal", func() bool { return len(ha.snapshot()) == 2 })
@@ -680,10 +656,8 @@ func TestUnframeableMessageRefused(t *testing.T) {
 		t.Fatalf("after a refusal: %d reconnects, state %v, %d drops, %d failures; want 0, connected, 1, 0",
 			h.Reconnects, h.State, h.Drops, h.ConsecutiveFailures)
 	}
-	if err := a.TrySend(2, &unframed{"lost"}); !errors.Is(err, errNoKind) {
-		t.Fatalf("TrySend of an unframed type = %v, want errNoKind", err)
-	}
-	if a.Stats().SendDrops != 2 {
-		t.Fatalf("node send drops %d, want 2", a.Stats().SendDrops)
+	a.Send(2, &unframed{"lost again"})
+	if h := a.PeerHealthFor(2); h.Drops != 2 || a.Stats().SendDrops != 2 {
+		t.Fatalf("after a second refusal: %d peer drops, %d node send drops; want 2 and 2", h.Drops, a.Stats().SendDrops)
 	}
 }

@@ -231,7 +231,7 @@ func (c *BatchCache) unindex(e *batchEntry) {
 
 // Seed caches txs as the decoded form of payload, which must be
 // EncodeBatch(txs): a proposer's own batch then commits as the objects
-// its mempool admitted and verified, instead of a second decoded set, and
+// its mempool admitted, instead of a second decoded set, and
 // a foreign payload carrying one of them decodes to that object. A
 // payload already cached keeps its entry.
 func (c *BatchCache) Seed(payload []byte, txs []*utxo.Transaction) {

@@ -67,7 +67,6 @@ import (
 	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/payment"
-	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
@@ -152,16 +151,6 @@ type Config struct {
 	// independent (the harness's sim scheme); see the package comment's
 	// compatibility matrix.
 	Scheme string
-	// SequentialCommit forces the multi-core commit pipeline
-	// (internal/pipeline) off: every transaction signature is checked
-	// inline on the event loop as its block applies, with no worker pool
-	// and no speculative pre-verification. The default (false) fans the
-	// signature checks out across runtime.GOMAXPROCS workers; a block
-	// applies in order on the event loop either way. Both modes produce
-	// bit-identical chains, balances and virtual-time metrics — the
-	// determinism tests pin this; the knob exists for those tests and for
-	// debugging.
-	SequentialCommit bool
 
 	// DataDir, when set, makes every replica persist its chain to a
 	// durable block store (internal/store) under <DataDir>/r<id>:
@@ -198,8 +187,8 @@ type Config struct {
 	// whole deployment (internal/obs): transaction admission at the
 	// observer replica, every replica's consensus lifecycle, and branch
 	// merges, all with virtual timestamps. The merged event stream is
-	// bit-identical across SequentialCommit and across the simulator's two
-	// execution modes. Nil disables tracing at zero cost.
+	// bit-identical across GOMAXPROCS settings and across the simulator's
+	// two execution modes. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 
 	// OnBlock, if set, observes every committed block at replica 1.
@@ -239,11 +228,6 @@ type Cluster struct {
 	// commit the identical payload, so it is decoded once per cluster
 	// instead of once per replica.
 	batches *wire.BatchCache
-	// txv is the commit pipeline's transaction verifier: signature checks
-	// start on the worker pool when a transaction is submitted (and again
-	// when a proposal is delivered), so decided batches commit without
-	// re-verification. Nil under Config.SequentialCommit.
-	txv *pipeline.TxVerifier
 }
 
 // replica is one replica's payment application (internal/node: mempool,
@@ -378,9 +362,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		genesis: genesis,
 		stake:   stake,
 	}
-	if !cfg.SequentialCommit {
-		c.txv = pipeline.NewTxVerifier(pipeline.Shared(), scheme)
-	}
 
 	var attack adversary.Attack
 	switch cfg.Attack {
@@ -456,7 +437,6 @@ func (c *Cluster) newNode(id ReplicaID, env simnet.Env) (harness.Application, er
 		Mempool:  c.cfg.Mempool,
 		BatchTxs: c.cfg.BatchTxs,
 		Batches:  c.batches,
-		Verifier: c.txv,
 		OnStoreError: func(err error) {
 			if r.storeErr == nil {
 				r.storeErr = err
@@ -566,10 +546,10 @@ func (c *Cluster) PayWithFee(w *Wallet, to Address, amount, fee Amount) (*Transa
 
 // Submit places a transaction in every running replica's mempool (clients
 // broadcast requests to all replicas, §4.2; a crashed one hears nothing)
-// and wakes replicas that were waiting for work. The mempools share the transaction pointer, so its
-// digest is computed once for the whole cluster — and its signature
-// check starts on the commit pipeline here, typically settling before
-// consensus decides the batch that carries it.
+// and wakes replicas that were waiting for work. The mempools share the
+// transaction pointer, so its digest is computed once for the whole
+// cluster, and so is its signature check, when the first proposal that
+// carries it is delivered.
 //
 // The returned error is the first honest replica's admission verdict
 // (nil, or one of the typed mempool errors: mempool.ErrDuplicate,
@@ -577,7 +557,6 @@ func (c *Cluster) PayWithFee(w *Wallet, to Address, amount, fee Amount) (*Transa
 // same policy on the same virtual clock and sees the same submission
 // sequence, so the verdict is cluster-wide in the fault-free case.
 func (c *Cluster) Submit(tx *Transaction) error {
-	c.txv.Preverify([]*utxo.Transaction{tx})
 	observer := c.observer()
 	var verdict error
 	for id, n := range c.nodes {
