@@ -189,7 +189,10 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	// What the replica holds in memory: a hundred blocks on, the live
 	// instances are the retention window plus what is in flight, and
 	// everything older was retired to its compact record.
+	// Every block leaves votes that arrived after their threshold, held
+	// without a check: the count grows with each one.
 	const more = 100
+	var deferred uint64
 	for b := blocks; b < blocks+more; b++ {
 		client.submit(types.Amount(500+b), 0, 1, 2, 3)
 		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
@@ -200,6 +203,14 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 				t.Fatalf("timed out waiting for block %d", b+1)
 			}
 		}
+		var now status
+		if err := json.Unmarshal([]byte(scrape(t, base+"/status")), &now); err != nil {
+			t.Fatalf("decoding /status: %v", err)
+		}
+		if now.Pipeline.StmtSigDeferred <= deferred {
+			t.Errorf("/status pipeline.stmt_sig_deferred = %d at height %d, %d a block before", now.Pipeline.StmtSigDeferred, now.Height, deferred)
+		}
+		deferred = now.Pipeline.StmtSigDeferred
 	}
 	body = scrape(t, base+"/metrics")
 	for _, series := range []string{
@@ -285,16 +296,19 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		t.Errorf("/status pipeline = %+v, /metrics read rounds %v zeros %v ones %v", p, rounds, zeros, ones)
 	}
 	// Where signature work went: statements checked, statements the log
-	// already held (this node's own, at the least), and certificates
-	// pulled — one per slot and block would already be generous.
+	// already held (this node's own, at the least), statements held
+	// without a check, and certificates pulled — one per slot and block
+	// would already be generous.
 	checks := seriesValue(t, body, "zlb_stmt_sig_checks_total")
 	known := seriesValue(t, body, "zlb_stmt_sig_known_total")
+	held := seriesValue(t, body, "zlb_stmt_sig_deferred_total")
 	pulls := seriesValue(t, body, "zlb_decide_pulls_total")
-	if checks <= 0 || known <= 0 || pulls > n*(blocks+more+1) {
-		t.Errorf("zlb_stmt_sig_checks_total = %v, zlb_stmt_sig_known_total = %v, zlb_decide_pulls_total = %v after %d blocks", checks, known, pulls, blocks+more)
+	if checks <= 0 || known <= 0 || held <= 0 || pulls > n*(blocks+more+1) {
+		t.Errorf("zlb_stmt_sig_checks_total = %v, zlb_stmt_sig_known_total = %v, zlb_stmt_sig_deferred_total = %v, zlb_decide_pulls_total = %v after %d blocks",
+			checks, known, held, pulls, blocks+more)
 	}
-	if p := st.Pipeline; float64(p.StmtSigChecks) < checks || float64(p.StmtSigKnown) < known || float64(p.DecidePulls) < pulls {
-		t.Errorf("/status pipeline = %+v, /metrics read checks %v known %v pulls %v", p, checks, known, pulls)
+	if p := st.Pipeline; float64(p.StmtSigChecks) < checks || float64(p.StmtSigKnown) < known || float64(p.StmtSigDeferred) < held || float64(p.DecidePulls) < pulls {
+		t.Errorf("/status pipeline = %+v, /metrics read checks %v known %v held %v pulls %v", p, checks, known, held, pulls)
 	}
 	if p := st.Pipeline; float64(p.ProposalsDelivered) < delivered || float64(p.ProposalsCommitted) < selected ||
 		p.ProposalsDelivered < p.ProposalsCommitted || float64(p.BatchTxsDecoded+p.BatchTxsReused) < decoded+reused {

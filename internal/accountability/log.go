@@ -23,6 +23,14 @@ import (
 // each signature is checked once per replica, for as long as its instance
 // is in the log.
 //
+// A vote that arrives after the threshold it belongs to was met can no
+// longer change the replica's state; the protocols hand it to Defer, which
+// holds it beside the verified statements without checking it. It is
+// checked when a conflicting statement by its signer makes it evidence,
+// and the proof of fraud fires on that call, as it would have had the vote
+// been checked on arrival. So a signature is checked at most once, and
+// only when the protocol counts it or it becomes evidence.
+//
 // Log is not safe for concurrent use; in the simulator each node owns one
 // and all its protocol components share it.
 type Log struct {
@@ -38,6 +46,13 @@ type Log struct {
 	seen map[InstanceKey]map[slotSigner]Signed
 	// statements is the number of entries across seen.
 	statements int
+	// unchecked holds what Defer took, indexed like seen: at most one
+	// statement per (slot, signer), and only where seen has none. Nothing
+	// in it is known, served or put into a certificate; record checks an
+	// entry when a conflicting statement arrives and drops it otherwise.
+	unchecked map[InstanceKey]map[slotSigner]Signed
+	// held is the number of entries across unchecked.
+	held int
 	// pofs accumulated, one per culprit (the first found is kept)
 	pofs map[types.ReplicaID]PoF
 	// treated marks culprits whose proofs were handled by a completed
@@ -58,8 +73,8 @@ type Log struct {
 	onPoF func(PoF)
 	// SigChecks counts the statement signatures handed to the scheme,
 	// SigKnown those accepted without one because the log held that exact
-	// signed statement.
-	SigChecks, SigKnown uint64
+	// signed statement, SigDeferred those Defer held without a check.
+	SigChecks, SigKnown, SigDeferred uint64
 	// CertPulls counts the certificates the replica asked a peer for
 	// because an announcement was news or evidence; the protocol that sends
 	// the request bumps it.
@@ -89,12 +104,13 @@ type slotSigner struct {
 // onPoF (optional) observes each newly proven culprit exactly once.
 func NewLog(signer *crypto.Signer, onPoF func(PoF)) *Log {
 	return &Log{
-		verifier: signer,
-		seen:     make(map[InstanceKey]map[slotSigner]Signed),
-		pofs:     make(map[types.ReplicaID]PoF),
-		treated:  make(map[types.ReplicaID]bool),
-		proven:   make(map[types.ReplicaID]bool),
-		onPoF:    onPoF,
+		verifier:  signer,
+		seen:      make(map[InstanceKey]map[slotSigner]Signed),
+		unchecked: make(map[InstanceKey]map[slotSigner]Signed),
+		pofs:      make(map[types.ReplicaID]PoF),
+		treated:   make(map[types.ReplicaID]bool),
+		proven:    make(map[types.ReplicaID]bool),
+		onPoF:     onPoF,
 	}
 }
 
@@ -102,12 +118,22 @@ func NewLog(signer *crypto.Signer, onPoF func(PoF)) *Log {
 // returns a PoF if this statement completes one, or nil.
 func (l *Log) record(s Signed) *PoF {
 	inst := s.Stmt.InstanceKey()
+	key := slotSigner{slot: s.Stmt.Key(), signer: s.Signer}
+	if held, ok := l.unchecked[inst][key]; ok {
+		delete(l.unchecked[inst], key)
+		l.held--
+		// A held vote that s conflicts with is evidence now: checked, it
+		// is recorded first, as it arrived first, and s completes the
+		// proof below. One that agrees with s adds nothing to it.
+		if held.Stmt.Value != s.Stmt.Value && l.check(held) {
+			l.record(held)
+		}
+	}
 	stmts := l.seen[inst]
 	if stmts == nil {
 		stmts = make(map[slotSigner]Signed)
 		l.seen[inst] = stmts
 	}
-	key := slotSigner{slot: s.Stmt.Key(), signer: s.Signer}
 	prev, dup := stmts[key]
 	if !dup {
 		stmts[key] = s
@@ -134,18 +160,64 @@ func (l *Log) record(s Signed) *PoF {
 	return &pof
 }
 
-// DropInstance releases every statement recorded for one consensus
-// instance. The owner calls it when the instance is retired: once an
-// instance can no longer be forked, its individual votes are dead weight
-// (proofs already extracted live on in pofs/proven). A statement for the
-// instance recorded afterwards starts a fresh entry.
-func (l *Log) DropInstance(k InstanceKey) {
-	l.statements -= len(l.seen[k])
-	delete(l.seen, k)
+// Defer takes a statement that can no longer change the replica's state —
+// a vote that arrived after the threshold it belongs to was met — without
+// checking its signature. The caller has checked the statement's shape and
+// that its signer is the sender. What the log has for the statement's
+// (slot, signer) decides:
+//
+//   - a verified statement with the same value: nothing to do;
+//   - a verified statement with another value: s is evidence now and goes
+//     through RecordVerify, whose proof of fraud fires on this call;
+//   - a held statement with another value, or with the same value under
+//     other signature bytes (either may be forged): s goes through
+//     RecordVerify, which checks the held one where the two conflict;
+//   - nothing: s is held, one per (slot, signer), until a statement
+//     recorded under its (slot, signer) settles it or its instance is
+//     dropped.
+func (l *Log) Defer(s Signed) {
+	inst := s.Stmt.InstanceKey()
+	key := slotSigner{slot: s.Stmt.Key(), signer: s.Signer}
+	if prev, ok := l.seen[inst][key]; ok {
+		if prev.Stmt.Value != s.Stmt.Value {
+			l.RecordVerify(s)
+		}
+		return
+	}
+	if held, ok := l.unchecked[inst][key]; ok {
+		if held.Stmt.Value != s.Stmt.Value || !bytes.Equal(held.Sig, s.Sig) {
+			l.RecordVerify(s)
+		}
+		return
+	}
+	stmts := l.unchecked[inst]
+	if stmts == nil {
+		stmts = make(map[slotSigner]Signed)
+		l.unchecked[inst] = stmts
+	}
+	stmts[key] = s
+	l.held++
+	l.SigDeferred++
 }
 
-// Statements returns how many first-seen statements the log holds.
+// DropInstance releases every statement recorded or held for one
+// consensus instance. The owner calls it when the instance is retired:
+// once an instance can no longer be forked, its individual votes are dead
+// weight (proofs already extracted live on in pofs/proven). A statement
+// for the instance recorded afterwards starts a fresh entry.
+func (l *Log) DropInstance(k InstanceKey) {
+	l.statements -= len(l.seen[k])
+	l.held -= len(l.unchecked[k])
+	delete(l.seen, k)
+	delete(l.unchecked, k)
+}
+
+// Statements returns how many first-seen verified statements the log
+// holds.
 func (l *Log) Statements() int { return l.statements }
+
+// Held returns how many statements Defer holds unchecked.
+func (l *Log) Held() int { return l.held }
 
 // holds reports whether the log holds exactly this signed statement:
 // same statement, signer and signature bytes. A statement it holds under

@@ -125,15 +125,17 @@ type Stats struct {
 	// instance after it retired.
 	LateFramesDropped uint64
 	// LogStatements is the number of signed statements in the
-	// accountability log.
+	// accountability log, verified or held unchecked.
 	LogStatements int
 	// InternedPayloads is the number of payloads in the intern table.
 	InternedPayloads int
 	// StmtSigChecks counts the statement signatures the replica handed to
 	// its signature scheme; StmtSigKnown those it accepted without a check
 	// because its log held that exact signed statement: its own, and the
-	// votes inside a certificate that had arrived as messages before.
-	StmtSigChecks, StmtSigKnown uint64
+	// votes inside a certificate that had arrived as messages before;
+	// StmtSigDeferred those it held without a check, votes that arrived
+	// after their threshold (accountability.Log.Defer).
+	StmtSigChecks, StmtSigKnown, StmtSigDeferred uint64
 	// DecidePulls counts the bincon.DecideReq sent: binary decisions
 	// announced here before this replica had reached them, or against
 	// what it decided.
@@ -148,10 +150,11 @@ func (r *Replica) Stats() Stats {
 		UnfinalInstances:  r.unfinal,
 		RetiredInstances:  r.retiredTotal,
 		LateFramesDropped: r.lateDropped,
-		LogStatements:     r.log.Statements(),
+		LogStatements:     r.log.Statements() + r.log.Held(),
 		InternedPayloads:  r.cfg.Intern.Len(),
 		StmtSigChecks:     r.log.SigChecks,
 		StmtSigKnown:      r.log.SigKnown,
+		StmtSigDeferred:   r.log.SigDeferred,
 		DecidePulls:       r.log.CertPulls,
 	}
 }

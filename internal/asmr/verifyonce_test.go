@@ -32,12 +32,15 @@ func (s *tallyScheme) Verify(pub crypto.PublicKey, digest types.Digest, sig cryp
 }
 
 // TestEverySignatureCheckedOncePerNode runs an honest n=4 chain and reads
-// each node's scheme: no (signer, statement, signature) is checked twice,
-// none of the node's own is checked at all, so the checks a node makes are
-// the distinct foreign signatures it saw. Every proposal commits and every
-// slot decides 1 in one binary round, so per instance that is n−1 INITs,
-// n(n−1) ECHOs, n(n−1) READYs, n−1 COORDs (the node coordinates one slot in
-// n itself), n(n−1) AUXs and n−1 CONFIRMs: 3(n−1)(n+1), 45 at n=4.
+// each node's scheme and log. Every proposal commits and every slot
+// decides 1 in one binary round, so per instance a node is shown n−1
+// INITs, n(n−1) ECHOs, n(n−1) READYs, n−1 COORDs (the node coordinates one
+// slot in n itself), n(n−1) AUXs and n−1 CONFIRMs of its peers:
+// 3(n−1)(n+1), 45 at n=4. Each of them is checked or held (Log.Defer),
+// none is checked twice and none of the node's own is checked at all. A
+// vote that arrives after its threshold is held — per slot up to one ECHO
+// after the node's READY, one READY after delivery and one AUX after the
+// decision — so a node checks at most 36 signatures per instance.
 func TestEverySignatureCheckedOncePerNode(t *testing.T) {
 	const n, instances = 4, 24
 	reg := crypto.NewRegistry(crypto.SchemeSim)
@@ -95,17 +98,24 @@ func TestEverySignatureCheckedOncePerNode(t *testing.T) {
 				t.Errorf("replica %v checked a signature of its own", members[i])
 			}
 		}
-		if want := instances * 3 * (n - 1) * (n + 1); total != want {
-			t.Errorf("replica %v made %d signature checks, want %d: the foreign signatures of %d one-round instances", members[i], total, want, instances)
-		}
 		log := r.Log()
 		if log.SigChecks != uint64(total) {
 			t.Errorf("replica %v: log counts %d checks, its scheme saw %d", members[i], log.SigChecks, total)
 		}
+		// A held vote that a pulled certificate carries later is checked
+		// then, so the two counts may overlap; together they cover all.
+		held := int(log.SigDeferred)
+		if want := instances * 3 * (n - 1) * (n + 1); total+held < want {
+			t.Errorf("replica %v checked %d signatures and held %d, want %d between them: the foreign signatures of %d one-round instances",
+				members[i], total, held, want, instances)
+		}
+		if most := instances * 36; total > most {
+			t.Errorf("replica %v made %d signature checks, want at most %d", members[i], total, most)
+		}
 		if log.SigKnown == 0 {
 			t.Errorf("replica %v: no statement accepted from the log, not even its own", members[i])
 		}
-		t.Logf("replica %v: %.1f checks and %.1f known per instance", members[i],
-			float64(total)/instances, float64(log.SigKnown)/instances)
+		t.Logf("replica %v: %.1f checks, %.1f held and %.1f known per instance", members[i],
+			float64(total)/instances, float64(held)/instances, float64(log.SigKnown)/instances)
 	}
 }

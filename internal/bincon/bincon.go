@@ -476,8 +476,12 @@ func (b *Instance) OnCoord(from types.ReplicaID, msg *Coord) {
 	if from != b.cfg.View.Coordinator(b.cfg.Instance, b.cfg.Slot, r) {
 		return
 	}
-	// Recorded even when already decided: post-decision equivocations are
-	// evidence the cross-checking needs.
+	if b.holdLate(s) {
+		return
+	}
+	// Any other vote is checked and recorded — after the decision too, for
+	// a round past the deciding one, so that a signer cannot fill the
+	// holding area with rounds it invents.
 	if b.cfg.Accountable && !b.cfg.Log.RecordVerify(s) {
 		return
 	}
@@ -504,6 +508,21 @@ func (b *Instance) OnCoord(from types.ReplicaID, msg *Coord) {
 	}
 }
 
+// holdLate reports whether a COORD or AUX arrived too late to count — the
+// slot has decided, in the vote's round or a later one — and if so hands
+// it to the log unchecked (Log.Defer), which checks it only once a
+// conflicting vote by its signer makes it evidence. A scripted instance
+// keeps answering rounds and holds nothing.
+func (b *Instance) holdLate(s accountability.Signed) bool {
+	if !b.decided || b.scripted() || s.Stmt.Round > b.decision.Round {
+		return false
+	}
+	if b.cfg.Accountable {
+		b.cfg.Log.Defer(s)
+	}
+	return true
+}
+
 // HandleTimer fires the coordinator timeout for a round.
 func (b *Instance) HandleTimer(p TimerPayload) {
 	if b.scripted() {
@@ -527,8 +546,12 @@ func (b *Instance) OnAux(from types.ReplicaID, msg *Aux) {
 		s.Stmt.Instance != b.cfg.Instance || s.Stmt.Slot != b.cfg.Slot || s.Signer != from {
 		return
 	}
-	// Recorded even when already decided: post-decision equivocations are
-	// evidence the cross-checking needs.
+	if b.holdLate(s) {
+		return
+	}
+	// Any other vote is checked and recorded — after the decision too, for
+	// a round past the deciding one, so that a signer cannot fill the
+	// holding area with rounds it invents.
 	if b.cfg.Accountable && !b.cfg.Log.RecordVerify(s) {
 		return
 	}

@@ -395,6 +395,57 @@ func TestBinConForgedSignatureInPulledCertificate(t *testing.T) {
 	}
 }
 
+// TestLateVotesHoldOneEntryPerKey: a peer that sends AUX votes for ten
+// thousand rounds after the slot decided in round 0 leaves one vote held —
+// its round-0 AUX, the one key of the instance it used — and every later
+// round is checked and recorded as before the decision, so inventing
+// rounds does not grow the holding area.
+func TestLateVotesHoldOneEntryPerKey(t *testing.T) {
+	const n, self, peer, rounds = 7, 7, 6, 10_000
+	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]types.ReplicaID, n)
+	for i := range members {
+		members[i] = types.ReplicaID(i + 1)
+	}
+	fresh, log, _, _ := freshInstance(t, self, members, signers[self-1], nil)
+	stmt := accountability.Statement{Context: accountability.CtxMain, Kind: accountability.KindAux, Instance: 1, Slot: 3, Value: accountability.BoolDigest(true)}
+	var votes []accountability.Signed
+	for _, s := range signers[:types.Quorum(n)] {
+		vote, err := accountability.SignStatement(s, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		votes = append(votes, vote)
+	}
+	cert, err := accountability.NewCertificate(stmt, votes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.OnDecide(1, &Decide{Context: accountability.CtxMain, Instance: 1, Slot: 3, Value: true, Cert: cert})
+	if d, ok := fresh.Decided(); !ok || d.Round != 0 {
+		t.Fatalf("decision = %+v, %v; want round 0", d, ok)
+	}
+	checks := log.SigChecks
+	for r := 0; r < rounds; r++ {
+		late := stmt
+		late.Round = types.Round(r)
+		vote, err := accountability.SignStatement(signers[peer-1], late)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.OnAux(peer, &Aux{Stmt: vote})
+	}
+	if log.Held() != 1 || log.SigDeferred != 1 {
+		t.Errorf("%d votes held (%d in all), want 1: the deciding round's", log.Held(), log.SigDeferred)
+	}
+	if got := log.SigChecks - checks; got != rounds-1 {
+		t.Errorf("%d checks for the %d rounds past the decision, want one each", got, rounds-1)
+	}
+}
+
 // TestBinConAnnouncementNeverDecides: a DECIDE without a certificate
 // decides nothing however many replicas send it; it is answered with one
 // DecideReq per announcer, repeats and strangers included.

@@ -63,6 +63,7 @@ type PipelineStatus struct {
 	BatchTxsReused     int    `json:"batch_txs_reused"`
 	StmtSigChecks      uint64 `json:"stmt_sig_checks"`
 	StmtSigKnown       uint64 `json:"stmt_sig_known"`
+	StmtSigDeferred    uint64 `json:"stmt_sig_deferred"`
 	DecidePulls        uint64 `json:"decide_pulls"`
 }
 
@@ -135,7 +136,7 @@ func (n *Node) Publish() {
 			CompactedInstances: held.RetiredInstances,
 			UnfinalInstances:   int64(held.UnfinalInstances),
 		}
-		s.Pipeline.StmtSigChecks, s.Pipeline.StmtSigKnown = held.StmtSigChecks, held.StmtSigKnown
+		s.Pipeline.StmtSigChecks, s.Pipeline.StmtSigKnown, s.Pipeline.StmtSigDeferred = held.StmtSigChecks, held.StmtSigKnown, held.StmtSigDeferred
 		s.Pipeline.DecidePulls = held.DecidePulls
 	})
 }
@@ -184,11 +185,12 @@ func (n *Node) registerSeries() {
 
 	reg.CounterFunc("zlb_stmt_sig_checks_total", "Protocol statement signatures (votes, certificates) handed to the signature scheme.", locked(func() int64 { return int64(s.Pipeline.StmtSigChecks) }))
 	reg.CounterFunc("zlb_stmt_sig_known_total", "Protocol statement signatures accepted without a check: the accountability log held that exact signed statement.", locked(func() int64 { return int64(s.Pipeline.StmtSigKnown) }))
+	reg.CounterFunc("zlb_stmt_sig_deferred_total", "Protocol statement signatures held without a check: votes that arrived after their threshold, checked only if a conflicting vote makes them evidence.", locked(func() int64 { return int64(s.Pipeline.StmtSigDeferred) }))
 	reg.CounterFunc("zlb_decide_pulls_total", "Binary decision certificates requested (DecideReq) after an announcement.", locked(func() int64 { return int64(s.Pipeline.DecidePulls) }))
 
 	reg.GaugeFunc("zlb_live_instances", "Consensus instances holding protocol state: in flight or decided within the retention depth.", locked(func() int64 { return s.Replica.LiveInstances }))
 	reg.GaugeFunc("zlb_unfinal_instances", "Live instances behind the retention depth: never final, disputed or never decided here.", locked(func() int64 { return s.Replica.UnfinalInstances }))
-	reg.GaugeFunc("zlb_log_statements", "Signed statements held by the accountability log.", locked(func() int64 { return int64(n.held.LogStatements) }))
+	reg.GaugeFunc("zlb_log_statements", "Signed statements held by the accountability log, verified or held unchecked.", locked(func() int64 { return int64(n.held.LogStatements) }))
 	reg.GaugeFunc("zlb_interned_payloads", "Proposal payloads held by the reliable-broadcast intern table.", locked(func() int64 { return int64(n.held.InternedPayloads) }))
 	reg.CounterFunc("zlb_compacted_instances_total", "Finalized instances retired to their compact record (decision only).", locked(func() int64 { return int64(s.Replica.CompactedInstances) }))
 	reg.CounterFunc("zlb_late_frames_dropped_total", "Consensus frames that arrived for an already retired instance.", locked(func() int64 { return int64(n.held.LateFramesDropped) }))

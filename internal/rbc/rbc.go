@@ -247,18 +247,31 @@ func (r *Instance) signSplit(stmt accountability.Statement) accountability.Signe
 	return signed
 }
 
-// verifyStmt authenticates a received statement: right shape, claimed
-// signer matches the transport sender, and (accountable mode) a signature
-// the log holds or the scheme accepts.
+// wellFormed reports whether s is a statement of the given kind for this
+// slot whose claimed signer is the transport sender.
+func (r *Instance) wellFormed(from types.ReplicaID, s accountability.Signed, kind accountability.Kind) bool {
+	return s.Stmt.Kind == kind && s.Stmt.Context == r.cfg.Context &&
+		s.Stmt.Instance == r.cfg.Instance && s.Stmt.Slot == uint32(r.cfg.Broadcaster) && s.Signer == from
+}
+
+// verifyStmt authenticates a received statement: well formed and
+// (accountable mode) a signature the log holds or the scheme accepts.
 func (r *Instance) verifyStmt(from types.ReplicaID, s accountability.Signed, kind accountability.Kind) bool {
-	if s.Stmt.Kind != kind || s.Stmt.Context != r.cfg.Context ||
-		s.Stmt.Instance != r.cfg.Instance || s.Stmt.Slot != uint32(r.cfg.Broadcaster) {
+	return r.wellFormed(from, s, kind) && (!r.cfg.Accountable || r.cfg.Log.RecordVerify(s))
+}
+
+// holdLate reports whether a vote arrived too late to count (past: the
+// threshold it belongs to is met) and if so hands it to the log unchecked
+// (Log.Defer), which checks it only once a conflicting vote by its signer
+// makes it evidence. A deceitful replica's slot holds nothing.
+func (r *Instance) holdLate(from types.ReplicaID, s accountability.Signed, kind accountability.Kind, past bool) bool {
+	if !past || r.cfg.Equivocator != nil {
 		return false
 	}
-	if s.Signer != from {
-		return false
+	if r.cfg.Accountable && r.wellFormed(from, s, kind) {
+		r.cfg.Log.Defer(s)
 	}
-	return !r.cfg.Accountable || r.cfg.Log.RecordVerify(s)
+	return true
 }
 
 func (r *Instance) multicast(msg simnet.Message) {
@@ -377,6 +390,9 @@ func (r *Instance) OnEcho(from types.ReplicaID, msg *Echo) {
 	if !r.cfg.View.Contains(from) {
 		return
 	}
+	if r.holdLate(from, msg.Stmt, accountability.KindEcho, r.readySent) {
+		return
+	}
 	if !r.verifyStmt(from, msg.Stmt, accountability.KindEcho) {
 		return
 	}
@@ -408,6 +424,10 @@ func (r *Instance) maybeReady(d types.Digest) {
 // OnReady handles a signed ready.
 func (r *Instance) OnReady(from types.ReplicaID, msg *Ready) {
 	if !r.cfg.View.Contains(from) {
+		return
+	}
+	// Not counted, and not in the delivered certificate.
+	if r.holdLate(from, msg.Stmt, accountability.KindReady, r.delivered) {
 		return
 	}
 	if !r.verifyStmt(from, msg.Stmt, accountability.KindReady) {
