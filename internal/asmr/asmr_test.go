@@ -2,6 +2,7 @@ package asmr
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -451,6 +452,74 @@ func TestAbsorbDecisionRecordsOnlyAuditedCertificates(t *testing.T) {
 	}
 	if !log.RecordVerify(genuine) || log.ProvenCount() != 0 {
 		t.Fatalf("genuine READY refused or its signer accused: %v", log.ProvenCulprits())
+	}
+}
+
+// sendLog is an Env that runs nothing: it records what the replica sends,
+// in order.
+type sendLog struct {
+	self types.ReplicaID
+	to   []types.ReplicaID
+	msgs []simnet.Message
+}
+
+func (e *sendLog) Self() types.ReplicaID                      { return e.self }
+func (e *sendLog) Now() time.Duration                         { return 0 }
+func (e *sendLog) SetTimer(time.Duration, any) simnet.TimerID { return 0 }
+func (e *sendLog) CancelTimer(simnet.TimerID)                 {}
+func (e *sendLog) Rand() *rand.Rand                           { return rand.New(rand.NewSource(1)) }
+func (e *sendLog) Send(to types.ReplicaID, msg simnet.Message) {
+	e.to = append(e.to, to)
+	e.msgs = append(e.msgs, msg)
+}
+
+// TestConflictingConfirmsPullInReplicaOrder: confirmations that conflict
+// with a decision the replica has not reached yet are buffered; when it
+// decides, it pulls the block from each of their senders. Each pull is a
+// send the simulator draws a latency for, so they leave in replica order,
+// not the order of the map that buffered them — every time.
+func TestConflictingConfirmsPullInReplicaOrder(t *testing.T) {
+	const n = 5
+	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, n, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []types.ReplicaID{1, 2, 3, 4, 5}
+	wi := WireInstance(1, 0)
+	for run := 0; run < 20; run++ {
+		env := &sendLog{self: 1}
+		r := NewReplica(Config{
+			Self:             1,
+			Signer:           signers[0],
+			Env:              env,
+			InitialCommittee: members,
+			Accountable:      true,
+			MaxInstances:     1,
+		})
+		for _, from := range []types.ReplicaID{4, 2, 5} {
+			digest := types.Hash([]byte{byte(from)})
+			stmt, err := accountability.SignStatement(signers[from-1], accountability.Statement{
+				Context: accountability.CtxMain, Kind: accountability.KindConfirm, Instance: wi, Value: digest,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.OnMessage(from, &Confirm{K: 1, Digest: digest, Stmt: stmt})
+		}
+		env.to, env.msgs = nil, nil
+		r.onDecide(r.instances[1], &sbc.Decision{Instance: wi})
+		var pulled []types.ReplicaID
+		for i, msg := range env.msgs {
+			if req, ok := msg.(*CatchupReq); ok {
+				if req.FromK != 1 || req.ToK != 1 {
+					t.Fatalf("pull asks for %d..%d, want block 1", req.FromK, req.ToK)
+				}
+				pulled = append(pulled, env.to[i])
+			}
+		}
+		if want := []types.ReplicaID{2, 4, 5}; !slices.Equal(pulled, want) {
+			t.Fatalf("run %d: pulls went to %v, want %v", run, pulled, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package asmr_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -17,12 +18,40 @@ import (
 	"github.com/zeroloss/zlb/internal/types"
 )
 
+// missedRun is a benign n=4 run of height instances that its last member
+// sat out, down. It is up and running again, and holds no block.
+func missedRun(t *testing.T, height uint64) (*harness.Cluster, types.ReplicaID) {
+	t.Helper()
+	c := benignCluster(t, 4, height)
+	victim := c.Members[3]
+	c.Net.SetUp(victim, false)
+	c.Start()
+	c.RunUntilQuiet(time.Minute)
+	c.Net.SetUp(victim, true)
+	if got := c.Replicas[c.Members[0]].CommittedCount(); got != int(height) {
+		t.Fatalf("the running replicas decided %d of %d instances", got, height)
+	}
+	if got := c.Replicas[victim].CommittedCount(); got != 0 {
+		t.Fatalf("replica %v holds %d blocks after sitting the run out", victim, got)
+	}
+	return c, victim
+}
+
+// answer records at replica to a request to source for from..upTo, and
+// delivers source's answer to it: the blocks given.
+func answer(c *harness.Cluster, source, to types.ReplicaID, from, upTo uint64, blocks []asmr.BlockRecord) {
+	c.Replicas[to].Asked(source, from, upTo)
+	c.Net.Inject(source, to, &asmr.CatchupResp{FromK: from, ToK: upTo, Blocks: blocks}, time.Millisecond)
+	c.Run(c.Net.Now() + 10*time.Millisecond)
+}
+
 // TestUnsolicitedEmptyBlockIsRefused: a replica that is running receives,
-// from nobody it asked, a CatchupResp whose block 3 is a decision of the
-// right instance number and nothing else — no slot, no certificate, no
-// signature. Held against the committee it claims to have decided for, it
-// is no block: nothing is committed at 3, the log does not move, and the
-// real block 3 commits later with the digest the rest of the cluster holds.
+// as the answer to a request for block 3, a CatchupResp whose block 3 is a
+// decision of the right instance number and nothing else — no slot, no
+// certificate, no signature. Held against the committee it claims to have
+// decided for, it is no block: nothing is committed at 3, the log does not
+// move, and the real block 3 commits later with the digest the rest of the
+// cluster holds.
 func TestUnsolicitedEmptyBlockIsRefused(t *testing.T) {
 	const n, k = 4, 3
 	c := benignCluster(t, n, 6)
@@ -34,7 +63,8 @@ func TestUnsolicitedEmptyBlockIsRefused(t *testing.T) {
 	c.Run(400 * time.Microsecond)
 	held := r.Log().Statements()
 	empty := &sbc.Decision{Instance: asmr.WireInstance(k, 0)}
-	c.Net.Inject(c.Members[1], target, &asmr.CatchupResp{Blocks: []asmr.BlockRecord{{K: k, Decision: empty}}}, 100*time.Microsecond)
+	r.Asked(c.Members[1], k, k)
+	c.Net.Inject(c.Members[1], target, &asmr.CatchupResp{FromK: k, ToK: k, Blocks: []asmr.BlockRecord{{K: k, Decision: empty}}}, 100*time.Microsecond)
 	c.Run(c.Net.Now() + 100*time.Microsecond)
 	if _, ok := r.Committed(k); ok || r.CommittedCount() != 0 {
 		t.Fatalf("replica %v committed %d blocks on an empty decision", target, r.CommittedCount())
@@ -92,8 +122,7 @@ func TestCatchupAdoptsNothingFromForgedBlock(t *testing.T) {
 	victim, reference := c.PoolIDs[0], c.PoolIDs[1]
 	r := c.Replicas[victim]
 	ship := func(to types.ReplicaID, blocks []asmr.BlockRecord) {
-		c.Net.Inject(source, to, &asmr.CatchupResp{Blocks: blocks}, time.Millisecond)
-		c.Run(c.Net.Now() + 10*time.Millisecond)
+		answer(c, source, to, 1, math.MaxUint64, blocks)
 	}
 
 	ship(victim, forged[bad-1:bad])
@@ -250,13 +279,13 @@ func TestAdoptedBlockKeepsItsAttempt(t *testing.T) {
 	}
 	first, second := standbys[0], standbys[1]
 
-	c.Net.Inject(source, first, &asmr.CatchupResp{Blocks: blocks}, time.Millisecond)
-	c.Run(c.Net.Now() + 10*time.Millisecond)
+	answer(c, source, first, 1, math.MaxUint64, blocks)
 	if got := c.Replicas[first].CommittedCount(); got != len(blocks) {
 		t.Fatalf("standby %v adopted %d of %d blocks decided at attempt 1", first, got, len(blocks))
 	}
 	// The answer goes to the standby the request names as its sender.
-	c.Net.Inject(second, first, &asmr.CatchupReq{FromK: 1}, time.Millisecond)
+	c.Replicas[second].Asked(first, 1, math.MaxUint64)
+	c.Net.Inject(second, first, &asmr.CatchupReq{FromK: 1, ToK: math.MaxUint64}, time.Millisecond)
 	c.Run(c.Net.Now() + time.Second)
 	r := c.Replicas[second]
 	if got := r.CommittedCount(); got != len(blocks) {
@@ -308,7 +337,7 @@ func TestCatchupConflictIsEvidence(t *testing.T) {
 	local, _ := r.Committed(remote.K)
 
 	for i := 0; i < 2; i++ { // the second copy must be recognised as seen
-		c.Net.Inject(honest[1], victim, &asmr.CatchupResp{Blocks: []asmr.BlockRecord{remote}}, time.Duration(i+1)*10*time.Millisecond)
+		answer(c, honest[1], victim, remote.K, remote.K, []asmr.BlockRecord{remote})
 	}
 	c.Run(c.Net.Now() + 100*time.Millisecond)
 
@@ -329,5 +358,130 @@ func TestCatchupConflictIsEvidence(t *testing.T) {
 	}
 	if d, _ := r.Committed(remote.K); d != local {
 		t.Error("the local decision was replaced: the first decision wins locally")
+	}
+}
+
+// TestAnswerOutsideTheRequestIsDropped: a replica that sat a run out asks
+// one peer for block 2. An answer for blocks 2..3 answers no request it
+// made and is dropped whole, before any audit, and the request stays in
+// flight; the answer for block 2 that carries block 3 as well is taken in
+// for block 2 only.
+func TestAnswerOutsideTheRequestIsDropped(t *testing.T) {
+	c, victim := missedRun(t, 6)
+	r, peer := c.Replicas[victim], c.Members[0]
+	var blocks []asmr.BlockRecord
+	for k := uint64(2); k <= 3; k++ {
+		d, _ := c.Replicas[peer].Committed(k)
+		blocks = append(blocks, asmr.BlockRecord{K: k, Decision: d})
+	}
+	deliver := func(from, upTo uint64) {
+		c.Net.Inject(peer, victim, &asmr.CatchupResp{FromK: from, ToK: upTo, Blocks: blocks}, time.Millisecond)
+		c.Run(c.Net.Now() + 10*time.Millisecond)
+	}
+
+	r.Asked(peer, 2, 2)
+	checks := r.Stats().StmtSigChecks
+	deliver(2, 3)
+	if got := r.CommittedCount(); got != 0 {
+		t.Fatalf("%d blocks committed from an answer to a range nobody asked for", got)
+	}
+	if got := r.Stats().StmtSigChecks; got != checks {
+		t.Fatalf("signature checks %d -> %d: an answer to another range was audited", checks, got)
+	}
+	if got := r.InFlight()[peer]; got != 1 {
+		t.Fatalf("%d requests to replica %v in flight, want the one for block 2", got, peer)
+	}
+
+	deliver(2, 2)
+	if _, ok := r.Committed(2); !ok {
+		t.Fatal("block 2, asked for, not committed")
+	}
+	if _, ok := r.Committed(3); ok {
+		t.Fatal("block 3, outside the range asked, committed")
+	}
+	if in := r.InFlight(); len(in) != 0 {
+		t.Errorf("requests in flight after the answer: %v", in)
+	}
+}
+
+// TestCoalitionServesNoBlocks: a coalition member suppresses every channel
+// that would incriminate the coalition, and every block it signed would.
+// Asked for one block or for its chain, it answers neither; an honest
+// replica answers both.
+func TestCoalitionServesNoBlocks(t *testing.T) {
+	const n, k = 4, 2
+	c, err := harness.New(harness.Options{
+		N:            n,
+		Deceitful:    1,
+		Accountable:  true,
+		Recover:      true,
+		BaseLatency:  latency.Uniform(time.Millisecond, 8*time.Millisecond),
+		Seed:         7,
+		MaxInstances: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probeID = types.ReplicaID(2*n + 1)
+	p := &probe{}
+	c.Net.AddNode(probeID, func(simnet.Env) simnet.Handler { return p })
+	c.Start()
+	c.RunUntilQuiet(time.Minute)
+
+	deceitful, honest := c.Members[0], c.HonestMembers()[0]
+	if !c.Coalition.IsDeceitful(deceitful) {
+		t.Fatalf("replica %v is not in the coalition", deceitful)
+	}
+	for _, to := range []types.ReplicaID{deceitful, honest} {
+		if _, ok := c.Replicas[to].Committed(k); !ok {
+			t.Fatalf("replica %v did not commit block %d", to, k)
+		}
+		p.got = nil
+		c.Net.Inject(probeID, to, &asmr.CatchupReq{FromK: k, ToK: k}, time.Millisecond)
+		c.Net.Inject(probeID, to, &asmr.CatchupReq{FromK: 1, ToK: math.MaxUint64}, 2*time.Millisecond)
+		c.Run(c.Net.Now() + time.Second)
+		want := 2
+		if to == deceitful {
+			want = 0
+		}
+		if len(p.got) != want {
+			t.Errorf("replica %v answered %d of two block requests, want %d", to, len(p.got), want)
+		}
+	}
+}
+
+// TestNoRequestOutlivesItsPeer: the record of requests holds only what is
+// in flight. Honest replicas of a forked committee ask every member for
+// its chain while the partition stands; the coalition never answers, and
+// the membership change that excludes it drops those requests with it.
+// When the run is over, every request an honest replica made was answered
+// or dropped.
+func TestNoRequestOutlivesItsPeer(t *testing.T) {
+	c := forkCluster(t, 6, nil)
+	startForked(c, 4*time.Second)
+	honest := c.HonestMembers()
+	for _, id := range honest {
+		r := c.Replicas[id]
+		r.RequestCatchup()
+		toCoalition := 0
+		for peer := range r.InFlight() {
+			if c.Coalition.IsDeceitful(peer) {
+				toCoalition++
+			}
+		}
+		if toCoalition != adversary.DeceitfulCount(c.Opts.N) {
+			t.Fatalf("replica %v asked %d coalition members, want all %d", id, toCoalition, adversary.DeceitfulCount(c.Opts.N))
+		}
+	}
+	c.Net.DelayRule = nil
+	c.RunUntilQuiet(10 * time.Minute)
+
+	for _, id := range honest {
+		if changes := c.ChangeResults[id]; len(changes) == 0 || len(changes[0].Excluded) == 0 {
+			t.Fatalf("replica %v excluded nobody: %+v", id, changes)
+		}
+		if in := c.Replicas[id].InFlight(); len(in) != 0 {
+			t.Errorf("replica %v still waits on %v", id, in)
+		}
 	}
 }

@@ -36,47 +36,6 @@ func (m *Confirm) SimBytes() int { return 200 }
 // SimSigOps implements simnet.Meter.
 func (m *Confirm) SimSigOps() int { return 1 }
 
-// BlockReq asks a replica for its full decided block of instance k, with
-// certificates; sent when a conflicting confirmation reveals a
-// disagreement.
-type BlockReq struct {
-	K       uint64
-	Attempt uint32
-}
-
-// SimBytes implements simnet.Meter.
-func (m *BlockReq) SimBytes() int { return 40 }
-
-// SimSigOps implements simnet.Meter.
-func (m *BlockReq) SimSigOps() int { return 0 }
-
-// BlockResp carries a full decided block with its certificates: the
-// evidence needed to cross-check (producing PoFs) and the content needed
-// to reconcile (merging branches).
-type BlockResp struct {
-	K        uint64
-	Attempt  uint32
-	Decision *sbc.Decision
-}
-
-// SimBytes implements simnet.Meter.
-func (m *BlockResp) SimBytes() int { return 80 + decisionBytes(m.Decision) }
-
-// SimSigOps implements simnet.Meter.
-func (m *BlockResp) SimSigOps() int { return decisionSigOps(m.Decision) }
-
-// PoFGossip disseminates newly discovered proofs of fraud (Alg. 1
-// lines 13-16 accept PoF lists at any time, not only mid-change).
-type PoFGossip struct {
-	PoFs []accountability.PoF
-}
-
-// SimBytes implements simnet.Meter.
-func (m *PoFGossip) SimBytes() int { return 24 + 300*len(m.PoFs) }
-
-// SimSigOps implements simnet.Meter.
-func (m *PoFGossip) SimSigOps() int { return 2 * len(m.PoFs) }
-
 // BlockRecord is one committed instance inside a catch-up transfer.
 type BlockRecord struct {
 	K        uint64
@@ -116,25 +75,32 @@ func (m *JoinNotice) SimSigOps() int {
 	return ops
 }
 
-// CatchupReq asks for blocks from K onward (a lagging replica healing).
+// CatchupReq asks a replica for its decided blocks FromK..ToK, with their
+// certificates — the one request for a block that travels whole. The
+// confirmation phase pulls a conflicting decision with [k, k]; a replica
+// that was down or stopped asks [from, math.MaxUint64], everything the
+// peer has from its first gap on.
 type CatchupReq struct {
-	FromK uint64
+	FromK, ToK uint64
 }
 
 // SimBytes implements simnet.Meter.
-func (m *CatchupReq) SimBytes() int { return 32 }
+func (m *CatchupReq) SimBytes() int { return 40 }
 
 // SimSigOps implements simnet.Meter.
 func (m *CatchupReq) SimSigOps() int { return 0 }
 
-// CatchupResp ships blocks to a lagging replica.
+// CatchupResp answers a CatchupReq: the range it asked for, repeated, and
+// the decided blocks of that range the sender holds (possibly none). Its
+// receiver accepts it only as the answer to a request it made.
 type CatchupResp struct {
-	Blocks []BlockRecord
+	FromK, ToK uint64
+	Blocks     []BlockRecord
 }
 
 // SimBytes implements simnet.Meter.
 func (m *CatchupResp) SimBytes() int {
-	n := 24
+	n := 80
 	for _, b := range m.Blocks {
 		n += decisionBytes(b.Decision)
 	}

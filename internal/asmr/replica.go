@@ -16,6 +16,8 @@ package asmr
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -122,7 +124,7 @@ type Config struct {
 // decided under — a block adopted whole keeps its record's, not the
 // adopter's epoch. While live it owns the SBC state machine and the
 // confirmation bookkeeping; retirement (retire.go) releases inst and the
-// three maps and leaves k, attempt, the flags, digest and decision.
+// two maps and leaves k, attempt, the flags, digest and decision.
 type instState struct {
 	k        uint64
 	attempt  uint32
@@ -137,7 +139,12 @@ type instState struct {
 	final        bool
 	disagreement bool
 	remoteSeen   map[types.Digest]bool
-	reqSent      map[types.ReplicaID]bool
+}
+
+// blockReq is a CatchupReq this replica sent and has not had answered.
+type blockReq struct {
+	peer     types.ReplicaID
+	from, to uint64
 }
 
 // Replica is one ASMR replica.
@@ -166,6 +173,11 @@ type Replica struct {
 
 	// deferred PoF gossip assembled during the current event
 	outPoFs []accountability.PoF
+
+	// asked holds the block requests in flight: a CatchupResp is taken in
+	// only as the answer to one of them, and a request still in flight is
+	// not sent again.
+	asked map[blockReq]bool
 
 	// Retirement of finalized instances (retire.go).
 	sweptTo      uint64   // every k below it has been examined by the sweep
@@ -205,6 +217,7 @@ func NewReplica(cfg Config) *Replica {
 		instances: make(map[uint64]*instState),
 		nextK:     1,
 		sweptTo:   1,
+		asked:     make(map[blockReq]bool),
 	}
 	r.log = accountability.NewLog(cfg.Signer, func(p accountability.PoF) { r.onPoF(p) })
 	return r
@@ -291,12 +304,7 @@ func (r *Replica) RequestCatchup() {
 			break
 		}
 	}
-	req := &CatchupReq{FromK: fromK}
-	for _, m := range r.view.Members() {
-		if m != r.cfg.Self {
-			r.cfg.Env.Send(m, req)
-		}
-	}
+	r.askBlocks(r.view.Members(), fromK, math.MaxUint64)
 }
 
 // ChainDigests returns the decided digest of every committed instance —
@@ -388,7 +396,6 @@ func (r *Replica) newInstance(k uint64) *instState {
 		attempt:    uint32(r.epoch),
 		confirms:   make(map[types.ReplicaID]types.Digest),
 		remoteSeen: make(map[types.Digest]bool),
-		reqSent:    make(map[types.ReplicaID]bool),
 	}
 	st.inst = r.buildSBC(k, st)
 	r.instances[k] = st
@@ -465,12 +472,17 @@ func (r *Replica) onDecide(st *instState, d *sbc.Decision) {
 		}
 		st.confirms[r.cfg.Self] = st.digest
 		r.checkConfirmation(st)
-		// Compare buffered confirmations received before we decided.
+		// Compare buffered confirmations received before we decided, and
+		// pull in replica order: each pull is a send, which the simulator
+		// draws a latency for, so map order would leak into the run.
+		var conflicting []types.ReplicaID
 		for from, dig := range st.confirms {
 			if dig != st.digest {
-				r.requestBlock(st, from)
+				conflicting = append(conflicting, from)
 			}
 		}
+		slices.Sort(conflicting)
+		r.askBlocks(conflicting, st.k, st.k)
 	}
 
 	// Pipeline: start the next instance (Γk+1 runs concurrently with the
@@ -526,7 +538,7 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 	}
 	if st.retired() {
 		// A different digest for a retired instance: pull that branch's
-		// block; onBlockResp audits it against the retained decision.
+		// block; absorb holds it against the retained decision.
 		r.requestBlock(st, from)
 		r.flushPoFs()
 		return
@@ -554,18 +566,25 @@ func (r *Replica) onConfirm(from types.ReplicaID, m *Confirm) {
 
 // requestBlock pulls the conflicting branch's block (evidence + content).
 func (r *Replica) requestBlock(st *instState, from types.ReplicaID) {
-	if st.reqSent[from] {
-		return
+	r.askBlocks([]types.ReplicaID{from}, st.k, st.k)
+}
+
+// askBlocks is the one way to ask for blocks that travel whole: a
+// CatchupReq for from..to to each of peers but this replica, recorded so
+// that the answer is accepted. A request still in flight is not repeated.
+func (r *Replica) askBlocks(peers []types.ReplicaID, from, to uint64) {
+	for _, p := range peers {
+		req := blockReq{peer: p, from: from, to: to}
+		if p == r.cfg.Self || r.asked[req] {
+			continue
+		}
+		r.asked[req] = true
+		r.cfg.Env.Send(p, &CatchupReq{FromK: from, ToK: to})
 	}
-	if st.reqSent == nil {
-		st.reqSent = make(map[types.ReplicaID]bool) // released at retirement
-	}
-	st.reqSent[from] = true
-	r.cfg.Env.Send(from, &BlockReq{K: st.k, Attempt: st.attempt})
 }
 
 // records is the one way out for a block that travels whole — in a
-// BlockResp, a CatchupResp or a JoinNotice: the decided blocks from..to,
+// CatchupResp or a JoinNotice: the decided blocks from..to,
 // ascending (every decided k is below nextK), each under the attempt it was
 // decided under, which is what the receiver's audit holds it against. A
 // block restored from disk has no body to serve and is skipped.
@@ -579,34 +598,31 @@ func (r *Replica) records(from, to uint64) []BlockRecord {
 	return blocks
 }
 
-func (r *Replica) onBlockReq(from types.ReplicaID, m *BlockReq) {
+// onCatchupReq serves a block request of either shape. It answers even
+// with no block to send: the answer is what closes the asker's request. A
+// coalition member serves none: every block it signed is evidence.
+func (r *Replica) onCatchupReq(from types.ReplicaID, m *CatchupReq) {
 	if r.cfg.Deceitful {
 		return
 	}
-	for _, b := range r.records(m.K, m.K) {
-		r.cfg.Env.Send(from, &BlockResp{K: b.K, Attempt: b.Attempt, Decision: b.Decision})
+	r.cfg.Env.Send(from, &CatchupResp{FromK: m.FromK, ToK: m.ToK, Blocks: r.records(m.FromK, m.ToK)})
+}
+
+// onCatchupResp takes in the answer to a request this replica sent to
+// from, and nothing else: an answer nobody asked for, one for another
+// range and a second copy are dropped before any audit, and so is a block
+// outside the range asked. Each block is received alone, so one that
+// fails its audit is skipped by itself.
+func (r *Replica) onCatchupResp(from types.ReplicaID, m *CatchupResp) {
+	req := blockReq{peer: from, from: m.FromK, to: m.ToK}
+	if !r.asked[req] {
+		return
 	}
-}
-
-func (r *Replica) onCatchupReq(from types.ReplicaID, m *CatchupReq) {
-	r.cfg.Env.Send(from, &CatchupResp{Blocks: r.records(m.FromK, r.nextK)})
-}
-
-// onBlockResp receives the conflicting block a BlockReq asked for. One is
-// only sent for an instance this replica holds (retired ones included), so
-// an answer naming any other is unsolicited and dropped before it can build
-// protocol state.
-func (r *Replica) onBlockResp(_ types.ReplicaID, m *BlockResp) {
-	if _, ok := r.instances[m.K]; ok && r.cfg.Accountable {
-		r.receive(BlockRecord(*m))
-	}
-}
-
-// onCatchupResp receives the blocks decided while this replica was down or
-// stopped; one that fails its audit is skipped alone.
-func (r *Replica) onCatchupResp(_ types.ReplicaID, m *CatchupResp) {
+	delete(r.asked, req)
 	for _, b := range m.Blocks {
-		r.receive(b)
+		if b.K >= m.FromK && b.K <= m.ToK {
+			r.receive(b)
+		}
 	}
 }
 
@@ -713,7 +729,8 @@ func (r *Replica) flushPoFs() {
 			if r.change != nil && !r.change.Done() {
 				r.change.OnPoFs(pofs)
 			} else {
-				msg := &PoFGossip{PoFs: pofs}
+				// Epoch 0 belongs to no membership change: this is gossip.
+				msg := &membership.PoFBroadcast{PoFs: pofs}
 				for _, m := range r.view.Members() {
 					if m != r.cfg.Self {
 						r.cfg.Env.Send(m, msg)
@@ -770,6 +787,7 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 	r.view.Include(res.Included)
 	r.pool.MarkTaken(res.Included)
 	r.log.Forget(res.Excluded)
+	maps.DeleteFunc(r.asked, func(req blockReq, _ bool) bool { return slices.Contains(res.Excluded, req.peer) })
 	r.thresholdSeen = false
 	r.member = r.view.Contains(r.cfg.Self)
 	if r.cfg.OnMembershipChange != nil {
@@ -802,12 +820,7 @@ func (r *Replica) onChangeResult(res *membership.Result) {
 			minUndecided = k
 		}
 	}
-	req := &CatchupReq{FromK: minUndecided}
-	for _, m := range r.view.Members() {
-		if m != r.cfg.Self {
-			r.cfg.Env.Send(m, req)
-		}
-	}
+	r.askBlocks(r.view.Members(), minUndecided, math.MaxUint64)
 	// Send catch-up to every included replica (lines 45-47).
 	if r.member && len(res.Included) > 0 {
 		notice := r.buildJoinNotice()
@@ -886,12 +899,13 @@ func (r *Replica) onJoinNotice(_ types.ReplicaID, m *JoinNotice) {
 	r.replayPending()
 }
 
-// onPoFGossip ingests gossiped PoFs outside a membership change.
-func (r *Replica) onPoFGossip(_ types.ReplicaID, m *PoFGossip) {
+// onPoFs ingests PoFs a peer sent outside a membership change this replica
+// runs (Alg. 1 lines 13-16 accept PoF lists at any time).
+func (r *Replica) onPoFs(pofs []accountability.PoF) {
 	if !r.cfg.Accountable {
 		return
 	}
-	for _, p := range m.PoFs {
+	for _, p := range pofs {
 		if p.Verify(r.cfg.Signer) {
 			r.log.AddPoF(p)
 		}
@@ -904,12 +918,6 @@ func (r *Replica) OnMessage(from types.ReplicaID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case *Confirm:
 		r.onConfirm(from, m)
-	case *BlockReq:
-		r.onBlockReq(from, m)
-	case *BlockResp:
-		r.onBlockResp(from, m)
-	case *PoFGossip:
-		r.onPoFGossip(from, m)
 	case *JoinNotice:
 		r.onJoinNotice(from, m)
 	case *CatchupReq:
@@ -920,8 +928,8 @@ func (r *Replica) OnMessage(from types.ReplicaID, msg simnet.Message) {
 		if r.change != nil && !r.change.Done() && r.change.OnMessage(from, msg) {
 			break
 		}
-		// No active change: treat as gossip (lines 13-16 run anytime).
-		r.onPoFGossip(from, &PoFGossip{PoFs: m.PoFs})
+		// Gossip (epoch 0), or no change of that epoch runs here.
+		r.onPoFs(m.PoFs)
 	default:
 		r.routeConsensus(from, msg, true)
 	}

@@ -84,7 +84,7 @@ func (r *Replica) retireFinalized() {
 // was decided under — the log's signed statements and the interned payloads.
 func (r *Replica) retire(st *instState) {
 	st.inst.Release()
-	st.inst, st.confirms, st.remoteSeen, st.reqSent = nil, nil, nil, nil
+	st.inst, st.confirms, st.remoteSeen = nil, nil, nil
 	for a := uint32(0); a <= max(st.attempt, uint32(r.epoch)); a++ {
 		key := accountability.InstanceKey{Context: accountability.CtxMain, Instance: WireInstance(st.k, a)}
 		r.log.DropInstance(key)

@@ -1,6 +1,7 @@
 package asmr_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -178,8 +179,8 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 			&rbc.PayloadReq{Context: accountability.CtxMain, Instance: wi, Broadcaster: slot, Digest: d.Proposals[slot].Digest},
 			&sbc.ProposalReq{Context: accountability.CtxMain, Instance: wi, Slot: slot},
 			&bincon.DecideReq{Context: accountability.CtxMain, Instance: wi, Slot: uint32(slot)},
-			&asmr.BlockReq{K: k},
-			&asmr.CatchupReq{FromK: 1},
+			&asmr.CatchupReq{FromK: k, ToK: k},
+			&asmr.CatchupReq{FromK: 1, ToK: math.MaxUint64},
 		} {
 			// Spaced out so the answers come back in request order.
 			c.Net.Inject(probeID, target, req, time.Duration(i+1)*50*time.Millisecond)
@@ -202,7 +203,7 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	}
 	retired := ask()
 
-	for i, name := range []string{"PayloadResp", "ProposalResp", "Decide", "BlockResp"} {
+	for i, name := range []string{"PayloadResp", "ProposalResp", "Decide", "CatchupResp for instance k"} {
 		if !reflect.DeepEqual(live[i], retired[i]) {
 			t.Errorf("%s for a retired instance differs:\nlive    %+v\nretired %+v", name, live[i], retired[i])
 		}
@@ -305,7 +306,7 @@ func TestLateConflictAfterRetirement(t *testing.T) {
 	slot := local.OrderedProposals()[0].Broadcaster // any slot decided 1
 	remote := conflictingDecision(t, c, local, slot, c.Members[:3])
 	for i := 0; i < 2; i++ { // the second copy must be recognised as seen
-		c.Net.Inject(c.Members[0], victim, &asmr.BlockResp{K: k, Decision: remote}, time.Duration(i+1)*10*time.Millisecond)
+		answer(c, c.Members[0], victim, k, k, []asmr.BlockRecord{{K: k, Decision: remote}})
 	}
 	c.Run(c.Net.Now() + 500*time.Millisecond)
 
@@ -328,33 +329,44 @@ func TestLateConflictAfterRetirement(t *testing.T) {
 	}
 }
 
-// TestUnsolicitedBlockRespBuildsNoState sends a replica a BlockResp for an
-// instance it never opened, so never asked about: the frame is dropped
-// before it costs an SBC state machine or a signature check.
-func TestUnsolicitedBlockRespBuildsNoState(t *testing.T) {
-	const n, height = 4, 6
-	c := benignCluster(t, n, height)
-	victim := c.Members[n-1]
-	r := c.Replicas[victim]
-	c.Start()
-	runUntilHeight(t, c, height)
-	c.Run(c.Net.Now() + 500*time.Millisecond) // let the last instance's tail drain
+// TestUnsolicitedBlocksAreRefused: a replica that was down while the
+// others decided is running again, missing every block. A peer sends it a
+// genuine CatchupResp for block k that it never asked for: nothing is
+// committed, no instance is opened and no signature is checked. Once it
+// asks, its peers' answers are adopted, and no request is left in flight.
+func TestUnsolicitedBlocksAreRefused(t *testing.T) {
+	const height, k = 6, 3
+	c, victim := missedRun(t, height)
+	r, source := c.Replicas[victim], c.Members[0]
+	block, _ := c.Replicas[source].Committed(k)
 
-	const k = height + 1000
 	before := r.Stats()
-	decision, _ := r.Committed(height)
-	c.Net.Inject(c.Members[0], victim, &asmr.BlockResp{K: k, Decision: decision}, 10*time.Millisecond)
+	c.Net.Inject(source, victim, &asmr.CatchupResp{FromK: k, ToK: k, Blocks: []asmr.BlockRecord{{K: k, Decision: block}}}, 10*time.Millisecond)
 	c.Run(c.Net.Now() + 500*time.Millisecond)
-
 	after := r.Stats()
+	if _, ok := r.Committed(k); ok {
+		t.Fatalf("block %d committed from an answer nobody asked for", k)
+	}
 	if after.LiveInstances != before.LiveInstances {
 		t.Errorf("live instances %d -> %d: the frame built protocol state", before.LiveInstances, after.LiveInstances)
 	}
 	if after.StmtSigChecks != before.StmtSigChecks {
 		t.Errorf("signature checks %d -> %d: the frame was audited", before.StmtSigChecks, after.StmtSigChecks)
 	}
-	if _, ok := r.Committed(k); ok {
-		t.Errorf("instance %d committed from an unsolicited frame", k)
+
+	r.RequestCatchup()
+	c.Run(c.Net.Now() + time.Second)
+	if got := r.CommittedCount(); got != height {
+		t.Fatalf("replica %v adopted %d of %d blocks it asked for", victim, got, height)
+	}
+	want := c.Replicas[source].ChainDigests()
+	for k, d := range r.ChainDigests() {
+		if d != want[k] {
+			t.Errorf("block %d adopted as %v, replica %v decided %v", k, d, source, want[k])
+		}
+	}
+	if in := r.InFlight(); len(in) != 0 {
+		t.Errorf("requests still in flight after every peer answered: %v", in)
 	}
 }
 

@@ -19,7 +19,7 @@ var (
 )
 
 // auditBlock is the one audit of a decided block received whole — in a
-// BlockResp, a CatchupResp or a JoinNotice — and of the replica's own
+// CatchupResp or a JoinNotice — and of the replica's own
 // retained decision when it goes back into the log after retirement. n is
 // the committee size quorums are counted against. Its cost is what makes
 // the paper's Figure 5 (catch-up time grows with n) look the way it does.

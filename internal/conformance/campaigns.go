@@ -228,9 +228,10 @@ func stageMergeDuringCatchup(n int, seed int64, inj *Injector) scenario.Scenario
 }
 
 // stageForgedInit forks the chain like stageMergeDuringCatchup, and on the
-// way to every honest replica rewrites each certified block — the
-// BlockResp a conflicting confirmation pulls, the CatchupResp and the
-// JoinNotice of the membership change — in the two places its audit does
+// way to every honest replica rewrites each certified block — in the
+// CatchupResp that answers a conflicting confirmation's pull or a
+// catch-up, and in the JoinNotice of the membership change — in the two
+// places its audit does
 // not read. The INIT statement of an honest broadcaster names another
 // payload under the old signature (ForgeInitStmt), and a slot decided 0
 // gains a ready certificate holding an honest signer of the slot's binary
@@ -279,12 +280,10 @@ func stageForgedInit(n int, seed int64, inj *Injector) scenario.Scenario {
 			return msg
 		}
 		switch m := msg.(type) {
-		case *asmr.BlockResp:
-			cp := *m
-			cp.Decision = forge(c, m.Decision)
-			return &cp
 		case *asmr.CatchupResp:
-			return &asmr.CatchupResp{Blocks: forgeBlocks(c, m.Blocks)}
+			cp := *m
+			cp.Blocks = forgeBlocks(c, m.Blocks)
+			return &cp
 		case *asmr.JoinNotice:
 			cp := *m
 			cp.Blocks = forgeBlocks(c, m.Blocks)

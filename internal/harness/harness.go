@@ -29,11 +29,6 @@ type Options struct {
 	N int
 	// Deceitful is d, the coalition size (first d members by ID).
 	Deceitful int
-	// Benign is q: crashed committee members (the last q honest IDs).
-	Benign int
-	// Branches is the number of honest partitions the attack sustains;
-	// 0 = MaxBranches.
-	Branches int
 	// Attack selects the coalition strategy; zero value = AttackNone.
 	Attack adversary.Attack
 	// BaseLatency models the underlying network; nil = AWS matrix.
@@ -207,11 +202,7 @@ func New(opts Options) (*Cluster, error) {
 	if attack == 0 {
 		attack = adversary.AttackNone
 	}
-	branches := opts.Branches
-	if branches == 0 {
-		branches = adversary.MaxBranches(opts.N, opts.Deceitful)
-	}
-	coalition := adversary.NewCoalition(attack, members, opts.Deceitful, branches)
+	coalition := adversary.NewCoalition(attack, members, opts.Deceitful, adversary.MaxBranches(opts.N, opts.Deceitful))
 
 	base := opts.BaseLatency
 	if base == nil {
@@ -255,12 +246,6 @@ func New(opts Options) (*Cluster, error) {
 		if err := c.install(c.Net.AddNode, id); err != nil {
 			return nil, err
 		}
-	}
-
-	// Benign replicas crash: the last q honest committee members.
-	for i := 0; i < opts.Benign && i < opts.N-opts.Deceitful; i++ {
-		id := members[opts.N-1-i]
-		c.Net.SetUp(id, false)
 	}
 	return c, nil
 }
@@ -463,15 +448,12 @@ func (c *Cluster) Run(until time.Duration) { c.Net.Run(until) }
 // RunUntilQuiet drains the event queue up to maxTime.
 func (c *Cluster) RunUntilQuiet(maxTime time.Duration) { c.Net.RunUntilQuiet(maxTime) }
 
-// HonestMembers returns the non-deceitful, non-benign committee members.
+// HonestMembers returns the committee members that are neither deceitful
+// nor excluded from the metrics (ExcludeFromMetrics).
 func (c *Cluster) HonestMembers() []types.ReplicaID {
 	out := make([]types.ReplicaID, 0, len(c.Members))
-	benign := make(map[types.ReplicaID]bool)
-	for i := 0; i < c.Opts.Benign && i < c.Opts.N-c.Opts.Deceitful; i++ {
-		benign[c.Members[c.Opts.N-1-i]] = true
-	}
 	for _, id := range c.Members {
-		if !c.Coalition.IsDeceitful(id) && !benign[id] && !c.metricsExcluded[id] {
+		if !c.Coalition.IsDeceitful(id) && !c.metricsExcluded[id] {
 			out = append(out, id)
 		}
 	}

@@ -143,12 +143,12 @@ func TestHonestMembersExcludesBenign(t *testing.T) {
 	c, err := New(Options{
 		N:         9,
 		Deceitful: 3,
-		Benign:    2,
 		Seed:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	crashBenign(c, 2)
 	honest := c.HonestMembers()
 	if len(honest) != 4 { // 9 − 3 deceitful − 2 benign
 		t.Fatalf("honest = %v", honest)

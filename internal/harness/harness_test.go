@@ -198,10 +198,19 @@ func TestPolygraphBaselineDetectsButCannotRecover(t *testing.T) {
 	}
 }
 
+// crashBenign takes the last q committee members down before the cluster
+// starts, the paper's q benign replicas, the way the scenario engine takes
+// a replica down: off the network and out of the honest readings.
+func crashBenign(c *Cluster, q int) {
+	for _, id := range c.Members[len(c.Members)-q:] {
+		c.Net.SetUp(id, false)
+		c.ExcludeFromMetrics(id)
+	}
+}
+
 func TestBenignCrashesDoNotBlockConsensus(t *testing.T) {
 	c, err := New(Options{
 		N:            10,
-		Benign:       2,
 		Accountable:  true,
 		Recover:      true,
 		MaxInstances: 3,
@@ -212,6 +221,7 @@ func TestBenignCrashesDoNotBlockConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	crashBenign(c, 2)
 	c.Start()
 	c.RunUntilQuiet(10 * time.Minute)
 	if got := c.Disagreements(); got != 0 {

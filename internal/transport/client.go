@@ -43,9 +43,6 @@ func RegisterWireTypes() {
 	gob.Register(&sbc.ProposalReq{})
 	gob.Register(&sbc.ProposalResp{})
 	gob.Register(&asmr.Confirm{})
-	gob.Register(&asmr.BlockReq{})
-	gob.Register(&asmr.BlockResp{})
-	gob.Register(&asmr.PoFGossip{})
 	gob.Register(&asmr.JoinNotice{})
 	gob.Register(&asmr.CatchupReq{})
 	gob.Register(&asmr.CatchupResp{})

@@ -39,7 +39,7 @@ import (
 const (
 	preambleByte    = 0x00
 	preambleMagic   = "ZLBP"
-	preambleVersion = 1
+	preambleVersion = 2
 	preambleLen     = 1 + len(preambleMagic) + 1 + 4
 )
 
@@ -53,7 +53,8 @@ const maxFrameLen = 256 << 20
 type frameKind uint8
 
 // Frame kinds, one per peer message type. The numbers are the wire format:
-// append, never renumber.
+// append, never renumber. 14–16 carried the version 1 block pull and PoF
+// gossip; they stay reserved, and a decoder refuses them as unknown.
 const (
 	kindInit frameKind = iota + 1
 	kindEcho
@@ -68,9 +69,9 @@ const (
 	kindProposalReq
 	kindProposalResp
 	kindConfirm
-	kindBlockReq
-	kindBlockResp
-	kindPoFGossip
+	_
+	_
+	_
 	kindJoinNotice
 	kindCatchupReq
 	kindCatchupResp
@@ -225,19 +226,6 @@ func appendFrame(b []byte, msg simnet.Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint32(b, m.Attempt)
 		b = append(b, m.Digest[:]...)
 		b = wire.AppendSigned(b, m.Stmt)
-	case *asmr.BlockReq:
-		b = append(b, byte(kindBlockReq))
-		b = binary.BigEndian.AppendUint64(b, m.K)
-		b = binary.BigEndian.AppendUint32(b, m.Attempt)
-	case *asmr.BlockResp:
-		b = append(b, byte(kindBlockResp))
-		b = binary.BigEndian.AppendUint64(b, m.K)
-		b = binary.BigEndian.AppendUint32(b, m.Attempt)
-		b = appendDecision(b, m.Decision)
-	case *asmr.PoFGossip:
-		b = append(b, byte(kindPoFGossip))
-		pofs, _ := wire.EncodePoFs(m.PoFs)
-		b = append(b, pofs...)
 	case *asmr.JoinNotice:
 		// The committee goes last: the replica-list layout runs to the end.
 		b = append(b, byte(kindJoinNotice))
@@ -250,8 +238,11 @@ func appendFrame(b []byte, msg simnet.Message) ([]byte, error) {
 	case *asmr.CatchupReq:
 		b = append(b, byte(kindCatchupReq))
 		b = binary.BigEndian.AppendUint64(b, m.FromK)
+		b = binary.BigEndian.AppendUint64(b, m.ToK)
 	case *asmr.CatchupResp:
 		b = append(b, byte(kindCatchupResp))
+		b = binary.BigEndian.AppendUint64(b, m.FromK)
+		b = binary.BigEndian.AppendUint64(b, m.ToK)
 		b = appendBlocks(b, m.Blocks)
 	case *membership.PoFBroadcast:
 		b = append(b, byte(kindPoFBroadcast))
@@ -318,19 +309,13 @@ func decodeFrame(frame []byte) (simnet.Message, error) {
 			ClaimedSigs: d.int(), Cert: d.cert(), InitStmt: d.optSigned()}
 	case kindConfirm:
 		msg = &asmr.Confirm{K: d.u64(), Attempt: d.u32(), Digest: d.digest(), Stmt: d.signed()}
-	case kindBlockReq:
-		msg = &asmr.BlockReq{K: d.u64(), Attempt: d.u32()}
-	case kindBlockResp:
-		msg = &asmr.BlockResp{K: d.u64(), Attempt: d.u32(), Decision: d.decision()}
-	case kindPoFGossip:
-		msg = &asmr.PoFGossip{PoFs: tail(d, wire.DecodePoFs)}
 	case kindJoinNotice:
 		msg = &asmr.JoinNotice{Epoch: d.u64(), NextK: d.u64(), Blocks: d.blocks(),
 			PendingAttempts: readMap(d, 12, d.u64, d.u32), Committee: tail(d, wire.DecodeReplicas)}
 	case kindCatchupReq:
-		msg = &asmr.CatchupReq{FromK: d.u64()}
+		msg = &asmr.CatchupReq{FromK: d.u64(), ToK: d.u64()}
 	case kindCatchupResp:
-		msg = &asmr.CatchupResp{Blocks: d.blocks()}
+		msg = &asmr.CatchupResp{FromK: d.u64(), ToK: d.u64(), Blocks: d.blocks()}
 	case kindPoFBroadcast:
 		msg = &membership.PoFBroadcast{Epoch: d.u64(), PoFs: tail(d, wire.DecodePoFs)}
 	case kindSync:

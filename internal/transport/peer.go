@@ -22,7 +22,7 @@ type PeerState int32
 // Peer health states. A peer is idle until the first send targets it,
 // connected while its connection accepts writes, backoff while the
 // writer waits out a failure, and suspect once failures run
-// consecutive past Config.SuspectAfter — the operator-facing "this
+// consecutive past suspectAfter — the operator-facing "this
 // peer looks dead" signal. Any successful write returns it to
 // connected.
 const (
@@ -240,7 +240,7 @@ func (p *peer) countDrops(frames int) {
 // Dial failures cost backoff only — a frame is never dropped because the
 // peer is unreachable, so traffic queued across a partition flushes on
 // heal — while writes that fail on an established connection consume
-// the batch's Config.SendAttempts budget before it is dropped.
+// the batch's sendAttempts budget before it is dropped.
 func (p *peer) writeLoop() {
 	defer p.node.wg.Done()
 	defer p.closeConn()
@@ -287,7 +287,7 @@ func (p *peer) fill(first []byte) {
 }
 
 // flush writes the batch, redialing and retrying it whole after a failed
-// write until Config.SendAttempts writes have failed, then drops it. It
+// write until sendAttempts writes have failed, then drops it. It
 // reports false on shutdown.
 func (p *peer) flush(backoff *time.Duration) bool {
 	defer clear(p.batch) // the frames are garbage once written or dropped
@@ -302,7 +302,7 @@ func (p *peer) flush(backoff *time.Duration) bool {
 			*backoff = p.node.cfg.SendBackoff
 			return true
 		}
-		if fails++; fails >= p.node.cfg.SendAttempts {
+		if fails++; fails >= sendAttempts {
 			p.countDrops(len(p.batch))
 			if p.node.warnDrop.allow(time.Second) {
 				p.node.cfg.Logger.Warnf("transport: %d frames to replica %v dropped after %d failed writes, %d so far",
@@ -327,7 +327,7 @@ func (p *peer) connect(backoff *time.Duration) net.Conn {
 		default:
 		}
 		p.dials.Add(1)
-		conn, err := net.DialTimeout("tcp", p.addr, p.node.cfg.DialBackoff)
+		conn, err := net.DialTimeout("tcp", p.addr, dialBackoff)
 		if err == nil {
 			p.setConn(conn)
 			p.greeted = false
@@ -397,7 +397,7 @@ func (p *peer) writeAll(conn net.Conn, b []byte) error {
 // fail records one dial or write failure and degrades the health state.
 func (p *peer) fail() {
 	fails := p.consecFails.Add(1)
-	if fails >= int64(p.node.cfg.SuspectAfter) {
+	if fails >= suspectAfter {
 		p.state.Store(int32(StateSuspect))
 	} else {
 		p.state.Store(int32(StateBackoff))
@@ -405,11 +405,11 @@ func (p *peer) fail() {
 }
 
 // sleep waits out the jittered backoff (doubling it, capped at
-// DialBackoff) unless shutdown interrupts; it reports false on shutdown.
+// dialBackoff) unless shutdown interrupts; it reports false on shutdown.
 func (p *peer) sleep(backoff *time.Duration) bool {
 	d := *backoff/2 + time.Duration(p.rng.Int63n(int64(*backoff/2)+1))
-	if *backoff *= 2; *backoff > p.node.cfg.DialBackoff {
-		*backoff = p.node.cfg.DialBackoff
+	if *backoff *= 2; *backoff > dialBackoff {
+		*backoff = dialBackoff
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -62,6 +62,21 @@ type event struct {
 	fn      func()
 }
 
+// Reconnect pacing, fixed for every node.
+const (
+	// dialBackoff is both the dial timeout of a single connection attempt
+	// and the cap on the writer's retry backoff schedule.
+	dialBackoff = 500 * time.Millisecond
+	// sendAttempts bounds how many times the writer re-writes one batch of
+	// frames across reconnects before dropping it. Dial failures do not
+	// consume the budget — an unreachable peer costs backoff, not frames —
+	// only writes that fail on an established connection do.
+	sendAttempts = 3
+	// suspectAfter is the consecutive-failure count at which a peer's
+	// health state degrades from backoff to suspect.
+	suspectAfter = 3
+)
+
 // Config parameterizes a TCP node.
 type Config struct {
 	// Self is this replica's ID.
@@ -70,19 +85,9 @@ type Config struct {
 	Listen string
 	// Peers maps every replica ID to its dialable address.
 	Peers map[types.ReplicaID]string
-	// DialBackoff bounds reconnect pacing: it is both the dial timeout of
-	// a single connection attempt and the cap on the writer's retry
-	// backoff schedule (default 500 ms).
-	DialBackoff time.Duration
-	// SendAttempts bounds how many times the writer re-writes one batch
-	// of frames across reconnects before dropping it (default 3). Dial
-	// failures do not consume the budget — an unreachable peer costs
-	// backoff, not frames — only writes that fail on an established
-	// connection do.
-	SendAttempts int
 	// SendBackoff is the initial backoff between the writer's connection
 	// attempts (default 20 ms). It doubles per retry, capped at
-	// DialBackoff, with full jitter so restarting peers are not hammered
+	// dialBackoff, with full jitter so restarting peers are not hammered
 	// in lockstep.
 	SendBackoff time.Duration
 	// WriteTimeout is the write deadline (default 2 s): a write that
@@ -95,9 +100,6 @@ type Config struct {
 	// SendQueueSize bounds each peer's outbound queue (default 4096).
 	// On overflow the oldest queued frame is dropped.
 	SendQueueSize int
-	// SuspectAfter is the consecutive-failure count at which a peer's
-	// health state degrades from backoff to suspect (default 3).
-	SuspectAfter int
 	// Logger receives rate-limited transport warnings (drops, decode
 	// errors, backpressure). Nil drops them.
 	Logger *obs.Logger
@@ -173,12 +175,6 @@ var ErrBackpressure = errors.New("transport: backpressure, queue full")
 
 // NewNode creates the node; call SetHandler then Serve.
 func NewNode(cfg Config) *Node {
-	if cfg.DialBackoff == 0 {
-		cfg.DialBackoff = 500 * time.Millisecond
-	}
-	if cfg.SendAttempts == 0 {
-		cfg.SendAttempts = 3
-	}
 	if cfg.SendBackoff == 0 {
 		cfg.SendBackoff = 20 * time.Millisecond
 	}
@@ -190,9 +186,6 @@ func NewNode(cfg Config) *Node {
 	}
 	if cfg.SendQueueSize == 0 {
 		cfg.SendQueueSize = 4096
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = 3
 	}
 	return &Node{
 		cfg:      cfg,

@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +36,10 @@ type sample struct {
 func (s sample) typeName() string { name, _, _ := strings.Cut(s.name, "/"); return name }
 
 const sampleInstance = types.Instance(7 << 10)
+
+// reservedKinds carried the version 1 block pull and PoF gossip; no type
+// encodes to them and every decoder refuses them.
+var reservedKinds = map[frameKind]bool{14: true, 15: true, 16: true}
 
 // frameSamples holds a message of every peer type, and variants for nil
 // against empty payloads, absent certificates and statements, and maps of
@@ -83,16 +88,15 @@ func frameSamples() []sample {
 		{"*sbc.ProposalResp", &sbc.ProposalResp{Context: ctx, Instance: sampleInstance, Slot: 2, Payload: []byte("p"), Cert: cert, InitStmt: &signed}},
 		{"*sbc.ProposalResp/bare", &sbc.ProposalResp{Context: ctx, Instance: sampleInstance, Slot: 2, Payload: []byte{}}},
 		{"*asmr.Confirm", &asmr.Confirm{K: 7, Attempt: 1, Digest: types.Hash([]byte("d")), Stmt: signed}},
-		{"*asmr.BlockReq", &asmr.BlockReq{K: 7, Attempt: 1}},
-		{"*asmr.BlockResp", &asmr.BlockResp{K: 7, Attempt: 1, Decision: decision}},
-		{"*asmr.BlockResp/no-decision", &asmr.BlockResp{K: 7}},
-		{"*asmr.PoFGossip", &asmr.PoFGossip{PoFs: pofs}},
 		{"*asmr.JoinNotice", &asmr.JoinNotice{Epoch: 2, Committee: []types.ReplicaID{1, 2, 5}, NextK: 9,
 			Blocks: blocks, PendingAttempts: map[uint64]uint32{9: 2, 10: 0, 12: 1}}},
-		{"*asmr.CatchupReq", &asmr.CatchupReq{FromK: 7}},
-		{"*asmr.CatchupResp", &asmr.CatchupResp{Blocks: blocks}},
-		{"*asmr.CatchupResp/empty", &asmr.CatchupResp{}},
+		{"*asmr.CatchupReq", &asmr.CatchupReq{FromK: 7, ToK: math.MaxUint64}},
+		{"*asmr.CatchupReq/pull", &asmr.CatchupReq{FromK: 7, ToK: 7}},
+		{"*asmr.CatchupResp", &asmr.CatchupResp{FromK: 7, ToK: 7, Blocks: blocks[:1]}},
+		{"*asmr.CatchupResp/catch-up", &asmr.CatchupResp{FromK: 7, ToK: math.MaxUint64, Blocks: blocks}},
+		{"*asmr.CatchupResp/empty", &asmr.CatchupResp{FromK: 7, ToK: 7}},
 		{"*membership.PoFBroadcast", &membership.PoFBroadcast{Epoch: 2, PoFs: pofs}},
+		{"*membership.PoFBroadcast/gossip", &membership.PoFBroadcast{PoFs: pofs}},
 		{"*transport.SyncFrame", &SyncFrame{Req: true, Payload: []byte("req")}},
 		{"*transport.SyncFrame/nil-payload", &SyncFrame{}},
 	}
@@ -178,8 +182,10 @@ func TestConsensusMessagesSurviveEnvelope(t *testing.T) {
 		}
 	}
 	for k := frameKind(1); k <= numKinds; k++ {
-		if kinds[k] == "" {
+		if name := kinds[k]; name == "" && !reservedKinds[k] {
 			t.Errorf("frame kind %d has no sample", k)
+		} else if name != "" && reservedKinds[k] {
+			t.Errorf("%s encodes to reserved kind %d", name, k)
 		}
 	}
 }
@@ -202,9 +208,9 @@ func TestDecodedFrameHoldsNoFrameBytes(t *testing.T) {
 }
 
 // TestFrameRefusals: every strict prefix of every frame (its length
-// prefix rewritten to match), a trailing byte, unknown kinds, map keys
-// out of order or repeated, a bad flag byte and an over-cap length are
-// refused.
+// prefix rewritten to match), a trailing byte, unknown and reserved kinds,
+// map keys out of order or repeated, a bad flag byte, an over-cap length
+// and a version 1 preamble are refused.
 func TestFrameRefusals(t *testing.T) {
 	withBody := func(frame []byte, n int) []byte {
 		out := append([]byte(nil), frame[:n]...)
@@ -229,7 +235,7 @@ func TestFrameRefusals(t *testing.T) {
 	}
 
 	frame := encodeSample(t, sampleNamed(t, "*rbc.Echo"))
-	for _, k := range []byte{0, numKinds + 1, 0xff} {
+	for _, k := range []byte{0, 14, 15, 16, numKinds + 1, 0xff} {
 		bad := append([]byte(nil), frame...)
 		bad[4] = k
 		if _, err := decodeFrame(bad); !errors.Is(err, errFrameKind) {
@@ -237,11 +243,11 @@ func TestFrameRefusals(t *testing.T) {
 		}
 	}
 
-	// A BlockResp's decision opens with its bit map: len 4, kind 1, K 8,
-	// attempt 4, decision flag 1, instance 8, count 4, then entries of a
-	// slot u32 and a bit.
-	frame = encodeSample(t, sampleNamed(t, "*asmr.BlockResp"))
-	const bits = 4 + 1 + 8 + 4 + 1 + 8 + 4
+	// The decision of a CatchupResp's one block opens with its bit map:
+	// len 4, kind 1, FromK 8, ToK 8, count 4, K 8, attempt 4, decision flag
+	// 1, instance 8, count 4, then entries of a slot u32 and a bit.
+	frame = encodeSample(t, sampleNamed(t, "*asmr.CatchupResp"))
+	const bits = 4 + 1 + 8 + 8 + 4 + 8 + 4 + 1 + 8 + 4
 	swapped := append([]byte(nil), frame...)
 	copy(swapped[bits:bits+5], frame[bits+5:bits+10])
 	copy(swapped[bits+5:bits+10], frame[bits:bits+5])
@@ -261,6 +267,17 @@ func TestFrameRefusals(t *testing.T) {
 	huge := binary.BigEndian.AppendUint32(nil, maxFrameLen+1)
 	if _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, errFrameSize) {
 		t.Errorf("over-cap length: %v, want errFrameSize", err)
+	}
+
+	// A version 1 peer would send frames of kinds 14–16 and the old block
+	// request layouts: it is refused at the preamble, not mid-stream.
+	preamble := appendPreamble(nil, 3)
+	if id, err := readPreamble(bytes.NewReader(preamble)); err != nil || id != 3 {
+		t.Fatalf("own preamble: replica %v, %v", id, err)
+	}
+	preamble[5] = 1
+	if _, err := readPreamble(bytes.NewReader(preamble)); !errors.Is(err, errPreamble) {
+		t.Errorf("version 1 preamble: %v, want errPreamble", err)
 	}
 }
 
@@ -308,7 +325,7 @@ func TestFuzzCorpusCoversEveryKind(t *testing.T) {
 		seen[frameKind(seed[4])] = true
 	}
 	for k := frameKind(1); k <= numKinds; k++ {
-		if !seen[k] {
+		if !seen[k] && !reservedKinds[k] {
 			t.Errorf("no corpus frame of kind %d", k)
 		}
 	}
