@@ -6,7 +6,8 @@
 //
 // The client broadcasts the transaction to every replica, as the paper's
 // open permissioned model prescribes (§4.2): permissionless clients,
-// permissioned replicas.
+// permissioned replicas. It prints how many replicas acked each
+// transaction and exits non-zero when none did.
 package main
 
 import (
@@ -102,27 +103,31 @@ func run(addrs []string, seed int64, schemeName, toHex string, amount types.Amou
 			Value: tx.Outputs[changeIdx].Value,
 		}
 		msg := &transport.SubmitTx{Tx: tx}
-		sent, refused := 0, 0
+		acked, refused, unacked := 0, 0, 0
 		for _, c := range conns {
-			if err := c.enc.Encode(envelopeFor(msg)); err != nil {
-				continue
-			}
 			// The node acks every submit on the same connection: OK when
 			// it reached the replica's event loop, a typed refusal when
 			// the node is overloaded (backpressure) — the wallet-visible
-			// alternative to silent loss.
-			switch ack := c.readAck(); {
-			case ack == nil: // node predates acks or the read timed out
-				sent++
+			// alternative to silent loss. A submit with no ack reached no
+			// replica as far as the client knows.
+			ack, err := c.submit(msg)
+			switch {
+			case err != nil:
+				unacked++
+				log.Printf("replica %s did not ack tx %v: %v", c.conn.RemoteAddr(), tx.ID(), err)
 			case ack.OK:
-				sent++
+				acked++
 			default:
 				refused++
-				log.Printf("replica refused tx %v: %s", tx.ID(), ack.Err)
+				log.Printf("replica %s refused tx %v: %s", c.conn.RemoteAddr(), tx.ID(), ack.Err)
 			}
 		}
-		fmt.Printf("tx %v (%d coins → %v) submitted to %d/%d replicas (%d refused)\n",
-			tx.ID(), amount, recipient, sent, len(conns), refused)
+		fmt.Printf("tx %v (%d coins → %v) acked by %d/%d replicas (%d refused, %d unacked)\n",
+			tx.ID(), amount, recipient, acked, len(conns), refused, unacked)
+		if acked == 0 {
+			// Every later payment spends this one's change.
+			return fmt.Errorf("tx %v: no replica acked it", tx.ID())
+		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	return nil
@@ -143,18 +148,23 @@ type clientConn struct {
 	dec  *gob.Decoder
 }
 
-// readAck reads the node's SubmitAck for the last submit, best-effort:
-// nil when the node never answers (the submit still counts as sent —
-// clients stay compatible with fire-and-forget nodes).
-func (c clientConn) readAck() *transport.SubmitAck {
+// submit sends one submit and reads the node's ack for it. A node that
+// refuses the stream closes the connection, so the read fails instead.
+func (c clientConn) submit(msg *transport.SubmitTx) (*transport.SubmitAck, error) {
+	if err := c.enc.Encode(envelopeFor(msg)); err != nil {
+		return nil, err
+	}
 	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	defer c.conn.SetReadDeadline(time.Time{})
 	var env clientEnvelope
 	if err := c.dec.Decode(&env); err != nil {
-		return nil
+		return nil, err
 	}
-	ack, _ := env.Msg.(*transport.SubmitAck)
-	return ack
+	ack, ok := env.Msg.(*transport.SubmitAck)
+	if !ok {
+		return nil, fmt.Errorf("answered with %T", env.Msg)
+	}
+	return ack, nil
 }
 
 func dialAll(addrs []string) ([]clientConn, error) {

@@ -170,8 +170,8 @@ type nodeConfig struct {
 	// flag to info.
 	LogLevel obs.Level
 	// Logf is the log sink (log.Printf in main, t.Logf in tests). At the
-	// default info level the emitted lines are byte-identical to the
-	// pre-leveled logger: no pre-existing line was demoted below info.
+	// default info level a node logs per block, not per submit: an
+	// admitted transaction is logged at debug, refused ones once a second.
 	Logf func(format string, args ...any)
 }
 
@@ -195,6 +195,10 @@ type replicaNode struct {
 	syncPeers []types.ReplicaID
 	syncResps map[types.ReplicaID]*wire.SyncResp
 	syncOver  bool
+	// rejected counts the submits refused since rejectLogged, the last
+	// warning about one (warnRejected).
+	rejected     int
+	rejectLogged time.Time
 
 	// served closes when Serve has exited and the store is closed.
 	served chan struct{}
@@ -481,9 +485,9 @@ func (h *appHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 		}
 		if err := h.rn.app.Pool().Add(m.Tx); err == nil {
 			h.rn.replica.Kick()
-			h.rn.log.Infof("tx %v enqueued (mempool %d)", m.Tx.ID(), h.rn.app.Pool().Len())
+			h.rn.log.Debugf("tx %v enqueued (mempool %d)", m.Tx.ID(), h.rn.app.Pool().Len())
 		} else {
-			h.rn.log.Warnf("tx %v rejected: %v", m.Tx.ID(), err)
+			h.rn.warnRejected(m.Tx, err)
 		}
 	case *transport.SyncFrame:
 		h.rn.onSyncFrame(from, m)
@@ -495,6 +499,18 @@ func (h *appHandler) OnMessage(from types.ReplicaID, msg simnet.Message) {
 			// block pushed out of its window.
 			h.rn.app.Publish()
 		}
+	}
+}
+
+// warnRejected logs a submit the mempool refused, at most once a second
+// and with the number refused since the last line: a client decides how
+// many refused submits it sends, and zlb_mempool_rejects_total counts
+// them by reason.
+func (rn *replicaNode) warnRejected(tx *utxo.Transaction, err error) {
+	rn.rejected++
+	if now := time.Now(); now.Sub(rn.rejectLogged) >= time.Second {
+		rn.log.Warnf("tx %v rejected: %v (%d rejected since the last such line)", tx.ID(), err, rn.rejected)
+		rn.rejected, rn.rejectLogged = 0, now
 	}
 }
 

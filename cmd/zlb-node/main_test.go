@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -585,5 +586,28 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	}
 	if got := nodes[0].state().Faucet; got != faucet {
 		t.Errorf("faucet balance moved from %d to %d on a resubmitted transaction", faucet, got)
+	}
+}
+
+// TestRefusedSubmitsWarnOncePerSecond: a burst of submits the mempool
+// refuses is one warning line a second, carrying the count, not a line
+// each.
+func TestRefusedSubmitsWarnOncePerSecond(t *testing.T) {
+	var lines []string
+	rn := &replicaNode{log: obs.NewLogger(func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}, obs.LevelInfo)}
+	tx := &utxo.Transaction{Nonce: 1}
+	refused := fmt.Errorf("refused")
+	for range 100 {
+		rn.warnRejected(tx, refused)
+	}
+	if len(lines) != 1 {
+		t.Fatalf("100 refusals logged %d lines, want 1", len(lines))
+	}
+	rn.rejectLogged = rn.rejectLogged.Add(-time.Second)
+	rn.warnRejected(tx, refused)
+	if len(lines) != 2 || !strings.Contains(lines[1], "(100 rejected since") {
+		t.Fatalf("a second later: %q, want a line counting the 100 since the first", lines)
 	}
 }

@@ -77,13 +77,50 @@ type SubmitAck struct {
 	Err string
 }
 
-// serveClient decodes submits from one client connection and acks each
-// on it: accepted ones with an OK ack, ones that hit a full event queue
-// with a backpressure ack — the typed overload signal wallets see instead
-// of silent loss. It returns the error that ended the connection.
-func (n *Node) serveClient(conn net.Conn, br *bufio.Reader) error {
+// socket is an inbound connection as its bufio.Reader reads it. On a
+// client connection it also carries the acks: serveClient buffers them,
+// and Read flushes them before it reads the socket again, which is
+// exactly when the decoder has used up every byte it holds. The submits
+// that arrived in one read are acked in one write, and an ack never waits
+// behind a partial message or for the client to send more.
+type socket struct {
+	conn    net.Conn
+	acks    *bufio.Writer // over Write; nil on a peer link
+	timeout time.Duration
+}
+
+// Read flushes the buffered acks, then reads the connection.
+func (s *socket) Read(p []byte) (int, error) {
+	if s.acks != nil {
+		if err := s.acks.Flush(); err != nil {
+			return 0, err
+		}
+	}
+	return s.conn.Read(p)
+}
+
+// Write writes acks to the connection under one write deadline.
+func (s *socket) Write(p []byte) (int, error) {
+	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	return s.conn.Write(p)
+}
+
+// serveClient decodes submits from one client connection, reading it
+// through br over sock, and acks each: accepted ones with an OK ack, ones
+// that hit a full event queue with a backpressure ack — the typed
+// overload signal wallets see instead of silent loss. Acks leave in
+// submit order, once per read of the socket. It returns the error that
+// ended the connection.
+func (n *Node) serveClient(sock *socket, br *bufio.Reader) error {
+	// An ack is tens of bytes and a submit hundreds, so the acks of one
+	// read fit in one write.
+	sock.acks = bufio.NewWriterSize(sock, maxBatch)
+	sock.timeout = n.cfg.WriteTimeout
+	// The submits decoded before a refused message reached the event
+	// loop: their acks leave before the connection closes.
+	defer sock.acks.Flush()
 	dec := gob.NewDecoder(br)
-	var enc *gob.Encoder // created with the first ack
+	enc := gob.NewEncoder(sock.acks)
 	for {
 		var env envelope
 		if err := dec.Decode(&env); err != nil {
@@ -100,13 +137,8 @@ func (n *Node) serveClient(conn net.Conn, br *bufio.Reader) error {
 			n.submitBackoff.Add(1)
 			ack = SubmitAck{OK: false, Err: ErrBackpressure.Error()}
 		}
-		if enc == nil {
-			enc = gob.NewEncoder(conn)
-		}
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
 		if err := enc.Encode(envelope{From: n.cfg.Self, Msg: &ack}); err != nil {
 			return err
 		}
-		conn.SetWriteDeadline(time.Time{})
 	}
 }

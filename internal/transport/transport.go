@@ -411,13 +411,14 @@ func (n *Node) dispatch(ev event) {
 // and ends the connection; the peer redials.
 func (n *Node) readLoop(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, maxBatch)
+	sock := &socket{conn: conn}
+	br := bufio.NewReaderSize(sock, maxBatch)
 	first, err := br.Peek(1)
 	if err == nil {
 		if first[0] == preambleByte {
 			err = n.readPeer(br)
 		} else {
-			err = n.serveClient(conn, br)
+			err = n.serveClient(sock, br)
 		}
 	}
 	if err != nil && !isConnClosed(err) {

@@ -14,6 +14,7 @@
 package utxo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,9 +80,9 @@ type Transaction struct {
 	Sig     crypto.Signature
 
 	// Memoized derived values. Unexported on purpose: excluded from the
-	// canonical encoding (internal/wire frames transactions by those
-	// bytes) and invisible to the client socket's gob envelopes, so
-	// cached state never leaks onto either wire.
+	// canonical encoding, which is a transaction's form on every wire
+	// (internal/wire frames it, gob carries it through MarshalBinary),
+	// so cached state never leaks onto one.
 	enc       []byte // canonical encoding, signature included
 	id        types.Digest
 	sigDigest types.Digest
@@ -154,6 +155,25 @@ func (tx *Transaction) Canonical() []byte {
 		tx.enc = tx.encode(true)
 	}
 	return tx.enc
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler with the memoized
+// canonical encoding, so encoding/gob carries a transaction on the client
+// socket as the bytes peer links and the store carry. Callers must not
+// modify the returned slice.
+func (tx *Transaction) MarshalBinary() ([]byte, error) { return tx.Canonical(), nil }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler: tx becomes the
+// transaction data encodes, with a copy of data (the interface's contract:
+// the caller may reuse it) kept as the memoized encoding, so its ID
+// hashes the sender's bytes. The signature verdict is unknown.
+func (tx *Transaction) UnmarshalBinary(data []byte) error {
+	dec, err := DecodeTransaction(bytes.Clone(data))
+	if err != nil {
+		return err
+	}
+	*tx = *dec
+	return nil
 }
 
 // CanonicalSize returns the length of the canonical encoding without

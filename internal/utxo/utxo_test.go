@@ -1,6 +1,7 @@
 package utxo
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,41 @@ func TestTransactionSizeRealistic(t *testing.T) {
 	size := len(tx.encode(true))
 	if size < 200 || size > 600 {
 		t.Fatalf("2-in/2-out tx is %d bytes; want roughly 400", size)
+	}
+}
+
+// TestBinaryFormIsCanonical: MarshalBinary is the canonical encoding;
+// UnmarshalBinary keeps a copy of its input as the encoding, leaves the
+// verdict unknown, and refuses what DecodeTransaction refuses.
+func TestBinaryFormIsCanonical(t *testing.T) {
+	scheme, _ := testScheme(t)
+	alice := newWallet(t, scheme, 1)
+	tx, err := alice.Pay([]Input{{Prev: Outpoint{TxID: types.Hash([]byte{'a'})}, Value: 70}},
+		[]Output{{Account: alice.Address(), Value: 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.VerifySig(scheme); err != nil {
+		t.Fatal(err)
+	}
+	data, err := tx.MarshalBinary()
+	if err != nil || !bytes.Equal(data, tx.Canonical()) {
+		t.Fatalf("MarshalBinary = %x, %v; want the canonical encoding", data, err)
+	}
+	buf := bytes.Clone(data)
+	var got Transaction
+	if err := got.UnmarshalBinary(buf); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	if got.ID() != tx.ID() || !bytes.Equal(got.Canonical(), data) {
+		t.Fatal("the decoded transaction changed with the buffer it was decoded from")
+	}
+	if got.sigv != sigUnknown {
+		t.Fatalf("decoded verdict %d, want unknown", got.sigv)
+	}
+	if err := got.UnmarshalBinary(data[:len(data)-len(tx.Sig)-1]); err == nil {
+		t.Fatal("a body cut inside the sender key decodes")
 	}
 }
 
