@@ -1,0 +1,349 @@
+package crypto
+
+import (
+	"bufio"
+	"compress/gzip"
+	"crypto/ed25519"
+	"encoding/hex"
+	"math/big"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/zeroloss/zlb/internal/crypto/edwards25519"
+	"github.com/zeroloss/zlb/internal/types"
+)
+
+// The eight points of order dividing 8, the curve's torsion.
+var smallOrderPoints = []string{
+	"0100000000000000000000000000000000000000000000000000000000000000", // identity
+	"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", // order 2
+	"0000000000000000000000000000000000000000000000000000000000000000", // order 4
+	"0000000000000000000000000000000000000000000000000000000000000080", // order 4
+	"26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05", // order 8
+	"26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85", // order 8
+	"c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a", // order 8
+	"c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa", // order 8
+}
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func TestSmallOrderPoints(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range smallOrderPoints {
+		p, err := new(edwards25519.Point).SetBytes(mustHex(s))
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		q := new(edwards25519.Point).Set(p)
+		for range 3 {
+			q.Add(q, q)
+		}
+		if got := hex.EncodeToString(q.Bytes()); got != smallOrderPoints[0] {
+			t.Errorf("%s: 8P = %s, not the identity", s, got)
+		}
+		seen[hex.EncodeToString(p.Bytes())] = true
+	}
+	if len(seen) != 8 {
+		t.Fatalf("%d distinct torsion points, want 8", len(seen))
+	}
+}
+
+// nonCanonical encodes y+p, for y < 19, with the given sign bit: an
+// encoding whose field element is not reduced.
+func nonCanonical(y byte, sign bool) []byte {
+	b := make([]byte, 32)
+	b[0] = 0xed + y%19
+	for i := 1; i < 31; i++ {
+		b[i] = 0xff
+	}
+	b[31] = 0x7f
+	if sign {
+		b[31] |= 0x80
+	}
+	return b
+}
+
+// order is ℓ, the order of the prime subgroup.
+var order, _ = new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+
+// littleEndian converts between a little-endian 32-byte string and an
+// integer.
+func littleEndian(b []byte) *big.Int {
+	r := make([]byte, len(b))
+	for i := range b {
+		r[len(b)-1-i] = b[i]
+	}
+	return new(big.Int).SetBytes(r)
+}
+
+func putLittleEndian(dst []byte, n *big.Int) {
+	be := n.FillBytes(make([]byte, len(dst)))
+	for i := range be {
+		dst[len(dst)-1-i] = be[i]
+	}
+}
+
+// mutations is how many ways mutate has to alter a signed statement.
+const mutations = 12
+
+// mutate signs msg under a key derived from keySeed and alters the key or
+// the signature in the way op selects, with arg as its parameter.
+func mutate(keySeed int64, msg, raw []byte, op, arg byte) (PublicKey, Signature) {
+	seed := make([]byte, ed25519.SeedSize)
+	NewDeterministicRand(keySeed).Read(seed)
+	priv := ed25519.NewKeyFromSeed(seed)
+	pub := PublicKey(priv.Public().(ed25519.PublicKey))
+	sig := Signature(ed25519.Sign(priv, msg))
+	switch op % mutations {
+	case 0: // as signed
+	case 1: // a bit of R
+		sig[int(arg)%32] ^= 1 << (arg >> 5)
+	case 2: // a bit of S
+		sig[32+int(arg)%32] ^= 1 << (arg >> 5)
+	case 3: // S + ℓ, S + 2ℓ, …: the same residue, not canonical
+		s := littleEndian(sig[32:])
+		putLittleEndian(sig[32:], s.Add(s, new(big.Int).Mul(order, big.NewInt(int64(1+arg%8)))))
+	case 4: // the three high bits of sig[63]
+		sig[63] |= 0x20 << (arg % 3)
+	case 5: // a non-canonical A
+		pub = nonCanonical(arg, arg&0x80 != 0)
+	case 6: // a non-canonical R
+		copy(sig[:32], nonCanonical(arg, arg&0x80 != 0))
+	case 7: // a small-order A
+		pub = mustHex(smallOrderPoints[arg%8])
+	case 8: // small-order A and R, S = 0: [k](−A) = R holds for some
+		pub = mustHex(smallOrderPoints[arg%8])
+		copy(sig[:32], mustHex(smallOrderPoints[(arg>>3)%8]))
+		clear(sig[32:])
+	case 9: // A with a small-order component
+		A, _ := new(edwards25519.Point).SetBytes(pub)
+		T, _ := new(edwards25519.Point).SetBytes(mustHex(smallOrderPoints[arg%8]))
+		pub = A.Add(A, T).Bytes()
+	case 10: // wrong lengths
+		switch arg % 4 {
+		case 0:
+			sig = sig[:int(arg)%64]
+		case 1:
+			sig = append(sig, arg)
+		case 2:
+			pub = pub[:int(arg)%32]
+		case 3:
+			pub = append(pub, arg)
+		}
+	case 11: // whatever bytes the fuzzer chose
+		sig = raw
+	}
+	return pub, sig
+}
+
+// stdlibVerify is the oracle: the standard library's verdict, false for
+// a key it would panic on.
+func stdlibVerify(pub PublicKey, msg []byte, sig Signature) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
+}
+
+// checkBothTables checks (pub, msg, sig) with a table built for the one
+// check and with the table Register builds, against the oracle.
+func checkBothTables(t *testing.T, pub PublicKey, msg []byte, sig Signature) bool {
+	t.Helper()
+	want := stdlibVerify(pub, msg, sig)
+	if got := verifyEd25519(pub, msg, sig, nil); got != want {
+		t.Fatalf("table per check: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
+	}
+	if kt := newKeyTable(pub); kt != nil {
+		if got := verifyEd25519(pub, msg, sig, kt); got != want {
+			t.Fatalf("registered table: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
+		}
+	}
+	return want
+}
+
+func FuzzVerifyMatchesStdlib(f *testing.F) {
+	for op := range byte(mutations) {
+		for _, arg := range []byte{0, 9, 0x47, 0x80, 0xc3, 0xff} {
+			f.Add(int64(op)+1, []byte("statement"), []byte("raw"), op, arg)
+		}
+	}
+	f.Add(int64(7), []byte{}, make([]byte, 64), byte(11), byte(0))
+	f.Fuzz(func(t *testing.T, keySeed int64, msg, raw []byte, op, arg byte) {
+		pub, sig := mutate(keySeed, msg, raw, op, arg)
+		checkBothTables(t, pub, msg, sig)
+	})
+}
+
+// TestMutationsAcceptAndReject runs every mutation over many arguments,
+// so each seed shape is covered on a plain `go test`, and shows that the
+// oracle accepts some of the small-order cases: agreement there is
+// agreement on acceptance, not only on rejection.
+func TestMutationsAcceptAndReject(t *testing.T) {
+	accepted := make([]int, mutations)
+	for op := range byte(mutations) {
+		for arg := range 256 {
+			pub, sig := mutate(int64(arg), []byte{byte(arg), op}, []byte{byte(arg)}, op, byte(arg))
+			if checkBothTables(t, pub, []byte{byte(arg), op}, sig) {
+				accepted[op]++
+			}
+		}
+	}
+	if accepted[0] != 256 {
+		t.Errorf("%d of 256 untouched signatures accepted", accepted[0])
+	}
+	if accepted[8] == 0 {
+		t.Error("no small-order A, R with S = 0 accepted: the accepting edge is not exercised")
+	}
+	t.Logf("accepted per mutation: %v", accepted)
+}
+
+// TestSupercopVectors checks the standard library's selection of the
+// SUPERCOP test vectors (testdata/sign.input.gz, copied from Go's
+// crypto/ed25519): each signature verifies with both table sources, and
+// no longer does with one bit of it flipped.
+func TestSupercopVectors(t *testing.T) {
+	f, err := os.Open("testdata/sign.input.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	z, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(z)
+	lines := 0
+	for sc.Scan() {
+		lines++
+		parts := strings.Split(sc.Text(), ":")
+		if len(parts) != 5 {
+			t.Fatalf("line %d: %d parts", lines, len(parts))
+		}
+		pub, msg, sig := PublicKey(mustHex(parts[1])), mustHex(parts[2]), Signature(mustHex(parts[3])[:ed25519.SignatureSize])
+		if !checkBothTables(t, pub, msg, sig) {
+			t.Fatalf("line %d: vector rejected", lines)
+		}
+		bad := append(Signature(nil), sig...)
+		bad[lines%64] ^= 1 << (lines % 8)
+		if checkBothTables(t, pub, msg, bad) {
+			t.Fatalf("line %d: altered vector accepted", lines)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines != 128 {
+		t.Fatalf("%d vectors, want 128", lines)
+	}
+}
+
+// A check under a registered key allocates nothing: the key table is
+// shared and the rest of the check lives on the stack.
+func TestRegisteredKeyCheckAllocatesNothing(t *testing.T) {
+	signers, reg, err := GenerateCluster(SchemeEd25519, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := types.Hash([]byte("echo"))
+	sig, err := signers[1].Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, _ := reg.PublicKeyOf(2)
+	if reg.keyTable(pub) == nil {
+		t.Fatal("a registered key has no table")
+	}
+	scheme := signers[0].Scheme()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !scheme.Verify(pub, digest, sig) {
+			t.Fatal("valid signature rejected")
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per check under a registered key, want 0", allocs)
+	}
+}
+
+// Checks run on several goroutines while the registry is still
+// registering keys: a key's verdict does not depend on whether its table
+// is in place yet, and every registered key ends with one.
+func TestChecksWhileKeysRegister(t *testing.T) {
+	const keys = 24
+	reg := NewRegistry(SchemeEd25519)
+	scheme, err := NewScheme(SchemeEd25519, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand := NewDeterministicRand(5)
+	digest := types.Hash([]byte("aux"))
+	kps := make([]*KeyPair, keys)
+	sigs := make([]Signature, keys)
+	for i := range kps {
+		if kps[i], err = scheme.GenerateKey(rand); err != nil {
+			t.Fatal(err)
+		}
+		if sigs[i], err = scheme.Sign(kps[i], digest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i, kp := range kps {
+					if !scheme.Verify(kp.Public(), digest, sigs[i]) {
+						t.Errorf("worker %d round %d: key %d rejected its signature", w, round, i)
+					}
+					if scheme.Verify(kp.Public(), digest, sigs[(i+1)%keys]) {
+						t.Errorf("worker %d round %d: key %d accepted another key's signature", w, round, i)
+					}
+				}
+			}
+		}()
+	}
+	for i, kp := range kps {
+		if err := reg.Register(types.ReplicaID(i+1), kp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for i, kp := range kps {
+		if reg.keyTable(kp.Public()) == nil {
+			t.Fatalf("key %d registered without a table", i)
+		}
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	signers, reg, err := GenerateCluster(SchemeEd25519, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	digest := types.Hash([]byte("echo"))
+	sig, _ := signers[1].Sign(digest)
+	pub, _ := reg.PublicKeyOf(2)
+	wallet, _ := NewScheme(SchemeEd25519, nil)
+	for _, c := range []struct {
+		name   string
+		verify func() bool
+	}{
+		{"registered", func() bool { return signers[0].Scheme().Verify(pub, digest, sig) }},
+		{"unregistered", func() bool { return wallet.Verify(pub, digest, sig) }},
+		{"stdlib", func() bool { return ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if !c.verify() {
+					b.Fatal("rejected")
+				}
+			}
+		})
+	}
+}

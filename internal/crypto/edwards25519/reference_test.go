@@ -1,0 +1,73 @@
+// Copyright (c) 2017 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+package edwards25519
+
+import "github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
+
+// The upstream code the tests lean on that checking a signature does not
+// need, and a reference scalar multiplication to hold the tables against.
+
+// identity is the point at infinity.
+var identity, _ = new(Point).SetBytes([]byte{
+	1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
+// NewIdentityPoint returns a new Point set to the identity.
+func NewIdentityPoint() *Point {
+	return new(Point).Set(identity)
+}
+
+// Subtract sets v = p - q, and returns v.
+func (v *Point) Subtract(p, q *Point) *Point {
+	checkInitialized(p, q)
+	qCached := new(projCached).FromP3(q)
+	result := new(projP1xP1).Sub(p, qCached)
+	return v.fromP1xP1(result)
+}
+
+// Equal returns 1 if v is equivalent to u, and 0 otherwise.
+func (v *Point) Equal(u *Point) int {
+	checkInitialized(v, u)
+
+	var t1, t2, t3, t4 field.Element
+	t1.Multiply(&v.x, &u.z)
+	t2.Multiply(&u.x, &v.z)
+	t3.Multiply(&v.y, &u.z)
+	t4.Multiply(&u.y, &v.z)
+
+	return t1.Equal(&t2) & t3.Equal(&t4)
+}
+
+// FromP3 is upstream's conversion, one inversion per point.
+func (v *affineCached) FromP3(p *Point) *affineCached {
+	var invZ field.Element
+	invZ.Invert(&p.z)
+	return v.fromP3(p, &invZ)
+}
+
+// FromP3 is upstream's table construction, one inversion per point.
+func (v *nafLookupTable8) FromP3(q *Point) {
+	v.points[0].FromP3(q)
+	q2 := Point{}
+	q2.Add(q, q)
+	tmpP3 := Point{}
+	tmpP1xP1 := projP1xP1{}
+	for i := 0; i < 63; i++ {
+		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.AddAffine(&q2, &v.points[i])))
+	}
+}
+
+// scalarMultSlow sets v = x * q by double-and-add over the bits of x.
+func (v *Point) scalarMultSlow(x *Scalar, q *Point) *Point {
+	b := x.Bytes()
+	acc := NewIdentityPoint()
+	for i := 255; i >= 0; i-- {
+		acc.Add(acc, acc)
+		if b[i/8]>>(i%8)&1 == 1 {
+			acc.Add(acc, q)
+		}
+	}
+	return v.Set(acc)
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/zeroloss/zlb/internal/crypto/edwards25519"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -15,18 +16,20 @@ import (
 // It is safe for concurrent use; the TCP transport verifies signatures
 // from multiple connection goroutines.
 type Registry struct {
-	mu    sync.RWMutex
-	kind  SchemeKind
-	keys  map[types.ReplicaID]PublicKey
-	seeds map[string][]byte // sim-scheme seeds, keyed by string(pub)
+	mu     sync.RWMutex
+	kind   SchemeKind
+	keys   map[types.ReplicaID]PublicKey
+	seeds  map[string][]byte                  // sim-scheme seeds, keyed by string(pub)
+	tables map[string]*edwards25519.MultTable // ed25519 key tables, keyed by string(pub)
 }
 
 // NewRegistry creates an empty registry for the given scheme kind.
 func NewRegistry(kind SchemeKind) *Registry {
 	return &Registry{
-		kind:  kind,
-		keys:  make(map[types.ReplicaID]PublicKey),
-		seeds: make(map[string][]byte),
+		kind:   kind,
+		keys:   make(map[types.ReplicaID]PublicKey),
+		seeds:  make(map[string][]byte),
+		tables: make(map[string]*edwards25519.MultTable),
 	}
 }
 
@@ -40,12 +43,18 @@ func (r *Registry) Kind() SchemeKind { return r.kind }
 var ErrKeyMismatch = errors.New("crypto: identity already registered with a different key")
 
 // Register associates id with the pair's public key. Registering the sim
-// scheme also records the seed so verification can recompute the MAC.
-// Re-registering an identity with the same key is an idempotent no-op;
-// re-registering with a different key fails with ErrKeyMismatch.
+// scheme also records the seed so verification can recompute the MAC;
+// registering an ed25519 key builds the table every check under it uses
+// (ed25519.go). Re-registering an identity with the same key is an
+// idempotent no-op; re-registering with a different key fails with
+// ErrKeyMismatch.
 func (r *Registry) Register(id types.ReplicaID, kp *KeyPair) error {
 	if kp.kind != r.kind {
 		return ErrWrongScheme
+	}
+	var table *edwards25519.MultTable
+	if kp.kind == SchemeEd25519 {
+		table = newKeyTable(kp.pub)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,6 +67,9 @@ func (r *Registry) Register(id types.ReplicaID, kp *KeyPair) error {
 	r.keys[id] = kp.pub
 	if kp.kind == SchemeSim {
 		r.seeds[string(kp.pub)] = kp.simSeed
+	}
+	if table != nil {
+		r.tables[string(kp.pub)] = table
 	}
 	return nil
 }
@@ -97,16 +109,29 @@ func (r *Registry) seedOf(id types.ReplicaID) ([]byte, bool) {
 	return s, ok
 }
 
-// publicKeys resolves a batch of identities under one read lock; unknown
-// identities yield nil entries.
-func (r *Registry) publicKeys(ids []types.ReplicaID) []PublicKey {
-	out := make([]PublicKey, len(ids))
+// keyTable returns the table registered for an ed25519 key, or nil when
+// pub is not a registered key (or r is nil).
+func (r *Registry) keyTable(pub PublicKey) *edwards25519.MultTable {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.tables[string(pub)]
+}
+
+// publicKeys resolves a batch of identities to their keys and key tables
+// under one read lock; unknown identities yield nil entries.
+func (r *Registry) publicKeys(ids []types.ReplicaID) ([]PublicKey, []*edwards25519.MultTable) {
+	pubs := make([]PublicKey, len(ids))
+	tables := make([]*edwards25519.MultTable, len(ids))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for i, id := range ids {
-		out[i] = r.keys[id]
+		pubs[i] = r.keys[id]
+		tables[i] = r.tables[string(pubs[i])]
 	}
-	return out
+	return pubs, tables
 }
 
 // Signer bundles a replica's identity, key pair, scheme and registry: the

@@ -99,14 +99,16 @@ var (
 )
 
 // NewScheme returns the Scheme implementation for kind. The Sim scheme
-// requires the registry it will consult for verification; pass nil for the
-// others.
+// requires the registry it will consult for verification. The Ed25519
+// scheme checks a signature under a key registered in reg against that
+// key's table (ed25519.go), and under any other key as the standard
+// library would; reg may be nil. ECDSA ignores reg.
 func NewScheme(kind SchemeKind, reg *Registry) (Scheme, error) {
 	switch kind {
 	case SchemeECDSA:
 		return ecdsaScheme{}, nil
 	case SchemeEd25519:
-		return edScheme{}, nil
+		return edScheme{reg: reg}, nil
 	case SchemeSim:
 		if reg == nil {
 			return nil, errors.New("crypto: sim scheme needs a registry")
@@ -213,35 +215,6 @@ func (r *detReader) Read(p []byte) (int, error) {
 		r.used++
 	}
 	return len(p), nil
-}
-
-// edScheme implements Scheme over Ed25519.
-type edScheme struct{}
-
-var _ Scheme = edScheme{}
-
-func (edScheme) Kind() SchemeKind { return SchemeEd25519 }
-
-func (edScheme) GenerateKey(rand io.Reader) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRandom, err)
-	}
-	return &KeyPair{kind: SchemeEd25519, pub: PublicKey(pub), edPriv: priv}, nil
-}
-
-func (edScheme) Sign(kp *KeyPair, digest types.Digest) (Signature, error) {
-	if kp.kind != SchemeEd25519 {
-		return nil, ErrWrongScheme
-	}
-	return ed25519.Sign(kp.edPriv, digest[:]), nil
-}
-
-func (edScheme) Verify(pub PublicKey, digest types.Digest, sig Signature) bool {
-	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig)
 }
 
 // simScheme is the fast in-process scheme: sig = HMAC-SHA256(seed, digest).

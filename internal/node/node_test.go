@@ -245,7 +245,7 @@ func TestRecoversPersistedChain(t *testing.T) {
 // branch of an instance it restored, the decision it committed before the
 // restart — what an agreeing peer's late Confirm leads to, since a
 // restored instance keeps the ledger digest and not the decision's (see
-// ROADMAP item 3). That is no fork: nothing is merged, written or
+// ROADMAP item 1(a)). That is no fork: nothing is merged, written or
 // reported. A branch that does differ still merges.
 func TestRestoredBranchIsNotMerged(t *testing.T) {
 	durable := func(dir string) func(*Options) {
