@@ -648,7 +648,7 @@ func (r *Replica) receive(b BlockRecord) {
 // auditBlock, which returned verified, and the replica does the one of
 // three things the paper allows with a certified decision. Not decided
 // here: adopt it, under the attempt it was decided under (no Confirm is
-// sent for it: ROADMAP 5(b)). Decided with the same digest: nothing.
+// sent for it: ROADMAP item 1(b)). Decided with the same digest: nothing.
 // Decided with another digest: the two decisions are the evidence of a
 // fork — both go into the log, whose cross-check convicts the signers the
 // quorums share, and the branch goes to the reconciliation callback

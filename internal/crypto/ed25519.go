@@ -44,14 +44,14 @@ func (e edScheme) Verify(pub PublicKey, digest types.Digest, sig Signature) bool
 	return verifyEd25519(pub, digest[:], sig, e.reg.keyTable(pub))
 }
 
-// newKeyTable returns the four-chunk table of −A for the Ed25519 public
+// newKeyTable returns the fixed-point table of −A for the Ed25519 public
 // key A, or nil if pub does not decode to a point.
-func newKeyTable(pub PublicKey) *edwards25519.MultTable {
+func newKeyTable(pub PublicKey) *edwards25519.FixedTable {
 	A, err := new(edwards25519.Point).SetBytes(pub)
 	if err != nil {
 		return nil
 	}
-	return new(edwards25519.MultTable).Init(A.Negate(A), 4)
+	return edwards25519.NewFixedTable(A.Negate(A))
 }
 
 // verifyEd25519 reports whether sig is a valid Ed25519 signature of msg
@@ -59,17 +59,10 @@ func newKeyTable(pub PublicKey) *edwards25519.MultTable {
 // to a point, a 64-byte signature R‖S with S canonical, and
 // [k](−A) + [S]B encoding to R byte for byte, for k = SHA-512(R‖A‖msg)
 // mod ℓ (RFC 8032 §5.1.7 without the cofactor). table is pub's
-// four-chunk table; nil builds a one-chunk table for this check.
-func verifyEd25519(pub PublicKey, msg []byte, sig Signature, table *edwards25519.MultTable) bool {
+// fixed-point table; nil builds a one-chunk table for this check.
+func verifyEd25519(pub PublicKey, msg []byte, sig Signature, table *edwards25519.FixedTable) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize || sig[63]&224 != 0 {
 		return false
-	}
-	if table == nil {
-		A, err := new(edwards25519.Point).SetBytes(pub)
-		if err != nil {
-			return false
-		}
-		table = new(edwards25519.MultTable).Init(A.Negate(A), 1)
 	}
 	var buf [128]byte
 	h := sha512.Sum512(append(append(append(buf[:0], sig[:32]...), pub...), msg...))
@@ -78,6 +71,13 @@ func verifyEd25519(pub PublicKey, msg []byte, sig Signature, table *edwards25519
 	if err != nil {
 		return false
 	}
-	R := new(edwards25519.Point).VarTimeDoubleScalarBaseMult(k, table, S)
+	R := new(edwards25519.Point)
+	if table != nil {
+		R.VarTimeDoubleScalarFixedMult(k, table, S)
+	} else if A, err := new(edwards25519.Point).SetBytes(pub); err != nil {
+		return false
+	} else {
+		R.VarTimeDoubleScalarBaseMult(k, A.Negate(A), S)
+	}
 	return bytes.Equal(sig[:32], R.Bytes())
 }

@@ -151,19 +151,22 @@ func stdlibVerify(pub PublicKey, msg []byte, sig Signature) bool {
 }
 
 // checkBothTables checks (pub, msg, sig) with a table built for the one
-// check and with the table Register builds, against the oracle.
-func checkBothTables(t *testing.T, pub PublicKey, msg []byte, sig Signature) bool {
+// check and with the table Register builds, against the oracle. It
+// reports the oracle's verdict, and whether pub got a registered table
+// (every key that decodes to a point does).
+func checkBothTables(t *testing.T, pub PublicKey, msg []byte, sig Signature) (accepted, registered bool) {
 	t.Helper()
 	want := stdlibVerify(pub, msg, sig)
 	if got := verifyEd25519(pub, msg, sig, nil); got != want {
 		t.Fatalf("table per check: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
 	}
-	if kt := newKeyTable(pub); kt != nil {
+	kt := newKeyTable(pub)
+	if kt != nil {
 		if got := verifyEd25519(pub, msg, sig, kt); got != want {
 			t.Fatalf("registered table: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
 		}
 	}
-	return want
+	return want, kt != nil
 }
 
 func FuzzVerifyMatchesStdlib(f *testing.F) {
@@ -182,14 +185,20 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 // TestMutationsAcceptAndReject runs every mutation over many arguments,
 // so each seed shape is covered on a plain `go test`, and shows that the
 // oracle accepts some of the small-order cases: agreement there is
-// agreement on acceptance, not only on rejection.
+// agreement on acceptance, not only on rejection. The small-order and
+// mixed-order keys are checked under registered tables too.
 func TestMutationsAcceptAndReject(t *testing.T) {
 	accepted := make([]int, mutations)
+	registered := make([]int, mutations)
 	for op := range byte(mutations) {
 		for arg := range 256 {
 			pub, sig := mutate(int64(arg), []byte{byte(arg), op}, []byte{byte(arg)}, op, byte(arg))
-			if checkBothTables(t, pub, []byte{byte(arg), op}, sig) {
+			ok, reg := checkBothTables(t, pub, []byte{byte(arg), op}, sig)
+			if ok {
 				accepted[op]++
+			}
+			if reg {
+				registered[op]++
 			}
 		}
 	}
@@ -198,6 +207,11 @@ func TestMutationsAcceptAndReject(t *testing.T) {
 	}
 	if accepted[8] == 0 {
 		t.Error("no small-order A, R with S = 0 accepted: the accepting edge is not exercised")
+	}
+	for _, op := range []int{7, 8, 9} { // small-order A, and A plus a torsion point
+		if registered[op] != 256 {
+			t.Errorf("mutation %d: %d of 256 keys checked under a registered table", op, registered[op])
+		}
 	}
 	t.Logf("accepted per mutation: %v", accepted)
 }
@@ -225,12 +239,12 @@ func TestSupercopVectors(t *testing.T) {
 			t.Fatalf("line %d: %d parts", lines, len(parts))
 		}
 		pub, msg, sig := PublicKey(mustHex(parts[1])), mustHex(parts[2]), Signature(mustHex(parts[3])[:ed25519.SignatureSize])
-		if !checkBothTables(t, pub, msg, sig) {
-			t.Fatalf("line %d: vector rejected", lines)
+		if ok, reg := checkBothTables(t, pub, msg, sig); !ok || !reg {
+			t.Fatalf("line %d: vector rejected, or its key got no table", lines)
 		}
 		bad := append(Signature(nil), sig...)
 		bad[lines%64] ^= 1 << (lines % 8)
-		if checkBothTables(t, pub, msg, bad) {
+		if ok, _ := checkBothTables(t, pub, msg, bad); ok {
 			t.Fatalf("line %d: altered vector accepted", lines)
 		}
 	}

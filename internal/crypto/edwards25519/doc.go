@@ -19,7 +19,12 @@
 // crypto/ed25519), and the arm64 carry assembly: every other architecture
 // runs the pure-Go field code. The upstream license is in LICENSE.
 //
-// What it adds is MultTable (scalarmult.go): a point's NAF table split in
-// four chunks, kept per verifying key, so that a double-scalar
-// multiplication does 64 doublings instead of 256.
+// What it changes is the base point's table (scalarmult.go). Upstream
+// holds the affine odd multiples up to 127 of B; FixedTable generalises
+// that form to any point and to sixteen chunks, the multiples of
+// 2^(16j)·P for j < 16, made affine with one field inversion. B has one,
+// and so does each key kept for many checks, so that a double-scalar
+// multiplication reads both scalars as width-8 NAF digits and does 16
+// doublings instead of 256. A point used once gets upstream's one-chunk
+// table of its multiples up to 15, built for the call.
 package edwards25519

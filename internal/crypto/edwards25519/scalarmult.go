@@ -10,37 +10,58 @@ import (
 	"github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
 )
 
-// chunkBits is the span of scalar bits one chunk of a four-chunk table
-// covers: chunk j holds multiples of 2^(64j)·P.
-const chunkBits = 64
+// tableChunks is how many chunks a FixedTable splits a scalar into, and
+// chunkPlaces how many of its places each chunk covers: chunk j holds the
+// multiples of 2^(16j)·P.
+const (
+	tableChunks = 16
+	chunkPlaces = 256 / tableChunks
+)
 
-// A MultTable holds the odd multiples P, 3P, …, 15P of a point P for
-// VarTimeDoubleScalarBaseMult, in one chunk or in four. A four-chunk
-// table (about 5 KB) also holds those multiples of 2^64·P, 2^128·P and
-// 2^192·P, so the four quarters of a scalar share one pass of 64
-// doublings; it pays when P is used for many multiplications. A
-// one-chunk table is what a single multiplication builds anyway.
-type MultTable struct {
-	chunks int
-	t      [4]nafLookupTable5
-}
+// A FixedTable holds, for a point P, the odd multiples P, 3P, …, 127P of
+// each of P, 2^16·P, 2^32·P, …, 2^240·P in affine form: 1 024 points,
+// about 120 KiB. A multiplication by P then reads the scalar's width-8
+// NAF digits in sixteen chunks that share one pass of 16 doublings. It
+// pays for a point used in many multiplications: the base point, and a
+// key that is checked many times.
+type FixedTable [tableChunks]nafLookupTable8
 
-// Init sets v to the table of p in the given number of chunks, 1 or 4,
-// and returns v.
-func (v *MultTable) Init(p *Point, chunks int) *MultTable {
+// NewFixedTable returns the table of p. Its points are made affine with
+// one field inversion (Montgomery's trick) instead of one each.
+func NewFixedTable(p *Point) *FixedTable {
 	checkInitialized(p)
-	if chunks != 1 && chunks != 4 {
-		panic("edwards25519: a MultTable has 1 or 4 chunks")
-	}
-	v.chunks = chunks
-	q := *p
-	for j := 0; j < chunks; j++ {
+	pts := make([]Point, tableChunks*64) // (2i+1)·2^(16j)·p at 64j+i
+	var q, q2 Point
+	var cached projCached
+	var tmp projP1xP1
+	q.Set(p)
+	for j := 0; j < tableChunks; j++ {
 		if j > 0 {
-			q.doubleN(&q, chunkBits)
+			q.doubleN(&q, chunkPlaces)
 		}
-		v.t[j].FromP3(&q)
+		cached.FromP3(q2.Add(&q, &q))
+		row := pts[64*j : 64*j+64]
+		row[0].Set(&q)
+		for i := 1; i < 64; i++ {
+			row[i].fromP1xP1(tmp.Add(&row[i-1], &cached))
+		}
 	}
-	return v
+
+	prefix := make([]field.Element, len(pts)) // prefix[n] = Z_0···Z_(n-1)
+	var acc, invZ field.Element
+	acc.One()
+	for n := range pts {
+		prefix[n].Set(&acc)
+		acc.Multiply(&acc, &pts[n].z)
+	}
+	acc.Invert(&acc)
+	t := new(FixedTable)
+	for n := len(pts) - 1; n >= 0; n-- {
+		invZ.Multiply(&acc, &prefix[n]) // 1/Z_n
+		acc.Multiply(&acc, &pts[n].z)   // 1/(Z_0···Z_(n-1))
+		t[n/64].points[n%64].fromP3(&pts[n], &invZ)
+	}
+	return t
 }
 
 // doubleN sets v = 2^n·p for n ≥ 1, and returns v.
@@ -55,53 +76,36 @@ func (v *Point) doubleN(p *Point, n int) *Point {
 	return v.fromP1xP1(&t1)
 }
 
-// basepointNafTables returns the nafLookupTable8s of B, 2^64·B, 2^128·B
-// and 2^192·B, built the first time it is called.
-var basepointNafTables = sync.OnceValue(buildBasepointNafTables)
+// basepointTable returns the FixedTable of B, built the first time it is
+// called.
+var basepointTable = sync.OnceValue(func() *FixedTable {
+	return NewFixedTable(NewGeneratorPoint())
+})
 
-// buildBasepointNafTables makes the 256 points of the basepoint tables
-// affine with one field inversion (Montgomery's trick) instead of one
-// each.
-func buildBasepointNafTables() *[4]nafLookupTable8 {
-	var pts [4 * 64]Point // (2i+1)·2^(64j)·B at 64j+i
-	b := NewGeneratorPoint()
-	var b2 Point
-	var cached projCached
-	var tmp projP1xP1
-	for j := 0; j < 4; j++ {
-		if j > 0 {
-			b.doubleN(b, chunkBits)
-		}
-		cached.FromP3(b2.Add(b, b))
-		row := pts[64*j : 64*j+64]
-		row[0].Set(b)
-		for i := 1; i < 64; i++ {
-			row[i].fromP1xP1(tmp.Add(&row[i-1], &cached))
-		}
-	}
-
-	var prefix [4 * 64]field.Element // prefix[n] = Z_0···Z_(n-1)
-	var acc, invZ field.Element
-	acc.One()
-	for n := range pts {
-		prefix[n].Set(&acc)
-		acc.Multiply(&acc, &pts[n].z)
-	}
-	acc.Invert(&acc)
-	tables := new([4]nafLookupTable8)
-	for n := len(pts) - 1; n >= 0; n-- {
-		invZ.Multiply(&acc, &prefix[n]) // 1/Z_n
-		acc.Multiply(&acc, &pts[n].z)   // 1/(Z_0···Z_(n-1))
-		tables[n/64].points[n%64].fromP3(&pts[n], &invZ)
-	}
-	return tables
-}
-
-// VarTimeDoubleScalarBaseMult sets v = a * A + b * B, where A is the point
-// aTable was built from and B is the canonical generator, and returns v.
+// VarTimeDoubleScalarBaseMult sets v = a * A + b * B, where B is the
+// canonical generator, and returns v. A's table, its odd multiples up to
+// 15, is built for this one multiplication.
 //
 // Execution time depends on the inputs.
-func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, aTable *MultTable, b *Scalar) *Point {
+func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, A *Point, b *Scalar) *Point {
+	checkInitialized(A)
+	var aTable nafLookupTable5
+	aTable.FromP3(A)
+	return v.varTimeDoubleScalarMult(a, nil, &aTable, b)
+}
+
+// VarTimeDoubleScalarFixedMult sets v = a * A + b * B, where A is the
+// point aTable was built from and B is the canonical generator, and
+// returns v.
+//
+// Execution time depends on the inputs.
+func (v *Point) VarTimeDoubleScalarFixedMult(a *Scalar, aTable *FixedTable, b *Scalar) *Point {
+	return v.varTimeDoubleScalarMult(a, aTable, nil, b)
+}
+
+// varTimeDoubleScalarMult sets v = a * A + b * B, with A's multiples
+// from aFixed if it is not nil, and from aOnce if it is.
+func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *nafLookupTable5, b *Scalar) *Point {
 	// Similarly to the single variable-base approach, we compute
 	// digits and use them with a lookup table.  However, because
 	// we are allowed to do variable-time operations, we don't
@@ -116,21 +120,24 @@ func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, aTable *MultTable, b *Sca
 	// "mass" of the scalar onto sparse coefficients (meaning
 	// fewer additions).
 	//
-	// The digits are read in c chunks of 256/c places. Digit i of
-	// chunk j weighs 2^(i + 256j/c), so it is looked up in the tables of
-	// 2^(256j/c)·A and 2^(256j/c)·B, and one doubling of the accumulator
-	// moves every chunk on by one place.
+	// The digits are read in c chunks of 256/c places: sixteen when
+	// both points have a FixedTable, else one, and then only the first
+	// chunk of B's table is read. Digit i of chunk j weighs
+	// 2^(i + 256j/c), so it is looked up in the tables of 2^(256j/c)·A
+	// and 2^(256j/c)·B, and one doubling of the accumulator moves every
+	// chunk on by one place.
 
-	baseTables := basepointNafTables()
-	// Because the basepoint is fixed, we can use a wider NAF
-	// corresponding to a bigger table.
-	aNaf := a.nonAdjacentForm(5)
-	bNaf := b.nonAdjacentForm(8)
-	c := aTable.chunks
+	bTable := basepointTable()
+	c, aWidth := 1, uint(5)
+	if aFixed != nil {
+		c, aWidth = tableChunks, 8
+	}
 	span := 256 / c
+	aNaf := a.nonAdjacentForm(aWidth)
+	bNaf := b.nonAdjacentForm(8)
 
 	multA := &projCached{}
-	multB := &affineCached{}
+	multAffine := &affineCached{}
 	tmp1 := &projP1xP1{}
 	tmp2 := &projP2{}
 	tmp2.Zero()
@@ -143,25 +150,22 @@ func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, aTable *MultTable, b *Sca
 
 		for j := 0; j < c; j++ {
 			// Only update v if we have a nonzero coeff to add in.
-			if d := aNaf[span*j+i]; d > 0 {
+			if d := aNaf[span*j+i]; d != 0 {
 				v.fromP1xP1(tmp1)
-				aTable.t[j].SelectInto(multA, d)
-				tmp1.Add(v, multA)
-			} else if d < 0 {
-				v.fromP1xP1(tmp1)
-				aTable.t[j].SelectInto(multA, -d)
-				tmp1.Sub(v, multA)
+				if aFixed != nil {
+					tmp1.addDigit(v, &aFixed[j], d, multAffine)
+				} else if d > 0 {
+					aOnce.SelectInto(multA, d)
+					tmp1.Add(v, multA)
+				} else {
+					aOnce.SelectInto(multA, -d)
+					tmp1.Sub(v, multA)
+				}
 			}
 
-			bTable := &baseTables[span*j/chunkBits]
-			if d := bNaf[span*j+i]; d > 0 {
+			if d := bNaf[span*j+i]; d != 0 {
 				v.fromP1xP1(tmp1)
-				bTable.SelectInto(multB, d)
-				tmp1.AddAffine(v, multB)
-			} else if d < 0 {
-				v.fromP1xP1(tmp1)
-				bTable.SelectInto(multB, -d)
-				tmp1.SubAffine(v, multB)
+				tmp1.addDigit(v, &bTable[j], d, multAffine)
 			}
 		}
 
@@ -170,4 +174,15 @@ func (v *Point) VarTimeDoubleScalarBaseMult(a *Scalar, aTable *MultTable, b *Sca
 
 	v.fromP2(tmp2)
 	return v
+}
+
+// addDigit sets v = p + d·Q for a nonzero digit d, where t is the table
+// of Q, using mult as scratch, and returns v.
+func (v *projP1xP1) addDigit(p *Point, t *nafLookupTable8, d int8, mult *affineCached) *projP1xP1 {
+	if d > 0 {
+		t.SelectInto(mult, d)
+		return v.AddAffine(p, mult)
+	}
+	t.SelectInto(mult, -d)
+	return v.SubAffine(p, mult)
 }

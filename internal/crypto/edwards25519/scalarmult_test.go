@@ -5,6 +5,7 @@
 package edwards25519
 
 import (
+	mathrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -16,22 +17,32 @@ var (
 	dalekScalarBasepoint, _ = new(Point).SetBytes([]byte{0xf4, 0xef, 0x7c, 0xa, 0x34, 0x55, 0x7b, 0x9f, 0x72, 0x3b, 0xb6, 0x1e, 0xf9, 0x46, 0x9, 0x91, 0x1c, 0xb9, 0xc0, 0x6c, 0x17, 0x28, 0x2d, 0x8b, 0x43, 0x2b, 0x5, 0x18, 0x6a, 0x54, 0x3e, 0x48})
 )
 
-// chunkCounts are the table shapes VarTimeDoubleScalarBaseMult runs with.
-var chunkCounts = []int{1, 4}
+// doubleScalarMults are the two forms of A's table a double-scalar
+// multiplication runs with: built for the one call, and a FixedTable.
+var doubleScalarMults = []struct {
+	name string
+	mult func(v *Point, a *Scalar, A *Point, b *Scalar) *Point
+}{
+	{"one chunk", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
+		return v.VarTimeDoubleScalarBaseMult(a, A, b)
+	}},
+	{"fixed table", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
+		return v.VarTimeDoubleScalarFixedMult(a, NewFixedTable(A), b)
+	}},
+}
 
 func TestVarTimeDoubleBaseMultVsDalek(t *testing.T) {
-	for _, c := range chunkCounts {
+	for _, m := range doubleScalarMults {
 		var p Point
 		var z Scalar
-		table := new(MultTable).Init(B, c)
-		p.VarTimeDoubleScalarBaseMult(dalekScalar, table, &z)
+		m.mult(&p, dalekScalar, B, &z)
 		if dalekScalarBasepoint.Equal(&p) != 1 {
-			t.Errorf("%d chunks: VarTimeDoubleScalarBaseMult fails with b=0", c)
+			t.Errorf("%s: VarTimeDoubleScalarBaseMult fails with b=0", m.name)
 		}
 		checkOnCurve(t, &p)
-		p.VarTimeDoubleScalarBaseMult(&z, table, dalekScalar)
+		m.mult(&p, &z, B, dalekScalar)
 		if dalekScalarBasepoint.Equal(&p) != 1 {
-			t.Errorf("%d chunks: VarTimeDoubleScalarBaseMult fails with a=0", c)
+			t.Errorf("%s: VarTimeDoubleScalarBaseMult fails with a=0", m.name)
 		}
 		checkOnCurve(t, &p)
 	}
@@ -46,13 +57,13 @@ func TestSlowReferenceVsDalek(t *testing.T) {
 }
 
 // TestBasepointNafTableGeneration holds the batch-inverted tables against
-// upstream's construction of 2^(64j)·B, one inversion per point.
+// upstream's construction of 2^(16j)·B, one inversion per point.
 func TestBasepointNafTableGeneration(t *testing.T) {
-	tables := basepointNafTables()
+	tables := basepointTable()
 	p := NewGeneratorPoint()
 	for j := range tables {
 		if j > 0 {
-			p.doubleN(p, chunkBits)
+			p.doubleN(p, chunkPlaces)
 		}
 		var want nafLookupTable8
 		want.FromP3(p)
@@ -65,41 +76,95 @@ func TestBasepointNafTableGeneration(t *testing.T) {
 	}
 }
 
+// randomPoint returns a point decoded from random bytes: any point of the
+// curve, torsion components included.
+func randomPoint(rand *mathrand.Rand) *Point {
+	var b [32]byte
+	for {
+		rand.Read(b[:])
+		if p, err := new(Point).SetBytes(b[:]); err == nil {
+			return p
+		}
+	}
+}
+
+// TestMultTableChunks checks the shape of a FixedTable, for B and for a
+// random point P: entry i of chunk j is (2i+1)·2^(16j)·P, by the
+// reference multiplication.
 func TestMultTableChunks(t *testing.T) {
-	table := new(MultTable).Init(dalekScalarBasepoint, 4)
-	p := new(Point).Set(dalekScalarBasepoint)
-	for j := range table.t {
-		if j > 0 {
-			p.doubleN(p, chunkBits)
+	for name, p := range map[string]*Point{"B": B, "random": randomPoint(mathrand.New(mathrand.NewSource(33)))} {
+		table := NewFixedTable(p)
+		for j := range table {
+			for i := range table[j].points {
+				var k [32]byte // (2i+1)·2^(16j), little-endian
+				k[chunkPlaces*j/8] = byte(2*i + 1)
+				s, err := new(Scalar).SetCanonicalBytes(k[:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want, got Point
+				var sum projP1xP1
+				want.scalarMultSlow(s, p)
+				got.fromP1xP1(sum.AddAffine(I, &table[j].points[i]))
+				if got.Equal(&want) != 1 {
+					t.Fatalf("%s: chunk %d, entry %d is not %d·2^%d·P", name, j, i, 2*i+1, chunkPlaces*j)
+				}
+			}
 		}
-		var want nafLookupTable5
-		want.FromP3(p)
-		if want != table.t[j] {
-			t.Errorf("chunk %d is not the table of 2^%d·P", j, chunkBits*j)
+	}
+}
+
+// TestFixedMultMatchesOneChunk holds the sixteen-chunk loop against the
+// one-chunk loop: on the scalars 0, 1, ℓ−1 and dalek's, each against
+// each, under B, a small-order, a mixed-order and a random point, and
+// on random points and scalars.
+func TestFixedMultMatchesOneChunk(t *testing.T) {
+	agree := func(A *Point, table *FixedTable, x, y *Scalar) bool {
+		var p, q Point
+		p.VarTimeDoubleScalarFixedMult(x, table, y)
+		q.VarTimeDoubleScalarBaseMult(x, A, y)
+		checkOnCurve(t, &p)
+		return p.Equal(&q) == 1
+	}
+
+	order8, err := new(Point).SetBytes(decodeHex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := new(Point).Add(dalekScalarBasepoint, order8)
+	edges := []*Scalar{new(Scalar), scOne, scMinusOne, dalekScalar}
+	for name, A := range map[string]*Point{"B": B, "order 8": order8, "mixed order": mixed, "random": randomPoint(mathrand.New(mathrand.NewSource(34)))} {
+		table := NewFixedTable(A)
+		for i, x := range edges {
+			for j, y := range edges {
+				if !agree(A, table, x, y) {
+					t.Errorf("%s: the loops disagree on edge scalars %d and %d", name, i, j)
+				}
+			}
 		}
+	}
+
+	fixedMatchesOneChunk := func(pointSeed int64, x, y Scalar) bool {
+		A := randomPoint(mathrand.New(mathrand.NewSource(pointSeed)))
+		return agree(A, NewFixedTable(A), &x, &y)
+	}
+	if err := quick.Check(fixedMatchesOneChunk, quickCheckConfig(4)); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 	A := dalekScalarBasepoint
-	tables := map[int]*MultTable{}
-	for _, c := range chunkCounts {
-		tables[c] = new(MultTable).Init(A, c)
-	}
+	table := NewFixedTable(A)
 	varTimeDoubleBaseMultMatchesReference := func(x, y Scalar) bool {
-		var q1, q2, check Point
+		var q1, q2, check, p1, p2 Point
 		q1.scalarMultSlow(&x, A)
 		q2.scalarMultSlow(&y, B)
 		check.Add(&q1, &q2)
-		for _, c := range chunkCounts {
-			var p Point
-			p.VarTimeDoubleScalarBaseMult(&x, tables[c], &y)
-			checkOnCurve(t, &p, &check)
-			if p.Equal(&check) != 1 {
-				return false
-			}
-		}
-		return true
+		p1.VarTimeDoubleScalarBaseMult(&x, A, &y)
+		p2.VarTimeDoubleScalarFixedMult(&x, table, &y)
+		checkOnCurve(t, &p1, &p2, &check)
+		return p1.Equal(&check) == 1 && p2.Equal(&check) == 1
 	}
 
 	if err := quick.Check(varTimeDoubleBaseMultMatchesReference, quickCheckConfig(32)); err != nil {
@@ -110,25 +175,25 @@ func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 // Benchmarks.
 
 func BenchmarkVarTimeDoubleScalarBaseMult(b *testing.B) {
-	basepointNafTables()
-	b.Run("table=once", func(b *testing.B) {
+	basepointTable()
+	b.Run("table=fixed", func(b *testing.B) {
 		var p Point
-		table := new(MultTable).Init(B, 4)
+		table := NewFixedTable(B)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.VarTimeDoubleScalarBaseMult(dalekScalar, table, dalekScalar)
+			p.VarTimeDoubleScalarFixedMult(dalekScalar, table, dalekScalar)
 		}
 	})
 	b.Run("table=per-call", func(b *testing.B) {
 		var p Point
 		for i := 0; i < b.N; i++ {
-			var table MultTable
-			p.VarTimeDoubleScalarBaseMult(dalekScalar, table.Init(B, 1), dalekScalar)
+			p.VarTimeDoubleScalarBaseMult(dalekScalar, B, dalekScalar)
 		}
 	})
 }
 
-func BenchmarkBasepointNafTables(b *testing.B) {
+func BenchmarkNewFixedTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		buildBasepointNafTables()
+		NewFixedTable(B)
 	}
 }

@@ -19,8 +19,8 @@ type Registry struct {
 	mu     sync.RWMutex
 	kind   SchemeKind
 	keys   map[types.ReplicaID]PublicKey
-	seeds  map[string][]byte                  // sim-scheme seeds, keyed by string(pub)
-	tables map[string]*edwards25519.MultTable // ed25519 key tables, keyed by string(pub)
+	seeds  map[string][]byte                   // sim-scheme seeds, keyed by string(pub)
+	tables map[string]*edwards25519.FixedTable // ed25519 key tables, keyed by string(pub)
 }
 
 // NewRegistry creates an empty registry for the given scheme kind.
@@ -29,7 +29,7 @@ func NewRegistry(kind SchemeKind) *Registry {
 		kind:   kind,
 		keys:   make(map[types.ReplicaID]PublicKey),
 		seeds:  make(map[string][]byte),
-		tables: make(map[string]*edwards25519.MultTable),
+		tables: make(map[string]*edwards25519.FixedTable),
 	}
 }
 
@@ -52,7 +52,7 @@ func (r *Registry) Register(id types.ReplicaID, kp *KeyPair) error {
 	if kp.kind != r.kind {
 		return ErrWrongScheme
 	}
-	var table *edwards25519.MultTable
+	var table *edwards25519.FixedTable
 	if kp.kind == SchemeEd25519 {
 		table = newKeyTable(kp.pub)
 	}
@@ -111,7 +111,7 @@ func (r *Registry) seedOf(id types.ReplicaID) ([]byte, bool) {
 
 // keyTable returns the table registered for an ed25519 key, or nil when
 // pub is not a registered key (or r is nil).
-func (r *Registry) keyTable(pub PublicKey) *edwards25519.MultTable {
+func (r *Registry) keyTable(pub PublicKey) *edwards25519.FixedTable {
 	if r == nil {
 		return nil
 	}
@@ -122,9 +122,9 @@ func (r *Registry) keyTable(pub PublicKey) *edwards25519.MultTable {
 
 // publicKeys resolves a batch of identities to their keys and key tables
 // under one read lock; unknown identities yield nil entries.
-func (r *Registry) publicKeys(ids []types.ReplicaID) ([]PublicKey, []*edwards25519.MultTable) {
+func (r *Registry) publicKeys(ids []types.ReplicaID) ([]PublicKey, []*edwards25519.FixedTable) {
 	pubs := make([]PublicKey, len(ids))
-	tables := make([]*edwards25519.MultTable, len(ids))
+	tables := make([]*edwards25519.FixedTable, len(ids))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for i, id := range ids {
