@@ -26,5 +26,15 @@
 // and so does each key kept for many checks, so that a double-scalar
 // multiplication reads both scalars as width-8 NAF digits and does 16
 // doublings instead of 256. A point used once gets upstream's one-chunk
-// table of its multiples up to 15, built for the call.
+// table of its multiples up to 15, built for the call. The loop first
+// lists its additions, then reads each table entry in place, prefetched
+// a few additions ahead (an amd64 assembly stub, a no-op elsewhere and
+// under purego), where upstream copies it out.
+//
+// It also changes field.Element.Invert: upstream's constant-time Fermat
+// chain is replaced by a variable-time Bernstein–Yang inversion
+// (field/invert.go). The rule that makes that safe binds every caller:
+// the package handles public values only. Encoding a point and building
+// a FixedTable invert public coordinates; nothing here may see a secret
+// scalar or a point derived from one. Signing stays on crypto/ed25519.
 package edwards25519

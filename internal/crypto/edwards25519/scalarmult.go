@@ -103,6 +103,27 @@ func (v *Point) VarTimeDoubleScalarFixedMult(a *Scalar, aTable *FixedTable, b *S
 	return v.varTimeDoubleScalarMult(a, aTable, nil, b)
 }
 
+// maxAdditions bounds the additions of one double-scalar multiplication.
+// A width-w NAF has at most one nonzero digit in any w consecutive
+// places (nonAdjacentForm moves on w places after each), so a scalar has
+// at most ⌈257/w⌉ of them: 52 at width 5 and 33 at width 8. The most a
+// multiplication adds is a one-chunk A's width-5 digits beside B's.
+const maxAdditions = (257+4)/5 + (257+7)/8
+
+// prefetchAhead is how many additions before its turn a table entry is
+// prefetched.
+const prefetchAhead = 4
+
+// An addition is one step of the double-scalar loop: after the doubling
+// of place, add or subtract a table entry, affine if it is read from a
+// FixedTable and projective if from a one-chunk table.
+type addition struct {
+	affine *affineCached
+	cached *projCached
+	place  uint8
+	neg    bool
+}
+
 // varTimeDoubleScalarMult sets v = a * A + b * B, with A's multiples
 // from aFixed if it is not nil, and from aOnce if it is.
 func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *nafLookupTable5, b *Scalar) *Point {
@@ -126,6 +147,11 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	// 2^(i + 256j/c), so it is looked up in the tables of 2^(256j/c)·A
 	// and 2^(256j/c)·B, and one doubling of the accumulator moves every
 	// chunk on by one place.
+	//
+	// A first pass lists the additions in loop order, so that the loop
+	// can prefetch each table entry a few additions before it reads it
+	// in place: a FixedTable is too large to stay in cache between
+	// checks.
 
 	bTable := basepointTable()
 	c, aWidth := 1, uint(5)
@@ -136,39 +162,55 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	aNaf := a.nonAdjacentForm(aWidth)
 	bNaf := b.nonAdjacentForm(8)
 
-	multA := &projCached{}
-	multAffine := &affineCached{}
+	// Zero past count, where the loop looks prefetchAhead entries on.
+	var adds [maxAdditions + prefetchAhead]addition
+	count := 0
+	for i := span - 1; i >= 0; i-- {
+		for j := 0; j < c; j++ {
+			if d := aNaf[span*j+i]; d != 0 {
+				add := addition{place: uint8(i), neg: d < 0}
+				if aFixed != nil {
+					add.affine = &aFixed[j].points[abs8(d)/2]
+				} else {
+					add.cached = &aOnce.points[abs8(d)/2]
+				}
+				adds[count] = add
+				count++
+			}
+			if d := bNaf[span*j+i]; d != 0 {
+				adds[count] = addition{affine: &bTable[j].points[abs8(d)/2], place: uint8(i), neg: d < 0}
+				count++
+			}
+		}
+	}
+
+	for _, add := range adds[:prefetchAhead] {
+		if add.affine != nil {
+			prefetch(add.affine)
+		}
+	}
 	tmp1 := &projP1xP1{}
 	tmp2 := &projP2{}
 	tmp2.Zero()
-
-	// Move from high to low bits, doubling the accumulator
-	// at each iteration and checking whether there is a nonzero
-	// coefficient to look up a multiple of.
+	n := 0
 	for i := span - 1; i >= 0; i-- {
 		tmp1.Double(tmp2)
-
-		for j := 0; j < c; j++ {
-			// Only update v if we have a nonzero coeff to add in.
-			if d := aNaf[span*j+i]; d != 0 {
-				v.fromP1xP1(tmp1)
-				if aFixed != nil {
-					tmp1.addDigit(v, &aFixed[j], d, multAffine)
-				} else if d > 0 {
-					aOnce.SelectInto(multA, d)
-					tmp1.Add(v, multA)
-				} else {
-					aOnce.SelectInto(multA, -d)
-					tmp1.Sub(v, multA)
-				}
+		for ; n < count && int(adds[n].place) == i; n++ {
+			if next := adds[n+prefetchAhead].affine; next != nil {
+				prefetch(next)
 			}
-
-			if d := bNaf[span*j+i]; d != 0 {
-				v.fromP1xP1(tmp1)
-				tmp1.addDigit(v, &bTable[j], d, multAffine)
+			v.fromP1xP1(tmp1)
+			switch add := &adds[n]; {
+			case add.affine == nil && add.neg:
+				tmp1.Sub(v, add.cached)
+			case add.affine == nil:
+				tmp1.Add(v, add.cached)
+			case add.neg:
+				tmp1.SubAffine(v, add.affine)
+			default:
+				tmp1.AddAffine(v, add.affine)
 			}
 		}
-
 		tmp2.FromP1xP1(tmp1)
 	}
 
@@ -176,13 +218,10 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	return v
 }
 
-// addDigit sets v = p + d·Q for a nonzero digit d, where t is the table
-// of Q, using mult as scratch, and returns v.
-func (v *projP1xP1) addDigit(p *Point, t *nafLookupTable8, d int8, mult *affineCached) *projP1xP1 {
-	if d > 0 {
-		t.SelectInto(mult, d)
-		return v.AddAffine(p, mult)
+// abs8 returns |d| for a NAF digit d.
+func abs8(d int8) int8 {
+	if d < 0 {
+		return -d
 	}
-	t.SelectInto(mult, -d)
-	return v.SubAffine(p, mult)
+	return d
 }

@@ -5,6 +5,9 @@
 package edwards25519
 
 import (
+	"fmt"
+	"math/big"
+	"math/bits"
 	mathrand "math/rand"
 	"testing"
 	"testing/quick"
@@ -29,6 +32,77 @@ var doubleScalarMults = []struct {
 	{"fixed table", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
 		return v.VarTimeDoubleScalarFixedMult(a, NewFixedTable(A), b)
 	}},
+}
+
+// denseScalar returns the scalar with the width-w NAF digit d at every
+// w-th place whose weight keeps it below 2^252 < ℓ, and how many there
+// are: with d = 1, as many nonzero digits as a scalar can have at that
+// width.
+func denseScalar(t testing.TB, w uint, d int64) (*Scalar, int) {
+	t.Helper()
+	n, digits := new(big.Int), 0
+	for place := uint(0); int(place)+bits.Len64(uint64(d)) <= 252; place += w {
+		n.Add(n, new(big.Int).Lsh(big.NewInt(d), place))
+		digits++
+	}
+	var b [32]byte
+	n.FillBytes(b[:])
+	s, err := new(Scalar).SetCanonicalBytes(reverse(b[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, digits
+}
+
+func reverse(b []byte) []byte {
+	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
+		b[i], b[j] = b[j], b[i]
+	}
+	return b
+}
+
+// denseScalars are the scalars whose NAF digits fill the list of
+// additions the most: ℓ−1, and a digit at every place width 5 or
+// width 8 allows, the smallest and the largest digit.
+func denseScalars(t testing.TB) map[string]*Scalar {
+	dense := map[string]*Scalar{"l-1": scMinusOne}
+	for _, w := range []uint{5, 8} {
+		for _, d := range []int64{1, 1<<(w-1) - 1} {
+			dense[fmt.Sprintf("width %d, digits %d", w, d)], _ = denseScalar(t, w, d)
+		}
+	}
+	return dense
+}
+
+func nonzeroDigits(naf [256]int8) int {
+	n := 0
+	for _, d := range naf {
+		if d != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestNonAdjacentFormDensity holds the bound the loop's list of
+// additions is sized by: at most ⌈257/w⌉ nonzero width-w digits, which
+// the dense scalars come within two of.
+func TestNonAdjacentFormDensity(t *testing.T) {
+	for _, w := range []uint{5, 8} {
+		limit := (257 + int(w) - 1) / int(w)
+		for _, d := range []int64{1, 1<<(w-1) - 1} {
+			s, digits := denseScalar(t, w, d)
+			if got := nonzeroDigits(s.nonAdjacentForm(w)); got != digits || got < limit-2 {
+				t.Errorf("width %d, digits %d: %d nonzero digits, want %d", w, d, got, digits)
+			}
+		}
+		withinBound := func(x Scalar) bool {
+			return nonzeroDigits(x.nonAdjacentForm(w)) <= limit
+		}
+		if err := quick.Check(withinBound, quickCheckConfig(32)); err != nil {
+			t.Errorf("width %d: %v", w, err)
+		}
+	}
 }
 
 func TestVarTimeDoubleBaseMultVsDalek(t *testing.T) {
@@ -115,9 +189,9 @@ func TestMultTableChunks(t *testing.T) {
 }
 
 // TestFixedMultMatchesOneChunk holds the sixteen-chunk loop against the
-// one-chunk loop: on the scalars 0, 1, ℓ−1 and dalek's, each against
-// each, under B, a small-order, a mixed-order and a random point, and
-// on random points and scalars.
+// one-chunk loop: on the scalars 0, 1, dalek's and the dense ones, each
+// against each, under B, a small-order, a mixed-order and a random
+// point, and on random points and scalars.
 func TestFixedMultMatchesOneChunk(t *testing.T) {
 	agree := func(A *Point, table *FixedTable, x, y *Scalar) bool {
 		var p, q Point
@@ -132,7 +206,10 @@ func TestFixedMultMatchesOneChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := new(Point).Add(dalekScalarBasepoint, order8)
-	edges := []*Scalar{new(Scalar), scOne, scMinusOne, dalekScalar}
+	edges := []*Scalar{new(Scalar), scOne, dalekScalar}
+	for _, s := range denseScalars(t) {
+		edges = append(edges, s)
+	}
 	for name, A := range map[string]*Point{"B": B, "order 8": order8, "mixed order": mixed, "random": randomPoint(mathrand.New(mathrand.NewSource(34)))} {
 		table := NewFixedTable(A)
 		for i, x := range edges {
@@ -167,6 +244,14 @@ func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 		return p1.Equal(&check) == 1 && p2.Equal(&check) == 1
 	}
 
+	dense := denseScalars(t)
+	for xName, x := range dense {
+		for yName, y := range dense {
+			if !varTimeDoubleBaseMultMatchesReference(*x, *y) {
+				t.Errorf("a = %s, b = %s: a loop disagrees with the reference", xName, yName)
+			}
+		}
+	}
 	if err := quick.Check(varTimeDoubleBaseMultMatchesReference, quickCheckConfig(32)); err != nil {
 		t.Error(err)
 	}

@@ -5,11 +5,14 @@
 package edwards25519
 
 // A dynamic lookup table for variable-base, variable-time scalar muls.
+// Entry i is (2i+1)·Q; the double-scalar loop reads it in place.
 type nafLookupTable5 struct {
 	points [8]projCached
 }
 
 // A precomputed lookup table for fixed-base, variable-time scalar muls.
+// Entry i is (2i+1)·Q in affine form; the double-scalar loop reads it in
+// place.
 type nafLookupTable8 struct {
 	points [64]affineCached
 }
@@ -28,16 +31,4 @@ func (v *nafLookupTable5) FromP3(q *Point) {
 	for i := 0; i < 7; i++ {
 		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.Add(&q2, &v.points[i])))
 	}
-}
-
-// Selectors.
-
-// Given odd x with 0 < x < 2^4, return x*Q (in variable time).
-func (v *nafLookupTable5) SelectInto(dest *projCached, x int8) {
-	*dest = v.points[x/2]
-}
-
-// Given odd x with 0 < x < 2^7, return x*Q (in variable time).
-func (v *nafLookupTable8) SelectInto(dest *affineCached, x int8) {
-	*dest = v.points[x/2]
 }
