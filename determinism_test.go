@@ -7,18 +7,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"github.com/zeroloss/zlb"
-	"github.com/zeroloss/zlb/internal/bench"
-	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/load"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/scenario"
-	"github.com/zeroloss/zlb/internal/simnet"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite the scenario golden files under testdata/")
@@ -250,6 +246,56 @@ func TestPipelineModesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestParallelSimnetBitIdentical is the simulator's determinism contract
+// under parallel verification: the simulated nodes fan their signature
+// and ledger checks out to the shared worker pool, so every registered
+// scenario campaign and every registered open-loop load campaign must
+// produce bit-identical reports at GOMAXPROCS=1 and at GOMAXPROCS=4.
+// The goldens run each campaign at one width only; this is where the
+// width changes underneath one event loop.
+func TestParallelSimnetBitIdentical(t *testing.T) {
+	widenSharedPool()
+	widths := []int{1, 4}
+	compare := func(t *testing.T, run func() string) {
+		t.Helper()
+		var ref string
+		for i, maxprocs := range widths {
+			prev := runtime.GOMAXPROCS(maxprocs)
+			got := run()
+			runtime.GOMAXPROCS(prev)
+			if i == 0 {
+				ref = got
+				continue
+			}
+			if got != ref {
+				t.Errorf("GOMAXPROCS=%d diverged from GOMAXPROCS=%d:\n--- got\n%s--- want\n%s", maxprocs, widths[0], got, ref)
+			}
+		}
+	}
+	for _, name := range scenario.Names() {
+		name := name
+		t.Run("scenario/"+name, func(t *testing.T) {
+			compare(t, func() string {
+				s, err := scenario.Build(name, 9, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := scenario.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Format()
+			})
+		})
+	}
+	for _, name := range load.Names() {
+		name := name
+		t.Run("load/"+name, func(t *testing.T) {
+			compare(t, func() string { return runLoadCampaign(t, name) })
+		})
+	}
+}
+
 // widenSharedPool forces a multi-worker shared pool before anything
 // sizes it: the pool is sized at first use, and on a single-core host it
 // would otherwise degenerate to one worker, and the GOMAXPROCS=4 runs
@@ -263,177 +309,40 @@ func widenSharedPool() {
 	runtime.GOMAXPROCS(prev)
 }
 
-// fig3Fingerprint runs the fig3 ZLB point at n=30 on a directly built
-// harness cluster and returns everything the parallel simulator must
-// leave untouched: committed instances, throughput, disagreements, the
-// final virtual clock, the simulator event/byte counters and the full
-// chain digests of every honest replica.
-func fig3Fingerprint(t *testing.T) string {
-	t.Helper()
-	c, err := harness.New(bench.ZLBFig3Options(30, 2, 42))
+// TestTraceDigestGolden is the internal/obs determinism contract at the
+// system level: with tracing enabled, the merged event stream of a full
+// accountability campaign (fork, detection, exclusion, merge) at n=9,
+// seed 42 must match the golden digest under testdata/scenario_goldens/.
+// Regenerate after an intended change with
+// `go test -run TestTraceDigestGolden -update`.
+func TestTraceDigestGolden(t *testing.T) {
+	const name = "attack-detect-exclude-merge"
+	s, err := scenario.Build(name, 9, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	c.RunUntilQuiet(30 * time.Minute)
-	if c.Exhausted() {
-		t.Fatal("fig3 run exhausted its event budget")
+	s.Opts.Tracer = obs.NewTracer()
+	if _, err := scenario.Run(s); err != nil {
+		t.Fatal(err)
 	}
-	out := fmt.Sprintf("committed=%d tput=%.6f disagreements=%d clock=%d delivered=%d dropped=%d bytes=%d\n",
-		c.CommittedInstances(), c.Throughput(), c.Disagreements(), c.Net.Now(),
-		c.Net.Delivered, c.Net.Dropped, c.Net.BytesSent)
-	for _, id := range c.HonestMembers() {
-		digests := c.Replicas[id].ChainDigests()
-		ks := make([]uint64, 0, len(digests))
-		for k := range digests {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		out += fmt.Sprintf("r%d:", id)
-		for _, k := range ks {
-			out += fmt.Sprintf(" %d=%s", k, digests[k].Hex())
-		}
-		out += "\n"
+	if s.Opts.Tracer.Len() == 0 {
+		t.Fatal("traced scenario recorded no events")
 	}
-	return out
-}
-
-// TestParallelSimnetBitIdentical is the parallel simulator's determinism
-// contract at the system level: every registered scenario campaign,
-// every registered open-loop load campaign and the fig3 ZLB point at
-// n=30 must produce bit-identical goldens, final
-// clocks, event counts and chain digests under the sequential loop
-// (simnet.SequentialSim) and under conservative parallel windows at
-// GOMAXPROCS=1 and GOMAXPROCS=4. The nightly workflow re-runs it under
-// the race detector.
-func TestParallelSimnetBitIdentical(t *testing.T) {
-	widenSharedPool()
-	modes := []struct {
-		name     string
-		seqSim   bool
-		maxprocs int
-	}{
-		{"sequential-sim", true, 0},
-		{"parallel/GOMAXPROCS=1", false, 1},
-		{"parallel/GOMAXPROCS=4", false, 4},
+	got := s.Opts.Tracer.Digest()
+	goldenPath := filepath.Join("testdata", "scenario_goldens", "trace-"+name+".digest")
+	if *updateGoldens {
+		if err := os.WriteFile(goldenPath, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	// The mode is the simulator's own and process-wide, like GOMAXPROCS:
-	// set around the run, on whatever builds the network underneath.
-	runMode := func(seqSim bool, maxprocs int, fn func() string) string {
-		simnet.SequentialSim = seqSim
-		defer func() { simnet.SequentialSim = false }()
-		if maxprocs > 0 {
-			prev := runtime.GOMAXPROCS(maxprocs)
-			defer runtime.GOMAXPROCS(prev)
-		}
-		return fn()
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
 	}
-	for _, name := range scenario.Names() {
-		name := name
-		t.Run("scenario/"+name, func(t *testing.T) {
-			var ref string
-			for i, m := range modes {
-				got := runMode(m.seqSim, m.maxprocs, func() string {
-					s, err := scenario.Build(name, 9, 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := scenario.Run(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res.Format()
-				})
-				if i == 0 {
-					ref = got
-					continue
-				}
-				if got != ref {
-					t.Errorf("%s diverged from %s:\n--- got\n%s--- want\n%s", m.name, modes[0].name, got, ref)
-				}
-			}
-		})
+	if got+"\n" != string(want) {
+		t.Errorf("trace digest %s does not match golden %s", got, string(want))
 	}
-	for _, name := range load.Names() {
-		name := name
-		t.Run("load/"+name, func(t *testing.T) {
-			var ref string
-			for i, m := range modes {
-				got := runMode(m.seqSim, m.maxprocs, func() string { return runLoadCampaign(t, name) })
-				if i == 0 {
-					ref = got
-					continue
-				}
-				if got != ref {
-					t.Errorf("%s diverged from %s:\n--- got\n%s--- want\n%s", m.name, modes[0].name, got, ref)
-				}
-			}
-		})
-	}
-	t.Run("fig3/ZLB/n=30", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("skipping fig3 point in -short mode")
-		}
-		var ref string
-		for i, m := range modes {
-			got := runMode(m.seqSim, m.maxprocs, func() string { return fig3Fingerprint(t) })
-			if i == 0 {
-				ref = got
-				continue
-			}
-			if got != ref {
-				t.Errorf("%s diverged from %s:\n--- got\n%s--- want\n%s", m.name, modes[0].name, got, ref)
-			}
-		}
-	})
-	// Trace-digest pin: with tracing enabled, the merged obs event stream
-	// of a full accountability campaign (fork, detection, exclusion,
-	// merge) must be bit-identical across all three execution modes AND
-	// match the golden digest — the internal/obs determinism contract at
-	// the system level. Tracing must not force the sequential fallback:
-	// the parallel modes run through conservative windows like any other
-	// run.
-	t.Run("trace/attack-detect-exclude-merge", func(t *testing.T) {
-		const name = "attack-detect-exclude-merge"
-		var ref string
-		for i, m := range modes {
-			got := runMode(m.seqSim, m.maxprocs, func() string {
-				s, err := scenario.Build(name, 9, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Opts.Tracer = obs.NewTracer()
-				if _, err := scenario.Run(s); err != nil {
-					t.Fatal(err)
-				}
-				if s.Opts.Tracer.Len() == 0 {
-					t.Fatal("traced scenario recorded no events")
-				}
-				return s.Opts.Tracer.Digest()
-			})
-			if i == 0 {
-				ref = got
-				continue
-			}
-			if got != ref {
-				t.Errorf("%s trace digest %s, want %s (%s)", m.name, got, ref, modes[0].name)
-			}
-		}
-		goldenPath := filepath.Join("testdata", "scenario_goldens", "trace-"+name+".digest")
-		if *updateGoldens {
-			if err := os.WriteFile(goldenPath, []byte(ref+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("reading golden (run with -update to regenerate): %v", err)
-		}
-		if ref+"\n" != string(want) {
-			t.Errorf("trace digest %s does not match golden %s", ref, string(want))
-		}
-	})
 }
 
 // TestNewWalletKeepsDeposits regression-tests the Cluster.NewWallet fix:

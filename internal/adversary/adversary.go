@@ -86,13 +86,13 @@ type Coalition struct {
 
 	deceitfulSet map[types.ReplicaID]bool
 	partOf       map[types.ReplicaID]int
-	// mu guards digestPartition: with the parallel simulator, a deceitful
-	// proposer registers variants (inside its BatchSource callback) while
-	// deceitful echoers of other slots consult them concurrently. The
-	// values read are still deterministic — an echoer can only look up
-	// digests it has already received in messages, which were registered
-	// at least one lookahead window earlier — the lock only protects the
-	// map internals.
+	// mu guards digestPartition, the coalition's one table shared across
+	// replicas: a deceitful proposer registers variants (inside its
+	// BatchSource callback) and deceitful echoers of other slots consult
+	// them, whichever goroutines drive those replicas. The values read
+	// are deterministic — an echoer can only look up digests it has
+	// already received in messages, so their variants are registered
+	// before — the lock only protects the map internals.
 	mu sync.RWMutex
 	// digestPartition maps an rbcast proposal-variant digest to its target
 	// partition: the attackers' out-of-band coordination.

@@ -45,7 +45,8 @@ func decideInstance(t *testing.T, n int, idle ...types.ReplicaID) (*sbc.Decision
 		members[i] = types.ReplicaID(i + 1)
 	}
 	net := simnet.New(simnet.Config{Latency: latency.Uniform(time.Millisecond, 8*time.Millisecond), Seed: 21})
-	// OnDecide runs inside the simulator's parallel windows.
+	// Every replica's OnDecide writes the maps below: the lock keeps them
+	// safe whichever goroutine runs the callbacks.
 	var mu sync.Mutex
 	decisions := map[types.ReplicaID]*sbc.Decision{}
 	instances := map[types.ReplicaID]*sbc.Instance{}

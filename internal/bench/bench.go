@@ -113,11 +113,10 @@ func shardedSigOps(n int) int {
 }
 
 // ZLBFig3Options is the exact harness configuration of the fig3 ZLB
-// series. It is exported as the single source of truth: the root
-// determinism suite (TestParallelSimnetBitIdentical) and the simulator
-// A/B benchmark in internal/harness derive their clusters from it, so
-// the "fig3 n=30 is bit-identical" pins always cover the configuration
-// CI's perf gate actually runs.
+// series. It is exported as the single source of truth: the simulator
+// benchmarks in internal/harness (BenchmarkSim30, BenchmarkSim60) derive
+// their clusters from it, so they time the configuration CI's perf gate
+// actually runs.
 func ZLBFig3Options(n int, instances uint64, seed int64) harness.Options {
 	return harness.Options{
 		N:            n,
@@ -246,9 +245,8 @@ func runFig3HotStuff(n int, instances uint64, seed int64) (Fig3Point, error) {
 		txs int
 		at  time.Duration
 	}
-	// Dense per-replica slices: each handler appends only to its own
-	// entry, so the parallel simulator's concurrent callbacks never touch
-	// shared map internals.
+	// Dense per-replica slices indexed by replica ID: each handler
+	// appends only to its own entry.
 	commits := make([][]commitRec, n+1)
 	// HotStuff is benchmarked with dedicated clients pre-transmitting
 	// proposals, so servers exchange digests (§5.1); the leader still

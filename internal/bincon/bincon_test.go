@@ -51,8 +51,9 @@ type binCluster struct {
 	net     *simnet.Network
 	nodes   map[types.ReplicaID]*binNode
 	members []types.ReplicaID
-	// mu orders the writes of the callbacks below, which the simulator's
-	// parallel windows run on several goroutines. Tests read after the run.
+	// mu orders the writes of the callbacks below, which every replica
+	// shares: the recorder does not rely on the simulator running them
+	// on one goroutine. Tests read after the run.
 	mu      sync.Mutex
 	decided map[types.ReplicaID]Decision
 	pofs    map[types.ReplicaID][]accountability.PoF

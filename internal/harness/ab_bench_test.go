@@ -6,21 +6,15 @@ import (
 
 	"github.com/zeroloss/zlb/internal/bench"
 	"github.com/zeroloss/zlb/internal/harness"
-	"github.com/zeroloss/zlb/internal/simnet"
 )
 
-// runAB drives the fig3 ZLB configuration at committee size n
-// (bench.ZLBFig3Options, the same options CI's perf gate runs) with the
-// simulator's execution mode as the only variable — the A/B pairs behind
-// the EXPERIMENTS.md parallel-simnet wall-clock comparison. The reported
-// tx/s and event counts must be identical within a pair (bit-identity is
-// pinned by TestParallelSimnetBitIdentical at the repository root); only
-// ns/op may differ. The windows cost below about n=50 and pay above it,
-// from two cores up, so there is a pair on each side.
-func runAB(b *testing.B, n int, seqSim bool) {
+// runSim drives the fig3 ZLB configuration at committee size n
+// (bench.ZLBFig3Options, the same options CI's perf gate runs) and times
+// the simulator's event loop on it: ns/op is the wall clock of one run.
+// The reported tx/s and event count are seed-deterministic, so a change
+// that moves them changed the simulation, not its speed.
+func runSim(b *testing.B, n int) {
 	opts := bench.ZLBFig3Options(n, 2, 42)
-	simnet.SequentialSim = seqSim
-	defer func() { simnet.SequentialSim = false }()
 	for i := 0; i < b.N; i++ {
 		c, err := harness.New(opts)
 		if err != nil {
@@ -38,7 +32,5 @@ func runAB(b *testing.B, n int, seqSim bool) {
 	}
 }
 
-func BenchmarkSimSeq30(b *testing.B) { runAB(b, 30, true) }
-func BenchmarkSimPar30(b *testing.B) { runAB(b, 30, false) }
-func BenchmarkSimSeq60(b *testing.B) { runAB(b, 60, true) }
-func BenchmarkSimPar60(b *testing.B) { runAB(b, 60, false) }
+func BenchmarkSim30(b *testing.B) { runSim(b, 30) }
+func BenchmarkSim60(b *testing.B) { runSim(b, 60) }

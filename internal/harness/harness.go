@@ -152,12 +152,11 @@ type Cluster struct {
 	// Intern is the cluster-wide RBC payload intern table: one canonical
 	// byte slice per proposal digest instead of one copy per replica.
 	Intern *rbc.Intern
-	// mu guards the callback-written cluster maps that are not strictly
-	// per-replica (ChangeResults, JoinVerified, the lazy outer map of
-	// slotOutcomes): with the parallel simulator, callbacks of
-	// different replicas run concurrently inside a window. Values are
-	// still deterministic — per-replica entries are disjoint — the lock
-	// only serializes map internals.
+	// mu guards the cluster maps that every replica's callbacks write
+	// (ChangeResults, JoinVerified): they are shared across replicas, not
+	// owned by one, so writes go through one lock whoever drives the
+	// replicas. Per-replica entries are disjoint, so the lock only
+	// serializes map internals and never orders values.
 	mu sync.Mutex
 	// slotOutcomes[id][k][slot] is the first per-slot binary decision at
 	// replica id: the granularity Fig. 4 counts disagreements at.

@@ -17,8 +17,9 @@ type cluster struct {
 	net      *simnet.Network
 	replicas map[types.ReplicaID]*Replica
 	members  []types.ReplicaID
-	// mu orders the writes of the callbacks below, which the simulator's
-	// parallel windows run on several goroutines. Tests read after the run.
+	// mu orders the writes of the callbacks below, which every replica
+	// shares: the recorder does not rely on the simulator running them
+	// on one goroutine. Tests read after the run.
 	mu      sync.Mutex
 	commits map[types.ReplicaID][]*Block
 }

@@ -83,20 +83,6 @@ func (m *AWSMatrix) Delay(from, to types.ReplicaID, rng *rand.Rand) time.Duratio
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// MinDelay implements Bounded: the smallest matrix entry at the maximum
-// downward jitter (0.8×), a bound that holds for every region assignment.
-func (m *AWSMatrix) MinDelay() time.Duration {
-	min := awsOneWayMillis[0][0]
-	for _, row := range awsOneWayMillis {
-		for _, v := range row {
-			if v < min {
-				min = v
-			}
-		}
-	}
-	return time.Duration(float64(min) * 0.8 * float64(time.Millisecond))
-}
-
 // Partitioner assigns replicas to attack partitions. Partition -1 means
 // "not partitioned" (the deceitful replicas themselves, which the paper
 // lets communicate normally with every partition).
@@ -124,7 +110,3 @@ func (p *PartitionOverlay) Delay(from, to types.ReplicaID, rng *rand.Rand) time.
 	}
 	return d
 }
-
-// MinDelay implements Bounded: the overlay only ever adds delay on top of
-// the base model, so the base's bound holds for every link.
-func (p *PartitionOverlay) MinDelay() time.Duration { return MinDelayOf(p.Base) }

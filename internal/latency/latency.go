@@ -29,36 +29,10 @@ func (f ModelFunc) Delay(from, to types.ReplicaID, rng *rand.Rand) time.Duration
 	return f(from, to, rng)
 }
 
-// Bounded is implemented by models that can lower-bound every delay they
-// will ever produce. The bound is what the parallel simulator derives its
-// conservative lookahead window from (internal/simnet): a positive
-// MinDelay guarantees no message sent at virtual time t arrives before
-// t+MinDelay, so events less than MinDelay apart at different nodes are
-// causally independent. The bound must hold for every (from, to) pair and
-// every random draw — a model returning a delay below its stated MinDelay
-// breaks the simulator's bit-identity guarantee (and panics the run).
-// Models that cannot bound their delays away from zero (Gamma, arbitrary
-// ModelFunc) simply do not implement Bounded and run sequentially.
-type Bounded interface {
-	MinDelay() time.Duration
-}
-
-// MinDelayOf returns the model's guaranteed delay lower bound, or 0 when
-// the model does not implement Bounded (no usable lookahead).
-func MinDelayOf(m Model) time.Duration {
-	if b, ok := m.(Bounded); ok {
-		if d := b.MinDelay(); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
 // fixedModel is the constant-delay model.
 type fixedModel struct{ d time.Duration }
 
 func (m fixedModel) Delay(_, _ types.ReplicaID, _ *rand.Rand) time.Duration { return m.d }
-func (m fixedModel) MinDelay() time.Duration                                { return m.d }
 
 // Fixed returns a constant-delay model.
 func Fixed(d time.Duration) Model { return fixedModel{d: d} }
@@ -72,8 +46,6 @@ func (m uniformModel) Delay(_, _ types.ReplicaID, rng *rand.Rand) time.Duration 
 	}
 	return m.min + time.Duration(rng.Int63n(int64(m.span)+1))
 }
-
-func (m uniformModel) MinDelay() time.Duration { return m.min }
 
 // Uniform returns delays drawn uniformly from [min, max]. The paper's
 // partition-delay experiments use uniform delays with means of 200, 500
@@ -144,16 +116,6 @@ func (m jitteredModel) Delay(from, to types.ReplicaID, rng *rand.Rand) time.Dura
 	d := m.base.Delay(from, to, rng)
 	j := 1 + m.fraction*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * j)
-}
-
-// MinDelay implements Bounded: the base bound shrunk by the worst-case
-// downward jitter (0 when the jitter can reach or cross zero, or when the
-// base is unbounded).
-func (m jitteredModel) MinDelay() time.Duration {
-	if m.fraction >= 1 {
-		return 0
-	}
-	return time.Duration(float64(MinDelayOf(m.base)) * (1 - m.fraction))
 }
 
 // Jittered wraps a model adding ±fraction multiplicative jitter, so fixed

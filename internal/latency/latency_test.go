@@ -184,47 +184,3 @@ func TestRegionString(t *testing.T) {
 		}
 	}
 }
-
-// TestMinDelayBounds pins every Bounded implementation's lower bound and
-// verifies, by sampling, that no draw ever lands below it — the
-// invariant the parallel simulator's lookahead window is built on.
-func TestMinDelayBounds(t *testing.T) {
-	overlay := &PartitionOverlay{
-		Base:        Fixed(10 * time.Millisecond),
-		Extra:       UniformMean(500 * time.Millisecond),
-		PartitionOf: func(id types.ReplicaID) int { return int(id) % 2 },
-	}
-	cases := []struct {
-		name  string
-		model Model
-		want  time.Duration
-	}{
-		{"fixed", Fixed(3 * time.Millisecond), 3 * time.Millisecond},
-		{"uniform", Uniform(2*time.Millisecond, 9*time.Millisecond), 2 * time.Millisecond},
-		{"uniform-mean", UniformMean(200 * time.Millisecond), 100 * time.Millisecond},
-		{"aws", NewAWSMatrix(), 1600 * time.Microsecond},
-		{"jittered-aws", Jittered(NewAWSMatrix(), 0.2), 1280 * time.Microsecond},
-		{"partition-overlay", overlay, 10 * time.Millisecond},
-		{"gamma-unbounded", GammaInternet(), 0},
-		{"modelfunc-unbounded", ModelFunc(func(_, _ types.ReplicaID, _ *rand.Rand) time.Duration { return time.Second }), 0},
-		{"jitter-over-1", Jittered(Fixed(time.Millisecond), 1.5), 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := MinDelayOf(c.model); got != c.want {
-				t.Fatalf("MinDelayOf = %v, want %v", got, c.want)
-			}
-			if c.want == 0 {
-				return
-			}
-			rng := rand.New(rand.NewSource(99))
-			for i := 0; i < 5000; i++ {
-				from := types.ReplicaID(1 + i%7)
-				to := types.ReplicaID(1 + (i/7)%7)
-				if d := c.model.Delay(from, to, rng); d < c.want {
-					t.Fatalf("draw %v below declared MinDelay %v (%v->%v)", d, c.want, from, to)
-				}
-			}
-		})
-	}
-}

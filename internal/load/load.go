@@ -16,8 +16,7 @@
 // on the simulator's virtual clock, commit timestamps come from the
 // observing replica's per-event time, and admission decisions depend
 // only on the submission sequence (internal/mempool). A campaign report
-// is therefore bit-identical across the sequential and
-// conservative-parallel simulation modes and across GOMAXPROCS — the
+// is therefore bit-identical across runs and across GOMAXPROCS — the
 // root determinism suite pins the three registered campaigns as goldens.
 package load
 

@@ -240,7 +240,7 @@ func msCell(d time.Duration) string {
 
 // Format renders the fixed-layout report the goldens pin. Everything in
 // it derives from virtual-time measurements, so the bytes are identical
-// for a fixed seed in every execution mode.
+// for a fixed seed at any GOMAXPROCS.
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "open-loop %s", r.Name)

@@ -181,7 +181,8 @@ func TestMembershipChangeEndToEnd(t *testing.T) {
 	}
 
 	net := simnet.New(simnet.Config{Latency: latency.Uniform(time.Millisecond, 10*time.Millisecond), Seed: 11})
-	// OnResult runs inside the simulator's parallel windows.
+	// Every replica's OnResult writes results: the lock keeps the map safe
+	// whichever goroutine runs the callbacks.
 	var resultsMu sync.Mutex
 	results := map[types.ReplicaID]*Result{}
 	honest := members[3:]

@@ -19,7 +19,7 @@
 // Every decision is a pure function of the admission sequence and the
 // injected clock — nothing iterates a Go map to decide anything — so a
 // fixed-seed simulation produces bit-identical admissions, batches and
-// latency percentiles in every execution mode (the property tests in
+// latency percentiles at any GOMAXPROCS (the property tests in
 // policy_test.go and the root determinism suite pin this).
 //
 // The pool stores shared *utxo.Transaction pointers: in the simulated
@@ -260,7 +260,7 @@ func (p *Pool) SetClock(fn func() time.Duration) {
 // Add warms every lazily memoized derived value (canonical encoding, ID,
 // signing digest) while the transaction is still owned by a single
 // goroutine: the pointer is about to be shared across all replicas'
-// pools, and with the parallel simulator several replicas may encode or
+// pools, and the verification workers (internal/pipeline) may encode or
 // hash it concurrently. After Add, those accessors are read-only.
 func (p *Pool) Add(tx *utxo.Transaction) error {
 	id := tx.ID()

@@ -5,16 +5,14 @@
 //
 // Tracing is designed around the repository's bit-identical-determinism
 // discipline. Every recorded Event carries the recording replica's
-// *virtual* timestamp (simnet.Env.Now(), which is per-node and identical
-// across the sequential and parallel simulation modes) and is appended to
-// a per-node buffer. The simulator serializes all activity of one node —
-// on the caller's goroutine sequentially, or on one worker per node
-// inside a conservative parallel window — so per-node buffers need no
-// locks and their append order is bit-identical across modes. Tracer
-// stitches the buffers into a single stream with a deterministic merge
-// (timestamp, then node, then per-node order), so the merged JSONL and
-// its digest are bit-identical across sequential and parallel runs; the
-// determinism suite pins this with a golden digest.
+// *virtual* timestamp (simnet.Env.Now(), per node and seed-deterministic)
+// and is appended to a per-node buffer. The simulator serializes all
+// activity of one node, so per-node buffers need no locks and their
+// append order is fixed by the seed. Tracer stitches the buffers into a
+// single stream with a deterministic merge (timestamp, then node, then
+// per-node order), so the merged JSONL and its digest depend on what
+// each replica recorded and when, not on how the buffers interleaved;
+// the determinism suite pins this with a golden digest.
 //
 // Recording is zero-cost when disabled: every NodeTracer method is safe
 // on a nil receiver and returns immediately, so instrumented protocol
@@ -78,8 +76,8 @@ type Event struct {
 // disabled path every protocol package ships with.
 //
 // A NodeTracer must only be used from the owning replica's event
-// handlers (the simulator serializes those, even in parallel windows) or
-// from a single-threaded driver.
+// handlers (the simulator serializes those) or from the one goroutine
+// that runs the simulation.
 type NodeTracer struct {
 	node types.ReplicaID
 	evs  []Event
@@ -148,8 +146,7 @@ func (tr *Tracer) Len() int {
 
 // Events merges every node buffer into one deterministic stream ordered
 // by (At, Node, per-node append order). Because per-node append order is
-// bit-identical across the sequential and parallel simulation modes, the
-// merged stream is too.
+// seed-deterministic, the merged stream is too.
 func (tr *Tracer) Events() []Event {
 	if tr == nil {
 		return nil
@@ -193,7 +190,7 @@ func (tr *Tracer) WriteJSONL(w io.Writer) error {
 }
 
 // Digest returns the hex SHA-256 of the merged JSONL stream — the value
-// the determinism suite pins across simulation modes.
+// the determinism suite pins against a golden.
 func (tr *Tracer) Digest() string {
 	h := sha256.New()
 	if err := tr.WriteJSONL(h); err != nil {

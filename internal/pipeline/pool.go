@@ -94,10 +94,9 @@ func (p *Pool) TryDo(fn func()) bool {
 // Completion is tracked per index, not per helper task: the caller waits
 // only until every fn call has finished, never for a queued helper to be
 // scheduled. Map is therefore safe to call from pool workers themselves
-// (the parallel simulator runs event handlers on the pool, and those
-// handlers fan out nested verification Maps): a helper task that never
-// runs — because every worker is busy inside such a nested Map — can no
-// longer deadlock the fan-in, since whoever finishes the last index
+// (a task that fans out a nested Map): a helper task that never runs —
+// because every worker is busy inside such a nested Map — cannot
+// deadlock the fan-in, since whoever finishes the last index
 // releases the waiter, and in-progress indices are by definition owned
 // by live goroutines.
 func (p *Pool) Map(n int, fn func(int)) {

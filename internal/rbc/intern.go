@@ -16,11 +16,12 @@ import (
 // canonicalizes by content digest: the first slice stored for a digest
 // wins and every later holder aliases it.
 //
-// The table is safe for concurrent use: with the parallel simulator,
-// replicas of the same deployment intern payloads from worker goroutines
-// inside one lookahead window. The digest is the content hash, so
-// whichever copy wins the race is byte-identical to the losers —
-// interning never changes observable state, only sharing.
+// The table is safe for concurrent use, so one table can be shared by
+// replicas whichever goroutines drive them: a simulated cluster shares
+// one across all its replicas, and a cmd/zlb-node process builds its own.
+// The digest is the content hash, so whichever copy is stored first is
+// byte-identical to the later ones — interning never changes observable
+// state, only sharing.
 type Intern struct {
 	mu sync.Mutex
 	m  map[types.Digest][]byte

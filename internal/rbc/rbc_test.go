@@ -42,8 +42,9 @@ type rbcCluster struct {
 	nodes   map[types.ReplicaID]*rbcNode
 	logs    map[types.ReplicaID]*accountability.Log
 	members []types.ReplicaID
-	// mu orders the writes of the callbacks below, which the simulator's
-	// parallel windows run on several goroutines. Tests read after the run.
+	// mu orders the writes of the callbacks below, which every replica
+	// shares: the recorder does not rely on the simulator running them
+	// on one goroutine. Tests read after the run.
 	mu        sync.Mutex
 	delivered map[types.ReplicaID]Delivery
 	pofs      map[types.ReplicaID][]accountability.PoF

@@ -39,9 +39,9 @@ type cluster struct {
 	logs    map[types.ReplicaID]*accountability.Log
 	members []types.ReplicaID
 	tracer  *obs.Tracer
-	// decided is written by OnDecide, which the simulator's parallel
-	// windows call from several goroutines: mu orders those writes. Tests
-	// read it after the run has returned.
+	// decided is written by every replica's OnDecide: mu orders those
+	// writes whichever goroutine runs the callbacks. Tests read it after
+	// the run has returned.
 	mu      sync.Mutex
 	decided map[types.ReplicaID]*Decision
 }

@@ -11,23 +11,13 @@
 // relatively more time to arrive before a disagreement can complete.
 //
 // Runs are reproducible: all scheduling is driven by a seeded RNG and a
-// heap ordered by (virtual time, sequence number).
-//
-// When the latency model guarantees a positive minimum delay
-// (latency.Bounded), Run and RunUntilQuiet execute conservative parallel
-// windows: all events due within one lookahead interval are popped,
-// grouped by destination node and executed concurrently on the
-// internal/pipeline worker pool, then their outputs are merged in the
-// exact order sequential execution would have produced. Every metric,
-// RNG draw and queue ordering is bit-identical to sequential execution —
-// see README.md ("Conservative parallel windows") for the argument, and
-// SequentialSim for the forced-sequential reference mode.
+// heap ordered by (virtual time, sequence number), executed one event at a
+// time on the caller's goroutine.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"github.com/zeroloss/zlb/internal/latency"
@@ -133,11 +123,6 @@ type Config struct {
 	// failed, not as a drained queue.
 	MaxEvents int
 }
-
-// SequentialSim makes New build networks that run the classic
-// one-event-at-a-time loop whatever the latency model: the bit-identical
-// reference mode, set process-wide by tests that run one at a time.
-var SequentialSim bool
 
 type eventKind int
 
@@ -247,16 +232,9 @@ type nodeState struct {
 	epoch uint32
 	// nextTimer is the node's private timer-ID counter. IDs are per-node
 	// (the cancelled set is per-node and timers only ever deliver to
-	// their owner), which lets parallel windows mint IDs without a
-	// cross-node ordering dependency. It survives ReplaceHandler so a
-	// stale pre-restart cancellation can never hit a fresh timer.
+	// their owner). It survives ReplaceHandler so a stale pre-restart
+	// cancellation can never hit a fresh timer.
 	nextTimer TimerID
-	// win is the node's window context while a parallel window executes
-	// its batch; Send/SetTimer buffer through it instead of touching the
-	// shared event queue. Nil outside windows (sequential path).
-	win *winNode
-	// winbuf is the node's reusable window scratch, lazily allocated.
-	winbuf *winNode
 }
 
 // Network is the simulator. Not safe for concurrent use; the entire
@@ -273,16 +251,6 @@ type Network struct {
 	seq   uint64
 	rng   *rand.Rand
 
-	// lookahead is the conservative parallel window width: the latency
-	// model's guaranteed minimum delay plus the fixed per-message send
-	// cost. Zero disables parallel execution (unbounded model).
-	lookahead time.Duration
-	// Window scratch, reused across windows (see parallel.go).
-	winEvents []event
-	winActive []*winNode
-	winReplay replayHeap
-	winBudget atomic.Int64
-
 	// Stats
 	Delivered int
 	Dropped   int
@@ -291,18 +259,11 @@ type Network struct {
 	// Exhausted is set when the MaxEvents budget stopped the simulation
 	// with events still queued. A run that trips it produced metrics from
 	// a truncated simulation: benches and scenarios fail instead of
-	// reporting them. (Once exhausted, delivery composition may also
-	// differ between sequential and parallel execution — bit-identity is
-	// only guaranteed for runs that complete within budget.)
+	// reporting them.
 	Exhausted bool
 
 	// Trace, if set, observes every delivery (after processing cost is
-	// charged). Used by the metrics harness. Tracing does not disable
-	// parallel windows: deliveries executed inside a window are replayed
-	// to the hook during the deterministic merge, in the exact order and
-	// with the exact timestamps the sequential loop would produce
-	// (TestTraceParallelMatchesSequential pins this). The hook runs on
-	// the coordinating goroutine in both modes.
+	// charged). Used by the metrics harness.
 	Trace func(at time.Duration, from, to types.ReplicaID, msg Message)
 
 	// DropRule, if set, drops matching messages (benign omission faults,
@@ -327,9 +288,7 @@ type Network struct {
 	// swallow it (counted in Dropped). Unlike DropRule/DelayRule it runs
 	// at delivery rather than send time, so a rule installed mid-run
 	// also affects messages already in flight. Handlers may call Inject
-	// from inside the rule to schedule fabricated follow-ups. Installing
-	// a DeliverRule forces sequential execution: parallel windows are
-	// disabled while it is non-nil (see parallelOK).
+	// from inside the rule to schedule fabricated follow-ups.
 	DeliverRule func(from, to types.ReplicaID, msg Message) Message
 }
 
@@ -338,22 +297,11 @@ func New(cfg Config) *Network {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 200_000_000
 	}
-	n := &Network{
+	return &Network{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Latency != nil && !SequentialSim {
-		if min := latency.MinDelayOf(cfg.Latency); min > 0 {
-			n.lookahead = min + cfg.Cost.SendBase
-		}
-	}
-	return n
 }
-
-// Lookahead returns the conservative parallel window width (0 when the
-// latency model cannot bound its delays and the simulation runs
-// sequentially).
-func (n *Network) Lookahead() time.Duration { return n.lookahead }
 
 // node returns the state registered for id, or nil.
 func (n *Network) node(id types.ReplicaID) *nodeState {
@@ -454,10 +402,6 @@ func (s *nodeState) Send(to types.ReplicaID, msg Message) {
 		return
 	}
 	n := s.net
-	if w := s.win; w != nil {
-		w.send(to, msg)
-		return
-	}
 	dst := n.node(to)
 	if dst == nil || !dst.up {
 		n.Dropped++
@@ -501,10 +445,6 @@ func (s *nodeState) Send(to types.ReplicaID, msg Message) {
 func (s *nodeState) SetTimer(d time.Duration, payload any) TimerID {
 	s.nextTimer++
 	id := s.nextTimer
-	if w := s.win; w != nil {
-		w.setTimer(s.now+d, id, payload)
-		return id
-	}
 	n := s.net
 	n.seq++
 	n.pq.push(event{
@@ -599,32 +539,9 @@ func (n *Network) stepEvent(ev event) bool {
 }
 
 // Run processes events until the virtual clock passes the deadline or the
-// queue drains. It returns the number of events delivered. Windows whose
-// lookahead interval fits entirely before the deadline execute in
-// parallel (see parallel.go); the boundary-straddling tail steps
-// sequentially, which keeps Run's exact event-for-event semantics.
+// queue drains. It returns the number of events delivered.
 func (n *Network) Run(until time.Duration) int {
-	processed := 0
-	for n.pq.Len() > 0 {
-		next := n.pq.minAt()
-		if next > until {
-			break
-		}
-		if n.parallelOK() {
-			if end := next + n.lookahead; end-1 <= until {
-				p, ok := n.runWindow(end)
-				processed += p
-				if !ok {
-					break
-				}
-				continue
-			}
-		}
-		if !n.Step() {
-			break
-		}
-		processed++
-	}
+	processed := n.RunUntilQuiet(until)
 	if n.clock < until {
 		n.clock = until
 	}
@@ -635,21 +552,7 @@ func (n *Network) Run(until time.Duration) int {
 // reached. It returns the number of events delivered.
 func (n *Network) RunUntilQuiet(maxTime time.Duration) int {
 	processed := 0
-	for n.pq.Len() > 0 {
-		next := n.pq.minAt()
-		if next > maxTime {
-			break
-		}
-		if n.parallelOK() {
-			if end := next + n.lookahead; end-1 <= maxTime {
-				p, ok := n.runWindow(end)
-				processed += p
-				if !ok {
-					break
-				}
-				continue
-			}
-		}
+	for n.pq.Len() > 0 && n.pq.minAt() <= maxTime {
 		if !n.Step() {
 			break
 		}

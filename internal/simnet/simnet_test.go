@@ -346,21 +346,31 @@ func TestDeliverRuleEpochScoping(t *testing.T) {
 	}
 }
 
-// TestDeliverRuleForcesSequential pins the parallel-window guard: with a
-// DeliverRule installed the simulator must not enter window execution
-// (the rule needs delivery order), and removing the rule re-enables it.
-func TestDeliverRuleForcesSequential(t *testing.T) {
-	net, _ := build(Config{Latency: latency.Fixed(10 * time.Millisecond), Seed: 1}, 5)
-	if !net.parallelOK() {
-		t.Skip("parallel windows unavailable in this configuration")
+// TestExhaustedFlag pins MaxEvents surfacing: a run that hits the budget
+// sets Exhausted, delivers no more than the budget and leaves the rest
+// queued instead of reporting a drained queue.
+func TestExhaustedFlag(t *testing.T) {
+	net, recs := build(Config{Latency: latency.Fixed(time.Millisecond), Seed: 7, MaxEvents: 200}, 6)
+	for i, r := range recs {
+		i, r := i, r
+		r.onMsg = func(types.ReplicaID, Message) {
+			// Every delivery fans out to two peers: the traffic never ends.
+			r.env.Send(types.ReplicaID((i+1)%6+1), "ping")
+			r.env.Send(types.ReplicaID((i+2)%6+1), "ping")
+		}
 	}
-	net.DeliverRule = func(_, _ types.ReplicaID, msg Message) Message { return msg }
-	if net.parallelOK() {
-		t.Fatal("parallelOK with DeliverRule installed")
+	for i := 0; i < 3; i++ {
+		net.Inject(100, types.ReplicaID(i+1), "seed", 0)
 	}
-	net.DeliverRule = nil
-	if !net.parallelOK() {
-		t.Fatal("parallelOK not restored after removing DeliverRule")
+	net.RunUntilQuiet(10 * time.Second)
+	if !net.Exhausted {
+		t.Fatalf("Exhausted not set (delivered %d, pending %d)", net.Delivered, net.Pending())
+	}
+	if net.Delivered > 200 {
+		t.Fatalf("delivered %d beyond MaxEvents 200", net.Delivered)
+	}
+	if net.Pending() == 0 {
+		t.Fatal("queue drained, exhaustion test is vacuous")
 	}
 }
 

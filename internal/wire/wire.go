@@ -277,7 +277,7 @@ func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 	txs, err := DecodeBatch(payload)
 	// Warm the memoized IDs and signing digests before publishing the
 	// batch: cached transactions are shared by every replica committing
-	// the same decision, and with the parallel simulator those replicas
+	// the same decision, and the verification workers (internal/pipeline)
 	// hash them concurrently. After this loop the accessors are
 	// read-only.
 	for _, tx := range txs {

@@ -9,7 +9,6 @@ import (
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
-	"github.com/zeroloss/zlb/internal/simnet"
 )
 
 // runPersistedScenario drives the fixed-seed workload of
@@ -127,21 +126,14 @@ func TestNewClusterRefusesUsedDataDir(t *testing.T) {
 	}
 }
 
-// restartOutcome is what TestClusterRestartRecoversFromStore compares
-// across simulator modes.
-type restartOutcome struct {
-	digests  map[uint64]zlb.Digest
-	balances [3]zlb.Amount
-}
-
-// runRestartScenario crashes replica 4 of a durable four-replica payment
-// cluster between rounds of payments and restarts it on its directory:
-// the sequence a deployed node runs — recover the chain, restore the
-// instances, catch up, commit further blocks onto the recovered ledger.
-func runRestartScenario(t *testing.T, sequentialSim bool) restartOutcome {
-	t.Helper()
-	simnet.SequentialSim = sequentialSim
-	defer func() { simnet.SequentialSim = false }()
+// TestClusterRestartRecoversFromStore runs the shipping restart path
+// (internal/node, as cmd/zlb-node assembles it) under the simulator. It
+// crashes replica 4 of a durable four-replica payment cluster between
+// rounds of payments and restarts it on its directory: the sequence a
+// deployed node runs — recover the chain, restore the instances, catch
+// up, commit further blocks onto the recovered ledger. The restarted
+// replica must end on the observer's ledger, live and on disk.
+func TestClusterRestartRecoversFromStore(t *testing.T) {
 	const victim = zlb.ReplicaID(4)
 	cfg := zlb.Config{N: 4, Seed: 11, WalletCount: 3, DataDir: t.TempDir(), CheckpointEvery: 2}
 	c, err := zlb.NewCluster(cfg)
@@ -196,14 +188,15 @@ func runRestartScenario(t *testing.T, sequentialSim bool) restartOutcome {
 	}
 	payRound(400)
 
-	out := restartOutcome{digests: c.BlockDigests()}
+	digests := c.BlockDigests()
+	var balances [3]zlb.Amount
 	for i, w := range ws {
-		out.balances[i] = c.Balance(w.Address())
+		balances[i] = c.Balance(w.Address())
 	}
-	if got := victimBalances(); got != out.balances {
-		t.Errorf("restarted replica's balances %v, observer's %v", got, out.balances)
+	if got := victimBalances(); got != balances {
+		t.Errorf("restarted replica's balances %v, observer's %v", got, balances)
 	}
-	if out.balances == beforeCrash {
+	if balances == beforeCrash {
 		t.Fatal("nothing committed after the restart")
 	}
 	if err := c.Close(); err != nil {
@@ -213,26 +206,13 @@ func runRestartScenario(t *testing.T, sequentialSim bool) restartOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rec.Digests, out.digests) {
-		t.Errorf("restarted replica's store holds digests %v, the observer committed %v", rec.Digests, out.digests)
+	if !reflect.DeepEqual(rec.Digests, digests) {
+		t.Errorf("restarted replica's store holds digests %v, the observer committed %v", rec.Digests, digests)
 	}
 	for i, w := range ws {
-		if got := rec.Balance(w.Address()); got != out.balances[i] {
-			t.Errorf("wallet %d: balance %d in the restarted replica's store, want %d", i, got, out.balances[i])
+		if got := rec.Balance(w.Address()); got != balances[i] {
+			t.Errorf("wallet %d: balance %d in the restarted replica's store, want %d", i, got, balances[i])
 		}
-	}
-	return out
-}
-
-// TestClusterRestartRecoversFromStore runs the shipping restart path
-// (internal/node, as cmd/zlb-node assembles it) under the simulator: the
-// restarted replica ends on the observer's ledger, live and on disk, in
-// both simulator modes alike.
-func TestClusterRestartRecoversFromStore(t *testing.T) {
-	parallel := runRestartScenario(t, false)
-	sequential := runRestartScenario(t, true)
-	if !reflect.DeepEqual(parallel, sequential) {
-		t.Errorf("simulator modes differ:\nparallel   %+v\nsequential %+v", parallel, sequential)
 	}
 }
 

@@ -187,8 +187,8 @@ type Config struct {
 	// whole deployment (internal/obs): transaction admission at the
 	// observer replica, every replica's consensus lifecycle, and branch
 	// merges, all with virtual timestamps. The merged event stream is
-	// bit-identical across GOMAXPROCS settings and across the simulator's
-	// two execution modes. Nil disables tracing at zero cost.
+	// bit-identical across GOMAXPROCS settings. Nil disables tracing at
+	// zero cost.
 	Tracer *obs.Tracer
 
 	// OnBlock, if set, observes every committed block at replica 1.
@@ -476,7 +476,7 @@ func (c *Cluster) newNode(id ReplicaID, env simnet.Env) (harness.Application, er
 	}
 	// Submit runs between simulation events, where only the simulator's
 	// global clock is current: rate-limit windows follow it, so a fixed
-	// seed admits the same transactions in every execution mode.
+	// seed admits the same transactions on every run.
 	app.Pool().SetClock(c.Now)
 	r.Node = app
 	c.nodes[id] = r
