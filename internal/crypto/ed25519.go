@@ -4,16 +4,14 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha512"
-	"fmt"
-	"io"
 
 	"github.com/zeroloss/zlb/internal/crypto/edwards25519"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
-// edScheme implements Scheme over Ed25519. It signs with crypto/ed25519
-// and verifies with verifyEd25519, which accepts exactly what the
-// standard library accepts. A key registered in reg (a replica's) is
+// edScheme implements Scheme over Ed25519. It signs with an expanded key
+// (sign.go) and verifies with verifyEd25519, which accepts exactly what
+// the standard library accepts. A key registered in reg (a replica's) is
 // checked against the table Register built for it; any other key (a
 // wallet's) gets a table built for the one check, which is the standard
 // library's cost.
@@ -24,21 +22,6 @@ type edScheme struct {
 var _ Scheme = edScheme{}
 
 func (edScheme) Kind() SchemeKind { return SchemeEd25519 }
-
-func (edScheme) GenerateKey(rand io.Reader) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRandom, err)
-	}
-	return &KeyPair{kind: SchemeEd25519, pub: PublicKey(pub), edPriv: priv}, nil
-}
-
-func (edScheme) Sign(kp *KeyPair, digest types.Digest) (Signature, error) {
-	if kp.kind != SchemeEd25519 {
-		return nil, ErrWrongScheme
-	}
-	return ed25519.Sign(kp.edPriv, digest[:]), nil
-}
 
 func (e edScheme) Verify(pub PublicKey, digest types.Digest, sig Signature) bool {
 	return verifyEd25519(pub, digest[:], sig, e.reg.keyTable(pub))
@@ -79,5 +62,5 @@ func verifyEd25519(pub PublicKey, msg []byte, sig Signature, table *edwards25519
 	} else {
 		R.VarTimeDoubleScalarBaseMult(k, A.Negate(A), S)
 	}
-	return bytes.Equal(sig[:32], R.Bytes())
+	return bytes.Equal(sig[:32], R.VarTimeBytes())
 }

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"crypto/ed25519"
 	"encoding/hex"
@@ -218,8 +219,9 @@ func TestMutationsAcceptAndReject(t *testing.T) {
 
 // TestSupercopVectors checks the standard library's selection of the
 // SUPERCOP test vectors (testdata/sign.input.gz, copied from Go's
-// crypto/ed25519): each signature verifies with both table sources, and
-// no longer does with one bit of it flipped.
+// crypto/ed25519): the key expanded from each vector's seed signs its
+// message into the vector's signature, which verifies with both table
+// sources, and no longer does with one bit of it flipped.
 func TestSupercopVectors(t *testing.T) {
 	f, err := os.Open("testdata/sign.input.gz")
 	if err != nil {
@@ -239,6 +241,14 @@ func TestSupercopVectors(t *testing.T) {
 			t.Fatalf("line %d: %d parts", lines, len(parts))
 		}
 		pub, msg, sig := PublicKey(mustHex(parts[1])), mustHex(parts[2]), Signature(mustHex(parts[3])[:ed25519.SignatureSize])
+		seed := (*[32]byte)(mustHex(parts[0])[:ed25519.SeedSize])
+		key := newEdKey(seed)
+		if !bytes.Equal(key.pub[:], pub) {
+			t.Fatalf("line %d: seed expands to public key %x, want %x", lines, key.pub, pub)
+		}
+		if got := key.sign(msg); !bytes.Equal(got, sig) {
+			t.Fatalf("line %d: signed %x, want %x", lines, got, sig)
+		}
 		if ok, reg := checkBothTables(t, pub, msg, sig); !ok || !reg {
 			t.Fatalf("line %d: vector rejected, or its key got no table", lines)
 		}

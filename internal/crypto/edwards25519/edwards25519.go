@@ -63,6 +63,16 @@ func (v *projP2) Zero() *projP2 {
 	return v
 }
 
+// identity is the point at infinity.
+var identity, _ = new(Point).SetBytes([]byte{
+	1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
+// NewIdentityPoint returns a new Point set to the identity.
+func NewIdentityPoint() *Point {
+	return new(Point).Set(identity)
+}
+
 // generator is the canonical curve basepoint. See TestGenerator for the
 // correspondence of this encoding with the values in RFC 8032.
 var generator, _ = new(Point).SetBytes([]byte{
@@ -97,11 +107,30 @@ func (v *Point) Bytes() []byte {
 
 func (v *Point) bytes(buf *[32]byte) []byte {
 	checkInitialized(v)
+	var zInv field.Element
+	zInv.Invert(&v.z) // zInv = 1 / Z
+	return v.encode(buf, &zInv)
+}
 
-	var zInv, x, y field.Element
-	zInv.Invert(&v.z)       // zInv = 1 / Z
-	x.Multiply(&v.x, &zInv) // x = X / Z
-	y.Multiply(&v.y, &zInv) // y = Y / Z
+// VarTimeBytes returns what Bytes returns, through a variable-time
+// inversion: v must be public.
+func (v *Point) VarTimeBytes() []byte {
+	var buf [32]byte
+	return v.varTimeBytes(&buf)
+}
+
+func (v *Point) varTimeBytes(buf *[32]byte) []byte {
+	checkInitialized(v)
+	var zInv field.Element
+	zInv.InvertVarTime(&v.z)
+	return v.encode(buf, &zInv)
+}
+
+// encode writes the encoding of v to buf, given zInv = 1/Z.
+func (v *Point) encode(buf *[32]byte, zInv *field.Element) []byte {
+	var x, y field.Element
+	x.Multiply(&v.x, zInv) // x = X / Z
+	y.Multiply(&v.y, zInv) // y = Y / Z
 
 	out := copyFieldElement(buf, &y)
 	out[31] |= byte(x.IsNegative() << 7)
@@ -214,8 +243,16 @@ func (v *projCached) FromP3(p *Point) *projCached {
 	return v
 }
 
-// fromP3 sets v to p in affine coordinates, given invZ = 1/Z: the
-// basepoint tables invert all their Z coordinates at once.
+// FromP3 sets v to p in affine coordinates, with one constant-time
+// inversion.
+func (v *affineCached) FromP3(p *Point) *affineCached {
+	var invZ field.Element
+	invZ.Invert(&p.z)
+	return v.fromP3(p, &invZ)
+}
+
+// fromP3 sets v to p in affine coordinates, given invZ = 1/Z: a
+// FixedTable inverts all its Z coordinates at once.
 func (v *affineCached) fromP3(p *Point, invZ *field.Element) *affineCached {
 	v.YplusX.Add(&p.y, &p.x)
 	v.YminusX.Subtract(&p.y, &p.x)
@@ -336,6 +373,13 @@ func (v *projP1xP1) Double(p *projP2) *projP1xP1 {
 }
 
 // Negation.
+
+// CondNeg negates v if cond == 1 and leaves it unchanged if cond == 0.
+func (v *affineCached) CondNeg(cond int) *affineCached {
+	v.YplusX.Swap(&v.YminusX, cond)
+	v.T2d.Select(new(field.Element).Negate(&v.T2d), &v.T2d, cond)
+	return v
+}
 
 // Negate sets v = -p, and returns v.
 func (v *Point) Negate(p *Point) *Point {

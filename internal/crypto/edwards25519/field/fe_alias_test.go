@@ -93,6 +93,7 @@ func TestAliasing(t *testing.T) {
 	for _, tt := range []target{
 		{name: "Absolute", oneArgF: (*Element).Absolute},
 		{name: "Invert", oneArgF: (*Element).Invert},
+		{name: "InvertVarTime", oneArgF: (*Element).InvertVarTime},
 		{name: "Negate", oneArgF: (*Element).Negate},
 		{name: "Set", oneArgF: (*Element).Set},
 		{name: "Square", oneArgF: (*Element).Square},

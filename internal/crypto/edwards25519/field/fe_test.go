@@ -343,6 +343,7 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestSelect checks Select, Swap and OrMasked.
 func TestSelect(t *testing.T) {
 	a := Element{358744748052810, 1691584618240980, 977650209285361, 1429865912637724, 560044844278676}
 	b := Element{84926274344903, 473620666599931, 365590438845504, 1028470286882429, 2146499180330972}
@@ -354,6 +355,27 @@ func TestSelect(t *testing.T) {
 
 	if c.Equal(&a) != 1 || d.Equal(&b) != 1 {
 		t.Errorf("Select failed")
+	}
+
+	c.Swap(&d, 0)
+
+	if c.Equal(&a) != 1 || d.Equal(&b) != 1 {
+		t.Errorf("Swap failed")
+	}
+
+	c.Swap(&d, 1)
+
+	if c.Equal(&b) != 1 || d.Equal(&a) != 1 {
+		t.Errorf("Swap failed")
+	}
+
+	// ORing a under a full mask and b under an empty one into zero is
+	// selecting a; ORing both is their limbs' OR.
+	var e, f Element
+	e.OrMasked(&a, ^uint64(0)).OrMasked(&b, 0)
+	f.OrMasked(&a, ^uint64(0)).OrMasked(&b, ^uint64(0))
+	if e != a || f != (Element{a.l0 | b.l0, a.l1 | b.l1, a.l2 | b.l2, a.l3 | b.l3, a.l4 | b.l4}) {
+		t.Errorf("OrMasked failed")
 	}
 }
 

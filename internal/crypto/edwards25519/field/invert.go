@@ -25,13 +25,14 @@ const pInv62 = 0x39435e50d79435e5
 // (f, g) to ((u·f + v·g)/2^62, (q·f + r·g)/2^62).
 type matrix struct{ u, v, q, r int64 }
 
-// Invert sets v = 1/z mod p, and returns v.
+// InvertVarTime sets v = 1/z mod p, and returns v: what Invert computes,
+// in about two fifths of the time.
 //
-// If z == 0, Invert returns v = 0.
+// If z == 0, InvertVarTime returns v = 0.
 //
-// Invert runs in variable time: its running time depends on z, so it
-// may only be called on public values.
-func (v *Element) Invert(z *Element) *Element {
+// InvertVarTime runs in variable time: its running time depends on z, so
+// it may only be called on public values.
+func (v *Element) InvertVarTime(z *Element) *Element {
 	// f and g start as p and z, d and e as 0 and 1, and every batch of
 	// divsteps keeps d·z ≡ f and e·z ≡ g (mod p). g reaches 0 and f
 	// reaches gcd(p, z) = ±1, so ±d is the inverse.

@@ -10,82 +10,16 @@ import (
 	"testing/quick"
 )
 
-// invertFermat sets v = 1/z mod p as z^(p−2), in constant time, and
-// returns v: upstream's Invert, the reference the variable-time one is
-// held against. It uses the same sequence of 255 squarings and 11
-// multiplications as Curve25519.
-func (v *Element) invertFermat(z *Element) *Element {
-	var z2, z9, z11, z2_5_0, z2_10_0, z2_20_0, z2_50_0, z2_100_0, t Element
-
-	z2.Square(z)             // 2
-	t.Square(&z2)            // 4
-	t.Square(&t)             // 8
-	z9.Multiply(&t, z)       // 9
-	z11.Multiply(&z9, &z2)   // 11
-	t.Square(&z11)           // 22
-	z2_5_0.Multiply(&t, &z9) // 31 = 2^5 - 2^0
-
-	t.Square(&z2_5_0) // 2^6 - 2^1
-	for i := 0; i < 4; i++ {
-		t.Square(&t) // 2^10 - 2^5
-	}
-	z2_10_0.Multiply(&t, &z2_5_0) // 2^10 - 2^0
-
-	t.Square(&z2_10_0) // 2^11 - 2^1
-	for i := 0; i < 9; i++ {
-		t.Square(&t) // 2^20 - 2^10
-	}
-	z2_20_0.Multiply(&t, &z2_10_0) // 2^20 - 2^0
-
-	t.Square(&z2_20_0) // 2^21 - 2^1
-	for i := 0; i < 19; i++ {
-		t.Square(&t) // 2^40 - 2^20
-	}
-	t.Multiply(&t, &z2_20_0) // 2^40 - 2^0
-
-	t.Square(&t) // 2^41 - 2^1
-	for i := 0; i < 9; i++ {
-		t.Square(&t) // 2^50 - 2^10
-	}
-	z2_50_0.Multiply(&t, &z2_10_0) // 2^50 - 2^0
-
-	t.Square(&z2_50_0) // 2^51 - 2^1
-	for i := 0; i < 49; i++ {
-		t.Square(&t) // 2^100 - 2^50
-	}
-	z2_100_0.Multiply(&t, &z2_50_0) // 2^100 - 2^0
-
-	t.Square(&z2_100_0) // 2^101 - 2^1
-	for i := 0; i < 99; i++ {
-		t.Square(&t) // 2^200 - 2^100
-	}
-	t.Multiply(&t, &z2_100_0) // 2^200 - 2^0
-
-	t.Square(&t) // 2^201 - 2^1
-	for i := 0; i < 49; i++ {
-		t.Square(&t) // 2^250 - 2^50
-	}
-	t.Multiply(&t, &z2_50_0) // 2^250 - 2^0
-
-	t.Square(&t) // 2^251 - 2^1
-	t.Square(&t) // 2^252 - 2^2
-	t.Square(&t) // 2^253 - 2^3
-	t.Square(&t) // 2^254 - 2^4
-	t.Square(&t) // 2^255 - 2^5
-
-	return v.Multiply(&t, &z11) // 2^255 - 21
-}
-
-// invertsLikeFermat reports whether Invert agrees with the Fermat chain
-// on x, returns its receiver, leaves x alone, and gives x·x⁻¹ = 1 for
-// x ≠ 0, with the result's limbs reduced.
+// invertsLikeFermat reports whether InvertVarTime agrees with Invert,
+// the Fermat chain, on x, returns its receiver, leaves x alone, and gives
+// x·x⁻¹ = 1 for x ≠ 0, with the result's limbs reduced.
 func invertsLikeFermat(x Element) bool {
 	x0 := x
 	var got, want, prod Element
-	if got.Invert(&x) != &got || x != x0 {
+	if got.InvertVarTime(&x) != &got || x != x0 {
 		return false
 	}
-	want.invertFermat(&x)
+	want.Invert(&x)
 	if got.Equal(&want) != 1 || !isInBounds(&got) {
 		return false
 	}
@@ -131,7 +65,7 @@ func TestInvert(t *testing.T) {
 			continue
 		}
 		var got Element
-		got.Invert(&x)
+		got.InvertVarTime(&x)
 		want := new(big.Int).Mod(n, p)
 		if want.Sign() != 0 {
 			want.ModInverse(want, p)
@@ -179,9 +113,9 @@ func pow2(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
 // littleEndian32 returns n < 2^256 as 32 little-endian bytes.
 func littleEndian32(n *big.Int) []byte { return swapEndianness(n.FillBytes(make([]byte, 32))) }
 
-func BenchmarkInvertFermat(b *testing.B) {
+func BenchmarkInvertVarTime(b *testing.B) {
 	x := new(Element).Add(feOne, feOne)
 	for i := 0; i < b.N; i++ {
-		x.invertFermat(x)
+		x.InvertVarTime(x)
 	}
 }

@@ -4,20 +4,14 @@
 
 package edwards25519
 
-import "github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
+import (
+	"crypto/subtle"
 
-// The upstream code the tests lean on that checking a signature does not
+	"github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
+)
+
+// The upstream code the tests lean on that signing and checking do not
 // need, and a reference scalar multiplication to hold the tables against.
-
-// identity is the point at infinity.
-var identity, _ = new(Point).SetBytes([]byte{
-	1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-
-// NewIdentityPoint returns a new Point set to the identity.
-func NewIdentityPoint() *Point {
-	return new(Point).Set(identity)
-}
 
 // Subtract sets v = p - q, and returns v.
 func (v *Point) Subtract(p, q *Point) *Point {
@@ -40,13 +34,6 @@ func (v *Point) Equal(u *Point) int {
 	return t1.Equal(&t2) & t3.Equal(&t4)
 }
 
-// FromP3 is upstream's conversion, one inversion per point.
-func (v *affineCached) FromP3(p *Point) *affineCached {
-	var invZ field.Element
-	invZ.Invert(&p.z)
-	return v.fromP3(p, &invZ)
-}
-
 // FromP3 is upstream's table construction, one inversion per point.
 func (v *nafLookupTable8) FromP3(q *Point) {
 	v.points[0].FromP3(q)
@@ -57,6 +44,39 @@ func (v *nafLookupTable8) FromP3(q *Point) {
 	for i := 0; i < 63; i++ {
 		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.AddAffine(&q2, &v.points[i])))
 	}
+}
+
+func (v *affineCached) Zero() *affineCached {
+	v.YplusX.One()
+	v.YminusX.One()
+	v.T2d.Zero()
+	return v
+}
+
+// Select sets v to a if cond == 1 and to b if cond == 0.
+func (v *affineCached) Select(a, b *affineCached, cond int) *affineCached {
+	v.YplusX.Select(&a.YplusX, &b.YplusX, cond)
+	v.YminusX.Select(&a.YminusX, &b.YminusX, cond)
+	v.T2d.Select(&a.T2d, &b.T2d, cond)
+	return v
+}
+
+// selectIntoBySelect is upstream's affineLookupTable.SelectInto, which
+// the masked-OR form is held against: dest starts as the identity, and
+// each entry is selected over it when its index is |x|.
+func (v *affineLookupTable) selectIntoBySelect(dest *affineCached, x int8) {
+	// Compute xabs = |x|
+	xmask := x >> 7
+	xabs := uint8((x + xmask) ^ xmask)
+
+	dest.Zero()
+	for j := 1; j <= 8; j++ {
+		// Set dest = j*Q if |x| = j
+		cond := subtle.ConstantTimeByteEq(xabs, uint8(j))
+		dest.Select(&v.points[j-1], dest, cond)
+	}
+	// Now dest = |x|*Q, conditionally negate to get x*Q
+	dest.CondNeg(int(xmask & 1))
 }
 
 // scalarMultSlow sets v = x * q by double-and-add over the bits of x.

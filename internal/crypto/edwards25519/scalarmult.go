@@ -54,7 +54,7 @@ func NewFixedTable(p *Point) *FixedTable {
 		prefix[n].Set(&acc)
 		acc.Multiply(&acc, &pts[n].z)
 	}
-	acc.Invert(&acc)
+	acc.InvertVarTime(&acc)
 	t := new(FixedTable)
 	for n := len(pts) - 1; n >= 0; n-- {
 		invZ.Multiply(&acc, &prefix[n]) // 1/Z_n
@@ -76,9 +76,9 @@ func (v *Point) doubleN(p *Point, n int) *Point {
 	return v.fromP1xP1(&t1)
 }
 
-// basepointTable returns the FixedTable of B, built the first time it is
+// basepointNafTable returns the FixedTable of B, built the first time it is
 // called.
-var basepointTable = sync.OnceValue(func() *FixedTable {
+var basepointNafTable = sync.OnceValue(func() *FixedTable {
 	return NewFixedTable(NewGeneratorPoint())
 })
 
@@ -153,7 +153,7 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	// in place: a FixedTable is too large to stay in cache between
 	// checks.
 
-	bTable := basepointTable()
+	bTable := basepointNafTable()
 	c, aWidth := 1, uint(5)
 	if aFixed != nil {
 		c, aWidth = tableChunks, 8

@@ -133,7 +133,7 @@ func TestSlowReferenceVsDalek(t *testing.T) {
 // TestBasepointNafTableGeneration holds the batch-inverted tables against
 // upstream's construction of 2^(16j)·B, one inversion per point.
 func TestBasepointNafTableGeneration(t *testing.T) {
-	tables := basepointTable()
+	tables := basepointNafTable()
 	p := NewGeneratorPoint()
 	for j := range tables {
 		if j > 0 {
@@ -260,7 +260,7 @@ func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 // Benchmarks.
 
 func BenchmarkVarTimeDoubleScalarBaseMult(b *testing.B) {
-	basepointTable()
+	basepointNafTable()
 	b.Run("table=fixed", func(b *testing.B) {
 		var p Point
 		table := NewFixedTable(B)

@@ -7,7 +7,10 @@
 // shape, same API, equivalent unforgeability for the protocol's purposes.
 // Two more schemes are provided:
 //
-//   - Ed25519: stdlib, fast and secure; the default for tests.
+//   - Ed25519: the deployed node's scheme and the default for tests. It
+//     signs (sign.go) and verifies (ed25519.go) on a copy of the standard
+//     library's curve code, with the standard library's signatures and
+//     verdicts byte for byte.
 //   - Sim: a deterministic MAC-style scheme whose verification consults the
 //     in-process registry. It is NOT cryptographically secure against an
 //     out-of-process adversary; it exists so that simulations with 100
@@ -18,7 +21,6 @@ package crypto
 
 import (
 	"crypto/ecdsa"
-	"crypto/ed25519"
 	"crypto/elliptic"
 	"crypto/hmac"
 	"crypto/sha256"
@@ -80,7 +82,7 @@ type KeyPair struct {
 	pub  PublicKey
 	// exactly one of the following is set, matching kind
 	ecdsaPriv *ecdsa.PrivateKey
-	edPriv    ed25519.PrivateKey
+	ed        *edKey
 	simSeed   []byte
 }
 
