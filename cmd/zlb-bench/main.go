@@ -14,10 +14,10 @@
 //	zlb-bench -experiment appendixB     # §B worked analysis
 //	zlb-bench -experiment scenarios     # staged multi-phase fault campaigns
 //	zlb-bench -experiment conformance   # message-level Byzantine campaigns, n=9
-//	zlb-bench -experiment load          # open-loop latency-percentile campaigns
+//	zlb-bench -experiment load          # open-loop payment-workload campaigns
 //
-// Both campaign experiments check the paper's four invariants on every
-// run and exit non-zero on any violation.
+// The three campaign experiments check the paper's four invariants on
+// every run and exit non-zero on any violation.
 package main
 
 import (
@@ -32,6 +32,7 @@ import (
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/bench"
 	"github.com/zeroloss/zlb/internal/conformance"
+	"github.com/zeroloss/zlb/internal/scenario"
 )
 
 func main() {
@@ -230,11 +231,11 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 		if full {
 			nsScen = []int{9, 18, 27}
 		}
-		results, err := bench.RunScenarios(nsScen, seed)
+		results, err := bench.RunScenarios(scenario.Names(), nsScen, seed)
 		if err != nil {
 			return err
 		}
-		bench.PrintScenarios(os.Stdout, results)
+		bench.PrintScenarios(os.Stdout, "# Staged scenarios: per-phase metrics of the fault campaigns", results)
 		if err := emit("scenarios", results); err != nil {
 			return err
 		}
@@ -267,13 +268,16 @@ func run(experiment string, full bool, seed int64, jsonDir string, nsFlag, trace
 		if full {
 			nsLoad = []int{9, 18}
 		}
-		results, err := bench.RunLoadCampaigns(nsLoad, seed)
+		results, err := bench.RunScenarios(scenario.WorkloadNames(), nsLoad, seed)
 		if err != nil {
 			return err
 		}
-		bench.PrintLoad(os.Stdout, results)
+		bench.PrintScenarios(os.Stdout, "# Open-loop load: submit-to-commit latency percentiles under admission control", results)
 		if err := emit("load", results); err != nil {
 			return err
+		}
+		for _, r := range results {
+			violations += len(r.Violations)
 		}
 		fmt.Println()
 	}

@@ -7,11 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/zeroloss/zlb"
-	"github.com/zeroloss/zlb/internal/load"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/pipeline"
 	"github.com/zeroloss/zlb/internal/scenario"
@@ -154,19 +154,43 @@ func TestScenarioGoldens(t *testing.T) {
 	}
 }
 
-// runLoadCampaign executes one registered open-loop campaign at n=9,
-// seed 42 and returns its formatted report.
-func runLoadCampaign(t *testing.T, name string) string {
+// loadCampaigns lists the open-loop load campaigns, each with its
+// payment-workload registrations in registration order: a baseline
+// registration runs under its campaign's name, and its report follows
+// the campaign's in the campaign's golden.
+func loadCampaigns(t *testing.T) (names []string, regs map[string][]string) {
 	t.Helper()
-	c, err := load.BuildCampaign(name, 9, 42)
-	if err != nil {
-		t.Fatal(err)
+	regs = make(map[string][]string)
+	for _, reg := range scenario.WorkloadNames() {
+		s, err := scenario.Build(reg, 9, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regs[s.Name] == nil {
+			names = append(names, s.Name)
+		}
+		regs[s.Name] = append(regs[s.Name], reg)
 	}
-	res, err := load.RunCampaign(c)
-	if err != nil {
-		t.Fatal(err)
+	return names, regs
+}
+
+// runLoadCampaign runs one open-loop campaign's registrations at n=9,
+// seed 42 and returns their formatted reports, a blank line apart.
+func runLoadCampaign(t *testing.T, regs []string) string {
+	t.Helper()
+	reports := make([]string, len(regs))
+	for i, reg := range regs {
+		s, err := scenario.Build(reg, 9, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := scenario.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = res.Format()
 	}
-	return res.Format()
+	return strings.Join(reports, "\n")
 }
 
 // TestLoadGoldens pins, for every registered open-loop load campaign,
@@ -177,11 +201,12 @@ func runLoadCampaign(t *testing.T, name string) string {
 // Regenerate after an intended change with
 // `go test -run TestLoadGoldens -update`.
 func TestLoadGoldens(t *testing.T) {
-	for _, name := range load.Names() {
+	names, regs := loadCampaigns(t)
+	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			first := runLoadCampaign(t, name)
-			second := runLoadCampaign(t, name)
+			first := runLoadCampaign(t, regs[name])
+			second := runLoadCampaign(t, regs[name])
 			if first != second {
 				t.Fatalf("two fixed-seed runs differ:\n--- run 1\n%s--- run 2\n%s", first, second)
 			}
@@ -288,10 +313,11 @@ func TestParallelSimnetBitIdentical(t *testing.T) {
 			})
 		})
 	}
-	for _, name := range load.Names() {
+	names, regs := loadCampaigns(t)
+	for _, name := range names {
 		name := name
 		t.Run("load/"+name, func(t *testing.T) {
-			compare(t, func() string { return runLoadCampaign(t, name) })
+			compare(t, func() string { return runLoadCampaign(t, regs[name]) })
 		})
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"github.com/zeroloss/zlb/internal/scenario"
 )
 
-// RunScenarios runs every registered scenario campaign
-// (internal/scenario) at each committee size. Results are ordered by
-// committee size, then registration order — the deterministic layout the
-// goldens in determinism_test.go and `zlb-bench -experiment scenarios`
-// rely on.
-func RunScenarios(ns []int, seed int64) ([]*scenario.Result, error) {
+// RunScenarios runs the named registered campaigns (internal/scenario)
+// at each committee size. Results are ordered by committee size, then by
+// the order of names — the deterministic layout the goldens in
+// determinism_test.go and `zlb-bench -experiment scenarios|load` rely on.
+func RunScenarios(names []string, ns []int, seed int64) ([]*scenario.Result, error) {
 	var out []*scenario.Result
 	for _, n := range ns {
-		for _, name := range scenario.Names() {
+		for _, name := range names {
 			s, err := scenario.Build(name, n, seed)
 			if err != nil {
 				return nil, err
@@ -31,12 +30,14 @@ func RunScenarios(ns []int, seed int64) ([]*scenario.Result, error) {
 	return out, nil
 }
 
-// PrintScenarios writes each campaign's per-phase metrics table.
-func PrintScenarios(w io.Writer, results []*scenario.Result) {
-	fmt.Fprintln(w, "# Staged scenarios: per-phase metrics of the fault campaigns")
-	for _, r := range results {
+// PrintScenarios writes the heading, then each campaign's table under
+// its name and description. Consecutive runs of one campaign (a workload
+// campaign and its baseline) share the campaign's header.
+func PrintScenarios(w io.Writer, heading string, results []*scenario.Result) {
+	fmt.Fprintln(w, heading)
+	for i, r := range results {
 		fmt.Fprintln(w)
-		if r.Description != "" {
+		if r.Description != "" && (i == 0 || results[i-1].Scenario != r.Scenario) {
 			fmt.Fprintf(w, "## %s — %s\n", r.Scenario, r.Description)
 		}
 		fmt.Fprint(w, r.Format())

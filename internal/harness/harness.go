@@ -71,8 +71,8 @@ type Options struct {
 	App func(id types.ReplicaID, env simnet.Env) (Application, error)
 	// Tracer, when non-nil, records every replica's consensus lifecycle
 	// into per-node buffers with virtual timestamps (internal/obs). The
-	// merged stream is bit-identical in both of the simulator's execution
-	// modes. Nil disables tracing at zero cost.
+	// merged stream is bit-identical for a fixed seed at any GOMAXPROCS.
+	// Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -238,9 +238,6 @@ func New(opts Options) (*Cluster, error) {
 		c.Signers[id] = signers[i]
 		c.Commits[id] = make(map[uint64]*Commit)
 		c.Finals[id] = make(map[uint64]time.Duration)
-		// Pre-size the per-replica outcome maps so callbacks only ever
-		// write per-replica inner maps (no lazy outer-map writes from
-		// concurrently executing window batches).
 		c.slotOutcomes[id] = make(map[uint64]map[types.ReplicaID]slotOutcome)
 		if err := c.install(c.Net.AddNode, id); err != nil {
 			return nil, err

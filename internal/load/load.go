@@ -1,7 +1,7 @@
-// Package load is the open-loop workload harness: it drives a simulated
-// ZLB cluster with a target-rate arrival schedule (transactions arrive
-// when the virtual clock says so, never submit-and-wait) and records
-// per-transaction submit-to-commit latency, reported as p50/p99/p999 per
+// Package load is the open-loop payment workload: a target-rate arrival
+// schedule submitted to a simulated ZLB payment cluster (transactions
+// arrive when the virtual clock says so, never submit-and-wait), with
+// per-transaction submit-to-commit latency reported as p50/p99/p999 per
 // phase and class.
 //
 // Closed-loop benchmarks (internal/bench's Fig. 3 driver) measure
@@ -12,12 +12,17 @@
 // under a Sybil flood, fee-market priority under squeeze, bounded memory
 // during a partition.
 //
+// A Workload rides on a scenario (internal/scenario): scenario.Run, the
+// simulator's one campaign loop, builds the payment cluster through a
+// Driver, arms the scenario's faults on it and hands each phase's window
+// to Driver.Phase. The campaigns are scenario registrations.
+//
 // Everything is deterministic for a fixed seed: arrivals are scheduled
 // on the simulator's virtual clock, commit timestamps come from the
 // observing replica's per-event time, and admission decisions depend
-// only on the submission sequence (internal/mempool). A campaign report
-// is therefore bit-identical across runs and across GOMAXPROCS — the
-// root determinism suite pins the three registered campaigns as goldens.
+// only on the submission sequence (internal/mempool). A report is
+// therefore bit-identical across runs and across GOMAXPROCS — the root
+// determinism suite pins the registered campaigns as goldens.
 package load
 
 import (
@@ -30,6 +35,10 @@ import (
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/types"
 )
+
+// Tick is the arrival quantization grid: arrivals within one tick
+// submit back-to-back at the tick's virtual time.
+const Tick = 25 * time.Millisecond
 
 // Class describes one population of accounts sharing a fee level: the
 // honest users, the Sybil spammers, the priority payers of a campaign.
@@ -45,38 +54,24 @@ type Class struct {
 	Amount zlb.Amount
 }
 
-// Stall describes a partition fault armed for the duration of a phase:
-// cross-group traffic between the replica groups is delayed by Extra.
-type Stall struct {
-	Groups [][]zlb.ReplicaID
-	Extra  time.Duration
+// amount is the value a class transfers per transaction, its default
+// resolved.
+func (cl Class) amount() zlb.Amount {
+	if cl.Amount == 0 {
+		return 10
+	}
+	return cl.Amount
 }
 
-// PhaseSpec is one window of the open-loop schedule.
-type PhaseSpec struct {
-	// Name labels the phase in reports.
-	Name string
-	// Duration is the phase's length in virtual time.
-	Duration time.Duration
-	// Rates is the target arrival rate in tx/s per class, indexed like
-	// Config.Classes (missing or zero = the class is silent).
-	Rates []float64
-	// Stall, when non-nil, partitions the cluster for the phase.
-	Stall *Stall
-}
-
-// Config parameterizes one open-loop run.
-type Config struct {
-	// Name labels the run.
-	Name string
-	// N is the committee size.
-	N int
-	// Seed drives all randomness.
-	Seed int64
+// Workload is an open-loop payment schedule: account classes offering
+// transactions at per-phase target rates into pools that all enforce one
+// admission policy.
+type Workload struct {
 	// Classes are the account populations.
 	Classes []Class
-	// Phases is the schedule, executed in order.
-	Phases []PhaseSpec
+	// Rates[p][c] is class c's target arrival rate in tx/s during the
+	// scenario's phase p (missing or zero = the class is silent).
+	Rates [][]float64
 	// Policy is the mempool admission policy (zero = no admission
 	// control, the arrival-order baseline).
 	Policy mempool.Policy
@@ -84,15 +79,6 @@ type Config struct {
 	// create queueing pressure at modest rates (default 2000, the
 	// cluster default).
 	BatchTxs int
-	// Tick is the arrival quantization grid (default 25ms): arrivals
-	// within one tick submit back-to-back at the tick's virtual time.
-	Tick time.Duration
-	// Drain is extra virtual time after the last phase for in-flight
-	// transactions to commit (default 10s).
-	Drain time.Duration
-	// MaxBlocks bounds the chain length (default 1<<16 — effectively
-	// unbounded for campaign-scale runs).
-	MaxBlocks uint64
 }
 
 // arrival is one scheduled submission.
@@ -116,120 +102,110 @@ func sinkAddress() zlb.Address {
 	return zlb.Address(types.Hash([]byte("internal/load payment sink")))
 }
 
-// Run executes the schedule against a fresh cluster and reports
-// per-phase, per-class latency percentiles.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Tick == 0 {
-		cfg.Tick = 25 * time.Millisecond
-	}
-	if cfg.Drain == 0 {
-		cfg.Drain = 10 * time.Second
-	}
-	if cfg.MaxBlocks == 0 {
-		cfg.MaxBlocks = 1 << 16
-	}
-	totalAccounts := 0
-	for i, cl := range cfg.Classes {
+// Driver submits a workload's arrivals to the payment cluster it built
+// and records what becomes of each one.
+type Driver struct {
+	// Cluster is the payment cluster the workload runs on.
+	Cluster *zlb.Cluster
+
+	w        Workload
+	phases   []string
+	n        int
+	seed     int64
+	accounts [][]*account
+	rec      *recorder
+}
+
+// NewDriver builds the payment cluster a workload runs on, for a
+// scenario with the named phases. cfg gives the committee size, seed,
+// chain bound and tracer; the driver adds one pre-funded wallet per
+// account, the workload's admission policy and batch size, and its
+// commit probe. The cluster is built but not started.
+func NewDriver(w Workload, phases []string, cfg zlb.Config) (*Driver, error) {
+	wallets := 0
+	for _, cl := range w.Classes {
 		if cl.Accounts <= 0 {
 			return nil, fmt.Errorf("load: class %q has no accounts", cl.Name)
 		}
-		if cl.Amount == 0 {
-			cfg.Classes[i].Amount = 10
-		}
-		totalAccounts += cl.Accounts
+		wallets += cl.Accounts
 	}
-	rec := newRecorder(len(cfg.Phases), len(cfg.Classes))
-	cluster, err := zlb.NewCluster(zlb.Config{
-		N:                cfg.N,
-		Seed:             cfg.Seed,
-		WalletCount:      totalAccounts,
-		MaxBlocks:        cfg.MaxBlocks,
-		Mempool:          cfg.Policy,
-		BatchTxs:         cfg.BatchTxs,
-		OnCommittedBatch: rec.onCommit,
-	})
+	d := &Driver{w: w, phases: phases, n: cfg.N, seed: cfg.Seed, rec: newRecorder(len(phases), len(w.Classes))}
+	cfg.WalletCount = wallets
+	cfg.Mempool = w.Policy
+	cfg.BatchTxs = w.BatchTxs
+	cfg.OnCommittedBatch = d.rec.onCommit
+	cluster, err := zlb.NewCluster(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	defer cluster.Close()
-
 	// Wallets are handed out class by class, in declaration order.
-	accounts := make([][]*account, len(cfg.Classes))
+	d.accounts = make([][]*account, len(w.Classes))
 	wi := 0
-	for ci, cl := range cfg.Classes {
-		accounts[ci] = make([]*account, cl.Accounts)
-		for i := range accounts[ci] {
-			w, err := cluster.WalletFor(wi)
+	for ci, cl := range w.Classes {
+		d.accounts[ci] = make([]*account, cl.Accounts)
+		for i := range d.accounts[ci] {
+			wallet, err := cluster.WalletFor(wi)
 			if err != nil {
 				return nil, err
 			}
-			accounts[ci][i] = &account{w: w}
+			d.accounts[ci][i] = &account{w: wallet}
 			wi++
 		}
 	}
-	cluster.Start()
-
-	sink := sinkAddress()
-	var elapsed time.Duration
-	advanceTo := func(at time.Duration) {
-		if at > cluster.Now() {
-			cluster.Run(at - cluster.Now())
-		}
-	}
-	for pi, ph := range cfg.Phases {
-		start := elapsed
-		end := start + ph.Duration
-		if ph.Stall != nil {
-			cluster.StallPartition(ph.Stall.Groups, ph.Stall.Extra)
-		}
-		for _, ev := range phaseArrivals(cfg, ph, start, end) {
-			advanceTo(ev.at)
-			cl := cfg.Classes[ev.class]
-			a := accounts[ev.class][ev.idx%cl.Accounts]
-			tx, nextTip, err := buildTx(cluster, a, sink, cl.Amount, cl.Fee)
-			if err != nil {
-				rec.starved(pi, ev.class)
-				continue
-			}
-			verdict := cluster.Submit(tx)
-			rec.submitted(pi, ev.class, tx.ID(), ev.at, verdict)
-			if verdict == nil {
-				// Only an admitted transaction advances the chain; a
-				// rejected one is retried from the same tip (fresh nonce)
-				// on the account's next arrival.
-				a.tip = nextTip
-			}
-		}
-		advanceTo(end)
-		if ph.Stall != nil {
-			cluster.ClearPartitionStall()
-		}
-		elapsed = end
-	}
-	cluster.RunUntilQuiet(elapsed + cfg.Drain)
-
-	pending, _, evictions := cluster.MempoolStats()
-	return rec.report(cfg, cluster.Height(), pending, evictions), nil
+	d.Cluster = cluster
+	return d, nil
 }
 
-// phaseArrivals expands one phase's target rates into the deterministic
-// arrival sequence: per class, count = floor(rate · duration) arrivals
-// spaced 1/rate apart, quantized down to the tick grid, merged across
-// classes ordered by (time, class, index).
-func phaseArrivals(cfg Config, ph PhaseSpec, start, end time.Duration) []arrival {
-	var out []arrival
-	for ci := range cfg.Classes {
-		if ci >= len(ph.Rates) || ph.Rates[ci] <= 0 {
+// Phase submits phase p's arrivals, which fall in [start, end) of
+// virtual time: the cluster runs up to each arrival's time before the
+// arrival is submitted. Running on to end is the caller's.
+func (d *Driver) Phase(p int, start, end time.Duration) {
+	c := d.Cluster
+	sink := sinkAddress()
+	for _, ev := range d.arrivals(p, start, end) {
+		if ev.at > c.Now() {
+			c.Run(ev.at - c.Now())
+		}
+		cl := d.w.Classes[ev.class]
+		a := d.accounts[ev.class][ev.idx%cl.Accounts]
+		tx, nextTip, err := buildTx(c, a, sink, cl.amount(), cl.Fee)
+		if err != nil {
+			d.rec.starved(p, ev.class)
 			continue
 		}
-		rate := ph.Rates[ci]
-		count := int(rate * ph.Duration.Seconds())
+		verdict := c.Submit(tx)
+		d.rec.submitted(p, ev.class, tx.ID(), ev.at, verdict)
+		if verdict == nil {
+			// Only an admitted transaction advances the chain; a
+			// rejected one is retried from the same tip (fresh nonce)
+			// on the account's next arrival.
+			a.tip = nextTip
+		}
+	}
+}
+
+// arrivals expands phase p's target rates into the deterministic arrival
+// sequence: per class, count = floor(rate · duration) arrivals spaced
+// 1/rate apart, quantized down to the tick grid, merged across classes
+// ordered by (time, class, index).
+func (d *Driver) arrivals(p int, start, end time.Duration) []arrival {
+	if p >= len(d.w.Rates) {
+		return nil
+	}
+	rates := d.w.Rates[p]
+	var out []arrival
+	for ci := range d.w.Classes {
+		if ci >= len(rates) || rates[ci] <= 0 {
+			continue
+		}
+		rate := rates[ci]
+		count := int(rate * (end - start).Seconds())
 		gap := time.Duration(float64(time.Second) / rate)
 		for j := 0; j < count; j++ {
 			at := start + time.Duration(j)*gap
-			at = at / cfg.Tick * cfg.Tick // quantize to the tick grid
+			at = at / Tick * Tick // quantize to the tick grid
 			if at >= end {
-				at = end - cfg.Tick
+				at = end - Tick
 			}
 			if at < start {
 				at = start

@@ -105,7 +105,9 @@ type PhaseClassStats struct {
 
 // Report is one open-loop run's deterministic result.
 type Report struct {
-	Name    string `json:"name"`
+	Name string `json:"name"`
+	// Variant is "admission" when the pools enforce an admission policy,
+	// "baseline" when they queue in arrival order.
 	Variant string `json:"variant,omitempty"`
 	N       int    `json:"n"`
 	Seed    int64  `json:"seed"`
@@ -120,8 +122,11 @@ type Report struct {
 	PoolEvictions uint64 `json:"pool_evictions"`
 }
 
-// report assembles the final Report from the recorder's raw state.
-func (r *recorder) report(cfg Config, height, pending int, evictions uint64) *Report {
+// Report reads the finished run's latency report under the campaign's
+// name: the cluster's chain height and its observer's pool at the time
+// of the call, and every recorded submission.
+func (d *Driver) Report(name string) *Report {
+	r := d.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lats := make([][]time.Duration, r.phases*r.classes)
@@ -140,13 +145,17 @@ func (r *recorder) report(cfg Config, height, pending int, evictions uint64) *Re
 		}
 	}
 	rep := &Report{
-		Name:   cfg.Name,
-		N:      cfg.N,
-		Seed:   cfg.Seed,
-		Policy: describePolicy(cfg.Policy),
+		Name:    name,
+		Variant: "admission",
+		N:       d.n,
+		Seed:    d.seed,
+		Policy:  describePolicy(d.w.Policy),
 	}
-	for pi := range cfg.Phases {
-		for ci := range cfg.Classes {
+	if d.w.Policy == (mempool.Policy{}) {
+		rep.Variant = "baseline"
+	}
+	for pi, phase := range d.phases {
+		for ci, cl := range d.w.Classes {
 			c := r.cell(pi, ci)
 			rejects := 0
 			for _, n := range r.rejected[c] {
@@ -155,8 +164,8 @@ func (r *recorder) report(cfg Config, height, pending int, evictions uint64) *Re
 			sorted := append([]time.Duration(nil), lats[c]...)
 			sortDurations(sorted)
 			row := PhaseClassStats{
-				Phase:     cfg.Phases[pi].Name,
-				Class:     cfg.Classes[ci].Name,
+				Phase:     phase,
+				Class:     cl.Name,
 				Submitted: admitted[c] + rejects,
 				Starved:   r.starvedCnt[pi][ci],
 				Admitted:  admitted[c],
@@ -171,7 +180,8 @@ func (r *recorder) report(cfg Config, height, pending int, evictions uint64) *Re
 			rep.Rows = append(rep.Rows, row)
 		}
 	}
-	rep.Height = height
+	rep.Height = d.Cluster.Height()
+	pending, _, evictions := d.Cluster.MempoolStats()
 	rep.PoolPending = pending
 	rep.PoolEvictions = evictions
 	return rep

@@ -6,6 +6,8 @@ import (
 
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/load"
+	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -64,10 +66,43 @@ var builders = []Builder{
 	},
 }
 
-// Names lists the registered campaigns in registration order.
-func Names() []string {
-	out := make([]string, len(builders))
-	for i, b := range builders {
+// workloads is the ordered registry of the open-loop payment campaigns:
+// each runs a Workload and reports submit-to-commit latency. A baseline
+// registration reruns its campaign's schedule with no admission policy
+// under the campaign's name, so that the two reports print together.
+var workloads = []Builder{
+	{
+		Name:        "sybil-spam-flood",
+		Description: "Sybil accounts flood the ingress at minimum fee while honest users keep paying; admission control must bound the honest tail",
+		Build:       sybilSpamFlood(sybilAdmission()),
+	},
+	{
+		Name:        "sybil-spam-flood-baseline",
+		Description: "sybil-spam-flood's schedule with arrival-order pools: the tail admission control is measured against",
+		Build:       sybilSpamFlood(mempool.Policy{}),
+	},
+	{
+		Name:        "fee-squeeze",
+		Description: "retail traffic over-subscribes a small pool while priority payers bid above it; fee-rate ordering must keep the priority tail flat",
+		Build:       feeSqueeze,
+	},
+	{
+		Name:        "partition-exhaustion",
+		Description: "a stalled partition fills the bounded pool; eviction sheds the low-fee backlog and the cluster recovers after healing",
+		Build:       partitionExhaustion,
+	},
+}
+
+// Names lists the registered fault campaigns in registration order.
+func Names() []string { return names(builders) }
+
+// WorkloadNames lists the registered payment-workload campaigns in
+// registration order.
+func WorkloadNames() []string { return names(workloads) }
+
+func names(bs []Builder) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
 		out[i] = b.Name
 	}
 	return out
@@ -76,16 +111,18 @@ func Names() []string {
 // Build constructs a registered campaign by name, stamping the
 // registry description onto the scenario.
 func Build(name string, n int, seed int64) (Scenario, error) {
-	for _, b := range builders {
-		if b.Name == name {
-			s := b.Build(n, seed)
-			if s.Description == "" {
-				s.Description = b.Description
+	for _, bs := range [][]Builder{builders, workloads} {
+		for _, b := range bs {
+			if b.Name == name {
+				s := b.Build(n, seed)
+				if s.Description == "" {
+					s.Description = b.Description
+				}
+				return s, nil
 			}
-			return s, nil
 		}
 	}
-	return Scenario{}, fmt.Errorf("scenario: unknown campaign %q (have %v)", name, Names())
+	return Scenario{}, fmt.Errorf("scenario: unknown campaign %q (have %v and %v)", name, Names(), WorkloadNames())
 }
 
 // ScenarioBatchTxs is the claimed per-proposal batch used by every
@@ -270,6 +307,139 @@ func buildSlowProposer(n int, seed int64) Scenario {
 			{Name: "healthy", Duration: 8 * time.Second},
 			{Name: "slow", Duration: 12 * time.Second, Faults: []Fault{slow}},
 			{Name: "recovered", Duration: 10 * time.Second},
+		},
+	}
+}
+
+// paymentOpts is a workload campaign's cluster configuration: the payment
+// cluster takes only the committee size, the seed and the chain bound
+// from it, and the chain is effectively unbounded at campaign scale.
+func paymentOpts(n int, seed int64) harness.Options {
+	return harness.Options{N: n, Seed: seed, MaxInstances: 1 << 16}
+}
+
+// sybilAdmission is the policy the spam-flood campaign defends with:
+// fee-rate ordering plus per-account caps and rate limits. Sybil
+// accounts pay the floor fee, so honest transactions always outrank
+// them, and no single Sybil account can hold more than a sliver of the
+// pool.
+func sybilAdmission() mempool.Policy {
+	return mempool.Policy{
+		MaxTxs:         1200,
+		MaxPerAccount:  10,
+		RatePerAccount: 15,
+		RateWindow:     time.Second,
+		MinFee:         1,
+		ReplaceBumpPct: 10,
+		PriorityOrder:  true,
+	}
+}
+
+// sybilSpamFlood: honest users at a steady 30 tx/s while 30 Sybil
+// accounts flood 600 tx/s at the minimum fee for six seconds. The
+// admission run and the arrival-order baseline run the identical
+// schedule; the acceptance criterion is the honest class's bounded p99
+// under admission while the baseline tail degrades.
+func sybilSpamFlood(policy mempool.Policy) func(n int, seed int64) Scenario {
+	return func(n int, seed int64) Scenario {
+		return Scenario{
+			Name: "sybil-spam-flood",
+			Opts: paymentOpts(n, seed),
+			Phases: []Phase{
+				{Name: "warmup", Duration: 2 * time.Second},
+				{Name: "flood", Duration: 6 * time.Second},
+				{Name: "cooldown", Duration: 2 * time.Second},
+			},
+			Drain: 20 * time.Second,
+			Workload: &load.Workload{
+				Classes: []load.Class{
+					{Name: "honest", Accounts: 6, Fee: 20},
+					{Name: "sybil", Accounts: 30, Fee: 1},
+				},
+				Rates:  [][]float64{{30, 0}, {30, 600}, {30, 0}},
+				Policy: policy,
+				// Small proposals (~340 tx/s of commit capacity at this
+				// committee size: 8.6 blocks a second since an instance is
+				// one binary round) put the 630 tx/s flood firmly past
+				// saturation: the baseline's arrival-order backlog is what
+				// degrades the honest tail.
+				BatchTxs: 40,
+			},
+		}
+	}
+}
+
+// feeSqueeze: a small bounded pool, retail traffic over-subscribing it
+// at fee 2 while a few priority payers bid fee 40. Fee-rate ordering
+// plus eviction keeps the priority class's tail flat at the retail
+// class's expense.
+func feeSqueeze(n int, seed int64) Scenario {
+	return Scenario{
+		Name: "fee-squeeze",
+		Opts: paymentOpts(n, seed),
+		Phases: []Phase{
+			{Name: "calm", Duration: 2 * time.Second},
+			{Name: "squeeze", Duration: 6 * time.Second},
+			{Name: "settle", Duration: 2 * time.Second},
+		},
+		Drain: 20 * time.Second,
+		Workload: &load.Workload{
+			Classes: []load.Class{
+				{Name: "retail", Accounts: 10, Fee: 2},
+				{Name: "priority", Accounts: 4, Fee: 40},
+			},
+			Rates: [][]float64{{40, 8}, {300, 40}, {40, 8}},
+			Policy: mempool.Policy{
+				MaxTxs:         600,
+				MinFee:         1,
+				ReplaceBumpPct: 10,
+				PriorityOrder:  true,
+			},
+			// ~220 tx/s of commit capacity (8.6 blocks a second) against
+			// 340 tx/s offered during the squeeze: the bounded pool must
+			// arbitrate by fee rate.
+			BatchTxs: 25,
+		},
+	}
+}
+
+// partitionExhaustion: steady mixed-fee traffic, then a partition stalls
+// commits for four seconds while arrivals keep coming — the bounded pool
+// fills, evicts the bulk class's low-fee backlog in favor of the vip
+// class, and drains after the partition heals.
+func partitionExhaustion(n int, seed int64) Scenario {
+	half := n/2 + 1
+	groups := [][]types.ReplicaID{{}, {}}
+	for id := 1; id <= n; id++ {
+		g := 0
+		if id > half {
+			g = 1
+		}
+		groups[g] = append(groups[g], types.ReplicaID(id))
+	}
+	stall := &Partition{Groups: groups, Extra: 2 * time.Second}
+	return Scenario{
+		Name: "partition-exhaustion",
+		Opts: paymentOpts(n, seed),
+		Phases: []Phase{
+			{Name: "steady", Duration: 2 * time.Second},
+			{Name: "partitioned", Duration: 4 * time.Second, Faults: []Fault{stall}},
+			{Name: "healed", Duration: 4 * time.Second},
+		},
+		Drain: 20 * time.Second,
+		Workload: &load.Workload{
+			Classes: []load.Class{
+				{Name: "bulk", Accounts: 8, Fee: 2},
+				{Name: "vip", Accounts: 3, Fee: 30},
+			},
+			Rates: [][]float64{{80, 10}, {80, 10}, {80, 10}},
+			Policy: mempool.Policy{
+				MaxTxs:         300,
+				MinFee:         1,
+				ReplaceBumpPct: 10,
+				PriorityOrder:  true,
+			},
+			BatchTxs: 150,
 		},
 	}
 }

@@ -21,6 +21,11 @@
 // cannot express. Registered campaigns are listed by Names and built by
 // Build; `zlb-bench -experiment scenarios` runs them all.
 //
+// A scenario with a Workload runs the payment application instead of the
+// synthetic one, under an open-loop payment workload (internal/load),
+// and reports submit-to-commit latency; the open-loop campaigns are
+// registered beside the fault campaigns (WorkloadNames).
+//
 // Run is the simulator's one campaign loop: these campaigns and the
 // message-level ones of internal/conformance all run through it, and it
 // checks the paper's four accountability invariants on every finished run
@@ -32,7 +37,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/zeroloss/zlb"
 	"github.com/zeroloss/zlb/internal/harness"
+	"github.com/zeroloss/zlb/internal/load"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -74,6 +81,14 @@ type Scenario struct {
 	// digest-for-digest against the first honest replica's; the outcome
 	// lands in Result.Recovered (and the campaign's golden).
 	VerifyChains []types.ReplicaID
+	// Workload, if set, runs the payment application under an open-loop
+	// payment workload: the cluster is the one zlb.NewCluster assembles,
+	// taking only N, Seed, MaxInstances and Tracer from Opts, and each
+	// phase submits its arrivals at their virtual times. The latency
+	// report lands in Result.Load. A CrashRestart fault is refused: its
+	// restart would bypass zlb.Cluster, which tracks the running payment
+	// replicas.
+	Workload *load.Workload
 }
 
 // Runtime is the live fault stack of a running scenario. Faults register
@@ -400,6 +415,9 @@ type Result struct {
 	// Violations is empty iff the paper's four invariants held on the
 	// finished run (see checkInvariants).
 	Violations []Violation `json:",omitempty"`
+	// Load is the latency report of the scenario's Workload; nil without
+	// one.
+	Load *load.Report `json:",omitempty"`
 	// Cluster is the finished cluster, for callers that read more of it.
 	Cluster *harness.Cluster `json:"-"`
 }
@@ -408,7 +426,7 @@ type Result struct {
 // returns its per-phase metrics and the verdict of the paper's four
 // invariants on the finished run.
 func Run(s Scenario) (*Result, error) {
-	c, err := harness.New(s.Opts)
+	c, drv, err := newCluster(s)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
@@ -425,6 +443,9 @@ func Run(s Scenario) (*Result, error) {
 					early.Apply(rt)
 				}
 				f = early.Fault
+			}
+			if _, restarts := f.(*CrashRestart); restarts && drv != nil {
+				return nil, fmt.Errorf("scenario %s: a CrashRestart fault cannot run under a payment workload", s.Name)
 			}
 			if ex, ok := f.(MetricExcluder); ok {
 				c.ExcludeFromMetrics(ex.MetricExclusions()...)
@@ -449,7 +470,11 @@ func Run(s Scenario) (*Result, error) {
 				f.Apply(rt)
 			}
 		}
-		now += ph.Duration
+		end := now + ph.Duration
+		if drv != nil {
+			drv.Phase(i, now, end)
+		}
+		now = end
 		c.Run(now)
 		snap := c.Snapshot()
 		res.Phases = append(res.Phases, diffPhase(ph.Name, prev, snap))
@@ -479,8 +504,36 @@ func Run(s Scenario) (*Result, error) {
 		res.Recovered = append(res.Recovered, RecoveryStatus{ID: id, Match: match, Have: have, Want: want})
 	}
 	res.Violations = checkInvariants(c, corrupt)
+	if drv != nil {
+		res.Load = drv.Report(s.Name)
+	}
 	res.Cluster = c
 	return res, nil
+}
+
+// newCluster builds the scenario's cluster: the harness's, running the
+// synthetic workload, or with a Workload the payment cluster, whose
+// driver submits the arrivals. A payment cluster keeps no store here,
+// so there is nothing to close after the run.
+func newCluster(s Scenario) (*harness.Cluster, *load.Driver, error) {
+	if s.Workload == nil {
+		c, err := harness.New(s.Opts)
+		return c, nil, err
+	}
+	phases := make([]string, len(s.Phases))
+	for i, ph := range s.Phases {
+		phases[i] = ph.Name
+	}
+	drv, err := load.NewDriver(*s.Workload, phases, zlb.Config{
+		N:         s.Opts.N,
+		Seed:      s.Opts.Seed,
+		MaxBlocks: s.Opts.MaxInstances,
+		Tracer:    s.Opts.Tracer,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return drv.Cluster.Harness(), drv, nil
 }
 
 // diffPhase turns two cumulative snapshots into the phase delta.
@@ -515,18 +568,24 @@ func diffPhase(name string, prev, snap harness.Snapshot) PhaseResult {
 }
 
 // Format renders the result as a deterministic fixed-layout table — the
-// representation the goldens in determinism_test.go pin bit for bit.
+// representation the goldens in determinism_test.go pin bit for bit. A
+// workload run's table is its latency report (Result.Load); its phase
+// metrics stay in Phases.
 func (r *Result) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s n=%d seed=%d converged=%v committed=%d disagreements=%d culprits=%d\n",
-		r.Scenario, r.N, r.Seed, r.Converged, r.Committed, r.Disagreements, r.Culprits)
-	fmt.Fprintf(&b, "%-15s %8s %8s %6s %10s %7s %8s %10s %10s %10s\n",
-		"phase", "start(s)", "end(s)", "commit", "tx/s", "disagr", "culprits", "detect(s)", "exclude(s)", "include(s)")
-	for _, p := range r.Phases {
-		fmt.Fprintf(&b, "%-15s %8.2f %8.2f %6d %10.1f %7d %8d %10s %10s %10s\n",
-			p.Name, p.Start.Seconds(), p.End.Seconds(), p.Committed, p.TxPerSec,
-			p.Disagreements, p.Culprits,
-			formatEvent(p.DetectSec), formatEvent(p.ExcludeSec), formatEvent(p.IncludeSec))
+	if r.Load != nil {
+		b.WriteString(r.Load.Format())
+	} else {
+		fmt.Fprintf(&b, "scenario %s n=%d seed=%d converged=%v committed=%d disagreements=%d culprits=%d\n",
+			r.Scenario, r.N, r.Seed, r.Converged, r.Committed, r.Disagreements, r.Culprits)
+		fmt.Fprintf(&b, "%-15s %8s %8s %6s %10s %7s %8s %10s %10s %10s\n",
+			"phase", "start(s)", "end(s)", "commit", "tx/s", "disagr", "culprits", "detect(s)", "exclude(s)", "include(s)")
+		for _, p := range r.Phases {
+			fmt.Fprintf(&b, "%-15s %8.2f %8.2f %6d %10.1f %7d %8d %10s %10s %10s\n",
+				p.Name, p.Start.Seconds(), p.End.Seconds(), p.Committed, p.TxPerSec,
+				p.Disagreements, p.Culprits,
+				formatEvent(p.DetectSec), formatEvent(p.ExcludeSec), formatEvent(p.IncludeSec))
+		}
 	}
 	for _, rec := range r.Recovered {
 		fmt.Fprintf(&b, "recovered %v: chain %d/%d instances, digests match=%v\n",

@@ -9,6 +9,7 @@ import (
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/load"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -242,9 +243,10 @@ func TestAttackCampaignRecovers(t *testing.T) {
 // n=9, seed 42 — the goldens' size and seed — and requires the paper's
 // four invariants to hold on each: the fork campaigns merge with ≥ ⌈n/3⌉
 // proven culprits and nobody honest accused, the crash-recover campaign's
-// restarted replica is never accused, the benign ones stay in agreement.
+// restarted replica is never accused, the benign ones and the payment
+// workloads stay in agreement.
 func TestRegisteredCampaignsKeepInvariants(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range append(Names(), WorkloadNames()...) {
 		s, err := Build(name, 9, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -302,5 +304,29 @@ func TestCheckInvariantsFlagsHonestAccusation(t *testing.T) {
 	}
 	if vs := checkInvariants(c, map[types.ReplicaID]bool{victim: true}); len(vs) != 0 {
 		t.Errorf("accusation inside the corrupt set flagged: %v", vs)
+	}
+}
+
+// TestWorkloadRefusesCrashRestart pins that a payment workload does not
+// run beside a CrashRestart fault, listed plainly or held from the start:
+// the harness would restart the replica behind zlb.Cluster, whose
+// Submit would keep feeding the dead replica's pool.
+func TestWorkloadRefusesCrashRestart(t *testing.T) {
+	for _, fault := range []Fault{
+		&CrashRestart{IDs: []types.ReplicaID{4}},
+		&FromStart{&CrashRestart{IDs: []types.ReplicaID{4}}},
+	} {
+		s := Scenario{
+			Name:   "crash-under-load",
+			Opts:   paymentOpts(4, 1),
+			Phases: []Phase{{Name: "crashed", Duration: time.Second, Faults: []Fault{fault}}},
+			Workload: &load.Workload{
+				Classes: []load.Class{{Name: "a", Accounts: 1, Fee: 1}},
+				Rates:   [][]float64{{10}},
+			},
+		}
+		if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "CrashRestart") {
+			t.Errorf("%T: Run returned %v, want a refusal", fault, err)
+		}
 	}
 }

@@ -196,7 +196,7 @@ type Config struct {
 	// OnCommittedBatch, if set, observes every committed block's
 	// transactions at the first honest replica, stamped with that
 	// replica's virtual commit time — the submit-to-commit latency probe
-	// the open-loop load harness (internal/load) builds percentiles
+	// a scenario's payment workload (internal/load) builds percentiles
 	// from. The slice aliases the block; callers must not modify it.
 	OnCommittedBatch func(k uint64, txs []*Transaction, at time.Duration)
 	// OnFraud, if set, observes each proven deceitful replica (replica
@@ -424,9 +424,9 @@ func seedLedger(genesis map[Address]Amount, n int, stake Amount) func(*bm.Ledger
 // newNode builds replica id's payment application on the environment the
 // simulator gave the replica: the harness calls it while it builds the
 // replica, at NewCluster and again at Restart. The replica's own clock
-// stamps what it observes: its per-event time is bit-identical across
-// sequential and parallel simulation, which the global clock inside a
-// window is not.
+// stamps what it observes: its per-event time is when the replica itself
+// handled the event, where the global clock is the furthest any
+// replica's busy timeline has reached.
 func (c *Cluster) newNode(id ReplicaID, env simnet.Env) (harness.Application, error) {
 	nt := c.cfg.Tracer.Node(id) // nil when tracing is off
 	r := &replica{c: c, id: id}
@@ -645,18 +645,9 @@ func (c *Cluster) Run(d time.Duration) {
 // RunUntilQuiet drains all pending events up to the virtual deadline.
 func (c *Cluster) RunUntilQuiet(max time.Duration) { c.inner.RunUntilQuiet(max) }
 
-// StallPartition delays all cross-group traffic between the given
-// replica groups by extra virtual time — a partition that stalls
-// consensus without losing messages, which is how the load harness
-// exhausts mempools while commits cannot progress. Replicas not listed
-// in any group communicate freely. The rule replaces any delay rule a
-// previous StallPartition installed; ClearPartitionStall removes it.
-func (c *Cluster) StallPartition(groups [][]ReplicaID, extra time.Duration) {
-	c.inner.Net.DelayRule = simnet.PartitionDelay(simnet.GroupOf(groups), extra)
-}
-
-// ClearPartitionStall heals a StallPartition.
-func (c *Cluster) ClearPartitionStall() { c.inner.Net.DelayRule = nil }
+// Harness returns the simulated cluster underneath, for the campaign
+// engine (internal/scenario) to arm its fault stack on.
+func (c *Cluster) Harness() *harness.Cluster { return c.inner }
 
 // Now returns the virtual time.
 func (c *Cluster) Now() time.Duration { return c.inner.Net.Now() }
