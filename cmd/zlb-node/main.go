@@ -199,6 +199,8 @@ type replicaNode struct {
 	// warning about one (warnRejected).
 	rejected     int
 	rejectLogged time.Time
+	// changes holds the completed membership changes, in order.
+	changes []*membership.Result
 
 	// served closes when Serve has exited and the store is closed.
 	served chan struct{}
@@ -312,6 +314,7 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 			rn.log.Warnf("proof of fraud against replica %v", p.Culprit)
 		},
 		OnMembershipChange: func(res *membership.Result) {
+			rn.changes = append(rn.changes, res)
 			rn.log.Infof("membership change: excluded %v, included %v", res.Excluded, res.Included)
 		},
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -28,15 +29,18 @@ type nodeState struct {
 
 func (rn *replicaNode) state() nodeState {
 	ch := make(chan nodeState, 1)
-	rn.node.Do(func() {
-		ch <- nodeState{
-			Height:  rn.app.Ledger().Height(),
-			LastK:   rn.app.Ledger().LastK(),
-			Digests: rn.app.Ledger().BlockDigests(),
-			Faucet:  rn.app.Ledger().Table().Balance(rn.faucet),
-		}
-	})
+	rn.node.Do(func() { ch <- rn.stateNow() })
 	return <-ch
+}
+
+// stateNow reads the state; call it on the event loop.
+func (rn *replicaNode) stateNow() nodeState {
+	return nodeState{
+		Height:  rn.app.Ledger().Height(),
+		LastK:   rn.app.Ledger().LastK(),
+		Digests: rn.app.Ledger().BlockDigests(),
+		Faucet:  rn.app.Ledger().Table().Balance(rn.faucet),
+	}
 }
 
 // freeAddrs reserves n distinct localhost ports below the kernel's
@@ -84,6 +88,47 @@ func startCluster(t *testing.T, n int, seed int64, tweak func(i int, cfg *nodeCo
 		t.Cleanup(rn.Close)
 	}
 	return nodes, addrs
+}
+
+// startDurable boots replica i+1 of a cluster on addrs with the data
+// directory dirs[i], checkpointing every two blocks, and closes it when
+// the test ends; calling it again after Close is a restart. tweak, when
+// set, adjusts the configuration.
+func startDurable(t *testing.T, addrs, dirs []string, i int, seed int64, tweak func(*nodeConfig)) *replicaNode {
+	t.Helper()
+	cfg := nodeConfig{Self: types.ReplicaID(i + 1), N: len(addrs), Listen: addrs[i], Peers: addrs, Seed: seed, DataDir: dirs[i], CheckpointEvery: 2}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	rn, err := newReplicaNode(cfg)
+	if err != nil {
+		t.Fatalf("replica %d: %v", i+1, err)
+	}
+	go rn.Serve()
+	t.Cleanup(rn.Close)
+	return rn
+}
+
+// tempDirs is one fresh directory per replica.
+func tempDirs(t *testing.T, n int) []string {
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	return dirs
+}
+
+// caughtUp reports whether got holds ref's chain and balances.
+func caughtUp(got, ref nodeState) bool {
+	if got.LastK < ref.LastK || got.Faucet != ref.Faucet {
+		return false
+	}
+	for k, d := range ref.Digests {
+		if got.Digests[k] != d {
+			return false
+		}
+	}
+	return true
 }
 
 // testClient chains faucet payments exactly like cmd/zlb-client.
@@ -151,15 +196,9 @@ func (c *testClient) send(tx *utxo.Transaction, to ...int) {
 		delivered := false
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
-			conn, err := net.DialTimeout("tcp", c.addrs[i], 2*time.Second)
-			if err == nil {
-				enc := gob.NewEncoder(conn)
-				err = enc.Encode(clientEnvelope{From: 0, Msg: &transport.SubmitTx{Tx: tx}})
-				conn.Close()
-				if err == nil {
-					delivered = true
-					break
-				}
+			if c.offer(tx, i) == nil {
+				delivered = true
+				break
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -167,6 +206,16 @@ func (c *testClient) send(tx *utxo.Transaction, to ...int) {
 			c.t.Fatalf("transaction never reached replica %d", i+1)
 		}
 	}
+}
+
+// offer makes one attempt to deliver tx to replica i+1.
+func (c *testClient) offer(tx *utxo.Transaction, i int) error {
+	conn, err := net.DialTimeout("tcp", c.addrs[i], 2*time.Second)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	return gob.NewEncoder(conn).Encode(clientEnvelope{From: 0, Msg: &transport.SubmitTx{Tx: tx}})
 }
 
 // waitFor polls until cond returns true or the deadline passes.
@@ -180,6 +229,14 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 		time.Sleep(100 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// waitHeight waits until every listed replica has committed height blocks.
+func waitHeight(t *testing.T, timeout time.Duration, height int, nodes ...*replicaNode) {
+	t.Helper()
+	waitFor(t, timeout, fmt.Sprintf("block %d on %d replicas", height, len(nodes)), func() bool {
+		return !slices.ContainsFunc(nodes, func(rn *replicaNode) bool { return rn.state().Height < height })
+	})
 }
 
 // TestTransactionSubmittedToOneReplicaCommits: a payment only replica 1
@@ -239,53 +296,19 @@ func TestNodeKillRestartRecovers(t *testing.T) {
 	}
 	const n = 4
 	const seed = int64(7)
-	addrs := freeAddrs(t, n)
-	dataDirs := make([]string, n)
-	for i := range dataDirs {
-		dataDirs[i] = t.TempDir()
-	}
-
-	mkNode := func(i int) *replicaNode {
-		rn, err := newReplicaNode(nodeConfig{
-			Self:            types.ReplicaID(i + 1),
-			N:               n,
-			Listen:          addrs[i],
-			Peers:           addrs,
-			Seed:            seed,
-			DataDir:         dataDirs[i],
-			CheckpointEvery: 2,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i+1, err)
-		}
-		go rn.Serve()
-		return rn
-	}
+	addrs, dataDirs := freeAddrs(t, n), tempDirs(t, n)
+	mkNode := func(i int) *replicaNode { return startDurable(t, addrs, dataDirs, i, seed, nil) }
 	nodes := make([]*replicaNode, n)
 	for i := 0; i < n; i++ {
 		nodes[i] = mkNode(i)
 	}
-	defer func() {
-		for _, rn := range nodes {
-			if rn != nil {
-				rn.Close()
-			}
-		}
-	}()
 
 	client := newTestClient(t, seed, addrs)
 	// Commit a few blocks with everyone up.
 	for b := 0; b < 3; b++ {
 		client.submit(types.Amount(1000+b), 0, 1, 2, 3)
 		want := b + 1
-		waitFor(t, 30*time.Second, fmt.Sprintf("block %d on all replicas", want), func() bool {
-			for i := 0; i < n; i++ {
-				if nodes[i].state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
+		waitHeight(t, 30*time.Second, want, nodes...)
 	}
 	killedState := nodes[3].state()
 	if killedState.Height < 3 {
@@ -298,14 +321,7 @@ func TestNodeKillRestartRecovers(t *testing.T) {
 	for b := 3; b < 5; b++ {
 		client.submit(types.Amount(2000+b), 0, 1, 2)
 		want := b + 1
-		waitFor(t, 60*time.Second, fmt.Sprintf("block %d on the survivors", want), func() bool {
-			for i := 0; i < 3; i++ {
-				if nodes[i].state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
+		waitHeight(t, 60*time.Second, want, nodes[:3]...)
 	}
 
 	// Restart replica 4 from its data directory.
@@ -323,17 +339,7 @@ func TestNodeKillRestartRecovers(t *testing.T) {
 	// It must converge to the survivors' chain (catch-up of the missed
 	// tail), including the recovered UTXO state.
 	waitFor(t, 60*time.Second, "replica 4 catching up to the honest chain", func() bool {
-		ref := nodes[0].state()
-		got := nodes[3].state()
-		if got.LastK < ref.LastK || got.Faucet != ref.Faucet {
-			return false
-		}
-		for k, d := range ref.Digests {
-			if got.Digests[k] != d {
-				return false
-			}
-		}
-		return true
+		return caughtUp(nodes[3].state(), nodes[0].state())
 	})
 }
 
@@ -350,52 +356,18 @@ func TestNodeCleanSignalShutdown(t *testing.T) {
 	}
 	const n = 4
 	const seed = int64(13)
-	addrs := freeAddrs(t, n)
-	dataDirs := make([]string, n)
-	for i := range dataDirs {
-		dataDirs[i] = t.TempDir()
-	}
-
-	mkNode := func(i int) *replicaNode {
-		rn, err := newReplicaNode(nodeConfig{
-			Self:            types.ReplicaID(i + 1),
-			N:               n,
-			Listen:          addrs[i],
-			Peers:           addrs,
-			Seed:            seed,
-			DataDir:         dataDirs[i],
-			CheckpointEvery: 2,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i+1, err)
-		}
-		go rn.Serve()
-		return rn
-	}
+	addrs, dataDirs := freeAddrs(t, n), tempDirs(t, n)
+	mkNode := func(i int) *replicaNode { return startDurable(t, addrs, dataDirs, i, seed, nil) }
 	nodes := make([]*replicaNode, n)
 	for i := 0; i < n; i++ {
 		nodes[i] = mkNode(i)
 	}
-	defer func() {
-		for _, rn := range nodes {
-			if rn != nil {
-				rn.Close()
-			}
-		}
-	}()
 
 	client := newTestClient(t, seed, addrs)
 	for b := 0; b < 2; b++ {
 		client.submit(types.Amount(700+b), 0, 1, 2, 3)
 		want := b + 1
-		waitFor(t, 30*time.Second, fmt.Sprintf("block %d on all replicas", want), func() bool {
-			for i := 0; i < n; i++ {
-				if nodes[i].state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
+		waitHeight(t, 30*time.Second, want, nodes...)
 	}
 	preShutdown := nodes[3].state()
 	if preShutdown.Height < 2 {
@@ -417,14 +389,7 @@ func TestNodeCleanSignalShutdown(t *testing.T) {
 
 	// The survivors (exact quorum) keep committing.
 	client.submit(types.Amount(900), 0, 1, 2)
-	waitFor(t, 60*time.Second, "block 3 on the survivors", func() bool {
-		for i := 0; i < 3; i++ {
-			if nodes[i].state().Height < 3 {
-				return false
-			}
-		}
-		return true
-	})
+	waitHeight(t, 60*time.Second, 3, nodes[:3]...)
 
 	// Restart from the cleanly-closed store: the full pre-shutdown chain
 	// must be on disk, and the node must converge with its peers.
@@ -439,17 +404,7 @@ func TestNodeCleanSignalShutdown(t *testing.T) {
 		}
 	}
 	waitFor(t, 60*time.Second, "replica 4 rejoining after clean shutdown", func() bool {
-		ref := nodes[0].state()
-		got := nodes[3].state()
-		if got.LastK < ref.LastK || got.Faucet != ref.Faucet {
-			return false
-		}
-		for k, d := range ref.Digests {
-			if got.Digests[k] != d {
-				return false
-			}
-		}
-		return true
+		return caughtUp(nodes[3].state(), nodes[0].state())
 	})
 }
 
@@ -463,71 +418,27 @@ func TestNodeSyncBootstrap(t *testing.T) {
 	}
 	const n = 4
 	const seed = int64(11)
-	addrs := freeAddrs(t, n)
-	dataDirs := make([]string, n)
-	for i := range dataDirs {
-		dataDirs[i] = t.TempDir()
-	}
-
+	addrs, dataDirs := freeAddrs(t, n), tempDirs(t, n)
 	mkNode := func(i int, sync bool) *replicaNode {
-		rn, err := newReplicaNode(nodeConfig{
-			Self:            types.ReplicaID(i + 1),
-			N:               n,
-			Listen:          addrs[i],
-			Peers:           addrs,
-			Seed:            seed,
-			DataDir:         dataDirs[i],
-			CheckpointEvery: 2,
-			Sync:            sync,
-			SyncTimeout:     10 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i+1, err)
-		}
-		go rn.Serve()
-		return rn
+		return startDurable(t, addrs, dataDirs, i, seed, func(cfg *nodeConfig) { cfg.Sync, cfg.SyncTimeout = sync, 10*time.Second })
 	}
 	nodes := make([]*replicaNode, n)
 	for i := 0; i < 3; i++ {
 		nodes[i] = mkNode(i, false)
 	}
-	defer func() {
-		for _, rn := range nodes {
-			if rn != nil {
-				rn.Close()
-			}
-		}
-	}()
 
 	client := newTestClient(t, seed, addrs)
 	for b := 0; b < 4; b++ {
 		client.submit(types.Amount(500+b), 0, 1, 2)
 		want := b + 1
-		waitFor(t, 60*time.Second, fmt.Sprintf("block %d on the initial trio", want), func() bool {
-			for i := 0; i < 3; i++ {
-				if nodes[i].state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
+		waitHeight(t, 60*time.Second, want, nodes[:3]...)
 	}
 
 	// Replica 4 joins late with an empty store and -sync: it bootstraps
 	// the chain from its peers' stores.
 	nodes[3] = mkNode(3, true)
 	waitFor(t, 60*time.Second, "standby bootstrapping the chain", func() bool {
-		ref := nodes[0].state()
-		got := nodes[3].state()
-		if got.LastK < ref.LastK || got.Faucet != ref.Faucet {
-			return false
-		}
-		for k, d := range ref.Digests {
-			if got.Digests[k] != d {
-				return false
-			}
-		}
-		return true
+		return caughtUp(nodes[3].state(), nodes[0].state())
 	})
 }
 
@@ -544,17 +455,7 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	const seed = int64(13)
 	nodes, addrs := startCluster(t, n, seed, func(_ int, cfg *nodeConfig) { cfg.CheckpointEvery = 2 })
 	all := []int{0, 1, 2, 3}
-	waitHeight := func(want int) {
-		t.Helper()
-		waitFor(t, 30*time.Second, fmt.Sprintf("block %d on all replicas", want), func() bool {
-			for _, rn := range nodes {
-				if rn.state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
-	}
+
 	refusedCommitted := func() uint64 {
 		var sum uint64
 		for _, rn := range nodes {
@@ -566,7 +467,7 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	client := newTestClient(t, seed, addrs)
 	first := client.pay(500)
 	client.send(first, all...)
-	waitHeight(1)
+	waitHeight(t, 30*time.Second, 1, nodes...)
 	// A replica the first submit reached only after block 1 committed
 	// refused it already: wait for every replica to settle it, and count
 	// from there.
@@ -585,11 +486,11 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	})
 
 	client.submit(501, all...)
-	waitHeight(2) // the second block trims
+	waitHeight(t, 30*time.Second, 2, nodes...) // the second block trims
 	applied := nodes[0].app.Status().TxsApplied
 	faucet := nodes[0].state().Faucet
 	client.send(first, all...)
-	waitHeight(3) // admitted again, proposed, committed as an empty block
+	waitHeight(t, 30*time.Second, 3, nodes...) // admitted again, proposed, committed as an empty block
 	if got := refusedCommitted(); got != early+n {
 		t.Errorf("%d committed-refusals after the trim, want the %d from before it", got, early+n)
 	}

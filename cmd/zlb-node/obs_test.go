@@ -69,14 +69,7 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	for b := 0; b < blocks; b++ {
 		client.submit(types.Amount(500+b), 0)
 		want := b + 1
-		waitFor(t, 30*time.Second, fmt.Sprintf("block %d on all replicas", want), func() bool {
-			for i := 0; i < n; i++ {
-				if nodes[i].state().Height < want {
-					return false
-				}
-			}
-			return true
-		})
+		waitHeight(t, 30*time.Second, want, nodes...)
 	}
 
 	body := scrape(t, base+"/metrics")

@@ -325,51 +325,21 @@ func TestNetMeshAndGroupFaults(t *testing.T) {
 		}
 	}
 
-	// PartitionGroups cuts exactly the crossing links, both directions.
-	mesh.PartitionGroups([]types.ReplicaID{1}, []types.ReplicaID{2, 3})
-	check := func(from, to types.ReplicaID, wantCut bool) {
-		t.Helper()
-		_, err := roundTrip(t, mesh.Link(from, to).Addr(), "x")
-		if wantCut && err == nil {
-			t.Fatalf("link %v→%v alive inside a partition", from, to)
-		}
-		if !wantCut && err != nil {
-			t.Fatalf("intra-group link %v→%v cut: %v", from, to, err)
+	// A fault on one link cuts exactly that direction of that pair.
+	mesh.Link(1, 2).Partition()
+	if _, err := roundTrip(t, mesh.Link(1, 2).Addr(), "x"); err == nil {
+		t.Fatal("link 1→2 alive after its partition")
+	}
+	for _, l := range [][2]types.ReplicaID{{2, 1}, {1, 3}, {3, 2}} {
+		if _, err := roundTrip(t, mesh.Link(l[0], l[1]).Addr(), "x"); err != nil {
+			t.Fatalf("link %v→%v cut by a fault on 1→2: %v", l[0], l[1], err)
 		}
 	}
-	check(1, 2, true)
-	check(2, 1, true)
-	check(1, 3, true)
-	check(3, 1, true)
-	check(2, 3, false)
-	check(3, 2, false)
-
-	if err := mesh.HealAll(); err != nil {
+	if err := mesh.Link(1, 2).Heal(); err != nil {
 		t.Fatal(err)
 	}
-	check(1, 2, false)
-	check(2, 1, false)
-}
-
-func TestCampaignRegistry(t *testing.T) {
-	names := Names()
-	if len(names) == 0 {
-		t.Fatal("no campaigns registered")
-	}
-	for _, name := range names {
-		c, err := Find(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Nodes < 5 {
-			t.Fatalf("campaign %s wants n=%d, campaigns require n>=5", name, c.Nodes)
-		}
-		if c.Run == nil || c.Description == "" {
-			t.Fatalf("campaign %s incompletely registered", name)
-		}
-	}
-	if _, err := Find("no-such-campaign"); err == nil {
-		t.Fatal("Find accepted an unknown campaign")
+	if _, err := roundTrip(t, mesh.Link(1, 2).Addr(), "x"); err != nil {
+		t.Fatalf("healed link 1→2 not relaying: %v", err)
 	}
 }
 

@@ -62,66 +62,9 @@ func (n *Net) Link(from, to types.ReplicaID) *Proxy {
 	return n.links[[2]types.ReplicaID{from, to}]
 }
 
-// EachLink visits every directed link.
-func (n *Net) EachLink(f func(from, to types.ReplicaID, p *Proxy)) {
-	for key, p := range n.links {
-		f(key[0], key[1], p)
-	}
-}
-
-// IsolatePeer partitions every link touching id, in both directions.
-func (n *Net) IsolatePeer(id types.ReplicaID) {
-	n.EachLink(func(from, to types.ReplicaID, p *Proxy) {
-		if from == id || to == id {
-			p.Partition()
-		}
-	})
-}
-
-// HealPeer lifts IsolatePeer.
-func (n *Net) HealPeer(id types.ReplicaID) error {
-	var firstErr error
-	n.EachLink(func(from, to types.ReplicaID, p *Proxy) {
-		if from == id || to == id {
-			if err := p.Heal(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	})
-	return firstErr
-}
-
-// PartitionGroups partitions every link crossing between group a and
-// group b, both directions. Links inside a group are untouched.
-func (n *Net) PartitionGroups(a, b []types.ReplicaID) {
-	inA, inB := idSet(a), idSet(b)
-	n.EachLink(func(from, to types.ReplicaID, p *Proxy) {
-		if (inA[from] && inB[to]) || (inB[from] && inA[to]) {
-			p.Partition()
-		}
-	})
-}
-
-// HealAll clears every standing fault on every link.
-func (n *Net) HealAll() error {
-	var firstErr error
-	n.EachLink(func(_, _ types.ReplicaID, p *Proxy) {
-		if err := p.ClearFaults(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	})
-	return firstErr
-}
-
 // Close tears the mesh down.
 func (n *Net) Close() {
-	n.EachLink(func(_, _ types.ReplicaID, p *Proxy) { p.Close() })
-}
-
-func idSet(ids []types.ReplicaID) map[types.ReplicaID]bool {
-	out := make(map[types.ReplicaID]bool, len(ids))
-	for _, id := range ids {
-		out[id] = true
+	for _, p := range n.links {
+		p.Close()
 	}
-	return out
 }

@@ -111,10 +111,6 @@ func (p *Proxy) Heal() error {
 	return nil
 }
 
-// Reset kills the live connections once but keeps accepting: a
-// transient connection reset rather than a standing partition.
-func (p *Proxy) Reset() { p.dropConns() }
-
 // SetBlackhole toggles one-way packet loss: the proxy keeps reading
 // from the dialer (so its writes appear to succeed) but forwards
 // nothing. The cruellest fault for a sender — no error, no delivery.
@@ -128,14 +124,6 @@ func (p *Proxy) SetLatency(d time.Duration) { p.latencyNs.Store(int64(d)) }
 // sender's socket buffer fills and its writes start blocking against
 // the write deadline — a slow reader, seen from the wire.
 func (p *Proxy) SetThrottle(bytesPerSec int) { p.throttleBps.Store(int64(bytesPerSec)) }
-
-// ClearFaults lifts every standing fault on the link.
-func (p *Proxy) ClearFaults() error {
-	p.blackhole.Store(false)
-	p.latencyNs.Store(0)
-	p.throttleBps.Store(0)
-	return p.Heal()
-}
 
 // Close stops the proxy and kills its connections.
 func (p *Proxy) Close() {

@@ -182,14 +182,21 @@ func fork(name string, n int, seed int64, inj *Injector, faults ...scenario.Faul
 	return staged(name, opts, inj, forkPhase, append([]scenario.Fault{stall}, faults...)...)
 }
 
-// atPhaseEnd is a fault that acts once, when its phase ends.
-type atPhaseEnd func(rt *scenario.Runtime)
+// atPhaseEnd is a fault that acts once on the simulated cluster, when its
+// phase ends.
+type atPhaseEnd func(c *harness.Cluster)
 
 // Apply implements scenario.Fault.
-func (atPhaseEnd) Apply(*scenario.Runtime) {}
+func (atPhaseEnd) Apply(scenario.Runtime) error { return nil }
 
 // Revert implements scenario.Fault.
-func (f atPhaseEnd) Revert(rt *scenario.Runtime) { f(rt) }
+func (f atPhaseEnd) Revert(rt scenario.Runtime) error {
+	f(rt.(*harness.Cluster))
+	return nil
+}
+
+// SimOnly implements scenario.SimOnly.
+func (atPhaseEnd) SimOnly() {}
 
 // mergeCaptureLimit bounds how many distinct DECIDEs with a certificate the
 // merge campaign records for replay; enough to cover both branches'
@@ -217,9 +224,9 @@ func stageMergeDuringCatchup(n int, seed int64, inj *Injector) scenario.Scenario
 		}
 		return msg
 	})
-	replay := atPhaseEnd(func(rt *scenario.Runtime) {
+	replay := atPhaseEnd(func(c *harness.Cluster) {
 		for i, cap := range caps {
-			for _, h := range rt.Cluster.HonestMembers() {
+			for _, h := range c.HonestMembers() {
 				inj.Inject(cap.from, h, cap.msg, time.Duration(i+1)*10*time.Millisecond)
 			}
 		}

@@ -33,6 +33,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -137,16 +138,7 @@ func Run(name string, n int, seed int64) (Result, error) {
 			Violations:    res.Violations,
 		}
 		if honest := c.HonestMembers(); len(honest) > 0 {
-			seen := make(map[types.ReplicaID]bool)
-			for _, change := range c.ChangeResults[honest[0]] {
-				for _, id := range change.Excluded {
-					if !seen[id] {
-						seen[id] = true
-						out.Excluded = append(out.Excluded, id)
-					}
-				}
-			}
-			out.Excluded = types.SortReplicas(out.Excluded)
+			out.Excluded = slices.Compact(types.SortReplicas(c.State(honest[0]).Excluded))
 		}
 		return out, nil
 	}

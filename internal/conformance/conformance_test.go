@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -137,5 +138,16 @@ func TestMergeCampaignExercisesAccountability(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Error("honest committee did not converge after the merge")
+	}
+}
+
+// TestMessageFaultsAreSimOnly pins that the message-level faults declare
+// themselves simulator-only: a scenario holding the Injector or an
+// atPhaseEnd replay, and nothing else, is refused on any other substrate.
+func TestMessageFaultsAreSimOnly(t *testing.T) {
+	for _, f := range []scenario.Fault{&Injector{}, atPhaseEnd(nil)} {
+		if scenario.Refusal(scenario.Scenario{Phases: []scenario.Phase{{Faults: []scenario.Fault{f}}}}) == nil {
+			t.Errorf("%T runs on a substrate other than the simulator", f)
+		}
 	}
 }

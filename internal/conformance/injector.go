@@ -53,8 +53,8 @@ type Injector struct {
 // cluster's delivery rule. Installing a DeliverRule forces the simulator
 // into sequential mode, so every rule invocation and injection is
 // deterministic under the cluster seed.
-func (inj *Injector) Apply(rt *scenario.Runtime) {
-	c := rt.Cluster
+func (inj *Injector) Apply(rt scenario.Runtime) error {
+	c := rt.(*harness.Cluster)
 	inj.c = c
 	inj.injected = make(map[simnet.Message]bool)
 	inj.epochs = make(map[types.ReplicaID]uint32)
@@ -62,11 +62,16 @@ func (inj *Injector) Apply(rt *scenario.Runtime) {
 		inj.epochs[id] = c.Net.Epoch(id)
 	}
 	c.Net.DeliverRule = inj.deliver
+	return nil
 }
 
 // Revert implements scenario.Fault: the rule stays armed through the
 // drain.
-func (inj *Injector) Revert(*scenario.Runtime) {}
+func (inj *Injector) Revert(scenario.Runtime) error { return nil }
+
+// SimOnly implements scenario.SimOnly: the injector rewrites messages
+// inside simnet.
+func (*Injector) SimOnly() {}
 
 // Corrupted implements scenario.Corrupter.
 func (inj *Injector) Corrupted() []types.ReplicaID { return inj.corrupt }

@@ -167,6 +167,9 @@ type Cluster struct {
 	// lag with stale slot outcomes, and the paper likewise excludes its q
 	// benign replicas from the honest readings.
 	metricsExcluded map[types.ReplicaID]bool
+	// drops and delays are the armed fault predicates (AddDrop, AddDelay).
+	drops  []*DropFn
+	delays []*DelayFn
 }
 
 // New builds the cluster. Replica IDs 1..N are the committee; IDs
@@ -416,33 +419,6 @@ func (c *Cluster) Restart(id types.ReplicaID) error {
 	c.apps[id].Start()
 	return nil
 }
-
-// ChainAgreement compares a replica's decided chain digests to the first
-// honest replica's: have is how many of the honest chain's instances the
-// replica decided with the identical digest, want is the honest chain
-// length, and match reports full agreement. The crash-recovery scenario
-// pins this for the restarted replica.
-func (c *Cluster) ChainAgreement(id types.ReplicaID) (match bool, have, want int) {
-	honest := c.HonestMembers()
-	if len(honest) == 0 {
-		return false, 0, 0
-	}
-	ref := c.Replicas[honest[0]].ChainDigests()
-	got := c.Replicas[id].ChainDigests()
-	for k, d := range ref {
-		if got[k] == d {
-			have++
-		}
-	}
-	want = len(ref)
-	return have == want, have, want
-}
-
-// Run processes events until the virtual deadline.
-func (c *Cluster) Run(until time.Duration) { c.Net.Run(until) }
-
-// RunUntilQuiet drains the event queue up to maxTime.
-func (c *Cluster) RunUntilQuiet(maxTime time.Duration) { c.Net.RunUntilQuiet(maxTime) }
 
 // HonestMembers returns the committee members that are neither deceitful
 // nor excluded from the metrics (ExcludeFromMetrics).

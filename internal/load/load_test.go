@@ -34,11 +34,13 @@ func smallScenario(policy mempool.Policy) scenario.Scenario {
 }
 
 // TestRunDeterministic pins that two identical workload runs produce
-// byte-identical reports, that the basic accounting adds up, and that a
-// run leaves the workload it was given as it was.
+// byte-identical reports, that the basic accounting adds up, that the
+// phases count each committed payment once, and that a run leaves the
+// workload it was given as it was.
 func TestRunDeterministic(t *testing.T) {
 	policy := mempool.Policy{MaxTxs: 100, PriorityOrder: true, MinFee: 1}
 	s := smallScenario(policy)
+	var phaseTxs int
 	run := func() *load.Report {
 		res, err := scenario.Run(s)
 		if err != nil {
@@ -46,6 +48,10 @@ func TestRunDeterministic(t *testing.T) {
 		}
 		if res.Load == nil {
 			t.Fatal("a workload run reports no latency section")
+		}
+		phaseTxs = 0
+		for _, p := range res.Phases {
+			phaseTxs += p.Txs
 		}
 		return res.Load
 	}
@@ -79,6 +85,9 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no transactions committed at all")
+	}
+	if phaseTxs != total {
+		t.Errorf("the phases count %d committed payments, the report %d", phaseTxs, total)
 	}
 	if r1.Height == 0 {
 		t.Fatal("no blocks committed")

@@ -35,6 +35,8 @@ type recorder struct {
 	rejected   []map[string]int // keyed by (phase, class, reason)
 	phases     int
 	classes    int
+	// committed counts the submitted transactions committed so far.
+	committed int
 }
 
 func newRecorder(phases, classes int) *recorder {
@@ -82,8 +84,17 @@ func (r *recorder) onCommit(_ uint64, txs []*zlb.Transaction, at time.Duration) 
 	for _, tx := range txs {
 		if rec, ok := r.byID[tx.ID()]; ok && rec.commit == 0 {
 			rec.commit = at
+			r.committed++
 		}
 	}
+}
+
+// Committed counts the submitted payments committed so far, each once,
+// however many proposals carried it.
+func (d *Driver) Committed() int {
+	d.rec.mu.Lock()
+	defer d.rec.mu.Unlock()
+	return d.rec.committed
 }
 
 // PhaseClassStats is one report row: what one class experienced during

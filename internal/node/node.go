@@ -85,6 +85,18 @@ type Node struct {
 	// proposedAt is when this node proposed for an instance still
 	// undecided, for the commit latency histogram.
 	proposedAt map[uint64]time.Duration
+	// early holds decided blocks whose predecessors have not committed
+	// here yet: a replica back from a crash or a cut decides the instances
+	// its peers are running before catch-up brings the ones it missed,
+	// and the ledger applies blocks in chain order only.
+	early map[uint64]decided
+	// resumeK is the instance a restored replica was in when it stopped.
+	// It may have proposed there, and a second proposal, from a pool that
+	// holds other transactions now, would be an equivocation its peers
+	// convict it of; so until resumeBy it proposes nothing there, and its
+	// peers' catch-up answer moves it past the instance.
+	resumeK  uint64
+	resumeBy time.Duration
 
 	// Observability (status.go). The event loop is the only writer of
 	// status and held, under mu; scrapes read them under mu.
@@ -103,6 +115,7 @@ func New(opts Options) (*Node, error) {
 		pool:       mempool.NewWithPolicy(opts.Mempool),
 		txv:        pipeline.NewTxVerifier(pipeline.Shared(), opts.Scheme),
 		proposedAt: make(map[uint64]time.Duration),
+		early:      make(map[uint64]decided),
 	}
 	n.pool.SetClock(opts.Env.Now)
 	n.registerSeries()
@@ -184,9 +197,18 @@ func (n *Node) Attach(r *asmr.Replica) {
 	}
 }
 
+// resumeHold bounds how long a restored replica waits for its peers'
+// catch-up answer before it proposes in the instance it stopped in: a
+// committee restarted whole has no peer further on to answer, and no
+// peer that kept its earlier proposal either.
+const resumeHold = 5 * time.Second
+
 // Start launches consensus. A replica whose chain was restored, from disk
 // or from its peers' stores, asks them for the instances decided since.
 func (n *Node) Start() {
+	if n.restored {
+		n.resumeK, n.resumeBy = n.ledger.LastK()+1, n.opts.Env.Now()+resumeHold
+	}
 	n.replica.Start()
 	if n.restored {
 		n.replica.RequestCatchup()
@@ -218,6 +240,9 @@ func (n *Node) Pool() *mempool.Pool { return n.pool }
 // encoded. An empty pool yields an empty batch, which defers the instance
 // (Fig. 2: instances start only when requests are enqueued).
 func (n *Node) Propose(k uint64) asmr.Batch {
+	if k == n.resumeK && n.opts.Env.Now() < n.resumeBy {
+		return asmr.Batch{}
+	}
 	txs := n.pool.Take(n.opts.BatchTxs)
 	if len(txs) == 0 {
 		return asmr.Batch{}
@@ -245,8 +270,32 @@ func (n *Node) Prevalidate(payload []byte) {
 	n.txv.SpeculateBatch(payload, n.opts.Batches)
 }
 
-// Commit applies decided superblock k: ledger, store, mempool, metrics.
+// decided is a decision the ledger is not ready for yet.
+type decided struct {
+	attempt uint32
+	d       *sbc.Decision
+}
+
+// Commit applies decided superblock k, and then every early block it
+// was the last gap before. A block decided ahead of a gap waits in
+// early, and the first one asks the peers for the missing instances.
 func (n *Node) Commit(k uint64, attempt uint32, d *sbc.Decision) {
+	if k > n.ledger.LastK()+1 {
+		if len(n.early) == 0 {
+			n.replica.RequestCatchup()
+		}
+		n.early[k] = decided{attempt, d}
+		return
+	}
+	n.commit(k, attempt, d)
+	for next, ok := n.early[n.ledger.LastK()+1]; ok; next, ok = n.early[n.ledger.LastK()+1] {
+		delete(n.early, n.ledger.LastK()+1)
+		n.commit(n.ledger.LastK()+1, next.attempt, next.d)
+	}
+}
+
+// commit applies decided superblock k: ledger, store, mempool, metrics.
+func (n *Node) commit(k uint64, attempt uint32, d *sbc.Decision) {
 	block := n.blockFrom(k, d)
 	applied := n.ledger.CommitBlock(block)
 	n.persist(block, attempt, false)

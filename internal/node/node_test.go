@@ -264,12 +264,7 @@ func TestRestoredBranchIsNotMerged(t *testing.T) {
 		durable(f.opts.DataDir)(o)
 		o.OnMerged = func(uint64, int) { merges++ }
 	})
-	signers, _, err := crypto.GenerateCluster(crypto.SchemeEd25519, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: g.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true})
-	g.Attach(r)
+	r := g.attachReplica(t)
 	if _, restored := r.Committed(1); !restored {
 		t.Fatal("the replica did not restore instance 1")
 	}
@@ -283,6 +278,66 @@ func TestRestoredBranchIsNotMerged(t *testing.T) {
 	if st := g.Status(); st.BlocksMerged != 1 || merges != 1 || len(g.store.Tail()) != 2 {
 		t.Fatalf("merging a branch that differs: %d blocks merged, %d reported, %d store records; want 1, 1 and 2",
 			st.BlocksMerged, merges, len(g.store.Tail()))
+	}
+}
+
+// attachReplica gives the node a replica of a four-member committee on its
+// environment, with no peer to reach.
+func (f *fixture) attachReplica(t *testing.T) *asmr.Replica {
+	t.Helper()
+	signers, _, err := crypto.GenerateCluster(crypto.SchemeEd25519, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: f.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true})
+	f.Attach(r)
+	return r
+}
+
+// TestLedgerAppliesBlocksInChainOrder: a replica back from a crash or a
+// cut decides the instances its peers are running before catch-up brings
+// the ones it missed. Applied first, a later block's payments would spend
+// outputs the ledger does not hold yet and be skipped for good, and the
+// replica's balances would part from its peers' under the same digests.
+// The block waits for the gap to fill.
+func TestLedgerAppliesBlocksInChainOrder(t *testing.T) {
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), nil)
+	f.attachReplica(t)
+	first, second := f.faucet.pay(1), f.faucet.pay(2)
+	f.Commit(2, 0, decide(2, map[types.ReplicaID][]byte{1: encode(t, second)}))
+	if got := f.Ledger().LastK(); got != 0 {
+		t.Fatalf("block 2 applied ahead of block 1: last block %d", got)
+	}
+	f.Commit(1, 0, decide(1, map[types.ReplicaID][]byte{1: encode(t, first)}))
+	if last, bal := f.Ledger().LastK(), f.Ledger().Table().Balance(f.faucet.wallet.Address()); last != 2 || bal != faucetFunds-3 {
+		t.Errorf("after the gap filled: last block %d, faucet %d; want 2 and %d", last, bal, faucetFunds-3)
+	}
+}
+
+// TestRestoredReplicaWaitsToProposeWhereItStopped: a replica restored
+// from disk may have proposed in the instance it stopped in, from a pool
+// it no longer has. It proposes nothing there, so its peers, which may
+// hold that proposal, get no second one to convict it of, and proposes
+// as before in the instances after.
+func TestRestoredReplicaWaitsToProposeWhereItStopped(t *testing.T) {
+	dir := t.TempDir()
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) { o.DataDir = dir })
+	f.Commit(1, 0, decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))}))
+	pending := f.faucet.pay(2)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) { o.DataDir = dir })
+	g.attachReplica(t)
+	g.Start()
+	if err := g.Pool().Add(pending); err != nil {
+		t.Fatal(err)
+	}
+	if b := g.Propose(2); len(b.Payload) != 0 {
+		t.Errorf("the restored replica proposed %d bytes in the instance it stopped in", len(b.Payload))
+	}
+	if b := g.Propose(3); b.ClaimedSigs != 1 {
+		t.Errorf("the proposal after it claims %d transactions, want 1", b.ClaimedSigs)
 	}
 }
 

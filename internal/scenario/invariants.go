@@ -15,7 +15,9 @@ type Violation struct {
 }
 
 // checkInvariants asserts the paper's four accountability invariants over
-// a finished run. The ground-truth corrupt set is the cluster's coalition
+// a finished run of an n-replica committee, reading the substrate through
+// its Runtime, so they are checked on the deployed nodes too. The
+// ground-truth corrupt set is the cluster's coalition
 // plus corrupt, the replicas a campaign corrupted outside it (wire-level
 // twins and equivocators); every accusation outside that set is a
 // violation.
@@ -32,21 +34,24 @@ type Violation struct {
 //	(d) No false accusation: no honest replica is ever proven deceitful,
 //	    at any honest replica, even transiently (the proven set is
 //	    monotone).
-func checkInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Violation {
+func checkInvariants(rt Runtime, n int, corrupt map[types.ReplicaID]bool) []Violation {
 	var out []Violation
-	honest := c.HonestMembers()
+	honest := rt.HonestMembers()
 	if len(honest) == 0 {
 		return []Violation{{Invariant: "a", Detail: "no honest replicas to check"}}
 	}
-	n := len(c.Members)
+	disagreements := rt.Disagreements()
+	states := make(map[types.ReplicaID]harness.ReplicaState, len(honest))
+	for _, id := range honest {
+		states[id] = rt.State(id)
+	}
 
 	// (a) agreement up to common prefix / convergence after merge.
-	if c.Disagreements() == 0 {
+	if disagreements == 0 {
 		ref := honest[0]
-		refChain := c.Replicas[ref].ChainDigests()
 		for _, id := range honest[1:] {
-			for k, d := range c.Replicas[id].ChainDigests() {
-				if rd, ok := refChain[k]; ok && rd != d {
+			for k, d := range states[id].Chain {
+				if rd, ok := states[ref].Chain[k]; ok && rd != d {
 					out = append(out, Violation{
 						Invariant: "a",
 						Detail: fmt.Sprintf("replicas %v and %v committed different digests for instance %d with no disagreement recorded",
@@ -55,18 +60,18 @@ func checkInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Vio
 				}
 			}
 		}
-	} else if !c.ConvergedAgreement() {
+	} else if !rt.ConvergedAgreement() {
 		out = append(out, Violation{
 			Invariant: "a",
-			Detail:    fmt.Sprintf("%d disagreements but honest replicas did not converge", c.Disagreements()),
+			Detail:    fmt.Sprintf("%d disagreements but honest replicas did not converge", disagreements),
 		})
 	}
 
 	// (b) disagreement implies ≥ ⌈n/3⌉ provable culprits everywhere.
-	if c.Disagreements() > 0 {
+	if disagreements > 0 {
 		fd := types.FaultThreshold(n)
 		for _, id := range honest {
-			if got := c.Replicas[id].Log().ProvenCount(); got < fd {
+			if got := len(states[id].Culprits); got < fd {
 				out = append(out, Violation{
 					Invariant: "b",
 					Detail: fmt.Sprintf("replica %v proved only %d culprits, need ≥ %d after a disagreement",
@@ -78,27 +83,24 @@ func checkInvariants(c *harness.Cluster, corrupt map[types.ReplicaID]bool) []Vio
 
 	// (c) excluded culprits never rejoin.
 	for _, id := range honest {
-		members := c.Replicas[id].View().Members()
-		current := make(map[types.ReplicaID]bool, len(members))
-		for _, m := range members {
+		current := make(map[types.ReplicaID]bool)
+		for _, m := range states[id].Committee {
 			current[m] = true
 		}
-		for _, change := range c.ChangeResults[id] {
-			for _, ex := range change.Excluded {
-				if current[ex] {
-					out = append(out, Violation{
-						Invariant: "c",
-						Detail:    fmt.Sprintf("replica %v excluded %v but it is back in the committee", id, ex),
-					})
-				}
+		for _, ex := range states[id].Excluded {
+			if current[ex] {
+				out = append(out, Violation{
+					Invariant: "c",
+					Detail:    fmt.Sprintf("replica %v excluded %v but it is back in the committee", id, ex),
+				})
 			}
 		}
 	}
 
 	// (d) no honest replica is ever accused.
 	for _, id := range honest {
-		for _, culprit := range c.Replicas[id].Log().ProvenCulprits() {
-			if !corrupt[culprit] && !c.Coalition.IsDeceitful(culprit) {
+		for _, culprit := range states[id].Culprits {
+			if !corrupt[culprit] && !rt.Deceitful(culprit) {
 				out = append(out, Violation{
 					Invariant: "d",
 					Detail:    fmt.Sprintf("replica %v holds a PoF against honest replica %v", id, culprit),

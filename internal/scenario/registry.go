@@ -64,6 +64,24 @@ var builders = []Builder{
 			"had committed and catches up to the honest chain digest",
 		Build: buildCrashRecoverCatchup,
 	},
+	{
+		Name: "flapping-peer",
+		Description: "one replica's links go down and come back three times: " +
+			"the rest commit without it, and each time it returns it catches up",
+		Build: buildFlappingPeer,
+	},
+	{
+		Name: "slow-reader-starvation",
+		Description: "everything sent to one replica arrives late: the quorum " +
+			"keeps committing, the reader lags, and it converges once the fault lifts",
+		Build: buildSlowReaderStarvation,
+	},
+	{
+		Name: "restart-storm",
+		Description: "two replicas are killed and restarted in turn: each recovers " +
+			"its chain, catches up the missed tail, and the chain never forks",
+		Build: buildRestartStorm,
+	},
 }
 
 // workloads is the ordered registry of the open-loop payment campaigns:
@@ -108,13 +126,16 @@ func names(bs []Builder) []string {
 	return out
 }
 
-// Build constructs a registered campaign by name, stamping the
-// registry description onto the scenario.
+// Build constructs a registered campaign by name, stamping the registry
+// name and description onto the scenario where it sets none.
 func Build(name string, n int, seed int64) (Scenario, error) {
 	for _, bs := range [][]Builder{builders, workloads} {
 		for _, b := range bs {
 			if b.Name == name {
 				s := b.Build(n, seed)
+				if s.Name == "" {
+					s.Name = b.Name
+				}
 				if s.Description == "" {
 					s.Description = b.Description
 				}
@@ -166,12 +187,7 @@ func buildAttackDetectExcludeMerge(attack adversary.Attack) func(n int, seed int
 		// deciding alone for the whole fork phase; healing it is what
 		// lets the conflicting certificates cross.
 		partition := &CoalitionPartition{Extra: 5 * time.Second}
-		name := "attack-detect-exclude-merge"
-		if attack == adversary.AttackRBCast {
-			name = "rbcast-fork-merge"
-		}
 		return Scenario{
-			Name: name,
 			Opts: opts,
 			Phases: []Phase{
 				{Name: "fork", Duration: 6 * time.Second, Faults: []Fault{partition}},
@@ -198,7 +214,6 @@ func buildPartialCoalition(n int, seed int64) Scenario {
 	opts.PoolSize = 1 // no membership change can trigger
 	partition := &Partition{Groups: simnet.HonestHalves(n, opts.Deceitful), Extra: 800 * time.Millisecond}
 	return Scenario{
-		Name: "partial-coalition",
 		Opts: opts,
 		Phases: []Phase{
 			{Name: "attack", Duration: 12 * time.Second, Faults: []Fault{partition}},
@@ -216,10 +231,7 @@ func buildPartialCoalition(n int, seed int64) Scenario {
 // sleepers-plus-laggards within the quorum margin n − ⌈2n/3⌉ and
 // commits continue throughout.
 func buildChurnUnderLoad(n int, seed int64) Scenario {
-	opts := baseOpts(n, seed)
-	opts.MaxInstances = 24
-	opts.CoordTimeout = harness.SteadyRounds
-	opts.PoolSize = 1
+	opts := steadyOpts(n, seed)
 	wave := (n - types.Quorum(n)) / 2
 	if wave < 1 {
 		wave = 1
@@ -231,7 +243,6 @@ func buildChurnUnderLoad(n int, seed int64) Scenario {
 		waveB = append(waveB, types.ReplicaID(n-wave-i))
 	}
 	return Scenario{
-		Name: "churn-under-load",
 		Opts: opts,
 		Phases: []Phase{
 			{Name: "warmup", Duration: 8 * time.Second},
@@ -246,13 +257,9 @@ func buildChurnUnderLoad(n int, seed int64) Scenario {
 // stall: neither half reaches the ⌈2n/3⌉ quorum, so commits pause until
 // the stalled traffic lands after the heal.
 func buildPartitionThenHeal(n int, seed int64) Scenario {
-	opts := baseOpts(n, seed)
-	opts.MaxInstances = 24
-	opts.CoordTimeout = harness.SteadyRounds
-	opts.PoolSize = 1
+	opts := steadyOpts(n, seed)
 	split := &Partition{Groups: simnet.HonestHalves(n, 0), Extra: 3 * time.Second}
 	return Scenario{
-		Name: "partition-then-heal",
 		Opts: opts,
 		Phases: []Phase{
 			{Name: "healthy", Duration: 8 * time.Second},
@@ -271,13 +278,9 @@ func buildPartitionThenHeal(n int, seed int64) Scenario {
 // golden pins that it ends in full digest agreement with the honest
 // chain and that the recovery produces zero disagreements.
 func buildCrashRecoverCatchup(n int, seed int64) Scenario {
-	opts := baseOpts(n, seed)
-	opts.MaxInstances = 24
-	opts.CoordTimeout = harness.SteadyRounds
-	opts.PoolSize = 1
+	opts := steadyOpts(n, seed)
 	victim := types.ReplicaID(n)
 	return Scenario{
-		Name:         "crash-recover-catchup",
 		Opts:         opts,
 		VerifyChains: []types.ReplicaID{victim},
 		Phases: []Phase{
@@ -295,19 +298,73 @@ func buildCrashRecoverCatchup(n int, seed int64) Scenario {
 // second: its slot times out or decides late, the rest of the committee
 // carries on.
 func buildSlowProposer(n int, seed int64) Scenario {
-	opts := baseOpts(n, seed)
-	opts.MaxInstances = 24
-	opts.CoordTimeout = harness.SteadyRounds
-	opts.PoolSize = 1
+	opts := steadyOpts(n, seed)
 	slow := &SlowReplica{ID: types.ReplicaID(n), Extra: time.Second}
 	return Scenario{
-		Name: "slow-proposer",
 		Opts: opts,
 		Phases: []Phase{
 			{Name: "healthy", Duration: 8 * time.Second},
 			{Name: "slow", Duration: 12 * time.Second, Faults: []Fault{slow}},
 			{Name: "recovered", Duration: 10 * time.Second},
 		},
+	}
+}
+
+// steadyOpts is the configuration of the benign campaigns: no coalition,
+// steady rounds, and no standby to include.
+func steadyOpts(n int, seed int64) harness.Options {
+	opts := baseOpts(n, seed)
+	opts.MaxInstances = 24
+	opts.CoordTimeout = harness.SteadyRounds
+	opts.PoolSize = 1
+	return opts
+}
+
+// buildFlappingPeer takes the highest-ID replica's links down for three
+// short windows under load. The rest hold the quorum and commit through
+// each window; each time the links come back the replica catches up.
+func buildFlappingPeer(n int, seed int64) Scenario {
+	victim := []types.ReplicaID{types.ReplicaID(n)}
+	phases := []Phase{{Name: "warmup", Duration: 3 * time.Second}}
+	for i := 1; i <= 3; i++ {
+		phases = append(phases,
+			Phase{Name: fmt.Sprintf("down-%d", i), Duration: 2 * time.Second, Faults: []Fault{&Sleep{IDs: victim}}},
+			Phase{Name: fmt.Sprintf("up-%d", i), Duration: 2 * time.Second})
+	}
+	return Scenario{Opts: steadyOpts(n, seed), Phases: phases}
+}
+
+// buildSlowReaderStarvation delays everything sent to replica 2 by a
+// second: the others keep the quorum and commit without waiting for it,
+// and once the fault lifts its backlog lands and it converges.
+func buildSlowReaderStarvation(n int, seed int64) Scenario {
+	return Scenario{
+		Opts: steadyOpts(n, seed),
+		Phases: []Phase{
+			{Name: "warmup", Duration: 3 * time.Second},
+			{Name: "starved", Duration: 4 * time.Second, Faults: []Fault{&SlowReader{ID: 2, Extra: time.Second}}},
+			{Name: "drained", Duration: 4 * time.Second},
+		},
+	}
+}
+
+// buildRestartStorm kills and restarts the two highest-ID replicas in
+// turn, with a phase between for the first to rejoin: each restarted
+// replica restores its chain and catches up through certificate-verified
+// catch-up, and both end on the honest chain.
+func buildRestartStorm(n int, seed int64) Scenario {
+	a, b := types.ReplicaID(n), types.ReplicaID(n-1)
+	return Scenario{
+		Opts:         steadyOpts(n, seed),
+		VerifyChains: []types.ReplicaID{a, b},
+		Phases: []Phase{
+			{Name: "warmup", Duration: 3 * time.Second},
+			{Name: "restart-a", Duration: 3 * time.Second, Faults: []Fault{&CrashRestart{IDs: []types.ReplicaID{a}}}},
+			{Name: "rejoin-a", Duration: 3 * time.Second},
+			{Name: "restart-b", Duration: 3 * time.Second, Faults: []Fault{&CrashRestart{IDs: []types.ReplicaID{b}}}},
+			{Name: "rejoin-b", Duration: 3 * time.Second},
+		},
+		Drain: 3 * time.Minute,
 	}
 }
 
@@ -375,7 +432,6 @@ func sybilSpamFlood(policy mempool.Policy) func(n int, seed int64) Scenario {
 // class's expense.
 func feeSqueeze(n int, seed int64) Scenario {
 	return Scenario{
-		Name: "fee-squeeze",
 		Opts: paymentOpts(n, seed),
 		Phases: []Phase{
 			{Name: "calm", Duration: 2 * time.Second},
@@ -419,7 +475,6 @@ func partitionExhaustion(n int, seed int64) Scenario {
 	}
 	stall := &Partition{Groups: groups, Extra: 2 * time.Second}
 	return Scenario{
-		Name: "partition-exhaustion",
 		Opts: paymentOpts(n, seed),
 		Phases: []Phase{
 			{Name: "steady", Duration: 2 * time.Second},

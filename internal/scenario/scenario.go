@@ -26,13 +26,17 @@
 // and reports submit-to-commit latency; the open-loop campaigns are
 // registered beside the fault campaigns (WorkloadNames).
 //
-// Run is the simulator's one campaign loop: these campaigns and the
+// Run and RunOn share the one campaign loop: these campaigns and the
 // message-level ones of internal/conformance all run through it, and it
 // checks the paper's four accountability invariants on every finished run
-// (see checkInvariants).
+// (see checkInvariants). The loop drives a Runtime: the simulator, or,
+// through RunOn, a real localhost zlb-node cluster behind the chaos proxy
+// mesh, where phase durations are wall-clock time. A scenario the
+// deployed cluster cannot model is refused there (Refusal).
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -44,38 +48,86 @@ import (
 	"github.com/zeroloss/zlb/internal/types"
 )
 
-// Fault is one injectable condition. Apply arms it on the runtime's fault
-// stack; Revert disarms it. A fault listed in two consecutive phases is
+// Runtime is the substrate a scenario runs on: the simulator
+// (harness.Cluster, virtual time) or a real localhost zlb-node cluster
+// behind the chaos proxy mesh (cmd/zlb-node's tests, wall-clock time from
+// Start). Faults drive its actuators, each fault's doc comment giving its
+// reading on both substrates; Run advances it; diffPhase, checkInvariants
+// and Result.Recovered read it.
+type Runtime interface {
+	// SetUp takes a running replica's links down or back up; Kill takes a
+	// replica down for good; Crash kills its process and Restart brings
+	// it back on what it left behind.
+	SetUp(id types.ReplicaID, up bool) error
+	Kill(id types.ReplicaID) error
+	Crash(id types.ReplicaID) error
+	Restart(id types.ReplicaID) error
+	// Partition cuts the links between groups, or with extra positive
+	// slows them, until heal. Slow delays by extra what id sends, or with
+	// toward what it is sent, until revert.
+	Partition(groups [][]types.ReplicaID, extra time.Duration) (heal func() error, err error)
+	Slow(id types.ReplicaID, toward bool, extra time.Duration) (revert func() error, err error)
+	// ExcludeFromMetrics keeps replicas out of HonestMembers for good.
+	ExcludeFromMetrics(ids ...types.ReplicaID)
+
+	// Start launches the committee; Run runs it to until; RunUntilQuiet
+	// runs it until quiet, up to maxTime.
+	Start()
+	Run(until time.Duration) error
+	RunUntilQuiet(maxTime time.Duration) error
+
+	// Snapshot reads the cumulative metrics diffPhase subtracts;
+	// HonestMembers the members neither deceitful nor excluded from the
+	// metrics; Disagreements the Fig. 4 count; ConvergedAgreement Def. 3;
+	// State one replica.
+	Snapshot() harness.Snapshot
+	HonestMembers() []types.ReplicaID
+	Deceitful(id types.ReplicaID) bool
+	Disagreements() int
+	ConvergedAgreement() bool
+	State(id types.ReplicaID) harness.ReplicaState
+}
+
+// Fault is one injectable condition. Apply arms it on the runtime;
+// Revert disarms it. A fault listed in two consecutive phases is
 // reverted and re-applied at the boundary with no events in between, so
 // it behaves as if continuously active.
 type Fault interface {
-	Apply(rt *Runtime)
-	Revert(rt *Runtime)
+	Apply(rt Runtime) error
+	Revert(rt Runtime) error
+}
+
+// SimOnly marks a fault only the simulator can stage: it rewrites
+// messages inside simnet, or reads the coalition's partition plan.
+// Its Apply and Revert are handed a *harness.Cluster; RunOn refuses a
+// scenario that holds one (Refusal).
+type SimOnly interface {
+	SimOnly()
 }
 
 // Phase is one stage of a campaign: the faults active during a window of
-// virtual time.
+// time.
 type Phase struct {
 	// Name labels the phase in reports ("fork", "heal", ...).
 	Name string
-	// Duration is the phase's virtual-time length.
+	// Duration is the phase's length.
 	Duration time.Duration
 	// Faults are applied at phase start and reverted at phase end.
 	Faults []Fault
 }
 
-// Scenario is a named multi-phase campaign over one simulated cluster.
+// Scenario is a named multi-phase campaign over one cluster.
 type Scenario struct {
 	Name        string
 	Description string
 	// Opts is the base cluster configuration (committee size, coalition,
 	// latency and cost models, seed).
 	Opts harness.Options
-	// Phases run in order; each covers Duration of virtual time.
+	// Phases run in order; each covers Duration.
 	Phases []Phase
 	// Drain, if positive, appends a fault-free "drain" phase that runs
-	// the event queue until quiet (bounded by Drain extra virtual time),
-	// so in-flight recoveries can complete.
+	// the cluster until quiet (bounded by Drain extra time), so
+	// in-flight recoveries can complete.
 	Drain time.Duration
 	// VerifyChains lists replicas whose final decided chain is compared
 	// digest-for-digest against the first honest replica's; the outcome
@@ -89,89 +141,6 @@ type Scenario struct {
 	// restart would bypass zlb.Cluster, which tracks the running payment
 	// replicas.
 	Workload *load.Workload
-}
-
-// Runtime is the live fault stack of a running scenario. Faults register
-// drop and delay predicates; the runtime composes them (OR for drops, sum
-// for delays) onto the cluster's simulated network.
-type Runtime struct {
-	Cluster *harness.Cluster
-
-	nextID int
-	drops  []stackedRule[func(from, to types.ReplicaID, msg simnet.Message) bool]
-	delays []stackedRule[func(from, to types.ReplicaID, msg simnet.Message) time.Duration]
-	// err records the first fault-application failure (e.g. a restart
-	// whose application does not come back); Run surfaces it.
-	err error
-}
-
-// fail records a fault failure; the first one wins.
-func (rt *Runtime) fail(err error) {
-	if err != nil && rt.err == nil {
-		rt.err = err
-	}
-}
-
-type stackedRule[T any] struct {
-	id int
-	fn T
-}
-
-// NewRuntime wires the fault stack onto the cluster's network. The
-// installed rules read the stack on every call, so faults armed later
-// take effect immediately.
-func NewRuntime(c *harness.Cluster) *Runtime {
-	rt := &Runtime{Cluster: c}
-	c.Net.DropRule = func(from, to types.ReplicaID, msg simnet.Message) bool {
-		for _, r := range rt.drops {
-			if r.fn(from, to, msg) {
-				return true
-			}
-		}
-		return false
-	}
-	c.Net.DelayRule = func(from, to types.ReplicaID, msg simnet.Message) time.Duration {
-		var d time.Duration
-		for _, r := range rt.delays {
-			d += r.fn(from, to, msg)
-		}
-		return d
-	}
-	return rt
-}
-
-// AddDrop arms a drop predicate and returns its handle.
-func (rt *Runtime) AddDrop(fn func(from, to types.ReplicaID, msg simnet.Message) bool) int {
-	rt.nextID++
-	rt.drops = append(rt.drops, stackedRule[func(from, to types.ReplicaID, msg simnet.Message) bool]{id: rt.nextID, fn: fn})
-	return rt.nextID
-}
-
-// RemoveDrop disarms a drop predicate; unknown handles are ignored.
-func (rt *Runtime) RemoveDrop(id int) {
-	for i, r := range rt.drops {
-		if r.id == id {
-			rt.drops = append(rt.drops[:i], rt.drops[i+1:]...)
-			return
-		}
-	}
-}
-
-// AddDelay arms a delay predicate and returns its handle.
-func (rt *Runtime) AddDelay(fn func(from, to types.ReplicaID, msg simnet.Message) time.Duration) int {
-	rt.nextID++
-	rt.delays = append(rt.delays, stackedRule[func(from, to types.ReplicaID, msg simnet.Message) time.Duration]{id: rt.nextID, fn: fn})
-	return rt.nextID
-}
-
-// RemoveDelay disarms a delay predicate; unknown handles are ignored.
-func (rt *Runtime) RemoveDelay(id int) {
-	for i, r := range rt.delays {
-		if r.id == id {
-			rt.delays = append(rt.delays[:i], rt.delays[i+1:]...)
-			return
-		}
-	}
 }
 
 // --- Fault implementations ---
@@ -198,12 +167,30 @@ type Corrupter interface {
 // FromStart holds a first-phase fault from before the cluster starts, so
 // that the replicas' first proposals already meet it; a fault listed
 // plainly takes hold once the cluster has started. Listed in a later
-// phase it is the fault it wraps, and Run reads the MetricExcluder and
-// Corrupter declarations of the wrapped fault.
+// phase it is the fault it wraps, and Run reads the MetricExcluder,
+// Corrupter and SimOnly declarations of the wrapped fault.
 type FromStart struct{ Fault }
 
+// unwrap is the fault a phase lists, seen through FromStart.
+func unwrap(f Fault) Fault {
+	if early, ok := f.(*FromStart); ok {
+		return early.Fault
+	}
+	return f
+}
+
+func each(ids []types.ReplicaID, fn func(types.ReplicaID) error) error {
+	for _, id := range ids {
+		if err := fn(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Crash takes replicas down permanently: Revert leaves them down, the
-// paper's benign (mute) fault.
+// paper's benign (mute) fault. The simulator takes them off the
+// network; TCP kills their processes.
 type Crash struct {
 	IDs []types.ReplicaID
 }
@@ -212,20 +199,20 @@ type Crash struct {
 func (f *Crash) MetricExclusions() []types.ReplicaID { return f.IDs }
 
 // Apply implements Fault.
-func (f *Crash) Apply(rt *Runtime) {
-	rt.Cluster.ExcludeFromMetrics(f.IDs...)
-	for _, id := range f.IDs {
-		rt.Cluster.Net.SetUp(id, false)
-	}
+func (f *Crash) Apply(rt Runtime) error {
+	rt.ExcludeFromMetrics(f.IDs...)
+	return each(f.IDs, rt.Kill)
 }
 
 // Revert implements Fault: crashed replicas stay down.
-func (f *Crash) Revert(*Runtime) {}
+func (f *Crash) Revert(Runtime) error { return nil }
 
 // Sleep takes replicas down for the duration of the phase and wakes them
 // on Revert — churn. A woken replica rejoins with whatever protocol state
-// it had; it catches up through DECIDE forwarding and the confirmation
-// phase like any slow replica.
+// it had. The simulator drops every message to or from a sleeper, which
+// then catches up through DECIDE forwarding and the confirmation phase
+// like any slow replica; TCP cuts every link touching it, so its frames
+// wait in the senders' queues until the links heal.
 type Sleep struct {
 	IDs []types.ReplicaID
 }
@@ -234,25 +221,23 @@ type Sleep struct {
 func (f *Sleep) MetricExclusions() []types.ReplicaID { return f.IDs }
 
 // Apply implements Fault.
-func (f *Sleep) Apply(rt *Runtime) {
-	rt.Cluster.ExcludeFromMetrics(f.IDs...)
-	for _, id := range f.IDs {
-		rt.Cluster.Net.SetUp(id, false)
-	}
+func (f *Sleep) Apply(rt Runtime) error {
+	rt.ExcludeFromMetrics(f.IDs...)
+	return each(f.IDs, func(id types.ReplicaID) error { return rt.SetUp(id, false) })
 }
 
 // Revert implements Fault.
-func (f *Sleep) Revert(rt *Runtime) {
-	for _, id := range f.IDs {
-		rt.Cluster.Net.SetUp(id, true)
-	}
+func (f *Sleep) Revert(rt Runtime) error {
+	return each(f.IDs, func(id types.ReplicaID) error { return rt.SetUp(id, true) })
 }
 
 // CrashRestart kills replicas at phase start — process down, in-memory
 // consensus state lost, application closed like a dead process's
 // descriptors — and restarts them at phase end. The restarted
 // incarnation restores the chain its application recovers, rejoins, and
-// requests certificate-verified catch-up for everything it missed.
+// requests certificate-verified catch-up for everything it missed. The
+// simulator rebuilds the replica (harness Crash/Restart); TCP kills the
+// process and starts a new one on the same data directory.
 type CrashRestart struct {
 	IDs []types.ReplicaID
 }
@@ -262,98 +247,103 @@ type CrashRestart struct {
 func (f *CrashRestart) MetricExclusions() []types.ReplicaID { return f.IDs }
 
 // Apply implements Fault.
-func (f *CrashRestart) Apply(rt *Runtime) {
-	rt.Cluster.ExcludeFromMetrics(f.IDs...)
-	for _, id := range f.IDs {
-		rt.fail(rt.Cluster.Crash(id))
-	}
+func (f *CrashRestart) Apply(rt Runtime) error {
+	rt.ExcludeFromMetrics(f.IDs...)
+	return each(f.IDs, rt.Crash)
 }
 
 // Revert implements Fault: the phase boundary is the restart.
-func (f *CrashRestart) Revert(rt *Runtime) {
-	for _, id := range f.IDs {
-		rt.fail(rt.Cluster.Restart(id))
-	}
-}
+func (f *CrashRestart) Revert(rt Runtime) error { return each(f.IDs, rt.Restart) }
 
-// Partition splits the listed nodes into groups. With Extra zero,
-// cross-group messages are dropped (full loss); with Extra positive they
-// are delayed by Extra (a stalled but lossless partition, which heals
-// cleanly because late messages still arrive). Nodes in no group are
-// unaffected.
+// Partition splits the listed nodes into groups. On the simulator, with
+// Extra zero, cross-group messages are dropped (full loss); with Extra
+// positive they are delayed by Extra (a stalled but lossless partition,
+// which heals cleanly because late messages still arrive). On TCP the
+// crossing links are cut and the frames wait in the senders' queues
+// until Revert heals those links: a hold, whatever Extra. Nodes in no
+// group are unaffected.
 type Partition struct {
 	Groups [][]types.ReplicaID
 	Extra  time.Duration
 
-	handle int
-	isDrop bool
+	heal func() error
 }
 
 // Apply implements Fault.
-func (f *Partition) Apply(rt *Runtime) {
-	lookup := simnet.GroupOf(f.Groups)
-	if f.Extra == 0 {
-		f.isDrop = true
-		f.handle = rt.AddDrop(simnet.PartitionDrop(lookup))
-		return
-	}
-	f.isDrop = false
-	f.handle = rt.AddDelay(simnet.PartitionDelay(lookup, f.Extra))
+func (f *Partition) Apply(rt Runtime) (err error) {
+	f.heal, err = rt.Partition(f.Groups, f.Extra)
+	return err
 }
 
 // Revert implements Fault.
-func (f *Partition) Revert(rt *Runtime) {
-	if f.isDrop {
-		rt.RemoveDrop(f.handle)
-		return
-	}
-	rt.RemoveDelay(f.handle)
-}
+func (f *Partition) Revert(Runtime) error { return f.heal() }
 
 // CoalitionPartition delays honest-to-honest traffic across the
 // cluster coalition's partition plan by Extra — the network condition of
 // the paper's coalition attacks (§5.2): deceitful replicas keep talking
 // to every partition at full speed, only honest cross-partition links
 // stall. Staging it as a fault (instead of baking a latency overlay into
-// the cluster) is what lets a campaign heal the partition mid-run.
+// the cluster) is what lets a campaign heal the partition mid-run. It
+// reads the coalition plan, so it runs on the simulator only.
 type CoalitionPartition struct {
 	Extra time.Duration
 
-	handle int
+	remove func() error
 }
 
+// SimOnly implements SimOnly.
+func (*CoalitionPartition) SimOnly() {}
+
 // Apply implements Fault.
-func (f *CoalitionPartition) Apply(rt *Runtime) {
-	coalition := rt.Cluster.Coalition
-	f.handle = rt.AddDelay(simnet.PartitionDelay(coalition.PartitionOf, f.Extra))
+func (f *CoalitionPartition) Apply(rt Runtime) error {
+	c := rt.(*harness.Cluster)
+	f.remove = c.AddDelay(simnet.PartitionDelay(c.Coalition.PartitionOf, f.Extra))
+	return nil
 }
 
 // Revert implements Fault.
-func (f *CoalitionPartition) Revert(rt *Runtime) { rt.RemoveDelay(f.handle) }
+func (f *CoalitionPartition) Revert(Runtime) error { return f.remove() }
 
 // SlowReplica delays every message the replica sends by Extra — the
 // "slow proposer": its proposals arrive late, so other slots decide
-// first and rounds stretch, but it commits no fault.
+// first and rounds stretch, but it commits no fault. On TCP every link
+// from ID gets Extra of latency.
 type SlowReplica struct {
 	ID    types.ReplicaID
 	Extra time.Duration
 
-	handle int
+	revert func() error
 }
 
 // Apply implements Fault.
-func (f *SlowReplica) Apply(rt *Runtime) {
-	id, extra := f.ID, f.Extra
-	f.handle = rt.AddDelay(func(from, _ types.ReplicaID, _ simnet.Message) time.Duration {
-		if from == id {
-			return extra
-		}
-		return 0
-	})
+func (f *SlowReplica) Apply(rt Runtime) (err error) {
+	f.revert, err = rt.Slow(f.ID, false, f.Extra)
+	return err
 }
 
 // Revert implements Fault.
-func (f *SlowReplica) Revert(rt *Runtime) { rt.RemoveDelay(f.handle) }
+func (f *SlowReplica) Revert(Runtime) error { return f.revert() }
+
+// SlowReader delays every message sent to the replica by Extra — a
+// replica that reads slowly: the rest of the committee keeps its quorum,
+// the reader lags, and its backlog waits on the senders' side until the
+// fault lifts. On TCP every link toward ID gets Extra of latency and a
+// 2 KiB/s throttle.
+type SlowReader struct {
+	ID    types.ReplicaID
+	Extra time.Duration
+
+	revert func() error
+}
+
+// Apply implements Fault.
+func (f *SlowReader) Apply(rt Runtime) (err error) {
+	f.revert, err = rt.Slow(f.ID, true, f.Extra)
+	return err
+}
+
+// Revert implements Fault.
+func (f *SlowReader) Revert(Runtime) error { return f.revert() }
 
 // --- Results ---
 
@@ -363,8 +353,9 @@ type PhaseResult struct {
 	Start time.Duration
 	End   time.Duration
 	// Committed / Txs are instances and claimed transactions committed
-	// during the phase (first honest replica); TxPerSec is Txs over the
-	// phase's wall of virtual time.
+	// during the phase (first honest replica; on a payment workload, the
+	// payments first committed in the phase); TxPerSec is Txs over the
+	// phase's length.
 	Committed int
 	Txs       int
 	TxPerSec  float64
@@ -418,19 +409,65 @@ type Result struct {
 	// Load is the latency report of the scenario's Workload; nil without
 	// one.
 	Load *load.Report `json:",omitempty"`
-	// Cluster is the finished cluster, for callers that read more of it.
+	// Cluster is the finished simulated cluster, for callers that read
+	// more of it; nil on another substrate.
 	Cluster *harness.Cluster `json:"-"`
 }
 
-// Run executes the scenario — the simulator's one campaign loop — and
-// returns its per-phase metrics and the verdict of the paper's four
-// invariants on the finished run.
+// Run executes the scenario on the simulator and returns its per-phase
+// metrics and the verdict of the paper's four invariants on the finished
+// run.
 func Run(s Scenario) (*Result, error) {
 	c, drv, err := newCluster(s)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	rt := NewRuntime(c)
+	res, err := run(s, c, drv)
+	if err != nil {
+		return nil, err
+	}
+	res.Cluster = c
+	return res, nil
+}
+
+// RunOn executes the scenario on another substrate, which build makes
+// without starting it. A scenario the substrate cannot model is refused
+// first (Refusal), before anything is built.
+func RunOn(s Scenario, build func(Scenario) (Runtime, error)) (*Result, error) {
+	if err := Refusal(s); err != nil {
+		return nil, err
+	}
+	rt, err := build(s)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	return run(s, rt, nil)
+}
+
+// Refusal reports why the scenario needs the simulator, or nil if it can
+// run on any substrate. A coalition (Opts.Deceitful), a payment Workload
+// and a SimOnly fault all need the simulated cluster; the attack
+// registrations wait for a coalition the deployed node can run.
+func Refusal(s Scenario) error {
+	if s.Opts.Deceitful > 0 {
+		return fmt.Errorf("scenario %s: its coalition (Opts.Deceitful = %d) runs on the simulator only", s.Name, s.Opts.Deceitful)
+	}
+	if s.Workload != nil {
+		return fmt.Errorf("scenario %s: its payment Workload runs on the simulator only", s.Name)
+	}
+	for _, ph := range s.Phases {
+		for _, f := range ph.Faults {
+			if _, sim := unwrap(f).(SimOnly); sim {
+				return fmt.Errorf("scenario %s: phase %s: %T runs on the simulator only", s.Name, ph.Name, unwrap(f))
+			}
+		}
+	}
+	return nil
+}
+
+// run is the one campaign loop, on any substrate.
+func run(s Scenario, rt Runtime, drv *load.Driver) (*Result, error) {
+	fail := func(err error) (*Result, error) { return nil, fmt.Errorf("scenario %s: %w", s.Name, err) }
 	// Before the cluster starts: arm the first phase's FromStart faults,
 	// collect the corrupt replicas, and exclude every replica any phase
 	// will crash, sleep or corrupt from the metrics — the honest set stays
@@ -438,36 +475,48 @@ func Run(s Scenario) (*Result, error) {
 	corrupt := make(map[types.ReplicaID]bool)
 	for i := range s.Phases {
 		for _, f := range s.Phases[i].Faults {
-			if early, ok := f.(*FromStart); ok {
-				if i == 0 {
-					early.Apply(rt)
+			if _, restarts := unwrap(f).(*CrashRestart); restarts && drv != nil {
+				return fail(errors.New("a CrashRestart fault cannot run under a payment workload"))
+			}
+			if early, ok := f.(*FromStart); ok && i == 0 {
+				if err := early.Apply(rt); err != nil {
+					return fail(err)
 				}
-				f = early.Fault
 			}
-			if _, restarts := f.(*CrashRestart); restarts && drv != nil {
-				return nil, fmt.Errorf("scenario %s: a CrashRestart fault cannot run under a payment workload", s.Name)
-			}
+			f = unwrap(f)
 			if ex, ok := f.(MetricExcluder); ok {
-				c.ExcludeFromMetrics(ex.MetricExclusions()...)
+				rt.ExcludeFromMetrics(ex.MetricExclusions()...)
 			}
 			if cr, ok := f.(Corrupter); ok {
 				for _, id := range cr.Corrupted() {
 					corrupt[id] = true
 				}
-				c.ExcludeFromMetrics(cr.Corrupted()...)
+				rt.ExcludeFromMetrics(cr.Corrupted()...)
 			}
 		}
 	}
-	c.Start()
+	rt.Start()
+	// A payment workload's phase counts its payments first committed in
+	// the phase; a proposal carrying a payment every pool holds would
+	// count it once per proposer.
+	snapshot := func() harness.Snapshot {
+		snap := rt.Snapshot()
+		if drv != nil {
+			snap.Txs = drv.Committed()
+		}
+		return snap
+	}
 
 	res := &Result{Scenario: s.Name, Description: s.Description, N: s.Opts.N, Seed: s.Opts.Seed}
-	prev := c.Snapshot()
+	prev := snapshot()
 	var now time.Duration
 	for i := range s.Phases {
 		ph := &s.Phases[i]
 		for _, f := range ph.Faults {
 			if _, armed := f.(*FromStart); !armed || i > 0 {
-				f.Apply(rt)
+				if err := f.Apply(rt); err != nil {
+					return fail(err)
+				}
 			}
 		}
 		end := now + ph.Duration
@@ -475,40 +524,57 @@ func Run(s Scenario) (*Result, error) {
 			drv.Phase(i, now, end)
 		}
 		now = end
-		c.Run(now)
-		snap := c.Snapshot()
+		if err := rt.Run(now); err != nil {
+			return fail(fmt.Errorf("phase %s: %w", ph.Name, err))
+		}
+		snap := snapshot()
 		res.Phases = append(res.Phases, diffPhase(ph.Name, prev, snap))
 		prev = snap
 		for _, f := range ph.Faults {
-			f.Revert(rt)
+			if err := f.Revert(rt); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if s.Drain > 0 {
-		c.RunUntilQuiet(now + s.Drain)
-		snap := c.Snapshot()
+		if err := rt.RunUntilQuiet(now + s.Drain); err != nil {
+			return fail(fmt.Errorf("drain: %w", err))
+		}
+		snap := snapshot()
 		res.Phases = append(res.Phases, diffPhase("drain", prev, snap))
 		prev = snap
 	}
-	if rt.err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, rt.err)
-	}
-	if c.Exhausted() {
-		return nil, fmt.Errorf("scenario %s: simulator exhausted its MaxEvents budget mid-run; metrics would come from a truncated simulation", s.Name)
-	}
-	res.Converged = c.ConvergedAgreement()
+	res.Converged = rt.ConvergedAgreement()
 	res.Committed = prev.Committed
 	res.Disagreements = prev.Disagreements
 	res.Culprits = prev.Culprits
 	for _, id := range s.VerifyChains {
-		match, have, want := c.ChainAgreement(id)
-		res.Recovered = append(res.Recovered, RecoveryStatus{ID: id, Match: match, Have: have, Want: want})
+		res.Recovered = append(res.Recovered, recovered(rt, id))
 	}
-	res.Violations = checkInvariants(c, corrupt)
+	res.Violations = checkInvariants(rt, s.Opts.N, corrupt)
 	if drv != nil {
 		res.Load = drv.Report(s.Name)
 	}
-	res.Cluster = c
 	return res, nil
+}
+
+// recovered compares id's committed chain to the first honest
+// replica's, instance for instance.
+func recovered(rt Runtime, id types.ReplicaID) RecoveryStatus {
+	st := RecoveryStatus{ID: id}
+	honest := rt.HonestMembers()
+	if len(honest) == 0 {
+		return st
+	}
+	ref, got := rt.State(honest[0]).Chain, rt.State(id).Chain
+	for k, d := range ref {
+		if got[k] == d {
+			st.Have++
+		}
+	}
+	st.Want = len(ref)
+	st.Match = st.Have == st.Want
+	return st
 }
 
 // newCluster builds the scenario's cluster: the harness's, running the

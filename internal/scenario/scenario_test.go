@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,15 +33,15 @@ func testCluster(t *testing.T, n int) *harness.Cluster {
 }
 
 // TestRuntimeFaultStack checks that armed predicates compose (OR for
-// drops, sum for delays) and disarm cleanly.
+// drops, sum for delays) and disarm cleanly, and that SlowReplica and
+// SlowReader delay what one replica sends and what it is sent.
 func TestRuntimeFaultStack(t *testing.T) {
 	c := testCluster(t, 4)
-	rt := NewRuntime(c)
 
-	drop12 := rt.AddDrop(func(from, to types.ReplicaID, _ simnet.Message) bool {
+	drop12 := c.AddDrop(func(from, to types.ReplicaID, _ simnet.Message) bool {
 		return from == 1 && to == 2
 	})
-	rt.AddDrop(func(from, to types.ReplicaID, _ simnet.Message) bool {
+	c.AddDrop(func(from, to types.ReplicaID, _ simnet.Message) bool {
 		return from == 3
 	})
 	if !c.Net.DropRule(1, 2, nil) || !c.Net.DropRule(3, 4, nil) {
@@ -48,7 +50,7 @@ func TestRuntimeFaultStack(t *testing.T) {
 	if c.Net.DropRule(2, 1, nil) {
 		t.Error("unmatched traffic must pass")
 	}
-	rt.RemoveDrop(drop12)
+	drop12()
 	if c.Net.DropRule(1, 2, nil) {
 		t.Error("disarmed predicate must not fire")
 	}
@@ -56,13 +58,13 @@ func TestRuntimeFaultStack(t *testing.T) {
 		t.Error("remaining predicate must survive removal of another")
 	}
 
-	d1 := rt.AddDelay(func(from, _ types.ReplicaID, _ simnet.Message) time.Duration {
+	d1 := c.AddDelay(func(from, _ types.ReplicaID, _ simnet.Message) time.Duration {
 		if from == 1 {
 			return time.Second
 		}
 		return 0
 	})
-	rt.AddDelay(func(_, to types.ReplicaID, _ simnet.Message) time.Duration {
+	c.AddDelay(func(_, to types.ReplicaID, _ simnet.Message) time.Duration {
 		if to == 2 {
 			return time.Second
 		}
@@ -71,9 +73,25 @@ func TestRuntimeFaultStack(t *testing.T) {
 	if got := c.Net.DelayRule(1, 2, nil); got != 2*time.Second {
 		t.Errorf("stacked delays must sum: got %v", got)
 	}
-	rt.RemoveDelay(d1)
+	d1()
 	if got := c.Net.DelayRule(1, 2, nil); got != time.Second {
 		t.Errorf("after removal: got %v, want 1s", got)
+	}
+
+	// SlowReplica delays what 3 sends, SlowReader what 4 is sent; both
+	// sum with the stack underneath (to 2: +1s).
+	writer := &SlowReplica{ID: 3, Extra: 100 * time.Millisecond}
+	reader := &SlowReader{ID: 4, Extra: 10 * time.Millisecond}
+	writer.Apply(c)
+	reader.Apply(c)
+	for _, tc := range [][3]time.Duration{{3, 1, 100 * time.Millisecond}, {1, 4, 10 * time.Millisecond}, {3, 4, 110 * time.Millisecond}, {4, 3, 0}, {3, 2, time.Second + 100*time.Millisecond}} {
+		if got := c.Net.DelayRule(types.ReplicaID(tc[0]), types.ReplicaID(tc[1]), nil); got != tc[2] {
+			t.Errorf("%d→%d delayed %v, want %v", tc[0], tc[1], got, tc[2])
+		}
+	}
+	reader.Revert(c)
+	if c.Net.DelayRule(1, 4, nil) != 0 || c.Net.DelayRule(3, 1, nil) != 100*time.Millisecond {
+		t.Error("reverting SlowReader must lift it and only it")
 	}
 }
 
@@ -82,30 +100,29 @@ func TestRuntimeFaultStack(t *testing.T) {
 // unlisted traffic is never touched.
 func TestPartitionFaultModes(t *testing.T) {
 	c := testCluster(t, 5)
-	rt := NewRuntime(c)
 
 	drop := &Partition{Groups: [][]types.ReplicaID{{1, 2}, {3, 4}}}
-	drop.Apply(rt)
+	drop.Apply(c)
 	if !c.Net.DropRule(1, 3, nil) {
 		t.Error("cross-group message must drop")
 	}
 	if c.Net.DropRule(1, 2, nil) || c.Net.DropRule(5, 1, nil) || c.Net.DropRule(3, 5, nil) {
 		t.Error("in-group and unlisted traffic must pass")
 	}
-	drop.Revert(rt)
+	drop.Revert(c)
 	if c.Net.DropRule(1, 3, nil) {
 		t.Error("healed partition must pass traffic")
 	}
 
 	stall := &Partition{Groups: [][]types.ReplicaID{{1, 2}, {3, 4}}, Extra: 3 * time.Second}
-	stall.Apply(rt)
+	stall.Apply(c)
 	if got := c.Net.DelayRule(2, 4, nil); got != 3*time.Second {
 		t.Errorf("cross-group delay %v, want 3s", got)
 	}
 	if got := c.Net.DelayRule(1, 2, nil); got != 0 {
 		t.Errorf("in-group delay %v, want 0", got)
 	}
-	stall.Revert(rt)
+	stall.Revert(c)
 	if got := c.Net.DelayRule(2, 4, nil); got != 0 {
 		t.Errorf("healed delay %v, want 0", got)
 	}
@@ -116,43 +133,46 @@ func TestPartitionFaultModes(t *testing.T) {
 // keeps them down and excluded.
 func TestSleepExcludesFromMetrics(t *testing.T) {
 	c := testCluster(t, 4)
-	rt := NewRuntime(c)
 	before := len(c.HonestMembers())
 
 	sleep := &Sleep{IDs: []types.ReplicaID{4}}
-	sleep.Apply(rt)
+	sleep.Apply(c)
 	if got := len(c.HonestMembers()); got != before-1 {
 		t.Errorf("honest count while asleep %d, want %d", got, before-1)
 	}
-	sleep.Revert(rt)
+	sleep.Revert(c)
 	if got := len(c.HonestMembers()); got != before-1 {
 		t.Errorf("a woken sleeper must stay excluded from metrics, got %d honest", got)
 	}
 
 	crash := &Crash{IDs: []types.ReplicaID{3}}
-	crash.Apply(rt)
-	crash.Revert(rt)
+	crash.Apply(c)
+	crash.Revert(c)
 	if got := len(c.HonestMembers()); got != before-2 {
 		t.Errorf("honest count after crash %d, want %d", got, before-2)
 	}
 }
 
-// TestRegistryBuildsAllCampaigns checks every registered campaign builds
-// at both paper committee sizes with at least two phases, and that Build
-// rejects unknown names.
+// TestRegistryBuildsAllCampaigns checks that registration names are
+// unique, that every registered campaign builds at the TCP committee
+// sizes (5 and 9) and at both paper sizes with at least two phases, and
+// that Build rejects unknown names.
 func TestRegistryBuildsAllCampaigns(t *testing.T) {
 	names := Names()
 	if len(names) < 5 {
 		t.Fatalf("want >= 5 registered campaigns, have %d", len(names))
 	}
-	for _, n := range []int{9, 18} {
+	if all := append(Names(), WorkloadNames()...); len(slices.Compact(slices.Sorted(slices.Values(all)))) != len(all) {
+		t.Errorf("a campaign name is registered twice: %v", all)
+	}
+	for _, n := range []int{5, 9, 18} {
 		for _, name := range names {
 			s, err := Build(name, n, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Name != name {
-				t.Errorf("campaign %q builds scenario named %q", name, s.Name)
+			if s.Name != name || s.Description == "" {
+				t.Errorf("campaign %q builds scenario named %q, description %q", name, s.Name, s.Description)
 			}
 			if len(s.Phases) < 2 {
 				t.Errorf("campaign %q has %d phases, want >= 2", name, len(s.Phases))
@@ -164,6 +184,39 @@ func TestRegistryBuildsAllCampaigns(t *testing.T) {
 	}
 	if _, err := Build("no-such-campaign", 9, 42); err == nil {
 		t.Error("unknown campaign must error")
+	}
+}
+
+// TestRunOnRefusesSimOnly pins the one substrate check: on a substrate
+// other than the simulator, RunOn refuses a coalition, a payment
+// workload and a SimOnly fault (plain or held from the start), naming
+// it, before it builds anything (the build below would fail the test);
+// link-level faults are accepted.
+func TestRunOnRefusesSimOnly(t *testing.T) {
+	refused := map[string]func(*Scenario){
+		"coalition": func(s *Scenario) { s.Opts.Deceitful = 1 },
+		"Workload":  func(s *Scenario) { s.Workload = &load.Workload{} },
+		"*scenario.CoalitionPartition": func(s *Scenario) {
+			s.Phases[0].Faults = []Fault{&CoalitionPartition{}}
+		},
+		"phase late: *scenario.CoalitionPartition": func(s *Scenario) {
+			s.Phases = append(s.Phases, Phase{Name: "late", Faults: []Fault{&FromStart{&CoalitionPartition{}}}})
+		},
+	}
+	for want, mutate := range refused {
+		s := Scenario{Name: "refusal", Phases: []Phase{{Name: "p"}}}
+		mutate(&s)
+		_, err := RunOn(s, func(Scenario) (Runtime, error) {
+			t.Errorf("%s: the substrate was built before the refusal", want)
+			return nil, errors.New("built")
+		})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "simulator only") {
+			t.Errorf("RunOn returned %v, want a refusal naming %s", err, want)
+		}
+	}
+	links := Scenario{Phases: []Phase{{Faults: []Fault{&Sleep{}, &Partition{}, &SlowReplica{}, &SlowReader{}, &CrashRestart{}, &Crash{}}}}}
+	if err := Refusal(links); err != nil {
+		t.Errorf("link-level faults refused: %v", err)
 	}
 }
 
@@ -292,7 +345,7 @@ func TestCheckInvariantsFlagsHonestAccusation(t *testing.T) {
 		t.Fatal("planted PoF not accepted")
 	}
 
-	violations := checkInvariants(c, nil)
+	violations := checkInvariants(c, 4, nil)
 	foundD := false
 	for _, v := range violations {
 		if v.Invariant == "d" {
@@ -302,7 +355,7 @@ func TestCheckInvariantsFlagsHonestAccusation(t *testing.T) {
 	if !foundD {
 		t.Errorf("accusation against %v outside the corrupt set not flagged: %v", victim, violations)
 	}
-	if vs := checkInvariants(c, map[types.ReplicaID]bool{victim: true}); len(vs) != 0 {
+	if vs := checkInvariants(c, 4, map[types.ReplicaID]bool{victim: true}); len(vs) != 0 {
 		t.Errorf("accusation inside the corrupt set flagged: %v", vs)
 	}
 }

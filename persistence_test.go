@@ -1,6 +1,7 @@
 package zlb_test
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -267,8 +268,8 @@ func TestRestartOnLongChainHoldsNoOldState(t *testing.T) {
 	// catch-up request came too early for it); a second request fills it.
 	r.RequestCatchup()
 	c.RunUntilQuiet(20 * time.Minute)
-	if match, have, want := c.ChainAgreement(victim); !match || want != total {
-		t.Fatalf("restarted replica agrees on %d/%d instances, want %d", have, want, total)
+	if want := c.State(c.HonestMembers()[0]).Chain; !maps.Equal(c.State(victim).Chain, want) || len(want) != total {
+		t.Fatalf("restarted replica disagrees with the %d-instance honest chain, want %d", len(want), total)
 	}
 	s := r.Stats()
 	if s.LiveInstances-s.UnfinalInstances > asmr.RetainDepth+2 {
