@@ -21,6 +21,13 @@
 // instead of replaying from genesis; this is the standby catch-up path
 // of the paper's membership change.
 //
+// The decisions of retired instances leave the heap for a history file
+// (transport.HistoryFile) in -data-dir, or in the system's temporary
+// directory without one. The file is unlinked when it is created, so it
+// ends with the process and is not read on a restart. It grows with the
+// chain (≈2 MB/s per node at saturation on four nodes), and on a tmpfs
+// its pages are memory that the process's RSS does not count.
+//
 // The demo PKI derives every replica's key pair from -seed; production
 // deployments load per-replica keys instead.
 package main
@@ -61,7 +68,7 @@ func main() {
 	flag.StringVar(&cfg.Listen, "listen", "", "listen address, e.g. :7001")
 	peersFlag := flag.String("peers", "", "comma-separated peer addresses in ID order (1..n)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "shared PKI seed (demo key derivation)")
-	flag.StringVar(&cfg.DataDir, "data-dir", "", "durable block store directory (empty = in-memory only)")
+	flag.StringVar(&cfg.DataDir, "data-dir", "", "durable block store directory (empty = in-memory only); the unlinked file retired decisions go to is created here too (empty = the system's temporary directory); that file grows with the chain, ≈2 MB/s per node at saturation, and is memory on a tmpfs")
 	flag.Uint64Var(&cfg.CheckpointEvery, "checkpoint-every", 16, "blocks between UTXO checkpoints")
 	flag.BoolVar(&cfg.Sync, "sync", false, "bootstrap an empty -data-dir from peers (checkpoint + log tail) before joining")
 	flag.StringVar(&cfg.Scheme, "scheme", "ed25519", "signature scheme for the demo PKI and transactions: ed25519 or ecdsa (must match peers and clients)")
@@ -202,6 +209,8 @@ type replicaNode struct {
 	// changes holds the completed membership changes, in order.
 	changes []*membership.Result
 
+	// history holds the decisions of retired instances.
+	history *transport.HistoryFile
 	// served closes when Serve has exited and the store is closed.
 	served chan struct{}
 }
@@ -296,6 +305,11 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 			cfg.DataDir, l.Height(), l.LastK(), l.Table().Balance(rn.faucet))
 	}
 	wireTransport(rn.app.Metrics(), rn.node, members)
+	// After node.New, which creates the data directory.
+	if rn.history, err = transport.OpenHistoryFile(cfg.DataDir); err != nil {
+		rn.app.Close()
+		return nil, err
+	}
 
 	// The replica is built around the application: its own log lines
 	// first, then what the node binds (internal/node).
@@ -307,6 +321,7 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		Accountable:      true,
 		Recover:          true,
 		WaitForWork:      true,
+		History:          rn.history,
 		// One canonical copy per proposal digest: a node stores a pulled
 		// PayloadResp and the original Init as the same bytes.
 		Intern: rbc.NewIntern(),
@@ -459,6 +474,7 @@ func (rn *replicaNode) Serve() error {
 	if cerr := rn.app.Close(); cerr != nil {
 		rn.log.Errorf("closing store: %v", cerr)
 	}
+	rn.history.Close()
 	close(rn.served)
 	return err
 }

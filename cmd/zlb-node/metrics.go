@@ -70,8 +70,8 @@ func wireTransport(reg *obs.Metrics, node *transport.Node, members []types.Repli
 type status struct {
 	ID types.ReplicaID `json:"id"`
 	N  int             `json:"n"`
-	// Chain height and counts, and the "replica", "memory", "pipeline"
-	// and "mempool" objects.
+	// Chain height and counts, and the "replica", "memory", "pipeline",
+	// "mempool" and "wallet_key_cache" objects.
 	node.Status
 	// Transport is the node-wide transport counter snapshot; Peers is
 	// per-peer send-path health (state, failures, drops, reconnects).

@@ -245,14 +245,18 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 
 	// What committed history holds: a record per block, an ID per payment,
 	// the sink's outputs and the faucet's change, the payloads in the
-	// retained decisions (a payment is ≈240 B), and decoded batches only
-	// for what is in flight.
+	// decisions of the live instances (a payment is ≈240 B), the retired
+	// decisions in the history file, payloads and certificates, with no
+	// write or read failed, and decoded batches only for what is in
+	// flight.
 	for series, want := range map[string][2]float64{
 		"zlb_ledger_blocks":          {blocks + more, blocks + more},
 		"zlb_committed_txids":        {blocks + more, blocks + more},
 		"zlb_utxo_entries":           {blocks + more + 1, blocks + more + 1},
 		"zlb_batch_cache_entries":    {1, 2 * n},
-		"zlb_retained_payload_bytes": {200 * (blocks + more), 400 * (blocks + more)},
+		"zlb_retained_payload_bytes": {200, 400 * window},
+		"zlb_history_bytes":          {200 * (blocks + more - window), 40_000 * (blocks + more)},
+		"zlb_history_errors_total":   {0, 0},
 	} {
 		if v := seriesValue(t, body, series); v < want[0] || v > want[1] {
 			t.Errorf("%s = %v after %d blocks, want %v..%v", series, v, blocks+more, want[0], want[1])
@@ -309,8 +313,23 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	}
 
 	if m := st.Memory; m.LedgerBlocks != blocks+more || m.CommittedTxIDs != blocks+more || m.UTXOEntries != blocks+more+1 ||
-		m.BatchCacheEntries < 1 || m.BatchCacheEntries > 2*n || m.RetainedPayloadBytes < 200*(blocks+more) {
+		m.BatchCacheEntries < 1 || m.BatchCacheEntries > 2*n || m.RetainedPayloadBytes < 200 || m.RetainedPayloadBytes > 400*window ||
+		m.HistoryBytes < 200*(blocks+more-window) || m.HistoryErrors != 0 {
 		t.Errorf("/status memory = %+v after %d blocks", m, blocks+more)
+	}
+
+	// Every payment is the faucet's, so one wallet key: its table is built
+	// at its second accepted check, and most later checks find it.
+	tables := seriesValue(t, body, "zlb_wallet_key_tables")
+	hits := seriesValue(t, body, "zlb_wallet_key_hits_total")
+	misses := seriesValue(t, body, "zlb_wallet_key_misses_total")
+	builds := seriesValue(t, body, "zlb_wallet_key_builds_total")
+	evictions := seriesValue(t, body, "zlb_wallet_key_evictions_total")
+	if tables != 1 || builds != 1 || evictions != 0 || misses < 2 || hits < (blocks+more)/2 {
+		t.Errorf("wallet-key cache: %v tables, %v hits, %v misses, %v builds, %v evictions after %d one-payment blocks", tables, hits, misses, builds, evictions, blocks+more)
+	}
+	if c := st.WalletKeys; c.Tables != int(tables) || c.Builds != uint64(builds) || float64(c.Hits) < hits || float64(c.Misses) < misses {
+		t.Errorf("/status wallet_key_cache = %+v, /metrics read %v tables, %v hits, %v misses, %v builds", c, tables, hits, misses, builds)
 	}
 }
 

@@ -116,6 +116,9 @@ type Config struct {
 	// OnJoined fires on a pool node when it has verified a JoinNotice and
 	// become a committee member.
 	OnJoined func(epoch uint64, committee []types.ReplicaID)
+	// History keeps the decisions of retired instances (history.go). Nil
+	// keeps them in memory (NewMemHistory).
+	History History
 }
 
 // instState is one main-chain instance at this replica and the one record
@@ -124,16 +127,19 @@ type Config struct {
 // decided under — a block adopted whole keeps its record's, not the
 // adopter's epoch. While live it owns the SBC state machine and the
 // confirmation bookkeeping; retirement (retire.go) releases inst and the
-// two maps and leaves k, attempt, the flags, digest and decision.
+// two maps, hands the decision to the replica's History and leaves k,
+// attempt, the flags, digest and the decision's reference there.
 type instState struct {
-	k        uint64
-	attempt  uint32
-	inst     *sbc.Instance // nil once retired, and for blocks restored from disk
-	proposed bool
-	stopped  bool
-	decided  bool
-	decision *sbc.Decision
-	digest   types.Digest
+	k         uint64
+	attempt   uint32
+	inst      *sbc.Instance // nil once retired, and for blocks restored from disk
+	proposed  bool
+	stopped   bool
+	decided   bool
+	inHistory bool          // the decision is in the History, at ref
+	decision  *sbc.Decision // nil once in the History, and for blocks restored from disk
+	ref       HistoryRef
+	digest    types.Digest
 	// confirmation phase
 	confirms     map[types.ReplicaID]types.Digest
 	final        bool
@@ -186,6 +192,11 @@ type Replica struct {
 	unfinal      int      // of those, how many sit below sweptTo
 	retiredTotal uint64
 	lateDropped  uint64
+	// decisionBytes is the payload bytes of the decisions held in
+	// instances rather than in the History; historyErrors counts the
+	// History's failed writes and failed or mismatched reads.
+	decisionBytes int64
+	historyErrors uint64
 
 	// pending buffers consensus messages that cannot be routed yet: a
 	// membership change a peer already started, an instance attempt we
@@ -208,6 +219,9 @@ const maxPending = 1 << 17
 func NewReplica(cfg Config) *Replica {
 	if cfg.DeceitfulBound == 0 {
 		cfg.DeceitfulBound = 5.0 / 9.0
+	}
+	if cfg.History == nil {
+		cfg.History = NewMemHistory()
 	}
 	r := &Replica{
 		cfg:       cfg,
@@ -233,13 +247,19 @@ func (r *Replica) Log() *accountability.Log { return r.log }
 func (r *Replica) Epoch() uint64 { return r.epoch }
 
 // Committed returns the locally committed decision for k, if any (nil for
-// a block restored from disk).
+// a block restored from disk, and for one the History fails to read back).
 func (r *Replica) Committed(k uint64) (*sbc.Decision, bool) {
 	st, ok := r.instances[k]
 	if !ok || !st.decided {
 		return nil, false
 	}
-	return st.decision, true
+	return r.decisionOf(st), true
+}
+
+// decidedAt reports whether instance k decided here.
+func (r *Replica) decidedAt(k uint64) bool {
+	st, ok := r.instances[k]
+	return ok && st.decided
 }
 
 // CommittedCount returns how many instances have decided locally.
@@ -280,7 +300,7 @@ type RestoredBlock struct {
 // chain length.
 func (r *Replica) Restore(blocks []RestoredBlock) {
 	for _, b := range blocks {
-		if _, dup := r.Committed(b.K); dup {
+		if r.decidedAt(b.K) {
 			continue
 		}
 		r.instances[b.K] = &instState{k: b.K, attempt: b.Attempt, decided: true, digest: b.Digest}
@@ -299,7 +319,7 @@ func (r *Replica) Restore(blocks []RestoredBlock) {
 func (r *Replica) RequestCatchup() {
 	fromK := r.nextK
 	for k := uint64(1); k < r.nextK; k++ {
-		if _, ok := r.Committed(k); !ok {
+		if !r.decidedAt(k) {
 			fromK = k
 			break
 		}
@@ -443,8 +463,7 @@ func (r *Replica) onDecide(st *instState, d *sbc.Decision) {
 		return
 	}
 	st.decided = true
-	st.decision = d
-	st.digest = d.Digest()
+	r.keep(st, d)
 	r.decided++
 	r.noteProgress(st)
 	r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseCommit, st.k, 0, st.attempt, "")
@@ -587,12 +606,15 @@ func (r *Replica) askBlocks(peers []types.ReplicaID, from, to uint64) {
 // CatchupResp or a JoinNotice: the decided blocks from..to,
 // ascending (every decided k is below nextK), each under the attempt it was
 // decided under, which is what the receiver's audit holds it against. A
-// block restored from disk has no body to serve and is skipped.
+// block restored from disk has no body to serve and is skipped, and so is
+// one the History fails to read back.
 func (r *Replica) records(from, to uint64) []BlockRecord {
 	var blocks []BlockRecord
 	for k := from; k <= to && k < r.nextK; k++ {
-		if st, ok := r.instances[k]; ok && st.decided && st.decision != nil {
-			blocks = append(blocks, BlockRecord{K: k, Attempt: st.attempt, Decision: st.decision})
+		if st, ok := r.instances[k]; ok && st.decided {
+			if d := r.decisionOf(st); d != nil {
+				blocks = append(blocks, BlockRecord{K: k, Attempt: st.attempt, Decision: d})
+			}
 		}
 	}
 	return blocks
@@ -661,8 +683,7 @@ func (r *Replica) absorb(b BlockRecord, verified accountability.Verified) {
 		st.attempt = b.Attempt
 		st.decided = true
 		st.stopped = true // supersede any parallel restarted run
-		st.decision = b.Decision
-		st.digest = dig
+		r.keep(st, b.Decision)
 		r.decided++
 		r.noteProgress(st)
 		r.log.Record(verified)
@@ -675,15 +696,17 @@ func (r *Replica) absorb(b BlockRecord, verified accountability.Verified) {
 		}
 	case dig == st.digest || st.remoteSeen[dig]: // already on record
 	default:
+		local := r.decisionOf(st)
 		if st.retired() {
 			// Retirement dropped this instance's statements from the log. Put
 			// the local decision's certificates back before the remote ones, so
 			// cross-checking the two quorums convicts the signers they share.
 			// They go through the same audit, signatures checked again: a late
 			// conflict on a retired instance is the rare path.
-			for _, own := range r.records(b.K, b.K) {
-				if local, err := auditBlock(r.log, own, r.view.Size()); err == nil {
-					r.log.Record(local)
+			if local != nil {
+				own := BlockRecord{K: b.K, Attempt: st.attempt, Decision: local}
+				if v, err := auditBlock(r.log, own, r.view.Size()); err == nil {
+					r.log.Record(v)
 				}
 			}
 			if st.remoteSeen == nil {
@@ -695,7 +718,7 @@ func (r *Replica) absorb(b BlockRecord, verified accountability.Verified) {
 		r.cfg.Tracer.Record(r.cfg.Env.Now(), obs.PhaseDisagreement, b.K, 0, st.attempt, "")
 		r.log.Record(verified)
 		if r.cfg.OnDisagreement != nil {
-			r.cfg.OnDisagreement(b.K, st.decision, b.Decision)
+			r.cfg.OnDisagreement(b.K, local, b.Decision)
 		}
 		r.flushPoFs()
 	}

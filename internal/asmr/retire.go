@@ -2,6 +2,7 @@ package asmr
 
 import (
 	"github.com/zeroloss/zlb/internal/accountability"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
 )
@@ -78,13 +79,15 @@ func (r *Replica) retireFinalized() {
 	}
 }
 
-// retire releases everything instance k holds beyond its decision: the
-// SBC state machine with its rbc/bincon slots, the confirmation
-// bookkeeping, and — for every attempt k ran under here or, adopted whole,
-// was decided under — the log's signed statements and the interned payloads.
+// retire releases everything instance k holds: the SBC state machine
+// with its rbc/bincon slots, the confirmation bookkeeping, and — for
+// every attempt k ran under here or, adopted whole, was decided under —
+// the log's signed statements and the interned payloads. The decision
+// goes to the History.
 func (r *Replica) retire(st *instState) {
 	st.inst.Release()
 	st.inst, st.confirms, st.remoteSeen = nil, nil, nil
+	r.putAway(st)
 	for a := uint32(0); a <= max(st.attempt, uint32(r.epoch)); a++ {
 		key := accountability.InstanceKey{Context: accountability.CtxMain, Instance: WireInstance(st.k, a)}
 		r.log.DropInstance(key)
@@ -97,12 +100,12 @@ func (r *Replica) retire(st *instState) {
 }
 
 // onLateFrame handles consensus traffic for a retired instance. Payload
-// pulls are answered from the retained decision, exactly as the live
-// instance answered them; every other frame is a straggler of a finished
-// protocol run and is dropped.
+// pulls are answered from the decision, read back from the History,
+// exactly as the live instance answered them; every other frame is a
+// straggler of a finished protocol run and is dropped unread.
 func (r *Replica) onLateFrame(from types.ReplicaID, st *instState, attempt uint32, msg simnet.Message) {
-	if st.decision != nil && attempt == st.attempt {
-		if resp := st.decision.AnswerPull(msg); resp != nil {
+	if attempt == st.attempt {
+		if resp := sbc.AnswerPull(msg, func() *sbc.Decision { return r.decisionOf(st) }); resp != nil {
 			r.cfg.Env.Send(from, resp)
 			return
 		}
@@ -140,6 +143,13 @@ type Stats struct {
 	// announced here before this replica had reached them, or against
 	// what it decided.
 	DecidePulls uint64
+	// DecisionBytes is the payload bytes of the decisions the replica
+	// holds in its instances: the live ones, and any its History failed
+	// to take. HistoryBytes is what the History holds (History.Bytes),
+	// and HistoryErrors counts its failed writes and its failed or
+	// mismatched reads.
+	DecisionBytes, HistoryBytes int64
+	HistoryErrors               uint64
 }
 
 // Stats reports the replica's retained state. Like every Replica method
@@ -156,5 +166,8 @@ func (r *Replica) Stats() Stats {
 		StmtSigKnown:      r.log.SigKnown,
 		StmtSigDeferred:   r.log.SigDeferred,
 		DecidePulls:       r.log.CertPulls,
+		DecisionBytes:     r.decisionBytes,
+		HistoryBytes:      r.cfg.History.Bytes(),
+		HistoryErrors:     r.historyErrors,
 	}
 }

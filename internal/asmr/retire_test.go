@@ -1,6 +1,8 @@
 package asmr_test
 
 import (
+	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/simnet"
+	"github.com/zeroloss/zlb/internal/transport"
 	"github.com/zeroloss/zlb/internal/types"
 )
 
@@ -60,10 +63,12 @@ type fork struct {
 // batches and keeps the forks it is asked to merge.
 type forkRecorder struct {
 	r     *asmr.Replica
+	h     asmr.History // nil: the replica's default
 	forks []fork
 }
 
 func (a *forkRecorder) Bind(cfg *asmr.Config) {
+	cfg.History = a.h
 	cfg.OnDisagreement = func(k uint64, local, remote *sbc.Decision) {
 		a.forks = append(a.forks, fork{k, local, remote})
 	}
@@ -71,6 +76,39 @@ func (a *forkRecorder) Bind(cfg *asmr.Config) {
 func (a *forkRecorder) Attach(r *asmr.Replica) { a.r = r }
 func (a *forkRecorder) Start()                 { a.r.Start() }
 func (a *forkRecorder) Close() error           { return nil }
+
+// historyApp is an application that proposes the replica's default
+// batches and gives it a history of its own.
+type historyApp struct {
+	r *asmr.Replica
+	h asmr.History
+}
+
+func (a *historyApp) Bind(cfg *asmr.Config)  { cfg.History = a.h }
+func (a *historyApp) Attach(r *asmr.Replica) { a.r = r }
+func (a *historyApp) Start()                 { a.r.Start() }
+func (a *historyApp) Close() error {
+	if f, ok := a.h.(*transport.HistoryFile); ok {
+		return f.Close()
+	}
+	return nil
+}
+
+// histories are the two History implementations a replica runs with: in
+// memory, the default, and the deployed node's file, one per replica.
+var histories = []struct {
+	name string
+	open func(t *testing.T) asmr.History
+}{
+	{"memory", func(*testing.T) asmr.History { return asmr.NewMemHistory() }},
+	{"file", func(t *testing.T) asmr.History {
+		h, err := transport.OpenHistoryFile(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}},
+}
 
 // runUntilHeight advances the simulation until every committee member
 // has decided height instances.
@@ -93,8 +131,10 @@ func runUntilHeight(t *testing.T, c *harness.Cluster, height int) {
 
 // TestRetirementBoundsState drives 640 instances and checks that what a
 // replica holds is set by RetainDepth, not by the chain length: live
-// instances, log statements and interned payloads read the same at
-// height 200 as at height 640, while the chain stays fully readable.
+// instances, log statements, interned payloads and the payload bytes of
+// the decisions it keeps in its instances read the same at height 200 as
+// at height 640, while its history grows and the chain stays fully
+// readable.
 func TestRetirementBoundsState(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		c := benignCluster(t, n, 640)
@@ -123,10 +163,19 @@ func TestRetirementBoundsState(t *testing.T) {
 				if s.InternedPayloads > window*n {
 					t.Errorf("n=%d height %d replica %v: %d interned payloads, want <= %d", n, height, id, s.InternedPayloads, window*n)
 				}
+				// The payloads of the live instances' decisions, at what a
+				// retired one put in the (in-memory) history; the rest is
+				// there.
+				perInstance := s.HistoryBytes / int64(max(s.RetiredInstances, 1))
+				if s.DecisionBytes > int64(window)*perInstance || s.HistoryErrors != 0 {
+					t.Errorf("n=%d height %d replica %v: %d decision bytes held, want <= %d; %d history errors",
+						n, height, id, s.DecisionBytes, int64(window)*perInstance, s.HistoryErrors)
+				}
 				if height == 200 {
 					warm = append(warm, s)
-				} else if s.RetiredInstances <= warm[i].RetiredInstances {
-					t.Errorf("n=%d replica %v: retired %d at 200 and %d at 640", n, id, warm[i].RetiredInstances, s.RetiredInstances)
+				} else if s.RetiredInstances <= warm[i].RetiredInstances || s.HistoryBytes <= warm[i].HistoryBytes || s.DecisionBytes > warm[i].DecisionBytes {
+					t.Errorf("n=%d replica %v: retired %d at 200 and %d at 640, history %d and %d bytes, decisions held %d and %d bytes", n, id,
+						warm[i].RetiredInstances, s.RetiredInstances, warm[i].HistoryBytes, s.HistoryBytes, warm[i].DecisionBytes, s.DecisionBytes)
 				}
 			}
 		}
@@ -156,10 +205,20 @@ func (p *probe) OnTimer(any)                                     {}
 // instance's payload, proposal, binary decision certificate, block,
 // catch-up transfer and the chain of a join notice while the instance is
 // live and again after it retired: the answers are equal field for field (a
-// catch-up transfer and a join notice grow, so their common prefix is).
+// catch-up transfer and a join notice grow, so their common prefix is),
+// whether the retired decisions are kept in memory or read back from the
+// deployed node's history file.
 func TestRetiredInstanceAnswersIdentically(t *testing.T) {
+	for _, hist := range histories {
+		t.Run(hist.name, func(t *testing.T) { retiredInstanceAnswersIdentically(t, hist.open) })
+	}
+}
+
+func retiredInstanceAnswersIdentically(t *testing.T, history func(*testing.T) asmr.History) {
 	const n, k, slot = 4, 5, types.ReplicaID(2)
-	c := benignCluster(t, n, 120)
+	c := benignClusterOf(t, n, 120, func(types.ReplicaID, simnet.Env) (harness.Application, error) {
+		return &historyApp{h: history(t)}, nil
+	})
 	const probeID = types.ReplicaID(2*n + 1)
 	p := &probe{}
 	c.Net.AddNode(probeID, func(simnet.Env) simnet.Handler { return p })
@@ -233,6 +292,96 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	if got := r.Stats().LateFramesDropped; got != 0 {
 		t.Errorf("%d late frames dropped; the pulls were to be answered", got)
 	}
+	if got := r.Stats().HistoryErrors; got != 0 {
+		t.Errorf("%d history errors", got)
+	}
+}
+
+// faultyHistory is a history whose reads can be made to fail or to come
+// back altered.
+type faultyHistory struct {
+	asmr.History
+	mode string // "", "short" or "corrupt"
+}
+
+var errShortRead = errors.New("short read")
+
+func (h *faultyHistory) Get(ref asmr.HistoryRef) (*sbc.Decision, error) {
+	d, err := h.History.Get(ref)
+	switch {
+	case err != nil || h.mode == "":
+		return d, err
+	case h.mode == "short":
+		return nil, errShortRead
+	}
+	// One payload byte altered, in a copy: the decision digest, which
+	// names the payload by its digest field, does not change.
+	altered := *d
+	altered.Proposals = maps.Clone(d.Proposals)
+	for id, p := range altered.Proposals {
+		p.Payload = append([]byte(nil), p.Payload...)
+		p.Payload[0] ^= 1
+		altered.Proposals[id] = p
+		break
+	}
+	return &altered, nil
+}
+
+// TestHistoryReadFailureServesNothing reads a retired instance back
+// through a history that fails, and through one that returns an altered
+// decision: the replica answers a block request and a payload pull for
+// it with nothing, as for a block restored from disk, and counts each
+// read. The same requests are answered once the reads are sound again.
+func TestHistoryReadFailureServesNothing(t *testing.T) {
+	const n, k, slot = 4, 5, types.ReplicaID(2)
+	faulty := make(map[types.ReplicaID]*faultyHistory)
+	c := benignClusterOf(t, n, 80, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
+		faulty[id] = &faultyHistory{History: asmr.NewMemHistory()}
+		return &historyApp{h: faulty[id]}, nil
+	})
+	const probeID = types.ReplicaID(2*n + 1)
+	p := &probe{}
+	c.Net.AddNode(probeID, func(simnet.Env) simnet.Handler { return p })
+	c.Start()
+	target := c.Members[0]
+	r := c.Replicas[target]
+	runUntilHeight(t, c, 80)
+	d, _ := r.Committed(k)
+	if d == nil || r.Stats().RetiredInstances < k {
+		t.Fatalf("instance %d not retired with a decision at height 80", k)
+	}
+	wi := asmr.WireInstance(k, 0)
+
+	ask := func(mode string) (blocks int, pulled bool, stats asmr.Stats) {
+		t.Helper()
+		faulty[target].mode = mode
+		p.got = nil
+		c.Net.Inject(probeID, target, &asmr.CatchupReq{FromK: k, ToK: k}, 50*time.Millisecond)
+		c.Net.Inject(probeID, target, &rbc.PayloadReq{Context: accountability.CtxMain, Instance: wi, Broadcaster: slot, Digest: d.Proposals[slot].Digest}, 100*time.Millisecond)
+		c.Run(c.Net.Now() + time.Second)
+		for _, msg := range p.got {
+			switch m := msg.(type) {
+			case *asmr.CatchupResp:
+				blocks += len(m.Blocks)
+			case *rbc.PayloadResp:
+				pulled = true
+			}
+		}
+		return blocks, pulled, r.Stats()
+	}
+	before := r.Stats()
+	for i, mode := range []string{"short", "corrupt"} {
+		blocks, pulled, st := ask(mode)
+		if blocks != 0 || pulled {
+			t.Errorf("%s reads: %d blocks served and payload pulled %v, want nothing", mode, blocks, pulled)
+		}
+		if got := st.HistoryErrors - before.HistoryErrors; got != uint64(2*(i+1)) {
+			t.Errorf("%s reads: %d history errors counted in all, want %d", mode, got, 2*(i+1))
+		}
+	}
+	if blocks, pulled, _ := ask(""); blocks != 1 || !pulled {
+		t.Errorf("sound reads: %d blocks served and payload pulled %v, want the block and the payload", blocks, pulled)
+	}
 }
 
 // conflictingDecision forges what only a coalition can produce: a second
@@ -281,14 +430,22 @@ func conflictingDecision(t *testing.T, c *harness.Cluster, local *sbc.Decision, 
 
 // TestLateConflictAfterRetirement delivers a certified conflicting block
 // for an instance that retired long ago. The replica kept only the
-// decision, and that is enough: its certificates go back into the log
-// ahead of the remote ones, the quorums intersect in ⌈n/3⌉ signers, each
-// is convicted, and the application gets both branches to merge — once.
+// decision, in its history, and that is enough: its certificates go back
+// into the log ahead of the remote ones, the quorums intersect in ⌈n/3⌉
+// signers, each is convicted, and the application gets both branches to
+// merge — once, the local one read back from the history equal in digest
+// and content to the one decided.
 func TestLateConflictAfterRetirement(t *testing.T) {
+	for _, hist := range histories {
+		t.Run(hist.name, func(t *testing.T) { lateConflictAfterRetirement(t, hist.open) })
+	}
+}
+
+func lateConflictAfterRetirement(t *testing.T, history func(*testing.T) asmr.History) {
 	const n, k = 4, 5
 	apps := make(map[types.ReplicaID]*forkRecorder)
 	c := benignClusterOf(t, n, 100, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
-		apps[id] = &forkRecorder{}
+		apps[id] = &forkRecorder{h: history(t)}
 		return apps[id], nil
 	})
 	victim := c.Members[n-1]
@@ -310,8 +467,12 @@ func TestLateConflictAfterRetirement(t *testing.T) {
 	}
 	c.Run(c.Net.Now() + 500*time.Millisecond)
 
-	if calls := apps[victim].forks; len(calls) != 1 || calls[0] != (fork{k, local, remote}) {
+	calls := apps[victim].forks
+	if len(calls) != 1 || calls[0].k != k || calls[0].remote != remote || calls[0].local == nil {
 		t.Fatalf("OnDisagreement calls = %+v, want exactly one with (%d, local, remote)", calls, k)
+	}
+	if got := calls[0].local; got.Digest() != local.Digest() || !reflect.DeepEqual(got, local) {
+		t.Fatalf("OnDisagreement's local branch differs from the decision:\ngot  %+v\nwant %+v", got, local)
 	}
 	if !r.Disagreed(k) {
 		t.Errorf("instance %d not marked disagreed", k)

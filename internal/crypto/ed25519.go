@@ -13,8 +13,9 @@ import (
 // (sign.go) and verifies with verifyEd25519, which accepts exactly what
 // the standard library accepts. A key registered in reg (a replica's) is
 // checked against the table Register built for it; any other key (a
-// wallet's) gets a table built for the one check, which is the standard
-// library's cost.
+// wallet's) against the small table reg's wallet-key cache holds once the
+// key has passed two checks (keycache.go), else against a table built for
+// the one check, which is the standard library's cost.
 type edScheme struct {
 	reg *Registry
 }
@@ -24,17 +25,39 @@ var _ Scheme = edScheme{}
 func (edScheme) Kind() SchemeKind { return SchemeEd25519 }
 
 func (e edScheme) Verify(pub PublicKey, digest types.Digest, sig Signature) bool {
-	return verifyEd25519(pub, digest[:], sig, e.reg.keyTable(pub))
+	return e.reg.verify(pub, digest[:], sig)
 }
 
-// newKeyTable returns the fixed-point table of −A for the Ed25519 public
-// key A, or nil if pub does not decode to a point.
-func newKeyTable(pub PublicKey) *edwards25519.FixedTable {
+// verify checks sig by pub over msg (verifyEd25519) with pub's registered
+// or cached table, else with a table built for the check. A check that
+// accepts without a table is a sighting for the wallet-key cache. A nil
+// registry has no tables.
+func (r *Registry) verify(pub PublicKey, msg []byte, sig Signature) bool {
+	table := r.keyTable(pub)
+	ok := verifyEd25519(pub, msg, sig, table)
+	if ok && table == nil && r != nil {
+		r.wallets.accepted(pub)
+	}
+	return ok
+}
+
+// KeyCacheStats reports the wallet-key cache of the scheme's registry; a
+// scheme without a registry has none.
+func (e edScheme) KeyCacheStats() KeyCacheStats {
+	if e.reg == nil {
+		return KeyCacheStats{}
+	}
+	return e.reg.wallets.snapshot()
+}
+
+// newKeyTable returns the fixed-point table of −A, in the given shape,
+// for the Ed25519 public key A, or nil if pub does not decode to a point.
+func newKeyTable(pub PublicKey, shape edwards25519.TableShape) *edwards25519.FixedTable {
 	A, err := new(edwards25519.Point).SetBytes(pub)
 	if err != nil {
 		return nil
 	}
-	return edwards25519.NewFixedTable(A.Negate(A))
+	return edwards25519.NewFixedTable(A.Negate(A), shape)
 }
 
 // verifyEd25519 reports whether sig is a valid Ed25519 signature of msg

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -151,20 +152,41 @@ func stdlibVerify(pub PublicKey, msg []byte, sig Signature) bool {
 	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
 }
 
-// checkBothTables checks (pub, msg, sig) with a table built for the one
-// check and with the table Register builds, against the oracle. It
-// reports the oracle's verdict, and whether pub got a registered table
-// (every key that decodes to a point does).
-func checkBothTables(t *testing.T, pub PublicKey, msg []byte, sig Signature) (accepted, registered bool) {
+// checkAllTables checks (pub, msg, sig) against the oracle with a table
+// built for the one check, with the table Register builds, and three
+// times through a fresh registry's wallet-key cache: a valid signature's
+// first two checks build the key's table and its third reads it, and a
+// failing signature builds none. A failing signature is then checked once
+// more under the table two accepted checks would have built. It reports
+// the oracle's verdict, and whether pub got a registered and a cached
+// table (every key that decodes to a point gets both).
+func checkAllTables(t *testing.T, pub PublicKey, msg []byte, sig Signature) (accepted, registered bool) {
 	t.Helper()
 	want := stdlibVerify(pub, msg, sig)
 	if got := verifyEd25519(pub, msg, sig, nil); got != want {
 		t.Fatalf("table per check: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
 	}
-	kt := newKeyTable(pub)
+	kt := newKeyTable(pub, edwards25519.KeyShape)
 	if kt != nil {
 		if got := verifyEd25519(pub, msg, sig, kt); got != want {
 			t.Fatalf("registered table: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", got, want, pub, msg, sig)
+		}
+	}
+	reg := NewRegistry(SchemeEd25519)
+	for check := range 3 {
+		if got := reg.verify(pub, msg, sig); got != want {
+			t.Fatalf("wallet-key cache, check %d: got %v, stdlib %v\npub %x\nmsg %x\nsig %x", check+1, got, want, pub, msg, sig)
+		}
+	}
+	st := reg.wallets.snapshot()
+	if want && (st.Builds != 1 || st.Hits != 1) || !want && st.Builds != 0 {
+		t.Fatalf("wallet-key cache after three checks, stdlib %v: %+v\npub %x", want, st, pub)
+	}
+	if !want && kt != nil {
+		reg.wallets.accepted(pub)
+		reg.wallets.accepted(pub)
+		if got := reg.verify(pub, msg, sig); got || reg.wallets.snapshot().Hits != 1 {
+			t.Fatalf("cached table: got %v, stdlib false, %+v\npub %x\nmsg %x\nsig %x", got, reg.wallets.snapshot(), pub, msg, sig)
 		}
 	}
 	return want, kt != nil
@@ -179,7 +201,7 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 	f.Add(int64(7), []byte{}, make([]byte, 64), byte(11), byte(0))
 	f.Fuzz(func(t *testing.T, keySeed int64, msg, raw []byte, op, arg byte) {
 		pub, sig := mutate(keySeed, msg, raw, op, arg)
-		checkBothTables(t, pub, msg, sig)
+		checkAllTables(t, pub, msg, sig)
 	})
 }
 
@@ -187,14 +209,14 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 // so each seed shape is covered on a plain `go test`, and shows that the
 // oracle accepts some of the small-order cases: agreement there is
 // agreement on acceptance, not only on rejection. The small-order and
-// mixed-order keys are checked under registered tables too.
+// mixed-order keys are checked under registered and cached tables too.
 func TestMutationsAcceptAndReject(t *testing.T) {
 	accepted := make([]int, mutations)
 	registered := make([]int, mutations)
 	for op := range byte(mutations) {
 		for arg := range 256 {
 			pub, sig := mutate(int64(arg), []byte{byte(arg), op}, []byte{byte(arg)}, op, byte(arg))
-			ok, reg := checkBothTables(t, pub, []byte{byte(arg), op}, sig)
+			ok, reg := checkAllTables(t, pub, []byte{byte(arg), op}, sig)
 			if ok {
 				accepted[op]++
 			}
@@ -211,7 +233,7 @@ func TestMutationsAcceptAndReject(t *testing.T) {
 	}
 	for _, op := range []int{7, 8, 9} { // small-order A, and A plus a torsion point
 		if registered[op] != 256 {
-			t.Errorf("mutation %d: %d of 256 keys checked under a registered table", op, registered[op])
+			t.Errorf("mutation %d: %d of 256 keys checked under registered and cached tables", op, registered[op])
 		}
 	}
 	t.Logf("accepted per mutation: %v", accepted)
@@ -220,8 +242,9 @@ func TestMutationsAcceptAndReject(t *testing.T) {
 // TestSupercopVectors checks the standard library's selection of the
 // SUPERCOP test vectors (testdata/sign.input.gz, copied from Go's
 // crypto/ed25519): the key expanded from each vector's seed signs its
-// message into the vector's signature, which verifies with both table
-// sources, and no longer does with one bit of it flipped.
+// message into the vector's signature, which verifies with every table
+// source, the wallet-key cache's included, and no longer does with one
+// bit of it flipped.
 func TestSupercopVectors(t *testing.T) {
 	f, err := os.Open("testdata/sign.input.gz")
 	if err != nil {
@@ -249,12 +272,12 @@ func TestSupercopVectors(t *testing.T) {
 		if got := key.sign(msg); !bytes.Equal(got, sig) {
 			t.Fatalf("line %d: signed %x, want %x", lines, got, sig)
 		}
-		if ok, reg := checkBothTables(t, pub, msg, sig); !ok || !reg {
+		if ok, reg := checkAllTables(t, pub, msg, sig); !ok || !reg {
 			t.Fatalf("line %d: vector rejected, or its key got no table", lines)
 		}
 		bad := append(Signature(nil), sig...)
 		bad[lines%64] ^= 1 << (lines % 8)
-		if ok, _ := checkBothTables(t, pub, msg, bad); ok {
+		if ok, _ := checkAllTables(t, pub, msg, bad); ok {
 			t.Fatalf("line %d: altered vector accepted", lines)
 		}
 	}
@@ -267,8 +290,9 @@ func TestSupercopVectors(t *testing.T) {
 }
 
 // A check allocates nothing: under a registered key the key table is
-// shared, under a wallet's the one-chunk table is built on the stack,
-// and the rest of the check lives on the stack too.
+// shared, under a wallet's seen before the cache's table is, under one
+// seen for the first time the one-chunk table is built on the stack, and
+// the rest of the check lives on the stack too.
 func TestRegisteredKeyCheckAllocatesNothing(t *testing.T) {
 	signers, reg, err := GenerateCluster(SchemeEd25519, 4, 1)
 	if err != nil {
@@ -287,7 +311,14 @@ func TestRegisteredKeyCheckAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, scheme := range map[string]Scheme{"registered": signers[0].Scheme(), "wallet": wallet} {
+	cached, err := NewScheme(SchemeEd25519, NewRegistry(SchemeEd25519))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the second accepted check builds the cached table
+		cached.Verify(pub, digest, sig)
+	}
+	for name, scheme := range map[string]Scheme{"registered": signers[0].Scheme(), "wallet": wallet, "cached wallet": cached} {
 		if allocs := testing.AllocsPerRun(100, func() {
 			if !scheme.Verify(pub, digest, sig) {
 				t.Fatal("valid signature rejected")
@@ -296,13 +327,18 @@ func TestRegisteredKeyCheckAllocatesNothing(t *testing.T) {
 			t.Errorf("%v allocations per check under a %s key, want 0", allocs, name)
 		}
 	}
+	if st := cached.(edScheme).KeyCacheStats(); st.Tables != 1 || st.Builds != 1 || st.Hits < 100 {
+		t.Errorf("cache after one key checked 100 times and more: %+v", st)
+	}
 }
 
 // Checks run on several goroutines while the registry is still
-// registering keys: a key's verdict does not depend on whether its table
-// is in place yet, and every registered key ends with one.
+// registering keys, and while its wallet-key cache admits and evicts
+// tables: a key's verdict does not depend on whether its table is in
+// place yet, every registered key ends with one, and the cache ends full
+// with every eviction counted.
 func TestChecksWhileKeysRegister(t *testing.T) {
-	const keys = 24
+	const keys, workers = 24, 4
 	reg := NewRegistry(SchemeEd25519)
 	scheme, err := NewScheme(SchemeEd25519, reg)
 	if err != nil {
@@ -310,18 +346,26 @@ func TestChecksWhileKeysRegister(t *testing.T) {
 	}
 	rand := NewDeterministicRand(5)
 	digest := types.Hash([]byte("aux"))
-	kps := make([]*KeyPair, keys)
-	sigs := make([]Signature, keys)
-	for i := range kps {
-		if kps[i], err = scheme.GenerateKey(rand); err != nil {
-			t.Fatal(err)
+	sign := func(n int) ([]*KeyPair, []Signature) {
+		kps := make([]*KeyPair, n)
+		sigs := make([]Signature, n)
+		for i := range kps {
+			if kps[i], err = scheme.GenerateKey(rand); err != nil {
+				t.Fatal(err)
+			}
+			if sigs[i], err = scheme.Sign(kps[i], digest); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if sigs[i], err = scheme.Sign(kps[i], digest); err != nil {
-			t.Fatal(err)
-		}
+		return kps, sigs
 	}
+	kps, sigs := sign(keys)
+	// Wallet keys beyond the cache's bound, each checked twice by one
+	// worker and once by the next: every one is admitted, and the first
+	// ones are evicted.
+	wallets, walletSigs := sign(walletKeys + 64)
 	var wg sync.WaitGroup
-	for w := range 4 {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -333,6 +377,19 @@ func TestChecksWhileKeysRegister(t *testing.T) {
 					if scheme.Verify(kp.Public(), digest, sigs[(i+1)%keys]) {
 						t.Errorf("worker %d round %d: key %d accepted another key's signature", w, round, i)
 					}
+				}
+			}
+			for i, kp := range wallets {
+				if i%workers != w && i%workers != (w+1)%workers {
+					continue
+				}
+				for check := range 2 {
+					if !scheme.Verify(kp.Public(), digest, walletSigs[i]) {
+						t.Errorf("worker %d: wallet key %d rejected its signature on check %d", w, i, check+1)
+					}
+				}
+				if scheme.Verify(kp.Public(), digest, walletSigs[(i+1)%len(wallets)]) {
+					t.Errorf("worker %d: wallet key %d accepted another key's signature", w, i)
 				}
 			}
 		}()
@@ -348,12 +405,113 @@ func TestChecksWhileKeysRegister(t *testing.T) {
 			t.Fatalf("key %d registered without a table", i)
 		}
 	}
+	st := reg.wallets.snapshot()
+	if st.Tables != walletKeys || st.Evictions == 0 || st.Builds != uint64(st.Tables)+st.Evictions {
+		t.Fatalf("wallet-key cache after %d keys: %+v, want %d tables and every build held or evicted", len(wallets), st, walletKeys)
+	}
+	t.Logf("wallet-key cache: %+v", st)
+}
+
+// TestKeyCacheBound admits ten times the cache's bound in distinct keys,
+// each by two accepted checks, and holds the cache to walletKeys tables
+// throughout: past the bound every new table evicts the oldest, and the
+// set of keys accepted once stays bounded too. A key accepted once gets
+// no table.
+func TestKeyCacheBound(t *testing.T) {
+	reg := NewRegistry(SchemeEd25519)
+	scheme, err := NewScheme(SchemeEd25519, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand := NewDeterministicRand(6)
+	once, err := scheme.GenerateKey(rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := types.Hash([]byte("pay"))
+	sig, err := scheme.Sign(once, digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !scheme.Verify(once.Public(), digest, sig) || reg.keyTable(once.Public()) != nil {
+		t.Fatal("a key accepted once got a table")
+	}
+	const distinct = 10 * walletKeys
+	for i := range distinct {
+		kp, err := scheme.GenerateKey(rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.wallets.accepted(kp.Public())
+		reg.wallets.accepted(kp.Public())
+		if reg.keyTable(kp.Public()) == nil {
+			t.Fatalf("key %d: no table after its second accepted check", i)
+		}
+		reg.wallets.mu.Lock()
+		tables, seen := len(reg.wallets.tables), len(reg.wallets.seen)
+		reg.wallets.mu.Unlock()
+		if tables > walletKeys || seen > walletKeys {
+			t.Fatalf("after %d keys: %d tables and %d keys accepted once, bound %d", i+1, tables, seen, walletKeys)
+		}
+	}
+	st := reg.wallets.snapshot()
+	if st.Tables != walletKeys || st.Builds != distinct || st.Evictions != distinct-walletKeys || st.Hits != distinct {
+		t.Fatalf("after %d keys: %+v", distinct, st)
+	}
+}
+
+// A check that fails is no sighting of its key: bad signatures under a
+// fresh key build no table and leave nothing in the cache, one between
+// two accepted checks does not make the second build, and the key's
+// table is built at its second accepted check and read from the third.
+func TestRejectedChecksBuildNoTable(t *testing.T) {
+	reg := NewRegistry(SchemeEd25519)
+	scheme, err := NewScheme(SchemeEd25519, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp, err := scheme.GenerateKey(NewDeterministicRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := types.Hash([]byte("pay"))
+	sig, err := scheme.Sign(kp, digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Clone(sig)
+	bad[40] ^= 1
+	check := func(s Signature, want bool, builds, hits uint64) {
+		t.Helper()
+		if got := scheme.Verify(kp.Public(), digest, s); got != want {
+			t.Fatalf("verdict %v, want %v", got, want)
+		}
+		if st := reg.wallets.snapshot(); st.Builds != builds || st.Hits != hits {
+			t.Fatalf("after a check with verdict %v: %+v, want %d builds and %d hits", want, st, builds, hits)
+		}
+	}
+	for range 5 {
+		check(bad, false, 0, 0)
+	}
+	reg.wallets.mu.Lock()
+	seen := len(reg.wallets.seen)
+	reg.wallets.mu.Unlock()
+	if seen != 0 {
+		t.Fatalf("%d keys remembered after rejected checks only", seen)
+	}
+	check(sig, true, 0, 0)
+	check(bad, false, 0, 0)
+	check(sig, true, 1, 0)
+	check(sig, true, 1, 1)
+	check(bad, false, 1, 2)
 }
 
 // BenchmarkVerify times one check under a registered key, under a
-// wallet's and in the standard library. The -cold variants write over
-// an 8 MiB buffer before each check, outside the timer, so the check
-// starts from caches other work has evicted, as it does in a node.
+// wallet's seen for the first time (unregistered), under one the
+// wallet-key cache holds a table for (cached), and in the standard
+// library. The -cold variants write over an 8 MiB buffer before each
+// check, outside the timer, so the check starts from caches other work
+// has evicted, as it does in a node.
 func BenchmarkVerify(b *testing.B) {
 	signers, reg, err := GenerateCluster(SchemeEd25519, 4, 1)
 	if err != nil {
@@ -363,8 +521,10 @@ func BenchmarkVerify(b *testing.B) {
 	sig, _ := signers[1].Sign(digest)
 	pub, _ := reg.PublicKeyOf(2)
 	wallet, _ := NewScheme(SchemeEd25519, nil)
+	cache, _ := NewScheme(SchemeEd25519, NewRegistry(SchemeEd25519))
 	registered := func() bool { return signers[0].Scheme().Verify(pub, digest, sig) }
 	unregistered := func() bool { return wallet.Verify(pub, digest, sig) }
+	cached := func() bool { return cache.Verify(pub, digest, sig) }
 	evict := make([]byte, 8<<20)
 	for _, c := range []struct {
 		name   string
@@ -373,9 +533,11 @@ func BenchmarkVerify(b *testing.B) {
 	}{
 		{"registered", registered, false},
 		{"unregistered", unregistered, false},
+		{"cached", cached, false},
 		{"stdlib", func() bool { return ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig) }, false},
 		{"registered-cold", registered, true},
 		{"unregistered-cold", unregistered, true},
+		{"cached-cold", cached, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -34,6 +34,12 @@ func (v *Point) Equal(u *Point) int {
 	return t1.Equal(&t2) & t3.Equal(&t4)
 }
 
+// nafLookupTable8 is upstream's table of B: entry i is (2i+1)·Q in affine
+// form. A FixedTable chunk of 64 entries is held against it.
+type nafLookupTable8 struct {
+	points [64]affineCached
+}
+
 // FromP3 is upstream's table construction, one inversion per point.
 func (v *nafLookupTable8) FromP3(q *Point) {
 	v.points[0].FromP3(q)

@@ -10,39 +10,61 @@ import (
 	"github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
 )
 
-// tableChunks is how many chunks a FixedTable splits a scalar into, and
-// chunkPlaces how many of its places each chunk covers: chunk j holds the
-// multiples of 2^(16j)·P.
+// A TableShape is one of the two forms a FixedTable comes in.
+type TableShape uint8
+
 const (
-	tableChunks = 16
-	chunkPlaces = 256 / tableChunks
+	// KeyShape is for the base point and a registered key, checked many
+	// times: 16 chunks of 64 odd multiples (about 120 KiB).
+	KeyShape TableShape = iota
+	// WalletShape is for a key checked a few times, a wallet's: 4 chunks
+	// of 8 (about 3.75 KiB).
+	WalletShape
 )
 
-// A FixedTable holds, for a point P, the odd multiples P, 3P, …, 127P of
-// each of P, 2^16·P, 2^32·P, …, 2^240·P in affine form: 1 024 points,
-// about 120 KiB. A multiplication by P then reads the scalar's width-8
-// NAF digits in sixteen chunks that share one pass of 16 doublings. It
-// pays for a point used in many multiplications: the base point, and a
-// key that is checked many times.
-type FixedTable [tableChunks]nafLookupTable8
+// A tableShape is a chunk count, the entries per chunk, and the NAF width
+// whose digits those entries cover (entries = 2^(width−2)).
+type tableShape struct {
+	chunks, entries int
+	width           uint
+}
 
-// NewFixedTable returns the table of p. Its points are made affine with
-// one field inversion (Montgomery's trick) instead of one each.
-func NewFixedTable(p *Point) *FixedTable {
+var shapes = [...]tableShape{
+	KeyShape:    {16, 64, 8},
+	WalletShape: {4, 8, 5},
+}
+
+// A FixedTable holds, for a point P, the odd multiples P, 3P, …,
+// (2m−1)·P of each of P, 2^(256/c)·P, …, 2^(256(c−1)/c)·P in affine form,
+// for the c chunks of m entries of its shape. A multiplication by P then
+// reads the scalar's NAF digits of the shape's width in c chunks that
+// share one pass of 256/c doublings. It pays for a point used in many
+// multiplications: the base point, and a key that is checked more than
+// once.
+type FixedTable struct {
+	tableShape
+	points []affineCached // (2i+1)·2^(256j/c)·P at entries·j+i
+}
+
+// NewFixedTable returns the table of p in the given shape. Its points
+// are made affine with one field inversion (Montgomery's trick) instead
+// of one each.
+func NewFixedTable(p *Point, shape TableShape) *FixedTable {
 	checkInitialized(p)
-	pts := make([]Point, tableChunks*64) // (2i+1)·2^(16j)·p at 64j+i
+	chunks, entries := shapes[shape].chunks, shapes[shape].entries
+	pts := make([]Point, chunks*entries)
 	var q, q2 Point
 	var cached projCached
 	var tmp projP1xP1
 	q.Set(p)
-	for j := 0; j < tableChunks; j++ {
+	for j := 0; j < chunks; j++ {
 		if j > 0 {
-			q.doubleN(&q, chunkPlaces)
+			q.doubleN(&q, 256/chunks)
 		}
 		cached.FromP3(q2.Add(&q, &q))
-		row := pts[64*j : 64*j+64]
+		row := pts[entries*j : entries*(j+1)]
 		row[0].Set(&q)
-		for i := 1; i < 64; i++ {
+		for i := 1; i < entries; i++ {
 			row[i].fromP1xP1(tmp.Add(&row[i-1], &cached))
 		}
 	}
@@ -55,13 +77,18 @@ func NewFixedTable(p *Point) *FixedTable {
 		acc.Multiply(&acc, &pts[n].z)
 	}
 	acc.InvertVarTime(&acc)
-	t := new(FixedTable)
+	t := &FixedTable{tableShape: shapes[shape], points: make([]affineCached, len(pts))}
 	for n := len(pts) - 1; n >= 0; n-- {
 		invZ.Multiply(&acc, &prefix[n]) // 1/Z_n
 		acc.Multiply(&acc, &pts[n].z)   // 1/(Z_0···Z_(n-1))
-		t[n/64].points[n%64].fromP3(&pts[n], &invZ)
+		t.points[n].fromP3(&pts[n], &invZ)
 	}
 	return t
+}
+
+// entry returns the table's entry for NAF digit d of chunk j.
+func (t *FixedTable) entry(j int, d int8) *affineCached {
+	return &t.points[t.entries*j+int(abs8(d)/2)]
 }
 
 // doubleN sets v = 2^n·p for n ≥ 1, and returns v.
@@ -79,7 +106,7 @@ func (v *Point) doubleN(p *Point, n int) *Point {
 // basepointNafTable returns the FixedTable of B, built the first time it is
 // called.
 var basepointNafTable = sync.OnceValue(func() *FixedTable {
-	return NewFixedTable(NewGeneratorPoint())
+	return NewFixedTable(NewGeneratorPoint(), KeyShape)
 })
 
 // VarTimeDoubleScalarBaseMult sets v = a * A + b * B, where B is the
@@ -107,7 +134,7 @@ func (v *Point) VarTimeDoubleScalarFixedMult(a *Scalar, aTable *FixedTable, b *S
 // A width-w NAF has at most one nonzero digit in any w consecutive
 // places (nonAdjacentForm moves on w places after each), so a scalar has
 // at most ⌈257/w⌉ of them: 52 at width 5 and 33 at width 8. The most a
-// multiplication adds is a one-chunk A's width-5 digits beside B's.
+// multiplication adds is A's width-5 digits beside B's width-8 ones.
 const maxAdditions = (257+4)/5 + (257+7)/8
 
 // prefetchAhead is how many additions before its turn a table entry is
@@ -141,12 +168,11 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	// "mass" of the scalar onto sparse coefficients (meaning
 	// fewer additions).
 	//
-	// The digits are read in c chunks of 256/c places: sixteen when
-	// both points have a FixedTable, else one, and then only the first
-	// chunk of B's table is read. Digit i of chunk j weighs
-	// 2^(i + 256j/c), so it is looked up in the tables of 2^(256j/c)·A
-	// and 2^(256j/c)·B, and one doubling of the accumulator moves every
-	// chunk on by one place.
+	// The digits are read in c chunks of 256/c places: as many as A's
+	// FixedTable has, else one. Digit i of chunk j weighs 2^(i + 256j/c),
+	// so it is looked up in the tables of 2^(256j/c)·A and 2^(256j/c)·B
+	// (chunk 16j/c of B's sixteen), and one doubling of the accumulator
+	// moves every chunk on by one place.
 	//
 	// A first pass lists the additions in loop order, so that the loop
 	// can prefetch each table entry a few additions before it reads it
@@ -156,9 +182,9 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	bTable := basepointNafTable()
 	c, aWidth := 1, uint(5)
 	if aFixed != nil {
-		c, aWidth = tableChunks, 8
+		c, aWidth = aFixed.chunks, aFixed.width
 	}
-	span := 256 / c
+	span, bStep := 256/c, shapes[KeyShape].chunks/c
 	aNaf := a.nonAdjacentForm(aWidth)
 	bNaf := b.nonAdjacentForm(8)
 
@@ -170,7 +196,7 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 			if d := aNaf[span*j+i]; d != 0 {
 				add := addition{place: uint8(i), neg: d < 0}
 				if aFixed != nil {
-					add.affine = &aFixed[j].points[abs8(d)/2]
+					add.affine = aFixed.entry(j, d)
 				} else {
 					add.cached = &aOnce.points[abs8(d)/2]
 				}
@@ -178,7 +204,7 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 				count++
 			}
 			if d := bNaf[span*j+i]; d != 0 {
-				adds[count] = addition{affine: &bTable[j].points[abs8(d)/2], place: uint8(i), neg: d < 0}
+				adds[count] = addition{affine: bTable.entry(bStep*j, d), place: uint8(i), neg: d < 0}
 				count++
 			}
 		}

@@ -20,8 +20,15 @@ var (
 	dalekScalarBasepoint, _ = new(Point).SetBytes([]byte{0xf4, 0xef, 0x7c, 0xa, 0x34, 0x55, 0x7b, 0x9f, 0x72, 0x3b, 0xb6, 0x1e, 0xf9, 0x46, 0x9, 0x91, 0x1c, 0xb9, 0xc0, 0x6c, 0x17, 0x28, 0x2d, 0x8b, 0x43, 0x2b, 0x5, 0x18, 0x6a, 0x54, 0x3e, 0x48})
 )
 
-// doubleScalarMults are the two forms of A's table a double-scalar
-// multiplication runs with: built for the one call, and a FixedTable.
+// tableShapes are the two FixedTable shapes, by name.
+var tableShapes = map[string]TableShape{
+	"key table":    KeyShape,
+	"wallet table": WalletShape,
+}
+
+// doubleScalarMults are the forms of A's table a double-scalar
+// multiplication runs with: built for the one call, and a FixedTable of
+// either shape.
 var doubleScalarMults = []struct {
 	name string
 	mult func(v *Point, a *Scalar, A *Point, b *Scalar) *Point
@@ -29,8 +36,11 @@ var doubleScalarMults = []struct {
 	{"one chunk", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
 		return v.VarTimeDoubleScalarBaseMult(a, A, b)
 	}},
-	{"fixed table", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
-		return v.VarTimeDoubleScalarFixedMult(a, NewFixedTable(A), b)
+	{"key table", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
+		return v.VarTimeDoubleScalarFixedMult(a, NewFixedTable(A, KeyShape), b)
+	}},
+	{"wallet table", func(v *Point, a *Scalar, A *Point, b *Scalar) *Point {
+		return v.VarTimeDoubleScalarFixedMult(a, NewFixedTable(A, WalletShape), b)
 	}},
 }
 
@@ -133,16 +143,16 @@ func TestSlowReferenceVsDalek(t *testing.T) {
 // TestBasepointNafTableGeneration holds the batch-inverted tables against
 // upstream's construction of 2^(16j)·B, one inversion per point.
 func TestBasepointNafTableGeneration(t *testing.T) {
-	tables := basepointNafTable()
+	table := basepointNafTable()
 	p := NewGeneratorPoint()
-	for j := range tables {
+	for j := range table.chunks {
 		if j > 0 {
-			p.doubleN(p, chunkPlaces)
+			p.doubleN(p, 256/table.chunks)
 		}
 		var want nafLookupTable8
 		want.FromP3(p)
 		for i := range want.points {
-			got, w := &tables[j].points[i], &want.points[i]
+			got, w := &table.points[table.entries*j+i], &want.points[i]
 			if got.YplusX.Equal(&w.YplusX) != 1 || got.YminusX.Equal(&w.YminusX) != 1 || got.T2d.Equal(&w.T2d) != 1 {
 				t.Fatalf("basepoint table %d, point %d does not match", j, i)
 			}
@@ -162,36 +172,43 @@ func randomPoint(rand *mathrand.Rand) *Point {
 	}
 }
 
-// TestMultTableChunks checks the shape of a FixedTable, for B and for a
-// random point P: entry i of chunk j is (2i+1)·2^(16j)·P, by the
-// reference multiplication.
+// TestMultTableChunks checks the shapes of a FixedTable, for B and for a
+// random point P: entry i of chunk j is (2i+1)·2^(256j/c)·P, by the
+// reference multiplication, and a chunk's entries cover the digits of
+// its NAF width.
 func TestMultTableChunks(t *testing.T) {
-	for name, p := range map[string]*Point{"B": B, "random": randomPoint(mathrand.New(mathrand.NewSource(33)))} {
-		table := NewFixedTable(p)
-		for j := range table {
-			for i := range table[j].points {
-				var k [32]byte // (2i+1)·2^(16j), little-endian
-				k[chunkPlaces*j/8] = byte(2*i + 1)
-				s, err := new(Scalar).SetCanonicalBytes(k[:])
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want, got Point
-				var sum projP1xP1
-				want.scalarMultSlow(s, p)
-				got.fromP1xP1(sum.AddAffine(I, &table[j].points[i]))
-				if got.Equal(&want) != 1 {
-					t.Fatalf("%s: chunk %d, entry %d is not %d·2^%d·P", name, j, i, 2*i+1, chunkPlaces*j)
+	for shapeName, shape := range tableShapes {
+		for name, p := range map[string]*Point{"B": B, "random": randomPoint(mathrand.New(mathrand.NewSource(33)))} {
+			table := NewFixedTable(p, shape)
+			chunks, entries := table.chunks, table.entries
+			if len(table.points) != chunks*entries || 2*entries != 1<<(table.width-1) {
+				t.Fatalf("%s: %d points of NAF width %d", shapeName, len(table.points), table.width)
+			}
+			for j := range chunks {
+				for i := range entries {
+					var k [32]byte // (2i+1)·2^(256j/c), little-endian
+					k[256/chunks*j/8] = byte(2*i + 1)
+					s, err := new(Scalar).SetCanonicalBytes(k[:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want, got Point
+					var sum projP1xP1
+					want.scalarMultSlow(s, p)
+					got.fromP1xP1(sum.AddAffine(I, table.entry(j, int8(2*i+1))))
+					if got.Equal(&want) != 1 {
+						t.Fatalf("%s of %s: chunk %d, entry %d is not %d·2^%d·P", shapeName, name, j, i, 2*i+1, 256/chunks*j)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestFixedMultMatchesOneChunk holds the sixteen-chunk loop against the
-// one-chunk loop: on the scalars 0, 1, dalek's and the dense ones, each
-// against each, under B, a small-order, a mixed-order and a random
-// point, and on random points and scalars.
+// TestFixedMultMatchesOneChunk holds the loop over either FixedTable
+// shape against the one-chunk loop: on the scalars 0, 1, dalek's and the
+// dense ones, each against each, under B, a small-order, a mixed-order
+// and a random point, and on random points and scalars.
 func TestFixedMultMatchesOneChunk(t *testing.T) {
 	agree := func(A *Point, table *FixedTable, x, y *Scalar) bool {
 		var p, q Point
@@ -210,38 +227,42 @@ func TestFixedMultMatchesOneChunk(t *testing.T) {
 	for _, s := range denseScalars(t) {
 		edges = append(edges, s)
 	}
-	for name, A := range map[string]*Point{"B": B, "order 8": order8, "mixed order": mixed, "random": randomPoint(mathrand.New(mathrand.NewSource(34)))} {
-		table := NewFixedTable(A)
-		for i, x := range edges {
-			for j, y := range edges {
-				if !agree(A, table, x, y) {
-					t.Errorf("%s: the loops disagree on edge scalars %d and %d", name, i, j)
+	for shapeName, shape := range tableShapes {
+		for name, A := range map[string]*Point{"B": B, "order 8": order8, "mixed order": mixed, "random": randomPoint(mathrand.New(mathrand.NewSource(34)))} {
+			table := NewFixedTable(A, shape)
+			for i, x := range edges {
+				for j, y := range edges {
+					if !agree(A, table, x, y) {
+						t.Errorf("%s of %s: the loops disagree on edge scalars %d and %d", shapeName, name, i, j)
+					}
 				}
 			}
 		}
-	}
 
-	fixedMatchesOneChunk := func(pointSeed int64, x, y Scalar) bool {
-		A := randomPoint(mathrand.New(mathrand.NewSource(pointSeed)))
-		return agree(A, NewFixedTable(A), &x, &y)
-	}
-	if err := quick.Check(fixedMatchesOneChunk, quickCheckConfig(4)); err != nil {
-		t.Error(err)
+		fixedMatchesOneChunk := func(pointSeed int64, x, y Scalar) bool {
+			A := randomPoint(mathrand.New(mathrand.NewSource(pointSeed)))
+			return agree(A, NewFixedTable(A, shape), &x, &y)
+		}
+		if err := quick.Check(fixedMatchesOneChunk, quickCheckConfig(4)); err != nil {
+			t.Errorf("%s: %v", shapeName, err)
+		}
 	}
 }
 
 func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 	A := dalekScalarBasepoint
-	table := NewFixedTable(A)
+	table := NewFixedTable(A, KeyShape)
+	wallet := NewFixedTable(A, WalletShape)
 	varTimeDoubleBaseMultMatchesReference := func(x, y Scalar) bool {
-		var q1, q2, check, p1, p2 Point
+		var q1, q2, check, p1, p2, p3 Point
 		q1.scalarMultSlow(&x, A)
 		q2.scalarMultSlow(&y, B)
 		check.Add(&q1, &q2)
 		p1.VarTimeDoubleScalarBaseMult(&x, A, &y)
 		p2.VarTimeDoubleScalarFixedMult(&x, table, &y)
-		checkOnCurve(t, &p1, &p2, &check)
-		return p1.Equal(&check) == 1 && p2.Equal(&check) == 1
+		p3.VarTimeDoubleScalarFixedMult(&x, wallet, &y)
+		checkOnCurve(t, &p1, &p2, &p3, &check)
+		return p1.Equal(&check) == 1 && p2.Equal(&check) == 1 && p3.Equal(&check) == 1
 	}
 
 	dense := denseScalars(t)
@@ -261,14 +282,19 @@ func TestVarTimeDoubleBaseMultMatchesReference(t *testing.T) {
 
 func BenchmarkVarTimeDoubleScalarBaseMult(b *testing.B) {
 	basepointNafTable()
-	b.Run("table=fixed", func(b *testing.B) {
-		var p Point
-		table := NewFixedTable(B)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.VarTimeDoubleScalarFixedMult(dalekScalar, table, dalekScalar)
-		}
-	})
+	for _, shape := range []struct {
+		name  string
+		shape TableShape
+	}{{"table=fixed", KeyShape}, {"table=wallet", WalletShape}} {
+		b.Run(shape.name, func(b *testing.B) {
+			var p Point
+			table := NewFixedTable(B, shape.shape)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.VarTimeDoubleScalarFixedMult(dalekScalar, table, dalekScalar)
+			}
+		})
+	}
 	b.Run("table=per-call", func(b *testing.B) {
 		var p Point
 		for i := 0; i < b.N; i++ {
@@ -278,7 +304,14 @@ func BenchmarkVarTimeDoubleScalarBaseMult(b *testing.B) {
 }
 
 func BenchmarkNewFixedTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NewFixedTable(B)
-	}
+	b.Run("key", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewFixedTable(B, KeyShape)
+		}
+	})
+	b.Run("wallet", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewFixedTable(B, WalletShape)
+		}
+	})
 }

@@ -10,13 +10,6 @@ type nafLookupTable5 struct {
 	points [8]projCached
 }
 
-// A precomputed lookup table for fixed-base, variable-time scalar muls.
-// Entry i is (2i+1)·Q in affine form; the double-scalar loop reads it in
-// place.
-type nafLookupTable8 struct {
-	points [64]affineCached
-}
-
 // Constructors.
 
 // Builds a lookup table at runtime. Fast.

@@ -21,6 +21,9 @@ type Registry struct {
 	keys   map[types.ReplicaID]PublicKey
 	seeds  map[string][]byte                   // sim-scheme seeds, keyed by string(pub)
 	tables map[string]*edwards25519.FixedTable // ed25519 key tables, keyed by string(pub)
+	// wallets holds small tables for the ed25519 keys not registered here
+	// that are checked more than once.
+	wallets keyCache
 }
 
 // NewRegistry creates an empty registry for the given scheme kind.
@@ -54,7 +57,7 @@ func (r *Registry) Register(id types.ReplicaID, kp *KeyPair) error {
 	}
 	var table *edwards25519.FixedTable
 	if kp.kind == SchemeEd25519 {
-		table = newKeyTable(kp.pub)
+		table = newKeyTable(kp.pub, edwards25519.KeyShape)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -109,15 +112,20 @@ func (r *Registry) seedOf(id types.ReplicaID) ([]byte, bool) {
 	return s, ok
 }
 
-// keyTable returns the table registered for an ed25519 key, or nil when
-// pub is not a registered key (or r is nil).
+// keyTable returns the table registered for an ed25519 key, else the
+// wallet-key cache's table for it, or nil when neither has one (or r is
+// nil).
 func (r *Registry) keyTable(pub PublicKey) *edwards25519.FixedTable {
 	if r == nil {
 		return nil
 	}
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tables[string(pub)]
+	t := r.tables[string(pub)]
+	r.mu.RUnlock()
+	if t != nil {
+		return t
+	}
+	return r.wallets.table(pub)
 }
 
 // publicKeys resolves a batch of identities to their keys and key tables

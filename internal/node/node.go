@@ -305,7 +305,6 @@ func (n *Node) commit(k uint64, attempt uint32, d *sbc.Decision) {
 		s.TxsApplied += uint64(applied)
 		s.Pipeline.ProposalsCommitted += uint64(len(d.Proposals))
 		s.Pipeline.noteBinary(d)
-		s.Memory.RetainedPayloadBytes += int64(payloadBytes(d))
 		n.noteLedger(s)
 	})
 	if every := n.opts.CheckpointEvery; n.store == nil && every > 0 && n.status.BlocksCommitted%every == 0 {

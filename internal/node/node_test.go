@@ -440,6 +440,14 @@ func TestSimAndTransportHostsAgree(t *testing.T) {
 		t.Errorf("cached batches: sim %d, tcp %d, want every payload and 2n", a.Memory.BatchCacheEntries, b.Memory.BatchCacheEntries)
 	}
 	a.Memory.BatchCacheEntries, b.Memory.BatchCacheEntries = 0, 0
+	// Which check of a wallet key finds its cached table depends on how
+	// the worker pool interleaves the checks, so the hits and misses are
+	// not compared; the tables held and built are.
+	if a.WalletKeys.Tables == 0 || a.WalletKeys.Hits == 0 || b.WalletKeys.Hits == 0 {
+		t.Errorf("wallet-key cache: sim %+v, tcp %+v, want tables and hits", a.WalletKeys, b.WalletKeys)
+	}
+	a.WalletKeys.Hits, b.WalletKeys.Hits = 0, 0
+	a.WalletKeys.Misses, b.WalletKeys.Misses = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("status differs:\nsim %+v\ntcp %+v", a, b)
 	}

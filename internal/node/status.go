@@ -3,10 +3,10 @@ package node
 import (
 	"strconv"
 
+	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/mempool"
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/sbc"
-	"github.com/zeroloss/zlb/internal/types"
 )
 
 // Status is the node's part of the /status document, and the state its
@@ -22,6 +22,10 @@ type Status struct {
 	Memory          MemoryStatus   `json:"memory"`
 	Pipeline        PipelineStatus `json:"pipeline"`
 	Mempool         mempool.Stats  `json:"mempool"`
+	// WalletKeys is the transaction scheme's wallet-key cache
+	// (internal/crypto): the tables it holds, its hits, builds and
+	// evictions.
+	WalletKeys crypto.KeyCacheStats `json:"wallet_key_cache"`
 }
 
 // ReplicaStatus is the consensus-state part of Status: how many
@@ -32,15 +36,21 @@ type ReplicaStatus struct {
 	UnfinalInstances   int64  `json:"unfinal_instances"`
 }
 
-// MemoryStatus is what committed history holds in memory on this node:
-// the zlb_ledger_blocks … zlb_retained_payload_bytes series. Everything
-// but the batch cache grows with the chain.
+// MemoryStatus is what committed history holds on this node: the
+// zlb_ledger_blocks … zlb_history_errors_total series. The ledger's
+// blocks, committed IDs and unspent outputs grow with the chain; the
+// retained payloads are those of the decisions the replica still holds
+// in its instances (asmr.Stats.DecisionBytes), which retirement hands to
+// the replica's history (asmr.History): on a deployed node a file, whose
+// bytes are HistoryBytes.
 type MemoryStatus struct {
-	LedgerBlocks         int64 `json:"ledger_blocks"`
-	CommittedTxIDs       int64 `json:"committed_txids"`
-	UTXOEntries          int64 `json:"utxo_entries"`
-	BatchCacheEntries    int64 `json:"batch_cache_entries"`
-	RetainedPayloadBytes int64 `json:"retained_payload_bytes"`
+	LedgerBlocks         int64  `json:"ledger_blocks"`
+	CommittedTxIDs       int64  `json:"committed_txids"`
+	UTXOEntries          int64  `json:"utxo_entries"`
+	BatchCacheEntries    int64  `json:"batch_cache_entries"`
+	RetainedPayloadBytes int64  `json:"retained_payload_bytes"`
+	HistoryBytes         int64  `json:"history_bytes"`
+	HistoryErrors        uint64 `json:"history_errors"`
 }
 
 // PipelineStatus is where proposal, agreement and signature work went: the
@@ -82,7 +92,17 @@ func (n *Node) Status() Status {
 	cache := n.opts.Batches.Stats()
 	s.Pipeline.BatchTxsDecoded, s.Pipeline.BatchTxsReused = cache.TxsDecoded, cache.TxsReused
 	s.Mempool = n.pool.Stats()
+	s.WalletKeys = n.walletKeys()
 	return s
+}
+
+// walletKeys reports the transaction scheme's wallet-key cache; a scheme
+// without one reads zero.
+func (n *Node) walletKeys() crypto.KeyCacheStats {
+	if c, ok := n.opts.Scheme.(interface{ KeyCacheStats() crypto.KeyCacheStats }); ok {
+		return c.KeyCacheStats()
+	}
+	return crypto.KeyCacheStats{}
 }
 
 // noteLedger records the chain height, what committed history holds in
@@ -110,20 +130,6 @@ func (p *PipelineStatus) noteBinary(d *sbc.Decision) {
 	}
 }
 
-// payloadBytes is what retaining d costs in proposal payloads. Equal
-// payloads are one array (rbc.Intern) and count once.
-func payloadBytes(d *sbc.Decision) int {
-	total := 0
-	counted := make(map[types.Digest]bool, len(d.Proposals))
-	for _, p := range d.Proposals {
-		if !counted[p.Digest] {
-			counted[p.Digest] = true
-			total += len(p.Payload)
-		}
-	}
-	return total
-}
-
 // Publish records what the attached replica holds in memory. Call it on
 // the event loop once an event that committed a block has returned, when
 // the replica has retired what the new block pushed out of its window.
@@ -138,6 +144,7 @@ func (n *Node) Publish() {
 		}
 		s.Pipeline.StmtSigChecks, s.Pipeline.StmtSigKnown, s.Pipeline.StmtSigDeferred = held.StmtSigChecks, held.StmtSigKnown, held.StmtSigDeferred
 		s.Pipeline.DecidePulls = held.DecidePulls
+		s.Memory.RetainedPayloadBytes, s.Memory.HistoryBytes, s.Memory.HistoryErrors = held.DecisionBytes, held.HistoryBytes, held.HistoryErrors
 	})
 }
 
@@ -199,7 +206,21 @@ func (n *Node) registerSeries() {
 	reg.GaugeFunc("zlb_committed_txids", "Committed transaction IDs the ledger holds.", locked(func() int64 { return s.Memory.CommittedTxIDs }))
 	reg.GaugeFunc("zlb_utxo_entries", "Unspent outputs in the UTXO table.", locked(func() int64 { return s.Memory.UTXOEntries }))
 	reg.GaugeFunc("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n).", locked(func() int64 { return s.Memory.BatchCacheEntries }))
-	reg.GaugeFunc("zlb_retained_payload_bytes", "Proposal payload bytes in the decisions this replica committed and retains.", locked(func() int64 { return s.Memory.RetainedPayloadBytes }))
+	reg.GaugeFunc("zlb_retained_payload_bytes", "Proposal payload bytes in the committed decisions this replica holds in memory, outside its history.", locked(func() int64 { return s.Memory.RetainedPayloadBytes }))
+	reg.GaugeFunc("zlb_history_bytes", "Bytes of the history the decisions of retired instances go to (a file on a deployed node).", locked(func() int64 { return s.Memory.HistoryBytes }))
+	reg.CounterFunc("zlb_history_errors_total", "Failed history writes (the decision stays in memory) and failed or mismatched reads (nothing is served for the instance).", locked(func() int64 { return int64(s.Memory.HistoryErrors) }))
+
+	walletKeys := n.walletKeys
+	reg.GaugeFunc("zlb_wallet_key_tables", "Wallet-key tables the transaction scheme's cache holds.",
+		func() float64 { return float64(walletKeys().Tables) })
+	reg.CounterFunc("zlb_wallet_key_hits_total", "Transaction signature checks that found their key's table in the wallet-key cache.",
+		func() float64 { return float64(walletKeys().Hits) })
+	reg.CounterFunc("zlb_wallet_key_misses_total", "Transaction signature checks under an unregistered key that found no table in the wallet-key cache.",
+		func() float64 { return float64(walletKeys().Misses) })
+	reg.CounterFunc("zlb_wallet_key_builds_total", "Wallet-key tables built, each at its key's second accepted check.",
+		func() float64 { return float64(walletKeys().Builds) })
+	reg.CounterFunc("zlb_wallet_key_evictions_total", "Wallet-key tables evicted, oldest first, to make room for a new one.",
+		func() float64 { return float64(walletKeys().Evictions) })
 
 	reg.GaugeFunc("zlb_mempool_pending", "Transactions pending in the mempool.",
 		func() float64 { return float64(pool.Stats().Pending) })

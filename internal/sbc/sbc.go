@@ -111,16 +111,35 @@ func (d *Decision) TotalClaimedTx() int {
 	return sum
 }
 
+// PayloadBytes is what holding d costs in proposal payloads. Equal
+// payloads are one array (rbc.Intern) and count once.
+func (d *Decision) PayloadBytes() int {
+	total := 0
+	counted := make(map[types.Digest]bool, len(d.Proposals))
+	for _, p := range d.Proposals {
+		if !counted[p.Digest] {
+			counted[p.Digest] = true
+			total += len(p.Payload)
+		}
+	}
+	return total
+}
+
 // AnswerPull answers a late pull — an rbc.PayloadReq or a ProposalReq for
 // a slot decided 1, a bincon.DecideReq for any slot — from the decision
 // alone, with the same response the live instance gave (its rbc state,
 // delivery map and binary decisions are what the decision was assembled
-// from). It returns nil for any other message, and for slots or digests
-// the decision does not carry. The replica uses it once it has retired the
-// instance's protocol state.
-func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
+// from). It calls decision only for a pull, and returns nil for any other
+// message, when decision returns nil, and for slots or digests the
+// decision does not carry. The replica uses it once it has retired the
+// instance's protocol state and keeps the decision out of memory.
+func AnswerPull(msg simnet.Message, decision func() *Decision) simnet.Message {
 	switch m := msg.(type) {
 	case *rbc.PayloadReq:
+		d := decision()
+		if d == nil {
+			return nil
+		}
 		p, ok := d.Proposals[m.Broadcaster]
 		if !ok || p.Digest != m.Digest {
 			return nil
@@ -135,6 +154,10 @@ func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
 			InitStmt:     d.InitStmts[m.Broadcaster],
 		}
 	case *bincon.DecideReq:
+		d := decision()
+		if d == nil {
+			return nil
+		}
 		slot := types.ReplicaID(m.Slot)
 		cert := d.BinCerts[slot]
 		if cert == nil {
@@ -148,6 +171,10 @@ func (d *Decision) AnswerPull(msg simnet.Message) simnet.Message {
 			Cert:     cert,
 		}
 	case *ProposalReq:
+		d := decision()
+		if d == nil {
+			return nil
+		}
 		p, ok := d.Proposals[m.Slot]
 		if !ok {
 			return nil

@@ -146,7 +146,7 @@ func TestSBCPulledReadyCertificateRule(t *testing.T) {
 	done.proposeAll(nil)
 	done.net.RunUntilQuiet(10 * time.Minute)
 	slot := done.decided[1].OrderedProposals()[0].Broadcaster // any slot decided 1
-	resp, ok := done.decided[1].AnswerPull(&ProposalReq{Context: accountability.CtxMain, Instance: 1, Slot: slot}).(*ProposalResp)
+	resp, ok := AnswerPull(&ProposalReq{Context: accountability.CtxMain, Instance: 1, Slot: slot}, func() *Decision { return done.decided[1] }).(*ProposalResp)
 	if !ok || resp.Cert == nil {
 		t.Fatal("the decision does not answer the pull with a certified proposal")
 	}

@@ -453,29 +453,31 @@ func (w *Wallet) PayWithFee(inputs []Input, to []Output, fee types.Amount) (*Tra
 	return tx, nil
 }
 
-// Table is the in-memory UTXO table (paper §4.2.2): the unspent outputs,
-// indexed by outpoint and by owning account, and each account's running
-// balance. It is three plain maps with no lock, owned by one goroutine —
-// the event loop of the replica whose ledger (bm.Ledger) holds it. A
-// block applies to it in order on that loop (Alg. 2), the signature
-// checks that do run elsewhere never read it (VerifySig is a function of
-// the transaction alone), and a metrics scrape reads the node's status
-// snapshot, not the table. A caller on another goroutine must be given
-// its own synchronization, and named here, before the table grows one.
+// Table is the in-memory UTXO table (paper §4.2.2): the unspent outputs
+// by outpoint, and each account's running balance. It is two plain maps
+// with no lock, owned by one goroutine — the event loop of the replica
+// whose ledger (bm.Ledger) holds it. A block applies to it in order on
+// that loop (Alg. 2), the signature checks that do run elsewhere never
+// read it (VerifySig is a function of the transaction alone), and a
+// metrics scrape reads the node's status snapshot, not the table. A
+// caller on another goroutine must be given its own synchronization, and
+// named here, before the table grows one.
+//
+// There is no index by account: a node never asks which outputs an
+// account owns. A wallet's input selection (InputsFor) and a slashed
+// account's enumeration (Outpoints) scan the table.
 type Table struct {
-	utxos  map[Outpoint]Output
-	byAddr map[Address]map[Outpoint]struct{}
+	utxos map[Outpoint]Output
 	// bal holds each address's running balance so Balance is O(1) instead
-	// of iterating the outpoint set.
+	// of scanning the table.
 	bal map[Address]types.Amount
 }
 
 // NewTable creates an empty table.
 func NewTable() *Table {
 	return &Table{
-		utxos:  make(map[Outpoint]Output),
-		byAddr: make(map[Address]map[Outpoint]struct{}),
-		bal:    make(map[Address]types.Amount),
+		utxos: make(map[Outpoint]Output),
+		bal:   make(map[Address]types.Amount),
 	}
 }
 
@@ -486,12 +488,6 @@ func (t *Table) Credit(op Outpoint, out Output) {
 	}
 	t.utxos[op] = out
 	t.bal[out.Account] += out.Value
-	set, ok := t.byAddr[out.Account]
-	if !ok {
-		set = make(map[Outpoint]struct{})
-		t.byAddr[out.Account] = set
-	}
-	set[op] = struct{}{}
 }
 
 // Spendable reports whether the outpoint is unspent, and its output.
@@ -512,12 +508,6 @@ func (t *Table) Consume(op Outpoint) bool {
 	} else {
 		t.bal[out.Account] = next
 	}
-	if set, ok := t.byAddr[out.Account]; ok {
-		delete(set, op)
-		if len(set) == 0 {
-			delete(t.byAddr, out.Account)
-		}
-	}
 	return true
 }
 
@@ -525,11 +515,14 @@ func (t *Table) Consume(op Outpoint) bool {
 func (t *Table) Balance(addr Address) types.Amount { return t.bal[addr] }
 
 // Outpoints returns the account's unspent outpoints sorted by (TxID,
-// Index) — deterministic input selection for wallets.
+// Index) — deterministic input selection for wallets. It scans the
+// table.
 func (t *Table) Outpoints(addr Address) []Outpoint {
-	ops := make([]Outpoint, 0, len(t.byAddr[addr]))
-	for op := range t.byAddr[addr] {
-		ops = append(ops, op)
+	var ops []Outpoint
+	for op, out := range t.utxos {
+		if out.Account == addr {
+			ops = append(ops, op)
+		}
 	}
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].TxID != ops[j].TxID {
@@ -543,16 +536,19 @@ func (t *Table) Outpoints(addr Address) []Outpoint {
 // InputsFor selects inputs covering at least amount, consuming as many
 // small UTXOs as possible first to keep the table compact (paper §4.2.2
 // "maximizing the number of UTXOs to consume"). An O(1) balance check
-// rejects underfunded requests before any sorting; selection uses a
-// single value-ordered sort — (Value, TxID, Index) ascending, which ties
-// break exactly like the previous sort-then-stable-sort pair did.
+// rejects underfunded requests before the table is scanned; selection
+// uses a single value-ordered sort — (Value, TxID, Index) ascending,
+// which ties break exactly like the previous sort-then-stable-sort pair
+// did.
 func (t *Table) InputsFor(addr Address, amount types.Amount) ([]Input, error) {
 	if have := t.Balance(addr); have < amount {
 		return nil, fmt.Errorf("%w: account %v has %d, needs %d", ErrMissingUTXO, addr, have, amount)
 	}
-	picked := make([]Input, 0, len(t.byAddr[addr]))
-	for op := range t.byAddr[addr] {
-		picked = append(picked, Input{Prev: op, Value: t.utxos[op].Value})
+	var picked []Input
+	for op, out := range t.utxos {
+		if out.Account == addr {
+			picked = append(picked, Input{Prev: op, Value: out.Value})
+		}
 	}
 	sort.Slice(picked, func(i, j int) bool {
 		if picked[i].Value != picked[j].Value {

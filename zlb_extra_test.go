@@ -210,8 +210,9 @@ func TestRBCastVariantPayloadsMerge(t *testing.T) {
 // replica — the objects a deployed node serves at /status — after every
 // block of a 100-block run: the instances holding protocol state stay
 // within the retention window plus what is in flight, everything older
-// is retired to its compact record, and the memory and pipeline objects
-// follow the chain.
+// is retired to its compact record, with its decision's payloads moved
+// from the retained bytes to the history's, and the memory and pipeline
+// objects follow the chain.
 func TestStatusBoundedOverLongRun(t *testing.T) {
 	const blocks = 100
 	c, err := NewCluster(Config{N: 4, Seed: 3, MaxBlocks: blocks})
@@ -243,7 +244,9 @@ func TestStatusBoundedOverLongRun(t *testing.T) {
 	if st.Replica.CompactedInstances < blocks-window || st.Replica.UnfinalInstances != 0 {
 		t.Errorf("replica %+v after %d blocks, want >= %d compacted and none unfinal", st.Replica, blocks, blocks-window)
 	}
-	if m := st.Memory; m.LedgerBlocks != blocks || m.CommittedTxIDs != blocks || m.BatchCacheEntries < 1 || m.RetainedPayloadBytes < 200*blocks {
+	// Every committed payload is held, the retired ones in the history.
+	if m := st.Memory; m.LedgerBlocks != blocks || m.CommittedTxIDs != blocks || m.BatchCacheEntries < 1 ||
+		m.RetainedPayloadBytes+m.HistoryBytes < 200*blocks || m.RetainedPayloadBytes >= m.HistoryBytes || m.HistoryErrors != 0 {
 		t.Errorf("memory %+v after %d one-payment blocks", m, blocks)
 	}
 	if p := st.Pipeline; st.TxsApplied != blocks || p.ProposalsCommitted < blocks || p.ProposalsDelivered < p.ProposalsCommitted {
