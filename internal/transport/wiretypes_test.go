@@ -3,7 +3,10 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -186,6 +189,39 @@ func TestConsensusMessagesSurviveEnvelope(t *testing.T) {
 			t.Errorf("frame kind %d has no sample", k)
 		} else if name != "" && reservedKinds[k] {
 			t.Errorf("%s encodes to reserved kind %d", name, k)
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/frames.golden")
+
+// TestFramesGolden pins the bytes of every sample's frame, variants
+// included: a round trip alone would pass a change made to encoder and
+// decoder alike. Rewrite with -update only for a deliberate format change,
+// which also bumps the preamble version.
+func TestFramesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, s := range frameSamples() {
+		fmt.Fprintf(&got, "%s %s\n", s.name, hex.EncodeToString(encodeSample(t, s)))
+	}
+	const path = "testdata/frames.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%d frames, golden holds %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
 		}
 	}
 }
@@ -401,4 +437,27 @@ func exprString(e ast.Expr) string {
 		return x.Name
 	}
 	return "?"
+}
+
+// TestFrameAllocations pins what the busiest frames cost the heap. Decoding
+// a vote allocates the message and the copy of its signature and nothing
+// else (the reader stays on the stack), and encoding a vote into a buffer
+// with room for it allocates nothing.
+func TestFrameAllocations(t *testing.T) {
+	for _, name := range []string{"*rbc.Echo", "*bincon.Aux", "*asmr.Confirm"} {
+		frame := encodeSample(t, sampleNamed(t, name))
+		if n := testing.AllocsPerRun(100, func() { decodeFrame(frame) }); n != 2 {
+			t.Errorf("decoding %s allocates %v times, want 2", name, n)
+		}
+	}
+	votes := []string{"*rbc.Echo", "*rbc.Ready", "*rbc.PayloadReq", "*bincon.Est", "*bincon.Coord",
+		"*bincon.Aux", "*bincon.Decide/announcement", "*bincon.DecideReq", "*sbc.ProposalReq",
+		"*asmr.Confirm", "*asmr.CatchupReq"}
+	for _, name := range votes {
+		msg := sampleNamed(t, name).msg
+		buf := make([]byte, 0, 512)
+		if n := testing.AllocsPerRun(100, func() { appendFrame(buf[:0], msg) }); n != 0 {
+			t.Errorf("encoding %s allocates %v times, want 0", name, n)
+		}
+	}
 }
