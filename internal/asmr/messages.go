@@ -1,9 +1,12 @@
 package asmr
 
 import (
+	"encoding/binary"
+
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // WireInstance packs a logical chain index k and a restart attempt into
@@ -36,11 +39,47 @@ func (m *Confirm) SimBytes() int { return 200 }
 // SimSigOps implements simnet.Meter.
 func (m *Confirm) SimSigOps() int { return 1 }
 
+// AppendBinary appends the confirmation's frame body: k u64, attempt u32,
+// digest, signed statement.
+func (m *Confirm) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(b, m.K), m.Attempt)
+	return m.Stmt.AppendBinary(append(b, m.Digest[:]...))
+}
+
+// ReadConfirm reads Confirm.AppendBinary's layout.
+func ReadConfirm(r *wire.Reader) *Confirm {
+	return &Confirm{K: r.U64(), Attempt: r.U32(), Digest: r.Digest(), Stmt: accountability.ReadSigned(r)}
+}
+
 // BlockRecord is one committed instance inside a catch-up transfer.
 type BlockRecord struct {
 	K        uint64
 	Attempt  uint32
 	Decision *sbc.Decision
+}
+
+// appendBlocks writes count u32 and each block's k u64, attempt u32 and
+// decision (sbc.Decision.AppendBinary, which marks a nil one).
+func appendBlocks(b []byte, blocks []BlockRecord) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(blocks)))
+	for _, rec := range blocks {
+		b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(b, rec.K), rec.Attempt)
+		b, _ = rec.Decision.AppendBinary(b) // cannot fail
+	}
+	return b
+}
+
+// readBlocks reads appendBlocks' layout; no block decodes as nil.
+func readBlocks(r *wire.Reader) []BlockRecord {
+	n := r.Count(8 + 4 + 1)
+	if n == 0 {
+		return nil
+	}
+	blocks := make([]BlockRecord, n)
+	for i := range blocks {
+		blocks[i] = BlockRecord{K: r.U64(), Attempt: r.U32(), Decision: sbc.ReadDecision(r)}
+	}
+	return blocks
 }
 
 // JoinNotice is the set-up-connection + send-catchup transfer (Alg. 1
@@ -75,6 +114,22 @@ func (m *JoinNotice) SimSigOps() int {
 	return ops
 }
 
+// AppendBinary appends the join notice's frame body: epoch u64, next k
+// u64, the blocks, the pending attempts (wire.AppendMap of k u64 to
+// attempt u32) and, last, the committee (wire.AppendReplicas).
+func (m *JoinNotice) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, m.Epoch), m.NextK)
+	b = appendBlocks(b, m.Blocks)
+	b = wire.AppendMap(b, m.PendingAttempts, binary.BigEndian.AppendUint64, binary.BigEndian.AppendUint32)
+	return wire.AppendReplicas(b, m.Committee), nil
+}
+
+// ReadJoinNotice reads JoinNotice.AppendBinary's layout.
+func ReadJoinNotice(r *wire.Reader) *JoinNotice {
+	return &JoinNotice{Epoch: r.U64(), NextK: r.U64(), Blocks: readBlocks(r),
+		PendingAttempts: wire.ReadMap(r, 8+4, r.U64, r.U32), Committee: wire.ReadReplicas(r)}
+}
+
 // CatchupReq asks a replica for its decided blocks FromK..ToK, with their
 // certificates — the one request for a block that travels whole. The
 // confirmation phase pulls a conflicting decision with [k, k]; a replica
@@ -89,6 +144,14 @@ func (m *CatchupReq) SimBytes() int { return 40 }
 
 // SimSigOps implements simnet.Meter.
 func (m *CatchupReq) SimSigOps() int { return 0 }
+
+// AppendBinary appends the request's frame body: from k u64, to k u64.
+func (m *CatchupReq) AppendBinary(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, m.FromK), m.ToK), nil
+}
+
+// ReadCatchupReq reads CatchupReq.AppendBinary's layout.
+func ReadCatchupReq(r *wire.Reader) *CatchupReq { return &CatchupReq{FromK: r.U64(), ToK: r.U64()} }
 
 // CatchupResp answers a CatchupReq: the range it asked for, repeated, and
 // the decided blocks of that range the sender holds (possibly none). Its
@@ -114,6 +177,17 @@ func (m *CatchupResp) SimSigOps() int {
 		ops += decisionSigOps(b.Decision)
 	}
 	return ops
+}
+
+// AppendBinary appends the answer's frame body: from k u64, to k u64, the
+// blocks.
+func (m *CatchupResp) AppendBinary(b []byte) ([]byte, error) {
+	return appendBlocks(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, m.FromK), m.ToK), m.Blocks), nil
+}
+
+// ReadCatchupResp reads CatchupResp.AppendBinary's layout.
+func ReadCatchupResp(r *wire.Reader) *CatchupResp {
+	return &CatchupResp{FromK: r.U64(), ToK: r.U64(), Blocks: readBlocks(r)}
 }
 
 func decisionBytes(d *sbc.Decision) int {

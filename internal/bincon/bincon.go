@@ -38,6 +38,7 @@
 package bincon
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -47,6 +48,7 @@ import (
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // Est is the (unsigned, transport-authenticated) BV-broadcast estimate
@@ -67,6 +69,20 @@ func (m *Est) SimBytes() int { return 40 }
 // SimSigOps implements simnet.Meter.
 func (m *Est) SimSigOps() int { return 0 }
 
+// AppendBinary appends the estimate's frame body: context u8, instance
+// u64, slot u32, round u32, value flag.
+func (m *Est) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	b = binary.BigEndian.AppendUint32(b, m.Slot)
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Round))
+	return wire.AppendFlag(b, m.Value), nil
+}
+
+// ReadEst reads Est.AppendBinary's layout.
+func ReadEst(r *wire.Reader) *Est {
+	return &Est{Context: r.U8(), Instance: types.Instance(r.U64()), Slot: r.U32(), Round: types.Round(r.U32()), Value: r.Flag()}
+}
+
 // Coord is the weak coordinator's signed value for a round.
 type Coord struct {
 	Stmt accountability.Signed // KindCoord
@@ -78,6 +94,12 @@ func (m *Coord) SimBytes() int { return 160 }
 // SimSigOps implements simnet.Meter.
 func (m *Coord) SimSigOps() int { return 1 }
 
+// AppendBinary appends the COORD's frame body: its signed statement.
+func (m *Coord) AppendBinary(b []byte) ([]byte, error) { return m.Stmt.AppendBinary(b) }
+
+// ReadCoord reads Coord.AppendBinary's layout.
+func ReadCoord(r *wire.Reader) *Coord { return &Coord{Stmt: accountability.ReadSigned(r)} }
+
 // Aux is the signed auxiliary vote — the accountable heart of the round.
 type Aux struct {
 	Stmt accountability.Signed // KindAux
@@ -88,6 +110,12 @@ func (m *Aux) SimBytes() int { return 160 }
 
 // SimSigOps implements simnet.Meter.
 func (m *Aux) SimSigOps() int { return 1 }
+
+// AppendBinary appends the AUX's frame body: its signed statement.
+func (m *Aux) AppendBinary(b []byte) ([]byte, error) { return m.Stmt.AppendBinary(b) }
+
+// ReadAux reads Aux.AppendBinary's layout.
+func ReadAux(r *wire.Reader) *Aux { return &Aux{Stmt: accountability.ReadSigned(r)} }
 
 // Decide carries a decision. In accountable mode the multicast one is an
 // announcement, without Cert; the answer to a DecideReq carries the
@@ -107,6 +135,21 @@ func (m *Decide) SimBytes() int { return 48 + m.Cert.ModelBytes() }
 // SimSigOps implements simnet.Meter.
 func (m *Decide) SimSigOps() int { return m.Cert.SigOps() }
 
+// AppendBinary appends the decision's frame body: context u8, instance
+// u64, slot u32, value flag, and the certificate if any
+// (accountability.AppendOptCertificate).
+func (m *Decide) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	b = wire.AppendFlag(binary.BigEndian.AppendUint32(b, m.Slot), m.Value)
+	return accountability.AppendOptCertificate(b, m.Cert), nil
+}
+
+// ReadDecide reads Decide.AppendBinary's layout.
+func ReadDecide(r *wire.Reader) *Decide {
+	return &Decide{Context: r.U8(), Instance: types.Instance(r.U64()), Slot: r.U32(), Value: r.Flag(),
+		Cert: accountability.ReadOptCertificate(r)}
+}
+
 // DecideReq asks the replica that announced a decision for the DECIDE
 // with its certificate.
 type DecideReq struct {
@@ -120,6 +163,18 @@ func (m *DecideReq) SimBytes() int { return 48 }
 
 // SimSigOps implements simnet.Meter.
 func (m *DecideReq) SimSigOps() int { return 0 }
+
+// AppendBinary appends the pull's frame body: context u8, instance u64,
+// slot u32.
+func (m *DecideReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	return binary.BigEndian.AppendUint32(b, m.Slot), nil
+}
+
+// ReadDecideReq reads DecideReq.AppendBinary's layout.
+func ReadDecideReq(r *wire.Reader) *DecideReq {
+	return &DecideReq{Context: r.U8(), Instance: types.Instance(r.U64()), Slot: r.U32()}
+}
 
 // Decision is the output of one binary consensus slot.
 type Decision struct {

@@ -142,14 +142,10 @@ func FuzzPoFGossipDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	buf, err := wire.EncodePoFs([]accountability.PoF{pof})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf)
+	f.Add(accountability.AppendPoFs(nil, []accountability.PoF{pof}))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pofs, err := wire.DecodePoFs(data)
+		pofs, err := wire.Decode(data, accountability.ReadPoFs)
 		if err != nil {
 			return
 		}

@@ -10,7 +10,7 @@
 package membership
 
 import (
-	"fmt"
+	"encoding/binary"
 	"time"
 
 	"github.com/zeroloss/zlb/internal/accountability"
@@ -34,6 +34,17 @@ func (m *PoFBroadcast) SimBytes() int { return 60 + 300*len(m.PoFs) }
 
 // SimSigOps implements simnet.Meter.
 func (m *PoFBroadcast) SimSigOps() int { return 2 * len(m.PoFs) }
+
+// AppendBinary appends the broadcast's frame body: epoch u64 and, last,
+// the PoF list (accountability.AppendPoFs).
+func (m *PoFBroadcast) AppendBinary(b []byte) ([]byte, error) {
+	return accountability.AppendPoFs(binary.BigEndian.AppendUint64(b, m.Epoch), m.PoFs), nil
+}
+
+// ReadPoFBroadcast reads PoFBroadcast.AppendBinary's layout.
+func ReadPoFBroadcast(r *wire.Reader) *PoFBroadcast {
+	return &PoFBroadcast{Epoch: r.U64(), PoFs: accountability.ReadPoFs(r)}
+}
 
 // Result is the outcome of a completed membership change.
 type Result struct {
@@ -170,11 +181,7 @@ func (c *Change) startExclusion() {
 		CoordTimeout: c.cfg.CoordTimeout,
 		OnDecide:     c.onExclusionDecided,
 	})
-	payload, err := wire.EncodePoFs(c.cfg.Log.PoFs())
-	if err != nil {
-		panic(fmt.Sprintf("membership: encoding pofs: %v", err))
-	}
-	c.exclusion.Propose(payload, 0, 0)
+	c.exclusion.Propose(accountability.AppendPoFs(nil, c.cfg.Log.PoFs()), 0, 0)
 	// Replay exclusion traffic for this attempt that peers sent early.
 	buffered := c.pendingEx
 	c.pendingEx = nil
@@ -257,7 +264,7 @@ func (c *Change) OnPoFs(pofs []accountability.PoF) {
 // set of valid PoFs on committee members (SBC-Validity for the exclusion
 // consensus).
 func (c *Change) validateExclusionProposal(_ types.ReplicaID, payload []byte) bool {
-	pofs, err := wire.DecodePoFs(payload)
+	pofs, err := wire.Decode(payload, accountability.ReadPoFs)
 	if err != nil || len(pofs) == 0 {
 		return false
 	}
@@ -282,7 +289,7 @@ func (c *Change) onExclusionDecided(d *sbc.Decision) {
 	}
 	union := make(map[types.ReplicaID]accountability.PoF)
 	for _, p := range d.OrderedProposals() {
-		pofs, err := wire.DecodePoFs(p.Payload)
+		pofs, err := wire.Decode(p.Payload, accountability.ReadPoFs)
 		if err != nil {
 			continue // validated at echo time; defensive
 		}
@@ -342,11 +349,7 @@ func (c *Change) startInclusion() {
 		want = 0
 	}
 	candidates := c.cfg.Pool.Peek(want)
-	payload, err := wire.EncodeReplicas(candidates)
-	if err != nil {
-		panic(fmt.Sprintf("membership: encoding candidates: %v", err))
-	}
-	c.inclusion.Propose(payload, 0, 0)
+	c.inclusion.Propose(wire.AppendReplicas(nil, candidates), 0, 0)
 	// Replay inclusion traffic that arrived while we were still excluding.
 	buffered := c.pendingInc
 	c.pendingInc = nil
@@ -360,7 +363,7 @@ func (c *Change) startInclusion() {
 // validateInclusionProposal accepts proposals that decode to candidate
 // replicas that are neither current members nor excluded culprits.
 func (c *Change) validateInclusionProposal(_ types.ReplicaID, payload []byte) bool {
-	ids, err := wire.DecodeReplicas(payload)
+	ids, err := wire.Decode(payload, wire.ReadReplicas)
 	if err != nil {
 		return false
 	}
@@ -390,7 +393,7 @@ func (c *Change) onInclusionDecided(d *sbc.Decision) {
 
 	proposalSets := make([][]types.ReplicaID, 0, len(d.Proposals))
 	for _, p := range d.OrderedProposals() {
-		ids, err := wire.DecodeReplicas(p.Payload)
+		ids, err := wire.Decode(p.Payload, wire.ReadReplicas)
 		if err != nil {
 			continue
 		}

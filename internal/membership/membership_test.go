@@ -72,11 +72,8 @@ func TestEncodingRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.EncodePoFs([]accountability.PoF{pof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.DecodePoFs(payload)
+	payload := accountability.AppendPoFs(nil, []accountability.PoF{pof})
+	back, err := wire.Decode(payload, accountability.ReadPoFs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +85,14 @@ func TestEncodingRoundTrips(t *testing.T) {
 	}
 
 	ids := []types.ReplicaID{5, 6, 7}
-	rp, err := wire.EncodeReplicas(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIDs, err := wire.DecodeReplicas(rp)
+	gotIDs, err := wire.Decode(wire.AppendReplicas(nil, ids), wire.ReadReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gotIDs) != 3 || gotIDs[0] != 5 {
 		t.Fatalf("replica round trip = %v", gotIDs)
 	}
-	if _, err := wire.DecodePoFs([]byte("garbage")); err == nil {
+	if _, err := wire.Decode([]byte("garbage"), accountability.ReadPoFs); err == nil {
 		t.Fatal("garbage PoF payload accepted")
 	}
 }
@@ -288,7 +281,7 @@ func TestValidateExclusionProposalRejectsGarbage(t *testing.T) {
 	if change.validateExclusionProposal(3, []byte("garbage")) {
 		t.Fatal("garbage proposal validated")
 	}
-	empty, _ := wire.EncodePoFs(nil)
+	empty := accountability.AppendPoFs(nil, nil)
 	if change.validateExclusionProposal(3, empty) {
 		t.Fatal("empty PoF set validated")
 	}

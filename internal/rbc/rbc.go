@@ -14,6 +14,7 @@
 package rbc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/zeroloss/zlb/internal/accountability"
@@ -22,6 +23,7 @@ import (
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // Init carries the broadcaster's proposal. ClaimedBytes lets throughput
@@ -45,6 +47,19 @@ func (m *Init) SimBytes() int {
 // SimSigOps implements simnet.Meter.
 func (m *Init) SimSigOps() int { return 1 + m.ClaimedSigs }
 
+// AppendBinary appends the INIT's frame body: its signed statement, the
+// payload (wire.AppendBytes), claimed bytes and claimed sigs (varints).
+func (m *Init) AppendBinary(b []byte) ([]byte, error) {
+	b, err := m.Stmt.AppendBinary(b)
+	b = wire.AppendBytes(b, m.Payload)
+	return wire.AppendInt(wire.AppendInt(b, m.ClaimedBytes), m.ClaimedSigs), err
+}
+
+// ReadInit reads Init.AppendBinary's layout. The payload aliases r's input.
+func ReadInit(r *wire.Reader) *Init {
+	return &Init{Stmt: accountability.ReadSigned(r), Payload: r.Bytes(), ClaimedBytes: r.Int(), ClaimedSigs: r.Int()}
+}
+
 // Echo is a signed echo of the proposal digest.
 type Echo struct {
 	Stmt accountability.Signed // KindEcho, Slot = broadcaster, Value = digest
@@ -56,6 +71,12 @@ func (m *Echo) SimBytes() int { return 160 }
 // SimSigOps implements simnet.Meter.
 func (m *Echo) SimSigOps() int { return 1 }
 
+// AppendBinary appends the ECHO's frame body: its signed statement.
+func (m *Echo) AppendBinary(b []byte) ([]byte, error) { return m.Stmt.AppendBinary(b) }
+
+// ReadEcho reads Echo.AppendBinary's layout.
+func ReadEcho(r *wire.Reader) *Echo { return &Echo{Stmt: accountability.ReadSigned(r)} }
+
 // Ready is a signed ready for the proposal digest.
 type Ready struct {
 	Stmt accountability.Signed // KindReady, Slot = broadcaster, Value = digest
@@ -66,6 +87,12 @@ func (m *Ready) SimBytes() int { return 160 }
 
 // SimSigOps implements simnet.Meter.
 func (m *Ready) SimSigOps() int { return 1 }
+
+// AppendBinary appends the READY's frame body: its signed statement.
+func (m *Ready) AppendBinary(b []byte) ([]byte, error) { return m.Stmt.AppendBinary(b) }
+
+// ReadReady reads Ready.AppendBinary's layout.
+func ReadReady(r *wire.Reader) *Ready { return &Ready{Stmt: accountability.ReadSigned(r)} }
 
 // PayloadReq asks a peer for the payload matching a digest (the requester
 // saw a READY quorum before the INIT reached it).
@@ -81,6 +108,19 @@ func (m *PayloadReq) SimBytes() int { return 64 }
 
 // SimSigOps implements simnet.Meter.
 func (m *PayloadReq) SimSigOps() int { return 0 }
+
+// AppendBinary appends the pull's frame body: context u8, instance u64,
+// broadcaster u32, digest.
+func (m *PayloadReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	b = wire.AppendReplicaID(b, m.Broadcaster)
+	return append(b, m.Digest[:]...), nil
+}
+
+// ReadPayloadReq reads PayloadReq.AppendBinary's layout.
+func ReadPayloadReq(r *wire.Reader) *PayloadReq {
+	return &PayloadReq{Context: r.U8(), Instance: types.Instance(r.U64()), Broadcaster: r.ReplicaID(), Digest: r.Digest()}
+}
 
 // PayloadResp answers a PayloadReq with what the INIT would have brought:
 // the payload and, when the responder has it, the broadcaster's signed INIT
@@ -117,6 +157,23 @@ func (m *PayloadResp) SimSigOps() int {
 		return m.ClaimedSigs + 1
 	}
 	return m.ClaimedSigs
+}
+
+// AppendBinary appends the pull answer's frame body: context u8, instance
+// u64, broadcaster u32, payload, claimed bytes and sigs as in Init, and the
+// INIT statement if any (accountability.AppendOptSigned).
+func (m *PayloadResp) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	b = wire.AppendReplicaID(b, m.Broadcaster)
+	b = wire.AppendBytes(b, m.Payload)
+	b = wire.AppendInt(wire.AppendInt(b, m.ClaimedBytes), m.ClaimedSigs)
+	return accountability.AppendOptSigned(b, m.InitStmt), nil
+}
+
+// ReadPayloadResp reads PayloadResp.AppendBinary's layout.
+func ReadPayloadResp(r *wire.Reader) *PayloadResp {
+	return &PayloadResp{Context: r.U8(), Instance: types.Instance(r.U64()), Broadcaster: r.ReplicaID(),
+		Payload: r.Bytes(), ClaimedBytes: r.Int(), ClaimedSigs: r.Int(), InitStmt: accountability.ReadOptSigned(r)}
 }
 
 // Delivery is the output of one reliable broadcast.

@@ -31,6 +31,7 @@ import (
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // ProposalInfo is one delivered proposal inside a decision.
@@ -88,6 +89,50 @@ func (d *Decision) Digest() types.Digest {
 		}
 	}
 	return types.Hash(buf)
+}
+
+// AppendBinary appends the decision's layout, which a nil decision has
+// too: flag 0 for nil, else flag 1, the instance u64 and five maps keyed
+// by slot (wire.AppendMap) — bits to a flag; proposals to broadcaster u32,
+// payload (wire.AppendBytes), digest, claimed bytes and sigs (varints);
+// binary and READY certificates and INIT statements to an optional one.
+// It cannot fail.
+func (d *Decision) AppendBinary(b []byte) ([]byte, error) {
+	if d == nil {
+		return append(b, 0), nil
+	}
+	b = binary.BigEndian.AppendUint64(append(b, 1), uint64(d.Instance))
+	b = wire.AppendMap(b, d.Bits, wire.AppendReplicaID, wire.AppendFlag)
+	b = wire.AppendMap(b, d.Proposals, wire.AppendReplicaID, func(b []byte, p ProposalInfo) []byte {
+		b = wire.AppendBytes(wire.AppendReplicaID(b, p.Broadcaster), p.Payload)
+		b = append(b, p.Digest[:]...)
+		return wire.AppendInt(wire.AppendInt(b, p.ClaimedBytes), p.ClaimedSigs)
+	})
+	b = wire.AppendMap(b, d.BinCerts, wire.AppendReplicaID, accountability.AppendOptCertificate)
+	b = wire.AppendMap(b, d.ReadyCerts, wire.AppendReplicaID, accountability.AppendOptCertificate)
+	return wire.AppendMap(b, d.InitStmts, wire.AppendReplicaID, accountability.AppendOptSigned), nil
+}
+
+// ReadDecision reads Decision.AppendBinary's layout. Payloads alias r's
+// input.
+func ReadDecision(r *wire.Reader) *Decision {
+	if !r.Flag() {
+		return nil
+	}
+	d := &Decision{Instance: types.Instance(r.U64())}
+	d.Bits = wire.ReadMap(r, 4+1, r.ReplicaID, r.Flag)
+	d.Proposals = wire.ReadMap(r, 4+4+1+32+2, r.ReplicaID, func() ProposalInfo {
+		return ProposalInfo{Broadcaster: r.ReplicaID(), Payload: r.Bytes(), Digest: r.Digest(),
+			ClaimedBytes: r.Int(), ClaimedSigs: r.Int()}
+	})
+	cert := func() *accountability.Certificate { return accountability.ReadOptCertificate(r) }
+	d.BinCerts = wire.ReadMap(r, 4+1, r.ReplicaID, cert)
+	d.ReadyCerts = wire.ReadMap(r, 4+1, r.ReplicaID, cert)
+	d.InitStmts = wire.ReadMap(r, 4+1, r.ReplicaID, func() *accountability.Signed { return accountability.ReadOptSigned(r) })
+	if r.Err() != nil {
+		return nil
+	}
+	return d
 }
 
 // OrderedProposals returns the selected proposals in ascending broadcaster
@@ -207,6 +252,18 @@ func (m *ProposalReq) SimBytes() int { return 48 }
 // SimSigOps implements simnet.Meter.
 func (m *ProposalReq) SimSigOps() int { return 0 }
 
+// AppendBinary appends the pull's frame body: context u8, instance u64,
+// slot u32.
+func (m *ProposalReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	return wire.AppendReplicaID(b, m.Slot), nil
+}
+
+// ReadProposalReq reads ProposalReq.AppendBinary's layout.
+func ReadProposalReq(r *wire.Reader) *ProposalReq {
+	return &ProposalReq{Context: r.U8(), Instance: types.Instance(r.U64()), Slot: r.ReplicaID()}
+}
+
 // ProposalResp answers a ProposalReq with the delivery evidence.
 type ProposalResp struct {
 	Context      uint8
@@ -234,6 +291,23 @@ func (m *ProposalResp) SimSigOps() int {
 		return 0
 	}
 	return m.Cert.SigOps() + 1
+}
+
+// AppendBinary appends the pull answer's frame body: context u8, instance
+// u64, slot u32, payload (wire.AppendBytes), claimed bytes and sigs
+// (varints), the READY certificate and the INIT statement if any.
+func (m *ProposalResp) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(append(b, m.Context), uint64(m.Instance))
+	b = wire.AppendBytes(wire.AppendReplicaID(b, m.Slot), m.Payload)
+	b = wire.AppendInt(wire.AppendInt(b, m.ClaimedBytes), m.ClaimedSigs)
+	return accountability.AppendOptSigned(accountability.AppendOptCertificate(b, m.Cert), m.InitStmt), nil
+}
+
+// ReadProposalResp reads ProposalResp.AppendBinary's layout.
+func ReadProposalResp(r *wire.Reader) *ProposalResp {
+	return &ProposalResp{Context: r.U8(), Instance: types.Instance(r.U64()), Slot: r.ReplicaID(),
+		Payload: r.Bytes(), ClaimedBytes: r.Int(), ClaimedSigs: r.Int(),
+		Cert: accountability.ReadOptCertificate(r), InitStmt: accountability.ReadOptSigned(r)}
 }
 
 // Adversary wires the coalition attacks into the instance's

@@ -59,15 +59,11 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 		if !r.Supersede && r.Block.K < req.FromK {
 			continue
 		}
-		payload, err := wire.EncodeBlockRecord(r.Block)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
 		kind := wire.RecordBlock
 		if r.Supersede {
 			kind = wire.RecordSupersede
 		}
-		resp.Log = wire.AppendRecord(resp.Log, kind, payload)
+		resp.Log = wire.AppendRecord(resp.Log, kind, wire.EncodeBlockRecord(r.Block))
 	}
 	return resp, nil
 }

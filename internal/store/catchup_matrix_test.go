@@ -36,10 +36,7 @@ func TestCatchupMatrix(t *testing.T) {
 			}
 			// A lying responder forks the chain at block 1.
 			rec := &wire.BlockRecord{K: 1, Digest: types.Hash([]byte("fork"))}
-			payload, err := wire.EncodeBlockRecord(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			payload := wire.EncodeBlockRecord(rec)
 			liar := &wire.SyncResp{
 				LastK: honest.LastK,
 				Log:   wire.AppendRecord(nil, wire.RecordBlock, payload),

@@ -229,7 +229,7 @@ func (s *Store) replaySegment(seg *segment, raw []byte, lastSegment bool) (int, 
 	rest := raw
 	good := 0
 	for len(rest) > 0 {
-		kind, payload, next, err := DecodeFrame(rest)
+		kind, payload, next, err := wire.DecodeRecord(rest)
 		if err != nil {
 			if lastSegment && errors.Is(err, wire.ErrRecordTruncated) {
 				return good, nil // frame ran past EOF: torn write
@@ -256,12 +256,6 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// DecodeFrame reads one record frame (re-exported for the catch-up
-// client, which re-verifies the CRCs of a streamed log tail).
-func DecodeFrame(buf []byte) (wire.RecordKind, []byte, []byte, error) {
-	return wire.DecodeRecord(buf)
 }
 
 // applyRecord folds one decoded record into the in-memory state.
@@ -359,15 +353,11 @@ func (s *Store) append(b *bm.Block, attempt uint32, supersede bool) error {
 		return nil
 	}
 	rec := &wire.BlockRecord{K: b.K, Attempt: attempt, Digest: b.Digest, Txs: b.Txs}
-	payload, err := wire.EncodeBlockRecord(rec)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	kind := wire.RecordBlock
 	if supersede {
 		kind = wire.RecordSupersede
 	}
-	s.buffered = wire.AppendRecord(s.buffered, kind, payload)
+	s.buffered = wire.AppendRecord(s.buffered, kind, wire.EncodeBlockRecord(rec))
 	seg := s.segments[len(s.segments)-1]
 	s.noteBlock(seg, rec)
 	s.tail = append(s.tail, Record{Supersede: supersede, Block: rec})

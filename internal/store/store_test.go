@@ -463,10 +463,7 @@ func TestInstallSyncRejectsTamperedBody(t *testing.T) {
 	}
 	// Tamper: claim a different digest for the same body.
 	rec := &wire.BlockRecord{K: b.K, Digest: types.Hash([]byte("lie")), Txs: b.Txs}
-	payload, err := wire.EncodeBlockRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := wire.EncodeBlockRecord(rec)
 	resp.Log = wire.AppendRecord(nil, wire.RecordBlock, payload)
 	client, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -490,10 +487,7 @@ func TestCrossCheckMajority(t *testing.T) {
 	// A lying peer swaps a digest.
 	liar := &wire.SyncResp{LastK: honest.LastK}
 	rec := &wire.BlockRecord{K: 1, Digest: types.Hash([]byte("fork"))}
-	payload, err := wire.EncodeBlockRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := wire.EncodeBlockRecord(rec)
 	liar.Log = wire.AppendRecord(nil, wire.RecordBlock, payload)
 
 	picked, err := CrossCheck([]*wire.SyncResp{honest, liar, honest})
@@ -556,10 +550,7 @@ func TestInstallSyncRejectsGappedLog(t *testing.T) {
 	f.commit(1, 10)
 	b2 := f.commit(2, 10)
 	rec := &wire.BlockRecord{K: b2.K, Digest: b2.Digest, Txs: b2.Txs}
-	payload, err := wire.EncodeBlockRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := wire.EncodeBlockRecord(rec)
 	resp := &wire.SyncResp{LastK: 2, Log: wire.AppendRecord(nil, wire.RecordBlock, payload)}
 	client, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -10,12 +10,13 @@ import (
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // HistoryFile is the deployed node's asmr.History: an append-only file of
 // retired decisions, each encoded as a peer frame encodes one
-// (appendDecision) but with a payload that several slots carry written
-// once, and read back with the frame decoder. The file is
+// (sbc.Decision.AppendBinary) but with a payload that several slots carry
+// written once, and read back with sbc.ReadDecision. The file is
 // unlinked as soon as it is created, so it lives exactly as long as the
 // process holds it open: nothing is left behind, and nothing is recovered
 // on a restart (the store restores the chain, as before). It is used from
@@ -50,7 +51,7 @@ func OpenHistoryFile(dir string) (*HistoryFile, error) {
 // written once, in the lowest of those slots; the others are written
 // without it, and Get gives them the first one's.
 func (h *HistoryFile) Put(d *sbc.Decision) (asmr.HistoryRef, error) {
-	h.buf = appendDecision(h.buf[:0], payloadsOnce(d))
+	h.buf, _ = payloadsOnce(d).AppendBinary(h.buf[:0]) // cannot fail
 	ref := asmr.HistoryRef{Off: h.size, Len: int64(len(h.buf))}
 	if _, err := h.f.WriteAt(h.buf, ref.Off); err != nil {
 		return asmr.HistoryRef{}, err
@@ -103,7 +104,7 @@ func sharePayloads(d *sbc.Decision) {
 var errHistoryRef = errors.New("transport: history reference past the end of the file")
 
 // Get reads back the decision Put wrote at ref: one read, decoded with
-// the peer frame decoder, which refuses a short or malformed encoding.
+// sbc.ReadDecision, which refuses a short or malformed encoding.
 func (h *HistoryFile) Get(ref asmr.HistoryRef) (*sbc.Decision, error) {
 	if ref.Off < 0 || ref.Len <= 0 || ref.Off+ref.Len > h.size {
 		return nil, errHistoryRef
@@ -112,15 +113,12 @@ func (h *HistoryFile) Get(ref asmr.HistoryRef) (*sbc.Decision, error) {
 	if _, err := h.f.ReadAt(b, ref.Off); err != nil {
 		return nil, err
 	}
-	dec := &decoder{b: b}
-	d := dec.decision()
+	d, err := wire.Decode(b, sbc.ReadDecision)
 	switch {
-	case dec.err != nil:
-		return nil, dec.err
+	case err != nil:
+		return nil, err
 	case d == nil:
-		return nil, fmt.Errorf("%w: no decision", errNonCanon)
-	case len(dec.b) != 0:
-		return nil, errFrameTail
+		return nil, fmt.Errorf("%w: no decision", wire.ErrNonCanonical)
 	}
 	sharePayloads(d)
 	return d, nil

@@ -47,7 +47,7 @@ func TestHistoryFileRoundTrip(t *testing.T) {
 		}
 		refs = append(refs, ref)
 	}
-	if want := 3 * int64(len(appendDecision(nil, d))); h.Bytes() != want {
+	if want := 3 * int64(len(encodeDecision(d))); h.Bytes() != want {
 		t.Fatalf("history holds %d bytes, want %d", h.Bytes(), want)
 	}
 	for i := len(refs) - 1; i >= 0; i-- {
@@ -92,7 +92,7 @@ func TestHistoryFileWritesAPayloadOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full := int64(len(appendDecision(nil, &d))); ref.Len > full-3*int64(len(shared)) {
+	if full := int64(len(encodeDecision(&d))); ref.Len > full-3*int64(len(shared)) {
 		t.Fatalf("record of %d bytes, %d with every payload written out: the shared payload is written more than once", ref.Len, full)
 	}
 	if len(d.Proposals[2].Payload) != len(shared) {
@@ -139,7 +139,7 @@ func TestHistoryFileRefusesDamage(t *testing.T) {
 		t.Errorf("a short read decoded to %+v", got)
 	}
 
-	enc := appendDecision(nil, d)
+	enc := encodeDecision(d)
 	for off := int64(0); off < ref.Len; off++ {
 		h, ref := open()
 		if _, err := h.f.WriteAt([]byte{enc[off] ^ 0x41}, ref.Off+off); err != nil {
@@ -150,4 +150,11 @@ func TestHistoryFileRefusesDamage(t *testing.T) {
 			t.Fatalf("byte %d altered and the same decision read back", off)
 		}
 	}
+}
+
+// encodeDecision is a decision's encoding, as the history file writes one
+// that carries each payload once.
+func encodeDecision(d *sbc.Decision) []byte {
+	b, _ := d.AppendBinary(nil)
+	return b
 }

@@ -42,6 +42,7 @@ import (
 	"github.com/zeroloss/zlb/internal/obs"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // SyncFrame carries a durable-store catch-up payload between nodes: a
@@ -52,6 +53,14 @@ type SyncFrame struct {
 	Req     bool
 	Payload []byte
 }
+
+// AppendBinary appends the frame body: request flag, payload
+// (wire.AppendBytes).
+func (m *SyncFrame) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendBytes(wire.AppendFlag(b, m.Req), m.Payload), nil
+}
+
+func readSyncFrame(r *wire.Reader) *SyncFrame { return &SyncFrame{Req: r.Flag(), Payload: r.Bytes()} }
 
 // event drives the node's single-threaded loop.
 type event struct {

@@ -26,6 +26,7 @@ import (
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // sample is one message of the codec tests, named by its type ("*rbc.Init")
@@ -292,12 +293,12 @@ func TestFrameRefusals(t *testing.T) {
 	flag := append([]byte(nil), frame...)
 	flag[bits+4] = 2
 	for name, bad := range map[string][]byte{"unsorted keys": swapped, "repeated key": repeated} {
-		if _, err := decodeFrame(bad); !errors.Is(err, errMapOrder) {
-			t.Errorf("%s: %v, want errMapOrder", name, err)
+		if _, err := decodeFrame(bad); !errors.Is(err, wire.ErrMapOrder) {
+			t.Errorf("%s: %v, want wire.ErrMapOrder", name, err)
 		}
 	}
-	if _, err := decodeFrame(flag); !errors.Is(err, errNonCanon) {
-		t.Errorf("flag byte 2: %v, want errNonCanon", err)
+	if _, err := decodeFrame(flag); !errors.Is(err, wire.ErrNonCanonical) {
+		t.Errorf("flag byte 2: %v, want wire.ErrNonCanonical", err)
 	}
 
 	huge := binary.BigEndian.AppendUint32(nil, maxFrameLen+1)

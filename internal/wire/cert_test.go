@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 var certSchemes = []crypto.SchemeKind{crypto.SchemeECDSA, crypto.SchemeEd25519, crypto.SchemeSim}
@@ -47,11 +48,23 @@ func certFixture(t testing.TB, kind crypto.SchemeKind, n int) *accountability.Ce
 	return cert
 }
 
+// The certificate codec lives beside its type, in internal/accountability
+// (which imports this package); its tests stay with the other layouts.
+
+func encodeCertificate(c *accountability.Certificate) []byte {
+	b, _ := c.AppendBinary(nil)
+	return b
+}
+
+func decodeCertificate(data []byte) (*accountability.Certificate, error) {
+	return wire.Decode(data, accountability.ReadCertificate)
+}
+
 func TestCertificateRoundTripSigned(t *testing.T) {
 	for _, kind := range certSchemes {
 		cert := certFixture(t, kind, 4)
-		data := EncodeCertificate(kind, cert)
-		back, err := DecodeCertificate(kind, data)
+		data := encodeCertificate(cert)
+		back, err := decodeCertificate(data)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -59,7 +72,7 @@ func TestCertificateRoundTripSigned(t *testing.T) {
 			t.Fatalf("%v: round trip mismatch", kind)
 		}
 		// Decode → re-encode is byte-identical: the codec is canonical.
-		if again := EncodeCertificate(kind, back); !bytes.Equal(again, data) {
+		if again := encodeCertificate(back); !bytes.Equal(again, data) {
 			t.Fatalf("%v: re-encode differs", kind)
 		}
 	}
@@ -83,59 +96,42 @@ func corpusSeed(t *testing.T, name string) []byte {
 
 func TestCertificateDecodeRejections(t *testing.T) {
 	for _, kind := range certSchemes {
-		other := certSchemes[0]
-		if kind == other {
-			other = certSchemes[1]
-		}
-		data := EncodeCertificate(kind, certFixture(t, kind, 4))
+		data := encodeCertificate(certFixture(t, kind, 4))
 
 		bad := append([]byte(nil), data...)
 		bad[0] = 2 // future format version
-		if _, err := DecodeCertificate(kind, bad); !errors.Is(err, ErrCertVersion) {
+		if _, err := decodeCertificate(bad); !errors.Is(err, accountability.ErrCertVersion) {
 			t.Fatalf("%v: future version accepted: %v", kind, err)
-		}
-
-		bad = append([]byte(nil), data...)
-		bad[1] = 99 // unknown scheme kind
-		if _, err := DecodeCertificate(kind, bad); !errors.Is(err, ErrCertScheme) {
-			t.Fatalf("%v: unknown kind accepted: %v", kind, err)
-		}
-
-		// Valid kind byte, but not the kind this deployment runs.
-		if _, err := DecodeCertificate(other, data); !errors.Is(err, ErrCertScheme) {
-			t.Fatalf("%v: cross-scheme certificate accepted: %v", kind, err)
-		}
-
-		if _, err := DecodeCertificate(kind, data[:len(data)-1]); err == nil {
-			t.Fatalf("%v: truncated certificate accepted", kind)
-		}
-		if _, err := DecodeCertificate(kind, data[:2]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("%v: truncated header accepted", kind)
 		}
 
 		// Unknown form byte.
 		bad = append([]byte(nil), data...)
-		bad[2] = 7
-		if _, err := DecodeCertificate(kind, bad); err == nil {
-			t.Fatalf("%v: unknown form accepted", kind)
+		bad[1] = 7
+		if _, err := decodeCertificate(bad); err == nil || !strings.Contains(err.Error(), "form 7") {
+			t.Fatalf("%v: unknown form accepted: %v", kind, err)
 		}
 
-		if _, err := DecodeCertificate(kind, append(data, 0)); err == nil {
-			t.Fatalf("%v: trailing bytes accepted", kind)
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := decodeCertificate(data[:cut]); !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("%v: certificate cut to %d of %d bytes: %v, want ErrTruncated", kind, cut, len(data), err)
+			}
+		}
+		if _, err := decodeCertificate(append(data, 0)); !errors.Is(err, wire.ErrTrailing) {
+			t.Fatalf("%v: trailing bytes accepted: %v", kind, err)
 		}
 	}
 
 	// Form byte 1, the retired aggregate form: the committed seed decoded
 	// before the form was removed, and is refused by name since.
 	retired := corpusSeed(t, "aggregate-small")
-	if _, err := DecodeCertificate(crypto.SchemeSim, retired); err == nil || !strings.Contains(err.Error(), "form 1") {
+	if _, err := decodeCertificate(retired); err == nil || !strings.Contains(err.Error(), "form 1") {
 		t.Fatalf("retired aggregate form not refused by name: %v", err)
 	}
 }
 
 func FuzzDecodeCertificate(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{certFormatV1, byte(crypto.SchemeSim), 1}) // the retired form byte
+	f.Add([]byte{1, 1}) // version 1, the retired form byte
 	signers, _, err := crypto.GenerateCluster(crypto.SchemeSim, 4, 1)
 	if err != nil {
 		f.Fatal(err)
@@ -159,15 +155,15 @@ func FuzzDecodeCertificate(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(EncodeCertificate(crypto.SchemeSim, cert))
+	f.Add(encodeCertificate(cert))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCertificate(crypto.SchemeSim, data)
+		c, err := decodeCertificate(data)
 		if err != nil {
 			return
 		}
 		// A decoded certificate re-encodes byte-identically: the format
 		// admits exactly one encoding per certificate.
-		if again := EncodeCertificate(crypto.SchemeSim, c); !bytes.Equal(again, data) {
+		if again := encodeCertificate(c); !bytes.Equal(again, data) {
 			t.Fatalf("re-encode differs from input:\n  in  %x\n  out %x", data, again)
 		}
 	})

@@ -49,11 +49,8 @@ func TestLayoutsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := wire.EncodeBlockRecord(&wire.BlockRecord{K: 3, Attempt: 1,
+	block := wire.EncodeBlockRecord(&wire.BlockRecord{K: 3, Attempt: 1,
 		Digest: types.Hash([]byte("d")), Txs: []*utxo.Transaction{goldenTx(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	record := wire.AppendRecord(nil, wire.RecordSupersede, block)
 	checkpoint := wire.EncodeCheckpoint(&wire.CheckpointState{
 		LastK:   9,
@@ -72,14 +69,6 @@ func TestLayoutsGolden(t *testing.T) {
 		DepositFundedTxs: 2,
 		Refunds:          1,
 	})
-	pofs, err := wire.EncodePoFs(goldenPoFs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicas, err := wire.EncodeReplicas([]types.ReplicaID{1, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	layouts := []struct {
 		name string
 		enc  []byte
@@ -90,8 +79,8 @@ func TestLayoutsGolden(t *testing.T) {
 		{"checkpoint", checkpoint},
 		{"sync-req", wire.EncodeSyncReq(&wire.SyncReq{FromK: 17, WantCheckpoint: true})},
 		{"sync-resp", wire.EncodeSyncResp(&wire.SyncResp{LastK: 9, Checkpoint: checkpoint, Log: record})},
-		{"pofs", pofs},
-		{"replicas", replicas},
+		{"pofs", accountability.AppendPoFs(nil, goldenPoFs())},
+		{"replicas", wire.AppendReplicas(nil, []types.ReplicaID{1, 2, 5})},
 	}
 	var got bytes.Buffer
 	for _, l := range layouts {

@@ -54,9 +54,6 @@ var (
 	ErrRecordCorrupt = errors.New("wire: corrupt record frame")
 )
 
-// recordHeaderLen is payloadLen + crc + kind.
-const recordHeaderLen = 4 + 4 + 1
-
 // maxRecordPayload bounds a single record so a corrupt length prefix
 // cannot trigger a huge allocation (64 MiB ≫ any batch the codecs allow).
 const maxRecordPayload = 64 << 20
@@ -64,39 +61,35 @@ const maxRecordPayload = 64 << 20
 // AppendRecord appends one framed record to dst and returns the extended
 // slice.
 func AppendRecord(dst []byte, kind RecordKind, payload []byte) []byte {
-	dst = appendUint32(dst, uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{byte(kind)})
-	crc.Write(payload)
-	dst = appendUint32(dst, crc.Sum32())
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, recordCRC(kind, payload))
 	dst = append(dst, byte(kind))
 	return append(dst, payload...)
+}
+
+// recordCRC is the IEEE CRC of kind and payload.
+func recordCRC(kind RecordKind, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, []byte{byte(kind)}), crc32.IEEETable, payload)
 }
 
 // DecodeRecord reads one framed record from buf, returning the remainder.
 // The returned payload aliases buf.
 func DecodeRecord(buf []byte) (kind RecordKind, payload, rest []byte, err error) {
-	if len(buf) < recordHeaderLen {
+	r := NewReader(buf)
+	n, want, kind := r.U32(), r.U32(), RecordKind(r.U8())
+	switch {
+	case r.err != nil:
 		return 0, nil, nil, ErrRecordTruncated
-	}
-	n := binary.BigEndian.Uint32(buf)
-	if n > maxRecordPayload {
+	case n > maxRecordPayload:
 		return 0, nil, nil, fmt.Errorf("%w: %d-byte payload", ErrRecordCorrupt, n)
 	}
-	want := binary.BigEndian.Uint32(buf[4:])
-	kind = RecordKind(buf[8])
-	body := buf[recordHeaderLen:]
-	if uint32(len(body)) < n {
+	if payload = r.Take(int(n)); r.err != nil {
 		return 0, nil, nil, ErrRecordTruncated
 	}
-	payload = body[:n:n]
-	crc := crc32.NewIEEE()
-	crc.Write(buf[8:9])
-	crc.Write(payload)
-	if crc.Sum32() != want {
+	if recordCRC(kind, payload) != want {
 		return 0, nil, nil, fmt.Errorf("%w: crc mismatch", ErrRecordCorrupt)
 	}
-	return kind, payload, body[n:], nil
+	return kind, payload, r.Rest(), nil
 }
 
 // BlockRecord is the payload of a RecordBlock / RecordSupersede frame: a
@@ -112,35 +105,29 @@ type BlockRecord struct {
 // EncodeBlockRecord serializes a block record payload:
 //
 //	k uint64 | attempt uint32 | digest [32]byte | batch (EncodeBatch)
-func EncodeBlockRecord(r *BlockRecord) ([]byte, error) {
-	batch, err := EncodeBatch(r.Txs)
-	if err != nil {
-		return nil, err
-	}
+func EncodeBlockRecord(r *BlockRecord) []byte {
+	batch, _ := EncodeBatch(r.Txs) // cannot fail
 	buf := make([]byte, 0, 8+4+32+len(batch))
-	buf = appendUint64(buf, r.K)
-	buf = appendUint32(buf, r.Attempt)
+	buf = binary.BigEndian.AppendUint64(buf, r.K)
+	buf = binary.BigEndian.AppendUint32(buf, r.Attempt)
 	buf = append(buf, r.Digest[:]...)
-	return append(buf, batch...), nil
+	return append(buf, batch...)
 }
 
 // DecodeBlockRecord parses a block record payload. The decoded
 // transactions alias the payload.
 func DecodeBlockRecord(payload []byte) (*BlockRecord, error) {
-	if len(payload) < 8+4+32 {
-		return nil, ErrTruncated
+	r := NewReader(payload)
+	rec := &BlockRecord{K: r.U64(), Attempt: r.U32(), Digest: r.Digest()}
+	if r.err != nil {
+		return nil, r.err
 	}
-	r := &BlockRecord{
-		K:       binary.BigEndian.Uint64(payload),
-		Attempt: binary.BigEndian.Uint32(payload[8:]),
-	}
-	copy(r.Digest[:], payload[12:44])
-	txs, err := DecodeBatch(payload[44:])
+	txs, err := DecodeBatch(r.Rest())
 	if err != nil {
 		return nil, err
 	}
-	r.Txs = txs
-	return r, nil
+	rec.Txs = txs
+	return rec, nil
 }
 
 // CheckpointState is a complete snapshot of a bm.Ledger at a chain
@@ -200,42 +187,50 @@ func EncodeCheckpoint(cp *CheckpointState) []byte {
 		len(cp.TxIDs)*32 + len(cp.Punished)*32 + len(cp.DepositInputs)*(32+4+8)
 	buf := make([]byte, 0, size)
 	buf = append(buf, checkpointMagic[:]...)
-	buf = appendUint64(buf, cp.LastK)
-	buf = appendUint64(buf, uint64(cp.Deposit))
-	buf = appendUint64(buf, cp.MergedTxs)
-	buf = appendUint64(buf, cp.DepositFundedTxs)
-	buf = appendUint64(buf, cp.Refunds)
-	buf = appendUint32(buf, uint32(len(cp.Blocks)))
+	for _, v := range []uint64{cp.LastK, uint64(cp.Deposit), cp.MergedTxs, cp.DepositFundedTxs, cp.Refunds} {
+		buf = binary.BigEndian.AppendUint64(buf, v)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Blocks)))
 	for _, b := range cp.Blocks {
-		buf = appendUint64(buf, b.K)
+		buf = binary.BigEndian.AppendUint64(buf, b.K)
 		buf = append(buf, b.Digest[:]...)
 	}
-	buf = appendUint32(buf, uint32(len(cp.Merged)))
-	for _, d := range cp.Merged {
-		buf = append(buf, d[:]...)
-	}
-	buf = appendUint32(buf, uint32(len(cp.UTXOs)))
+	buf = appendDigests(buf, cp.Merged)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.UTXOs)))
 	for _, u := range cp.UTXOs {
 		buf = append(buf, u.Op.TxID[:]...)
-		buf = appendUint32(buf, u.Op.Index)
+		buf = binary.BigEndian.AppendUint32(buf, u.Op.Index)
 		buf = append(buf, u.Out.Account[:]...)
-		buf = appendUint64(buf, uint64(u.Out.Value))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(u.Out.Value))
 	}
-	buf = appendUint32(buf, uint32(len(cp.TxIDs)))
-	for _, d := range cp.TxIDs {
-		buf = append(buf, d[:]...)
-	}
-	buf = appendUint32(buf, uint32(len(cp.Punished)))
+	buf = appendDigests(buf, cp.TxIDs)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Punished)))
 	for _, a := range cp.Punished {
 		buf = append(buf, a[:]...)
 	}
-	buf = appendUint32(buf, uint32(len(cp.DepositInputs)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.DepositInputs)))
 	for _, in := range cp.DepositInputs {
 		buf = append(buf, in.Op.TxID[:]...)
-		buf = appendUint32(buf, in.Op.Index)
-		buf = appendUint64(buf, uint64(in.Value))
+		buf = binary.BigEndian.AppendUint32(buf, in.Op.Index)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(in.Value))
 	}
 	return buf
+}
+
+func appendDigests(buf []byte, ds []types.Digest) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ds)))
+	for _, d := range ds {
+		buf = append(buf, d[:]...)
+	}
+	return buf
+}
+
+func readDigests(r *Reader) []types.Digest {
+	ds := make([]types.Digest, r.Count(32))
+	for i := range ds {
+		ds[i] = r.Digest()
+	}
+	return ds
 }
 
 // DecodeCheckpoint parses a checkpoint snapshot.
@@ -243,83 +238,31 @@ func DecodeCheckpoint(payload []byte) (*CheckpointState, error) {
 	if len(payload) < 4 || [4]byte(payload[:4]) != checkpointMagic {
 		return nil, fmt.Errorf("%w: not a ZLC1 checkpoint", ErrBadMagic)
 	}
-	r := payload[4:]
-	cp := &CheckpointState{}
-	var err error
-	if cp.LastK, r, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	var v uint64
-	if v, r, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	cp.Deposit = types.Amount(v)
-	if cp.MergedTxs, r, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	if cp.DepositFundedTxs, r, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	if cp.Refunds, r, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	var count uint32
-	if count, r, err = readCount(r, 8+32); err != nil {
-		return nil, err
-	}
-	cp.Blocks = make([]BlockDigest, count)
+	r := NewReader(payload[4:])
+	cp := &CheckpointState{LastK: r.U64(), Deposit: types.Amount(r.U64()),
+		MergedTxs: r.U64(), DepositFundedTxs: r.U64(), Refunds: r.U64()}
+	cp.Blocks = make([]BlockDigest, r.Count(8+32))
 	for i := range cp.Blocks {
-		cp.Blocks[i].K = binary.BigEndian.Uint64(r)
-		copy(cp.Blocks[i].Digest[:], r[8:])
-		r = r[8+32:]
+		cp.Blocks[i] = BlockDigest{K: r.U64(), Digest: r.Digest()}
 	}
-	if count, r, err = readCount(r, 32); err != nil {
-		return nil, err
-	}
-	cp.Merged = make([]types.Digest, count)
-	for i := range cp.Merged {
-		copy(cp.Merged[i][:], r)
-		r = r[32:]
-	}
-	if count, r, err = readCount(r, 32+4+32+8); err != nil {
-		return nil, err
-	}
-	cp.UTXOs = make([]UTXOEntry, count)
+	cp.Merged = readDigests(&r)
+	cp.UTXOs = make([]UTXOEntry, r.Count(32+4+32+8))
 	for i := range cp.UTXOs {
-		copy(cp.UTXOs[i].Op.TxID[:], r)
-		cp.UTXOs[i].Op.Index = binary.BigEndian.Uint32(r[32:])
-		copy(cp.UTXOs[i].Out.Account[:], r[36:])
-		cp.UTXOs[i].Out.Value = types.Amount(binary.BigEndian.Uint64(r[68:]))
-		r = r[76:]
+		cp.UTXOs[i] = UTXOEntry{Op: utxo.Outpoint{TxID: r.Digest(), Index: r.U32()},
+			Out: utxo.Output{Account: utxo.Address(r.Digest()), Value: types.Amount(r.U64())}}
 	}
-	if count, r, err = readCount(r, 32); err != nil {
-		return nil, err
-	}
-	cp.TxIDs = make([]types.Digest, count)
-	for i := range cp.TxIDs {
-		copy(cp.TxIDs[i][:], r)
-		r = r[32:]
-	}
-	if count, r, err = readCount(r, 32); err != nil {
-		return nil, err
-	}
-	cp.Punished = make([]utxo.Address, count)
+	cp.TxIDs = readDigests(&r)
+	cp.Punished = make([]utxo.Address, r.Count(32))
 	for i := range cp.Punished {
-		copy(cp.Punished[i][:], r)
-		r = r[32:]
+		cp.Punished[i] = utxo.Address(r.Digest())
 	}
-	if count, r, err = readCount(r, 32+4+8); err != nil {
-		return nil, err
-	}
-	cp.DepositInputs = make([]DepositInput, count)
+	cp.DepositInputs = make([]DepositInput, r.Count(32+4+8))
 	for i := range cp.DepositInputs {
-		copy(cp.DepositInputs[i].Op.TxID[:], r)
-		cp.DepositInputs[i].Op.Index = binary.BigEndian.Uint32(r[32:])
-		cp.DepositInputs[i].Value = types.Amount(binary.BigEndian.Uint64(r[36:]))
-		r = r[44:]
+		cp.DepositInputs[i] = DepositInput{Op: utxo.Outpoint{TxID: r.Digest(), Index: r.U32()},
+			Value: types.Amount(r.U64())}
 	}
-	if len(r) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(r))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return cp, nil
 }
@@ -335,24 +278,14 @@ type SyncReq struct {
 
 // EncodeSyncReq serializes a catch-up request.
 func EncodeSyncReq(req *SyncReq) []byte {
-	buf := make([]byte, 0, 9)
-	buf = appendUint64(buf, req.FromK)
-	b := byte(0)
-	if req.WantCheckpoint {
-		b = 1
-	}
-	return append(buf, b)
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 9), req.FromK)
+	return AppendFlag(buf, req.WantCheckpoint)
 }
 
-// DecodeSyncReq parses a catch-up request.
+// DecodeSyncReq parses a catch-up request. The flag is 0 or 1, so a
+// decoded request re-encodes to the bytes it was read from.
 func DecodeSyncReq(payload []byte) (*SyncReq, error) {
-	if len(payload) != 9 {
-		return nil, ErrTruncated
-	}
-	return &SyncReq{
-		FromK:          binary.BigEndian.Uint64(payload),
-		WantCheckpoint: payload[8] == 1,
-	}, nil
+	return Decode(payload, func(r *Reader) *SyncReq { return &SyncReq{FromK: r.U64(), WantCheckpoint: r.Flag()} })
 }
 
 // SyncResp is a catch-up transfer: the serving node's latest checkpoint
@@ -372,64 +305,17 @@ type SyncResp struct {
 // EncodeSyncResp serializes a catch-up transfer.
 func EncodeSyncResp(resp *SyncResp) []byte {
 	buf := make([]byte, 0, 8+4+len(resp.Checkpoint)+4+len(resp.Log))
-	buf = appendUint64(buf, resp.LastK)
-	buf = appendUint32(buf, uint32(len(resp.Checkpoint)))
+	buf = binary.BigEndian.AppendUint64(buf, resp.LastK)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(resp.Checkpoint)))
 	buf = append(buf, resp.Checkpoint...)
-	buf = appendUint32(buf, uint32(len(resp.Log)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(resp.Log)))
 	return append(buf, resp.Log...)
 }
 
 // DecodeSyncResp parses a catch-up transfer. The returned slices alias
 // the payload.
 func DecodeSyncResp(payload []byte) (*SyncResp, error) {
-	if len(payload) < 8+4 {
-		return nil, ErrTruncated
-	}
-	resp := &SyncResp{LastK: binary.BigEndian.Uint64(payload)}
-	r := payload[8:]
-	n := binary.BigEndian.Uint32(r)
-	r = r[4:]
-	if uint64(n) > uint64(len(r)) {
-		return nil, fmt.Errorf("%w: %d-byte checkpoint in %d bytes", ErrTruncated, n, len(r))
-	}
-	resp.Checkpoint = r[:n:n]
-	r = r[n:]
-	if len(r) < 4 {
-		return nil, ErrTruncated
-	}
-	n = binary.BigEndian.Uint32(r)
-	r = r[4:]
-	if uint64(n) != uint64(len(r)) {
-		return nil, fmt.Errorf("%w: %d-byte log in %d bytes", ErrTruncated, n, len(r))
-	}
-	resp.Log = r[:n:n]
-	return resp, nil
-}
-
-// readUint64 consumes a big-endian uint64.
-func readUint64(r []byte) (uint64, []byte, error) {
-	if len(r) < 8 {
-		return 0, nil, ErrTruncated
-	}
-	return binary.BigEndian.Uint64(r), r[8:], nil
-}
-
-// readCount consumes an element count and checks the buffer can hold
-// count elements of elemSize bytes, bounding corrupt counts.
-func readCount(r []byte, elemSize int) (uint32, []byte, error) {
-	if len(r) < 4 {
-		return 0, nil, ErrTruncated
-	}
-	count := binary.BigEndian.Uint32(r)
-	r = r[4:]
-	if count > maxCount || int64(count)*int64(elemSize) > int64(len(r)) {
-		return 0, nil, fmt.Errorf("%w: %d elements in %d bytes", ErrTruncated, count, len(r))
-	}
-	return count, r, nil
-}
-
-func appendUint64(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	return Decode(payload, func(r *Reader) *SyncResp {
+		return &SyncResp{LastK: r.U64(), Checkpoint: r.Take(int(r.U32())), Log: r.Take(int(r.U32()))}
+	})
 }

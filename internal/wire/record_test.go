@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -85,11 +86,7 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 func TestBlockRecordRoundTrip(t *testing.T) {
 	txs := testTxs(t)
 	rec := &BlockRecord{K: 42, Attempt: 3, Digest: types.Hash([]byte("d")), Txs: txs}
-	enc, err := EncodeBlockRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlockRecord(enc)
+	got, err := DecodeBlockRecord(EncodeBlockRecord(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +105,7 @@ func TestBlockRecordRoundTrip(t *testing.T) {
 
 func TestBlockRecordEmptyTxs(t *testing.T) {
 	rec := &BlockRecord{K: 7, Digest: types.Hash([]byte("digest-only"))}
-	enc, err := EncodeBlockRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlockRecord(enc)
+	got, err := DecodeBlockRecord(EncodeBlockRecord(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +193,11 @@ func TestSyncReqRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSyncReq([]byte{1, 2}); err == nil {
 		t.Fatal("short sync req decoded")
+	}
+	// The flag is 0 or 1: a request reading {…, 2} would re-encode as
+	// {…, 0}, so it is refused.
+	if _, err := DecodeSyncReq([]byte{0, 0, 0, 0, 0, 0, 0, 17, 2}); !errors.Is(err, ErrNonCanonical) {
+		t.Fatalf("flag byte 2: %v, want ErrNonCanonical", err)
 	}
 }
 

@@ -1,13 +1,20 @@
-// Package wire implements the binary codecs for consensus proposal
-// payloads: transaction batches, proof-of-fraud sets and replica lists,
-// and the signed-statement and certificate layouts the transport's peer
-// frames are built from. It replaces the reflective encoding/gob codecs
-// that used to live in the zlb package, cmd/zlb-node and
-// internal/membership — a length-prefixed framing over each type's
-// canonical encoding, with no reflection and no per-field allocations on
-// the hot path.
+// Package wire holds the module's binary layouts that sit below the
+// protocol types, and the one reader every layout is decoded with:
 //
-// Batch layout (all integers big-endian):
+//   - Reader and its Append counterparts (reader.go): the field types a
+//     layout is built from (integers, digests, flags, byte strings,
+//     varints, counted lists, maps in ascending key order). Each peer
+//     message type encodes itself beside its type with AppendBinary and is
+//     read back by a Read function of its own package; internal/transport
+//     only numbers the types and frames them.
+//   - Transaction batches, the consensus proposal payload (this file), and
+//     replica lists, the inclusion proposal payload.
+//   - The store's record frames, block records and checkpoints, and the
+//     catch-up sync request and response (record.go).
+//
+// Integers are big-endian throughout.
+//
+// Batch layout:
 //
 //	magic   [4]byte "ZLB1"
 //	count   uint32
@@ -24,7 +31,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 )
@@ -32,15 +38,8 @@ import (
 // Batch payload magic: format identifier plus version.
 var batchMagic = [4]byte{'Z', 'L', 'B', '1'}
 
-// Errors returned by the decoders.
-var (
-	ErrBadMagic  = errors.New("wire: payload is not a ZLB1 batch")
-	ErrTruncated = errors.New("wire: truncated payload")
-)
-
-// maxCount bounds declared element counts so corrupt payloads cannot
-// trigger huge allocations.
-const maxCount = 1 << 22
+// ErrBadMagic marks a payload that does not open with its layout's magic.
+var ErrBadMagic = errors.New("wire: payload is not a ZLB1 batch")
 
 // EncodeBatch serializes transactions into a consensus proposal payload.
 func EncodeBatch(txs []*utxo.Transaction) ([]byte, error) {
@@ -50,10 +49,10 @@ func EncodeBatch(txs []*utxo.Transaction) ([]byte, error) {
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, batchMagic[:]...)
-	buf = appendUint32(buf, uint32(len(txs)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(txs)))
 	for _, tx := range txs {
 		enc := tx.Canonical()
-		buf = appendUint32(buf, uint32(len(enc)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
 		buf = append(buf, enc...)
 	}
 	return buf, nil
@@ -72,30 +71,25 @@ func DecodeBatch(payload []byte) ([]*utxo.Transaction, error) {
 	if len(payload) < 8 || [4]byte(payload[:4]) != batchMagic {
 		return nil, ErrBadMagic
 	}
-	count := binary.BigEndian.Uint32(payload[4:])
-	r := payload[8:]
-	// Each transaction costs at least a 4-byte length prefix: cap the
-	// preallocation by what the buffer could possibly hold, so a corrupt
-	// count cannot trigger a huge allocation.
-	if count > maxCount || int(count) > len(r)/4 {
-		return nil, fmt.Errorf("%w: %d transactions in %d bytes", ErrTruncated, count, len(r))
+	r := NewReader(payload[4:])
+	// Each transaction costs at least a 4-byte length prefix: Count caps
+	// the preallocation by what the buffer could possibly hold, so a
+	// corrupt count cannot trigger a huge allocation.
+	count := r.Count(4)
+	if r.err != nil {
+		return nil, r.err
 	}
 	txs := make([]*utxo.Transaction, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(r) < 4 {
-			return nil, ErrTruncated
+	for i := 0; i < count; i++ {
+		enc := r.Take(int(r.U32()))
+		if r.err != nil {
+			return nil, r.err
 		}
-		n := binary.BigEndian.Uint32(r)
-		r = r[4:]
-		if uint32(len(r)) < n {
-			return nil, ErrTruncated
-		}
-		tx, err := utxo.DecodeTransaction(r[:n:n])
+		tx, err := utxo.DecodeTransaction(enc)
 		if err != nil {
 			return nil, fmt.Errorf("wire: transaction %d: %w", i, err)
 		}
 		txs = append(txs, tx)
-		r = r[n:]
 	}
 	return txs, nil
 }
@@ -319,120 +313,21 @@ func (c *BatchCache) Decode(payload []byte) ([]*utxo.Transaction, error) {
 	return txs, err
 }
 
-// --- Membership payloads ---
-
-// Signed statement layout: stmt (fixed 50 bytes) + signer uint32 +
-// sigLen uint32 + sig.
-
-// signedMinLen is the length of a signed statement with an empty
-// signature: the least any element of a list of them occupies.
-const signedMinLen = accountability.EncodedLen + 8
-
-// AppendSigned appends a signed statement in its layout.
-func AppendSigned(buf []byte, s accountability.Signed) []byte {
-	buf = s.Stmt.AppendEncoding(buf)
-	buf = appendUint32(buf, uint32(s.Signer))
-	buf = appendUint32(buf, uint32(len(s.Sig)))
-	return append(buf, s.Sig...)
-}
-
-// ReadSigned consumes one signed statement from r and returns the rest.
-// The signature is copied out, so a statement kept in a log does not pin
-// the buffer it arrived in; an empty one decodes as nil.
-func ReadSigned(r []byte) (accountability.Signed, []byte, error) {
-	const stmtLen = accountability.EncodedLen
-	if len(r) < signedMinLen {
-		return accountability.Signed{}, nil, ErrTruncated
-	}
-	stmt, err := accountability.DecodeStatement(r[:stmtLen])
-	if err != nil {
-		return accountability.Signed{}, nil, err
-	}
-	signer := types.ReplicaID(binary.BigEndian.Uint32(r[stmtLen:]))
-	sigLen := binary.BigEndian.Uint32(r[stmtLen+4:])
-	r = r[stmtLen+8:]
-	if sigLen > maxCount || uint32(len(r)) < sigLen {
-		return accountability.Signed{}, nil, ErrTruncated
-	}
-	var sig []byte
-	if sigLen > 0 {
-		sig = append(make([]byte, 0, sigLen), r[:sigLen]...)
-	}
-	return accountability.Signed{Stmt: stmt, Signer: signer, Sig: sig}, r[sigLen:], nil
-}
-
-// EncodePoFs serializes a proof-of-fraud set for an exclusion proposal.
-func EncodePoFs(pofs []accountability.PoF) ([]byte, error) {
-	buf := appendUint32(nil, uint32(len(pofs)))
-	for _, p := range pofs {
-		buf = appendUint32(buf, uint32(p.Culprit))
-		buf = AppendSigned(buf, p.A)
-		buf = AppendSigned(buf, p.B)
-	}
-	return buf, nil
-}
-
-// DecodePoFs parses an exclusion proposal.
-func DecodePoFs(payload []byte) ([]accountability.PoF, error) {
-	if len(payload) < 4 {
-		return nil, ErrTruncated
-	}
-	count := binary.BigEndian.Uint32(payload)
-	r := payload[4:]
-	// A PoF is at least a culprit ID plus two minimal signed statements.
-	const minPoF = 4 + 2*signedMinLen
-	if count > maxCount || int(count) > len(r)/minPoF {
-		return nil, fmt.Errorf("%w: %d pofs in %d bytes", ErrTruncated, count, len(r))
-	}
-	pofs := make([]accountability.PoF, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(r) < 4 {
-			return nil, ErrTruncated
-		}
-		culprit := types.ReplicaID(binary.BigEndian.Uint32(r))
-		r = r[4:]
-		var p accountability.PoF
-		var err error
-		p.Culprit = culprit
-		if p.A, r, err = ReadSigned(r); err != nil {
-			return nil, fmt.Errorf("wire: pof %d: %w", i, err)
-		}
-		if p.B, r, err = ReadSigned(r); err != nil {
-			return nil, fmt.Errorf("wire: pof %d: %w", i, err)
-		}
-		pofs = append(pofs, p)
-	}
-	if len(r) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(r))
-	}
-	return pofs, nil
-}
-
-// EncodeReplicas serializes a replica list for an inclusion proposal.
-func EncodeReplicas(ids []types.ReplicaID) ([]byte, error) {
-	buf := appendUint32(make([]byte, 0, 4+4*len(ids)), uint32(len(ids)))
+// AppendReplicas appends a replica list, the inclusion proposal payload:
+// count u32 and the IDs, u32 each.
+func AppendReplicas(b []byte, ids []types.ReplicaID) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ids)))
 	for _, id := range ids {
-		buf = appendUint32(buf, uint32(id))
+		b = AppendReplicaID(b, id)
 	}
-	return buf, nil
+	return b
 }
 
-// DecodeReplicas parses an inclusion proposal.
-func DecodeReplicas(payload []byte) ([]types.ReplicaID, error) {
-	if len(payload) < 4 {
-		return nil, ErrTruncated
-	}
-	count := binary.BigEndian.Uint32(payload)
-	if count > maxCount || uint32(len(payload)-4) != 4*count {
-		return nil, fmt.Errorf("%w: %d ids in %d bytes", ErrTruncated, count, len(payload)-4)
-	}
-	ids := make([]types.ReplicaID, count)
+// ReadReplicas reads AppendReplicas' layout.
+func ReadReplicas(r *Reader) []types.ReplicaID {
+	ids := make([]types.ReplicaID, r.Count(4))
 	for i := range ids {
-		ids[i] = types.ReplicaID(binary.BigEndian.Uint32(payload[4+4*i:]))
+		ids[i] = r.ReplicaID()
 	}
-	return ids, nil
-}
-
-func appendUint32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	return ids
 }

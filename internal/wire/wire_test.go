@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
@@ -191,63 +190,10 @@ func TestBatchCache(t *testing.T) {
 	}
 }
 
-func TestPoFsRoundtrip(t *testing.T) {
-	signers, _, err := crypto.GenerateCluster(crypto.SchemeEd25519, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmt := accountability.Statement{
-		Context:  accountability.CtxMain,
-		Kind:     accountability.KindAux,
-		Instance: 3,
-		Slot:     1,
-		Round:    2,
-		Value:    accountability.BoolDigest(true),
-	}
-	stmtB := stmt
-	stmtB.Value = accountability.BoolDigest(false)
-	a, err := accountability.SignStatement(signers[1], stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := accountability.SignStatement(signers[1], stmtB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pof, err := accountability.NewPoF(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	payload, err := EncodePoFs([]accountability.PoF{pof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePoFs(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("decoded %d pofs, want 1", len(got))
-	}
-	if !got[0].Verify(signers[0]) {
-		t.Error("decoded PoF no longer verifies")
-	}
-	if got[0].Culprit != pof.Culprit {
-		t.Errorf("culprit %v, want %v", got[0].Culprit, pof.Culprit)
-	}
-	if _, err := DecodePoFs(payload[:len(payload)-2]); err == nil {
-		t.Error("truncated PoF payload accepted")
-	}
-}
-
 func TestReplicasRoundtrip(t *testing.T) {
 	ids := []types.ReplicaID{4, 7, 19}
-	payload, err := EncodeReplicas(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeReplicas(payload)
+	payload := AppendReplicas(nil, ids)
+	got, err := Decode(payload, ReadReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +205,7 @@ func TestReplicasRoundtrip(t *testing.T) {
 			t.Errorf("id %d: %v, want %v", i, got[i], ids[i])
 		}
 	}
-	if _, err := DecodeReplicas(payload[:len(payload)-1]); err == nil {
+	if _, err := Decode(payload[:len(payload)-1], ReadReplicas); err == nil {
 		t.Error("truncated replica payload accepted")
 	}
 }
