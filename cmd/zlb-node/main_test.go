@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/chaos"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/obs"
@@ -502,6 +503,85 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 	if got := nodes[0].state().Faucet; got != faucet {
 		t.Errorf("faucet balance moved from %d to %d on a resubmitted transaction", faucet, got)
 	}
+}
+
+// TestNodeOpensNoFileOutsideDataDir runs three nodes without a store and
+// one with -data-dir past the retirement depth, with $TMPDIR an empty
+// directory. The store-less nodes drop their retired decisions and the
+// durable one keeps them in its store: the directory stays empty, and
+// every file the process holds open while they run lies under the
+// durable node's data directory.
+func TestNodeOpensNoFileOutsideDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-TCP integration test")
+	}
+	const n, seed, blocks = 4, int64(17), asmr.RetainDepth + 8
+	tmp, dataDir := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	before := openFiles()
+	seen := make(map[string]bool)
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			for path := range openFiles() {
+				if !before[path] {
+					seen[path] = true
+				}
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}()
+
+	nodes, addrs := startCluster(t, n, seed, func(i int, cfg *nodeConfig) {
+		if i == n-1 {
+			cfg.DataDir, cfg.CheckpointEvery = dataDir, 4
+		}
+	})
+	client := newTestClient(t, seed, addrs)
+	for b := 1; b <= blocks; b++ {
+		client.submit(types.Amount(500+b), 0, 1, 2, 3)
+		waitHeight(t, 30*time.Second, b, nodes...)
+	}
+	close(stop)
+	<-sampled
+
+	if retired := nodes[0].app.Status().Replica.CompactedInstances; retired == 0 {
+		t.Fatalf("no instance retired after %d blocks", blocks)
+	}
+	inData := 0
+	for path := range seen {
+		if path == dataDir || strings.HasPrefix(path, dataDir+string(os.PathSeparator)) {
+			inData++
+		} else {
+			t.Errorf("a node opened %s, outside the durable node's data directory %s", path, dataDir)
+		}
+	}
+	if inData == 0 {
+		t.Errorf("no file seen open under the durable node's data directory")
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("$TMPDIR holds %v (%v), want nothing", left, err)
+	}
+}
+
+// openFiles lists the files the process holds open (/proc/self/fd), by
+// path: not sockets, pipes or devices. A deleted file reads as its last
+// path with " (deleted)" after it.
+func openFiles() map[string]bool {
+	paths := make(map[string]bool)
+	fds, _ := os.ReadDir("/proc/self/fd")
+	for _, fd := range fds {
+		path, err := os.Readlink("/proc/self/fd/" + fd.Name())
+		if err == nil && strings.HasPrefix(path, "/") && !strings.HasPrefix(path, "/dev/") && !strings.HasPrefix(path, "/proc/") {
+			paths[path] = true
+		}
+	}
+	return paths
 }
 
 // TestRefusedSubmitsWarnOncePerSecond: a burst of submits the mempool

@@ -245,18 +245,18 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 
 	// What committed history holds: a record per block, an ID per payment,
 	// the sink's outputs and the faucet's change, the payloads in the
-	// decisions of the live instances (a payment is ≈240 B), the retired
-	// decisions in the history file, payloads and certificates, with no
-	// write or read failed, and decoded batches only for what is in
-	// flight.
+	// decisions of the live instances (a payment is ≈240 B), no history of
+	// retired decisions (the node has no store, and drops them) and no
+	// read of one, and decoded batches only for what is in flight.
 	for series, want := range map[string][2]float64{
 		"zlb_ledger_blocks":          {blocks + more, blocks + more},
 		"zlb_committed_txids":        {blocks + more, blocks + more},
 		"zlb_utxo_entries":           {blocks + more + 1, blocks + more + 1},
 		"zlb_batch_cache_entries":    {1, 2 * n},
 		"zlb_retained_payload_bytes": {200, 400 * window},
-		"zlb_history_bytes":          {200 * (blocks + more - window), 40_000 * (blocks + more)},
+		"zlb_history_bytes":          {0, 0},
 		"zlb_history_errors_total":   {0, 0},
+		"zlb_history_pruned_total":   {0, 0},
 	} {
 		if v := seriesValue(t, body, series); v < want[0] || v > want[1] {
 			t.Errorf("%s = %v after %d blocks, want %v..%v", series, v, blocks+more, want[0], want[1])
@@ -314,7 +314,7 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 
 	if m := st.Memory; m.LedgerBlocks != blocks+more || m.CommittedTxIDs != blocks+more || m.UTXOEntries != blocks+more+1 ||
 		m.BatchCacheEntries < 1 || m.BatchCacheEntries > 2*n || m.RetainedPayloadBytes < 200 || m.RetainedPayloadBytes > 400*window ||
-		m.HistoryBytes < 200*(blocks+more-window) || m.HistoryErrors != 0 {
+		m.HistoryBytes != 0 || m.HistoryErrors != 0 || m.HistoryPruned != 0 {
 		t.Errorf("/status memory = %+v after %d blocks", m, blocks+more)
 	}
 

@@ -8,73 +8,70 @@ import (
 )
 
 // History keeps the decisions of retired instances out of the replica's
-// state. When an instance retires the replica puts its decision there and
-// keeps only the reference Put returned, beside the instance's attempt and
-// digest; every later reader of that decision (records, a late pull, the
-// late-conflict arm of absorb, Committed) reads it back through Get. A
-// History is used from the replica's event loop only.
-//
-// Two implementations ship: NewMemHistory, the default, which keeps the
-// decision objects themselves (the simulator and the tests), and the
-// deployed node's file of encoded decisions (internal/transport).
+// state, by chain index. When an instance retires the replica puts its
+// decision there and keeps only the instance's attempt and digest; every
+// later reader of that decision (records, a late pull, the late-conflict
+// arm of absorb, Committed), or of an instance restored from disk, reads
+// it back through Get. A History is used from the replica's event loop
+// only. NewMemHistory is the default; a deployed node's is its store, or
+// nothing (internal/node).
 type History interface {
-	// Put keeps d and returns where it is. On an error the replica keeps
-	// d itself.
-	Put(d *sbc.Decision) (HistoryRef, error)
-	// Get reads back the decision Put kept at ref. The replica holds what
-	// it returns against the instance's digest and serves nothing for the
-	// instance when the two differ or Get fails.
-	Get(ref HistoryRef) (*sbc.Decision, error)
-	// Bytes is what the history holds: the bytes of its file, or the
-	// payload bytes of the decisions it keeps in memory.
+	// Put keeps d, the decision of instance k. On an error the replica
+	// keeps d itself.
+	Put(k uint64, d *sbc.Decision) error
+	// Get reads back the decision of instance k, or fails with an error
+	// wrapping ErrNotHeld when the history does not hold it. The replica
+	// holds what it returns against the instance's digest and serves
+	// nothing for the instance when the two differ or Get fails.
+	Get(k uint64) (*sbc.Decision, error)
+	// Bytes is what the history holds.
 	Bytes() int64
 }
 
-// HistoryRef is where a History keeps one decision: an offset and a
-// length in a file, or an index in memory.
-type HistoryRef struct {
-	Off, Len int64
-}
+// ErrNotHeld is a history's answer for a decision it dropped, pruned or
+// never held; Stats.HistoryPruned counts these reads.
+var ErrNotHeld = errors.New("asmr: the history does not hold this decision")
 
 // memHistory keeps the decisions themselves, so that what it returns is
 // what was put, pointer for pointer.
 type memHistory struct {
-	decisions []*sbc.Decision
+	decisions map[uint64]*sbc.Decision
 	bytes     int64
 }
 
 // NewMemHistory returns a History that keeps decisions in memory. A
 // replica whose Config names no History gets one.
-func NewMemHistory() History { return &memHistory{} }
+func NewMemHistory() History { return &memHistory{decisions: make(map[uint64]*sbc.Decision)} }
 
-func (h *memHistory) Put(d *sbc.Decision) (HistoryRef, error) {
-	h.decisions = append(h.decisions, d)
+func (h *memHistory) Put(k uint64, d *sbc.Decision) error {
+	h.decisions[k] = d
 	h.bytes += int64(d.PayloadBytes())
-	return HistoryRef{Off: int64(len(h.decisions) - 1)}, nil
+	return nil
 }
 
-// errNoDecision is a reference this history never returned.
-var errNoDecision = errors.New("asmr: no decision at this history reference")
-
-func (h *memHistory) Get(ref HistoryRef) (*sbc.Decision, error) {
-	if ref.Off < 0 || ref.Off >= int64(len(h.decisions)) {
-		return nil, errNoDecision
+func (h *memHistory) Get(k uint64) (*sbc.Decision, error) {
+	if d, ok := h.decisions[k]; ok {
+		return d, nil
 	}
-	return h.decisions[ref.Off], nil
+	return nil, ErrNotHeld
 }
 
 func (h *memHistory) Bytes() int64 { return h.bytes }
 
 // decisionOf returns what st decided: the decision it holds, or the one
-// its history reads back. It is nil for a block restored from disk, and
-// for one whose history read fails or returns another decision than the
-// one st's digest names, payloads included; such a read is counted.
+// its history reads back. It is nil when the history does not hold it,
+// and when the read fails or returns another decision than the one st's
+// digest names, payloads included; both are counted, apart.
 func (r *Replica) decisionOf(st *instState) *sbc.Decision {
-	if !st.inHistory {
+	if st.decision != nil || !st.decided {
 		return st.decision
 	}
-	d, err := r.cfg.History.Get(st.ref)
-	if err != nil || d == nil || !intact(d, st.digest) {
+	d, err := r.cfg.History.Get(st.k)
+	switch {
+	case errors.Is(err, ErrNotHeld):
+		r.historyPruned++
+		return nil
+	case err != nil || d == nil || !intact(d, st.digest):
 		r.historyErrors++
 		return nil
 	}
@@ -107,11 +104,10 @@ func (r *Replica) putAway(st *instState) {
 	if st.decision == nil {
 		return
 	}
-	ref, err := r.cfg.History.Put(st.decision)
-	if err != nil {
+	if err := r.cfg.History.Put(st.k, st.decision); err != nil {
 		r.historyErrors++
 		return
 	}
 	r.decisionBytes -= int64(st.decision.PayloadBytes())
-	st.decision, st.ref, st.inHistory = nil, ref, true
+	st.decision = nil
 }

@@ -128,18 +128,16 @@ type Config struct {
 // adopter's epoch. While live it owns the SBC state machine and the
 // confirmation bookkeeping; retirement (retire.go) releases inst and the
 // two maps, hands the decision to the replica's History and leaves k,
-// attempt, the flags, digest and the decision's reference there.
+// attempt, the flags and the digest there.
 type instState struct {
-	k         uint64
-	attempt   uint32
-	inst      *sbc.Instance // nil once retired, and for blocks restored from disk
-	proposed  bool
-	stopped   bool
-	decided   bool
-	inHistory bool          // the decision is in the History, at ref
-	decision  *sbc.Decision // nil once in the History, and for blocks restored from disk
-	ref       HistoryRef
-	digest    types.Digest
+	k        uint64
+	attempt  uint32
+	inst     *sbc.Instance // nil once retired, and for blocks restored from disk
+	proposed bool
+	stopped  bool
+	decided  bool
+	decision *sbc.Decision // nil once in the History, and for blocks restored from disk
+	digest   types.Digest
 	// confirmation phase
 	confirms     map[types.ReplicaID]types.Digest
 	final        bool
@@ -194,9 +192,11 @@ type Replica struct {
 	lateDropped  uint64
 	// decisionBytes is the payload bytes of the decisions held in
 	// instances rather than in the History; historyErrors counts the
-	// History's failed writes and failed or mismatched reads.
+	// History's failed writes and failed or mismatched reads, and
+	// historyPruned its reads of a decision it does not hold.
 	decisionBytes int64
 	historyErrors uint64
+	historyPruned uint64
 
 	// pending buffers consensus messages that cannot be routed yet: a
 	// membership change a peer already started, an instance attempt we
@@ -247,7 +247,8 @@ func (r *Replica) Log() *accountability.Log { return r.log }
 func (r *Replica) Epoch() uint64 { return r.epoch }
 
 // Committed returns the locally committed decision for k, if any (nil for
-// a block restored from disk, and for one the History fails to read back).
+// a retired or restored block the History does not hold or fails to read
+// back).
 func (r *Replica) Committed(k uint64) (*sbc.Decision, bool) {
 	st, ok := r.instances[k]
 	if !ok || !st.decided {
@@ -282,7 +283,8 @@ func (r *Replica) Disagreed(k uint64) bool {
 }
 
 // RestoredBlock seeds a recovering replica with the coordinates of one
-// block recovered from its durable store (internal/store).
+// block recovered from its durable store (internal/store): Digest is the
+// decision's (sbc.Decision.Digest), what peers' confirmations carry.
 type RestoredBlock struct {
 	K       uint64
 	Attempt uint32
@@ -291,13 +293,11 @@ type RestoredBlock struct {
 
 // Restore marks instances decided from durable local state — the
 // consensus-layer half of a crash recovery. It must run before Start.
-// The store does not retain decision bodies (certificates), so restored
-// instances are committed without refiring OnCommit (the application
-// already recovered their content from disk) and records has no body to
-// serve for them; peers that need those blocks fetch them from replicas that
-// decided them live. A restored instance never runs here again, so it is
-// created already retired: no decision, no protocol state, whatever the
-// chain length.
+// Restored instances are committed without refiring OnCommit (the
+// application already recovered their content from disk). A restored
+// instance never runs here again, so it is created already retired: no
+// decision in memory, no protocol state, whatever the chain length; its
+// decision is read from the History, like a retired one's.
 func (r *Replica) Restore(blocks []RestoredBlock) {
 	for _, b := range blocks {
 		if r.decidedAt(b.K) {
@@ -606,8 +606,8 @@ func (r *Replica) askBlocks(peers []types.ReplicaID, from, to uint64) {
 // CatchupResp or a JoinNotice: the decided blocks from..to,
 // ascending (every decided k is below nextK), each under the attempt it was
 // decided under, which is what the receiver's audit holds it against. A
-// block restored from disk has no body to serve and is skipped, and so is
-// one the History fails to read back.
+// retired or restored block the History does not hold or fails to read
+// back is skipped.
 func (r *Replica) records(from, to uint64) []BlockRecord {
 	var blocks []BlockRecord
 	for k := from; k <= to && k < r.nextK; k++ {

@@ -146,10 +146,10 @@ type Stats struct {
 	// DecisionBytes is the payload bytes of the decisions the replica
 	// holds in its instances: the live ones, and any its History failed
 	// to take. HistoryBytes is what the History holds (History.Bytes),
-	// and HistoryErrors counts its failed writes and its failed or
-	// mismatched reads.
-	DecisionBytes, HistoryBytes int64
-	HistoryErrors               uint64
+	// HistoryErrors counts its failed writes and its failed or mismatched
+	// reads, and HistoryPruned its reads of a decision it does not hold.
+	DecisionBytes, HistoryBytes  int64
+	HistoryErrors, HistoryPruned uint64
 }
 
 // Stats reports the replica's retained state. Like every Replica method
@@ -169,5 +169,6 @@ func (r *Replica) Stats() Stats {
 		DecisionBytes:     r.decisionBytes,
 		HistoryBytes:      r.cfg.History.Bytes(),
 		HistoryErrors:     r.historyErrors,
+		HistoryPruned:     r.historyPruned,
 	}
 }

@@ -14,12 +14,14 @@ import (
 	"github.com/zeroloss/zlb/internal/conformance"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
+	"github.com/zeroloss/zlb/internal/node"
 	"github.com/zeroloss/zlb/internal/rbc"
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/scenario"
 	"github.com/zeroloss/zlb/internal/simnet"
-	"github.com/zeroloss/zlb/internal/transport"
+	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/wire"
 )
 
 // inFlight is how many instances can hold protocol state ahead of the
@@ -63,12 +65,12 @@ type fork struct {
 // batches and keeps the forks it is asked to merge.
 type forkRecorder struct {
 	r     *asmr.Replica
-	h     asmr.History // nil: the replica's default
+	h     history // zero: the replica's default
 	forks []fork
 }
 
 func (a *forkRecorder) Bind(cfg *asmr.Config) {
-	cfg.History = a.h
+	a.h.bind(cfg)
 	cfg.OnDisagreement = func(k uint64, local, remote *sbc.Decision) {
 		a.forks = append(a.forks, fork{k, local, remote})
 	}
@@ -81,33 +83,48 @@ func (a *forkRecorder) Close() error           { return nil }
 // batches and gives it a history of its own.
 type historyApp struct {
 	r *asmr.Replica
-	h asmr.History
+	h history
 }
 
-func (a *historyApp) Bind(cfg *asmr.Config)  { cfg.History = a.h }
+func (a *historyApp) Bind(cfg *asmr.Config)  { a.h.bind(cfg) }
 func (a *historyApp) Attach(r *asmr.Replica) { a.r = r }
 func (a *historyApp) Start()                 { a.r.Start() }
-func (a *historyApp) Close() error {
-	if f, ok := a.h.(*transport.HistoryFile); ok {
-		return f.Close()
-	}
-	return nil
+func (a *historyApp) Close() error           { return nil }
+
+// history is a replica's History and what its application does with a
+// committed decision so that the History holds it.
+type history struct {
+	asmr.History
+	commit func(k uint64, attempt uint32, d *sbc.Decision)
 }
 
-// histories are the two History implementations a replica runs with: in
-// memory, the default, and the deployed node's file, one per replica.
+func (h history) bind(cfg *asmr.Config) {
+	cfg.History, cfg.OnCommit = h.History, h.commit
+}
+
+// histories are the History implementations a replica runs with: in
+// memory, the simulator's, and a deployed node's store, one per replica,
+// which the application appends each committed decision to as
+// internal/node does.
 var histories = []struct {
 	name string
-	open func(t *testing.T) asmr.History
+	open func(t *testing.T) history
 }{
-	{"memory", func(*testing.T) asmr.History { return asmr.NewMemHistory() }},
-	{"file", func(t *testing.T) asmr.History {
-		h, err := transport.OpenHistoryFile(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
+	{"memory", func(*testing.T) history { return history{History: asmr.NewMemHistory()} }},
+	{"store", openStoreHistory},
+}
+
+func openStoreHistory(t *testing.T) history {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return history{node.HistoryOf(st), func(k uint64, attempt uint32, d *sbc.Decision) {
+		if err := st.Append(&store.BlockRecord{K: k, Attempt: attempt, Digest: store.BlockFrom(k, d, wire.DecodeBatch).Digest, Decision: d}); err != nil {
+			t.Error(err)
 		}
-		return h
-	}},
+	}}
 }
 
 // runUntilHeight advances the simulation until every committee member
@@ -214,7 +231,7 @@ func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	}
 }
 
-func retiredInstanceAnswersIdentically(t *testing.T, history func(*testing.T) asmr.History) {
+func retiredInstanceAnswersIdentically(t *testing.T, history func(*testing.T) history) {
 	const n, k, slot = 4, 5, types.ReplicaID(2)
 	c := benignClusterOf(t, n, 120, func(types.ReplicaID, simnet.Env) (harness.Application, error) {
 		return &historyApp{h: history(t)}, nil
@@ -306,8 +323,8 @@ type faultyHistory struct {
 
 var errShortRead = errors.New("short read")
 
-func (h *faultyHistory) Get(ref asmr.HistoryRef) (*sbc.Decision, error) {
-	d, err := h.History.Get(ref)
+func (h *faultyHistory) Get(k uint64) (*sbc.Decision, error) {
+	d, err := h.History.Get(k)
 	switch {
 	case err != nil || h.mode == "":
 		return d, err
@@ -337,7 +354,7 @@ func TestHistoryReadFailureServesNothing(t *testing.T) {
 	faulty := make(map[types.ReplicaID]*faultyHistory)
 	c := benignClusterOf(t, n, 80, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
 		faulty[id] = &faultyHistory{History: asmr.NewMemHistory()}
-		return &historyApp{h: faulty[id]}, nil
+		return &historyApp{h: history{History: faulty[id]}}, nil
 	})
 	const probeID = types.ReplicaID(2*n + 1)
 	p := &probe{}
@@ -434,21 +451,30 @@ func conflictingDecision(t *testing.T, c *harness.Cluster, local *sbc.Decision, 
 // into the log ahead of the remote ones, the quorums intersect in ⌈n/3⌉
 // signers, each is convicted, and the application gets both branches to
 // merge — once, the local one read back from the history equal in digest
-// and content to the one decided.
+// and content to the one decided. A replica whose history does not hold
+// the decision (a node without a store) still hands the remote branch to
+// the application, once, with no local one; it convicts no one itself,
+// and counts the read that found nothing.
 func TestLateConflictAfterRetirement(t *testing.T) {
 	for _, hist := range histories {
 		t.Run(hist.name, func(t *testing.T) { lateConflictAfterRetirement(t, hist.open) })
 	}
+	t.Run("none", func(t *testing.T) {
+		lateConflictAfterRetirement(t, func(*testing.T) history { return history{History: node.HistoryOf(nil)} })
+	})
 }
 
-func lateConflictAfterRetirement(t *testing.T, history func(*testing.T) asmr.History) {
+func lateConflictAfterRetirement(t *testing.T, history func(*testing.T) history) {
 	const n, k = 4, 5
 	apps := make(map[types.ReplicaID]*forkRecorder)
+	const victim = types.ReplicaID(n)
 	c := benignClusterOf(t, n, 100, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
-		apps[id] = &forkRecorder{h: history(t)}
+		apps[id] = &forkRecorder{}
+		if id == victim { // its peers keep the default history
+			apps[id].h = history(t)
+		}
 		return apps[id], nil
 	})
-	victim := c.Members[n-1]
 	r := c.Replicas[victim]
 	c.Start()
 	runUntilHeight(t, c, 100)
@@ -459,17 +485,32 @@ func lateConflictAfterRetirement(t *testing.T, history func(*testing.T) asmr.His
 		t.Fatalf("%d culprits before the conflict", got)
 	}
 
+	// What the victim decided; a peer's copy when its history dropped it.
 	local, _ := r.Committed(k)
+	held := local != nil
+	if !held {
+		local, _ = c.Replicas[c.Members[0]].Committed(k)
+	}
 	slot := local.OrderedProposals()[0].Broadcaster // any slot decided 1
 	remote := conflictingDecision(t, c, local, slot, c.Members[:3])
+	pruned := r.Stats().HistoryPruned
 	for i := 0; i < 2; i++ { // the second copy must be recognised as seen
 		answer(c, c.Members[0], victim, k, k, []asmr.BlockRecord{{K: k, Decision: remote}})
 	}
 	c.Run(c.Net.Now() + 500*time.Millisecond)
 
 	calls := apps[victim].forks
-	if len(calls) != 1 || calls[0].k != k || calls[0].remote != remote || calls[0].local == nil {
-		t.Fatalf("OnDisagreement calls = %+v, want exactly one with (%d, local, remote)", calls, k)
+	if len(calls) != 1 || calls[0].k != k || calls[0].remote != remote || (calls[0].local != nil) != held {
+		t.Fatalf("OnDisagreement calls = %+v, want exactly one with (%d, local held %v, remote)", calls, k, held)
+	}
+	if !held {
+		if got := r.Stats().HistoryPruned - pruned; got != 1 {
+			t.Errorf("%d reads counted pruned, want 1", got)
+		}
+		if got := r.Log().ProvenCulprits(); len(got) != 0 || !r.Disagreed(k) {
+			t.Errorf("without the local decision: culprits %v, disagreed %v; want none and true", got, r.Disagreed(k))
+		}
+		return
 	}
 	if got := calls[0].local; got.Digest() != local.Digest() || !reflect.DeepEqual(got, local) {
 		t.Fatalf("OnDisagreement's local branch differs from the decision:\ngot  %+v\nwant %+v", got, local)

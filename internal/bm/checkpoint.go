@@ -31,6 +31,7 @@ func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	// The block list keeps append order and includes merged siblings at
 	// an already-occupied index: replaying it into storeBlock rebuilds
 	// both the blocks slice (Height) and the first-wins byIndex map.
+	// The decision digests are left to the store (Store.WriteCheckpoint).
 	cp.Blocks = append(cp.Blocks, l.blocks...)
 	cp.LastK = l.lastK
 	cp.Merged = sortedDigests(l.merged)

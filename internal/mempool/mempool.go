@@ -260,7 +260,7 @@ func (p *Pool) SetClock(fn func() time.Duration) {
 // Add warms every lazily memoized derived value (canonical encoding, ID,
 // signing digest) while the transaction is still owned by a single
 // goroutine: the pointer is about to be shared across all replicas'
-// pools, and the verification workers (internal/pipeline) may encode or
+// pools, and the node's signature-verification workers may encode or
 // hash it concurrently. After Add, those accessors are read-only.
 func (p *Pool) Add(tx *utxo.Transaction) error {
 	id := tx.ID()

@@ -12,6 +12,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -28,8 +29,6 @@ import (
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
-	"github.com/zeroloss/zlb/internal/types"
-	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
 )
 
@@ -216,15 +215,50 @@ func (n *Node) Start() {
 }
 
 // restoredBlocks lists the coordinates of every block a store holds, in
-// the form asmr.Replica.Restore takes.
+// the form asmr.Replica.Restore takes: each under its decision's digest.
 func restoredBlocks(st *store.Store) []asmr.RestoredBlock {
 	recs := st.BlockRecords()
 	out := make([]asmr.RestoredBlock, len(recs))
 	for i, rec := range recs {
-		out[i] = asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Digest}
+		out[i] = asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Decision}
 	}
 	return out
 }
+
+// History is what a deployed replica keeps of its retired instances'
+// decisions (asmr.Config.History): HistoryOf the node's store.
+func (n *Node) History() asmr.History { return HistoryOf(n.store) }
+
+// HistoryOf is the asmr.History of a replica whose node appends every
+// committed decision to st: Get reads the block record back. Without a
+// store (nil) a retired decision is dropped: the replica serves the last
+// RetainDepth instances, as far back as a merge or a PoF reaches.
+func HistoryOf(st *store.Store) asmr.History {
+	if st == nil {
+		return noHistory{}
+	}
+	return storeHistory{st}
+}
+
+type storeHistory struct{ st *store.Store }
+
+func (storeHistory) Put(uint64, *sbc.Decision) error { return nil }
+
+func (h storeHistory) Get(k uint64) (*sbc.Decision, error) {
+	d, err := h.st.Decision(k)
+	if errors.Is(err, store.ErrPruned) {
+		return nil, fmt.Errorf("%w: %v", asmr.ErrNotHeld, err)
+	}
+	return d, err
+}
+
+func (h storeHistory) Bytes() int64 { return h.st.RetainedBytes() }
+
+type noHistory struct{}
+
+func (noHistory) Put(uint64, *sbc.Decision) error   { return nil }
+func (noHistory) Get(uint64) (*sbc.Decision, error) { return nil, asmr.ErrNotHeld }
+func (noHistory) Bytes() int64                      { return 0 }
 
 // Restored reports whether the chain was recovered from disk or installed
 // from a peer, so that the replica should ask for what it missed since.
@@ -296,9 +330,9 @@ func (n *Node) Commit(k uint64, attempt uint32, d *sbc.Decision) {
 
 // commit applies decided superblock k: ledger, store, mempool, metrics.
 func (n *Node) commit(k uint64, attempt uint32, d *sbc.Decision) {
-	block := n.blockFrom(k, d)
+	block := store.BlockFrom(k, d, n.opts.Batches.Decode)
 	applied := n.ledger.CommitBlock(block)
-	n.persist(block, attempt, false)
+	n.persist(block, attempt, d, false)
 	n.pool.Prune(block.Txs)
 	n.update(func(s *Status) {
 		s.BlocksCommitted++
@@ -326,20 +360,10 @@ func (n *Node) commit(k uint64, attempt uint32, d *sbc.Decision) {
 // Merge reconciles a fork at k (phase ⑤): the conflicting branch's
 // transactions are merged into the ledger rather than discarded, the
 // merge is persisted, and what it carried leaves the mempool.
-//
-// A restored instance has no local decision to tell the branches apart by
-// (the store keeps the ledger digest, asmr compares decision digests), so
-// an agreeing peer's block can arrive here as "remote": when it is the
-// block the ledger already holds at k there is no fork and nothing to do.
-func (n *Node) Merge(k uint64, local, remote *sbc.Decision) {
-	block := n.blockFrom(k, remote)
-	if local == nil {
-		if held, ok := n.ledger.BlockAt(k); ok && held.Digest == block.Digest {
-			return
-		}
-	}
+func (n *Node) Merge(k uint64, _, remote *sbc.Decision) {
+	block := store.BlockFrom(k, remote, n.opts.Batches.Decode)
 	merged := n.ledger.MergeBlock(block)
-	n.persist(block, 0, true)
+	n.persist(block, 0, remote, true)
 	n.pool.Prune(block.Txs)
 	n.update(func(s *Status) {
 		s.BlocksMerged++
@@ -350,47 +374,14 @@ func (n *Node) Merge(k uint64, local, remote *sbc.Decision) {
 	}
 }
 
-// blockFrom assembles the application block of a decision: the union of
-// the decided proposals' transactions in deterministic order (§4.1 ⑤),
-// each payload decoded through the batch cache.
-func (n *Node) blockFrom(k uint64, d *sbc.Decision) *bm.Block {
-	proposals := d.OrderedProposals()
-	decoded := make([][]*utxo.Transaction, 0, len(proposals))
-	total := 0
-	for _, p := range proposals {
-		batch, err := n.opts.Batches.Decode(p.Payload)
-		if err != nil {
-			continue
-		}
-		decoded = append(decoded, batch)
-		total += len(batch)
-	}
-	var txs []*utxo.Transaction
-	seen := make(map[types.Digest]bool, total)
-	for _, batch := range decoded {
-		for _, tx := range batch {
-			id := tx.ID()
-			if !seen[id] {
-				seen[id] = true
-				txs = append(txs, tx)
-			}
-		}
-	}
-	return bm.NewBlock(k, txs)
-}
-
-// persist writes a committed or merged block through to the store, cuts
-// a checkpoint when one is due and flushes.
-func (n *Node) persist(b *bm.Block, attempt uint32, merge bool) {
+// persist writes a committed or merged block, with the decision it
+// derives from, through to the store, cuts a checkpoint when one is due
+// and flushes.
+func (n *Node) persist(b *bm.Block, attempt uint32, d *sbc.Decision, merge bool) {
 	if n.store == nil {
 		return
 	}
-	var err error
-	if merge {
-		err = n.store.AppendMerge(b, attempt)
-	} else {
-		err = n.store.AppendBlock(b, attempt)
-	}
+	err := n.store.Append(&store.BlockRecord{Supersede: merge, K: b.K, Attempt: attempt, Digest: b.Digest, Decision: d})
 	if err == nil && n.store.ShouldCheckpoint() {
 		err = n.store.WriteCheckpoint(n.ledger.CheckpointState())
 		if err == nil {

@@ -3,6 +3,8 @@ package node
 import (
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -241,19 +243,60 @@ func TestRecoversPersistedChain(t *testing.T) {
 	}
 }
 
-// TestRestoredBranchIsNotMerged hands a restarted node, as the "remote"
-// branch of an instance it restored, the decision it committed before the
-// restart — what an agreeing peer's late Confirm leads to, since a
-// restored instance keeps the ledger digest and not the decision's (see
-// ROADMAP item 1(a)). That is no fork: nothing is merged, written or
-// reported. A branch that does differ still merges.
+// TestRestoredInstanceKeepsItsDecisionDigest: a node commits decision d,
+// stops and reopens its store, and its replica restores instance 1 under
+// d's digest, the one peers' confirmations carry, and serves d from the
+// store — whether the store gives the digest from its tail or, below a
+// checkpoint, from the checkpoint.
+func TestRestoredInstanceKeepsItsDecisionDigest(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		every  uint64
+		blocks uint64
+	}{{"tail", 0, 1}, {"checkpoint", 2, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			durable := func(dir string) func(*Options) {
+				return func(o *Options) { o.DataDir, o.CheckpointEvery = dir, c.every }
+			}
+			f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(t.TempDir()))
+			var first *sbc.Decision
+			for k := uint64(1); k <= c.blocks; k++ {
+				d := decide(k, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(types.Amount(k)))})
+				f.Commit(k, 0, d)
+				if k == 1 {
+					first = d
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir))
+			if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); (err == nil) != (c.every > 0) {
+				t.Fatalf("checkpoint file: %v, want one: %v", err, c.every > 0)
+			}
+			r := g.attachReplica(t)
+			if got := r.ChainDigests()[1]; got != first.Digest() {
+				t.Fatalf("restored instance 1 under digest %v, want the decision's %v", got, first.Digest())
+			}
+			if got, ok := r.Committed(1); !ok || got == nil || got.Digest() != first.Digest() {
+				t.Fatalf("restored instance 1 serves %+v, want the committed decision", got)
+			}
+		})
+	}
+}
+
+// TestRestoredBranchIsNotMerged: a restored instance keeps the digest of
+// the decision it committed (TestRestoredInstanceKeepsItsDecisionDigest),
+// so a peer's block that agrees with it stops in the replica and never
+// reaches Merge. What does reach it is a branch that differs, and that
+// still merges on a restarted node.
 func TestRestoredBranchIsNotMerged(t *testing.T) {
 	durable := func(dir string) func(*Options) {
 		return func(o *Options) { o.DataDir = dir }
 	}
 	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(t.TempDir()))
-	committed := decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))})
-	f.Commit(1, 0, committed)
+	f.Commit(1, 0, decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))}))
 	other := decide(1, map[types.ReplicaID][]byte{2: encode(t, f.faucet.pay(2))})
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -268,16 +311,15 @@ func TestRestoredBranchIsNotMerged(t *testing.T) {
 	if _, restored := r.Committed(1); !restored {
 		t.Fatal("the replica did not restore instance 1")
 	}
-
-	g.Merge(1, nil, committed)
-	if st := g.Status(); st.BlocksMerged != 0 || merges != 0 || len(g.store.Tail()) != 1 {
-		t.Fatalf("merging the branch the node holds: %d blocks merged, %d reported, %d store records; want 0, 0 and 1",
-			st.BlocksMerged, merges, len(g.store.Tail()))
-	}
 	g.Merge(1, nil, other)
-	if st := g.Status(); st.BlocksMerged != 1 || merges != 1 || len(g.store.Tail()) != 2 {
-		t.Fatalf("merging a branch that differs: %d blocks merged, %d reported, %d store records; want 1, 1 and 2",
-			st.BlocksMerged, merges, len(g.store.Tail()))
+	if st := g.Status(); st.BlocksMerged != 1 || merges != 1 {
+		t.Fatalf("merging a branch that differs: %d blocks merged, %d reported; want 1 and 1", st.BlocksMerged, merges)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if h := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir)); h.Ledger().Height() != 2 {
+		t.Fatalf("the store recovers %d blocks, want the committed one and the merged one", h.Ledger().Height())
 	}
 }
 
@@ -289,7 +331,8 @@ func (f *fixture) attachReplica(t *testing.T) *asmr.Replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: f.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true})
+	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: f.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true,
+		History: f.History()})
 	f.Attach(r)
 	return r
 }

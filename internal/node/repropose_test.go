@@ -6,6 +6,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
@@ -94,7 +95,7 @@ func TestReproposedTransactionsCommitAsFirstDecoded(t *testing.T) {
 		d := decide(k, selected)
 		if len(carried) > 0 {
 			inBlock := make(map[*utxo.Transaction]bool)
-			for _, tx := range f.blockFrom(k, d).Txs {
+			for _, tx := range store.BlockFrom(k, d, f.opts.Batches.Decode).Txs {
 				inBlock[tx] = true
 			}
 			for i, tx := range decoded {

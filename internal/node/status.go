@@ -37,12 +37,14 @@ type ReplicaStatus struct {
 }
 
 // MemoryStatus is what committed history holds on this node: the
-// zlb_ledger_blocks … zlb_history_errors_total series. The ledger's
+// zlb_ledger_blocks … zlb_history_pruned_total series. The ledger's
 // blocks, committed IDs and unspent outputs grow with the chain; the
 // retained payloads are those of the decisions the replica still holds
 // in its instances (asmr.Stats.DecisionBytes), which retirement hands to
-// the replica's history (asmr.History): on a deployed node a file, whose
-// bytes are HistoryBytes.
+// the replica's history (asmr.History). On a deployed node that is the
+// store, whose retained segments are HistoryBytes, or nothing (0).
+// HistoryPruned counts the reads of a retired block the history answered
+// with "pruned" or "not held".
 type MemoryStatus struct {
 	LedgerBlocks         int64  `json:"ledger_blocks"`
 	CommittedTxIDs       int64  `json:"committed_txids"`
@@ -51,6 +53,7 @@ type MemoryStatus struct {
 	RetainedPayloadBytes int64  `json:"retained_payload_bytes"`
 	HistoryBytes         int64  `json:"history_bytes"`
 	HistoryErrors        uint64 `json:"history_errors"`
+	HistoryPruned        uint64 `json:"history_pruned"`
 }
 
 // PipelineStatus is where proposal, agreement and signature work went: the
@@ -144,7 +147,8 @@ func (n *Node) Publish() {
 		}
 		s.Pipeline.StmtSigChecks, s.Pipeline.StmtSigKnown, s.Pipeline.StmtSigDeferred = held.StmtSigChecks, held.StmtSigKnown, held.StmtSigDeferred
 		s.Pipeline.DecidePulls = held.DecidePulls
-		s.Memory.RetainedPayloadBytes, s.Memory.HistoryBytes, s.Memory.HistoryErrors = held.DecisionBytes, held.HistoryBytes, held.HistoryErrors
+		s.Memory.RetainedPayloadBytes, s.Memory.HistoryBytes = held.DecisionBytes, held.HistoryBytes
+		s.Memory.HistoryErrors, s.Memory.HistoryPruned = held.HistoryErrors, held.HistoryPruned
 	})
 }
 
@@ -207,8 +211,9 @@ func (n *Node) registerSeries() {
 	reg.GaugeFunc("zlb_utxo_entries", "Unspent outputs in the UTXO table.", locked(func() int64 { return s.Memory.UTXOEntries }))
 	reg.GaugeFunc("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n).", locked(func() int64 { return s.Memory.BatchCacheEntries }))
 	reg.GaugeFunc("zlb_retained_payload_bytes", "Proposal payload bytes in the committed decisions this replica holds in memory, outside its history.", locked(func() int64 { return s.Memory.RetainedPayloadBytes }))
-	reg.GaugeFunc("zlb_history_bytes", "Bytes of the history the decisions of retired instances go to (a file on a deployed node).", locked(func() int64 { return s.Memory.HistoryBytes }))
+	reg.GaugeFunc("zlb_history_bytes", "Bytes of the history retired decisions are read from: the store's retained segments on a deployed node, 0 without a store.", locked(func() int64 { return s.Memory.HistoryBytes }))
 	reg.CounterFunc("zlb_history_errors_total", "Failed history writes (the decision stays in memory) and failed or mismatched reads (nothing is served for the instance).", locked(func() int64 { return int64(s.Memory.HistoryErrors) }))
+	reg.CounterFunc("zlb_history_pruned_total", "Reads of a retired block's decision the history does not hold: pruned below the store's retained segments, or dropped by a node without a store (nothing is served for the instance).", locked(func() int64 { return int64(s.Memory.HistoryPruned) }))
 
 	walletKeys := n.walletKeys
 	reg.GaugeFunc("zlb_wallet_key_tables", "Wallet-key tables the transaction scheme's cache holds.",

@@ -7,8 +7,8 @@
 // Verification is layered, mirroring who can vouch for what:
 //
 //   - every record frame's CRC is re-checked (transport corruption);
-//   - every block record that carries transaction bodies must hash back
-//     to its recorded digest (a lying server cannot swap bodies);
+//   - every block record's decision must derive a block that hashes to
+//     its recorded digest (a lying server cannot swap bodies);
 //   - the chain digests themselves are authenticated either by
 //     cross-checking the responses of several peers (CrossCheck — a
 //     majority of the committee must agree on the chain) or, at the
@@ -22,7 +22,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -55,15 +56,13 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 	if s.checkpoint != nil && (req.WantCheckpoint || req.FromK <= s.checkpoint.LastK) {
 		resp.Checkpoint = wire.EncodeCheckpoint(s.checkpoint)
 	}
+	var payload []byte
 	for _, r := range s.tail {
-		if !r.Supersede && r.Block.K < req.FromK {
+		if !r.Supersede && r.K < req.FromK {
 			continue
 		}
-		kind := wire.RecordBlock
-		if r.Supersede {
-			kind = wire.RecordSupersede
-		}
-		resp.Log = wire.AppendRecord(resp.Log, kind, wire.EncodeBlockRecord(r.Block))
+		payload, _ = r.AppendBinary(payload[:0]) // cannot fail
+		resp.Log = wire.AppendRecord(resp.Log, r.kind(), payload)
 	}
 	return resp, nil
 }
@@ -75,9 +74,9 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 // decoded and verified BEFORE the first byte is written, so a bad
 // response leaves the store untouched — only an I/O failure mid-install
 // can leave partial state behind (callers then discard the directory;
-// it was empty). Records carrying transaction bodies are verified
-// against their digests; use CrossCheck first to authenticate the chain
-// itself against multiple peers.
+// it was empty). Every record's decision must derive its block; use
+// CrossCheck first to authenticate the chain itself against multiple
+// peers.
 func InstallSync(s *Store, scheme crypto.Scheme, resp *wire.SyncResp, genesis func(*bm.Ledger)) (*bm.Ledger, error) {
 	if _, have := s.LastK(); have {
 		return nil, ErrNotEmpty
@@ -91,40 +90,15 @@ func InstallSync(s *Store, scheme crypto.Scheme, resp *wire.SyncResp, genesis fu
 		}
 		cp = decoded
 	}
-	type verified struct {
-		supersede bool
-		block     *bm.Block
-		attempt   uint32
+	records, err := decodeLog(resp.Log)
+	if err != nil {
+		return nil, err
 	}
-	var records []verified
 	minCommitK := uint64(0)
-	rest := resp.Log
-	for len(rest) > 0 {
-		kind, payload, next, err := wire.DecodeRecord(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSync, err)
+	for _, r := range records {
+		if !r.Supersede && (minCommitK == 0 || r.K < minCommitK) {
+			minCommitK = r.K
 		}
-		if kind != wire.RecordBlock && kind != wire.RecordSupersede {
-			return nil, fmt.Errorf("%w: unexpected record kind %d", ErrBadSync, kind)
-		}
-		rec, err := wire.DecodeBlockRecord(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSync, err)
-		}
-		if len(rec.Txs) > 0 {
-			if recomputed := bm.NewBlock(rec.K, rec.Txs); recomputed.Digest != rec.Digest {
-				return nil, fmt.Errorf("%w: block %d body does not hash to its digest", ErrBadSync, rec.K)
-			}
-		}
-		if kind == wire.RecordBlock && (minCommitK == 0 || rec.K < minCommitK) {
-			minCommitK = rec.K
-		}
-		records = append(records, verified{
-			supersede: kind == wire.RecordSupersede,
-			block:     &bm.Block{K: rec.K, Digest: rec.Digest, Txs: rec.Txs},
-			attempt:   rec.Attempt,
-		})
-		rest = next
 	}
 	// Gap check: without a checkpoint the log must reach back to the
 	// chain's start, or the recovered ledger would silently miss every
@@ -139,14 +113,8 @@ func InstallSync(s *Store, scheme crypto.Scheme, resp *wire.SyncResp, genesis fu
 			return nil, err
 		}
 	}
-	for _, v := range records {
-		var err error
-		if v.supersede {
-			err = s.AppendMerge(v.block, v.attempt)
-		} else {
-			err = s.AppendBlock(v.block, v.attempt)
-		}
-		if err != nil {
+	for _, r := range records {
+		if err := s.Append(r); err != nil {
 			return nil, err
 		}
 	}
@@ -156,16 +124,37 @@ func InstallSync(s *Store, scheme crypto.Scheme, resp *wire.SyncResp, genesis fu
 	return s.Recover(scheme, genesis)
 }
 
-// chainKey folds a response's chain (checkpoint digests, then log
+// decodeLog decodes a transfer's log: block and supersede records only,
+// each one's decision deriving its block.
+func decodeLog(log []byte) ([]*BlockRecord, error) {
+	var records []*BlockRecord
+	for rest := log; len(rest) > 0; {
+		kind, payload, next, err := wire.DecodeRecord(rest)
+		if err == nil && kind != wire.RecordBlock && kind != wire.RecordSupersede {
+			err = fmt.Errorf("unexpected record kind %d", kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSync, err)
+		}
+		rec, err := decodeBlockRecord(kind, payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSync, err)
+		}
+		records = append(records, rec)
+		rest = next
+	}
+	return records, nil
+}
+
+// chainKey folds a response's chain (checkpoint entries, then log
 // records, first record per index winning — the same fold bm's byIndex
-// applies) into one digest for majority voting.
+// applies) into one digest for majority voting: per index the ledger
+// digest and the decision digest.
 func chainKey(resp *wire.SyncResp) (types.Digest, error) {
-	byK := make(map[uint64]types.Digest)
-	var ks []uint64
-	note := func(k uint64, d types.Digest) {
+	byK := make(map[uint64][2]types.Digest)
+	note := func(k uint64, ledger, decision types.Digest) {
 		if _, ok := byK[k]; !ok {
-			byK[k] = d
-			ks = append(ks, k)
+			byK[k] = [2]types.Digest{ledger, decision}
 		}
 	}
 	if len(resp.Checkpoint) > 0 {
@@ -174,31 +163,20 @@ func chainKey(resp *wire.SyncResp) (types.Digest, error) {
 			return types.Digest{}, fmt.Errorf("%w: %v", ErrBadSync, err)
 		}
 		for _, b := range cp.Blocks {
-			note(b.K, b.Digest)
+			note(b.K, b.Digest, b.Decision)
 		}
 	}
-	rest := resp.Log
-	for len(rest) > 0 {
-		_, payload, next, err := wire.DecodeRecord(rest)
-		if err != nil {
-			return types.Digest{}, fmt.Errorf("%w: %v", ErrBadSync, err)
-		}
-		rec, err := wire.DecodeBlockRecord(payload)
-		if err != nil {
-			return types.Digest{}, fmt.Errorf("%w: %v", ErrBadSync, err)
-		}
-		note(rec.K, rec.Digest)
-		rest = next
+	records, err := decodeLog(resp.Log)
+	if err != nil {
+		return types.Digest{}, err
 	}
-	// ks is in first-seen order; sort by index for a canonical fold.
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	buf := make([]byte, 0, len(ks)*(8+32))
-	var kb [8]byte
-	for _, k := range ks {
-		binary.BigEndian.PutUint64(kb[:], k)
-		buf = append(buf, kb[:]...)
+	for _, r := range records {
+		note(r.K, r.Digest, r.Decision.Digest())
+	}
+	var buf []byte
+	for _, k := range slices.Sorted(maps.Keys(byK)) {
 		d := byK[k]
-		buf = append(buf, d[:]...)
+		buf = append(append(binary.BigEndian.AppendUint64(buf, k), d[0][:]...), d[1][:]...)
 	}
 	return types.Hash(buf), nil
 }

@@ -3,8 +3,9 @@ package store
 import (
 	"testing"
 
+	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
-	"github.com/zeroloss/zlb/internal/types"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/wire"
 )
 
@@ -34,9 +35,10 @@ func TestCatchupMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A lying responder forks the chain at block 1.
-			rec := &wire.BlockRecord{K: 1, Digest: types.Hash([]byte("fork"))}
-			payload := wire.EncodeBlockRecord(rec)
+			// A lying responder forks the chain at block 1, with an empty
+			// block.
+			rec := &BlockRecord{K: 1, Digest: bm.NewBlock(1, nil).Digest, Decision: &sbc.Decision{Instance: 1 << 10}}
+			payload, _ := rec.AppendBinary(nil)
 			liar := &wire.SyncResp{
 				LastK: honest.LastK,
 				Log:   wire.AppendRecord(nil, wire.RecordBlock, payload),

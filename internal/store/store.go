@@ -1,8 +1,9 @@
-// Package store is ZLB's durable block store: an append-only, segmented
-// block log with CRC-framed records (internal/wire), periodic UTXO
-// checkpoints, and supersede records so the fork merge of the Blockchain
-// Manager — which rewrites blocks at an existing index — replays cleanly
-// instead of conflicting with the block it replaced.
+// Package store is ZLB's durable block store, and a deployed replica's
+// history of decided blocks: an append-only, segmented block log with
+// CRC-framed records (internal/wire), periodic UTXO checkpoints, and
+// supersede records so the fork merge of the Blockchain Manager — which
+// rewrites blocks at an existing index — replays cleanly instead of
+// conflicting with the block it replaced.
 //
 // Layout of a replica's data directory:
 //
@@ -11,17 +12,19 @@
 //	<dir>/checkpoint.ckpt        latest wire.EncodeCheckpoint snapshot
 //
 // Records are framed by wire.AppendRecord (length | crc32 | kind |
-// payload). On Open the segments are replayed in order; a torn frame at
-// the tail of the LAST segment is a crash artifact and is truncated
-// away, while corruption anywhere else fails the open — silent data loss
-// in the middle of the chain must never be repaired automatically.
+// payload). A block record (record.go) carries the decision the block
+// derives from, certificates included, and no transactions apart from its
+// payloads. On Open the segments are replayed in order; a torn frame at
+// the tail of the LAST segment is a crash artifact and is truncated away,
+// while corruption anywhere else fails the open — silent data loss in the
+// middle of the chain must never be repaired automatically.
 //
 // A checkpoint snapshots the entire ledger state at a height
 // (wire.CheckpointState). Cutting one prunes every segment that only
 // holds records at or below the checkpoint height, so the log tail stays
 // short no matter how long the chain gets — exactly what lets a standby
 // replica catch up from "checkpoint + tail" instead of replaying from
-// genesis (catchup.go).
+// genesis (catchup.go). Decision reads a retained block's decision back.
 //
 // The store is safe for concurrent use. Appends go through a buffered
 // writer; Flush (or Close) pushes them to the OS, and Options.Fsync
@@ -39,6 +42,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/wire"
 )
@@ -59,29 +63,33 @@ type Options struct {
 
 // Errors returned by the store.
 var (
-	// ErrCorrupt marks unrecoverable log damage: a bad frame that is not
-	// at the tail of the last segment.
+	// ErrCorrupt marks unrecoverable damage: a bad frame not at the tail
+	// of the last segment, or a checkpoint or record that does not decode.
 	ErrCorrupt = errors.New("store: corrupt block log")
 	// ErrClosed is returned by operations on a closed store.
 	ErrClosed = errors.New("store: closed")
+	// ErrPruned is Decision's answer below the retained segments.
+	ErrPruned = errors.New("store: block pruned below the retained segments")
 )
-
-// Record is one replayed entry of the block log.
-type Record struct {
-	// Supersede marks a merged block: replay applies it through
-	// bm.MergeBlock so it replaces the block at its index.
-	Supersede bool
-	Block     *wire.BlockRecord
-}
 
 // segment is one on-disk log file.
 type segment struct {
 	seq  uint64
 	path string
-	// firstK/lastK bound the chain indices recorded in the segment
+	// lastK is the highest chain index recorded in the segment
 	// (checkpoint pruning drops segments entirely below a checkpoint).
-	firstK, lastK uint64
-	records       int
+	lastK   uint64
+	records int
+	// size counts the bytes appended to the segment, buffered ones
+	// included: the offset of the next frame.
+	size int64
+}
+
+// frameAt is where a block record's frame sits in a retained segment.
+type frameAt struct {
+	seg *segment
+	off int64
+	n   int
 }
 
 // Store is a durable block store rooted at one replica's data directory.
@@ -98,15 +106,26 @@ type Store struct {
 	// checkpoint) — the catch-up server serves from here without disk
 	// reads, and recovery replays it onto the checkpoint.
 	checkpoint *wire.CheckpointState
-	tail       []Record
+	tail       []*BlockRecord
 
 	lastK      uint64
 	haveBlocks bool
 	sinceCkpt  uint64
 	closed     bool
-	// byIndex tracks the digest first stored for every index, so appends
-	// are idempotent across a crash-restart overlap.
-	byIndex map[uint64]types.Digest
+	// byIndex holds what the first record of every index says, so appends
+	// are idempotent across a crash-restart overlap; frames locates the
+	// first block record of each index the retained segments hold.
+	byIndex map[uint64]Coord
+	frames  map[uint64]frameAt
+}
+
+// Coord is what the store holds of a chain index: the attempt its block
+// was decided under (0 from a checkpoint), its digest and its decision's.
+type Coord struct {
+	K        uint64
+	Attempt  uint32
+	Digest   types.Digest
+	Decision types.Digest
 }
 
 // Open opens (creating if necessary) the store at dir and recovers its
@@ -118,7 +137,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "log"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, byIndex: make(map[uint64]types.Digest)}
+	s := &Store{dir: dir, opts: opts, byIndex: make(map[uint64]Coord), frames: make(map[uint64]frameAt)}
 	if err := s.loadCheckpoint(); err != nil {
 		return nil, err
 	}
@@ -130,11 +149,10 @@ func Open(dir string, opts Options) (*Store, error) {
 
 func (s *Store) checkpointPath() string { return filepath.Join(s.dir, "checkpoint.ckpt") }
 
-// loadCheckpoint reads the checkpoint file if present. A checkpoint that
-// fails to decode is ignored (treated as absent): it was torn mid-write,
-// and the log still holds every record since the previous prune... which
-// is exactly why pruning happens only after the new checkpoint is
-// durably in place (WriteCheckpoint writes to a temp file and renames).
+// loadCheckpoint reads the checkpoint file if present. A crash cannot
+// tear one (WriteCheckpoint renames a complete file over it), so one that
+// does not decode fails the open: read as absent, it would reopen a
+// pruned store as genesis plus the tail, a chain with a silent gap.
 func (s *Store) loadCheckpoint() error {
 	raw, err := os.ReadFile(s.checkpointPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -145,17 +163,26 @@ func (s *Store) loadCheckpoint() error {
 	}
 	cp, err := wire.DecodeCheckpoint(raw)
 	if err != nil {
-		return nil
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, s.checkpointPath(), err)
 	}
+	s.noteCheckpoint(cp)
+	return nil
+}
+
+// noteCheckpoint installs cp as the store's checkpoint. It can hold
+// chain state the log never saw (the catch-up install path writes the
+// transferred snapshot first).
+func (s *Store) noteCheckpoint(cp *wire.CheckpointState) {
 	s.checkpoint = cp
-	s.lastK = cp.LastK
-	s.haveBlocks = len(cp.Blocks) > 0
 	for _, b := range cp.Blocks {
 		if _, ok := s.byIndex[b.K]; !ok {
-			s.byIndex[b.K] = b.Digest
+			s.byIndex[b.K] = Coord{K: b.K, Digest: b.Digest, Decision: b.Decision}
 		}
+		if b.K > s.lastK || !s.haveBlocks {
+			s.lastK = b.K
+		}
+		s.haveBlocks = true
 	}
-	return nil
 }
 
 // loadSegments scans the log directory, replays every record and
@@ -239,10 +266,12 @@ func (s *Store) replaySegment(seg *segment, raw []byte, lastSegment bool) (int, 
 			}
 			return good, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, good, err)
 		}
-		if err := s.applyRecord(seg, kind, payload); err != nil {
+		n := len(rest) - len(next)
+		if err := s.applyRecord(frameAt{seg, int64(good), n}, kind, payload); err != nil {
 			return good, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, good, err)
 		}
-		good += len(rest) - len(next)
+		good += n
+		seg.size = int64(good)
 		rest = next
 	}
 	return good, nil
@@ -258,16 +287,16 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// applyRecord folds one decoded record into the in-memory state.
-func (s *Store) applyRecord(seg *segment, kind wire.RecordKind, payload []byte) error {
+// applyRecord folds one decoded record, whose frame is at at, into the
+// in-memory state.
+func (s *Store) applyRecord(at frameAt, kind wire.RecordKind, payload []byte) error {
 	switch kind {
 	case wire.RecordBlock, wire.RecordSupersede:
-		rec, err := wire.DecodeBlockRecord(payload)
+		rec, err := decodeBlockRecord(kind, payload)
 		if err != nil {
 			return err
 		}
-		s.noteBlock(seg, rec)
-		s.tail = append(s.tail, Record{Supersede: kind == wire.RecordSupersede, Block: rec})
+		s.noteBlock(at, rec)
 	case wire.RecordCheckpoint:
 		// Cut marker: the payload is the cut height (big-endian LastK),
 		// recording where in the log a checkpoint was taken. It is
@@ -278,29 +307,30 @@ func (s *Store) applyRecord(seg *segment, kind wire.RecordKind, payload []byte) 
 		if len(payload) != 8 {
 			return fmt.Errorf("checkpoint marker with %d-byte payload", len(payload))
 		}
+	case 1, 2: // block and supersede records of the previous format
+		return fmt.Errorf("record kind %d is a block record of the format before blocks carried their decision, which this build does not read", kind)
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
 	return nil
 }
 
-func (s *Store) noteBlock(seg *segment, rec *wire.BlockRecord) {
-	if seg != nil {
-		if seg.records == 0 || rec.K < seg.firstK {
-			seg.firstK = rec.K
-		}
-		if rec.K > seg.lastK {
-			seg.lastK = rec.K
-		}
-		seg.records++
-	}
-	if rec.K > s.lastK || !s.haveBlocks {
-		s.lastK = rec.K
+// noteBlock adds a block record, whose frame is at at, to the tail and
+// the indices.
+func (s *Store) noteBlock(at frameAt, r *BlockRecord) {
+	at.seg.lastK = max(at.seg.lastK, r.K)
+	at.seg.records++
+	if r.K > s.lastK || !s.haveBlocks {
+		s.lastK = r.K
 	}
 	s.haveBlocks = true
-	if _, ok := s.byIndex[rec.K]; !ok {
-		s.byIndex[rec.K] = rec.Digest
+	if _, ok := s.byIndex[r.K]; !ok {
+		s.byIndex[r.K] = Coord{r.K, r.Attempt, r.Digest, r.Decision.Digest()}
 	}
+	if _, ok := s.frames[r.K]; !ok && !r.Supersede {
+		s.frames[r.K] = at
+	}
+	s.tail = append(s.tail, r)
 }
 
 // LastK returns the highest chain index the store holds (and whether it
@@ -311,61 +341,99 @@ func (s *Store) LastK() (uint64, bool) {
 	return s.lastK, s.haveBlocks
 }
 
-// Tail returns the replayed records after the latest checkpoint, in log
-// order. The slice is a copy; the records are shared.
-func (s *Store) Tail() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, len(s.tail))
-	copy(out, s.tail)
-	return out
-}
-
-// Checkpoint returns the latest checkpoint snapshot, or nil.
-func (s *Store) Checkpoint() *wire.CheckpointState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpoint
-}
-
-// AppendBlock persists a committed block. Appends are idempotent: a
-// block whose index already holds the same digest is skipped, which
-// makes the restart overlap (re-committing the last recovered instance
-// after a catch-up) harmless.
+// AppendBlock persists a block no decision produced (a test's, a layer
+// benchmark's) under an uncertified one whose proposal is b's
+// transactions.
 func (s *Store) AppendBlock(b *bm.Block, attempt uint32) error {
-	return s.append(b, attempt, false)
+	payload, err := wire.EncodeBatch(b.Txs)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return s.Append(&BlockRecord{K: b.K, Attempt: attempt, Digest: b.Digest, Decision: &sbc.Decision{
+		Instance: types.Instance(b.K), Bits: map[types.ReplicaID]bool{0: true},
+		Proposals: map[types.ReplicaID]sbc.ProposalInfo{0: {Payload: payload, Digest: types.Hash(payload), ClaimedSigs: len(b.Txs)}}}})
 }
 
-// AppendMerge persists a merged (superseding) block: on replay it is
-// routed through bm.MergeBlock, replacing its predecessor at the index
-// instead of conflicting with it.
-func (s *Store) AppendMerge(b *bm.Block, attempt uint32) error {
-	return s.append(b, attempt, true)
-}
-
-func (s *Store) append(b *bm.Block, attempt uint32, supersede bool) error {
+// Append persists a block record, whose Digest is the one of the block
+// its Decision derives (BlockFrom). Committing a block the index already
+// holds is skipped, which makes the restart overlap (re-committing the
+// last recovered instance after a catch-up) harmless.
+func (s *Store) Append(r *BlockRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if prev, ok := s.byIndex[b.K]; ok && prev == b.Digest && !supersede {
+	if prev, ok := s.byIndex[r.K]; ok && prev.Digest == r.Digest && !r.Supersede {
 		return nil
 	}
-	rec := &wire.BlockRecord{K: b.K, Attempt: attempt, Digest: b.Digest, Txs: b.Txs}
-	kind := wire.RecordBlock
-	if supersede {
-		kind = wire.RecordSupersede
-	}
-	s.buffered = wire.AppendRecord(s.buffered, kind, wire.EncodeBlockRecord(rec))
-	seg := s.segments[len(s.segments)-1]
-	s.noteBlock(seg, rec)
-	s.tail = append(s.tail, Record{Supersede: supersede, Block: rec})
+	payload, _ := r.AppendBinary(nil) // cannot fail
+	s.noteBlock(s.appendFrame(r.kind(), payload), r)
 	if err := s.maybeFlushLocked(); err != nil {
 		return err
 	}
 	s.sinceCkpt++
 	return nil
+}
+
+// appendFrame buffers one record frame for the active segment and
+// returns where it goes there.
+func (s *Store) appendFrame(kind wire.RecordKind, payload []byte) frameAt {
+	n := len(s.buffered)
+	s.buffered = wire.AppendRecord(s.buffered, kind, payload)
+	seg := s.segments[len(s.segments)-1]
+	at := frameAt{seg, seg.size, len(s.buffered) - n}
+	seg.size += int64(at.n)
+	return at
+}
+
+// Decision reads back the decision of the first block record at index k
+// in the retained segments: one read, CRC-checked. A block folded into
+// the checkpoint whose segment was pruned is ErrPruned.
+func (s *Store) Decision(k uint64) (*sbc.Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	at, ok := s.frames[k]
+	switch {
+	case !ok && s.checkpoint != nil && k <= s.checkpoint.LastK:
+		return nil, fmt.Errorf("%w: block %d", ErrPruned, k)
+	case !ok:
+		return nil, fmt.Errorf("store: no block record at %d", k)
+	}
+	if err := s.flushLocked(); err != nil { // the frame may still be buffered
+		return nil, err
+	}
+	frame := make([]byte, at.n) // the decision's payloads alias it
+	f, err := os.Open(at.seg.path)
+	if err == nil {
+		_, err = f.ReadAt(frame, at.off)
+		f.Close()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: reading block %d: %w", k, err)
+	}
+	kind, payload, _, err := wire.DecodeRecord(frame)
+	var rec *BlockRecord
+	if err == nil {
+		rec, err = wire.Decode(payload, ReadBlockRecord)
+	}
+	if err == nil && (kind != wire.RecordBlock || rec.K != k) {
+		err = fmt.Errorf("a record of kind %d for block %d", kind, rec.K)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: block %d in %s at offset %d: %v", ErrCorrupt, k, at.seg.path, at.off, err)
+	}
+	return rec.Decision, nil
+}
+
+// RetainedBytes is the size of the retained segments.
+func (s *Store) RetainedBytes() (n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segments {
+		n += seg.size
+	}
+	return n
 }
 
 // maybeFlushLocked writes the buffer out once it is large enough, and
@@ -385,11 +453,7 @@ func (s *Store) flushLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.buffered = s.buffered[:0]
-	st, err := s.active.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if int(st.Size()) >= s.opts.SegmentBytes {
+	if s.segments[len(s.segments)-1].size >= int64(s.opts.SegmentBytes) {
 		return s.rollSegmentLocked()
 	}
 	return nil
@@ -437,9 +501,10 @@ func (s *Store) ShouldCheckpoint() bool {
 
 // WriteCheckpoint durably installs a ledger snapshot and prunes every
 // log segment that holds only records at or below the snapshot height.
-// The snapshot is written to a temp file and renamed, so a crash leaves
-// either the old or the new checkpoint — never a torn one; segments are
-// pruned only after the rename.
+// A block entry without a decision digest gets the one the store holds
+// for that block. The snapshot is written to a temp file and renamed, so
+// a crash leaves either the old or the new checkpoint — never a torn
+// one; segments are pruned only after the rename.
 func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -448,6 +513,11 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	}
 	if err := s.flushLocked(); err != nil {
 		return err
+	}
+	for i, b := range cp.Blocks {
+		if c := s.byIndex[b.K]; c.Digest == b.Digest && b.Decision == (types.Digest{}) {
+			cp.Blocks[i].Decision = c.Decision
+		}
 	}
 	raw := wire.EncodeCheckpoint(cp)
 	tmp := s.checkpointPath() + ".tmp"
@@ -481,24 +551,13 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 			return err
 		}
 	}
-	s.checkpoint = cp
+	s.noteCheckpoint(cp)
 	s.sinceCkpt = 0
-	// A checkpoint can introduce chain state the log never saw (the
-	// catch-up install path writes the transferred snapshot first).
-	for _, b := range cp.Blocks {
-		if _, ok := s.byIndex[b.K]; !ok {
-			s.byIndex[b.K] = b.Digest
-		}
-		if b.K > s.lastK || !s.haveBlocks {
-			s.lastK = b.K
-		}
-		s.haveBlocks = true
-	}
 
 	// Mark the cut in the log, then prune segments entirely below it.
 	marker := make([]byte, 8)
 	binary.BigEndian.PutUint64(marker, cp.LastK)
-	s.buffered = wire.AppendRecord(s.buffered, wire.RecordCheckpoint, marker)
+	s.appendFrame(wire.RecordCheckpoint, marker)
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
@@ -508,6 +567,11 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 		if !last && seg.records > 0 && seg.lastK <= cp.LastK {
 			if err := os.Remove(seg.path); err != nil {
 				return fmt.Errorf("store: pruning %s: %w", seg.path, err)
+			}
+			for k, at := range s.frames {
+				if at.seg == seg {
+					delete(s.frames, k)
+				}
 			}
 			continue
 		}
@@ -539,10 +603,10 @@ func syncDir(dir string) error {
 // supersede records are always kept — a merge racing the cut may or may
 // not be folded in, and replaying a folded one is a no-op (the merged
 // set travels in the snapshot).
-func tailAfterCheckpoint(tail []Record, lastK uint64) []Record {
-	var kept []Record
+func tailAfterCheckpoint(tail []*BlockRecord, lastK uint64) []*BlockRecord {
+	var kept []*BlockRecord
 	for _, r := range tail {
-		if r.Supersede || r.Block.K > lastK {
+		if r.Supersede || r.K > lastK {
 			kept = append(kept, r)
 		}
 	}
@@ -550,13 +614,14 @@ func tailAfterCheckpoint(tail []Record, lastK uint64) []Record {
 }
 
 // Recover rebuilds the ledger from the latest checkpoint (or a fresh
-// genesis) plus the replayed log tail. genesis seeds a fresh ledger when
-// no checkpoint exists — it must reproduce the node's boot-time state
-// (genesis allocations and staked deposits).
+// genesis) plus the replayed log tail, each block derived from its
+// decision again. genesis seeds a fresh ledger when no checkpoint exists
+// — it must reproduce the node's boot-time state (genesis allocations
+// and staked deposits).
 func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Ledger, error) {
 	s.mu.Lock()
 	cp := s.checkpoint
-	tail := make([]Record, len(s.tail))
+	tail := make([]*BlockRecord, len(s.tail))
 	copy(tail, s.tail)
 	s.mu.Unlock()
 
@@ -570,7 +635,7 @@ func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Led
 		}
 	}
 	for _, r := range tail {
-		b := &bm.Block{K: r.Block.K, Digest: r.Block.Digest, Txs: r.Block.Txs}
+		b := BlockFrom(r.K, r.Decision, wire.DecodeBatch)
 		if r.Supersede {
 			l.MergeBlock(b)
 		} else {
@@ -580,36 +645,18 @@ func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Led
 	return l, nil
 }
 
-// BlockRecords returns (K, Attempt, Digest) coordinates for every chain
-// index the store knows of — checkpointed digests first (attempt 0: the
-// snapshot does not retain consensus attempts, which only matter for
-// routing in-flight traffic of undecided instances), then the replayed
-// tail. Per index the first record wins, matching bm's byIndex map.
-func (s *Store) BlockRecords() []wire.BlockRecord {
+// BlockRecords returns what the store holds of every chain index it
+// knows of, by index: the checkpoint's entries, and then the records of
+// the replayed tail, the first of each index winning, as bm's byIndex
+// map does.
+func (s *Store) BlockRecords() []Coord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byK := make(map[uint64]wire.BlockRecord)
-	if s.checkpoint != nil {
-		for _, b := range s.checkpoint.Blocks {
-			if _, ok := byK[b.K]; !ok {
-				byK[b.K] = wire.BlockRecord{K: b.K, Digest: b.Digest}
-			}
-		}
+	out := make([]Coord, 0, len(s.byIndex))
+	for _, c := range s.byIndex {
+		out = append(out, c)
 	}
-	for _, r := range s.tail {
-		if _, ok := byK[r.Block.K]; !ok {
-			byK[r.Block.K] = wire.BlockRecord{K: r.Block.K, Attempt: r.Block.Attempt, Digest: r.Block.Digest}
-		}
-	}
-	ks := make([]uint64, 0, len(byK))
-	for k := range byK {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	out := make([]wire.BlockRecord, 0, len(ks))
-	for _, k := range ks {
-		out = append(out, byK[k])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
 	return out
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
+	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
@@ -175,10 +175,18 @@ func TestStoreTornTailTruncatedOnOpen(t *testing.T) {
 	}
 }
 
-// newRecordBlock builds a digest-only block (the harness's synthetic
-// persistence shape).
-func newRecordBlock(k uint64) *bm.Block {
-	return &bm.Block{K: k, Digest: types.Hash([]byte(fmt.Sprintf("block-%d", k)))}
+// newRecordBlock builds an empty block.
+func newRecordBlock(k uint64) *bm.Block { return bm.NewBlock(k, nil) }
+
+// mustUncertified is the decision AppendBlock writes b under.
+func mustUncertified(t *testing.T, b *bm.Block) *sbc.Decision {
+	t.Helper()
+	payload, err := wire.EncodeBatch(b.Txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sbc.Decision{Instance: types.Instance(b.K), Bits: map[types.ReplicaID]bool{0: true},
+		Proposals: map[types.ReplicaID]sbc.ProposalInfo{0: {Payload: payload, Digest: types.Hash(payload), ClaimedSigs: len(b.Txs)}}}
 }
 
 func TestStoreMidLogCorruptionFailsOpen(t *testing.T) {
@@ -243,7 +251,7 @@ func TestStoreCheckpointPrunesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if cp := s.Checkpoint(); cp == nil || cp.LastK != 6 {
+	if cp := s.checkpoint; cp == nil || cp.LastK != 6 {
 		t.Fatalf("checkpoint not recovered: %+v", cp)
 	}
 	f.checkRecovered(s)
@@ -274,7 +282,7 @@ func TestStoreSupersedeReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.ledger.MergeBlock(remote)
-	if err := f.store.AppendMerge(remote, 0); err != nil {
+	if err := f.store.Append(&BlockRecord{Supersede: true, K: 1, Digest: remote.Digest, Decision: mustUncertified(t, remote)}); err != nil {
 		t.Fatal(err)
 	}
 	f.commit(2, 100)
@@ -313,7 +321,7 @@ func TestStoreAppendIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := len(s.Tail()); got != 1 {
+	if got := len(s.tail); got != 1 {
 		t.Fatalf("duplicate append persisted: %d tail records, want 1", got)
 	}
 }
@@ -364,7 +372,11 @@ func TestStoreConcurrentAppends(t *testing.T) {
 						return
 					}
 					s.LastK()
-					s.Tail()
+					s.BlockRecords()
+					if _, err := s.Decision(k); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(g)
@@ -389,11 +401,26 @@ func TestBlockRecordsCoordinates(t *testing.T) {
 	for k := uint64(1); k <= 4; k++ {
 		f.commit(k, 25)
 	}
+	want := make(map[uint64]types.Digest)
+	for _, r := range f.store.tail {
+		want[r.K] = r.Decision.Digest()
+	}
 	if err := f.store.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
 		t.Fatal(err)
 	}
 	f.commit(5, 25)
-	recs := f.store.BlockRecords()
+	want[5] = f.store.tail[0].Decision.Digest()
+	if err := f.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, blocks 1–4 come from the checkpoint and block 5 from the
+	// tail: each under its decision's digest.
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs := s.BlockRecords()
 	if len(recs) != 5 {
 		t.Fatalf("got %d records, want 5", len(recs))
 	}
@@ -401,9 +428,8 @@ func TestBlockRecordsCoordinates(t *testing.T) {
 		if r.K != uint64(i+1) {
 			t.Errorf("record %d has K=%d", i, r.K)
 		}
-		want, _ := f.ledger.BlockAt(r.K)
-		if r.Digest != want.Digest {
-			t.Errorf("record %d digest mismatch", i)
+		if r.Decision != want[r.K] || r.Decision == (types.Digest{}) {
+			t.Errorf("record %d: decision digest %v, want %v", i, r.Decision, want[r.K])
 		}
 	}
 }
@@ -462,8 +488,8 @@ func TestInstallSyncRejectsTamperedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper: claim a different digest for the same body.
-	rec := &wire.BlockRecord{K: b.K, Digest: types.Hash([]byte("lie")), Txs: b.Txs}
-	payload := wire.EncodeBlockRecord(rec)
+	rec := &BlockRecord{K: b.K, Digest: types.Hash([]byte("lie")), Decision: mustUncertified(t, b)}
+	payload, _ := rec.AppendBinary(nil)
 	resp.Log = wire.AppendRecord(nil, wire.RecordBlock, payload)
 	client, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -484,10 +510,10 @@ func TestCrossCheckMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A lying peer swaps a digest.
+	// A lying peer forks block 1 with an empty block.
 	liar := &wire.SyncResp{LastK: honest.LastK}
-	rec := &wire.BlockRecord{K: 1, Digest: types.Hash([]byte("fork"))}
-	payload := wire.EncodeBlockRecord(rec)
+	rec := &BlockRecord{K: 1, Digest: bm.NewBlock(1, nil).Digest, Decision: &sbc.Decision{Instance: 1 << 10}}
+	payload, _ := rec.AppendBinary(nil)
 	liar.Log = wire.AppendRecord(nil, wire.RecordBlock, payload)
 
 	picked, err := CrossCheck([]*wire.SyncResp{honest, liar, honest})
@@ -520,8 +546,8 @@ func TestCheckpointKeepsRacingTailRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range f.store.Tail() {
-		if r.Block.K == 4 {
+	for _, r := range f.store.tail {
+		if r.K == 4 {
 			found = true
 		}
 	}
@@ -548,9 +574,8 @@ func TestCheckpointKeepsRacingTailRecords(t *testing.T) {
 func TestInstallSyncRejectsGappedLog(t *testing.T) {
 	f := newFixture(t, t.TempDir(), Options{})
 	f.commit(1, 10)
-	b2 := f.commit(2, 10)
-	rec := &wire.BlockRecord{K: b2.K, Digest: b2.Digest, Txs: b2.Txs}
-	payload := wire.EncodeBlockRecord(rec)
+	f.commit(2, 10)
+	payload, _ := f.store.tail[1].AppendBinary(nil)
 	resp := &wire.SyncResp{LastK: 2, Log: wire.AppendRecord(nil, wire.RecordBlock, payload)}
 	client, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -135,10 +135,16 @@ func readFrame(r io.Reader) (simnet.Message, error) {
 }
 
 // sizeHint is a capacity that holds most frames of msg's type without
-// regrowing: a vote fits in 128 bytes, and a frame that carries a payload
-// gets it whole plus room for its statements.
+// regrowing: a vote fits in 128 bytes, a confirmation in 128 plus its
+// signature, a decision in 128 plus what its certificate's votes model
+// (Certificate.ModelBytes), and a frame that carries a payload gets it
+// whole plus room for its statements.
 func sizeHint(msg simnet.Message) int {
 	switch m := msg.(type) {
+	case *asmr.Confirm:
+		return 128 + len(m.Stmt.Sig)
+	case *bincon.Decide:
+		return 128 + m.Cert.ModelBytes()
 	case *rbc.Init:
 		return 512 + len(m.Payload)
 	case *rbc.PayloadResp:

@@ -442,8 +442,9 @@ func exprString(e ast.Expr) string {
 
 // TestFrameAllocations pins what the busiest frames cost the heap. Decoding
 // a vote allocates the message and the copy of its signature and nothing
-// else (the reader stays on the stack), and encoding a vote into a buffer
-// with room for it allocates nothing.
+// else (the reader stays on the stack), encoding a vote into a buffer
+// with room for it allocates nothing, and the buffer a peer sizes for it
+// (sizeHint) is that room: it is the one allocation.
 func TestFrameAllocations(t *testing.T) {
 	for _, name := range []string{"*rbc.Echo", "*bincon.Aux", "*asmr.Confirm"} {
 		frame := encodeSample(t, sampleNamed(t, name))
@@ -452,13 +453,16 @@ func TestFrameAllocations(t *testing.T) {
 		}
 	}
 	votes := []string{"*rbc.Echo", "*rbc.Ready", "*rbc.PayloadReq", "*bincon.Est", "*bincon.Coord",
-		"*bincon.Aux", "*bincon.Decide/announcement", "*bincon.DecideReq", "*sbc.ProposalReq",
+		"*bincon.Aux", "*bincon.Decide", "*bincon.Decide/announcement", "*bincon.DecideReq", "*sbc.ProposalReq",
 		"*asmr.Confirm", "*asmr.CatchupReq"}
 	for _, name := range votes {
 		msg := sampleNamed(t, name).msg
 		buf := make([]byte, 0, 512)
 		if n := testing.AllocsPerRun(100, func() { appendFrame(buf[:0], msg) }); n != 0 {
 			t.Errorf("encoding %s allocates %v times, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { appendFrame(make([]byte, 0, sizeHint(msg)), msg) }); n != 1 {
+			t.Errorf("encoding %s into a buffer of sizeHint's %d bytes allocates %v times, want 1", name, sizeHint(msg), n)
 		}
 	}
 }

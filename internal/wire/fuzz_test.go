@@ -97,25 +97,13 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-func FuzzDecodeBlockRecord(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeBlockRecord(&BlockRecord{K: 3, Attempt: 1, Digest: types.Hash([]byte("d"))}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeBlockRecord(data)
-		if err != nil {
-			return
-		}
-		EncodeBlockRecord(r) // a decoded record re-encodes
-	})
-}
-
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeCheckpoint(&CheckpointState{}))
 	f.Add(EncodeCheckpoint(&CheckpointState{
 		LastK:   2,
 		Deposit: 7,
-		Blocks:  []BlockDigest{{K: 1, Digest: types.Hash([]byte("b"))}},
+		Blocks:  []BlockDigest{{K: 1, Digest: types.Hash([]byte("b")), Decision: types.Hash([]byte("d"))}},
 		UTXOs: []UTXOEntry{{Op: utxo.Outpoint{TxID: types.Hash([]byte("t"))},
 			Out: utxo.Output{Account: utxo.Address(types.Hash([]byte("a"))), Value: 5}}},
 		TxIDs: []types.Digest{types.Hash([]byte("x"))},

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/accountability"
+	"github.com/zeroloss/zlb/internal/sbc"
+	"github.com/zeroloss/zlb/internal/store"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
@@ -40,6 +42,38 @@ func goldenPoFs() []accountability.PoF {
 	return []accountability.PoF{{Culprit: 3, A: a, B: b}, {Culprit: 3, A: b, B: a}}
 }
 
+// goldenDecision is a decision of a committee of three with fixed
+// signature bytes: slots 1 and 2 decided 1 on payload, which both carry,
+// slot 3 decided 0; one binary certificate of two votes per slot, and a
+// READY certificate and a signed INIT for slot 1.
+func goldenDecision(payload []byte) *sbc.Decision {
+	inst := types.Instance(3 << 10)
+	cert := func(kind accountability.Kind, slot uint32, value types.Digest) *accountability.Certificate {
+		stmt := accountability.Statement{Context: accountability.CtxMain, Kind: kind, Instance: inst, Slot: slot, Value: value}
+		return &accountability.Certificate{Stmt: stmt, Sigs: []accountability.Signed{
+			{Stmt: stmt, Signer: 1, Sig: bytes.Repeat([]byte{1}, 64)},
+			{Stmt: stmt, Signer: 2, Sig: bytes.Repeat([]byte{2}, 64)},
+		}}
+	}
+	digest := types.Hash(payload)
+	init := cert(accountability.KindInit, 1, digest).Sigs[0]
+	return &sbc.Decision{
+		Instance: inst,
+		Bits:     map[types.ReplicaID]bool{1: true, 2: true, 3: false},
+		Proposals: map[types.ReplicaID]sbc.ProposalInfo{
+			1: {Broadcaster: 1, Payload: payload, Digest: digest, ClaimedBytes: len(payload), ClaimedSigs: 2},
+			2: {Broadcaster: 2, Payload: payload, Digest: digest, ClaimedBytes: len(payload), ClaimedSigs: 2},
+		},
+		BinCerts: map[types.ReplicaID]*accountability.Certificate{
+			1: cert(accountability.KindAux, 1, accountability.BoolDigest(true)),
+			2: cert(accountability.KindAux, 2, accountability.BoolDigest(true)),
+			3: cert(accountability.KindAux, 3, accountability.BoolDigest(false)),
+		},
+		ReadyCerts: map[types.ReplicaID]*accountability.Certificate{1: cert(accountability.KindReady, 1, digest)},
+		InitStmts:  map[types.ReplicaID]*accountability.Signed{1: &init},
+	}
+}
+
 // TestLayoutsGolden pins the bytes of the layouts the store writes to disk
 // and a -sync bootstrap sends, and of the membership proposal payloads:
 // a round trip alone would pass a change made to encoder and decoder
@@ -49,15 +83,15 @@ func TestLayoutsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := wire.EncodeBlockRecord(&wire.BlockRecord{K: 3, Attempt: 1,
-		Digest: types.Hash([]byte("d")), Txs: []*utxo.Transaction{goldenTx(1)}})
+	block, _ := (&store.BlockRecord{K: 3, Attempt: 1, Digest: types.Hash([]byte("d")),
+		Decision: goldenDecision(batch)}).AppendBinary(nil)
 	record := wire.AppendRecord(nil, wire.RecordSupersede, block)
 	checkpoint := wire.EncodeCheckpoint(&wire.CheckpointState{
 		LastK:   9,
 		Deposit: 12345,
 		Blocks: []wire.BlockDigest{
-			{K: 1, Digest: types.Hash([]byte("b1"))},
-			{K: 2, Digest: types.Hash([]byte("b2"))},
+			{K: 1, Digest: types.Hash([]byte("b1")), Decision: types.Hash([]byte("d1"))},
+			{K: 2, Digest: types.Hash([]byte("b2")), Decision: types.Hash([]byte("d2"))},
 		},
 		Merged: []types.Digest{types.Hash([]byte("m"))},
 		UTXOs: []wire.UTXOEntry{{Op: utxo.Outpoint{TxID: types.Hash([]byte("t")), Index: 4},

@@ -31,18 +31,22 @@ type RecordKind uint8
 
 // Record kinds of the segmented log.
 const (
-	// RecordBlock is a block committed on the happy path (bm.CommitBlock).
-	RecordBlock RecordKind = 1
+	// RecordBlock is a block committed on the happy path (bm.CommitBlock),
+	// a store.BlockRecord: the block's coordinates and ledger digest, and
+	// the decision the block derives from.
+	RecordBlock RecordKind = 4
 	// RecordSupersede is a block merged by the reconciliation phase: on
 	// replay it is applied through bm.MergeBlock so it replaces — rather
 	// than conflicts with — the block previously stored at its index
 	// (ZLB's fork merge rewrites indices; see internal/store).
-	RecordSupersede RecordKind = 2
+	RecordSupersede RecordKind = 5
 	// RecordCheckpoint marks that a UTXO checkpoint was cut at this point
 	// of the log; its payload is the cut height (big-endian LastK). The
 	// marker is forensic — recovery trusts the checkpoint file itself,
 	// whose durability is not ordered with the marker's.
 	RecordCheckpoint RecordKind = 3
+	// Kinds 1 and 2 were the block and supersede records of the format
+	// before blocks carried their decision; the store refuses them.
 )
 
 // Errors returned by the record decoders.
@@ -92,44 +96,6 @@ func DecodeRecord(buf []byte) (kind RecordKind, payload, rest []byte, err error)
 	return kind, payload, r.Rest(), nil
 }
 
-// BlockRecord is the payload of a RecordBlock / RecordSupersede frame: a
-// decided block with the consensus coordinates needed to resume after a
-// restart. Txs may be empty.
-type BlockRecord struct {
-	K       uint64
-	Attempt uint32
-	Digest  types.Digest
-	Txs     []*utxo.Transaction
-}
-
-// EncodeBlockRecord serializes a block record payload:
-//
-//	k uint64 | attempt uint32 | digest [32]byte | batch (EncodeBatch)
-func EncodeBlockRecord(r *BlockRecord) []byte {
-	batch, _ := EncodeBatch(r.Txs) // cannot fail
-	buf := make([]byte, 0, 8+4+32+len(batch))
-	buf = binary.BigEndian.AppendUint64(buf, r.K)
-	buf = binary.BigEndian.AppendUint32(buf, r.Attempt)
-	buf = append(buf, r.Digest[:]...)
-	return append(buf, batch...)
-}
-
-// DecodeBlockRecord parses a block record payload. The decoded
-// transactions alias the payload.
-func DecodeBlockRecord(payload []byte) (*BlockRecord, error) {
-	r := NewReader(payload)
-	rec := &BlockRecord{K: r.U64(), Attempt: r.U32(), Digest: r.Digest()}
-	if r.err != nil {
-		return nil, r.err
-	}
-	txs, err := DecodeBatch(r.Rest())
-	if err != nil {
-		return nil, err
-	}
-	rec.Txs = txs
-	return rec, nil
-}
-
 // CheckpointState is a complete snapshot of a bm.Ledger at a chain
 // height: everything needed to resume committing and merging without the
 // pruned block bodies. Block bodies below the checkpoint are dropped —
@@ -159,10 +125,14 @@ type CheckpointState struct {
 	Refunds          uint64
 }
 
-// BlockDigest is one (index, digest) chain entry of a checkpoint.
+// BlockDigest is one chain entry of a checkpoint: the index, the ledger
+// block's digest and the digest of the decision it derives from
+// (sbc.Decision.Digest), which a restored replica compares its peers'
+// confirmations against.
 type BlockDigest struct {
-	K      uint64
-	Digest types.Digest
+	K        uint64
+	Digest   types.Digest
+	Decision types.Digest
 }
 
 // UTXOEntry is one unspent output of a checkpoint.
@@ -177,13 +147,14 @@ type DepositInput struct {
 	Value types.Amount
 }
 
-// Checkpoint payload magic: format identifier plus version.
-var checkpointMagic = [4]byte{'Z', 'L', 'C', '1'}
+// Checkpoint payload magic: format identifier plus version. ZLC1, the
+// format whose block entries had no decision digest, is refused by name.
+var checkpointMagic, checkpointMagicV1 = [4]byte{'Z', 'L', 'C', '2'}, [4]byte{'Z', 'L', 'C', '1'}
 
 // EncodeCheckpoint serializes a checkpoint snapshot.
 func EncodeCheckpoint(cp *CheckpointState) []byte {
 	size := 4 + 8 + 8 + 5*4 + 3*8 +
-		len(cp.Blocks)*(8+32) + len(cp.Merged)*32 + len(cp.UTXOs)*(32+4+32+8) +
+		len(cp.Blocks)*(8+32+32) + len(cp.Merged)*32 + len(cp.UTXOs)*(32+4+32+8) +
 		len(cp.TxIDs)*32 + len(cp.Punished)*32 + len(cp.DepositInputs)*(32+4+8)
 	buf := make([]byte, 0, size)
 	buf = append(buf, checkpointMagic[:]...)
@@ -193,7 +164,7 @@ func EncodeCheckpoint(cp *CheckpointState) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Blocks)))
 	for _, b := range cp.Blocks {
 		buf = binary.BigEndian.AppendUint64(buf, b.K)
-		buf = append(buf, b.Digest[:]...)
+		buf = append(append(buf, b.Digest[:]...), b.Decision[:]...)
 	}
 	buf = appendDigests(buf, cp.Merged)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.UTXOs)))
@@ -235,15 +206,20 @@ func readDigests(r *Reader) []types.Digest {
 
 // DecodeCheckpoint parses a checkpoint snapshot.
 func DecodeCheckpoint(payload []byte) (*CheckpointState, error) {
-	if len(payload) < 4 || [4]byte(payload[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: not a ZLC1 checkpoint", ErrBadMagic)
+	switch {
+	case len(payload) < 4:
+		return nil, fmt.Errorf("%w: %d-byte checkpoint", ErrBadMagic, len(payload))
+	case [4]byte(payload[:4]) == checkpointMagicV1:
+		return nil, fmt.Errorf("%w: a ZLC1 checkpoint (no decision digests), which this build does not read; it reads ZLC2", ErrBadMagic)
+	case [4]byte(payload[:4]) != checkpointMagic:
+		return nil, fmt.Errorf("%w: %q is not a ZLC2 checkpoint", ErrBadMagic, payload[:4])
 	}
 	r := NewReader(payload[4:])
 	cp := &CheckpointState{LastK: r.U64(), Deposit: types.Amount(r.U64()),
 		MergedTxs: r.U64(), DepositFundedTxs: r.U64(), Refunds: r.U64()}
-	cp.Blocks = make([]BlockDigest, r.Count(8+32))
+	cp.Blocks = make([]BlockDigest, r.Count(8+32+32))
 	for i := range cp.Blocks {
-		cp.Blocks[i] = BlockDigest{K: r.U64(), Digest: r.Digest()}
+		cp.Blocks[i] = BlockDigest{K: r.U64(), Digest: r.Digest(), Decision: r.Digest()}
 	}
 	cp.Merged = readDigests(&r)
 	cp.UTXOs = make([]UTXOEntry, r.Count(32+4+32+8))

@@ -5,36 +5,9 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 )
-
-// testTxs builds a couple of signed transactions for codec round-trips.
-func testTxs(t *testing.T) []*utxo.Transaction {
-	t.Helper()
-	reg := crypto.NewRegistry(crypto.SchemeEd25519)
-	scheme, err := crypto.NewScheme(crypto.SchemeEd25519, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rand := crypto.NewDeterministicRand(7)
-	kp, err := scheme.GenerateKey(rand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := utxo.NewWallet(kp, scheme)
-	var txs []*utxo.Transaction
-	for i := 0; i < 3; i++ {
-		in := []utxo.Input{{Prev: utxo.Outpoint{TxID: types.Hash([]byte{byte(i)}), Index: uint32(i)}, Value: 100}}
-		tx, err := w.Pay(in, []utxo.Output{{Account: w.Address(), Value: 60}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, tx)
-	}
-	return txs
-}
 
 func TestRecordFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("zlb"), 100)}
@@ -83,44 +56,13 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	}
 }
 
-func TestBlockRecordRoundTrip(t *testing.T) {
-	txs := testTxs(t)
-	rec := &BlockRecord{K: 42, Attempt: 3, Digest: types.Hash([]byte("d")), Txs: txs}
-	got, err := DecodeBlockRecord(EncodeBlockRecord(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != rec.K || got.Attempt != rec.Attempt || got.Digest != rec.Digest {
-		t.Errorf("header mismatch: %+v vs %+v", got, rec)
-	}
-	if len(got.Txs) != len(txs) {
-		t.Fatalf("got %d txs, want %d", len(got.Txs), len(txs))
-	}
-	for i := range txs {
-		if got.Txs[i].ID() != txs[i].ID() {
-			t.Errorf("tx %d: ID mismatch", i)
-		}
-	}
-}
-
-func TestBlockRecordEmptyTxs(t *testing.T) {
-	rec := &BlockRecord{K: 7, Digest: types.Hash([]byte("digest-only"))}
-	got, err := DecodeBlockRecord(EncodeBlockRecord(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != 7 || got.Digest != rec.Digest || len(got.Txs) != 0 {
-		t.Errorf("digest-only record did not round-trip: %+v", got)
-	}
-}
-
 func testCheckpoint() *CheckpointState {
 	return &CheckpointState{
 		LastK:   9,
 		Deposit: 12345,
 		Blocks: []BlockDigest{
-			{K: 1, Digest: types.Hash([]byte("b1"))},
-			{K: 2, Digest: types.Hash([]byte("b2"))},
+			{K: 1, Digest: types.Hash([]byte("b1")), Decision: types.Hash([]byte("d1"))},
+			{K: 2, Digest: types.Hash([]byte("b2")), Decision: types.Hash([]byte("d2"))},
 		},
 		Merged: []types.Digest{types.Hash([]byte("m"))},
 		UTXOs: []UTXOEntry{

@@ -9,7 +9,7 @@
 //     only numbers the types and frames them.
 //   - Transaction batches, the consensus proposal payload (this file), and
 //     replica lists, the inclusion proposal payload.
-//   - The store's record frames, block records and checkpoints, and the
+//   - The store's record frames and checkpoints, and the
 //     catch-up sync request and response (record.go).
 //
 // Integers are big-endian throughout.
@@ -39,7 +39,7 @@ import (
 var batchMagic = [4]byte{'Z', 'L', 'B', '1'}
 
 // ErrBadMagic marks a payload that does not open with its layout's magic.
-var ErrBadMagic = errors.New("wire: payload is not a ZLB1 batch")
+var ErrBadMagic = errors.New("wire: payload does not open with its format's magic")
 
 // EncodeBatch serializes transactions into a consensus proposal payload.
 func EncodeBatch(txs []*utxo.Transaction) ([]byte, error) {

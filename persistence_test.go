@@ -133,7 +133,8 @@ func TestNewClusterRefusesUsedDataDir(t *testing.T) {
 // rounds of payments and restarts it on its directory: the sequence a
 // deployed node runs — recover the chain, restore the instances, catch
 // up, commit further blocks onto the recovered ledger. The restarted
-// replica must end on the observer's ledger, live and on disk.
+// replica must end on the observer's ledger, live and on disk, and on
+// the same decided chain as every other replica.
 func TestClusterRestartRecoversFromStore(t *testing.T) {
 	const victim = zlb.ReplicaID(4)
 	cfg := zlb.Config{N: 4, Seed: 11, WalletCount: 3, DataDir: t.TempDir(), CheckpointEvery: 2}
@@ -199,6 +200,18 @@ func TestClusterRestartRecoversFromStore(t *testing.T) {
 	}
 	if balances == beforeCrash {
 		t.Fatal("nothing committed after the restart")
+	}
+	// The replicas' decided chains are equal too: the restarted replica
+	// restored its instances under their decisions' digests.
+	h := c.Harness()
+	ref := h.State(h.Members[0]).Chain
+	if len(ref) < 4 {
+		t.Fatalf("replica %v decided %d instances", h.Members[0], len(ref))
+	}
+	for _, id := range h.Members {
+		if chain := h.State(id).Chain; !reflect.DeepEqual(chain, ref) {
+			t.Errorf("replica %v's decided chain differs from replica %v's:\n%v\n%v", id, h.Members[0], chain, ref)
+		}
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
