@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -553,12 +554,12 @@ func TestNodeOpensNoFileOutsideDataDir(t *testing.T) {
 	if retired := nodes[0].app.Status().Replica.CompactedInstances; retired == 0 {
 		t.Fatalf("no instance retired after %d blocks", blocks)
 	}
-	inData := 0
+	inData, real := 0, realPath(t, dataDir)
 	for path := range seen {
-		if path == dataDir || strings.HasPrefix(path, dataDir+string(os.PathSeparator)) {
+		if path == real || strings.HasPrefix(path, real+string(os.PathSeparator)) {
 			inData++
 		} else {
-			t.Errorf("a node opened %s, outside the durable node's data directory %s", path, dataDir)
+			t.Errorf("a node opened %s, outside the durable node's data directory %s", path, real)
 		}
 	}
 	if inData == 0 {
@@ -567,6 +568,20 @@ func TestNodeOpensNoFileOutsideDataDir(t *testing.T) {
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
 		t.Errorf("$TMPDIR holds %v (%v), want nothing", left, err)
 	}
+}
+
+// realPath is path as /proc/self/fd names a file under it: absolute and
+// with every symlink resolved, whatever form $TMPDIR gave t.TempDir.
+func realPath(t *testing.T, path string) string {
+	t.Helper()
+	abs, err := filepath.Abs(path)
+	if err == nil {
+		abs, err = filepath.EvalSymlinks(abs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return abs
 }
 
 // openFiles lists the files the process holds open (/proc/self/fd), by

@@ -87,8 +87,7 @@ func (f *fixture) decide(k uint64, amount types.Amount, shared bool) *sbc.Decisi
 
 // TestDecisionsReadBackFromTheStore appends certified decisions, prunes
 // the first ones under a checkpoint and reopens the store: each retained
-// decision reads back equal to the one appended, a payload several slots
-// carry is written once and read back as one array, a pruned one is
+// decision reads back equal to the one appended, a pruned one is
 // ErrPruned, and the chain recovers from the decisions alone.
 func TestDecisionsReadBackFromTheStore(t *testing.T) {
 	dir := t.TempDir()
@@ -132,22 +131,45 @@ func TestDecisionsReadBackFromTheStore(t *testing.T) {
 	if _, err := s.Decision(7); err == nil || errors.Is(err, ErrPruned) {
 		t.Errorf("decision past the chain: %v, want an error other than ErrPruned", err)
 	}
-	got, _ := s.Decision(4)
+	if s.RetainedBytes() == 0 {
+		t.Error("the store reports no retained bytes")
+	}
+}
+
+// TestBlockRecordWritesAPayloadOnce: a payload three slots carry is
+// written once in the block record and read back from a reopened store
+// as one array, and encoding the record leaves the decision as it was.
+func TestBlockRecordWritesAPayloadOnce(t *testing.T) {
+	dir := t.TempDir()
+	f := newFixture(t, dir, Options{})
+	d := f.decide(1, 10, true)
+	if err := f.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Decision(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != d.Digest() {
+		t.Fatalf("decision read back with digest %x, appended %x", got.Digest(), d.Digest())
+	}
 	for _, slot := range []types.ReplicaID{2, 3} {
 		if &got.Proposals[slot].Payload[0] != &got.Proposals[1].Payload[0] {
 			t.Errorf("slot %d's payload is a copy of slot 1's", slot)
 		}
 	}
-	shared := len(decided[4].Proposals[1].Payload)
-	full, _ := decided[4].AppendBinary(nil)
-	if rec, _ := (&BlockRecord{K: 4, Decision: decided[4]}).AppendBinary(nil); len(rec) > 8+4+32+len(full)-2*shared {
+	shared := len(d.Proposals[1].Payload)
+	full, _ := d.AppendBinary(nil)
+	if rec, _ := (&BlockRecord{K: 1, Decision: d}).AppendBinary(nil); len(rec) > 8+4+32+len(full)-2*shared {
 		t.Errorf("record of %d bytes, %d with every payload written out: the shared payload is written more than once", len(rec), 8+4+32+len(full))
 	}
-	if len(decided[4].Proposals[2].Payload) != shared {
+	if len(d.Proposals[2].Payload) != shared {
 		t.Error("encoding the record changed the decision it was given")
-	}
-	if s.RetainedBytes() == 0 {
-		t.Error("the store reports no retained bytes")
 	}
 }
 
