@@ -488,12 +488,12 @@ func (c *tcpCluster) ConvergedAgreement() bool {
 }
 
 // State reads id in one event-loop round trip. Its chain is the
-// ledger's digests: a restarted replica restores ledger digests into its
-// consensus state, where peers hold decision digests.
+// replica's decision digests, as the simulator's is: a restarted replica
+// restores each block under its decision's digest.
 func (c *tcpCluster) State(id types.ReplicaID) harness.ReplicaState {
 	return read(c, id, func(rn *replicaNode) harness.ReplicaState {
 		st := harness.ReplicaState{
-			Chain:     rn.app.Ledger().BlockDigests(),
+			Chain:     rn.replica.ChainDigests(),
 			Culprits:  rn.replica.Log().ProvenCulprits(),
 			Committee: rn.replica.View().Members(),
 		}

@@ -223,8 +223,8 @@ func (p *probe) OnTimer(any)                                     {}
 // catch-up transfer and the chain of a join notice while the instance is
 // live and again after it retired: the answers are equal field for field (a
 // catch-up transfer and a join notice grow, so their common prefix is),
-// whether the retired decisions are kept in memory or read back from the
-// deployed node's history file.
+// whether the retired decisions are kept in memory or read back from a
+// deployed node's store.
 func TestRetiredInstanceAnswersIdentically(t *testing.T) {
 	for _, hist := range histories {
 		t.Run(hist.name, func(t *testing.T) { retiredInstanceAnswersIdentically(t, hist.open) })
@@ -569,6 +569,109 @@ func TestUnsolicitedBlocksAreRefused(t *testing.T) {
 	}
 	if in := r.InFlight(); len(in) != 0 {
 		t.Errorf("requests still in flight after every peer answered: %v", in)
+	}
+}
+
+// openPruningStoreHistory is openStoreHistory with a checkpoint cut every
+// `every` blocks, each pruning the segments below it: every flush rolls
+// the segment, so the store retains only what follows its last cut.
+func openPruningStoreHistory(every uint64) func(*testing.T) history {
+	return func(t *testing.T) history {
+		st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return history{node.HistoryOf(st), func(k uint64, attempt uint32, d *sbc.Decision) {
+			err := st.Append(&store.BlockRecord{K: k, Attempt: attempt, Digest: store.BlockFrom(k, d, wire.DecodeBatch).Digest, Decision: d})
+			if err == nil {
+				err = st.Flush()
+			}
+			if err == nil && k%every == 0 {
+				err = st.WriteCheckpoint(&wire.CheckpointState{LastK: k})
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}}
+	}
+}
+
+// TestLagBeyondTheHistoryStalls pins what a replica that missed more
+// instances than RetainDepth gets when it asks its peers for them. Peers
+// that keep every decision (the simulator's memory history) send the
+// whole chain. Peers that keep none once an instance retires (a zlb-node
+// without -data-dir), or whose store pruned the segments below its last
+// checkpoint, send only the instances they still hold, and count each
+// block they cannot send as a pruned read. Nothing falls back below
+// that: asking again brings nothing more, and a node whose ledger applies
+// blocks in chain order holds the ones it got ahead of the gap for good.
+// At n = 10 the confirmation threshold is 9 of 10, so the peers finalize
+// and retire instances the absent replica never confirmed; below n = 10
+// it takes every member's confirmation, and they retire nothing while it
+// is away.
+func TestLagBeyondTheHistoryStalls(t *testing.T) {
+	const n, height = 10, 100
+	for _, c := range []struct {
+		name string
+		open func(*testing.T) history
+		full bool
+	}{
+		{"memory", func(*testing.T) history { return history{History: asmr.NewMemHistory()} }, true},
+		{"none", func(*testing.T) history { return history{History: node.HistoryOf(nil)} }, false},
+		{"pruned-store", openPruningStoreHistory(10), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const victim = types.ReplicaID(n)
+			cl := benignClusterOf(t, n, height, func(id types.ReplicaID, _ simnet.Env) (harness.Application, error) {
+				if id == victim {
+					return &historyApp{h: history{History: asmr.NewMemHistory()}}, nil
+				}
+				return &historyApp{h: c.open(t)}, nil
+			})
+			cl.Net.SetUp(victim, false)
+			cl.Start()
+			cl.RunUntilQuiet(time.Minute)
+			cl.Net.SetUp(victim, true)
+			source := cl.Replicas[cl.Members[0]]
+			if got := source.CommittedCount(); got != height {
+				t.Fatalf("the running replicas decided %d of %d instances", got, height)
+			}
+			pruned := source.Stats().HistoryPruned
+			r := cl.Replicas[victim]
+			for range 2 { // asking again brings nothing more
+				r.RequestCatchup()
+				cl.Run(cl.Net.Now() + time.Second)
+			}
+
+			got := r.ChainDigests()
+			want := source.ChainDigests()
+			for k, d := range got {
+				if d != want[k] {
+					t.Errorf("block %d adopted as %v, the source holds %v", k, d, want[k])
+				}
+			}
+			if c.full {
+				if len(got) != height || source.Stats().HistoryPruned != pruned {
+					t.Fatalf("%d of %d blocks caught up, %d pruned reads; want all and none", len(got), height, source.Stats().HistoryPruned-pruned)
+				}
+				return
+			}
+			first := uint64(height)
+			for k := range got {
+				first = min(first, k)
+			}
+			if len(got) == 0 || first <= height-asmr.RetainDepth-inFlight || len(got) != int(height-first+1) {
+				t.Fatalf("caught up %d blocks from %d; want the last ones, above %d, and nothing below", len(got), first, height-asmr.RetainDepth-inFlight)
+			}
+			if _, ok := r.Committed(1); ok {
+				t.Fatal("block 1 caught up from peers that no longer hold it")
+			}
+			if reads := source.Stats().HistoryPruned - pruned; reads < 2*(first-1) {
+				t.Errorf("%d pruned reads on the source for two requests of %d blocks it lacks", reads, first-1)
+			}
+			t.Logf("caught up blocks %d..%d of %d; the source counted %d pruned reads", first, height, height, source.Stats().HistoryPruned-pruned)
+		})
 	}
 }
 

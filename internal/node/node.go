@@ -230,9 +230,11 @@ func restoredBlocks(st *store.Store) []asmr.RestoredBlock {
 func (n *Node) History() asmr.History { return HistoryOf(n.store) }
 
 // HistoryOf is the asmr.History of a replica whose node appends every
-// committed decision to st: Get reads the block record back. Without a
-// store (nil) a retired decision is dropped: the replica serves the last
-// RetainDepth instances, as far back as a merge or a PoF reaches.
+// committed decision to st, in chain order: Put keeps nothing but refuses
+// a block past the store's last (one Commit holds ahead of a gap), and
+// Get reads the record back. Without a store (nil) a retired decision is
+// dropped: the replica serves the last RetainDepth instances, as far back
+// as a merge or a PoF reaches, and a peer further behind cannot catch up.
 func HistoryOf(st *store.Store) asmr.History {
 	if st == nil {
 		return noHistory{}
@@ -242,7 +244,12 @@ func HistoryOf(st *store.Store) asmr.History {
 
 type storeHistory struct{ st *store.Store }
 
-func (storeHistory) Put(uint64, *sbc.Decision) error { return nil }
+func (h storeHistory) Put(k uint64, _ *sbc.Decision) error {
+	if last, _ := h.st.LastK(); k > last {
+		return fmt.Errorf("node: block %d is past the store's last, %d", k, last)
+	}
+	return nil
+}
 
 func (h storeHistory) Get(k uint64) (*sbc.Decision, error) {
 	d, err := h.st.Decision(k)

@@ -357,6 +357,32 @@ func TestLedgerAppliesBlocksInChainOrder(t *testing.T) {
 	}
 }
 
+// TestStoreHistoryRefusesABlockAheadOfAGap: a durable node's history
+// keeps nothing itself, the store's record of a committed block is what
+// Get reads back. A decision held ahead of a gap has no record yet, so
+// Put refuses it and the replica keeps the decision; once the gap fills
+// and the block commits, Put takes it and Get reads it back.
+func TestStoreHistoryRefusesABlockAheadOfAGap(t *testing.T) {
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) { o.DataDir = t.TempDir() })
+	f.attachReplica(t)
+	h := f.History()
+	first := decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))})
+	second := decide(2, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(2))})
+	f.Commit(2, 0, second)
+	if err := h.Put(2, second); err == nil {
+		t.Fatal("Put took block 2, held ahead of the gap at 1, with no record of it in the store")
+	}
+	f.Commit(1, 0, first)
+	for k, d := range map[uint64]*sbc.Decision{1: first, 2: second} {
+		if err := h.Put(k, d); err != nil {
+			t.Fatalf("Put(%d) after the gap filled: %v", k, err)
+		}
+		if got, err := h.Get(k); err != nil || got.Digest() != d.Digest() {
+			t.Fatalf("Get(%d) = %v, %v; want the committed decision", k, got, err)
+		}
+	}
+}
+
 // TestRestoredReplicaWaitsToProposeWhereItStopped: a replica restored
 // from disk may have proposed in the instance it stopped in, from a pool
 // it no longer has. It proposes nothing there, so its peers, which may

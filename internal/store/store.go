@@ -178,10 +178,7 @@ func (s *Store) noteCheckpoint(cp *wire.CheckpointState) {
 		if _, ok := s.byIndex[b.K]; !ok {
 			s.byIndex[b.K] = Coord{K: b.K, Digest: b.Digest, Decision: b.Decision}
 		}
-		if b.K > s.lastK || !s.haveBlocks {
-			s.lastK = b.K
-		}
-		s.haveBlocks = true
+		s.lastK, s.haveBlocks = max(s.lastK, b.K), true
 	}
 }
 
@@ -229,10 +226,7 @@ func (s *Store) loadSegments() error {
 		s.tail = tailAfterCheckpoint(s.tail, s.checkpoint.LastK)
 	}
 	if len(s.segments) == 0 {
-		if err := s.rollSegmentLocked(); err != nil {
-			return err
-		}
-		return nil
+		return s.rollSegmentLocked()
 	}
 	// Re-open the last segment for appending.
 	seg := s.segments[len(s.segments)-1]
@@ -320,10 +314,7 @@ func (s *Store) applyRecord(at frameAt, kind wire.RecordKind, payload []byte) er
 func (s *Store) noteBlock(at frameAt, r *BlockRecord) {
 	at.seg.lastK = max(at.seg.lastK, r.K)
 	at.seg.records++
-	if r.K > s.lastK || !s.haveBlocks {
-		s.lastK = r.K
-	}
-	s.haveBlocks = true
+	s.lastK, s.haveBlocks = max(s.lastK, r.K), true // lastK is 0 while !haveBlocks
 	if _, ok := s.byIndex[r.K]; !ok {
 		s.byIndex[r.K] = Coord{r.K, r.Attempt, r.Digest, r.Decision.Digest()}
 	}

@@ -414,7 +414,7 @@ func TestBlockRecordsCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopened, blocks 1–4 come from the checkpoint and block 5 from the
-	// tail: each under its decision's digest.
+	// tail: each under its ledger block's digest and its decision's.
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -427,6 +427,9 @@ func TestBlockRecordsCoordinates(t *testing.T) {
 	for i, r := range recs {
 		if r.K != uint64(i+1) {
 			t.Errorf("record %d has K=%d", i, r.K)
+		}
+		if blk, ok := f.ledger.BlockAt(r.K); !ok || r.Digest != blk.Digest {
+			t.Errorf("record %d: ledger digest %v, want the ledger's block %d", i, r.Digest, r.K)
 		}
 		if r.Decision != want[r.K] || r.Decision == (types.Digest{}) {
 			t.Errorf("record %d: decision digest %v, want %v", i, r.Decision, want[r.K])
