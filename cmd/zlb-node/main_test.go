@@ -444,26 +444,33 @@ func TestNodeSyncBootstrap(t *testing.T) {
 	})
 }
 
-// TestStorelessNodeTrimsCommittedSet checks the dedup set of a node
-// without -data-dir: no checkpoint will ever bound it, so the node trims
-// it every CheckpointEvery blocks. Before the trim a resubmitted committed
-// transaction is refused by the mempool; after it the mempool admits it
-// and the ledger, which knows every applied ID, skips it.
-func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
+// TestCommittedTransactionRefusedAcrossTheCut resubmits a committed
+// transaction to two replicas without a store and two with one, all four
+// configured to checkpoint every two blocks: once at height 1, before
+// the durable replicas' cut, and once at height 2, after it. The
+// ledger's ID set is the node's one replay guard and nothing trims it,
+// so each replica refuses the transaction both times as committed, with
+// one "committed" reject each, and no block commits for it.
+func TestCommittedTransactionRefusedAcrossTheCut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-TCP integration test")
 	}
 	const n = 4
 	const seed = int64(13)
-	nodes, addrs := startCluster(t, n, seed, func(_ int, cfg *nodeConfig) { cfg.CheckpointEvery = 2 })
-	all := []int{0, 1, 2, 3}
-
-	refusedCommitted := func() uint64 {
-		var sum uint64
-		for _, rn := range nodes {
-			sum += rn.app.Pool().Stats().Rejects["committed"]
+	dirs := tempDirs(t, n)
+	nodes, addrs := startCluster(t, n, seed, func(i int, cfg *nodeConfig) {
+		cfg.CheckpointEvery = 2
+		if i >= n/2 {
+			cfg.DataDir = dirs[i]
 		}
-		return sum
+	})
+	all := []int{0, 1, 2, 3}
+	refused := func() []uint64 {
+		out := make([]uint64, n)
+		for i, rn := range nodes {
+			out[i] = rn.app.Pool().Stats().Rejects["committed"]
+		}
+		return out
 	}
 
 	client := newTestClient(t, seed, addrs)
@@ -481,28 +488,49 @@ func TestStorelessNodeTrimsCommittedSet(t *testing.T) {
 		}
 		return true
 	})
-	early := refusedCommitted()
-	client.send(first, all...) // block 1 of 2: the dedup set still holds it
-	waitFor(t, 10*time.Second, "the early resubmission to be refused everywhere", func() bool {
-		return refusedCommitted() == early+n
-	})
-
-	client.submit(501, all...)
-	waitHeight(t, 30*time.Second, 2, nodes...) // the second block trims
-	applied := nodes[0].app.Status().TxsApplied
-	faucet := nodes[0].state().Faucet
-	client.send(first, all...)
-	waitHeight(t, 30*time.Second, 3, nodes...) // admitted again, proposed, committed as an empty block
-	if got := refusedCommitted(); got != early+n {
-		t.Errorf("%d committed-refusals after the trim, want the %d from before it", got, early+n)
-	}
-	for i, rn := range nodes {
-		if got := rn.app.Status().TxsApplied; got != applied {
-			t.Errorf("replica %d applied %d transactions, want %d: the ledger let a committed transaction through", i+1, got, applied)
+	resubmit := func(when string) {
+		t.Helper()
+		before := refused()
+		client.send(first, all...)
+		waitFor(t, 10*time.Second, "the resubmission "+when+" to be refused everywhere", func() bool {
+			now := refused()
+			for i := range now {
+				if now[i] == before[i] {
+					return false
+				}
+			}
+			return true
+		})
+		for i, got := range refused() {
+			if got != before[i]+1 {
+				t.Errorf("%s: replica %d counts %d committed rejects, want %d", when, i+1, got, before[i]+1)
+			}
 		}
 	}
-	if got := nodes[0].state().Faucet; got != faucet {
-		t.Errorf("faucet balance moved from %d to %d on a resubmitted transaction", faucet, got)
+
+	resubmit("before the cut")
+	client.submit(501, all...)
+	waitHeight(t, 30*time.Second, 2, nodes...)
+	for _, dir := range dirs[n/2:] {
+		if _, err := os.Stat(filepath.Join(dir, "checkpoint.ckpt")); err != nil {
+			t.Fatalf("no checkpoint cut at block 2: %v", err)
+		}
+	}
+	applied := nodes[0].app.Status().TxsApplied
+	resubmit("after the cut")
+	// A transaction the pool admitted would be proposed and commit within
+	// milliseconds here, as an empty block the ledger skips it in.
+	time.Sleep(time.Second)
+	for i, rn := range nodes {
+		if st := rn.state(); st.Height != 2 {
+			t.Errorf("replica %d at height %d after the resubmissions, want 2", i+1, st.Height)
+		}
+		if got := rn.app.Status().TxsApplied; got != applied {
+			t.Errorf("replica %d applied %d transactions, want %d", i+1, got, applied)
+		}
+		if got := rn.app.Pool().Len(); got != 0 {
+			t.Errorf("replica %d holds %d pending transactions, want 0", i+1, got)
+		}
 	}
 }
 

@@ -94,9 +94,9 @@ func (p Policy) active() bool {
 var (
 	// ErrDuplicate rejects a transaction already pending.
 	ErrDuplicate = errors.New("mempool: transaction already pending")
-	// ErrCommitted rejects a transaction that was committed in a block
-	// since the last checkpoint trim — re-proposing it would waste a
-	// consensus instance (the ledger would skip it anyway).
+	// ErrCommitted rejects a transaction the committed predicate
+	// (SetCommitted) knows: re-proposing it would waste a consensus
+	// instance, and the ledger would skip it anyway.
 	ErrCommitted = errors.New("mempool: transaction already committed")
 	// ErrAccountCap rejects a sender whose pending count is at the cap.
 	ErrAccountCap = errors.New("mempool: per-account pending cap reached")
@@ -158,6 +158,9 @@ type Pool struct {
 	// pins the window at zero, which makes RatePerAccount a cap on total
 	// admissions per sender.
 	clock func() time.Duration
+	// committed reports whether the ledger applied a transaction; nil
+	// refuses nothing as committed.
+	committed func(types.Digest) bool
 
 	// pending indexes the queued entries by digest.
 	pending map[types.Digest]*entry
@@ -171,11 +174,6 @@ type Pool struct {
 	// bySlot indexes pending entries by (sender, nonce) for
 	// replacement-by-fee (maintained when ReplaceBumpPct > 0).
 	bySlot map[slotKey]*entry
-	// committed holds the digests of transactions pruned by committed
-	// blocks since the last TrimCommitted — the dedup set that makes
-	// re-submitting a committed transaction a typed error instead of a
-	// wasted consensus slot.
-	committed map[types.Digest]struct{}
 	// rates tracks per-sender admission counts per window.
 	rates map[utxo.Address]rateBucket
 
@@ -229,13 +227,12 @@ func NewWithPolicy(policy Policy) *Pool {
 		policy.RateWindow = time.Second
 	}
 	return &Pool{
-		policy:    policy,
-		pending:   make(map[types.Digest]*entry),
-		byAcct:    make(map[utxo.Address]int),
-		bySlot:    make(map[slotKey]*entry),
-		committed: make(map[types.Digest]struct{}),
-		rates:     make(map[utxo.Address]rateBucket),
-		rejects:   make(map[string]uint64),
+		policy:  policy,
+		pending: make(map[types.Digest]*entry),
+		byAcct:  make(map[utxo.Address]int),
+		bySlot:  make(map[slotKey]*entry),
+		rates:   make(map[utxo.Address]rateBucket),
+		rejects: make(map[string]uint64),
 	}
 }
 
@@ -252,6 +249,17 @@ func (p *Pool) SetClock(fn func() time.Duration) {
 	p.mu.Unlock()
 }
 
+// SetCommitted injects the committed-transaction predicate: the node's
+// ledger, whose ID set (Alg. 2 line 6) is the one record of what was
+// applied. Add refuses a transaction it reports with ErrCommitted. Add
+// calls it on the caller's goroutine, so a caller whose predicate reads
+// state owned by an event loop must call Add from that loop.
+func (p *Pool) SetCommitted(fn func(types.Digest) bool) {
+	p.mu.Lock()
+	p.committed = fn
+	p.mu.Unlock()
+}
+
 // Add runs the transaction through admission. It returns nil when the
 // transaction enters the pool and a typed error (ErrDuplicate,
 // ErrCommitted, ErrFeeTooLow, ErrReplaceUnderpriced, ErrRateLimited,
@@ -265,7 +273,7 @@ func (p *Pool) SetClock(fn func() time.Duration) {
 func (p *Pool) Add(tx *utxo.Transaction) error {
 	id := tx.ID()
 	p.mu.Lock()
-	if _, done := p.committed[id]; done {
+	if p.committed != nil && p.committed(id) {
 		p.rejects[RejectReason(ErrCommitted)]++
 		p.mu.Unlock()
 		return ErrCommitted
@@ -418,18 +426,6 @@ func (p *Pool) remove(e *entry) {
 	}
 }
 
-// Seen reports whether a transaction with the given digest is pending or
-// was committed since the last checkpoint trim.
-func (p *Pool) Seen(id types.Digest) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.pending[id]; ok {
-		return true
-	}
-	_, done := p.committed[id]
-	return done
-}
-
 // Len returns the number of queued transactions.
 func (p *Pool) Len() int {
 	p.mu.Lock()
@@ -502,32 +498,25 @@ func (p *Pool) Take(max int) []*utxo.Transaction {
 	return out
 }
 
-// Prune processes a committed block's transactions: each is recorded in
-// the committed set (so a client retry after commit is rejected with
-// ErrCommitted, whether or not this pool ever queued it) and dropped
-// from the pending queue if present.
+// Prune drops a committed block's transactions from the pending queue.
+// A client's retry after the commit is refused by the committed
+// predicate, not by the pool (SetCommitted).
 func (p *Pool) Prune(txs []*utxo.Transaction) {
-	if len(txs) == 0 {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	gone := make(map[types.Digest]struct{}, len(txs))
-	for _, tx := range txs {
-		id := tx.ID()
-		gone[id] = struct{}{}
-		p.committed[id] = struct{}{}
-	}
-	if len(p.pending) == 0 {
+	if len(txs) == 0 || len(p.pending) == 0 {
 		return
 	}
-	dropped := false
+	var gone map[types.Digest]struct{}
 	for _, tx := range txs {
 		e, ok := p.pending[tx.ID()]
 		if !ok {
 			continue
 		}
-		dropped = true
+		if gone == nil {
+			gone = make(map[types.Digest]struct{}, len(txs))
+		}
+		gone[e.id] = struct{}{}
 		delete(p.pending, e.id)
 		p.bytes -= e.size
 		p.byAcct[e.sender]--
@@ -539,7 +528,7 @@ func (p *Pool) Prune(txs []*utxo.Transaction) {
 			delete(p.bySlot, key)
 		}
 	}
-	if !dropped {
+	if gone == nil {
 		return
 	}
 	// One allocation-free sweep per view instead of a splice per entry.
@@ -561,14 +550,4 @@ func sweep(view []*entry, gone map[types.Digest]struct{}) []*entry {
 		view[i] = nil
 	}
 	return kept
-}
-
-// TrimCommitted clears the committed-transaction dedup set — called when
-// a checkpoint is cut, which bounds the set's memory to one checkpoint
-// interval. A retry of an older committed transaction is then admitted
-// again, wastes pool space until proposed, and is skipped by the ledger.
-func (p *Pool) TrimCommitted() {
-	p.mu.Lock()
-	p.committed = make(map[types.Digest]struct{})
-	p.mu.Unlock()
 }

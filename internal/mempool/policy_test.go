@@ -133,8 +133,8 @@ func TestAdmissionPolicyTable(t *testing.T) {
 			if ids := takeIDs(p); len(ids) != 1 || ids[0] != repl.ID() {
 				t.Error("replacement did not swap the pending entry")
 			}
-			if p.Seen(old.ID()) {
-				t.Error("replaced tx still Seen")
+			if pending(p, old.ID()) {
+				t.Error("replaced tx still pending")
 			}
 			if p.Evictions() != 1 {
 				t.Errorf("evictions %d, want 1", p.Evictions())
@@ -170,8 +170,8 @@ func TestAdmissionPolicyTable(t *testing.T) {
 					t.Errorf("priority order [%d]: got %v, want %v", i, got[i], want[i])
 				}
 			}
-			if p.Seen(lo.ID()) {
-				t.Error("evicted tx still Seen")
+			if pending(p, lo.ID()) {
+				t.Error("evicted tx still pending")
 			}
 		}},
 		{"byte-bounded eviction", func(t *testing.T) {
@@ -191,7 +191,7 @@ func TestAdmissionPolicyTable(t *testing.T) {
 			if p.Len() != 2 || p.Bytes() != 2*sz {
 				t.Errorf("pool %d txs / %d bytes, want 2 / %d", p.Len(), p.Bytes(), 2*sz)
 			}
-			if p.Seen(one.ID()) {
+			if pending(p, one.ID()) {
 				t.Error("lowest-fee entry survived byte eviction")
 			}
 		}},

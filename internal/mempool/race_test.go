@@ -11,8 +11,8 @@ import (
 
 // TestPoolConcurrentAdmission hammers one admission-controlled pool from
 // parallel submitters and a batching/pruning loop that also reads the
-// counters a metrics scrape reads. The priority index, rate buckets and
-// committed set must stay coherent under -race.
+// counters a metrics scrape reads. The priority index and rate buckets
+// must stay coherent under -race.
 func TestPoolConcurrentAdmission(t *testing.T) {
 	p := NewWithPolicy(Policy{
 		MaxTxs:         256,

@@ -12,13 +12,12 @@ import (
 
 // footprintPerTx is how much heap one committed payment may leave on a
 // node beside its bytes in the retained decision: its ID in the ledger's
-// committed set and in the mempool's (≈80 B each as map entries) and the
-// one output it adds to the UTXO table (≈200 B; the table keeps no
-// per-account outpoint set). That is ≈360 B; the test measures ≈385 B,
-// and the bound keeps the ≈150 B of margin it had over the ≈490 B
-// measured with the outpoint set. A second copy of the transaction as
-// decoded objects costs ≈450 B more and does not fit.
-const footprintPerTx = 530
+// committed set, the node's only one (≈80 B as a map entry), and the one
+// output it adds to the UTXO table (≈200 B; the table keeps no
+// per-account outpoint set). That is ≈280 B; the test measures ≈305 B,
+// and the bound keeps ≈150 B of margin. A second copy of the transaction as decoded
+// objects costs ≈450 B more and does not fit.
+const footprintPerTx = 450
 
 // TestCommittedHistoryFootprint commits 60 blocks of 1000 chained faucet
 // payments through the node's commit path (decode through the batch cache,

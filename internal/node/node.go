@@ -29,6 +29,7 @@ import (
 	"github.com/zeroloss/zlb/internal/sbc"
 	"github.com/zeroloss/zlb/internal/simnet"
 	"github.com/zeroloss/zlb/internal/store"
+	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/wire"
 )
 
@@ -54,8 +55,7 @@ type Options struct {
 	// recovers it on the next start.
 	DataDir string
 	// CheckpointEvery is the number of blocks between UTXO checkpoints of
-	// the store, and between trims of the mempool's committed-ID set on a
-	// node without one. Zero cuts no checkpoint and never trims.
+	// the store. Zero cuts none.
 	CheckpointEvery uint64
 	// OnStoreError receives a failed append, checkpoint or rollback. A
 	// deployed node must not run on past one; a simulation records it.
@@ -69,7 +69,8 @@ type Options struct {
 }
 
 // Node is one replica's payment application. Apart from Pool, Status and
-// Metrics, every method runs on the replica's event loop.
+// Metrics, every method runs on the replica's event loop, and so does the
+// pool's Add, which asks the ledger whether a transaction is committed.
 type Node struct {
 	opts    Options
 	pool    *mempool.Pool
@@ -117,6 +118,7 @@ func New(opts Options) (*Node, error) {
 		early:      make(map[uint64]decided),
 	}
 	n.pool.SetClock(opts.Env.Now)
+	n.pool.SetCommitted(func(id types.Digest) bool { return n.ledger.HasTx(id) })
 	n.registerSeries()
 	if opts.DataDir != "" {
 		if err := n.openStore(); err != nil {
@@ -348,13 +350,6 @@ func (n *Node) commit(k uint64, attempt uint32, d *sbc.Decision) {
 		s.Pipeline.noteBinary(d)
 		n.noteLedger(s)
 	})
-	if every := n.opts.CheckpointEvery; n.store == nil && every > 0 && n.status.BlocksCommitted%every == 0 {
-		// No store, so no checkpoint will ever bound the committed-
-		// transaction dedup set (persist): trim on the same cadence. A
-		// transaction resubmitted after that is admitted again and skipped
-		// by the ledger, which knows every applied ID.
-		n.pool.TrimCommitted()
-	}
 	if t0, ok := n.proposedAt[k]; ok {
 		delete(n.proposedAt, k)
 		n.commitLat.Observe((n.opts.Env.Now() - t0).Seconds())
@@ -391,11 +386,6 @@ func (n *Node) persist(b *bm.Block, attempt uint32, d *sbc.Decision, merge bool)
 	err := n.store.Append(&store.BlockRecord{Supersede: merge, K: b.K, Attempt: attempt, Digest: b.Digest, Decision: d})
 	if err == nil && n.store.ShouldCheckpoint() {
 		err = n.store.WriteCheckpoint(n.ledger.CheckpointState())
-		if err == nil {
-			// The checkpoint bounds how far back a committed-transaction
-			// retry must be rejected; older dedup state is released here.
-			n.pool.TrimCommitted()
-		}
 	}
 	if err == nil {
 		err = n.store.Flush()

@@ -243,6 +243,44 @@ func TestRecoversPersistedChain(t *testing.T) {
 	}
 }
 
+// TestReopenedNodeRefusesCommittedTransactions: the ledger's ID set is the
+// node's one record of what it applied, so a retry of a transaction it
+// committed is refused however the ledger came back — from a checkpoint
+// that folded the block in, or from the log after it — and whether the
+// node stopped in between or not.
+func TestReopenedNodeRefusesCommittedTransactions(t *testing.T) {
+	durable := func(dir string) func(*Options) {
+		return func(o *Options) { o.DataDir, o.CheckpointEvery = dir, 2 }
+	}
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(t.TempDir()))
+	var paid []*utxo.Transaction // blocks 1 and 2 under the cut, 3 after it
+	for k := uint64(1); k <= 3; k++ {
+		tx := f.faucet.pay(types.Amount(k))
+		paid = append(paid, tx)
+		f.Commit(k, 0, decide(k, map[types.ReplicaID][]byte{1: encode(t, tx)}))
+	}
+	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
+		t.Fatalf("no checkpoint cut at block 2: %v", err)
+	}
+	refused := func(n *Node, tx *utxo.Transaction, when string) {
+		t.Helper()
+		if err := n.Pool().Add(tx); !errors.Is(err, mempool.ErrCommitted) {
+			t.Errorf("%s: resubmitting a committed transaction: %v, want %v", when, err, mempool.ErrCommitted)
+		}
+	}
+	refused(f.Node, paid[0], "after the cut")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir))
+	refused(g.Node, paid[0], "reopened, folded into the checkpoint")
+	refused(g.Node, paid[2], "reopened, in the log after the checkpoint")
+	if st := g.Pool().Stats(); st.Rejects["committed"] != 2 || st.Pending != 0 {
+		t.Errorf("reopened pool: %d committed rejects and %d pending, want 2 and 0", st.Rejects["committed"], st.Pending)
+	}
+}
+
 // TestRestoredInstanceKeepsItsDecisionDigest: a node commits decision d,
 // stops and reopens its store, and its replica restores instance 1 under
 // d's digest, the one peers' confirmations carry, and serves d from the

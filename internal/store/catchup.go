@@ -48,7 +48,8 @@ var (
 // away: the pruned bodies only survive in the snapshot, and a response
 // without it would hand the requester a chain with a silent gap.
 // Supersede records are always included regardless of FromK — a fork
-// merge may have rewritten an index the requester already holds.
+// merge may have rewritten an index the requester already holds. Each
+// record travels as the frame its segment holds, read back and checked.
 func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,13 +57,15 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 	if s.checkpoint != nil && (req.WantCheckpoint || req.FromK <= s.checkpoint.LastK) {
 		resp.Checkpoint = wire.EncodeCheckpoint(s.checkpoint)
 	}
-	var payload []byte
-	for _, r := range s.tail {
-		if !r.Supersede && r.K < req.FromK {
+	for _, at := range s.tail {
+		if at.kind != wire.RecordSupersede && at.k < req.FromK {
 			continue
 		}
-		payload, _ = r.AppendBinary(payload[:0]) // cannot fail
-		resp.Log = wire.AppendRecord(resp.Log, r.kind(), payload)
+		frame, _, err := s.readLocked(at)
+		if err != nil {
+			return nil, err
+		}
+		resp.Log = append(resp.Log, frame...)
 	}
 	return resp, nil
 }

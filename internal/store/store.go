@@ -35,8 +35,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,11 +87,14 @@ type segment struct {
 	size int64
 }
 
-// frameAt is where a block record's frame sits in a retained segment.
+// frameAt is where a block record's frame sits in a retained segment,
+// and what the frame holds: the record kind and the block's index.
 type frameAt struct {
-	seg *segment
-	off int64
-	n   int
+	seg  *segment
+	off  int64
+	n    int
+	k    uint64
+	kind wire.RecordKind
 }
 
 // Store is a durable block store rooted at one replica's data directory.
@@ -102,11 +107,11 @@ type Store struct {
 	active   *os.File
 	buffered []byte // appended frames not yet written to the active file
 
-	// In-memory replica of the log tail (records after the latest
-	// checkpoint) — the catch-up server serves from here without disk
-	// reads, and recovery replays it onto the checkpoint.
+	// tail locates the block records after the latest checkpoint, in log
+	// order: recovery replays them onto the checkpoint, and the catch-up
+	// server copies their frames.
 	checkpoint *wire.CheckpointState
-	tail       []*BlockRecord
+	tail       []frameAt
 
 	lastK      uint64
 	haveBlocks bool
@@ -219,11 +224,9 @@ func (s *Store) loadSegments() error {
 	// Records folded into the loaded checkpoint are dropped from the
 	// replay tail here, against the checkpoint itself — not against the
 	// log's cut marker, whose durability is not ordered with the
-	// checkpoint file's. Replaying a folded record would be idempotent
-	// anyway (bm dedups by digest and merged-set), but the tail also
-	// feeds the catch-up server and must stay "records after the cut".
+	// checkpoint file's.
 	if s.checkpoint != nil {
-		s.tail = tailAfterCheckpoint(s.tail, s.checkpoint.LastK)
+		s.dropFolded(s.checkpoint.LastK, nil)
 	}
 	if len(s.segments) == 0 {
 		return s.rollSegmentLocked()
@@ -261,7 +264,7 @@ func (s *Store) replaySegment(seg *segment, raw []byte, lastSegment bool) (int, 
 			return good, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, good, err)
 		}
 		n := len(rest) - len(next)
-		if err := s.applyRecord(frameAt{seg, int64(good), n}, kind, payload); err != nil {
+		if err := s.applyRecord(frameAt{seg: seg, off: int64(good), n: n, kind: kind}, payload); err != nil {
 			return good, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, good, err)
 		}
 		good += n
@@ -283,10 +286,10 @@ func allZero(b []byte) bool {
 
 // applyRecord folds one decoded record, whose frame is at at, into the
 // in-memory state.
-func (s *Store) applyRecord(at frameAt, kind wire.RecordKind, payload []byte) error {
-	switch kind {
+func (s *Store) applyRecord(at frameAt, payload []byte) error {
+	switch at.kind {
 	case wire.RecordBlock, wire.RecordSupersede:
-		rec, err := decodeBlockRecord(kind, payload)
+		rec, err := decodeBlockRecord(at.kind, payload)
 		if err != nil {
 			return err
 		}
@@ -302,9 +305,9 @@ func (s *Store) applyRecord(at frameAt, kind wire.RecordKind, payload []byte) er
 			return fmt.Errorf("checkpoint marker with %d-byte payload", len(payload))
 		}
 	case 1, 2: // block and supersede records of the previous format
-		return fmt.Errorf("record kind %d is a block record of the format before blocks carried their decision, which this build does not read", kind)
+		return fmt.Errorf("record kind %d is a block record of the format before blocks carried their decision, which this build does not read", at.kind)
 	default:
-		return fmt.Errorf("unknown record kind %d", kind)
+		return fmt.Errorf("unknown record kind %d", at.kind)
 	}
 	return nil
 }
@@ -312,6 +315,7 @@ func (s *Store) applyRecord(at frameAt, kind wire.RecordKind, payload []byte) er
 // noteBlock adds a block record, whose frame is at at, to the tail and
 // the indices.
 func (s *Store) noteBlock(at frameAt, r *BlockRecord) {
+	at.k = r.K
 	at.seg.lastK = max(at.seg.lastK, r.K)
 	at.seg.records++
 	s.lastK, s.haveBlocks = max(s.lastK, r.K), true // lastK is 0 while !haveBlocks
@@ -321,7 +325,7 @@ func (s *Store) noteBlock(at frameAt, r *BlockRecord) {
 	if _, ok := s.frames[r.K]; !ok && !r.Supersede {
 		s.frames[r.K] = at
 	}
-	s.tail = append(s.tail, r)
+	s.tail = append(s.tail, at)
 }
 
 // LastK returns the highest chain index the store holds (and whether it
@@ -373,7 +377,7 @@ func (s *Store) appendFrame(kind wire.RecordKind, payload []byte) frameAt {
 	n := len(s.buffered)
 	s.buffered = wire.AppendRecord(s.buffered, kind, payload)
 	seg := s.segments[len(s.segments)-1]
-	at := frameAt{seg, seg.size, len(s.buffered) - n}
+	at := frameAt{seg: seg, off: seg.size, n: len(s.buffered) - n, kind: kind}
 	seg.size += int64(at.n)
 	return at
 }
@@ -391,30 +395,41 @@ func (s *Store) Decision(k uint64) (*sbc.Decision, error) {
 	case !ok:
 		return nil, fmt.Errorf("store: no block record at %d", k)
 	}
-	if err := s.flushLocked(); err != nil { // the frame may still be buffered
+	_, rec, err := s.readLocked(at)
+	if err != nil {
 		return nil, err
 	}
-	frame := make([]byte, at.n) // the decision's payloads alias it
+	return rec.Decision, nil
+}
+
+// readLocked reads the block record at at back: one read of its frame,
+// flushing first (it may still be buffered), CRC-checked and of at's kind
+// and index. The record's payloads alias the frame, a fresh buffer.
+func (s *Store) readLocked(at frameAt) (frame []byte, rec *BlockRecord, err error) {
+	if err := s.flushLocked(); err != nil {
+		return nil, nil, err
+	}
+	frame = make([]byte, at.n)
 	f, err := os.Open(at.seg.path)
 	if err == nil {
 		_, err = f.ReadAt(frame, at.off)
 		f.Close()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: reading block %d: %w", k, err)
+		return nil, nil, fmt.Errorf("store: reading block %d: %w", at.k, err)
 	}
 	kind, payload, _, err := wire.DecodeRecord(frame)
-	var rec *BlockRecord
 	if err == nil {
 		rec, err = wire.Decode(payload, ReadBlockRecord)
 	}
-	if err == nil && (kind != wire.RecordBlock || rec.K != k) {
+	if err == nil && (kind != at.kind || rec.K != at.k) {
 		err = fmt.Errorf("a record of kind %d for block %d", kind, rec.K)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: block %d in %s at offset %d: %v", ErrCorrupt, k, at.seg.path, at.off, err)
+		return nil, nil, fmt.Errorf("%w: block %d in %s at offset %d: %v", ErrCorrupt, at.k, at.seg.path, at.off, err)
 	}
-	return rec.Decision, nil
+	rec.Supersede = kind == wire.RecordSupersede
+	return frame, rec, nil
 }
 
 // RetainedBytes is the size of the retained segments.
@@ -535,9 +550,10 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	if s.opts.Fsync {
 		// Make the rename durable before any segment is unlinked: a
 		// power loss must never persist the prune without the
-		// checkpoint. (Without Fsync the store still survives process
-		// crashes — the rename is atomic and visible to any reopen —
-		// but not power loss; the simulator uses that mode.)
+		// checkpoint. (Every node's store sets Fsync, the simulator's
+		// included. Without it the store still survives process crashes
+		// — the rename is atomic and visible to any reopen — but not
+		// power loss.)
 		if err := syncDir(s.dir); err != nil {
 			return err
 		}
@@ -552,24 +568,18 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
-	kept := s.segments[:0]
-	for i, seg := range s.segments {
-		last := i == len(s.segments)-1
-		if !last && seg.records > 0 && seg.lastK <= cp.LastK {
+	pruned := make(map[*segment]bool)
+	for _, seg := range s.segments[:len(s.segments)-1] {
+		if seg.records > 0 && seg.lastK <= cp.LastK {
 			if err := os.Remove(seg.path); err != nil {
 				return fmt.Errorf("store: pruning %s: %w", seg.path, err)
 			}
-			for k, at := range s.frames {
-				if at.seg == seg {
-					delete(s.frames, k)
-				}
-			}
-			continue
+			pruned[seg] = true
 		}
-		kept = append(kept, seg)
 	}
-	s.segments = kept
-	s.tail = tailAfterCheckpoint(s.tail, cp.LastK)
+	s.segments = slices.DeleteFunc(s.segments, func(seg *segment) bool { return pruned[seg] })
+	maps.DeleteFunc(s.frames, func(_ uint64, at frameAt) bool { return pruned[at.seg] })
+	s.dropFolded(cp.LastK, pruned)
 	return nil
 }
 
@@ -587,21 +597,20 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// tailAfterCheckpoint filters replay records against a snapshot cut at
-// lastK: commits at or below the cut are folded into the snapshot and
-// dropped; commits beyond it are kept (a caller may legally append
-// block lastK+1 between capturing the snapshot and installing it), and
-// supersede records are always kept — a merge racing the cut may or may
-// not be folded in, and replaying a folded one is a no-op (the merged
-// set travels in the snapshot).
-func tailAfterCheckpoint(tail []*BlockRecord, lastK uint64) []*BlockRecord {
-	var kept []*BlockRecord
-	for _, r := range tail {
-		if r.Supersede || r.K > lastK {
-			kept = append(kept, r)
-		}
-	}
-	return kept
+// dropFolded filters the tail against a checkpoint cut at lastK, whose
+// cut removed the pruned segments: a record of a pruned segment goes with
+// its frame, and a commit at or below the cut is folded into the
+// snapshot and goes. A commit beyond the cut stays (a caller may legally
+// append block lastK+1 between capturing the snapshot and installing it),
+// and so does a retained supersede record at any index: a merge appended
+// after the cut can rewrite a block below it, and replaying one the
+// snapshot folded in is a no-op (the merged set travels in the snapshot).
+// A reopen replays the retained segments and applies the same filter, so
+// it sees the tail the running store holds.
+func (s *Store) dropFolded(lastK uint64, pruned map[*segment]bool) {
+	s.tail = slices.DeleteFunc(s.tail, func(at frameAt) bool {
+		return pruned[at.seg] || at.kind != wire.RecordSupersede && at.k <= lastK
+	})
 }
 
 // Recover rebuilds the ledger from the latest checkpoint (or a fresh
@@ -611,21 +620,21 @@ func tailAfterCheckpoint(tail []*BlockRecord, lastK uint64) []*BlockRecord {
 // and staked deposits).
 func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Ledger, error) {
 	s.mu.Lock()
-	cp := s.checkpoint
-	tail := make([]*BlockRecord, len(s.tail))
-	copy(tail, s.tail)
-	s.mu.Unlock()
-
+	defer s.mu.Unlock()
 	var l *bm.Ledger
-	if cp != nil {
-		l = bm.RestoreLedger(scheme, cp)
+	if s.checkpoint != nil {
+		l = bm.RestoreLedger(scheme, s.checkpoint)
 	} else {
 		l = bm.NewLedger(scheme)
 		if genesis != nil {
 			genesis(l)
 		}
 	}
-	for _, r := range tail {
+	for _, at := range s.tail {
+		_, r, err := s.readLocked(at)
+		if err != nil {
+			return nil, err
+		}
 		b := BlockFrom(r.K, r.Decision, wire.DecodeBatch)
 		if r.Supersede {
 			l.MergeBlock(b)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -402,14 +403,21 @@ func TestBlockRecordsCoordinates(t *testing.T) {
 		f.commit(k, 25)
 	}
 	want := make(map[uint64]types.Digest)
-	for _, r := range f.store.tail {
-		want[r.K] = r.Decision.Digest()
+	appended := func(k uint64) {
+		d, err := f.store.Decision(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = d.Digest()
+	}
+	for k := uint64(1); k <= 4; k++ {
+		appended(k)
 	}
 	if err := f.store.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
 		t.Fatal(err)
 	}
 	f.commit(5, 25)
-	want[5] = f.store.tail[0].Decision.Digest()
+	appended(5)
 	if err := f.store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +557,8 @@ func TestCheckpointKeepsRacingTailRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range f.store.tail {
-		if r.K == 4 {
+	for _, at := range f.store.tail {
+		if at.k == 4 {
 			found = true
 		}
 	}
@@ -571,6 +579,76 @@ func TestCheckpointKeepsRacingTailRecords(t *testing.T) {
 	f.checkRecovered(s)
 }
 
+// TestPrunedMergeLeavesTheTail: a merge, then a checkpoint whose cut
+// prunes the merge's segment. The running store's tail loses the
+// supersede record with its frame, as a reopen of the same directory
+// does, so both answer a catch-up request with the same bytes and
+// recover the same ledger.
+func TestPrunedMergeLeavesTheTail(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 256} // a segment per flushed record
+	f := newFixture(t, dir, opts)
+	flush := func() {
+		t.Helper()
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.commit(1, 100)
+	flush()
+	inputs, err := f.ledger.Table().InputsFor(f.alice.Address(), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txSelf, err := f.alice.Pay(inputs, []utxo.Output{{Account: f.alice.Address(), Value: 400}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := bm.NewBlock(1, []*utxo.Transaction{txSelf})
+	f.ledger.MergeBlock(remote)
+	if err := f.store.Append(&BlockRecord{Supersede: true, K: 1, Digest: remote.Digest, Decision: mustUncertified(t, remote)}); err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	for k := uint64(2); k <= 3; k++ {
+		f.commit(k, 100)
+		flush()
+	}
+	merged := filepath.Join(dir, "log", "wal-00000002.seg")
+	if _, err := os.Stat(merged); err != nil {
+		t.Fatalf("the merge's segment: %v", err)
+	}
+	if err := f.store.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(merged); !os.IsNotExist(err) {
+		t.Fatalf("the checkpoint kept the merge's segment: %v", err)
+	}
+	f.commit(4, 100)
+
+	req := &wire.SyncReq{FromK: 1, WantCheckpoint: true}
+	running, err := f.store.BuildSyncResp(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reopened, err := s.BuildSyncResp(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := wire.EncodeSyncResp(running), wire.EncodeSyncResp(reopened); !bytes.Equal(a, b) {
+		t.Fatalf("running store answers %d log bytes, the reopened one %d", len(running.Log), len(reopened.Log))
+	}
+	f.checkRecovered(s)
+}
+
 // TestInstallSyncRejectsGappedLog pins the gap check: a transfer whose
 // log starts past block 1 with no checkpoint to bridge it must be
 // rejected before anything is written.
@@ -578,8 +656,10 @@ func TestInstallSyncRejectsGappedLog(t *testing.T) {
 	f := newFixture(t, t.TempDir(), Options{})
 	f.commit(1, 10)
 	f.commit(2, 10)
-	payload, _ := f.store.tail[1].AppendBinary(nil)
-	resp := &wire.SyncResp{LastK: 2, Log: wire.AppendRecord(nil, wire.RecordBlock, payload)}
+	resp, err := f.store.BuildSyncResp(&wire.SyncReq{FromK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	client, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
