@@ -70,7 +70,7 @@ func main() {
 	flag.StringVar(&cfg.Listen, "listen", "", "listen address, e.g. :7001")
 	peersFlag := flag.String("peers", "", "comma-separated peer addresses in ID order (1..n)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "shared PKI seed (demo key derivation)")
-	flag.StringVar(&cfg.DataDir, "data-dir", "", "durable block store directory, also read for the decisions of retired instances (empty = in-memory only, and a retired decision is dropped); a peer that lags beyond what this node holds (its last 32 instances without a store, its log after the last checkpoint with one) cannot catch up from it")
+	flag.StringVar(&cfg.DataDir, "data-dir", "", fmt.Sprintf("durable block store directory, also read for the decisions of retired instances (empty = in-memory only, and a retired decision is dropped); a peer that lags beyond what this node holds (its last %d instances without a store, its log after the last checkpoint with one) cannot catch up from it", asmr.RetainDepth))
 	flag.Uint64Var(&cfg.CheckpointEvery, "checkpoint-every", 16, "blocks between UTXO checkpoints (with -data-dir)")
 	flag.BoolVar(&cfg.Sync, "sync", false, "bootstrap an empty -data-dir from peers (checkpoint + log tail) before joining")
 	flag.StringVar(&cfg.Scheme, "scheme", "ed25519", "signature scheme for the demo PKI and transactions: ed25519 or ecdsa (must match peers and clients)")

@@ -17,7 +17,6 @@ package bm
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/pipeline"
@@ -27,12 +26,15 @@ import (
 )
 
 // Block is a decided batch of transactions at chain index K. The ledger
-// stores only K and Digest of a block it committed or merged: BlockAt
-// returns blocks without Txs.
+// stores only K, Digest and Decision of a block it committed or merged:
+// BlockAt returns blocks without Txs.
 type Block struct {
 	K      uint64
 	Digest types.Digest
-	Txs    []*utxo.Transaction
+	// Decision is the digest of the consensus decision the block derives
+	// from (store.BlockFrom sets it); zero for a block no decision gave.
+	Decision types.Digest
+	Txs      []*utxo.Transaction
 }
 
 // NewBlock assembles a block and computes its digest.
@@ -72,15 +74,16 @@ type Ledger struct {
 	// txs is the set of committed transaction IDs (line 6).
 	txs map[types.Digest]bool
 	// blocks is the chain in append order, merged siblings included, as
-	// {K, Digest} records: the transactions of a stored block live on as
-	// their IDs in txs and their outputs in the table, nowhere else (the
-	// bytes are in the store and in the replica's retained decision).
-	// byIndex holds the digest stored first at each index, the reference
-	// fork detection compares against; lastK is the highest index stored.
-	blocks  []wire.BlockDigest
-	byIndex map[uint64]types.Digest
-	lastK   uint64
-	merged  map[types.Digest]bool
+	// {K, Digest, Decision} records: the transactions of a stored block
+	// live on as their IDs in txs and their outputs in the table, nowhere
+	// else (the bytes are in the store and in the replica's retained
+	// decision). first holds the position in blocks of the block stored
+	// first at each index, the reference fork detection compares against;
+	// lastK is the highest index stored.
+	blocks []wire.BlockDigest
+	first  map[uint64]int
+	lastK  uint64
+	merged map[types.Digest]bool
 	// Stats for the experiments.
 	MergedTxs        int
 	DepositFundedTxs int
@@ -96,7 +99,7 @@ func NewLedger(scheme crypto.Scheme) *Ledger {
 		inputsDeposit: make(map[utxo.Outpoint]utxo.Input),
 		punished:      make(map[utxo.Address]bool),
 		txs:           make(map[types.Digest]bool),
-		byIndex:       make(map[uint64]types.Digest),
+		first:         make(map[uint64]int),
 		merged:        make(map[types.Digest]bool),
 	}
 }
@@ -132,14 +135,7 @@ func (l *Ledger) PunishAccount(addr utxo.Address) {
 
 // Genesis credits initial balances (the genesis block's outputs).
 func (l *Ledger) Genesis(allocs map[utxo.Address]types.Amount) {
-	addrs := make([]utxo.Address, 0, len(allocs))
-	for a := range allocs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return types.Digest(addrs[i]).Less(types.Digest(addrs[j]))
-	})
-	for i, a := range addrs {
+	for i, a := range sortedKeys(allocs) {
 		op := utxo.Outpoint{TxID: types.Hash([]byte("genesis")), Index: uint32(i)}
 		l.table.Credit(op, utxo.Output{Account: a, Value: allocs[a]})
 	}
@@ -148,14 +144,15 @@ func (l *Ledger) Genesis(allocs map[utxo.Address]types.Amount) {
 // Height returns the number of stored blocks.
 func (l *Ledger) Height() int { return len(l.blocks) }
 
-// BlockAt returns the block stored first at index k: its index and
-// digest, without transactions.
+// BlockAt returns the block stored first at index k: its index, digest
+// and decision digest, without transactions.
 func (l *Ledger) BlockAt(k uint64) (*Block, bool) {
-	d, ok := l.byIndex[k]
+	i, ok := l.first[k]
 	if !ok {
 		return nil, false
 	}
-	return &Block{K: k, Digest: d}, true
+	b := l.blocks[i]
+	return &Block{K: k, Digest: b.Digest, Decision: b.Decision}, true
 }
 
 // LastK returns the highest stored chain index (0 for an empty chain).
@@ -164,9 +161,9 @@ func (l *Ledger) LastK() uint64 { return l.lastK }
 // BlockDigests returns the digest of every stored block, keyed by chain
 // index (determinism checks compare these across runs).
 func (l *Ledger) BlockDigests() map[uint64]types.Digest {
-	out := make(map[uint64]types.Digest, len(l.byIndex))
-	for k, d := range l.byIndex {
-		out[k] = d
+	out := make(map[uint64]types.Digest, len(l.first))
+	for k, i := range l.first {
+		out[k] = l.blocks[i].Digest
 	}
 	return out
 }
@@ -233,7 +230,7 @@ func (l *Ledger) CommitBlock(b *Block) (applied int) {
 		l.txs[id] = true
 		applied++
 	}
-	l.storeBlock(b.K, b.Digest)
+	l.storeBlock(b.K, b.Digest, b.Decision)
 	return applied
 }
 
@@ -272,8 +269,8 @@ func (l *Ledger) MergeBlock(b *Block) int {
 			}
 		}
 	}
-	l.RefundInputs()            // line 15
-	l.storeBlock(b.K, b.Digest) // line 16
+	l.RefundInputs()                        // line 15
+	l.storeBlock(b.K, b.Digest, b.Decision) // line 16
 	return mergedCount
 }
 
@@ -308,17 +305,7 @@ func (l *Ledger) commitTxMerge(tx *utxo.Transaction) {
 // that became spendable again (their producing branch merged later) are
 // consumed and the deposit replenished.
 func (l *Ledger) RefundInputs() {
-	ops := make([]utxo.Outpoint, 0, len(l.inputsDeposit))
-	for op := range l.inputsDeposit {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].TxID != ops[j].TxID {
-			return ops[i].TxID.Less(ops[j].TxID)
-		}
-		return ops[i].Index < ops[j].Index
-	})
-	for _, op := range ops {
+	for _, op := range l.depositOutpoints() {
 		in := l.inputsDeposit[op]
 		if _, ok := l.table.Spendable(op); ok { // if now spendable (line 26)
 			l.table.Consume(op)   // consume (line 27)
@@ -336,27 +323,26 @@ func (l *Ledger) confiscateOutput(op utxo.Outpoint) {
 	}
 }
 
-// storeBlock records a committed or merged block as {K, Digest}; the
-// first digest stored at an index keeps it.
-func (l *Ledger) storeBlock(k uint64, digest types.Digest) {
-	prev, ok := l.byIndex[k]
-	if ok && prev == digest {
+// storeBlock records a committed or merged block as {K, Digest,
+// Decision}; the first block stored at an index keeps it, and a block of
+// the digest stored first there is not stored again.
+func (l *Ledger) storeBlock(k uint64, digest, decision types.Digest) {
+	i, ok := l.first[k]
+	if ok && l.blocks[i].Digest == digest {
 		return
 	}
-	l.blocks = append(l.blocks, wire.BlockDigest{K: k, Digest: digest})
 	if !ok {
-		l.byIndex[k] = digest
+		l.first[k] = len(l.blocks)
 	}
-	if k > l.lastK {
-		l.lastK = k
-	}
+	l.blocks = append(l.blocks, wire.BlockDigest{K: k, Digest: digest, Decision: decision})
+	l.lastK = max(l.lastK, k)
 }
 
 // Conflicts reports whether a received block conflicts with the stored
 // block at the same index (fork detection, §4.2.1).
 func (l *Ledger) Conflicts(b *Block) bool {
-	stored, ok := l.byIndex[b.K]
-	return ok && stored != b.Digest
+	i, ok := l.first[b.K]
+	return ok && l.blocks[i].Digest != b.Digest
 }
 
 // String summarizes the ledger for logs.

@@ -17,10 +17,11 @@ import (
 
 // CheckpointState snapshots the full ledger state: UTXO table, deposit
 // pool, punished accounts, committed transaction IDs, deposit-funded
-// inputs, merged-block digests and the chain's block digests. Block
-// bodies are not included, and the ledger does not hold them either: a
-// stored block is its index and digest, which is all fork detection
-// (Conflicts) and determinism checks (BlockDigests) need.
+// inputs, merged-block digests and the chain's block and decision
+// digests. Block bodies are not included, and the ledger does not hold
+// them either: a stored block is its index, its digest and its decision's,
+// which is all fork detection (Conflicts), determinism checks
+// (BlockDigests) and a restarted replica (BlockAt) need.
 func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	cp := &wire.CheckpointState{
 		Deposit:          l.deposit,
@@ -30,34 +31,16 @@ func (l *Ledger) CheckpointState() *wire.CheckpointState {
 	}
 	// The block list keeps append order and includes merged siblings at
 	// an already-occupied index: replaying it into storeBlock rebuilds
-	// both the blocks slice (Height) and the first-wins byIndex map.
-	// The decision digests are left to the store (Store.WriteCheckpoint).
+	// both the blocks slice (Height) and the first-wins index.
 	cp.Blocks = append(cp.Blocks, l.blocks...)
 	cp.LastK = l.lastK
-	cp.Merged = sortedDigests(l.merged)
+	cp.Merged = sortedKeys(l.merged)
 	for _, e := range l.table.Entries() {
 		cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{Op: e.Op, Out: e.Out})
 	}
-	cp.TxIDs = sortedDigests(l.txs)
-	addrs := make([]utxo.Address, 0, len(l.punished))
-	for a := range l.punished {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return types.Digest(addrs[i]).Less(types.Digest(addrs[j]))
-	})
-	cp.Punished = addrs
-	ops := make([]utxo.Outpoint, 0, len(l.inputsDeposit))
-	for op := range l.inputsDeposit {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].TxID != ops[j].TxID {
-			return ops[i].TxID.Less(ops[j].TxID)
-		}
-		return ops[i].Index < ops[j].Index
-	})
-	for _, op := range ops {
+	cp.TxIDs = sortedKeys(l.txs)
+	cp.Punished = sortedKeys(l.punished)
+	for _, op := range l.depositOutpoints() {
 		cp.DepositInputs = append(cp.DepositInputs, wire.DepositInput{Op: op, Value: l.inputsDeposit[op].Value})
 	}
 	return cp
@@ -73,7 +56,7 @@ func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 	l.DepositFundedTxs = int(cp.DepositFundedTxs)
 	l.Refunds = int(cp.Refunds)
 	for _, b := range cp.Blocks {
-		l.storeBlock(b.K, b.Digest)
+		l.storeBlock(b.K, b.Digest, b.Decision)
 	}
 	for _, d := range cp.Merged {
 		l.merged[d] = true
@@ -93,12 +76,29 @@ func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 	return l
 }
 
-// sortedDigests flattens a digest set deterministically.
-func sortedDigests(set map[types.Digest]bool) []types.Digest {
-	out := make([]types.Digest, 0, len(set))
-	for d := range set {
-		out = append(out, d)
+// sortedKeys lists a map's digest or address keys in byte order: the
+// deterministic walk a genesis and a checkpoint take.
+func sortedKeys[K ~[32]byte, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return types.Digest(out[i]).Less(types.Digest(out[j])) })
 	return out
+}
+
+// depositOutpoints lists the remembered deposit-funded inputs in outpoint
+// order: the order a refund and a checkpoint walk them in.
+func (l *Ledger) depositOutpoints() []utxo.Outpoint {
+	ops := make([]utxo.Outpoint, 0, len(l.inputsDeposit))
+	for op := range l.inputsDeposit {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(i, j int) bool {
+		if ops[i].TxID != ops[j].TxID {
+			return ops[i].TxID.Less(ops[j].TxID)
+		}
+		return ops[i].Index < ops[j].Index
+	})
+	return ops
 }

@@ -1,12 +1,20 @@
 package bm
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/types"
 	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
 )
+
+// decided gives b a decision digest of its own, as store.BlockFrom gives
+// a block the digest of the decision it derives from.
+func decided(b *Block) *Block {
+	b.Decision = types.Hash(append([]byte("decision"), b.Digest[:]...))
+	return b
+}
 
 // buildForkedLedger commits two blocks, merges a conflicting branch and
 // punishes an account — every piece of ledger state a checkpoint must
@@ -28,10 +36,10 @@ func buildForkedLedger(t *testing.T, f *fixture) *Ledger {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.CommitBlock(NewBlock(1, []*utxo.Transaction{txBob}))
-	l.MergeBlock(NewBlock(1, []*utxo.Transaction{txCarol}))
+	l.CommitBlock(decided(NewBlock(1, []*utxo.Transaction{txBob})))
+	l.MergeBlock(decided(NewBlock(1, []*utxo.Transaction{txCarol})))
 	tx2 := pay(t, l, f.bob, f.carol.Address(), 250)
-	l.CommitBlock(NewBlock(2, []*utxo.Transaction{tx2}))
+	l.CommitBlock(decided(NewBlock(2, []*utxo.Transaction{tx2})))
 	l.PunishAccount(f.alice.Address())
 	return l
 }
@@ -220,9 +228,10 @@ func TestMergeThenConflictDetection(t *testing.T) {
 
 // TestLiveAndRestoredLedgerAnswerAlike pins that a ledger that committed
 // its blocks itself and one rebuilt from its checkpoint are one
-// representation: neither keeps block bodies, and Height, LastK, BlockAt,
-// BlockDigests, Conflicts and a MergeBlock at an occupied index answer
-// identically on both.
+// representation: neither keeps block bodies, every stored block keeps
+// its decision digest, and Height, LastK, BlockAt, BlockDigests,
+// Conflicts and a MergeBlock at an occupied index answer identically on
+// both.
 func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
 	f := newFixture(t)
 	cases := []struct {
@@ -233,15 +242,15 @@ func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
 		{"chain of 12", func(t *testing.T) *Ledger {
 			l := f.genesisLedger(t)
 			for k := uint64(1); k <= 12; k++ {
-				l.CommitBlock(NewBlock(k, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), types.Amount(k))}))
+				l.CommitBlock(decided(NewBlock(k, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), types.Amount(k))})))
 			}
 			return l
 		}},
 		{"gap and index zero", func(t *testing.T) *Ledger {
 			l := f.genesisLedger(t)
 			l.AddDeposit(1_000_000)
-			l.CommitBlock(NewBlock(7, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), 7)}))
-			l.MergeBlock(NewBlock(0, []*utxo.Transaction{pay(t, l, f.alice, f.carol.Address(), 9)}))
+			l.CommitBlock(decided(NewBlock(7, []*utxo.Transaction{pay(t, l, f.alice, f.bob.Address(), 7)})))
+			l.MergeBlock(decided(NewBlock(0, []*utxo.Transaction{pay(t, l, f.alice, f.carol.Address(), 9)})))
 			return l
 		}},
 		{"merged sibling and punished account", func(t *testing.T) *Ledger { return buildForkedLedger(t, f) }},
@@ -258,7 +267,7 @@ func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
 			}
 			var probes []*Block
 			for k := uint64(0); k <= live.LastK()+1; k++ {
-				probes = append(probes, NewBlock(k, []*utxo.Transaction{pay(t, live, payer, f.carol.Address(), types.Amount(100+k))}))
+				probes = append(probes, decided(NewBlock(k, []*utxo.Transaction{pay(t, live, payer, f.carol.Address(), types.Amount(100+k))})))
 			}
 			compare := func(when string) {
 				t.Helper()
@@ -269,11 +278,17 @@ func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
 				if len(ld) != len(rd) {
 					t.Fatalf("%s: %d/%d block digests", when, len(ld), len(rd))
 				}
+				// Every stored block, merged siblings included, under its
+				// own decision digest.
+				if !reflect.DeepEqual(live.blocks, restored.blocks) {
+					t.Errorf("%s: stored blocks %+v live, %+v restored", when, live.blocks, restored.blocks)
+				}
 				for _, p := range probes {
 					lb, lok := live.BlockAt(p.K)
 					rb, rok := restored.BlockAt(p.K)
 					if lok != rok || (lok && (lb.K != p.K || rb.K != p.K || lb.Txs != nil || rb.Txs != nil ||
-						lb.Digest != ld[p.K] || rb.Digest != ld[p.K] || rd[p.K] != ld[p.K])) {
+						lb.Digest != ld[p.K] || rb.Digest != ld[p.K] || rd[p.K] != ld[p.K] ||
+						lb.Decision != rb.Decision || lb.Decision == (types.Digest{}))) {
 						t.Errorf("%s: BlockAt(%d) = %+v,%v live, %+v,%v restored", when, p.K, lb, lok, rb, rok)
 					}
 					// A probe conflicts unless it is itself what the index holds.

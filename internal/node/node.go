@@ -194,7 +194,7 @@ func after[T any](first, next func(T)) func(T) {
 func (n *Node) Attach(r *asmr.Replica) {
 	n.replica = r
 	if n.restored {
-		r.Restore(restoredBlocks(n.store))
+		r.Restore(n.restoredBlocks())
 	}
 }
 
@@ -216,13 +216,15 @@ func (n *Node) Start() {
 	}
 }
 
-// restoredBlocks lists the coordinates of every block a store holds, in
-// the form asmr.Replica.Restore takes: each under its decision's digest.
-func restoredBlocks(st *store.Store) []asmr.RestoredBlock {
-	recs := st.BlockRecords()
-	out := make([]asmr.RestoredBlock, len(recs))
-	for i, rec := range recs {
-		out[i] = asmr.RestoredBlock{K: rec.K, Attempt: rec.Attempt, Digest: rec.Decision}
+// restoredBlocks lists the coordinates of every block the recovered
+// ledger holds, the first at each index from 1, where instances start, in
+// the form asmr.Replica.Restore takes: each under its decision's digest
+// and the attempt the store knows.
+func (n *Node) restoredBlocks() (out []asmr.RestoredBlock) {
+	for k := uint64(1); k <= n.ledger.LastK(); k++ {
+		if b, ok := n.ledger.BlockAt(k); ok {
+			out = append(out, asmr.RestoredBlock{K: k, Attempt: n.store.Attempt(k), Digest: b.Decision})
+		}
 	}
 	return out
 }
@@ -415,7 +417,7 @@ func (n *Node) InstallSync(resp *wire.SyncResp) error {
 	ledger, err := store.InstallSync(n.store, n.opts.Scheme, resp, n.opts.Genesis)
 	if err == nil {
 		n.adopt(ledger)
-		n.replica.Restore(restoredBlocks(n.store))
+		n.replica.Restore(n.restoredBlocks())
 		return nil
 	}
 	n.store.Close()

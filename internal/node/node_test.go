@@ -238,7 +238,7 @@ func TestRecoversPersistedChain(t *testing.T) {
 	if got := g.Ledger().Table().Balance(g.faucet.wallet.Address()); got != balance {
 		t.Errorf("recovered faucet balance %d, want %d", got, balance)
 	}
-	if got := len(restoredBlocks(g.store)); got != 3 {
+	if got := len(g.restoredBlocks()); got != 3 {
 		t.Errorf("%d block records to restore, want 3", got)
 	}
 }
@@ -321,6 +321,56 @@ func TestRestoredInstanceKeepsItsDecisionDigest(t *testing.T) {
 				t.Fatalf("restored instance 1 serves %+v, want the committed decision", got)
 			}
 		})
+	}
+}
+
+// TestRestoredBlockCoordinates: a reopened node restores every block its
+// ledger holds, the first at each index, under the attempt it was
+// decided in and its decision's digest. Below the checkpoint's cut the
+// attempt is 0, since the snapshot keeps none; above it the store's record
+// gives it. A merged sibling, below the cut or above it, changes neither.
+func TestRestoredBlockCoordinates(t *testing.T) {
+	durable := func(dir string) func(*Options) {
+		return func(o *Options) { o.DataDir, o.CheckpointEvery = dir, 4 }
+	}
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(t.TempDir()))
+	committed := make(map[uint64]types.Digest)
+	commit := func(k uint64, attempt uint32) {
+		d := decide(k, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(types.Amount(k)))})
+		f.Commit(k, attempt, d)
+		committed[k] = d.Digest()
+	}
+	merge := func(k uint64) {
+		f.Merge(k, nil, decide(k, map[types.ReplicaID][]byte{2: encode(t, f.faucet.pay(100+types.Amount(k)))}))
+	}
+	// Four appends, the merge among them, cut the checkpoint at block 3.
+	commit(1, 1)
+	commit(2, 2)
+	merge(2)
+	commit(3, 3)
+	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
+		t.Fatalf("no checkpoint cut at block 3: %v", err)
+	}
+	commit(4, 4)
+	merge(4)
+	commit(5, 5)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir))
+	want := []asmr.RestoredBlock{
+		{K: 1, Attempt: 0, Digest: committed[1]},
+		{K: 2, Attempt: 0, Digest: committed[2]},
+		{K: 3, Attempt: 0, Digest: committed[3]},
+		{K: 4, Attempt: 4, Digest: committed[4]},
+		{K: 5, Attempt: 5, Digest: committed[5]},
+	}
+	if got := g.restoredBlocks(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored blocks\n%+v\nwant\n%+v", got, want)
+	}
+	if h := g.Ledger().Height(); h != 7 {
+		t.Errorf("recovered %d blocks, want 5 and 2 merged siblings", h)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"os"
 	"slices"
 
 	"github.com/zeroloss/zlb/internal/bm"
@@ -42,8 +43,8 @@ var (
 )
 
 // BuildSyncResp answers a catch-up request from the store's state: the
-// latest checkpoint when asked for one, and the log-tail records the
-// requester is missing. The checkpoint is also included — asked for or
+// latest checkpoint's file when asked for one, and the log-tail records
+// the requester is missing. The checkpoint is also included — asked for or
 // not — whenever FromK reaches into the range the checkpoint folded
 // away: the pruned bodies only survive in the snapshot, and a response
 // without it would hand the requester a chain with a silent gap.
@@ -54,8 +55,12 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := &wire.SyncResp{LastK: s.lastK}
-	if s.checkpoint != nil && (req.WantCheckpoint || req.FromK <= s.checkpoint.LastK) {
-		resp.Checkpoint = wire.EncodeCheckpoint(s.checkpoint)
+	if s.ckpt && (req.WantCheckpoint || req.FromK <= s.cutK) {
+		raw, err := os.ReadFile(s.checkpointPath())
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		resp.Checkpoint = raw
 	}
 	for _, at := range s.tail {
 		if at.kind != wire.RecordSupersede && at.k < req.FromK {
@@ -150,9 +155,9 @@ func decodeLog(log []byte) ([]*BlockRecord, error) {
 }
 
 // chainKey folds a response's chain (checkpoint entries, then log
-// records, first record per index winning — the same fold bm's byIndex
-// applies) into one digest for majority voting: per index the ledger
-// digest and the decision digest.
+// records, first record per index winning — the same fold bm.Ledger's
+// BlockAt answers from) into one digest for majority voting: per index
+// the ledger digest and the decision digest.
 func chainKey(resp *wire.SyncResp) (types.Digest, error) {
 	byK := make(map[uint64][2]types.Digest)
 	note := func(k uint64, ledger, decision types.Digest) {

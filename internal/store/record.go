@@ -72,9 +72,9 @@ func decodeBlockRecord(kind wire.RecordKind, payload []byte) (*BlockRecord, erro
 
 // BlockFrom assembles the ledger block of a decision: the union of the
 // decided proposals' transactions in deterministic order (§4.1 ⑤), each
-// payload decoded by decode; a payload that does not decode adds nothing.
-// It is the one derivation: a node's commit and merge, and the store's
-// replay and sync install, all use it.
+// payload decoded by decode, under the decision's digest; a payload that
+// does not decode adds nothing. It is the one derivation: a node's commit
+// and merge, and the store's replay and sync install, all use it.
 func BlockFrom(k uint64, d *sbc.Decision, decode func([]byte) ([]*utxo.Transaction, error)) *bm.Block {
 	proposals := d.OrderedProposals()
 	decoded := make([][]*utxo.Transaction, 0, len(proposals))
@@ -98,7 +98,9 @@ func BlockFrom(k uint64, d *sbc.Decision, decode func([]byte) ([]*utxo.Transacti
 			}
 		}
 	}
-	return bm.NewBlock(k, txs)
+	b := bm.NewBlock(k, txs)
+	b.Decision = d.Digest()
+	return b
 }
 
 // payloadsOnce returns a copy of d with every non-empty payload left in

@@ -88,13 +88,15 @@ type segment struct {
 }
 
 // frameAt is where a block record's frame sits in a retained segment,
-// and what the frame holds: the record kind and the block's index.
+// and what the frame holds: the record kind, the block's index and the
+// attempt it was decided under.
 type frameAt struct {
-	seg  *segment
-	off  int64
-	n    int
-	k    uint64
-	kind wire.RecordKind
+	seg     *segment
+	off     int64
+	n       int
+	k       uint64
+	kind    wire.RecordKind
+	attempt uint32
 }
 
 // Store is a durable block store rooted at one replica's data directory.
@@ -107,30 +109,22 @@ type Store struct {
 	active   *os.File
 	buffered []byte // appended frames not yet written to the active file
 
-	// tail locates the block records after the latest checkpoint, in log
-	// order: recovery replays them onto the checkpoint, and the catch-up
-	// server copies their frames.
-	checkpoint *wire.CheckpointState
-	tail       []frameAt
+	// ckpt is whether checkpoint.ckpt holds a snapshot, and cutK the
+	// height it was cut at; the snapshot itself stays on disk. tail
+	// locates the block records after the cut, in log order: recovery
+	// replays them onto the checkpoint, and the catch-up server copies
+	// their frames.
+	ckpt bool
+	cutK uint64
+	tail []frameAt
 
 	lastK      uint64
 	haveBlocks bool
 	sinceCkpt  uint64
 	closed     bool
-	// byIndex holds what the first record of every index says, so appends
-	// are idempotent across a crash-restart overlap; frames locates the
-	// first block record of each index the retained segments hold.
-	byIndex map[uint64]Coord
-	frames  map[uint64]frameAt
-}
-
-// Coord is what the store holds of a chain index: the attempt its block
-// was decided under (0 from a checkpoint), its digest and its decision's.
-type Coord struct {
-	K        uint64
-	Attempt  uint32
-	Digest   types.Digest
-	Decision types.Digest
+	// frames locates the first block record of each index the retained
+	// segments hold.
+	frames map[uint64]frameAt
 }
 
 // Open opens (creating if necessary) the store at dir and recovers its
@@ -142,8 +136,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "log"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, byIndex: make(map[uint64]Coord), frames: make(map[uint64]frameAt)}
-	if err := s.loadCheckpoint(); err != nil {
+	s := &Store{dir: dir, opts: opts, frames: make(map[uint64]frameAt)}
+	switch cp, err := s.readCheckpoint(); {
+	case err == nil:
+		s.noteCheckpoint(cp)
+	case !errors.Is(err, os.ErrNotExist):
 		return nil, err
 	}
 	if err := s.loadSegments(); err != nil {
@@ -154,38 +151,35 @@ func Open(dir string, opts Options) (*Store, error) {
 
 func (s *Store) checkpointPath() string { return filepath.Join(s.dir, "checkpoint.ckpt") }
 
-// loadCheckpoint reads the checkpoint file if present. A crash cannot
-// tear one (WriteCheckpoint renames a complete file over it), so one that
-// does not decode fails the open: read as absent, it would reopen a
-// pruned store as genesis plus the tail, a chain with a silent gap.
-func (s *Store) loadCheckpoint() error {
+// readCheckpoint reads and decodes the checkpoint file; without one the
+// error is os.ErrNotExist. A crash cannot tear one (WriteCheckpoint
+// renames a complete file over it), so one that does not decode is
+// corrupt: read as absent, it would reopen a pruned store as genesis plus
+// the tail, a chain with a silent gap.
+func (s *Store) readCheckpoint() (*wire.CheckpointState, error) {
 	raw, err := os.ReadFile(s.checkpointPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	cp, err := wire.DecodeCheckpoint(raw)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, s.checkpointPath(), err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.checkpointPath(), err)
 	}
-	s.noteCheckpoint(cp)
-	return nil
+	return cp, nil
 }
 
-// noteCheckpoint installs cp as the store's checkpoint. It can hold
-// chain state the log never saw (the catch-up install path writes the
-// transferred snapshot first).
+// noteCheckpoint records that the checkpoint file now holds cp: its cut
+// height, and the blocks it holds, which the log may never have seen (the
+// catch-up install path writes the transferred snapshot first).
 func (s *Store) noteCheckpoint(cp *wire.CheckpointState) {
-	s.checkpoint = cp
+	s.ckpt, s.cutK = true, cp.LastK
 	for _, b := range cp.Blocks {
-		if _, ok := s.byIndex[b.K]; !ok {
-			s.byIndex[b.K] = Coord{K: b.K, Digest: b.Digest, Decision: b.Decision}
-		}
 		s.lastK, s.haveBlocks = max(s.lastK, b.K), true
 	}
 }
+
+// folded reports whether block k is at or below the checkpoint's cut.
+func (s *Store) folded(k uint64) bool { return s.ckpt && k <= s.cutK }
 
 // loadSegments scans the log directory, replays every record and
 // truncates a torn tail off the last segment.
@@ -225,8 +219,8 @@ func (s *Store) loadSegments() error {
 	// replay tail here, against the checkpoint itself — not against the
 	// log's cut marker, whose durability is not ordered with the
 	// checkpoint file's.
-	if s.checkpoint != nil {
-		s.dropFolded(s.checkpoint.LastK, nil)
+	if s.ckpt {
+		s.dropFolded(s.cutK, nil)
 	}
 	if len(s.segments) == 0 {
 		return s.rollSegmentLocked()
@@ -313,15 +307,12 @@ func (s *Store) applyRecord(at frameAt, payload []byte) error {
 }
 
 // noteBlock adds a block record, whose frame is at at, to the tail and
-// the indices.
+// the frame index.
 func (s *Store) noteBlock(at frameAt, r *BlockRecord) {
-	at.k = r.K
+	at.k, at.attempt = r.K, r.Attempt
 	at.seg.lastK = max(at.seg.lastK, r.K)
 	at.seg.records++
 	s.lastK, s.haveBlocks = max(s.lastK, r.K), true // lastK is 0 while !haveBlocks
-	if _, ok := s.byIndex[r.K]; !ok {
-		s.byIndex[r.K] = Coord{r.K, r.Attempt, r.Digest, r.Decision.Digest()}
-	}
 	if _, ok := s.frames[r.K]; !ok && !r.Supersede {
 		s.frames[r.K] = at
 	}
@@ -350,8 +341,9 @@ func (s *Store) AppendBlock(b *bm.Block, attempt uint32) error {
 }
 
 // Append persists a block record, whose Digest is the one of the block
-// its Decision derives (BlockFrom). Committing a block the index already
-// holds is skipped, which makes the restart overlap (re-committing the
+// its Decision derives (BlockFrom). Committing at an index the store
+// already holds — a retained block record's, or one the checkpoint folded
+// in — is skipped, which makes the restart overlap (re-committing the
 // last recovered instance after a catch-up) harmless.
 func (s *Store) Append(r *BlockRecord) error {
 	s.mu.Lock()
@@ -359,7 +351,7 @@ func (s *Store) Append(r *BlockRecord) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if prev, ok := s.byIndex[r.K]; ok && prev.Digest == r.Digest && !r.Supersede {
+	if _, held := s.frames[r.K]; !r.Supersede && (held || s.folded(r.K)) {
 		return nil
 	}
 	payload, _ := r.AppendBinary(nil) // cannot fail
@@ -390,7 +382,7 @@ func (s *Store) Decision(k uint64) (*sbc.Decision, error) {
 	defer s.mu.Unlock()
 	at, ok := s.frames[k]
 	switch {
-	case !ok && s.checkpoint != nil && k <= s.checkpoint.LastK:
+	case !ok && s.folded(k):
 		return nil, fmt.Errorf("%w: block %d", ErrPruned, k)
 	case !ok:
 		return nil, fmt.Errorf("store: no block record at %d", k)
@@ -507,8 +499,7 @@ func (s *Store) ShouldCheckpoint() bool {
 
 // WriteCheckpoint durably installs a ledger snapshot and prunes every
 // log segment that holds only records at or below the snapshot height.
-// A block entry without a decision digest gets the one the store holds
-// for that block. The snapshot is written to a temp file and renamed, so
+// The snapshot is written to a temp file and renamed, so
 // a crash leaves either the old or the new checkpoint — never a torn
 // one; segments are pruned only after the rename.
 func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
@@ -519,11 +510,6 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	}
 	if err := s.flushLocked(); err != nil {
 		return err
-	}
-	for i, b := range cp.Blocks {
-		if c := s.byIndex[b.K]; c.Digest == b.Digest && b.Decision == (types.Digest{}) {
-			cp.Blocks[i].Decision = c.Decision
-		}
 	}
 	raw := wire.EncodeCheckpoint(cp)
 	tmp := s.checkpointPath() + ".tmp"
@@ -613,17 +599,21 @@ func (s *Store) dropFolded(lastK uint64, pruned map[*segment]bool) {
 	})
 }
 
-// Recover rebuilds the ledger from the latest checkpoint (or a fresh
-// genesis) plus the replayed log tail, each block derived from its
-// decision again. genesis seeds a fresh ledger when no checkpoint exists
-// — it must reproduce the node's boot-time state (genesis allocations
-// and staked deposits).
+// Recover rebuilds the ledger from the latest checkpoint, read from its
+// file (or a fresh genesis), plus the replayed log tail, each block
+// derived from its decision again. genesis seeds a fresh ledger when no
+// checkpoint exists — it must reproduce the node's boot-time state
+// (genesis allocations and staked deposits).
 func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Ledger, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var l *bm.Ledger
-	if s.checkpoint != nil {
-		l = bm.RestoreLedger(scheme, s.checkpoint)
+	if s.ckpt {
+		cp, err := s.readCheckpoint()
+		if err != nil {
+			return nil, err
+		}
+		l = bm.RestoreLedger(scheme, cp)
 	} else {
 		l = bm.NewLedger(scheme)
 		if genesis != nil {
@@ -645,19 +635,16 @@ func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Led
 	return l, nil
 }
 
-// BlockRecords returns what the store holds of every chain index it
-// knows of, by index: the checkpoint's entries, and then the records of
-// the replayed tail, the first of each index winning, as bm's byIndex
-// map does.
-func (s *Store) BlockRecords() []Coord {
+// Attempt is the attempt block k was decided under, as a reopened store
+// knows it: its retained block record's above the checkpoint's cut, and 0
+// at or below the cut, whose snapshot holds no attempts.
+func (s *Store) Attempt(k uint64) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Coord, 0, len(s.byIndex))
-	for _, c := range s.byIndex {
-		out = append(out, c)
+	if at, ok := s.frames[k]; ok && !s.folded(k) {
+		return at.attempt
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return out
+	return 0
 }
 
 // Close flushes and closes the store.

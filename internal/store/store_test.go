@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -252,8 +253,8 @@ func TestStoreCheckpointPrunesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if cp := s.checkpoint; cp == nil || cp.LastK != 6 {
-		t.Fatalf("checkpoint not recovered: %+v", cp)
+	if !s.ckpt || s.cutK != 6 {
+		t.Fatalf("checkpoint not recovered: held %v, cut at %d", s.ckpt, s.cutK)
 	}
 	f.checkRecovered(s)
 }
@@ -307,9 +308,13 @@ func TestStoreSupersedeReplay(t *testing.T) {
 	}
 }
 
+// TestStoreAppendIdempotent: a block appended again is skipped, whether
+// its record is retained or the checkpoint folded it in and its segment
+// is pruned.
 func TestStoreAppendIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	f := newFixture(t, dir, Options{})
+	opts := Options{SegmentBytes: 256} // a segment per flushed record
+	f := newFixture(t, dir, opts)
 	b := f.commit(1, 100)
 	if err := f.store.AppendBlock(b, 0); err != nil {
 		t.Fatal(err)
@@ -317,14 +322,48 @@ func TestStoreAppendIdempotent(t *testing.T) {
 	if err := f.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{})
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if got := len(s.tail); got != 1 {
 		t.Fatalf("duplicate append persisted: %d tail records, want 1", got)
 	}
+
+	// Below a cut: blocks 1 and 2 folded into the checkpoint, their
+	// segments pruned, block 3 after it.
+	f.store = s
+	b2 := f.commit(2, 100)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Decision(1); !errors.Is(err, ErrPruned) {
+		t.Fatalf("block 1 after the cut: %v, want its segment pruned", err)
+	}
+	f.commit(3, 100)
+	for _, again := range []*bm.Block{b, b2} {
+		if err := s.AppendBlock(again, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.tail); got != 1 {
+		t.Fatalf("re-append below the cut persisted: %d tail records, want block 3's", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := len(r.tail); got != 1 || r.tail[0].k != 3 {
+		t.Fatalf("reopened after a re-append below the cut: %d tail records, want block 3's", got)
+	}
+	f.checkRecovered(r)
 }
 
 func TestStoreShouldCheckpoint(t *testing.T) {
@@ -373,7 +412,7 @@ func TestStoreConcurrentAppends(t *testing.T) {
 						return
 					}
 					s.LastK()
-					s.BlockRecords()
+					s.Attempt(k)
 					if _, err := s.Decision(k); err != nil {
 						t.Error(err)
 						return
@@ -391,57 +430,12 @@ func TestStoreConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got := len(r.BlockRecords()); got != 200 {
-		t.Fatalf("recovered %d records, want 200", got)
-	}
-}
-
-func TestBlockRecordsCoordinates(t *testing.T) {
-	dir := t.TempDir()
-	f := newFixture(t, dir, Options{})
-	for k := uint64(1); k <= 4; k++ {
-		f.commit(k, 25)
-	}
-	want := make(map[uint64]types.Digest)
-	appended := func(k uint64) {
-		d, err := f.store.Decision(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[k] = d.Digest()
-	}
-	for k := uint64(1); k <= 4; k++ {
-		appended(k)
-	}
-	if err := f.store.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
-		t.Fatal(err)
-	}
-	f.commit(5, 25)
-	appended(5)
-	if err := f.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopened, blocks 1–4 come from the checkpoint and block 5 from the
-	// tail: each under its ledger block's digest and its decision's.
-	s, err := Open(dir, Options{})
+	l, err := r.Recover(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	recs := s.BlockRecords()
-	if len(recs) != 5 {
-		t.Fatalf("got %d records, want 5", len(recs))
-	}
-	for i, r := range recs {
-		if r.K != uint64(i+1) {
-			t.Errorf("record %d has K=%d", i, r.K)
-		}
-		if blk, ok := f.ledger.BlockAt(r.K); !ok || r.Digest != blk.Digest {
-			t.Errorf("record %d: ledger digest %v, want the ledger's block %d", i, r.Digest, r.K)
-		}
-		if r.Decision != want[r.K] || r.Decision == (types.Digest{}) {
-			t.Errorf("record %d: decision digest %v, want %v", i, r.Decision, want[r.K])
-		}
+	if got := l.Height(); got != 200 {
+		t.Fatalf("recovered %d blocks, want 200", got)
 	}
 }
 

@@ -1,8 +1,13 @@
 package zlb_test
 
 import (
+	"io/fs"
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +89,42 @@ func TestPersistedClusterRecoverChain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecoverChainRefusesAReplicaThatNeverPersisted: RecoverChain is a
+// read. Asked for a replica that left no store under the data directory,
+// with no directory of its own or an empty one, it says so, naming where
+// it looked, and creates nothing there.
+func TestRecoverChainRefusesAReplicaThatNeverPersisted(t *testing.T) {
+	for _, mkdir := range []bool{false, true} {
+		dir := t.TempDir()
+		replica := filepath.Join(dir, "r3")
+		if mkdir {
+			if err := os.Mkdir(replica, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := tree(dir)
+		rec, err := zlb.RecoverChain(zlb.Config{N: 4, DataDir: dir}, 3)
+		if err == nil {
+			t.Fatalf("replica directory made: %v: recovered a chain of height %d from nothing", mkdir, rec.Height)
+		}
+		if !strings.Contains(err.Error(), replica) {
+			t.Errorf("replica directory made: %v: error %q does not name %s", mkdir, err, replica)
+		}
+		if after := tree(dir); !slices.Equal(after, before) {
+			t.Errorf("replica directory made: %v: the refused read left %v, want %v", mkdir, after, before)
+		}
+	}
+}
+
+// tree lists the paths under dir.
+func tree(dir string) (paths []string) {
+	filepath.WalkDir(dir, func(path string, _ fs.DirEntry, _ error) error {
+		paths = append(paths, path)
+		return nil
+	})
+	return paths
 }
 
 // TestPersistedClusterCheckpointRecovery forces a checkpoint after every

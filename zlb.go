@@ -52,6 +52,7 @@ package zlb
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -780,7 +781,8 @@ func (r *RecoveredChain) Balance(addr Address) Amount {
 // state — the crash-recovery read path. cfg must be the configuration
 // the original cluster ran with (the genesis allocation, wallets and
 // stakes are re-derived from it; a different seed or wallet count would
-// replay against the wrong genesis).
+// replay against the wrong genesis). A replica that left no store there
+// is refused, and nothing is created in its place.
 func RecoverChain(cfg Config, id ReplicaID) (*RecoveredChain, error) {
 	if err := applyDefaults(&cfg); err != nil {
 		return nil, err
@@ -792,7 +794,11 @@ func RecoverChain(cfg Config, id ReplicaID) (*RecoveredChain, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.Open(replicaDataDir(cfg.DataDir, id), store.Options{})
+	dir := replicaDataDir(cfg.DataDir, id)
+	if _, err := os.Stat(filepath.Join(dir, "log")); err != nil { // store.Open would create it
+		return nil, fmt.Errorf("zlb: replica %v left no store: %w", id, err)
+	}
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("zlb: %w", err)
 	}
