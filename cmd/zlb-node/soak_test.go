@@ -16,13 +16,15 @@ import (
 )
 
 // soakHeapPerBlock is how much heap one committed block may leave behind
-// on one node over the soak. A retired instance keeps its decision
-// (≈7 KB at n=4: four proposals with their payloads, eight certificates);
-// the ledger keeps the block's index and digest (≈100 B) and, for each of
-// its three or four payments at 100 tx/s, the ID and one unspent output
-// (≈360 B) — no block body and no decoded transaction. The soak measures
-// ≈10 KB. Protocol state that stopped retiring shows as 45 KB and more.
-const soakHeapPerBlock = 14 << 10
+// on one node over the soak. The soak's nodes have no data dir, so a
+// retired instance drops its decision and keeps only its bookkeeping
+// entry in the replica's instance map (≈130 B); the ledger keeps the
+// block's index and digest (≈100 B) and, for each of its payments (about
+// one: the cluster commits ≈100 blocks a second at 100 tx/s), the ID and
+// one unspent output (≈290 B) — no decision, no block body and no decoded
+// transaction. The soak measures ≈500 B. Protocol state that stopped
+// retiring shows as 45 KB and more.
+const soakHeapPerBlock = 2 << 10
 
 // heapInUse is the heap in use once a full collection has run.
 func heapInUse() uint64 {

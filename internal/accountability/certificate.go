@@ -100,15 +100,14 @@ func (c *Certificate) Verify(v *crypto.Signer, n int, member func(types.ReplicaI
 // need of the signers pass the membership test (nil accepts all), and every
 // signature is valid — all or nothing. held, when set, names the votes whose
 // signature needs no check (the accountability log answers for the ones it
-// holds); the rest go to the scheme together (verifyVotes). It returns how
-// many signatures the scheme was asked about.
+// holds); each of the others is checked by v.Verify, as every statement is.
+// It returns how many signatures the scheme was asked about.
 func (c *Certificate) checkVotes(v *crypto.Signer, held func(Signed) bool, need int, member func(types.ReplicaID) bool) (checked int, err error) {
-	var scratch [128]types.ReplicaID
-	seen := scratch[:0]
+	var seenScratch [128]types.ReplicaID
+	var unheldScratch [128]int
+	seen, unheld := seenScratch[:0], unheldScratch[:0]
 	counted := 0
-	signers := make([]types.ReplicaID, 0, len(c.Sigs))
-	sigs := make([]crypto.Signature, 0, len(c.Sigs))
-	for _, s := range c.Sigs {
+	for i, s := range c.Sigs {
 		if s.Stmt != c.Stmt {
 			return 0, ErrCertMismatch
 		}
@@ -120,37 +119,19 @@ func (c *Certificate) checkVotes(v *crypto.Signer, held func(Signed) bool, need 
 			counted++
 		}
 		if held == nil || !held(s) {
-			signers = append(signers, s.Signer)
-			sigs = append(sigs, s.Sig)
+			unheld = append(unheld, i)
 		}
 	}
 	if counted < need {
 		return 0, fmt.Errorf("%w: %d of %d needed", ErrCertQuorum, counted, need)
 	}
-	if bad := verifyVotes(v, signers, c.Stmt.Digest(), sigs); bad >= 0 {
-		return bad + 1, fmt.Errorf("%w: signer %v", ErrCertSignature, signers[bad])
-	}
-	return len(sigs), nil
-}
-
-// verifyVotes checks sigs[i] as signers[i]'s signature over digest, the
-// statement all of them cover, and returns the index of the first invalid
-// one (-1 when all verify). A scheme with the crypto.BatchVerifier
-// capability takes them in one call, which amortizes the per-signature
-// setup (one registry pass); any other is asked one signature at a time.
-func verifyVotes(v *crypto.Signer, signers []types.ReplicaID, digest types.Digest, sigs []crypto.Signature) int {
-	if len(sigs) == 0 {
-		return -1
-	}
-	if bv, ok := v.Scheme().(crypto.BatchVerifier); ok {
-		return bv.VerifyBatch(v.Registry(), signers, digest, sigs)
-	}
-	for i := range sigs {
-		if !v.Verify(signers[i], digest, sigs[i]) {
-			return i
+	digest := c.Stmt.Digest()
+	for j, i := range unheld {
+		if s := c.Sigs[i]; !v.Verify(s.Signer, digest, s.Sig) {
+			return j + 1, fmt.Errorf("%w: signer %v", ErrCertSignature, s.Signer)
 		}
 	}
-	return -1
+	return len(unheld), nil
 }
 
 // signedModelBytes is the modeled wire cost of one signed statement

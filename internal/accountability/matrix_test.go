@@ -1,8 +1,10 @@
 package accountability
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -10,8 +12,8 @@ import (
 )
 
 // matrixSchemes is the conformance matrix's one axis: every scheme builds
-// and checks the same quorum of signed statements. ECDSA lacks
-// crypto.BatchVerifier, so it also covers verifyVotes' per-signature path.
+// and checks the same quorum of signed statements, each vote through
+// Signer.Verify.
 var matrixSchemes = []crypto.SchemeKind{crypto.SchemeECDSA, crypto.SchemeEd25519, crypto.SchemeSim}
 
 func matrixName(kind crypto.SchemeKind) string { return fmt.Sprintf("%v/signed", kind) }
@@ -31,7 +33,9 @@ func quorumSigs(t *testing.T, signers []*crypto.Signer, ids []types.ReplicaID, s
 
 // TestCertificateMatrixVerify drives Certificate.Verify across every
 // scheme: valid quorums accept, sub-quorum and tampered certificates
-// reject, membership filtering applies.
+// reject, membership filtering applies. A bad vote anywhere in the quorum,
+// or one by a replica the registry does not hold, is refused by name, and
+// the log counts the checks up to and including it.
 func TestCertificateMatrixVerify(t *testing.T) {
 	const n = 7
 	for _, kind := range matrixSchemes {
@@ -76,7 +80,48 @@ func TestCertificateMatrixVerify(t *testing.T) {
 			if bad.Verify(signers[6], n, nil) == nil {
 				t.Fatal("tampered certificate accepted")
 			}
+			mid := len(quorum) / 2
+			wantRefused(t, signers[6], n, tamperedAt(cert, mid), quorum[mid], mid+1)
+			// A vote signed under a key this committee never registered.
+			others, _, err := crypto.GenerateCluster(kind, n+1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stranger, err := SignStatement(others[n], stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withStranger := &Certificate{Stmt: stmt, Sigs: append([]Signed(nil), cert.Sigs...)}
+			withStranger.Sigs[mid] = stranger
+			wantRefused(t, signers[6], n, withStranger, stranger.Signer, mid+1)
 		})
+	}
+}
+
+// tamperedAt copies c with one byte of vote i's signature flipped.
+func tamperedAt(c *Certificate, i int) *Certificate {
+	bad := &Certificate{Stmt: c.Stmt, Sigs: append([]Signed(nil), c.Sigs...)}
+	bad.Sigs[i].Sig = append(crypto.Signature(nil), c.Sigs[i].Sig...)
+	bad.Sigs[i].Sig[0] ^= 1
+	return bad
+}
+
+// wantRefused checks that c is refused with ErrCertSignature naming
+// signer, by Certificate.Verify for a committee of n and by a cold log,
+// which asks the scheme about checks signatures, the bad one last, and
+// records nothing.
+func wantRefused(t *testing.T, v *crypto.Signer, n int, c *Certificate, signer types.ReplicaID, checks int) {
+	t.Helper()
+	err := c.Verify(v, n, nil)
+	if !errors.Is(err, ErrCertSignature) || !strings.HasSuffix(err.Error(), fmt.Sprintf("signer %v", signer)) {
+		t.Fatalf("Verify = %v, want %v naming signer %v", err, ErrCertSignature, signer)
+	}
+	log := NewLog(v, nil)
+	if err := log.RecordVerifyCertificate(c, types.Quorum(n)); !errors.Is(err, ErrCertSignature) {
+		t.Fatalf("log accepted the certificate: %v", err)
+	}
+	if log.SigChecks != uint64(checks) || log.Statements() != 0 {
+		t.Fatalf("log asked about %d signatures and holds %d statements, want %d and 0", log.SigChecks, log.Statements(), checks)
 	}
 }
 

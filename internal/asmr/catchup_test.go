@@ -8,6 +8,7 @@ import (
 	"github.com/zeroloss/zlb/internal/accountability"
 	"github.com/zeroloss/zlb/internal/adversary"
 	"github.com/zeroloss/zlb/internal/asmr"
+	"github.com/zeroloss/zlb/internal/bincon"
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/harness"
 	"github.com/zeroloss/zlb/internal/latency"
@@ -483,5 +484,37 @@ func TestNoRequestOutlivesItsPeer(t *testing.T) {
 		if in := c.Replicas[id].InFlight(); len(in) != 0 {
 			t.Errorf("replica %v still waits on %v", id, in)
 		}
+	}
+}
+
+// TestPullOpensNoInstance: a pull — a DecideReq, a PayloadReq or a
+// ProposalReq, each an unsigned request — that names an instance the
+// replica never opened is dropped: it opens no instance and draws no
+// answer. A pull for an instance the replica holds is still answered.
+func TestPullOpensNoInstance(t *testing.T) {
+	const pulls = 100
+	c := benignCluster(t, 4, 8)
+	c.Start()
+	c.RunUntilQuiet(time.Minute)
+	target, peer := c.Members[0], c.Members[1]
+	r := c.Replicas[target]
+	live := r.Stats().LiveInstances
+	for i := range uint64(pulls) {
+		wi := asmr.WireInstance(1_000_000+i, 0)
+		c.Net.Inject(peer, target, &bincon.DecideReq{Context: accountability.CtxMain, Instance: wi, Slot: 1}, time.Millisecond)
+		c.Net.Inject(peer, target, &rbc.PayloadReq{Context: accountability.CtxMain, Instance: wi, Broadcaster: 1}, time.Millisecond)
+		c.Net.Inject(peer, target, &sbc.ProposalReq{Context: accountability.CtxMain, Instance: wi, Slot: 1}, time.Millisecond)
+	}
+	if got := c.Net.RunUntilQuiet(c.Net.Now() + time.Minute); got != 3*pulls {
+		t.Errorf("%d events for %d pulls: the replica answered", got, 3*pulls)
+	}
+	if got := r.Stats().LiveInstances; got != live {
+		t.Fatalf("live instances %d -> %d: pulls opened instances", live, got)
+	}
+
+	held := &bincon.DecideReq{Context: accountability.CtxMain, Instance: asmr.WireInstance(8, 0), Slot: 1}
+	c.Net.Inject(peer, target, held, time.Millisecond)
+	if got := c.Net.RunUntilQuiet(c.Net.Now() + time.Minute); got != 2 {
+		t.Fatalf("%d events for a pull of a held instance, want the pull and its answer", got)
 	}
 }

@@ -985,7 +985,18 @@ func (r *Replica) routeConsensus(from types.ReplicaID, msg simnet.Message, mayBu
 		return false // stale epoch
 	case accountability.CtxMain:
 		k, attempt := SplitInstance(wi)
-		st := r.ensureInstance(k)
+		st, open := r.instances[k]
+		if !open {
+			switch msg.(type) {
+			case *rbc.PayloadReq, *bincon.DecideReq, *sbc.ProposalReq:
+				// A pull for an instance this replica never opened: it
+				// has nothing to answer with, and opening one for an
+				// unsigned request would leave state that never decides
+				// or retires.
+				return true
+			}
+			st = r.ensureInstance(k)
+		}
 		switch {
 		case st.retired():
 			r.onLateFrame(from, st, attempt, msg)

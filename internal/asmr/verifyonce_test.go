@@ -19,8 +19,9 @@ type sigCheck struct {
 }
 
 // tallyScheme counts, per (key, digest, signature), the checks that reach
-// one node's scheme. Embedding the interface hides the batch capability,
-// so every check comes through Verify.
+// one node's scheme. A node checks every signature, certificate votes
+// included, through Signer.Verify, so the count is what a deployed node
+// asks of its scheme.
 type tallyScheme struct {
 	crypto.Scheme
 	checks map[sigCheck]int

@@ -318,7 +318,7 @@ func TestRegisteredKeyCheckAllocatesNothing(t *testing.T) {
 	for range 2 { // the second accepted check builds the cached table
 		cached.Verify(pub, digest, sig)
 	}
-	for name, scheme := range map[string]Scheme{"registered": signers[0].Scheme(), "wallet": wallet, "cached wallet": cached} {
+	for name, scheme := range map[string]Scheme{"registered": signers[0].scheme, "wallet": wallet, "cached wallet": cached} {
 		if allocs := testing.AllocsPerRun(100, func() {
 			if !scheme.Verify(pub, digest, sig) {
 				t.Fatal("valid signature rejected")
@@ -522,7 +522,7 @@ func BenchmarkVerify(b *testing.B) {
 	pub, _ := reg.PublicKeyOf(2)
 	wallet, _ := NewScheme(SchemeEd25519, nil)
 	cache, _ := NewScheme(SchemeEd25519, NewRegistry(SchemeEd25519))
-	registered := func() bool { return signers[0].Scheme().Verify(pub, digest, sig) }
+	registered := func() bool { return signers[0].scheme.Verify(pub, digest, sig) }
 	unregistered := func() bool { return wallet.Verify(pub, digest, sig) }
 	cached := func() bool { return cache.Verify(pub, digest, sig) }
 	evict := make([]byte, 8<<20)

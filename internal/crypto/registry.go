@@ -99,19 +99,6 @@ func (r *Registry) simSeed(pub PublicKey) ([]byte, bool) {
 	return s, ok
 }
 
-// seedOf resolves an identity straight to its sim seed (one lock, one
-// lookup chain) for the batch fast path.
-func (r *Registry) seedOf(id types.ReplicaID) ([]byte, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	pk, ok := r.keys[id]
-	if !ok {
-		return nil, false
-	}
-	s, ok := r.seeds[string(pk)]
-	return s, ok
-}
-
 // keyTable returns the table registered for an ed25519 key, else the
 // wallet-key cache's table for it, or nil when neither has one (or r is
 // nil).
@@ -126,20 +113,6 @@ func (r *Registry) keyTable(pub PublicKey) *edwards25519.FixedTable {
 		return t
 	}
 	return r.wallets.table(pub)
-}
-
-// publicKeys resolves a batch of identities to their keys and key tables
-// under one read lock; unknown identities yield nil entries.
-func (r *Registry) publicKeys(ids []types.ReplicaID) ([]PublicKey, []*edwards25519.FixedTable) {
-	pubs := make([]PublicKey, len(ids))
-	tables := make([]*edwards25519.FixedTable, len(ids))
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for i, id := range ids {
-		pubs[i] = r.keys[id]
-		tables[i] = r.tables[string(pubs[i])]
-	}
-	return pubs, tables
 }
 
 // Signer bundles a replica's identity, key pair, scheme and registry: the
@@ -172,12 +145,6 @@ func (s *Signer) Verify(signer types.ReplicaID, digest types.Digest, sig Signatu
 	}
 	return s.scheme.Verify(pub, digest, sig)
 }
-
-// Registry exposes the PKI for account-level checks.
-func (s *Signer) Registry() *Registry { return s.reg }
-
-// Scheme exposes the underlying scheme.
-func (s *Signer) Scheme() Scheme { return s.scheme }
 
 // DeterministicRand is an io.Reader producing a reproducible stream from a
 // seed, for generating whole clusters of keys in tests and simulations.

@@ -53,66 +53,6 @@ func TestRegisterRejectsKeySwap(t *testing.T) {
 	}
 }
 
-// The capability matrix is deliberate: ECDSA lacks BatchVerifier (it
-// exercises the per-signature fallback), ed25519 and sim batch.
-func TestCapabilityMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		kind  SchemeKind
-		batch bool
-	}{
-		{SchemeECDSA, false},
-		{SchemeEd25519, true},
-		{SchemeSim, true},
-	} {
-		reg := NewRegistry(tc.kind)
-		scheme, err := NewScheme(tc.kind, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := scheme.(BatchVerifier); ok != tc.batch {
-			t.Errorf("%v: BatchVerifier = %v, want %v", tc.kind, ok, tc.batch)
-		}
-	}
-}
-
-func TestBatchVerify(t *testing.T) {
-	for _, kind := range []SchemeKind{SchemeEd25519, SchemeSim} {
-		t.Run(kind.String(), func(t *testing.T) {
-			signers, reg, err := GenerateCluster(kind, 5, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bv, ok := signers[0].Scheme().(BatchVerifier)
-			if !ok {
-				t.Fatalf("%v lost BatchVerifier", kind)
-			}
-			digest := types.Hash([]byte("aux"))
-			ids := make([]types.ReplicaID, len(signers))
-			sigs := make([]Signature, len(signers))
-			for i, s := range signers {
-				ids[i] = s.ID()
-				if sigs[i], err = s.Sign(digest); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := bv.VerifyBatch(reg, ids, digest, sigs); got != -1 {
-				t.Fatalf("valid batch reported bad index %d", got)
-			}
-			// Corrupt the middle signature: exactly that index reported.
-			bad := make([]Signature, len(sigs))
-			copy(bad, sigs)
-			bad[2] = append(Signature(nil), sigs[2]...)
-			bad[2][0] ^= 0xff
-			if got := bv.VerifyBatch(reg, ids, digest, bad); got != 2 {
-				t.Fatalf("corrupt index = %d, want 2", got)
-			}
-			if got := bv.VerifyBatch(reg, ids[:3], digest, sigs); got != 0 {
-				t.Fatalf("mismatched lengths = %d, want 0", got)
-			}
-		})
-	}
-}
-
 // TestGenerateClusterDeterministic pins that the same seed yields the
 // same PKI in independent GenerateCluster calls — the property the TCP
 // demo cluster (cmd/zlb-node) relies on when each process re-derives the
@@ -146,7 +86,7 @@ func TestGenerateClusterDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			pub, _ := r2.PublicKeyOf(s1[0].ID())
-			if !s2[0].Scheme().Verify(pub, digest, sig) {
+			if !s2[0].scheme.Verify(pub, digest, sig) {
 				t.Fatalf("%v: run-1 signature rejected by run-2 PKI", kind)
 			}
 		})

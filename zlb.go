@@ -26,14 +26,14 @@
 //
 // # Crypto-agility
 //
-// Signature schemes are capability-based (internal/crypto): every scheme
-// signs and verifies, and may additionally implement batch verification,
-// discovered at runtime by the certificate layer. The matrix:
+// Signature schemes share one interface (internal/crypto): every scheme
+// signs and verifies one signature at a time, and every check, a
+// certificate's votes included, goes through it. The matrix:
 //
-//	scheme      payments (Config.Scheme)   consensus certs   BatchVerifier
-//	ed25519     yes (default)              no (sim PKI)      yes
-//	ecdsa       yes                        no (sim PKI)      no
-//	sim         no (registry-backed MAC)   yes (harness)     yes
+//	scheme      payments (Config.Scheme)   consensus certs
+//	ed25519     yes (default)              no (sim PKI)
+//	ecdsa       yes                        no (sim PKI)
+//	sim         no (registry-backed MAC)   yes (harness)
 //
 // The simulated consensus PKI is the registry-backed sim scheme. Payments
 // cannot use sim: its MACs only authenticate identities inside the shared
