@@ -487,6 +487,38 @@ func TestNoRequestOutlivesItsPeer(t *testing.T) {
 	}
 }
 
+// TestFarFrameOpensNoInstance: consensus frames naming instances beyond
+// RetainDepth above the next one to start — unsigned ESTs, and AUXes
+// whose zero signature is never checked — are dropped: they open no
+// instance. A frame within the window still opens its instance.
+func TestFarFrameOpensNoInstance(t *testing.T) {
+	const frames = 1000
+	c := benignCluster(t, 4, 8)
+	c.Start()
+	c.RunUntilQuiet(time.Minute)
+	target, peer := c.Members[0], c.Members[1]
+	r := c.Replicas[target]
+	live := r.Stats().LiveInstances
+	far := uint64(8 + 1 + asmr.RetainDepth + 1)
+	for i := range uint64(frames) {
+		wi := asmr.WireInstance(far+i, 0)
+		c.Net.Inject(peer, target, &bincon.Est{Context: accountability.CtxMain, Instance: wi, Slot: 1, Value: true}, time.Millisecond)
+		c.Net.Inject(peer, target, &bincon.Aux{Stmt: accountability.Signed{Signer: peer, Stmt: accountability.Statement{
+			Context: accountability.CtxMain, Kind: accountability.KindAux, Instance: wi, Slot: 1}}}, time.Millisecond)
+	}
+	c.Net.RunUntilQuiet(c.Net.Now() + time.Minute)
+	if got := r.Stats().LiveInstances; got != live {
+		t.Fatalf("live instances %d -> %d: far frames opened instances", live, got)
+	}
+
+	near := asmr.WireInstance(far-1, 0)
+	c.Net.Inject(peer, target, &bincon.Est{Context: accountability.CtxMain, Instance: near, Slot: 1, Value: true}, time.Millisecond)
+	c.Net.RunUntilQuiet(c.Net.Now() + time.Minute)
+	if got := r.Stats().LiveInstances; got != live+1 {
+		t.Fatalf("live instances %d -> %d: a frame within the window opened no instance", live, got)
+	}
+}
+
 // TestPullOpensNoInstance: a pull — a DecideReq, a PayloadReq or a
 // ProposalReq, each an unsigned request — that names an instance the
 // replica never opened is dropped: it opens no instance and draws no

@@ -995,6 +995,15 @@ func (r *Replica) routeConsensus(from types.ReplicaID, msg simnet.Message, mayBu
 				// or retires.
 				return true
 			}
+			if k > r.nextK+RetainDepth {
+				// A frame for an instance beyond the window a running
+				// replica can be in: opening one for it (an unsigned Est,
+				// a signed kind whose signature is not checked yet) would
+				// leave state that never decides or retires. A replica
+				// that lags that far learns it from a verified Confirm
+				// and pulls the decisions.
+				return true
+			}
 			st = r.ensureInstance(k)
 		}
 		switch {

@@ -7,7 +7,8 @@
 package bm
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"github.com/zeroloss/zlb/internal/crypto"
 	"github.com/zeroloss/zlb/internal/types"
@@ -18,33 +19,71 @@ import (
 // CheckpointState snapshots the full ledger state: UTXO table, deposit
 // pool, punished accounts, committed transaction IDs, deposit-funded
 // inputs, merged-block digests and the chain's block and decision
-// digests. Block bodies are not included, and the ledger does not hold
-// them either: a stored block is its index, its digest and its decision's,
-// which is all fork detection (Conflicts), determinism checks
-// (BlockDigests) and a restarted replica (BlockAt) need.
+// digests, in the canonical order wire.EncodeCheckpoint writes. Block
+// bodies are not included, and the ledger does not hold them either: a
+// stored block is its index, its digest and its decision's, which is all
+// fork detection (Conflicts), determinism checks (BlockDigests) and a
+// restarted replica (BlockAt) need. It is CaptureCheckpoint then
+// SortCheckpoint.
 func (l *Ledger) CheckpointState() *wire.CheckpointState {
+	cp := l.CaptureCheckpoint()
+	SortCheckpoint(cp)
+	return cp
+}
+
+// CaptureCheckpoint copies the ledger state CheckpointState snapshots,
+// with every set in map order: the half of a checkpoint cut that must run
+// on the ledger's goroutine. The copy shares nothing the ledger writes
+// again — the block list is append-only, so its prefix is shared — and
+// SortCheckpoint and the encoding may run on another goroutine while the
+// ledger commits on.
+func (l *Ledger) CaptureCheckpoint() *wire.CheckpointState {
 	cp := &wire.CheckpointState{
+		LastK:            l.lastK,
 		Deposit:          l.deposit,
 		MergedTxs:        uint64(l.MergedTxs),
 		DepositFundedTxs: uint64(l.DepositFundedTxs),
 		Refunds:          uint64(l.Refunds),
+		// The block list keeps append order and includes merged siblings
+		// at an already-occupied index: replaying it into storeBlock
+		// rebuilds both the blocks slice (Height) and the first-wins index.
+		Blocks:        l.blocks[:len(l.blocks):len(l.blocks)],
+		Merged:        keys(l.merged),
+		UTXOs:         make([]wire.UTXOEntry, 0, l.table.Size()),
+		TxIDs:         keys(l.txs),
+		Punished:      keys(l.punished),
+		DepositInputs: make([]wire.DepositInput, 0, len(l.inputsDeposit)),
 	}
-	// The block list keeps append order and includes merged siblings at
-	// an already-occupied index: replaying it into storeBlock rebuilds
-	// both the blocks slice (Height) and the first-wins index.
-	cp.Blocks = append(cp.Blocks, l.blocks...)
-	cp.LastK = l.lastK
-	cp.Merged = sortedKeys(l.merged)
-	for _, e := range l.table.Entries() {
-		cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{Op: e.Op, Out: e.Out})
-	}
-	cp.TxIDs = sortedKeys(l.txs)
-	cp.Punished = sortedKeys(l.punished)
-	for _, op := range l.depositOutpoints() {
-		cp.DepositInputs = append(cp.DepositInputs, wire.DepositInput{Op: op, Value: l.inputsDeposit[op].Value})
+	l.table.Each(func(op utxo.Outpoint, out utxo.Output) {
+		cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{Op: op, Out: out})
+	})
+	for op, in := range l.inputsDeposit {
+		cp.DepositInputs = append(cp.DepositInputs, wire.DepositInput{Op: op, Value: in.Value})
 	}
 	return cp
 }
+
+// keys lists a map's keys in map order.
+func keys[K comparable, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// SortCheckpoint puts a captured snapshot's sets in canonical order:
+// digests and addresses byte by byte, outpoints by transaction ID then
+// index. The block list keeps its append order.
+func SortCheckpoint(cp *wire.CheckpointState) {
+	slices.SortFunc(cp.Merged, compareKeys)
+	slices.SortFunc(cp.UTXOs, func(a, b wire.UTXOEntry) int { return a.Op.Compare(b.Op) })
+	slices.SortFunc(cp.TxIDs, compareKeys)
+	slices.SortFunc(cp.Punished, compareKeys)
+	slices.SortFunc(cp.DepositInputs, func(a, b wire.DepositInput) int { return a.Op.Compare(b.Op) })
+}
+
+func compareKeys[K ~[32]byte](a, b K) int { return types.Digest(a).Compare(types.Digest(b)) }
 
 // RestoreLedger rebuilds a ledger from a checkpoint snapshot, in the
 // representation the live ledger has: Height, LastK, BlockAt, Conflicts
@@ -77,28 +116,13 @@ func RestoreLedger(scheme crypto.Scheme, cp *wire.CheckpointState) *Ledger {
 }
 
 // sortedKeys lists a map's digest or address keys in byte order: the
-// deterministic walk a genesis and a checkpoint take.
+// deterministic walk a genesis takes.
 func sortedKeys[K ~[32]byte, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return types.Digest(out[i]).Less(types.Digest(out[j])) })
-	return out
+	return slices.SortedFunc(maps.Keys(m), compareKeys)
 }
 
 // depositOutpoints lists the remembered deposit-funded inputs in outpoint
-// order: the order a refund and a checkpoint walk them in.
+// order: the order a refund walks them in.
 func (l *Ledger) depositOutpoints() []utxo.Outpoint {
-	ops := make([]utxo.Outpoint, 0, len(l.inputsDeposit))
-	for op := range l.inputsDeposit {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].TxID != ops[j].TxID {
-			return ops[i].TxID.Less(ops[j].TxID)
-		}
-		return ops[i].Index < ops[j].Index
-	})
-	return ops
+	return slices.SortedFunc(maps.Keys(l.inputsDeposit), utxo.Outpoint.Compare)
 }

@@ -32,8 +32,9 @@ const durablePerTx = 40
 // more than the payload bytes, which the test holds in the decisions as a
 // replica does, plus footprintPerTx per transaction. It then does the same
 // on a node with a store that cuts a checkpoint every 16 blocks, the last
-// one after the last block, and fails when that node keeps more than
-// durablePerTx per transaction beyond the node without one.
+// one after the last block and installed by closing the store, and fails
+// when that node keeps more than durablePerTx per transaction beyond the
+// node without one.
 func TestCommittedHistoryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("signs and verifies 128000 payments")
@@ -78,6 +79,11 @@ func committedFootprint(t *testing.T, blocks, perBlock int, tweak func(*Options)
 		}
 		decisions = append(decisions, d)
 		f.Commit(k, 0, d)
+	}
+	// Close installs the cut the last block started: the store then holds
+	// what it keeps, and no longer the snapshot its write was handed.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	after := heapInUse()
 

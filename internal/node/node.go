@@ -102,6 +102,7 @@ type Node struct {
 	// status and held, under mu; scrapes read them under mu.
 	series    *obs.Metrics
 	commitLat *obs.Histogram
+	cutWrite  *obs.Histogram
 	mu        sync.Mutex
 	status    Status
 	held      asmr.Stats // what the replica holds in memory, as last published
@@ -379,22 +380,33 @@ func (n *Node) Merge(k uint64, _, remote *sbc.Decision) {
 }
 
 // persist writes a committed or merged block, with the decision it
-// derives from, through to the store, cuts a checkpoint when one is due
-// and flushes.
+// derives from, through to the store, starts a checkpoint cut when one is
+// due and flushes. The event loop only copies the ledger for a cut
+// (CaptureCheckpoint); the store's goroutine sorts, encodes and writes
+// it, and the next cut installs it, reporting here a write that failed.
 func (n *Node) persist(b *bm.Block, attempt uint32, d *sbc.Decision, merge bool) {
 	if n.store == nil {
 		return
 	}
 	err := n.store.Append(&store.BlockRecord{Supersede: merge, K: b.K, Attempt: attempt, Digest: b.Digest, Decision: d})
 	if err == nil && n.store.ShouldCheckpoint() {
-		err = n.store.WriteCheckpoint(n.ledger.CheckpointState())
+		var cut *store.Cut
+		if cut, err = n.store.StartCheckpoint(n.ledger.CaptureCheckpoint()); cut != nil {
+			n.noteCut(cut)
+		}
 	}
-	if err == nil {
-		err = n.store.Flush()
+	if ferr := n.store.Flush(); err == nil {
+		err = ferr
 	}
 	if err != nil {
 		n.opts.OnStoreError(fmt.Errorf("persisting block %d: %w", b.K, err))
 	}
+}
+
+// noteCut records a checkpoint cut the store installed.
+func (n *Node) noteCut(cut *store.Cut) {
+	n.cutWrite.Observe(cut.Write.Seconds())
+	n.update(func(s *Status) { s.Memory.CheckpointHeight = cut.K })
 }
 
 // SyncResp answers a bootstrapping peer from the store: latest checkpoint

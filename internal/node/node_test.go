@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/zeroloss/zlb/internal/asmr"
 	"github.com/zeroloss/zlb/internal/bm"
@@ -243,6 +244,53 @@ func TestRecoversPersistedChain(t *testing.T) {
 	}
 }
 
+// TestFailedCutReportedOnceOnTheLoop: a checkpoint cut whose write fails
+// in the background is reported to OnStoreError once, by the commit that
+// installs it — on the event loop, never from the store's goroutine — and
+// the block records are flushed all the same: the directory reopens to
+// every committed block.
+func TestFailedCutReportedOnceOnTheLoop(t *testing.T) {
+	dir := t.TempDir()
+	var reports []bool // per report: whether a Commit call was running
+	committing := false
+	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) {
+		o.DataDir, o.CheckpointEvery = dir, 2
+		o.OnStoreError = func(error) { reports = append(reports, committing) }
+	})
+	// A directory where a cut's temp file goes: every cut's write fails.
+	if err := os.Mkdir(filepath.Join(dir, "checkpoint.ckpt.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(k uint64) {
+		committing = true
+		f.Commit(k, 0, decide(k, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(types.Amount(k)))}))
+		committing = false
+	}
+	commit(1)
+	commit(2) // starts the cut at 2, whose write fails
+	time.Sleep(50 * time.Millisecond)
+	if len(reports) != 0 {
+		t.Fatalf("%d reports before the failed cut's install", len(reports))
+	}
+	commit(3)
+	commit(4) // installs the cut at 2: its failure is reported
+	time.Sleep(50 * time.Millisecond)
+	if len(reports) != 1 || !reports[0] {
+		t.Fatalf("reports %v, want one, made inside a commit", reports)
+	}
+	digests := f.Ledger().BlockDigests()
+	if err := f.Close(); err == nil { // installs the cut at 4, which failed too
+		t.Error("Close reported no failed cut")
+	}
+	if len(reports) != 1 {
+		t.Errorf("reports %v after Close, want the one", reports)
+	}
+	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) { o.DataDir = dir })
+	if got := g.Ledger().BlockDigests(); !reflect.DeepEqual(got, digests) {
+		t.Errorf("reopened to digests %v, want %v", got, digests)
+	}
+}
+
 // TestReopenedNodeRefusesCommittedTransactions: the ledger's ID set is the
 // node's one record of what it applied, so a retry of a transaction it
 // committed is refused however the ledger came back — from a checkpoint
@@ -259,9 +307,6 @@ func TestReopenedNodeRefusesCommittedTransactions(t *testing.T) {
 		paid = append(paid, tx)
 		f.Commit(k, 0, decide(k, map[types.ReplicaID][]byte{1: encode(t, tx)}))
 	}
-	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
-		t.Fatalf("no checkpoint cut at block 2: %v", err)
-	}
 	refused := func(n *Node, tx *utxo.Transaction, when string) {
 		t.Helper()
 		if err := n.Pool().Add(tx); !errors.Is(err, mempool.ErrCommitted) {
@@ -269,8 +314,11 @@ func TestReopenedNodeRefusesCommittedTransactions(t *testing.T) {
 		}
 	}
 	refused(f.Node, paid[0], "after the cut")
-	if err := f.Close(); err != nil {
+	if err := f.Close(); err != nil { // installs the cut at block 2
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
+		t.Fatalf("no checkpoint cut at block 2: %v", err)
 	}
 
 	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir))
@@ -348,14 +396,14 @@ func TestRestoredBlockCoordinates(t *testing.T) {
 	commit(2, 2)
 	merge(2)
 	commit(3, 3)
-	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
-		t.Fatalf("no checkpoint cut at block 3: %v", err)
-	}
 	commit(4, 4)
 	merge(4)
 	commit(5, 5)
-	if err := f.Close(); err != nil {
+	if err := f.Close(); err != nil { // installs the cut at block 3
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(f.opts.DataDir, "checkpoint.ckpt")); err != nil {
+		t.Fatalf("no checkpoint cut at block 3: %v", err)
 	}
 
 	g := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), durable(f.opts.DataDir))

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"os"
 	"slices"
 
 	"github.com/zeroloss/zlb/internal/bm"
@@ -55,10 +54,10 @@ func (s *Store) BuildSyncResp(req *wire.SyncReq) (*wire.SyncResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := &wire.SyncResp{LastK: s.lastK}
-	if s.ckpt && (req.WantCheckpoint || req.FromK <= s.cutK) {
-		raw, err := os.ReadFile(s.checkpointPath())
+	if s.ckptFile != nil && (req.WantCheckpoint || req.FromK <= s.cutK) {
+		raw, err := s.readCheckpointBytes()
 		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return nil, err
 		}
 		resp.Checkpoint = raw
 	}

@@ -26,6 +26,17 @@
 // replica catch up from "checkpoint + tail" instead of replaying from
 // genesis (catchup.go). Decision reads a retained block's decision back.
 //
+// A cut runs in two halves. StartCheckpoint hands the captured snapshot
+// to a goroutine of the store's, which sorts, encodes, writes, fsyncs and
+// renames it into place while the caller goes on appending; the store
+// installs it — the new cut height, the tail filter, the cut marker and
+// the segment prune — only at the next StartCheckpoint or at Close,
+// waiting there for the write if it is still running. So what the store
+// answers changes at points of the append sequence, never with the
+// goroutine's timing. The files an install drops are closed and unlinked
+// by the next cut's goroutine. WriteCheckpoint is the blocking form of
+// the same cut.
+//
 // The store is safe for concurrent use. Appends go through a buffered
 // writer; Flush (or Close) pushes them to the OS, and Options.Fsync
 // additionally fsyncs on every checkpoint cut.
@@ -41,6 +52,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/zeroloss/zlb/internal/bm"
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -54,8 +66,10 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it exceeds this size
 	// (default 1 MiB).
 	SegmentBytes int
-	// CheckpointEvery cuts a checkpoint automatically every N appended
-	// blocks (0 = only explicit WriteCheckpoint calls).
+	// CheckpointEvery is the cadence ShouldCheckpoint reports: a cut is
+	// due once N blocks were appended since the last one started. The
+	// store holds no ledger, so the application captures the snapshot and
+	// starts the cut (0 = ShouldCheckpoint never reports one due).
 	CheckpointEvery uint64
 	// Fsync forces an fsync after every checkpoint cut and on Close.
 	// Appends are still buffered; a crash can lose the unflushed tail,
@@ -109,14 +123,21 @@ type Store struct {
 	active   *os.File
 	buffered []byte // appended frames not yet written to the active file
 
-	// ckpt is whether checkpoint.ckpt holds a snapshot, and cutK the
-	// height it was cut at; the snapshot itself stays on disk. tail
-	// locates the block records after the cut, in log order: recovery
-	// replays them onto the checkpoint, and the catch-up server copies
-	// their frames.
-	ckpt bool
-	cutK uint64
-	tail []frameAt
+	// ckptFile is the installed checkpoint, held open (nil before the
+	// first), and cutK the height it was cut at; the snapshot itself
+	// stays on disk. Recover and BuildSyncResp read it through this
+	// descriptor, never through the path, which a cut in flight may have
+	// renamed a newer file onto before its install. tail locates the
+	// block records after the cut, in log order: recovery replays them
+	// onto the checkpoint, and the catch-up server copies their frames.
+	ckptFile *os.File
+	cutK     uint64
+	tail     []frameAt
+	// cut is the cut in flight, nil when none: at most one runs.
+	cut *pendingCut
+	// stale is what the last install dropped, for the next cut's
+	// goroutine (or Close) to release off the caller's goroutine.
+	stale stale
 
 	lastK      uint64
 	haveBlocks bool
@@ -137,49 +158,83 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, opts: opts, frames: make(map[uint64]frameAt)}
-	switch cp, err := s.readCheckpoint(); {
+	switch f, err := os.Open(checkpointPath(dir)); {
 	case err == nil:
-		s.noteCheckpoint(cp)
+		s.ckptFile = f
+		cp, err := s.readCheckpoint()
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		s.noteCheckpoint(cutOf(cp))
 	case !errors.Is(err, os.ErrNotExist):
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := s.loadSegments(); err != nil {
+		s.ckptFile.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Store) checkpointPath() string { return filepath.Join(s.dir, "checkpoint.ckpt") }
+func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.ckpt") }
 
-// readCheckpoint reads and decodes the checkpoint file; without one the
-// error is os.ErrNotExist. A crash cannot tear one (WriteCheckpoint
-// renames a complete file over it), so one that does not decode is
-// corrupt: read as absent, it would reopen a pruned store as genesis plus
-// the tail, a chain with a silent gap.
-func (s *Store) readCheckpoint() (*wire.CheckpointState, error) {
-	raw, err := os.ReadFile(s.checkpointPath())
+// readCheckpointBytes reads the installed checkpoint's file whole.
+func (s *Store) readCheckpointBytes() ([]byte, error) {
+	fi, err := s.ckptFile.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	raw := make([]byte, fi.Size())
+	if _, err := s.ckptFile.ReadAt(raw, 0); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return raw, nil
+}
+
+// readCheckpoint reads and decodes the installed checkpoint. A crash
+// cannot tear one (a cut renames a complete file over it), so one that
+// does not decode is corrupt: read as absent, it would reopen a pruned
+// store as genesis plus the tail, a chain with a silent gap.
+func (s *Store) readCheckpoint() (*wire.CheckpointState, error) {
+	raw, err := s.readCheckpointBytes()
+	if err != nil {
+		return nil, err
+	}
 	cp, err := wire.DecodeCheckpoint(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.checkpointPath(), err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, checkpointPath(s.dir), err)
 	}
 	return cp, nil
 }
 
-// noteCheckpoint records that the checkpoint file now holds cp: its cut
+// cutPoint is what the store keeps of a snapshot: the height it was cut
+// at and the highest block it holds, if it holds any.
+type cutPoint struct {
+	k, topK uint64
+	blocks  bool
+}
+
+func cutOf(cp *wire.CheckpointState) (c cutPoint) {
+	c.k = cp.LastK
+	for _, b := range cp.Blocks {
+		c.topK, c.blocks = max(c.topK, b.K), true
+	}
+	return c
+}
+
+// noteCheckpoint records that the installed checkpoint was cut at c: its
 // height, and the blocks it holds, which the log may never have seen (the
 // catch-up install path writes the transferred snapshot first).
-func (s *Store) noteCheckpoint(cp *wire.CheckpointState) {
-	s.ckpt, s.cutK = true, cp.LastK
-	for _, b := range cp.Blocks {
-		s.lastK, s.haveBlocks = max(s.lastK, b.K), true
+func (s *Store) noteCheckpoint(c cutPoint) {
+	s.cutK = c.k
+	if c.blocks {
+		s.lastK, s.haveBlocks = max(s.lastK, c.topK), true
 	}
 }
 
 // folded reports whether block k is at or below the checkpoint's cut.
-func (s *Store) folded(k uint64) bool { return s.ckpt && k <= s.cutK }
+func (s *Store) folded(k uint64) bool { return s.ckptFile != nil && k <= s.cutK }
 
 // loadSegments scans the log directory, replays every record and
 // truncates a torn tail off the last segment.
@@ -219,7 +274,7 @@ func (s *Store) loadSegments() error {
 	// replay tail here, against the checkpoint itself — not against the
 	// log's cut marker, whose durability is not ordered with the
 	// checkpoint file's.
-	if s.ckpt {
+	if s.ckptFile != nil {
 		s.dropFolded(s.cutK, nil)
 	}
 	if len(s.segments) == 0 {
@@ -489,84 +544,218 @@ func (s *Store) Flush() error {
 }
 
 // ShouldCheckpoint reports whether CheckpointEvery blocks were appended
-// since the last cut — the application then snapshots its ledger and
-// calls WriteCheckpoint.
+// since the last cut started — the application then snapshots its ledger
+// and calls StartCheckpoint.
 func (s *Store) ShouldCheckpoint() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery
 }
 
-// WriteCheckpoint durably installs a ledger snapshot and prunes every
-// log segment that holds only records at or below the snapshot height.
-// The snapshot is written to a temp file and renamed, so
-// a crash leaves either the old or the new checkpoint — never a torn
-// one; segments are pruned only after the rename.
+// Cut is a checkpoint cut as the store installed it.
+type Cut struct {
+	// K is the height the snapshot was cut at.
+	K uint64
+	// Write is how long its background half took: sort, encode, write,
+	// fsyncs and rename.
+	Write time.Duration
+}
+
+// pendingCut is the cut in flight: where its snapshot was cut, and where
+// its background half reports.
+type pendingCut struct {
+	at   cutPoint
+	done chan cutResult
+}
+
+// cutResult is what a cut's background half reports: the new checkpoint,
+// open and renamed into place, or why there is none; and whether the
+// files it released were released.
+type cutResult struct {
+	f        *os.File
+	took     time.Duration
+	err      error
+	staleErr error
+}
+
+// stale is what an install dropped: the checkpoint file it replaced, held
+// open until then (its last close frees the blocks the rename unlinked),
+// and the files of the segments it pruned. Releasing them is file-system
+// work the event loop need not wait for; a crash before it leaves
+// segments at or below the cut, which a reopen filters out.
+type stale struct {
+	ckpt     *os.File
+	segments []string
+}
+
+func (st stale) release() error {
+	if st.ckpt != nil {
+		st.ckpt.Close()
+	}
+	var errs []error
+	for _, path := range st.segments {
+		if err := os.Remove(path); err != nil {
+			errs = append(errs, fmt.Errorf("store: pruning %s: %w", path, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// StartCheckpoint cuts a checkpoint of cp, a snapshot the caller hands
+// over (bm.Ledger.CaptureCheckpoint; it may be unsorted) and must not
+// touch again. It first installs the cut in flight, if any, waiting for
+// its write only if it is still running, and returns that cut, or its
+// error: a failed cut is reported here, once, and leaves the checkpoint
+// and the log as they were. Then it starts the new cut on a goroutine of
+// the store's, which releases the files the install dropped, sorts the
+// snapshot (bm.SortCheckpoint), encodes it, writes it to a temp file,
+// fsyncs it, renames it over the checkpoint and fsyncs the directory,
+// touching nothing of the store's; the next StartCheckpoint or Close
+// installs it. Appends made meanwhile count toward the next cut.
+func (s *Store) StartCheckpoint(cp *wire.CheckpointState) (*Cut, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	cut, err := s.installLocked()
+	s.startLocked(cp)
+	return cut, err
+}
+
+// WriteCheckpoint is the blocking form of StartCheckpoint: it installs
+// the cut in flight, if any, then cuts cp, installs it and prunes before
+// it returns.
 func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.flushLocked(); err != nil {
-		return err
+	_, err := s.installLocked()
+	s.startLocked(cp)
+	_, err2 := s.installLocked()
+	return errors.Join(err, err2, s.releaseLocked())
+}
+
+func (s *Store) startLocked(cp *wire.CheckpointState) {
+	p := &pendingCut{at: cutOf(cp), done: make(chan cutResult, 1)}
+	s.cut, s.sinceCkpt = p, 0
+	dir, fsync, dropped := s.dir, s.opts.Fsync, s.stale
+	s.stale = stale{}
+	go func() {
+		staleErr := dropped.release()
+		r := writeCheckpoint(dir, fsync, cp)
+		r.staleErr = staleErr
+		p.done <- r
+	}()
+}
+
+// releaseLocked releases what the last install dropped, on the caller's
+// goroutine.
+func (s *Store) releaseLocked() error {
+	err := s.stale.release()
+	s.stale = stale{}
+	return err
+}
+
+// installLocked waits for the cut in flight, if any, and installs it: the
+// store reads the new checkpoint from now on, marks the cut in the log
+// and prunes every segment entirely at or below it. Segments go only
+// once the new checkpoint's rename is durable, which the background half
+// made it before it reported; their files, and the replaced checkpoint's,
+// are left to the next release (stale).
+func (s *Store) installLocked() (*Cut, error) {
+	p := s.cut
+	if p == nil {
+		return nil, nil
 	}
-	raw := wire.EncodeCheckpoint(cp)
-	tmp := s.checkpointPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	s.cut = nil
+	res := <-p.done
+	if res.err != nil {
+		return nil, errors.Join(res.staleErr, res.err)
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, s.checkpointPath()); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.opts.Fsync {
-		// Make the rename durable before any segment is unlinked: a
-		// power loss must never persist the prune without the
-		// checkpoint. (Every node's store sets Fsync, the simulator's
-		// included. Without it the store still survives process crashes
-		// — the rename is atomic and visible to any reopen — but not
-		// power loss.)
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-	}
-	s.noteCheckpoint(cp)
-	s.sinceCkpt = 0
+	s.stale.ckpt, s.ckptFile = s.ckptFile, res.f
+	s.noteCheckpoint(p.at)
 
 	// Mark the cut in the log, then prune segments entirely below it.
 	marker := make([]byte, 8)
-	binary.BigEndian.PutUint64(marker, cp.LastK)
+	binary.BigEndian.PutUint64(marker, p.at.k)
 	s.appendFrame(wire.RecordCheckpoint, marker)
 	if err := s.flushLocked(); err != nil {
-		return err
+		return nil, errors.Join(res.staleErr, err)
 	}
 	pruned := make(map[*segment]bool)
 	for _, seg := range s.segments[:len(s.segments)-1] {
-		if seg.records > 0 && seg.lastK <= cp.LastK {
-			if err := os.Remove(seg.path); err != nil {
-				return fmt.Errorf("store: pruning %s: %w", seg.path, err)
-			}
+		if seg.records > 0 && seg.lastK <= p.at.k {
+			s.stale.segments = append(s.stale.segments, seg.path)
 			pruned[seg] = true
 		}
 	}
 	s.segments = slices.DeleteFunc(s.segments, func(seg *segment) bool { return pruned[seg] })
 	maps.DeleteFunc(s.frames, func(_ uint64, at frameAt) bool { return pruned[at.seg] })
-	s.dropFolded(cp.LastK, pruned)
-	return nil
+	s.dropFolded(p.at.k, pruned)
+	return &Cut{K: p.at.k, Write: res.took}, res.staleErr
+}
+
+// cutStage, when set, is called by a cut's background half once the temp
+// file is written and synced ("written") and once the rename is durable
+// ("renamed"): tests hold the cut at those points, and fail it at the
+// first.
+var cutStage func(stage string) error
+
+// writeCheckpoint is a cut's background half. It owns cp and touches no
+// store state: it sorts and encodes the snapshot, writes it to a temp
+// file and renames that over the checkpoint, so a crash leaves either the
+// old or the new checkpoint, never a torn one. With fsync it syncs the
+// file before the rename and the directory after it, so that the rename
+// is durable before the install prunes a segment: a power loss must never
+// persist the prune without the checkpoint. (Every node's store sets
+// Fsync, the simulator's included. Without it the store still survives
+// process crashes — the rename is atomic and visible to any reopen — but
+// not power loss.) The file comes back open, for the store to read the
+// checkpoint through once it installs it.
+func writeCheckpoint(dir string, fsync bool, cp *wire.CheckpointState) cutResult {
+	t0 := time.Now()
+	bm.SortCheckpoint(cp)
+	raw := wire.EncodeCheckpoint(cp)
+	path := checkpointPath(dir)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return cutResult{err: fmt.Errorf("store: %w", err)}
+	}
+	fail := func(err error) cutResult {
+		f.Close()
+		os.Remove(tmp)
+		return cutResult{err: fmt.Errorf("store: %w", err)}
+	}
+	if _, err := f.Write(raw); err != nil {
+		return fail(err)
+	}
+	if fsync {
+		if err := f.Sync(); err != nil {
+			return fail(err)
+		}
+	}
+	if cutStage != nil {
+		if err := cutStage("written"); err != nil {
+			return fail(err)
+		}
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fail(err)
+	}
+	if fsync {
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return cutResult{err: err}
+		}
+	}
+	if cutStage != nil {
+		cutStage("renamed") // a hold only: the rename is done
+	}
+	return cutResult{f: f, took: time.Since(t0)}
 }
 
 // syncDir fsyncs a directory, making renames and unlinks inside it
@@ -608,7 +797,7 @@ func (s *Store) Recover(scheme crypto.Scheme, genesis func(*bm.Ledger)) (*bm.Led
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var l *bm.Ledger
-	if s.ckpt {
+	if s.ckptFile != nil {
 		cp, err := s.readCheckpoint()
 		if err != nil {
 			return nil, err
@@ -647,25 +836,31 @@ func (s *Store) Attempt(k uint64) uint32 {
 	return 0
 }
 
-// Close flushes and closes the store.
+// Close installs the cut in flight, if any, waiting for its write, then
+// flushes and closes the store. A failed cut is returned here.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	_, cutErr := s.installLocked()
+	cutErr = errors.Join(cutErr, s.releaseLocked())
 	if err := s.flushLocked(); err != nil {
-		return err
+		return errors.Join(cutErr, err)
 	}
 	s.closed = true
+	if s.ckptFile != nil {
+		s.ckptFile.Close()
+	}
 	if s.opts.Fsync {
 		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
+			return errors.Join(cutErr, fmt.Errorf("store: %w", err))
 		}
 	}
 	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return errors.Join(cutErr, fmt.Errorf("store: %w", err))
 	}
 	s.active = nil
-	return nil
+	return cutErr
 }

@@ -15,10 +15,12 @@ package utxo
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -45,6 +47,15 @@ type Outpoint struct {
 
 // String implements fmt.Stringer.
 func (o Outpoint) String() string { return fmt.Sprintf("%v:%d", o.TxID, o.Index) }
+
+// Compare orders outpoints by transaction ID, byte by byte, then by index:
+// the order a checkpoint lists them in.
+func (o Outpoint) Compare(p Outpoint) int {
+	if c := o.TxID.Compare(p.TxID); c != 0 {
+		return c
+	}
+	return cmp.Compare(o.Index, p.Index)
+}
 
 // Output grants Value coins to Account.
 type Output struct {
@@ -622,21 +633,22 @@ type Entry struct {
 	Out Output
 }
 
-// Entries returns every unspent output sorted by outpoint — the
-// deterministic enumeration ledger checkpoints (internal/store) are
-// built from.
+// Entries returns every unspent output sorted by outpoint: the
+// deterministic enumeration tests compare tables by.
 func (t *Table) Entries() []Entry {
 	out := make([]Entry, 0, len(t.utxos))
-	for op, o := range t.utxos {
-		out = append(out, Entry{Op: op, Out: o})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op.TxID != out[j].Op.TxID {
-			return out[i].Op.TxID.Less(out[j].Op.TxID)
-		}
-		return out[i].Op.Index < out[j].Op.Index
-	})
+	t.Each(func(op Outpoint, o Output) { out = append(out, Entry{Op: op, Out: o}) })
+	slices.SortFunc(out, func(a, b Entry) int { return a.Op.Compare(b.Op) })
 	return out
+}
+
+// Each calls f on every unspent output, in no particular order: the walk
+// a ledger checkpoint's capture takes (bm.Ledger.CaptureCheckpoint), which
+// leaves the sort to the store's goroutine.
+func (t *Table) Each(f func(Outpoint, Output)) {
+	for op, o := range t.utxos {
+		f(op, o)
+	}
 }
 
 // TotalValue sums every unspent output: conservation checks in tests.

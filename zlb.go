@@ -607,7 +607,8 @@ func DecodeBatch(payload []byte) ([]*Transaction, error) {
 func (c *Cluster) Start() { c.inner.Start() }
 
 // Crash kills a running replica, like a killed process: it drops off the
-// network, its in-memory state is lost and its store is closed. What the
+// network, its in-memory state is lost and its store is closed, which
+// first waits for a checkpoint cut still writing and installs it. What the
 // store failed on, during the run or while closing, is returned. The
 // first honest replica, whose view the read accessors report, cannot be
 // crashed.
