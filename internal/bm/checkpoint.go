@@ -48,10 +48,10 @@ func (l *Ledger) CaptureCheckpoint() *wire.CheckpointState {
 		// at an already-occupied index: replaying it into storeBlock
 		// rebuilds both the blocks slice (Height) and the first-wins index.
 		Blocks:        l.blocks[:len(l.blocks):len(l.blocks)],
-		Merged:        keys(l.merged),
+		Merged:        slices.Collect(maps.Keys(l.merged)),
 		UTXOs:         make([]wire.UTXOEntry, 0, l.table.Size()),
-		TxIDs:         keys(l.txs),
-		Punished:      keys(l.punished),
+		TxIDs:         slices.Collect(maps.Keys(l.txs)),
+		Punished:      slices.Collect(maps.Keys(l.punished)),
 		DepositInputs: make([]wire.DepositInput, 0, len(l.inputsDeposit)),
 	}
 	l.table.Each(func(op utxo.Outpoint, out utxo.Output) {
@@ -61,15 +61,6 @@ func (l *Ledger) CaptureCheckpoint() *wire.CheckpointState {
 		cp.DepositInputs = append(cp.DepositInputs, wire.DepositInput{Op: op, Value: in.Value})
 	}
 	return cp
-}
-
-// keys lists a map's keys in map order.
-func keys[K comparable, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // SortCheckpoint puts a captured snapshot's sets in canonical order:

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroloss/zlb/internal/bm"
+	"github.com/zeroloss/zlb/internal/utxo"
 	"github.com/zeroloss/zlb/internal/wire"
 )
 
@@ -102,10 +104,23 @@ func TestCutLeavesTheStoreFree(t *testing.T) {
 	f.checkRecovered(s)
 }
 
-// reopenCopy copies dir as a crash would leave it — every file as the OS
-// holds it — opens the copy and checks that it recovers the fixture's
-// chain with no gap. It returns the copy's cut height.
+// reopenCopy copies dir as a crash would leave it, opens the copy and
+// checks that it recovers the fixture's chain with no gap. It returns the
+// copy's cut height.
 func reopenCopy(t *testing.T, f *fixture, dir string) uint64 {
+	t.Helper()
+	s, err := Open(crashCopy(t, f, dir), Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	f.checkRecovered(s)
+	return s.cutK
+}
+
+// crashCopy flushes the fixture's store and copies dir as a crash would
+// leave it, every file as the OS holds it. It returns the copy.
+func crashCopy(t *testing.T, f *fixture, dir string) string {
 	t.Helper()
 	if err := f.store.Flush(); err != nil {
 		t.Fatal(err)
@@ -128,13 +143,7 @@ func reopenCopy(t *testing.T, f *fixture, dir string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(cp, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	f.checkRecovered(s)
-	return s.cutK
+	return cp
 }
 
 // TestReopenAtEachStageOfACut: the directory, copied as a crash leaves it
@@ -193,6 +202,105 @@ func TestReopenAtEachStageOfACut(t *testing.T) {
 		t.Errorf("installed: reopened at cut %d, want 6", s.cutK)
 	}
 	f.checkRecovered(s)
+}
+
+// TestMergeBesideACutSurvivesItsInstall: a merge appended while a cut is
+// in flight rewrites a block below the cut, and the cut's snapshot lacks
+// it. The merge's segment is sealed, all of it below the cut, before the
+// install; the install keeps it all the same, so the running store's
+// catch-up answer holds the merge, and a reopen of the directory answers
+// with the same bytes and recovers the merged ledger.
+func TestMergeBesideACutSurvivesItsInstall(t *testing.T) {
+	dir := t.TempDir()
+	f := newFixture(t, dir, Options{SegmentBytes: 256, Fsync: true}) // a segment per flushed record
+	flush := func() {
+		t.Helper()
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= 3; k++ {
+		f.commit(k, 50)
+		flush()
+	}
+	stages, release := holdCut(t)
+	if _, err := f.store.StartCheckpoint(f.ledger.CaptureCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	<-stages // written
+	release()
+	<-stages // renamed
+	release()
+
+	inputs, err := f.ledger.Table().InputsFor(f.alice.Address(), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := f.alice.Pay(inputs, []utxo.Output{{Account: f.bob.Address(), Value: 400}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := bm.NewBlock(1, []*utxo.Transaction{tx})
+	f.ledger.MergeBlock(remote)
+	if err := f.store.Append(&BlockRecord{Supersede: true, K: 1, Digest: remote.Digest, Decision: mustUncertified(t, remote)}); err != nil {
+		t.Fatal(err)
+	}
+	flush() // seals the merge's segment, whose last index is 1
+	f.commit(4, 50)
+	flush()
+	f.commit(5, 50)
+
+	// Install the cut at 3; hold the next one at its temp file, so the
+	// directory's checkpoint stays the cut at 3.
+	if cut, err := f.store.StartCheckpoint(f.ledger.CaptureCheckpoint()); err != nil || cut == nil || cut.K != 3 {
+		t.Fatalf("install: %+v, %v; want the cut at 3", cut, err)
+	}
+	<-stages // written
+	req := &wire.SyncReq{FromK: 1, WantCheckpoint: true}
+	running, err := f.store.BuildSyncResp(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merges := 0
+	for rest := running.Log; len(rest) > 0; {
+		var kind wire.RecordKind
+		if kind, _, rest, err = wire.DecodeRecord(rest); err != nil {
+			t.Fatal(err)
+		}
+		if kind == wire.RecordSupersede {
+			merges++
+		}
+	}
+	if merges != 1 {
+		t.Errorf("the running store's answer holds %d merges, want 1", merges)
+	}
+
+	s, err := Open(crashCopy(t, f, dir), Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reopened, err := s.BuildSyncResp(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := wire.EncodeSyncResp(running), wire.EncodeSyncResp(reopened); !bytes.Equal(a, b) {
+		t.Errorf("running store answers %d log bytes, the reopened one %d", len(running.Log), len(reopened.Log))
+	}
+	f.checkRecovered(s)
+	r, err := s.Recover(f.scheme, f.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MergedTxs != f.ledger.MergedTxs {
+		t.Errorf("reopened with %d merged transactions, want %d", r.MergedTxs, f.ledger.MergedTxs)
+	}
+	release()
+	<-stages // renamed
+	release()
+	if err := f.store.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCloseWaitsForTheCut: Close during a cut's write waits for it and

@@ -561,11 +561,16 @@ type Cut struct {
 	Write time.Duration
 }
 
-// pendingCut is the cut in flight: where its snapshot was cut, and where
-// its background half reports.
+// pendingCut is the cut in flight: where its snapshot was cut, the
+// sequence number of the segment that was active then, and where its
+// background half reports. Only the segments before that one were sealed
+// when the snapshot was captured; a later segment, or that one, may hold a
+// record the snapshot lacks, such as a merge's supersede record at an
+// index at or below the cut.
 type pendingCut struct {
-	at   cutPoint
-	done chan cutResult
+	at     cutPoint
+	active uint64
+	done   chan cutResult
 }
 
 // cutResult is what a cut's background half reports: the new checkpoint,
@@ -619,8 +624,7 @@ func (s *Store) StartCheckpoint(cp *wire.CheckpointState) (*Cut, error) {
 		return nil, ErrClosed
 	}
 	cut, err := s.installLocked()
-	s.startLocked(cp)
-	return cut, err
+	return cut, errors.Join(err, s.startLocked(cp))
 }
 
 // WriteCheckpoint is the blocking form of StartCheckpoint: it installs
@@ -633,13 +637,20 @@ func (s *Store) WriteCheckpoint(cp *wire.CheckpointState) error {
 		return ErrClosed
 	}
 	_, err := s.installLocked()
-	s.startLocked(cp)
+	if serr := s.startLocked(cp); serr != nil {
+		return errors.Join(err, serr)
+	}
 	_, err2 := s.installLocked()
 	return errors.Join(err, err2, s.releaseLocked())
 }
 
-func (s *Store) startLocked(cp *wire.CheckpointState) {
-	p := &pendingCut{at: cutOf(cp), done: make(chan cutResult, 1)}
+// startLocked flushes the appends cp holds, which may seal the active
+// segment, and starts the cut of cp; a failed flush starts none.
+func (s *Store) startLocked(cp *wire.CheckpointState) error {
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
+	p := &pendingCut{at: cutOf(cp), active: s.segments[len(s.segments)-1].seq, done: make(chan cutResult, 1)}
 	s.cut, s.sinceCkpt = p, 0
 	dir, fsync, dropped := s.dir, s.opts.Fsync, s.stale
 	s.stale = stale{}
@@ -649,6 +660,7 @@ func (s *Store) startLocked(cp *wire.CheckpointState) {
 		r.staleErr = staleErr
 		p.done <- r
 	}()
+	return nil
 }
 
 // releaseLocked releases what the last install dropped, on the caller's
@@ -661,10 +673,12 @@ func (s *Store) releaseLocked() error {
 
 // installLocked waits for the cut in flight, if any, and installs it: the
 // store reads the new checkpoint from now on, marks the cut in the log
-// and prunes every segment entirely at or below it. Segments go only
-// once the new checkpoint's rename is durable, which the background half
-// made it before it reported; their files, and the replaced checkpoint's,
-// are left to the next release (stale).
+// and prunes every segment that was sealed when the snapshot was captured
+// and lies entirely at or below the cut. A segment that took a record
+// after the capture stays, whatever its indices: the snapshot lacks that
+// record. Segments go only once the new checkpoint's rename is durable,
+// which the background half made it before it reported; their files, and
+// the replaced checkpoint's, are left to the next release (stale).
 func (s *Store) installLocked() (*Cut, error) {
 	p := s.cut
 	if p == nil {
@@ -678,7 +692,8 @@ func (s *Store) installLocked() (*Cut, error) {
 	s.stale.ckpt, s.ckptFile = s.ckptFile, res.f
 	s.noteCheckpoint(p.at)
 
-	// Mark the cut in the log, then prune segments entirely below it.
+	// Mark the cut in the log, then prune the segments sealed before the
+	// capture that lie entirely below the cut.
 	marker := make([]byte, 8)
 	binary.BigEndian.PutUint64(marker, p.at.k)
 	s.appendFrame(wire.RecordCheckpoint, marker)
@@ -686,8 +701,8 @@ func (s *Store) installLocked() (*Cut, error) {
 		return nil, errors.Join(res.staleErr, err)
 	}
 	pruned := make(map[*segment]bool)
-	for _, seg := range s.segments[:len(s.segments)-1] {
-		if seg.records > 0 && seg.lastK <= p.at.k {
+	for _, seg := range s.segments {
+		if seg.seq < p.active && seg.records > 0 && seg.lastK <= p.at.k {
 			s.stale.segments = append(s.stale.segments, seg.path)
 			pruned[seg] = true
 		}

@@ -7,7 +7,6 @@ package types
 
 import (
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -72,24 +71,11 @@ func (d Digest) IsZero() bool { return d == ZeroDigest }
 
 // Less orders digests lexicographically; used for the deterministic
 // reconciliation order of merged transactions (§4.1 ⑤).
-func (d Digest) Less(other Digest) bool {
-	for i := range d {
-		if d[i] != other[i] {
-			return d[i] < other[i]
-		}
-	}
-	return false
-}
+func (d Digest) Less(other Digest) bool { return d.Compare(other) < 0 }
 
-// Compare orders digests as Less does, returning -1, 0 or +1: the sort
-// order of a checkpoint's sets. The first eight bytes, compared as one
-// word, decide almost every pair of hashes.
-func (d Digest) Compare(other Digest) int {
-	if x, y := binary.BigEndian.Uint64(d[:8]), binary.BigEndian.Uint64(other[:8]); x != y {
-		return cmp.Compare(x, y)
-	}
-	return bytes.Compare(d[8:], other[8:])
-}
+// Compare orders digests byte by byte, returning -1, 0 or +1: the order
+// Less defines, and the sort order of a checkpoint's sets.
+func (d Digest) Compare(other Digest) int { return bytes.Compare(d[:], other[:]) }
 
 // Amount is a coin amount in the smallest unit.
 type Amount uint64

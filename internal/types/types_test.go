@@ -78,34 +78,6 @@ func TestDigestLessTotalOrder(t *testing.T) {
 	}
 }
 
-// TestDigestCompareMatchesLess: Compare orders digests as Less does,
-// including pairs that share their first eight bytes or more.
-func TestDigestCompareMatchesLess(t *testing.T) {
-	var ds []Digest
-	for i := range 16 {
-		d := Hash([]byte{byte(i)})
-		ds = append(ds, d)
-		for _, at := range []int{7, 8, 31} {
-			e := d
-			e[at]++
-			ds = append(ds, e)
-		}
-	}
-	for _, a := range ds {
-		for _, b := range ds {
-			want := 0
-			if a.Less(b) {
-				want = -1
-			} else if b.Less(a) {
-				want = 1
-			}
-			if got := a.Compare(b); got != want {
-				t.Fatalf("%x.Compare(%x) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
 func TestReplicaSetBasics(t *testing.T) {
 	s := NewReplicaSet(3, 1, 2, 2)
 	if s.Len() != 3 {

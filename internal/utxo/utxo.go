@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"github.com/zeroloss/zlb/internal/crypto"
@@ -535,12 +534,7 @@ func (t *Table) Outpoints(addr Address) []Outpoint {
 			ops = append(ops, op)
 		}
 	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].TxID != ops[j].TxID {
-			return ops[i].TxID.Less(ops[j].TxID)
-		}
-		return ops[i].Index < ops[j].Index
-	})
+	slices.SortFunc(ops, Outpoint.Compare)
 	return ops
 }
 
@@ -561,14 +555,11 @@ func (t *Table) InputsFor(addr Address, amount types.Amount) ([]Input, error) {
 			picked = append(picked, Input{Prev: op, Value: out.Value})
 		}
 	}
-	sort.Slice(picked, func(i, j int) bool {
-		if picked[i].Value != picked[j].Value {
-			return picked[i].Value < picked[j].Value
+	slices.SortFunc(picked, func(a, b Input) int {
+		if c := cmp.Compare(a.Value, b.Value); c != 0 {
+			return c
 		}
-		if picked[i].Prev.TxID != picked[j].Prev.TxID {
-			return picked[i].Prev.TxID.Less(picked[j].Prev.TxID)
-		}
-		return picked[i].Prev.Index < picked[j].Prev.Index
+		return a.Prev.Compare(b.Prev)
 	})
 	var sum types.Amount
 	for i, in := range picked {
