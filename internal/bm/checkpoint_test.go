@@ -1,7 +1,9 @@
 package bm
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/zeroloss/zlb/internal/types"
@@ -311,5 +313,48 @@ func TestLiveAndRestoredLedgerAnswerAlike(t *testing.T) {
 				t.Errorf("ledgers differ after the merges: %s vs %s", ls, rs)
 			}
 		})
+	}
+}
+
+// TestSortCheckpointIsCanonical: SortCheckpoint orders every set of a
+// snapshot as a plain sort by the same comparisons does, with half the
+// digests sharing their first eight bytes and every transaction ID
+// carrying two outputs.
+func TestSortCheckpointIsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	digest := func() (d types.Digest) {
+		for i := range d {
+			d[i] = byte(rng.IntN(256))
+		}
+		if rng.IntN(2) == 0 {
+			copy(d[:], "one word")
+		}
+		return d
+	}
+	cp := &wire.CheckpointState{}
+	for range 500 {
+		id := digest()
+		cp.Merged = append(cp.Merged, digest())
+		cp.TxIDs = append(cp.TxIDs, id)
+		cp.Punished = append(cp.Punished, utxo.Address(digest()))
+		for _, i := range []uint32{1, 0} {
+			op := utxo.Outpoint{TxID: id, Index: i}
+			cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{Op: op, Out: utxo.Output{Value: types.Amount(rng.IntN(100))}})
+			cp.DepositInputs = append(cp.DepositInputs, wire.DepositInput{Op: op, Value: types.Amount(rng.IntN(100))})
+		}
+	}
+	rng.Shuffle(len(cp.UTXOs), func(i, j int) { cp.UTXOs[i], cp.UTXOs[j] = cp.UTXOs[j], cp.UTXOs[i] })
+	rng.Shuffle(len(cp.DepositInputs), func(i, j int) { cp.DepositInputs[i], cp.DepositInputs[j] = cp.DepositInputs[j], cp.DepositInputs[i] })
+
+	want := &wire.CheckpointState{
+		Merged:        slices.SortedFunc(slices.Values(cp.Merged), types.Digest.Compare),
+		TxIDs:         slices.SortedFunc(slices.Values(cp.TxIDs), types.Digest.Compare),
+		Punished:      slices.SortedFunc(slices.Values(cp.Punished), compareKeys),
+		UTXOs:         slices.SortedFunc(slices.Values(cp.UTXOs), func(a, b wire.UTXOEntry) int { return a.Op.Compare(b.Op) }),
+		DepositInputs: slices.SortedFunc(slices.Values(cp.DepositInputs), func(a, b wire.DepositInput) int { return a.Op.Compare(b.Op) }),
+	}
+	SortCheckpoint(cp)
+	if !reflect.DeepEqual(cp, want) {
+		t.Fatal("SortCheckpoint's order differs from a plain sort's")
 	}
 }
