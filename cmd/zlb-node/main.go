@@ -82,7 +82,6 @@ func main() {
 	flag.Uint64Var((*uint64)(&cfg.Mempool.MinFee), "mempool-min-fee", 0, "mempool admission: reject transactions below this fee")
 	flag.BoolVar(&cfg.Mempool.PriorityOrder, "mempool-priority", false, "mempool admission: batch by fee rate instead of arrival order")
 	flag.IntVar(&cfg.Mempool.ReplaceBumpPct, "mempool-replace-bump", 0, "mempool admission: replacement-by-fee bump percentage (0 = replacement off)")
-	flag.IntVar(&cfg.PeerQueue, "peer-queue", 0, "outbound frames buffered per peer before drop-oldest displacement (0 = default 4096)")
 	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text), /status (JSON) and /debug/pprof/ on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "minimum log severity (debug, info, warn, error)")
 	flag.Parse()
@@ -169,9 +168,6 @@ type nodeConfig struct {
 	Mempool mempool.Policy
 	// SyncTimeout bounds the bootstrap wait for peer responses (default 5s).
 	SyncTimeout time.Duration
-	// PeerQueue bounds each peer's outbound send queue (0 = transport
-	// default). On overflow the oldest queued frame is displaced.
-	PeerQueue int
 	// MetricsAddr serves /metrics, /status and /debug/pprof/ when set.
 	MetricsAddr string
 	// LogLevel is the minimum severity Logf receives. The zero value is
@@ -251,11 +247,10 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 		served:    make(chan struct{}),
 	}
 	rn.node = transport.NewNode(transport.Config{
-		Self:          cfg.Self,
-		Listen:        cfg.Listen,
-		Peers:         peers,
-		SendQueueSize: cfg.PeerQueue,
-		Logger:        rn.log,
+		Self:   cfg.Self,
+		Listen: cfg.Listen,
+		Peers:  peers,
+		Logger: rn.log,
 	})
 
 	// Payment application (same scheme as the consensus PKI, so one
@@ -307,16 +302,13 @@ func newReplicaNode(cfg nodeConfig) (*replicaNode, error) {
 	wireTransport(rn.app.Metrics(), rn.node, members)
 
 	// The replica is built around the application: its own log lines
-	// first, then what the node binds (internal/node).
+	// first, then what the node binds (internal/node), the replica's
+	// policy included.
 	replicaCfg := asmr.Config{
 		Self:             cfg.Self,
 		Signer:           signers[int(cfg.Self)-1],
 		Env:              rn.node,
 		InitialCommittee: members,
-		Accountable:      true,
-		Recover:          true,
-		WaitForWork:      true,
-		History:          rn.app.History(),
 		// One canonical copy per proposal digest: a node stores a pulled
 		// PayloadResp and the original Init as the same bytes.
 		Intern: rbc.NewIntern(),

@@ -511,11 +511,16 @@ func TestCommittedTransactionRefusedAcrossTheCut(t *testing.T) {
 	resubmit("before the cut")
 	client.submit(501, all...)
 	waitHeight(t, 30*time.Second, 2, nodes...)
-	for _, dir := range dirs[n/2:] {
-		if _, err := os.Stat(filepath.Join(dir, "checkpoint.ckpt")); err != nil {
-			t.Fatalf("no checkpoint cut at block 2: %v", err)
+	// The cut block 2 starts is written on the store's goroutine: its file
+	// appears a moment after the block commits.
+	waitFor(t, 10*time.Second, "the checkpoint cut at block 2", func() bool {
+		for _, dir := range dirs[n/2:] {
+			if _, err := os.Stat(filepath.Join(dir, "checkpoint.ckpt")); err != nil {
+				return false
+			}
 		}
-	}
+		return true
+	})
 	applied := nodes[0].app.Status().TxsApplied
 	resubmit("after the cut")
 	// A transaction the pool admitted would be proposed and commit within

@@ -32,8 +32,8 @@ func main() {
 		PartitionDelayMs: 3000,
 		Seed:             3,
 		MaxBlocks:        8,
-		OnBlock: func(k uint64, txs int) {
-			fmt.Printf("  block %d committed (%d txs)\n", k, txs)
+		OnCommittedBatch: func(k uint64, txs []*zlb.Transaction, _ time.Duration) {
+			fmt.Printf("  block %d committed (%d txs)\n", k, len(txs))
 		},
 		OnFraud: func(culprit zlb.ReplicaID) {
 			fmt.Printf("  fraud proven: replica %v\n", culprit)

@@ -16,8 +16,8 @@ func main() {
 		N:         7,
 		Seed:      42,
 		MaxBlocks: 10,
-		OnBlock: func(k uint64, txs int) {
-			fmt.Printf("block %-3d committed with %d transaction(s)\n", k, txs)
+		OnCommittedBatch: func(k uint64, txs []*zlb.Transaction, _ time.Duration) {
+			fmt.Printf("block %-3d committed with %d transaction(s)\n", k, len(txs))
 		},
 	})
 	if err != nil {

@@ -34,7 +34,8 @@ func TestEveryProposalCommits(t *testing.T) {
 }
 
 // onlyBatch is an application whose replica 1 has one batch to propose, for
-// instance 1, and nobody anything else.
+// instance 1, and nobody anything else; like the payment application, its
+// replicas start an instance only when there is work (WaitForWork).
 type onlyBatch struct {
 	id      types.ReplicaID
 	payload []byte
@@ -42,6 +43,7 @@ type onlyBatch struct {
 }
 
 func (a *onlyBatch) Bind(cfg *asmr.Config) {
+	cfg.WaitForWork = true
 	cfg.BatchSource = func(k uint64) asmr.Batch {
 		if a.id == 1 && k == 1 {
 			return asmr.Batch{Payload: a.payload}
@@ -67,7 +69,6 @@ func TestIdleReplicasJoinTheInstanceAPeerStarted(t *testing.T) {
 		N:           4,
 		Accountable: true,
 		Recover:     true,
-		WaitForWork: true,
 		BaseLatency: latency.Uniform(time.Millisecond, 8*time.Millisecond),
 		Seed:        5,
 	})

@@ -57,10 +57,6 @@ type Config struct {
 	// Accountable=true and Recover=false the replica is the Polygraph
 	// baseline: detects fraud but cannot heal.
 	Recover bool
-	// DeceitfulBound is δ̂, the assumed bound on the deceitful ratio; the
-	// confirmation phase waits for more than (δ̂+1/3)·n matching
-	// confirmations (§4.1 ②). Default 5/9.
-	DeceitfulBound float64
 	// CoordTimeout tunes the binary consensus coordinator wait.
 	CoordTimeout func(round types.Round) time.Duration
 	// BatchSource supplies this replica's proposal for instance k.
@@ -217,9 +213,6 @@ const maxPending = 1 << 17
 // NewReplica builds a replica. Call Start to begin proposing; pool nodes
 // skip Start and wait for a JoinNotice.
 func NewReplica(cfg Config) *Replica {
-	if cfg.DeceitfulBound == 0 {
-		cfg.DeceitfulBound = 5.0 / 9.0
-	}
 	if cfg.History == nil {
 		cfg.History = NewMemHistory()
 	}
@@ -348,11 +341,15 @@ func (r *Replica) Start() {
 	r.startInstance(r.nextK)
 }
 
+// deceitfulBound is δ̂, the paper's bound on the deceitful ratio (§4.1):
+// ZLB tolerates fewer than 5n/9 deceitful replicas.
+const deceitfulBound = 5.0 / 9.0
+
 // confirmThreshold is the number of matching confirmations finality needs:
 // more than (δ̂ + 1/3)·n.
 func (r *Replica) confirmThreshold() int {
 	n := float64(r.view.Size())
-	th := int((r.cfg.DeceitfulBound+1.0/3.0)*n) + 1
+	th := int((deceitfulBound+1.0/3.0)*n) + 1
 	if th > r.view.Size() {
 		th = r.view.Size()
 	}

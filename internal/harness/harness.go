@@ -43,10 +43,9 @@ type Options struct {
 	Seed int64
 	// Accountable / Recover select the system: ZLB (true,true),
 	// Polygraph baseline (true,false), Red Belly baseline (false,false).
+	// The payment application (internal/node) binds ZLB whatever they say.
 	Accountable bool
 	Recover     bool
-	// DeceitfulBound is δ̂ for the confirmation threshold; 0 = 5/9.
-	DeceitfulBound float64
 	// MaxInstances bounds the chain length; 0 = 16.
 	MaxInstances uint64
 	// BatchTxs / BatchBytes model each proposal's batch (claimed sizes).
@@ -57,9 +56,6 @@ type Options struct {
 	// AttackAfter makes the coalition behave honestly on instances below
 	// this index (0 = attack from instance 1).
 	AttackAfter uint64
-	// WaitForWork defers instance starts until batches are non-empty
-	// (used by the payment application).
-	WaitForWork bool
 	// CoordTimeout overrides the binary consensus coordinator timeout.
 	CoordTimeout func(types.Round) time.Duration
 	// App builds the application each replica runs — the parameter ASMR
@@ -282,12 +278,10 @@ func (c *Cluster) buildReplica(id types.ReplicaID, env simnet.Env) (*asmr.Replic
 		PoolCandidates:     c.PoolIDs,
 		Accountable:        c.Opts.Accountable,
 		Recover:            c.Opts.Recover,
-		DeceitfulBound:     c.Opts.DeceitfulBound,
 		CoordTimeout:       c.Opts.CoordTimeout,
 		MaxInstances:       c.Opts.MaxInstances,
 		Adversary:          adv,
 		AttackFromInstance: c.Opts.AttackAfter,
-		WaitForWork:        c.Opts.WaitForWork,
 		Deceitful:          c.Coalition.IsDeceitful(id),
 		Intern:             c.Intern,
 		Tracer:             c.Opts.Tracer.Node(id),

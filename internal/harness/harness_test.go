@@ -47,11 +47,10 @@ func TestHappyPathFinality(t *testing.T) {
 		Accountable:  true,
 		Recover:      true,
 		MaxInstances: 2,
-		// δ̂ = 1/3: finality needs > (1/3+1/3)·7 ⇒ 5 confirmations.
-		DeceitfulBound: 1.0 / 3.0,
-		BaseLatency:    latency.Uniform(5*time.Millisecond, 25*time.Millisecond),
-		CoordTimeout:   fastCoordTimeout,
-		Seed:           2,
+		// δ̂ = 5/9: finality needs > (5/9+1/3)·7 ≈ 6.2 ⇒ all 7 confirmations.
+		BaseLatency:  latency.Uniform(5*time.Millisecond, 25*time.Millisecond),
+		CoordTimeout: fastCoordTimeout,
+		Seed:         2,
 	})
 	if err != nil {
 		t.Fatal(err)

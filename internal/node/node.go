@@ -160,11 +160,17 @@ func (n *Node) Reseed() {
 	n.opts.Genesis(n.ledger)
 }
 
-// Bind adds the node to a replica configuration under construction: it
-// is the batch source, the proposal, commit and fork-merge callbacks, and
-// it counts proofs of fraud and membership changes after whatever
-// observers the configuration already has.
+// Bind adds the node to a replica configuration under construction, the
+// one place a payment replica's policy is set: the replica is ZLB
+// (accountable and recovering), starts an instance only when it or a peer
+// has work, and keeps its retired decisions in the node's store, or drops
+// them without one (HistoryOf). The node is the batch source, the
+// proposal, commit and fork-merge callbacks, and it counts proofs of fraud
+// and membership changes after whatever observers the configuration
+// already has.
 func (n *Node) Bind(cfg *asmr.Config) {
+	cfg.Accountable, cfg.Recover, cfg.WaitForWork = true, true, true
+	cfg.History = HistoryOf(n.store)
 	cfg.BatchSource = n.Propose
 	cfg.OnProposal = n.Prevalidate
 	cfg.OnCommit = n.Commit
@@ -229,10 +235,6 @@ func (n *Node) restoredBlocks() (out []asmr.RestoredBlock) {
 	}
 	return out
 }
-
-// History is what a deployed replica keeps of its retired instances'
-// decisions (asmr.Config.History): HistoryOf the node's store.
-func (n *Node) History() asmr.History { return HistoryOf(n.store) }
 
 // HistoryOf is the asmr.History of a replica whose node appends every
 // committed decision to st, in chain order: Put keeps nothing but refuses

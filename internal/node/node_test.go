@@ -468,7 +468,7 @@ func (f *fixture) attachReplica(t *testing.T) *asmr.Replica {
 		t.Fatal(err)
 	}
 	r := asmr.NewReplica(asmr.Config{Self: 1, Signer: signers[0], Env: f.opts.Env, InitialCommittee: []types.ReplicaID{1, 2, 3, 4}, Accountable: true,
-		History: f.History()})
+		History: HistoryOf(f.store)})
 	f.Attach(r)
 	return r
 }
@@ -501,7 +501,7 @@ func TestLedgerAppliesBlocksInChainOrder(t *testing.T) {
 func TestStoreHistoryRefusesABlockAheadOfAGap(t *testing.T) {
 	f := newFixture(t, tcpEnv(1), wire.NewBatchCache(8), func(o *Options) { o.DataDir = t.TempDir() })
 	f.attachReplica(t)
-	h := f.History()
+	h := HistoryOf(f.store)
 	first := decide(1, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(1))})
 	second := decide(2, map[types.ReplicaID][]byte{1: encode(t, f.faucet.pay(2))})
 	f.Commit(2, 0, second)

@@ -41,8 +41,8 @@ type ReplicaStatus struct {
 // blocks, committed IDs and unspent outputs grow with the chain; the
 // retained payloads are those of the decisions the replica still holds
 // in its instances (asmr.Stats.DecisionBytes), which retirement hands to
-// the replica's history (asmr.History). On a deployed node that is the
-// store, whose retained segments are HistoryBytes, or nothing (0).
+// the replica's history (asmr.History). On a payment replica (Bind) that
+// is the store, whose retained segments are HistoryBytes, or nothing (0).
 // HistoryPruned counts the reads of a retired block the history answered
 // with "pruned" or "not held".
 type MemoryStatus struct {
@@ -217,7 +217,7 @@ func (n *Node) registerSeries() {
 	reg.GaugeFunc("zlb_utxo_entries", "Unspent outputs in the UTXO table.", locked(func() int64 { return s.Memory.UTXOEntries }))
 	reg.GaugeFunc("zlb_batch_cache_entries", "Decoded proposal batches in the batch cache (at most 2n).", locked(func() int64 { return s.Memory.BatchCacheEntries }))
 	reg.GaugeFunc("zlb_retained_payload_bytes", "Proposal payload bytes in the committed decisions this replica holds in memory, outside its history.", locked(func() int64 { return s.Memory.RetainedPayloadBytes }))
-	reg.GaugeFunc("zlb_history_bytes", "Bytes of the history retired decisions are read from: the store's retained segments on a deployed node, 0 without a store.", locked(func() int64 { return s.Memory.HistoryBytes }))
+	reg.GaugeFunc("zlb_history_bytes", "Bytes of the history retired decisions are read from: the store's retained segments, 0 without a store.", locked(func() int64 { return s.Memory.HistoryBytes }))
 	reg.CounterFunc("zlb_history_errors_total", "Failed history writes (the decision stays in memory) and failed or mismatched reads (nothing is served for the instance).", locked(func() int64 { return int64(s.Memory.HistoryErrors) }))
 	reg.GaugeFunc("zlb_checkpoint_height", "Height of the last checkpoint cut the store installed since the node started (0 before it, and without a store).", locked(func() int64 { return int64(s.Memory.CheckpointHeight) }))
 	reg.CounterFunc("zlb_history_pruned_total", "Reads of a retired block's decision the history does not hold: pruned below the store's retained segments, or dropped by a node without a store (nothing is served for the instance).", locked(func() int64 { return int64(s.Memory.HistoryPruned) }))

@@ -11,10 +11,11 @@
 //     its recorded digest (a lying server cannot swap bodies);
 //   - the chain digests themselves are authenticated either by
 //     cross-checking the responses of several peers (CrossCheck — a
-//     majority of the committee must agree on the chain) or, at the
-//     consensus layer, by the certificate audit the replica performs on
-//     the decisions it adopts (asmr's block audit on catch-up; the
-//     committee's certificates are the root of trust, per §4.1).
+//     majority of the committee must send the same checkpoint and agree
+//     on the chain) or, at the consensus layer, by the certificate audit
+//     the replica performs on the decisions it adopts (asmr's block audit
+//     on catch-up; the committee's certificates are the root of trust,
+//     per §4.1).
 
 package store
 
@@ -155,8 +156,10 @@ func decodeLog(log []byte) ([]*BlockRecord, error) {
 
 // chainKey folds a response's chain (checkpoint entries, then log
 // records, first record per index winning — the same fold bm.Ledger's
-// BlockAt answers from) into one digest for majority voting: per index
-// the ledger digest and the decision digest.
+// BlockAt answers from) into one digest for majority voting: the digest of
+// the checkpoint's bytes, then per index the ledger digest and the
+// decision digest. The chain's digests cover no checkpoint's outputs, so
+// the checkpoint is voted on byte for byte.
 func chainKey(resp *wire.SyncResp) (types.Digest, error) {
 	byK := make(map[uint64][2]types.Digest)
 	note := func(k uint64, ledger, decision types.Digest) {
@@ -180,7 +183,8 @@ func chainKey(resp *wire.SyncResp) (types.Digest, error) {
 	for _, r := range records {
 		note(r.K, r.Digest, r.Decision.Digest())
 	}
-	var buf []byte
+	ckpt := types.Hash(resp.Checkpoint)
+	buf := ckpt[:]
 	for _, k := range slices.Sorted(maps.Keys(byK)) {
 		d := byK[k]
 		buf = append(append(binary.BigEndian.AppendUint64(buf, k), d[0][:]...), d[1][:]...)
@@ -188,11 +192,13 @@ func chainKey(resp *wire.SyncResp) (types.Digest, error) {
 	return types.Hash(buf), nil
 }
 
-// CrossCheck picks the response whose chain a strict majority of the
-// responders agree on. Responses that fail to decode are discarded
+// CrossCheck picks a response whose checkpoint and chain a strict majority
+// of the responders agree on. Responses that fail to decode are discarded
 // (counting toward the denominator: a peer sending garbage is a peer
-// disagreeing). Two peers with different checkpoint cuts of the same
-// chain vote together — the vote is on chain content, not bytes.
+// disagreeing). The vote is on the checkpoint's bytes and the chain's
+// content: two peers that cut the same chain at different heights vote
+// apart, and with no majority among them the requester starts from
+// genesis.
 func CrossCheck(resps []*wire.SyncResp) (*wire.SyncResp, error) {
 	votes := make(map[types.Digest][]int)
 	for i, r := range resps {
@@ -207,16 +213,7 @@ func CrossCheck(resps []*wire.SyncResp) (*wire.SyncResp, error) {
 	}
 	for _, idxs := range votes {
 		if 2*len(idxs) > len(resps) {
-			// Prefer the longest response of the winning group (most
-			// complete checkpoint + tail).
-			best := resps[idxs[0]]
-			for _, i := range idxs[1:] {
-				if resps[i].LastK > best.LastK ||
-					(resps[i].LastK == best.LastK && len(resps[i].Checkpoint) > len(best.Checkpoint)) {
-					best = resps[i]
-				}
-			}
-			return best, nil
+			return resps[idxs[0]], nil
 		}
 	}
 	return nil, ErrNoQuorum

@@ -543,6 +543,64 @@ func TestCrossCheckMajority(t *testing.T) {
 	}
 }
 
+// TestCrossCheckVotesOnTheCheckpointBytes: a responder that sends the
+// majority's chain beside a checkpoint of its own — one crediting 2^40
+// coins to an address nobody paid — and claims a thousand more blocks does
+// not win the vote. The chain's digests do not cover the checkpoint's
+// outputs, so the vote is on the checkpoint's bytes too, and the one
+// installed is the one a majority sent.
+func TestCrossCheckVotesOnTheCheckpointBytes(t *testing.T) {
+	f := newFixture(t, t.TempDir(), Options{})
+	for k := uint64(1); k <= 4; k++ {
+		f.commit(k, 75)
+	}
+	if err := f.store.WriteCheckpoint(f.ledger.CheckpointState()); err != nil {
+		t.Fatal(err)
+	}
+	f.commit(5, 75)
+	var honest [2]*wire.SyncResp
+	for i := range honest {
+		resp, err := f.store.BuildSyncResp(&wire.SyncReq{FromK: 1, WantCheckpoint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest[i] = resp
+	}
+	cp, err := wire.DecodeCheckpoint(honest[0].Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thief := utxo.Address(types.Hash([]byte("thief")))
+	cp.UTXOs = append(cp.UTXOs, wire.UTXOEntry{
+		Op:  utxo.Outpoint{TxID: types.Hash([]byte("forged"))},
+		Out: utxo.Output{Account: thief, Value: 1 << 40},
+	})
+	forged := &wire.SyncResp{LastK: honest[0].LastK + 1000, Checkpoint: wire.EncodeCheckpoint(cp), Log: honest[0].Log}
+
+	picked, err := CrossCheck([]*wire.SyncResp{honest[0], forged, honest[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(picked.Checkpoint, honest[0].Checkpoint) {
+		t.Fatalf("cross-check picked a checkpoint one responder of three sent (LastK %d)", picked.LastK)
+	}
+	client, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ledger, err := InstallSync(client, f.scheme, picked, f.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ledger.Table().Balance(thief); got != 0 {
+		t.Fatalf("installed ledger credits %d coins to an address nobody paid", got)
+	}
+	if _, err := CrossCheck([]*wire.SyncResp{honest[0], forged}); err == nil {
+		t.Fatal("two responders with different checkpoints produced a winner")
+	}
+}
+
 // TestCheckpointKeepsRacingTailRecords pins the cut filter: a block
 // appended after the snapshot was captured but before WriteCheckpoint
 // ran (the legal checkpoint race) must survive both in memory and

@@ -41,8 +41,8 @@
 //
 // Quickstart:
 //
-//	cluster, _ := zlb.NewCluster(zlb.Config{N: 7, InitialFunds: map[zlb.Address]zlb.Amount{...}})
-//	wallet := cluster.WalletFor(0) // pre-funded test wallet
+//	cluster, _ := zlb.NewCluster(zlb.Config{N: 7})
+//	wallet, _ := cluster.WalletFor(0) // pre-funded test wallet
 //	tx, _ := cluster.Pay(wallet, recipient, 100)
 //	cluster.Submit(tx)
 //	cluster.Run(30 * time.Second) // virtual time
@@ -123,23 +123,21 @@ const (
 	ReliableBroadcastAttack
 )
 
+// walletFunds is each pre-funded test wallet's genesis balance.
+const walletFunds Amount = 1_000_000
+
 // Config parameterizes an in-process ZLB deployment.
 type Config struct {
 	// N is the committee size (required, ≥ 4).
 	N int
 	// PoolSize is the number of standby candidate replicas (default N).
 	PoolSize int
-	// InitialFunds seeds the genesis block. WalletCount pre-funded test
-	// wallets are created in addition (each with WalletFunds coins).
-	InitialFunds map[Address]Amount
-	// WalletCount pre-funds this many test wallets (default 3).
+	// WalletCount pre-funds this many test wallets (default 3), each with
+	// 1 000 000 coins at genesis (walletFunds).
 	WalletCount int
-	// WalletFunds is each test wallet's genesis balance (default 1e6).
-	WalletFunds Amount
-	// GainBound is G, the per-block double-spend bound used to size
-	// deposits (default: total genesis funds).
-	GainBound Amount
-	// DepositFactor is b in D = b·G (default 0.1, the paper's Fig. 6).
+	// DepositFactor is b in D = b·G (default 0.1, the paper's Fig. 6),
+	// where G, the per-block double-spend bound, is the total genesis
+	// funds.
 	DepositFactor float64
 	// MaxBlocks bounds the chain length for bounded runs (default 32).
 	MaxBlocks uint64
@@ -156,10 +154,12 @@ type Config struct {
 	// DataDir, when set, makes every replica persist its chain to a
 	// durable block store (internal/store) under <DataDir>/r<id>:
 	// committed blocks and reconciliation merges write through, and a
-	// UTXO checkpoint is cut every CheckpointEvery blocks. The default
-	// (empty) keeps the deployment fully in-memory. Restart recovers a
-	// crashed replica's chain from there, and RecoverChain reads a
-	// replica's persisted state back after the cluster is gone.
+	// UTXO checkpoint is cut every CheckpointEvery blocks, and a retired
+	// instance's decision is read back from there. The default (empty)
+	// keeps the deployment fully in-memory and, like a zlb-node without a
+	// data dir, drops a retired decision. Restart recovers a crashed
+	// replica's chain from there, and RecoverChain reads a replica's
+	// persisted state back after the cluster is gone.
 	DataDir string
 	// CheckpointEvery is the checkpoint cadence in blocks (default 8)
 	// when DataDir is set.
@@ -192,8 +192,6 @@ type Config struct {
 	// zero cost.
 	Tracer *obs.Tracer
 
-	// OnBlock, if set, observes every committed block at replica 1.
-	OnBlock func(k uint64, txs int)
 	// OnCommittedBatch, if set, observes every committed block's
 	// transactions at the first honest replica, stamped with that
 	// replica's virtual commit time — the submit-to-commit latency probe
@@ -275,9 +273,6 @@ func applyDefaults(cfg *Config) error {
 	if cfg.WalletCount == 0 {
 		cfg.WalletCount = 3
 	}
-	if cfg.WalletFunds == 0 {
-		cfg.WalletFunds = 1_000_000
-	}
 	if cfg.DepositFactor == 0 {
 		cfg.DepositFactor = 0.1
 	}
@@ -308,8 +303,8 @@ func applyDefaults(cfg *Config) error {
 // paymentSetup derives the payment-side PKI, the pre-funded test wallets
 // and the genesis allocation from a defaulted configuration — shared by
 // NewCluster and RecoverChain, which must rebuild the identical genesis
-// to replay a persisted chain. It also resolves GainBound and returns
-// the per-replica stake.
+// to replay a persisted chain. It also returns the per-replica stake,
+// sized from G, the total genesis funds.
 func paymentSetup(cfg *Config) (crypto.Scheme, []*Wallet, map[Address]Amount, Amount, error) {
 	kind, err := node.SchemeKind(cfg.Scheme)
 	if err != nil {
@@ -321,10 +316,7 @@ func paymentSetup(cfg *Config) (crypto.Scheme, []*Wallet, map[Address]Amount, Am
 		return nil, nil, nil, 0, err
 	}
 	rand := crypto.NewDeterministicRand(cfg.Seed ^ 0x77a11e7)
-	genesis := make(map[Address]Amount, len(cfg.InitialFunds)+cfg.WalletCount)
-	for a, v := range cfg.InitialFunds {
-		genesis[a] = v
-	}
+	genesis := make(map[Address]Amount, cfg.WalletCount)
 	var wallets []*Wallet
 	for i := 0; i < cfg.WalletCount; i++ {
 		kp, err := scheme.GenerateKey(rand)
@@ -333,14 +325,13 @@ func paymentSetup(cfg *Config) (crypto.Scheme, []*Wallet, map[Address]Amount, Am
 		}
 		w := utxo.NewWallet(kp, scheme)
 		wallets = append(wallets, w)
-		genesis[w.Address()] += cfg.WalletFunds
+		genesis[w.Address()] += walletFunds
 	}
-	if cfg.GainBound == 0 {
-		for _, v := range genesis {
-			cfg.GainBound += v
-		}
+	var gain Amount
+	for _, v := range genesis {
+		gain += v
 	}
-	stake := payment.PerReplicaDeposit(cfg.N, cfg.DepositFactor, cfg.GainBound)
+	stake := payment.PerReplicaDeposit(cfg.N, cfg.DepositFactor, gain)
 	return scheme, wallets, genesis, stake, nil
 }
 
@@ -388,13 +379,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		PoolSize:       cfg.PoolSize,
 		Deceitful:      cfg.Deceitful,
 		Attack:         attack,
-		Accountable:    true,
-		Recover:        true,
 		MaxInstances:   cfg.MaxBlocks,
 		BaseLatency:    latency.Uniform(5*time.Millisecond, 30*time.Millisecond),
 		PartitionDelay: partDelay,
 		Seed:           cfg.Seed,
-		WaitForWork:    true,
 		Tracer:         cfg.Tracer,
 		CoordTimeout: func(r types.Round) time.Duration {
 			return 150 * time.Millisecond * time.Duration(r+1)
@@ -444,13 +432,7 @@ func (c *Cluster) newNode(id ReplicaID, env simnet.Env) (harness.Application, er
 			}
 		},
 		OnCommitted: func(k uint64, b *bm.Block, _ int) {
-			if id != c.observer() {
-				return
-			}
-			if c.cfg.OnBlock != nil {
-				c.cfg.OnBlock(k, len(b.Txs))
-			}
-			if c.cfg.OnCommittedBatch != nil {
+			if id == c.observer() && c.cfg.OnCommittedBatch != nil {
 				c.cfg.OnCommittedBatch(k, b.Txs, env.Now())
 			}
 		},

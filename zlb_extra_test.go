@@ -1,6 +1,8 @@
 package zlb
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -210,19 +212,67 @@ func TestRBCastVariantPayloadsMerge(t *testing.T) {
 // replica — the objects a deployed node serves at /status — after every
 // block of a 100-block run: the instances holding protocol state stay
 // within the retention window plus what is in flight, everything older
-// is retired to its compact record, with its decision's payloads moved
-// from the retained bytes to the history's, and the memory and pipeline
-// objects follow the chain.
+// is retired to its compact record, and the memory and pipeline objects
+// follow the chain. Without a store the replica drops a retired decision,
+// as a store-less zlb-node does: the payloads it holds are those of the
+// window's decisions, and its history holds nothing.
 func TestStatusBoundedOverLongRun(t *testing.T) {
-	const blocks = 100
-	c, err := NewCluster(Config{N: 4, Seed: 3, MaxBlocks: blocks})
+	_, st, windowPayloads := longRunStatus(t, Config{N: 4, Seed: 3, MaxBlocks: longRunBlocks})
+	if m := st.Memory; m.RetainedPayloadBytes < 1 || m.RetainedPayloadBytes > windowPayloads ||
+		m.HistoryBytes != 0 || m.HistoryErrors != 0 {
+		t.Errorf("memory %+v after %d one-payment blocks, want 1..%d retained payload bytes and no history",
+			m, longRunBlocks, windowPayloads)
+	}
+}
+
+// TestStatusBoundedOverLongRunWithAStore is the same run with a data dir:
+// a retired decision is read back from the store, whose retained segments
+// on disk are the history, and every write to it and read from it
+// succeeds.
+func TestStatusBoundedOverLongRunWithAStore(t *testing.T) {
+	dir := t.TempDir()
+	c, st, windowPayloads := longRunStatus(t, Config{N: 4, Seed: 3, MaxBlocks: longRunBlocks, DataDir: dir})
+	segments, err := filepath.Glob(filepath.Join(replicaDataDir(dir, c.observer()), "log", "wal-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var segmentBytes int64
+	for _, path := range segments {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segmentBytes += fi.Size()
+	}
+	if m := st.Memory; m.RetainedPayloadBytes < 1 || m.RetainedPayloadBytes > windowPayloads ||
+		m.HistoryBytes < 1 || m.HistoryBytes != segmentBytes || m.HistoryErrors != 0 {
+		t.Errorf("memory %+v after %d one-payment blocks, want 1..%d retained payload bytes and the store's %d segment bytes as history",
+			m, longRunBlocks, windowPayloads, segmentBytes)
+	}
+}
+
+const longRunBlocks = 100
+
+// longRunStatus commits longRunBlocks one-payment blocks on the cluster
+// cfg builds, checking the replica status after each, and returns the
+// cluster, closed when the test ends, its last status and the payload
+// bytes of the decisions a replica may still hold: the last
+// RetainDepth + 2 its observer committed.
+func longRunStatus(t *testing.T, cfg Config) (*Cluster, NodeStatus, int64) {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	alice, _ := c.WalletFor(0)
 	bob, _ := c.WalletFor(1)
 	c.Start()
-	const window = asmr.RetainDepth + 2
+	const blocks, window = longRunBlocks, asmr.RetainDepth + 2
 	for b := 1; b <= blocks; b++ {
 		tx, err := c.Pay(alice, bob.Address(), 1)
 		if err != nil {
@@ -244,9 +294,7 @@ func TestStatusBoundedOverLongRun(t *testing.T) {
 	if st.Replica.CompactedInstances < blocks-window || st.Replica.UnfinalInstances != 0 {
 		t.Errorf("replica %+v after %d blocks, want >= %d compacted and none unfinal", st.Replica, blocks, blocks-window)
 	}
-	// Every committed payload is held, the retired ones in the history.
-	if m := st.Memory; m.LedgerBlocks != blocks || m.CommittedTxIDs != blocks || m.BatchCacheEntries < 1 ||
-		m.RetainedPayloadBytes+m.HistoryBytes < 200*blocks || m.RetainedPayloadBytes >= m.HistoryBytes || m.HistoryErrors != 0 {
+	if m := st.Memory; m.LedgerBlocks != blocks || m.CommittedTxIDs != blocks || m.BatchCacheEntries < 1 {
 		t.Errorf("memory %+v after %d one-payment blocks", m, blocks)
 	}
 	if p := st.Pipeline; st.TxsApplied != blocks || p.ProposalsCommitted < blocks || p.ProposalsDelivered < p.ProposalsCommitted {
@@ -255,4 +303,10 @@ func TestStatusBoundedOverLongRun(t *testing.T) {
 	if st.Mempool.Admitted != blocks || st.Mempool.Pending != 0 {
 		t.Errorf("mempool %+v after %d payments", st.Mempool, blocks)
 	}
+	var windowPayloads int64
+	commits := c.inner.Commits[c.observer()]
+	for k := uint64(blocks - window + 1); k <= blocks; k++ {
+		windowPayloads += int64(commits[k].Decision.PayloadBytes())
+	}
+	return c, st, windowPayloads
 }
