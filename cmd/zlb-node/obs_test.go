@@ -321,15 +321,16 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	// Every payment is the faucet's, so one wallet key: its table is built
 	// at its second accepted check, and most later checks find it.
 	tables := seriesValue(t, body, "zlb_wallet_key_tables")
+	tableBytes := seriesValue(t, body, "zlb_wallet_key_table_bytes")
 	hits := seriesValue(t, body, "zlb_wallet_key_hits_total")
 	misses := seriesValue(t, body, "zlb_wallet_key_misses_total")
 	builds := seriesValue(t, body, "zlb_wallet_key_builds_total")
 	evictions := seriesValue(t, body, "zlb_wallet_key_evictions_total")
-	if tables != 1 || builds != 1 || evictions != 0 || misses < 2 || hits < (blocks+more)/2 {
-		t.Errorf("wallet-key cache: %v tables, %v hits, %v misses, %v builds, %v evictions after %d one-payment blocks", tables, hits, misses, builds, evictions, blocks+more)
+	if tables != 1 || tableBytes <= 0 || builds != 1 || evictions != 0 || misses < 2 || hits < (blocks+more)/2 {
+		t.Errorf("wallet-key cache: %v tables of %v bytes, %v hits, %v misses, %v builds, %v evictions after %d one-payment blocks", tables, tableBytes, hits, misses, builds, evictions, blocks+more)
 	}
-	if c := st.WalletKeys; c.Tables != int(tables) || c.Builds != uint64(builds) || float64(c.Hits) < hits || float64(c.Misses) < misses {
-		t.Errorf("/status wallet_key_cache = %+v, /metrics read %v tables, %v hits, %v misses, %v builds", c, tables, hits, misses, builds)
+	if c := st.WalletKeys; c.Tables != int(tables) || c.Bytes != int(tableBytes) || c.Builds != uint64(builds) || float64(c.Hits) < hits || float64(c.Misses) < misses {
+		t.Errorf("/status wallet_key_cache = %+v, /metrics read %v tables, %v bytes, %v hits, %v misses, %v builds", c, tables, tableBytes, hits, misses, builds)
 	}
 }
 

@@ -416,8 +416,13 @@ func TestChecksWhileKeysRegister(t *testing.T) {
 // each by two accepted checks, and holds the cache to walletKeys tables
 // throughout: past the bound every new table evicts the oldest, and the
 // set of keys accepted once stays bounded too. A key accepted once gets
-// no table.
+// no table. The bytes it reports are its tables × one table's, and the
+// bound's bytes are within the 7.5 MiB the package README states.
 func TestKeyCacheBound(t *testing.T) {
+	const documented = 7.5 * (1 << 20)
+	if walletTableBytes <= 0 || walletKeys*walletTableBytes > documented {
+		t.Fatalf("%d tables of %d bytes exceed the documented %d bytes", walletKeys, walletTableBytes, int(documented))
+	}
 	reg := NewRegistry(SchemeEd25519)
 	scheme, err := NewScheme(SchemeEd25519, reg)
 	if err != nil {
@@ -452,6 +457,9 @@ func TestKeyCacheBound(t *testing.T) {
 		reg.wallets.mu.Unlock()
 		if tables > walletKeys || seen > walletKeys {
 			t.Fatalf("after %d keys: %d tables and %d keys accepted once, bound %d", i+1, tables, seen, walletKeys)
+		}
+		if st := reg.wallets.snapshot(); st.Bytes != st.Tables*walletTableBytes {
+			t.Fatalf("after %d keys: %d tables reported as %d bytes, want %d each", i+1, st.Tables, st.Bytes, walletTableBytes)
 		}
 	}
 	st := reg.wallets.snapshot()
@@ -508,10 +516,12 @@ func TestRejectedChecksBuildNoTable(t *testing.T) {
 
 // BenchmarkVerify times one check under a registered key, under a
 // wallet's seen for the first time (unregistered), under one the
-// wallet-key cache holds a table for (cached), and in the standard
-// library. The -cold variants write over an 8 MiB buffer before each
-// check, outside the timer, so the check starts from caches other work
-// has evicted, as it does in a node.
+// wallet-key cache holds a table for (cached), in the standard library,
+// and a wallet key's second accepted check, which builds the key's table
+// after the check (second; each iteration's key is new, made and checked
+// once outside the timer). The -cold variants write over an 8 MiB buffer
+// before each check, outside the timer, so the check starts from caches
+// other work has evicted, as it does in a node.
 func BenchmarkVerify(b *testing.B) {
 	signers, reg, err := GenerateCluster(SchemeEd25519, 4, 1)
 	if err != nil {
@@ -525,28 +535,50 @@ func BenchmarkVerify(b *testing.B) {
 	registered := func() bool { return signers[0].scheme.Verify(pub, digest, sig) }
 	unregistered := func() bool { return wallet.Verify(pub, digest, sig) }
 	cached := func() bool { return cache.Verify(pub, digest, sig) }
+	builds, _ := NewScheme(SchemeEd25519, NewRegistry(SchemeEd25519))
+	rand := NewDeterministicRand(8)
+	var freshPub PublicKey
+	var freshSig Signature
+	fresh := func() {
+		kp, err := builds.GenerateKey(rand)
+		if err != nil {
+			b.Fatal(err)
+		}
+		freshPub = kp.Public()
+		if freshSig, err = builds.Sign(kp, digest); err != nil {
+			b.Fatal(err)
+		}
+		if !builds.Verify(freshPub, digest, freshSig) {
+			b.Fatal("first check rejected")
+		}
+	}
+	second := func() bool { return builds.Verify(freshPub, digest, freshSig) }
 	evict := make([]byte, 8<<20)
+	evictCaches := func() {
+		for j := range evict {
+			evict[j] = byte(j)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		verify func() bool
-		cold   bool
+		before func() // outside the timer, before each check
 	}{
-		{"registered", registered, false},
-		{"unregistered", unregistered, false},
-		{"cached", cached, false},
-		{"stdlib", func() bool { return ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig) }, false},
-		{"registered-cold", registered, true},
-		{"unregistered-cold", unregistered, true},
-		{"cached-cold", cached, true},
+		{"registered", registered, nil},
+		{"unregistered", unregistered, nil},
+		{"cached", cached, nil},
+		{"second", second, fresh},
+		{"stdlib", func() bool { return ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig) }, nil},
+		{"registered-cold", registered, evictCaches},
+		{"unregistered-cold", unregistered, evictCaches},
+		{"cached-cold", cached, evictCaches},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := range b.N {
-				if c.cold {
+			for range b.N {
+				if c.before != nil {
 					b.StopTimer()
-					for j := range evict {
-						evict[j] = byte(i + j)
-					}
+					c.before()
 					b.StartTimer()
 				}
 				if !c.verify() {

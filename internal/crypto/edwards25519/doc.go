@@ -41,15 +41,14 @@
 // The variable-time base point's table (scalarmult.go) is changed too.
 // Upstream holds the affine odd multiples up to 127 of B; FixedTable
 // generalises that form to any point and to two shapes (TableShape) of
-// c chunks, the multiples of 2^(256j/c)·P for j < c, of m entries each,
-// made affine with one field inversion. B has sixteen chunks of 64
-// (KeyShape), and so does each key kept
-// for many checks, so that a double-scalar multiplication reads both
-// scalars as width-8 NAF digits and does 16 doublings instead of 256. A
-// key checked a few times (a wallet's) gets four chunks of 8
-// (WalletShape): width-5
-// digits and 64 doublings, and B's chunks 0, 4, 8 and 12 are read beside
-// it. A point used once gets upstream's one-chunk table of its multiples
+// sixteen chunks, the multiples of 2^(16j)·P for j < 16, of m entries
+// each, made affine with one field inversion. B has 64 entries a chunk
+// (KeyShape), and so does each key kept for many checks, so that a
+// double-scalar multiplication reads both scalars as width-8 NAF digits
+// and does 16 doublings instead of 256. A key checked a few times (a
+// wallet's) gets 4 entries a chunk (WalletShape): width-4 digits, the
+// same 16 doublings, and B's chunk j read beside its chunk j. A point
+// used once gets upstream's one-chunk table of its multiples
 // up to 15, built for the call. The loop first lists its additions, then reads each table entry
 // in place, prefetched a few additions ahead (an amd64 assembly stub, a
 // no-op elsewhere and under purego), where upstream copies it out.

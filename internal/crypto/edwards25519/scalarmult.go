@@ -6,44 +6,64 @@ package edwards25519
 
 import (
 	"sync"
+	"unsafe"
 
 	"github.com/zeroloss/zlb/internal/crypto/edwards25519/field"
 )
 
-// A TableShape is one of the two forms a FixedTable comes in.
+// A TableShape is one of the two forms a FixedTable comes in. Both have
+// tableChunks chunks; they differ in the odd multiples a chunk holds.
 type TableShape uint8
 
 const (
 	// KeyShape is for the base point and a registered key, checked many
-	// times: 16 chunks of 64 odd multiples (about 120 KiB).
+	// times: 16 chunks of 64 odd multiples (120 KiB).
 	KeyShape TableShape = iota
-	// WalletShape is for a key checked a few times, a wallet's: 4 chunks
-	// of 8 (about 3.75 KiB).
+	// WalletShape is for a key checked a few times, a wallet's: 16 chunks
+	// of 4 (7.5 KiB).
 	WalletShape
 )
 
-// A tableShape is a chunk count, the entries per chunk, and the NAF width
-// whose digits those entries cover (entries = 2^(width−2)).
+// tableChunks is the chunk count of every FixedTable: a multiplication
+// reads its scalars in 16 chunks of 16 places that share 16 doublings.
+const tableChunks = 16
+
+// The NAF widths the double-scalar loop reads A's digits at: under a
+// KeyShape table, under a WalletShape table, and under the one-chunk
+// table built for one call. B's digits are always keyWidth.
+const (
+	keyWidth    = 8
+	walletWidth = 4
+	onceWidth   = 5
+)
+
+// A tableShape is the entries per chunk, and the NAF width whose digits
+// those entries cover (entries = 2^(width−2)).
 type tableShape struct {
-	chunks, entries int
-	width           uint
+	entries int
+	width   uint
 }
 
 var shapes = [...]tableShape{
-	KeyShape:    {16, 64, 8},
-	WalletShape: {4, 8, 5},
+	KeyShape:    {1 << (keyWidth - 2), keyWidth},
+	WalletShape: {1 << (walletWidth - 2), walletWidth},
+}
+
+// Bytes returns how many bytes the points of a table of shape s take.
+func (s TableShape) Bytes() int {
+	return tableChunks * shapes[s].entries * int(unsafe.Sizeof(affineCached{}))
 }
 
 // A FixedTable holds, for a point P, the odd multiples P, 3P, …,
-// (2m−1)·P of each of P, 2^(256/c)·P, …, 2^(256(c−1)/c)·P in affine form,
-// for the c chunks of m entries of its shape. A multiplication by P then
-// reads the scalar's NAF digits of the shape's width in c chunks that
-// share one pass of 256/c doublings. It pays for a point used in many
+// (2m−1)·P of each of P, 2^16·P, …, 2^240·P in affine form, for the
+// tableChunks chunks of m entries of its shape. A multiplication by P
+// then reads the scalar's NAF digits of the shape's width in 16 chunks
+// that share one pass of 16 doublings. It pays for a point used in many
 // multiplications: the base point, and a key that is checked more than
 // once.
 type FixedTable struct {
 	tableShape
-	points []affineCached // (2i+1)·2^(256j/c)·P at entries·j+i
+	points []affineCached // (2i+1)·2^(16j)·P at entries·j+i
 }
 
 // NewFixedTable returns the table of p in the given shape. Its points
@@ -51,15 +71,15 @@ type FixedTable struct {
 // of one each.
 func NewFixedTable(p *Point, shape TableShape) *FixedTable {
 	checkInitialized(p)
-	chunks, entries := shapes[shape].chunks, shapes[shape].entries
-	pts := make([]Point, chunks*entries)
+	entries := shapes[shape].entries
+	pts := make([]Point, tableChunks*entries)
 	var q, q2 Point
 	var cached projCached
 	var tmp projP1xP1
 	q.Set(p)
-	for j := 0; j < chunks; j++ {
+	for j := 0; j < tableChunks; j++ {
 		if j > 0 {
-			q.doubleN(&q, 256/chunks)
+			q.doubleN(&q, 256/tableChunks)
 		}
 		cached.FromP3(q2.Add(&q, &q))
 		row := pts[entries*j : entries*(j+1)]
@@ -133,9 +153,13 @@ func (v *Point) VarTimeDoubleScalarFixedMult(a *Scalar, aTable *FixedTable, b *S
 // maxAdditions bounds the additions of one double-scalar multiplication.
 // A width-w NAF has at most one nonzero digit in any w consecutive
 // places (nonAdjacentForm moves on w places after each), so a scalar has
-// at most ⌈257/w⌉ of them: 52 at width 5 and 33 at width 8. The most a
-// multiplication adds is A's width-5 digits beside B's width-8 ones.
-const maxAdditions = (257+4)/5 + (257+7)/8
+// at most ⌈257/w⌉ of them: 65 at width 4, 52 at width 5 and 33 at
+// width 8. The most a multiplication adds is A's digits at the narrowest
+// width it reads them at, beside B's width-8 ones.
+const (
+	narrowest    = min(keyWidth, walletWidth, onceWidth)
+	maxAdditions = (257+narrowest-1)/narrowest + (257+keyWidth-1)/keyWidth
+)
 
 // prefetchAhead is how many additions before its turn a table entry is
 // prefetched.
@@ -168,11 +192,11 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	// "mass" of the scalar onto sparse coefficients (meaning
 	// fewer additions).
 	//
-	// The digits are read in c chunks of 256/c places: as many as A's
-	// FixedTable has, else one. Digit i of chunk j weighs 2^(i + 256j/c),
+	// The digits are read in c chunks of 256/c places: sixteen under a
+	// FixedTable of A, else one. Digit i of chunk j weighs 2^(i + 256j/c),
 	// so it is looked up in the tables of 2^(256j/c)·A and 2^(256j/c)·B
-	// (chunk 16j/c of B's sixteen), and one doubling of the accumulator
-	// moves every chunk on by one place.
+	// (chunk j of B's sixteen; a one-chunk loop reads only chunk 0), and
+	// one doubling of the accumulator moves every chunk on by one place.
 	//
 	// A first pass lists the additions in loop order, so that the loop
 	// can prefetch each table entry a few additions before it reads it
@@ -180,13 +204,13 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 	// checks.
 
 	bTable := basepointNafTable()
-	c, aWidth := 1, uint(5)
+	c, aWidth := 1, uint(onceWidth)
 	if aFixed != nil {
-		c, aWidth = aFixed.chunks, aFixed.width
+		c, aWidth = tableChunks, aFixed.width
 	}
-	span, bStep := 256/c, shapes[KeyShape].chunks/c
+	span := 256 / c
 	aNaf := a.nonAdjacentForm(aWidth)
-	bNaf := b.nonAdjacentForm(8)
+	bNaf := b.nonAdjacentForm(keyWidth)
 
 	// Zero past count, where the loop looks prefetchAhead entries on.
 	var adds [maxAdditions + prefetchAhead]addition
@@ -204,7 +228,7 @@ func (v *Point) varTimeDoubleScalarMult(a *Scalar, aFixed *FixedTable, aOnce *na
 				count++
 			}
 			if d := bNaf[span*j+i]; d != 0 {
-				adds[count] = addition{affine: bTable.entry(bStep*j, d), place: uint8(i), neg: d < 0}
+				adds[count] = addition{affine: bTable.entry(j, d), place: uint8(i), neg: d < 0}
 				count++
 			}
 		}

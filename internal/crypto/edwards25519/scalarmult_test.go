@@ -11,6 +11,7 @@ import (
 	mathrand "math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var (
@@ -20,7 +21,8 @@ var (
 	dalekScalarBasepoint, _ = new(Point).SetBytes([]byte{0xf4, 0xef, 0x7c, 0xa, 0x34, 0x55, 0x7b, 0x9f, 0x72, 0x3b, 0xb6, 0x1e, 0xf9, 0x46, 0x9, 0x91, 0x1c, 0xb9, 0xc0, 0x6c, 0x17, 0x28, 0x2d, 0x8b, 0x43, 0x2b, 0x5, 0x18, 0x6a, 0x54, 0x3e, 0x48})
 )
 
-// tableShapes are the two FixedTable shapes, by name.
+// tableShapes are the FixedTable shapes, by name; TestMultTableChunks
+// fails when one is missing.
 var tableShapes = map[string]TableShape{
 	"key table":    KeyShape,
 	"wallet table": WalletShape,
@@ -28,7 +30,7 @@ var tableShapes = map[string]TableShape{
 
 // doubleScalarMults are the forms of A's table a double-scalar
 // multiplication runs with: built for the one call, and a FixedTable of
-// either shape.
+// each shape.
 var doubleScalarMults = []struct {
 	name string
 	mult func(v *Point, a *Scalar, A *Point, b *Scalar) *Point
@@ -72,17 +74,20 @@ func reverse(b []byte) []byte {
 }
 
 // denseScalars are the scalars whose NAF digits fill the list of
-// additions the most: ℓ−1, and a digit at every place width 5 or
-// width 8 allows, the smallest and the largest digit.
+// additions the most: ℓ−1, and a digit at every place each NAF width
+// the loop reads allows, the smallest and the largest digit.
 func denseScalars(t testing.TB) map[string]*Scalar {
 	dense := map[string]*Scalar{"l-1": scMinusOne}
-	for _, w := range []uint{5, 8} {
+	for _, w := range nafWidths {
 		for _, d := range []int64{1, 1<<(w-1) - 1} {
 			dense[fmt.Sprintf("width %d, digits %d", w, d)], _ = denseScalar(t, w, d)
 		}
 	}
 	return dense
 }
+
+// nafWidths are the NAF widths the double-scalar loop reads digits at.
+var nafWidths = []uint{walletWidth, onceWidth, keyWidth}
 
 func nonzeroDigits(naf [256]int8) int {
 	n := 0
@@ -98,7 +103,7 @@ func nonzeroDigits(naf [256]int8) int {
 // additions is sized by: at most ⌈257/w⌉ nonzero width-w digits, which
 // the dense scalars come within two of.
 func TestNonAdjacentFormDensity(t *testing.T) {
-	for _, w := range []uint{5, 8} {
+	for _, w := range nafWidths {
 		limit := (257 + int(w) - 1) / int(w)
 		for _, d := range []int64{1, 1<<(w-1) - 1} {
 			s, digits := denseScalar(t, w, d)
@@ -145,9 +150,9 @@ func TestSlowReferenceVsDalek(t *testing.T) {
 func TestBasepointNafTableGeneration(t *testing.T) {
 	table := basepointNafTable()
 	p := NewGeneratorPoint()
-	for j := range table.chunks {
+	for j := range tableChunks {
 		if j > 0 {
-			p.doubleN(p, 256/table.chunks)
+			p.doubleN(p, 256/tableChunks)
 		}
 		var want nafLookupTable8
 		want.FromP3(p)
@@ -172,22 +177,26 @@ func randomPoint(rand *mathrand.Rand) *Point {
 	}
 }
 
-// TestMultTableChunks checks the shapes of a FixedTable, for B and for a
-// random point P: entry i of chunk j is (2i+1)·2^(256j/c)·P, by the
-// reference multiplication, and a chunk's entries cover the digits of
-// its NAF width.
+// TestMultTableChunks checks every shape of a FixedTable, for B and for
+// a random point P: entry i of chunk j is (2i+1)·2^(16j)·P, by the
+// reference multiplication, a chunk's entries cover the digits of its
+// NAF width, and the shape's Bytes counts its points.
 func TestMultTableChunks(t *testing.T) {
+	if len(tableShapes) != len(shapes) {
+		t.Fatalf("the tests name %d table shapes, the package has %d", len(tableShapes), len(shapes))
+	}
 	for shapeName, shape := range tableShapes {
 		for name, p := range map[string]*Point{"B": B, "random": randomPoint(mathrand.New(mathrand.NewSource(33)))} {
 			table := NewFixedTable(p, shape)
-			chunks, entries := table.chunks, table.entries
-			if len(table.points) != chunks*entries || 2*entries != 1<<(table.width-1) {
-				t.Fatalf("%s: %d points of NAF width %d", shapeName, len(table.points), table.width)
+			entries := table.entries
+			if len(table.points) != tableChunks*entries || 2*entries != 1<<(table.width-1) ||
+				shape.Bytes() != len(table.points)*int(unsafe.Sizeof(table.points[0])) {
+				t.Fatalf("%s: %d points of NAF width %d, %d bytes", shapeName, len(table.points), table.width, shape.Bytes())
 			}
-			for j := range chunks {
+			for j := range tableChunks {
 				for i := range entries {
-					var k [32]byte // (2i+1)·2^(256j/c), little-endian
-					k[256/chunks*j/8] = byte(2*i + 1)
+					var k [32]byte // (2i+1)·2^(16j), little-endian
+					k[256/tableChunks*j/8] = byte(2*i + 1)
 					s, err := new(Scalar).SetCanonicalBytes(k[:])
 					if err != nil {
 						t.Fatal(err)
@@ -197,7 +206,7 @@ func TestMultTableChunks(t *testing.T) {
 					want.scalarMultSlow(s, p)
 					got.fromP1xP1(sum.AddAffine(I, table.entry(j, int8(2*i+1))))
 					if got.Equal(&want) != 1 {
-						t.Fatalf("%s of %s: chunk %d, entry %d is not %d·2^%d·P", shapeName, name, j, i, 2*i+1, 256/chunks*j)
+						t.Fatalf("%s of %s: chunk %d, entry %d is not %d·2^%d·P", shapeName, name, j, i, 2*i+1, 256/tableChunks*j)
 					}
 				}
 			}
@@ -205,7 +214,7 @@ func TestMultTableChunks(t *testing.T) {
 	}
 }
 
-// TestFixedMultMatchesOneChunk holds the loop over either FixedTable
+// TestFixedMultMatchesOneChunk holds the loop over every FixedTable
 // shape against the one-chunk loop: on the scalars 0, 1, dalek's and the
 // dense ones, each against each, under B, a small-order, a mixed-order
 // and a random point, and on random points and scalars.

@@ -8,15 +8,20 @@ import (
 )
 
 // walletKeys bounds the wallet-key cache: how many keys it holds a table
-// for, and how many keys accepted once it remembers. At ≈3.75 KiB a
-// table (edwards25519.WalletShape, 32 affine points) that is ≤ 4 MiB per
+// for, and how many keys accepted once it remembers. At 7.5 KiB a table
+// (edwards25519.WalletShape, 64 affine points) that is ≤ 7.5 MiB per
 // registry. It is a constant, not a knob.
 const walletKeys = 1024
 
+// walletTableBytes is the size of one wallet-key table's points.
+var walletTableBytes = edwards25519.WalletShape.Bytes()
+
 // KeyCacheStats is what a registry's wallet-key cache holds and did.
 type KeyCacheStats struct {
-	// Tables is how many wallet-key tables the cache holds.
+	// Tables is how many wallet-key tables the cache holds, and Bytes
+	// what their points take: Tables × one table's bytes.
 	Tables int `json:"tables"`
+	Bytes  int `json:"bytes"`
 	// Hits counts checks under an unregistered key that found its table,
 	// and Misses those that did not; Builds the tables built, each at its
 	// key's second accepted check; Evictions the tables dropped, oldest
@@ -109,5 +114,6 @@ func (c *keyCache) snapshot() KeyCacheStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Tables = len(c.tables)
+	s.Bytes = s.Tables * walletTableBytes
 	return s
 }

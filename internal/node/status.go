@@ -225,6 +225,8 @@ func (n *Node) registerSeries() {
 	walletKeys := n.walletKeys
 	reg.GaugeFunc("zlb_wallet_key_tables", "Wallet-key tables the transaction scheme's cache holds.",
 		func() float64 { return float64(walletKeys().Tables) })
+	reg.GaugeFunc("zlb_wallet_key_table_bytes", "Bytes the points of the wallet-key cache's tables take: tables held × one table's bytes.",
+		func() float64 { return float64(walletKeys().Bytes) })
 	reg.CounterFunc("zlb_wallet_key_hits_total", "Transaction signature checks that found their key's table in the wallet-key cache.",
 		func() float64 { return float64(walletKeys().Hits) })
 	reg.CounterFunc("zlb_wallet_key_misses_total", "Transaction signature checks under an unregistered key that found no table in the wallet-key cache.",
